@@ -45,7 +45,6 @@ from .martingales import (
 )
 from .norms import (
     ConstantsTable,
-    NormConfig,
     bracket,
     burkholder_constant,
     burkholder_constant_alt,

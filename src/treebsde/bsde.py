@@ -9,7 +9,7 @@ its increments through the same quadruple container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -175,44 +175,65 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
     )
 
 
-def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str):
+def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str, probe_seed: int = 0):
+    """Solver preconditions: a known scheme, dt * L_y < 1, honest Lipschitz constants."""
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if tree.dt * gen.l_y >= 1.0:
         raise StepSizeError(
             f"dt * L_y = {tree.dt * gen.l_y:.3f} >= 1; refine the grid or relax the driver"
         )
+    check_lipschitz(gen, tree, seed=probe_seed)
+
+
+def _quadruple(tree: ScenarioTree, y_vals: list, z_vals: list, dm_vals: list,
+               dk_vals: list = None, scheme: str = "implicit") -> SolutionQuadruple:
+    """Assemble (Y, Z, M, K) from per-step arrays; M is the running sum of dM."""
+    if dk_vals is None:
+        dk_vals = [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps)]
+    return SolutionQuadruple(
+        tree=tree,
+        y=AdaptedProcess(tree, y_vals),
+        z=PredictableProcess(tree, z_vals),
+        m=AdaptedProcess(tree, tree.path_sum(dm_vals, process=True)),
+        dk=PredictableProcess(tree, dk_vals),
+        scheme=scheme,
+    )
+
+
+def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: str,
+                    obstacle: list = None) -> SolutionQuadruple:
+    """Backward induction for the plain (no obstacle) and the reflected equation.
+
+    With an obstacle S, Y_k = max(S_k, y~_k) where y~_k is the unconstrained
+    step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
+    exactly zero.
+    """
+    n, dt = tree.n_steps, tree.dt
+    y_vals = [None] * (n + 1)
+    y_vals[n] = xi.copy() if obstacle is None else np.maximum(xi, obstacle[n])
+    z_vals, dm_vals = [None] * n, [None] * n
+    dk_vals = None if obstacle is None else [None] * n
+    for k in range(n - 1, -1, -1):
+        ey, z_vals[k], dm_vals[k] = _project(tree, y_vals[k + 1], k)
+        s_k = None if obstacle is None else obstacle[k]
+        if scheme == "explicit":
+            y_tilde = ey - gen(k, ey, z_vals[k]) * dt
+            y_vals[k] = y_tilde if s_k is None else np.maximum(s_k, y_tilde)
+        else:
+            y_vals[k] = _implicit_step(gen, k, ey, z_vals[k], dt, obstacle=s_k)
+            if s_k is not None:
+                y_tilde = ey - gen(k, y_vals[k], z_vals[k]) * dt
+        if s_k is not None:
+            dk_vals[k] = y_vals[k] - y_tilde
+    return _quadruple(tree, y_vals, z_vals, dm_vals, dk_vals, scheme)
 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit",
                probe_seed: int = 0) -> SolutionQuadruple:
     """Solve the plain BSDE (K = 0) by backward induction."""
-    tree, gen = instance.tree, instance.gen
-    _check_scheme(tree, gen, scheme)
-    check_lipschitz(gen, tree, seed=probe_seed)
-    dt = tree.dt
-    y_vals = [None] * (tree.n_steps + 1)
-    y_vals[tree.n_steps] = instance.xi.copy()
-    z_vals = [None] * tree.n_steps
-    dm_vals = [None] * tree.n_steps
-    for k in range(tree.n_steps - 1, -1, -1):
-        ey, z_k, dm = _project(tree, y_vals[k + 1], k)
-        if scheme == "explicit":
-            y_k = ey - gen(k, ey, z_k) * dt
-        else:
-            y_k = _implicit_step(gen, k, ey, z_k, dt)
-        y_vals[k], z_vals[k], dm_vals[k] = y_k, z_k, dm
-    m_vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        m_vals.append(tree.lift(m_vals[k], k) + dm_vals[k])
-    return SolutionQuadruple(
-        tree=tree,
-        y=AdaptedProcess(tree, y_vals),
-        z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, m_vals),
-        dk=PredictableProcess(tree, [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps)]),
-        scheme=scheme,
-    )
+    _check_scheme(instance.tree, instance.gen, scheme, probe_seed)
+    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
 
 
 def solve_linear_bsde(instance: BsdeInstance, probe_seed: int = 0) -> SolutionQuadruple:
@@ -228,8 +249,7 @@ def solve_linear_bsde(instance: BsdeInstance, probe_seed: int = 0) -> SolutionQu
     tree, gen = instance.tree, instance.gen
     if not isinstance(gen, AffineGenerator):
         raise TypeError("solve_linear_bsde needs an AffineGenerator")
-    _check_scheme(tree, gen, "implicit")
-    check_lipschitz(gen, tree, seed=probe_seed)
+    _check_scheme(tree, gen, "implicit", probe_seed)
     dt = tree.dt
     lam, eta = gen.lam, gen.eta
     eta_pred = PredictableProcess(
@@ -244,23 +264,8 @@ def solve_linear_bsde(instance: BsdeInstance, probe_seed: int = 0) -> SolutionQu
         u = mc.cond_exp_q(u_vals[k + 1], k + 1) - disc[k + 1] * gen.g0(tree, k) * dt
         u_vals[k] = u
     y_vals = [u_vals[k] / disc[k] for k in range(tree.n_steps + 1)]
-
-    z_vals, dm_vals = [], []
-    for k in range(tree.n_steps):
-        _, z_k, dm = _project(tree, y_vals[k + 1], k)
-        z_vals.append(z_k)
-        dm_vals.append(dm)
-    m_vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        m_vals.append(tree.lift(m_vals[k], k) + dm_vals[k])
-    return SolutionQuadruple(
-        tree=tree,
-        y=AdaptedProcess(tree, y_vals),
-        z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, m_vals),
-        dk=PredictableProcess(tree, [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps)]),
-        scheme="implicit",
-    )
+    _, z_vals, dm_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
+    return _quadruple(tree, y_vals, list(z_vals), list(dm_vals))
 
 
 @dataclass
@@ -272,11 +277,6 @@ class SolutionDifference:
     dz: PredictableProcess
     dm: AdaptedProcess
     ddk: PredictableProcess        # signed finite-variation increments
-
-    @property
-    def dk_total_variation(self) -> AdaptedProcess:
-        tv = PredictableProcess(self.tree, [np.abs(v) for v in self.ddk.values])
-        return tv.cumulative()
 
     def d_mk(self) -> AdaptedProcess:
         """delta(M - K) as one adapted finite-variation-plus-martingale process."""

@@ -12,28 +12,29 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import families
-from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde, solve_linear_bsde
-from .errors import TreeBsdeError
+from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
+from .errors import NUMBER, TreeBsdeError, read_field, read_numbers
 from .estimates import (
     check_burkholder,
     check_ito_p_inequality,
     check_compensator_norm_bound,
+    check_obstacle_stability_bound,
     check_obstacle_sup_bound,
     check_reflected_stability_p2,
     check_cross_term,
     check_bracket_equivalences,
     check_solution_norm_bound,
     check_stability_norm_bound,
-    measure_stability_decay,
 )
-from .ladder import run_counterexample, tv_scaling
+from .ladder import run_counterexample
 from .martingales import meyer_bound_check
 from .norms import (
     burkholder_constant,
@@ -44,11 +45,11 @@ from .norms import (
     power_sum_bounds,
     young_bound,
 )
+from .reports import EstimateReport
 from .reflected import (
     ReflectedInstance,
+    check_skorokhod,
     picard_solve,
-    snell_bruteforce,
-    snell_dynamic_program,
     solve_reflected,
     verify_snell_representation,
 )
@@ -63,21 +64,18 @@ class ConfigError(Exception):
     """Raised with a field-level diagnostic; maps to exit code 2."""
 
 
-def _need(cfg: dict, field: str, types, where: str):
-    if field not in cfg:
-        raise ConfigError(f"{where}: missing field {field!r}")
-    if not isinstance(cfg[field], types):
-        raise ConfigError(
-            f"{where}.{field}: expected {getattr(types, '__name__', types)}, "
-            f"got {type(cfg[field]).__name__}"
-        )
-    return cfg[field]
+_need = partial(read_field, error=ConfigError)
+_numbers = partial(read_numbers, error=ConfigError)
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -104,39 +102,42 @@ def default_config() -> dict:
 
 def tree_from_config(cfg: dict):
     tc = _need(cfg, "tree", dict, "config")
-    horizon = float(_need(tc, "horizon", (int, float), "tree"))
-    n_steps = int(_need(tc, "n_steps", int, "tree"))
-    d = int(tc.get("d", 1))
+    horizon = float(_need(tc, "horizon", NUMBER, "tree"))
+    n_steps = _need(tc, "n_steps", int, "tree")
+    d = _need(tc, "d", int, "tree", 1)
+    node_cap = _need(tc, "node_cap", int, "tree", 2**20)
     reveals = []
-    for i, rv in enumerate(tc.get("reveals", [])):
+    for i, rv in enumerate(_need(tc, "reveals", list, "tree", [])):
         where = f"tree.reveals[{i}]"
-        labels = tuple(_need(rv, "labels", list, where))
-        probs = tuple(float(p) for p in _need(rv, "probs", list, where))
-        reveals.append(Reveal(time=float(_need(rv, "time", (int, float), where)),
-                              labels=labels, probs=probs))
+        reveals.append((float(_need(rv, "time", NUMBER, where)),
+                        tuple(_need(rv, "labels", list, where)),
+                        tuple(_numbers(rv, "probs", where))))
     try:
         return build_tree(TimeGrid(horizon=horizon, n_steps=n_steps), d=d,
-                          reveals=tuple(reveals),
-                          node_cap=int(tc.get("node_cap", 2**20)))
+                          reveals=tuple(Reveal(*r) for r in reveals), node_cap=node_cap)
     except (ValueError, TreeBsdeError) as exc:
         raise ConfigError(f"tree: {exc}") from exc
 
 
 def generator_from_config(cfg: dict, tree) -> Generator:
-    gc = cfg.get("generator")
+    gc = _need(cfg, "generator", dict, "config", None)
     if gc is None:
         return families.random_generator(tree, seed=0)
     kind = _need(gc, "kind", str, "generator")
     if kind == "affine":
+        eta = _numbers(gc, "eta", "generator", None)
+        if eta is not None and len(eta) != tree.d:
+            raise ConfigError(f"generator.eta: need {tree.d} entries, got {len(eta)}")
+        g0 = float(_need(gc, "g0", NUMBER, "generator", 0.0))
         return AffineGenerator.build(
-            tree, lam=float(gc.get("lam", 0.0)),
-            eta=gc.get("eta"),
-            g0_fn=(lambda k, n, c=float(gc.get("g0", 0.0)): np.full(n, c)),
+            tree, lam=float(_need(gc, "lam", NUMBER, "generator", 0.0)),
+            eta=eta,
+            g0_fn=(lambda k, n, c=g0: np.full(n, c)),
         )
     if kind == "polynomial-clipped":
-        l_y = float(_need(gc, "l_y", (int, float), "generator"))
-        l_z = float(_need(gc, "l_z", (int, float), "generator"))
-        bound = float(gc.get("bound", 10.0))
+        l_y = float(_need(gc, "l_y", NUMBER, "generator"))
+        l_z = float(_need(gc, "l_z", NUMBER, "generator"))
+        bound = float(_need(gc, "bound", NUMBER, "generator", 10.0))
 
         def fn(k, y, z, _ly=l_y, _lz=l_z, _b=bound):
             u = z.sum(axis=1) / np.sqrt(z.shape[1]) if z.ndim == 2 else z
@@ -144,12 +145,12 @@ def generator_from_config(cfg: dict, tree) -> Generator:
 
         return Generator(fn=fn, l_y=l_y, l_z=l_z, name="polynomial-clipped")
     if kind == "table":
-        table = _need(gc, "values", list, "generator")
+        table = _numbers(gc, "values", "generator")
         if len(table) != tree.n_steps:
             raise ConfigError(
                 f"generator.values: need {tree.n_steps} per-step entries, got {len(table)}")
 
-        def fn(k, y, z, _t=[float(v) for v in table]):
+        def fn(k, y, z, _t=table):
             return np.full(y.shape, _t[k])
 
         return Generator(fn=fn, l_y=0.0, l_z=0.0, name="table")
@@ -158,28 +159,55 @@ def generator_from_config(cfg: dict, tree) -> Generator:
 
 def norm_configs(cfg: dict) -> list:
     out = []
-    for i, nc in enumerate(cfg.get("norms", [{"p": 2.0, "alpha": 0.0}])):
-        p = float(_need(nc, "p", (int, float), f"norms[{i}]"))
+    for i, nc in enumerate(_need(cfg, "norms", list, "config", [{"p": 2.0, "alpha": 0.0}])):
+        p = float(_need(nc, "p", NUMBER, f"norms[{i}]"))
         if p <= 1.0:
             raise ConfigError(f"norms[{i}].p: must be > 1, got {p}")
-        out.append((p, float(nc.get("alpha", 0.0))))
+        out.append((p, float(_need(nc, "alpha", NUMBER, f"norms[{i}]", 0.0))))
     return out
+
+
+def scheme_from_config(cfg: dict) -> str:
+    scheme = _need(cfg, "scheme", str, "config", "implicit")
+    if scheme not in ("explicit", "implicit"):
+        raise ConfigError(f"scheme: expected 'explicit' or 'implicit', got {scheme!r}")
+    return scheme
 
 
 # -- artifact helpers ---------------------------------------------------------
 
+def _finite(obj):
+    """Non-finite floats become None, so that the JSON artifacts stay strict."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=float)
+    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"), default=float,
+                      allow_nan=False)
 
 
-def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int,
-                    reports: list, extra: dict = None) -> list:
+def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int, failures: list,
+                    **extra):
+    manifest = {"command": command, "seed": seed, "version": SCHEMA_VERSION,
+                "config_hash": hashlib.sha256(_canonical_json(cfg).encode()).hexdigest(),
+                "failures": failures, **extra}
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        fh.write(_canonical_json(manifest))
+
+
+def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int, reports: list) -> list:
     os.makedirs(out_dir, exist_ok=True)
     rows = [r.to_dict() for r in reports]
     rows.sort(key=lambda r: (r["inequality_id"], r["fingerprint"]))
     failures = [f'{r["inequality_id"]}[{r["fingerprint"]}]' for r in rows if not r["passed"]]
     with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-        fh.write(_canonical_json({"reports": rows, "extra": extra or {}}))
+        fh.write(_canonical_json({"reports": rows, "extra": {}}))
     with open(os.path.join(out_dir, "reports.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["inequality_id", "fingerprint", "lhs", "rhs", "ratio",
@@ -188,45 +216,48 @@ def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int,
             writer.writerow([r["inequality_id"], r["fingerprint"], repr(r["lhs"]),
                              repr(r["rhs"]), repr(r["ratio"]),
                              str(r["constant_used"]), int(r["passed"])])
-    manifest = {
-        "command": command,
-        "config_hash": hashlib.sha256(_canonical_json(cfg).encode()).hexdigest(),
-        "seed": seed,
-        "version": SCHEMA_VERSION,
-        "n_reports": len(rows),
-        "failures": failures,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(_canonical_json(manifest))
+    _write_manifest(out_dir, command, cfg, seed, failures, n_reports=len(rows))
     return failures
-
-
-def _run_parallel(tasks, workers: int) -> list:
-    """Run callables concurrently; the result order matches task order."""
-    if workers <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
 
 
 # -- suite implementations ----------------------------------------------------
 
-def _family_instances(cfg: dict, tree, seed: int, reflected: bool):
-    fam = cfg.get("family", {})
-    count = int(fam.get("count", 25))
-    l_y, l_z = float(fam.get("l_y", 0.5)), float(fam.get("l_z", 0.5))
-    margin = float(fam.get("margin", 0.5))
-    for i in range(count):
-        s = seed + i
-        if reflected:
-            yield s, families.random_reflected(tree, s, l_y=l_y, l_z=l_z, margin=margin)
-        else:
-            yield s, families.random_bsde(tree, s, l_y=l_y, l_z=l_z)
+class SuiteInputs:
+    """Family inputs shared by the verify suites; each is built, and each
+    reflected instance solved, once on first use."""
+
+    def __init__(self, cfg: dict, tree, seed: int):
+        self.cfg, self.tree, self.seed = cfg, tree, seed
+        fam = _need(cfg, "family", dict, "config", {})
+        self.count = _need(fam, "count", int, "family", 25)
+        self.params = {name: float(_need(fam, name, NUMBER, "family", 0.5))
+                       for name in ("l_y", "l_z", "margin")}
+
+    def fp(self, kind: str, seed: int) -> str:
+        return families.fingerprint(kind, seed, self.tree)
+
+    @cached_property
+    def solved(self) -> list:
+        """(seed, instance, implicit solution) per reflected family member."""
+        out = []
+        for s in range(self.seed, self.seed + self.count):
+            inst = families.random_reflected(self.tree, s, **self.params)
+            out.append((s, inst, solve_reflected(inst, scheme="implicit")))
+        return out
+
+    @cached_property
+    def pairs(self) -> list:
+        """Consecutive members (0, 1), (2, 3), ... of `solved`."""
+        return list(zip(self.solved[::2], self.solved[1::2]))
+
+    @cached_property
+    def supermartingales(self) -> list:
+        return [(s, families.random_strong_supermartingale(self.tree, s))
+                for s in range(self.seed, self.seed + self.count)]
 
 
-def suite_constants(cfg, tree, seed, workers) -> list:
-    from .reports import EstimateReport
-
+def suite_constants(inp) -> list:
+    seed = inp.seed
     reports = []
     checks = [
         ("supermartingale_constant_p2", meyer_c_prime(2.0), 4.0),
@@ -234,6 +265,8 @@ def suite_constants(cfg, tree, seed, workers) -> list:
         ("moment_constant_p2", burkholder_constant(2.0), 2.0),
         ("moment_constant_p3", burkholder_constant(3.0), 8.0),
         ("moment_constant_p4", burkholder_constant(4.0), 16.0),
+        ("ladlag_compensator_constant", meyer_constant_ladlag(2.0),
+         meyer_constant(2.0) * (1 + meyer_constant(2.0)) + meyer_constant(2.0) * 3.0),
     ]
     for name, got, want in checks:
         reports.append(EstimateReport(
@@ -257,166 +290,95 @@ def suite_constants(cfg, tree, seed, workers) -> list:
         lhs, rhs = young_bound(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
                                float(rng.uniform(0.1, 3)), float(rng.uniform(1.1, 4)))
         worst_yg = max(worst_yg, lhs - rhs)
-    reports.append(EstimateReport(
-        inequality_id="power_sum_sandwich", lhs=worst_ps, rhs=0.0,
-        constant_used="exact", passed=worst_ps <= 1e-9, fingerprint=f"seed={seed}",
-        details={"n_samples": 200},
-    ))
-    reports.append(EstimateReport(
-        inequality_id="young_product_bound", lhs=worst_yg, rhs=0.0,
-        constant_used="exact", passed=worst_yg <= 1e-9, fingerprint=f"seed={seed}",
-        details={"n_samples": 200},
-    ))
-    reports.append(EstimateReport(
-        inequality_id="ladlag_compensator_constant", lhs=meyer_constant_ladlag(2.0),
-        rhs=meyer_constant(2.0) * (1 + meyer_constant(2.0)) + meyer_constant(2.0) * 3.0,
-        constant_used="exact",
-        passed=abs(meyer_constant_ladlag(2.0)
-                   - (meyer_constant(2.0) * (1 + meyer_constant(2.0))
-                      + meyer_constant(2.0) * 3.0)) <= 1e-12,
-        fingerprint="closed-form", details={},
-    ))
+    for name, worst in (("power_sum_sandwich", worst_ps), ("young_product_bound", worst_yg)):
+        reports.append(EstimateReport(
+            inequality_id=name, lhs=worst, rhs=0.0, constant_used="exact",
+            passed=worst <= 1e-9, fingerprint=f"seed={seed}", details={"n_samples": 200},
+        ))
     return reports
 
 
-def suite_meyer(cfg, tree, seed, workers) -> list:
-    fam = cfg.get("family", {})
-    count = int(fam.get("count", 25))
-
-    def one(i):
-        x = families.random_strong_supermartingale(tree, seed + i)
-        return meyer_bound_check(tree, x, p=2.0,
-                                 fingerprint=families.fingerprint("ssm", seed + i, tree))
-
-    return _run_parallel([lambda i=i: one(i) for i in range(count)], workers)
+def suite_meyer(inp, s, x) -> list:
+    return [meyer_bound_check(inp.tree, x, p=2.0, fingerprint=inp.fp("ssm", s))]
 
 
-def suite_apriori(cfg, tree, seed, workers) -> list:
-    ps = norm_configs(cfg)
-
-    def one(s, inst):
-        sol = solve_reflected(inst, scheme="implicit")
-        return [check_solution_norm_bound(inst, sol, p, alpha,
-                                    fingerprint=families.fingerprint("rbsde", s, tree))
-                for p, alpha in ps]
-
-    tasks = [lambda s=s, inst=inst: one(s, inst)
-             for s, inst in _family_instances(cfg, tree, seed, reflected=True)]
-    return [r for chunk in _run_parallel(tasks, workers) for r in chunk]
+def suite_itop(inp, s, x) -> list:
+    return [check_ito_p_inequality(x, p, alpha=1.0, fingerprint=inp.fp(f"ssm-p{p}", s))
+            for p in (1.2, 1.5, 1.9)]
 
 
-def suite_stability(cfg, tree, seed, workers) -> list:
-    ps = norm_configs(cfg)
-    reports = []
-    pairs = list(_family_instances(cfg, tree, seed, reflected=True))
-    for (s1, i1), (s2, i2) in zip(pairs[::2], pairs[1::2]):
-        sol1 = solve_reflected(i1, scheme="implicit")
-        sol2 = solve_reflected(i2, scheme="implicit")
-        for p, alpha in ps:
-            reports.append(check_stability_norm_bound(
-                i1, sol1, i2, sol2, p, alpha,
-                fingerprint=families.fingerprint("pair", s1, tree)))
-    return reports
+def suite_apriori(inp, s, inst, sol) -> list:
+    return [check_solution_norm_bound(inst, sol, p, alpha, fingerprint=inp.fp("rbsde", s))
+            for p, alpha in norm_configs(inp.cfg)]
 
 
-def suite_compensator(cfg, tree, seed, workers) -> list:
-    reports = []
-    for s, inst in _family_instances(cfg, tree, seed, reflected=True):
-        sol = solve_reflected(inst, scheme="implicit")
-        fp = families.fingerprint("rbsde", s, tree)
-        gen = inst.gen
-        reports.append(check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound",
-                                                fingerprint=fp))
-        alpha_ge2 = 1.0 + 2.0 * gen.l_y + gen.l_z**2 / 0.5 + 1.0
-        reports.append(check_compensator_norm_bound(inst, sol, 2.0, alpha_ge2, "N-ge2",
-                                                fingerprint=fp))
-        p = 1.5
-        alpha_lt2 = 2.0 * gen.l_y + p * gen.l_z**2 / (2.0 * p * (p - 1.0) / 4.0) + 0.5
-        reports.append(check_compensator_norm_bound(inst, sol, p, alpha_lt2, "N-lt2",
-                                                fingerprint=fp))
-    return reports
+def suite_stability(inp, first, second) -> list:
+    (s1, i1, sol1), (_, i2, sol2) = first, second
+    return [check_stability_norm_bound(i1, sol1, i2, sol2, p, alpha,
+                                       fingerprint=inp.fp("pair", s1))
+            for p, alpha in norm_configs(inp.cfg)]
 
 
-def suite_obstacle(cfg, tree, seed, workers) -> list:
-    reports = []
-    insts = list(_family_instances(cfg, tree, seed, reflected=True))
-    for s, inst in insts:
-        sol = solve_reflected(inst, scheme="implicit")
-        fp = families.fingerprint("rbsde", s, tree)
-        for variant in ("S_plus", "S"):
-            reports.append(check_obstacle_sup_bound(inst, sol, 2.0, 0.0, variant=variant,
-                                          fingerprint=fp))
-    from .estimates import check_obstacle_stability_bound
-    for (s1, i1), (s2, i2) in zip(insts[::2], insts[1::2]):
-        sol1 = solve_reflected(i1, scheme="implicit")
-        sol2 = solve_reflected(i2, scheme="implicit")
-        reports.append(check_obstacle_stability_bound(
-            i1, sol1, i2, sol2, 2.0, 0.0,
-            fingerprint=families.fingerprint("pair", s1, tree)))
-    return reports
+def suite_compensator(inp, s, inst, sol) -> list:
+    fp, gen = inp.fp("rbsde", s), inst.gen
+    alpha_ge2 = 1.0 + 2.0 * gen.l_y + gen.l_z**2 / 0.5 + 1.0
+    p = 1.5
+    alpha_lt2 = 2.0 * gen.l_y + p * gen.l_z**2 / (2.0 * p * (p - 1.0) / 4.0) + 0.5
+    return [check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound", fingerprint=fp),
+            check_compensator_norm_bound(inst, sol, 2.0, alpha_ge2, "N-ge2", fingerprint=fp),
+            check_compensator_norm_bound(inst, sol, p, alpha_lt2, "N-lt2", fingerprint=fp)]
 
 
-def suite_difference(cfg, tree, seed, workers) -> list:
-    reports = []
-    pairs = list(_family_instances(cfg, tree, seed, reflected=True))
-    for (s1, i1), (s2, i2) in zip(pairs[::2], pairs[1::2]):
-        sol1 = solve_reflected(i1, scheme="implicit")
-        sol2 = solve_reflected(i2, scheme="implicit")
-        fp = families.fingerprint("pair", s1, tree)
-        reports.append(check_reflected_stability_p2(i1, sol1, i2, sol2, alpha=0.5,
-                                           fingerprint=fp))
-        reports.append(check_cross_term(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp))
-    return reports
+def suite_obstacle(inp, s, inst, sol) -> list:
+    return [check_obstacle_sup_bound(inst, sol, 2.0, 0.0, variant=variant,
+                                     fingerprint=inp.fp("rbsde", s))
+            for variant in ("S_plus", "S")]
 
 
-def suite_itop(cfg, tree, seed, workers) -> list:
-    fam = cfg.get("family", {})
-    count = int(fam.get("count", 25))
-    reports = []
-    for i in range(count):
-        x = families.random_strong_supermartingale(tree, seed + i)
-        for p in (1.2, 1.5, 1.9):
-            reports.append(check_ito_p_inequality(
-                x, p, alpha=1.0,
-                fingerprint=families.fingerprint(f"ssm-p{p}", seed + i, tree)))
-    return reports
+def suite_obstacle_pair(inp, first, second) -> list:
+    (s1, i1, sol1), (_, i2, sol2) = first, second
+    return [check_obstacle_stability_bound(i1, sol1, i2, sol2, 2.0, 0.0,
+                                           fingerprint=inp.fp("pair", s1))]
 
 
-def suite_equivalence(cfg, tree, seed, workers) -> list:
-    reports = []
-    for s, inst in _family_instances(cfg, tree, seed, reflected=True):
-        sol = solve_reflected(inst, scheme="implicit")
-        fp = families.fingerprint("rbsde", s, tree)
-        for p in (1.5, 2.0, 3.0):
-            reports.extend(check_bracket_equivalences(sol, p, 0.3, fingerprint=fp))
-        reports.append(check_burkholder(sol, 3.0, 0.3, fingerprint=fp))
-    return reports
+def suite_difference(inp, first, second) -> list:
+    (s1, i1, sol1), (_, i2, sol2) = first, second
+    fp = inp.fp("pair", s1)
+    return [check_reflected_stability_p2(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp),
+            check_cross_term(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp)]
 
 
+def suite_equivalence(inp, s, inst, sol) -> list:
+    fp = inp.fp("rbsde", s)
+    reports = [r for p in (1.5, 2.0, 3.0)
+               for r in check_bracket_equivalences(sol, p, 0.3, fingerprint=fp)]
+    return reports + [check_burkholder(sol, 3.0, 0.3, fingerprint=fp)]
+
+
+# suite -> rows of (shared input, check); a row maps each item of the shared
+# input (None: run once) to reports, and rows run in order
 SUITE_FN = {
-    "constants": suite_constants,
-    "meyer": suite_meyer,
-    "apriori": suite_apriori,
-    "stability": suite_stability,
-    "compensator": suite_compensator,
-    "obstacle": suite_obstacle,
-    "difference": suite_difference,
-    "ito-p": suite_itop,
-    "equivalence": suite_equivalence,
+    "constants": [(None, suite_constants)],
+    "meyer": [("supermartingales", suite_meyer)],
+    "apriori": [("solved", suite_apriori)],
+    "stability": [("pairs", suite_stability)],
+    "compensator": [("solved", suite_compensator)],
+    "obstacle": [("solved", suite_obstacle), ("pairs", suite_obstacle_pair)],
+    "difference": [("pairs", suite_difference)],
+    "ito-p": [("supermartingales", suite_itop)],
+    "equivalence": [("solved", suite_equivalence)],
 }
 
 
 # -- subcommand drivers -------------------------------------------------------
 
 def cmd_solve(args, cfg) -> int:
-    from .reports import EstimateReport
-
     tree = tree_from_config(cfg)
     validate_tree(tree)
     gen = generator_from_config(cfg, tree)
     xi = families.random_terminal(tree, args.seed)
     inst = BsdeInstance(tree=tree, xi=xi, gen=gen)
-    sol = solve_bsde(inst, scheme=cfg.get("scheme", "implicit"))
+    sol = solve_bsde(inst, scheme=scheme_from_config(cfg))
     resid = sol.dynamics_residual(gen)
     rep = EstimateReport(
         inequality_id="solver_dynamics_residual", lhs=resid, rhs=args.tol,
@@ -428,19 +390,20 @@ def cmd_solve(args, cfg) -> int:
     return 1 if failures else 0
 
 
-def cmd_reflect(args, cfg) -> int:
-    from .reports import EstimateReport
-
+def _seeded_reflected(cfg: dict, seed: int) -> ReflectedInstance:
+    """Config tree and driver with seeded terminal value and obstacle."""
     tree = tree_from_config(cfg)
-    gen = generator_from_config(cfg, tree)
-    inst = ReflectedInstance(
-        tree=tree, xi=families.random_terminal(tree, args.seed), gen=gen,
-        obstacle=families.random_obstacle(tree, args.seed))
-    sol = solve_reflected(inst, scheme=cfg.get("scheme", "implicit"))
-    resid = sol.dynamics_residual(gen)
-    comp = max(float(np.abs((sol.y.values[k] - inst.obstacle.values[k])
-                            * sol.dk.values[k]).max())
-               for k in range(tree.n_steps))
+    return ReflectedInstance(tree=tree, xi=families.random_terminal(tree, seed),
+                             gen=generator_from_config(cfg, tree),
+                             obstacle=families.random_obstacle(tree, seed))
+
+
+def cmd_reflect(args, cfg) -> int:
+    inst = _seeded_reflected(cfg, args.seed)
+    tree = inst.tree
+    sol = solve_reflected(inst, scheme=scheme_from_config(cfg))
+    resid = sol.dynamics_residual(inst.gen)
+    comp = check_skorokhod(inst, sol)["complementarity"]
     rep = EstimateReport(
         inequality_id="reflected_dynamics_and_contact", lhs=max(resid, comp),
         rhs=args.tol, constant_used="exact", passed=max(resid, comp) <= args.tol,
@@ -453,13 +416,8 @@ def cmd_reflect(args, cfg) -> int:
 
 
 def cmd_picard(args, cfg) -> int:
-    from .reports import EstimateReport
-
-    tree = tree_from_config(cfg)
-    gen = generator_from_config(cfg, tree)
-    inst = ReflectedInstance(
-        tree=tree, xi=families.random_terminal(tree, args.seed), gen=gen,
-        obstacle=families.random_obstacle(tree, args.seed))
+    inst = _seeded_reflected(cfg, args.seed)
+    tree = inst.tree
     sol, trace = picard_solve(inst)
     direct = solve_reflected(inst, scheme="implicit")
     gap = max(float(np.abs(sol.y.values[k] - direct.y.values[k]).max())
@@ -476,11 +434,13 @@ def cmd_picard(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    tree = tree_from_config(cfg)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    inputs = SuiteInputs(cfg, tree_from_config(cfg), args.seed)
     reports = []
     for name in names:
-        reports.extend(SUITE_FN[name](cfg, tree, args.seed, args.workers))
+        for source, check in SUITE_FN[name]:
+            items = [()] if source is None else getattr(inputs, source)
+            reports += [r for item in items for r in check(inputs, *item)]
     failures = write_artifacts(args.out, f"verify:{','.join(names)}", cfg,
                                args.seed, reports)
     if failures:
@@ -491,11 +451,13 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_counterexample(args, cfg) -> int:
-    cc = cfg.get("counterexample", default_config()["counterexample"])
+    cc = _need(cfg, "counterexample", dict, "config", {})
+    where = "counterexample"
     rep = run_counterexample(
-        eps=float(cc.get("eps", 0.05)), dt=float(cc.get("dt", 1e-4)),
-        horizon=float(cc.get("horizon", 1.0)),
-        n_paths=int(cc.get("n_paths", 2000)), seed=args.seed)
+        eps=float(_need(cc, "eps", NUMBER, where, 0.05)),
+        dt=float(_need(cc, "dt", NUMBER, where, 1e-4)),
+        horizon=float(_need(cc, "horizon", NUMBER, where, 1.0)),
+        n_paths=_need(cc, "n_paths", int, where, 2000), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "paths.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -508,23 +470,15 @@ def cmd_counterexample(args, cfg) -> int:
     summary["passed"] = ok
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         fh.write(_canonical_json(summary))
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        fh.write(_canonical_json({
-            "command": "counterexample", "seed": args.seed,
-            "config_hash": hashlib.sha256(_canonical_json(cfg).encode()).hexdigest(),
-            "version": SCHEMA_VERSION,
-            "failures": [] if ok else ["ladder_gap_bound"],
-        }))
+    _write_manifest(args.out, "counterexample", cfg, args.seed,
+                    [] if ok else ["ladder_gap_bound"])
     return 0 if ok else 1
 
 
 def cmd_snell_check(args, cfg) -> int:
-    tree = tree_from_config(cfg)
-    reports = []
-    for s, inst in _family_instances(cfg, tree, args.seed, reflected=True):
-        sol = solve_reflected(inst, scheme="implicit")
-        reports.extend(verify_snell_representation(
-            inst, sol, fingerprint=families.fingerprint("rbsde", s, tree)))
+    inp = SuiteInputs(cfg, tree_from_config(cfg), args.seed)
+    reports = [r for s, inst, sol in inp.solved
+               for r in verify_snell_representation(inst, sol, fingerprint=inp.fp("rbsde", s))]
     failures = write_artifacts(args.out, "snell-check", cfg, args.seed, reports)
     return 1 if failures else 0
 
@@ -536,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tol", type=float, default=1e-10)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="solve one backward equation")

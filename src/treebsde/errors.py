@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed JSON field reads that raise them."""
 
 
 class TreeBsdeError(Exception):
@@ -57,3 +57,35 @@ class DepthCapError(TreeBsdeError):
 
 class MeasureChangeError(TreeBsdeError):
     """The Girsanov positivity precondition fails for the supplied integrand."""
+
+
+NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def read_field(obj, key: str, types, where: str, default=_REQUIRED, error=SchemaError):
+    """Typed read of obj[key] from parsed JSON; `default` makes the field optional.
+
+    An optional field that is missing or null reads as `default`.  A missing
+    required field or a mistyped field raises `error` naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj or (obj[key] is None and default is not _REQUIRED):
+        if default is not _REQUIRED:
+            return default
+        raise error(f"{where}: missing field {key!r}")
+    if not isinstance(obj[key], types):
+        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise error(f"{where}.{key}: expected {names}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def read_numbers(obj, key: str, where: str, default=_REQUIRED, error=SchemaError):
+    """Typed read of a list of numbers, returned as floats."""
+    values = read_field(obj, key, list, where, default, error)
+    if values is None:
+        return None
+    if not all(isinstance(v, NUMBER) for v in values):
+        raise error(f"{where}.{key}: expected a list of numbers")
+    return [float(v) for v in values]

@@ -14,13 +14,13 @@ that is kept explicitly (it equals 1 on the default unit horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeInstance, SolutionQuadruple, solve_bsde
+from .bsde import SolutionQuadruple, solve_bsde
 from .errors import ClassificationError
 from .norms import (
+    _wr,
     burkholder_constant,
     meyer_constant,
     norm_h,
@@ -32,7 +32,7 @@ from .norms import (
     norm_sp_weighted,
     phi_p,
 )
-from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
+from .processes import AdaptedProcess, LadlagProcess
 from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree
@@ -48,24 +48,29 @@ def _require_nondecreasing(sol: SolutionQuadruple, tol: float = 1e-12):
         raise ClassificationError(f"push process is not non-decreasing (min increment {worst:.3e})")
 
 
-def _g0_process(gen, tree: ScenarioTree) -> AdaptedProcess:
-    return gen.g0_process(tree)
-
-
 def _mk(sol: SolutionQuadruple) -> AdaptedProcess:
     return sol.m - sol.k
 
 
 def _star_to_leaves(tree: ScenarioTree, phi_vals, increments, weights) -> np.ndarray:
     """Per-leaf Stieltjes sum:  sum_k w_k phi_k dX_{k+1} with phi_k at step k."""
-    acc = np.zeros(1)
-    for k in range(tree.n_steps):
-        acc = tree.lift(acc, k) + weights[k] * tree.lift(phi_vals[k], k) * increments[k]
-    return acc
+    return tree.path_sum(weights[k] * tree.lift(phi_vals[k], k) * inc
+                         for k, inc in enumerate(increments))
 
 
-def _wr(tree: ScenarioTree, alpha: float):
-    return [math.exp(alpha * tree.grid.times[k + 1]) for k in range(tree.n_steps)]
+def _empirical(inequality_id: str, lhs: float, rhs: float, fingerprint: str,
+               details: dict) -> EstimateReport:
+    """Existence-of-a-constant check: only a finite ratio (or 0 <= 0) is asserted."""
+    return EstimateReport(
+        inequality_id=inequality_id, lhs=lhs, rhs=rhs, constant_used="empirical",
+        passed=(lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and np.isfinite(lhs / rhs)),
+        fingerprint=fingerprint, details=details,
+    )
+
+
+def _dn(tree: ScenarioTree, sol: SolutionQuadruple, k: int, dfv: np.ndarray) -> np.ndarray:
+    """Z_k . dW_{k+1} + dfv on step-(k+1) nodes."""
+    return np.einsum("ni,ni->n", tree.lift(sol.z.values[k], k), tree.dw[k + 1]) + dfv
 
 
 # -- Empirical ratio bounds -------------------------------------------
@@ -78,21 +83,16 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
     lhs = (norm_h(sol.z, p, alpha) ** p
            + norm_m(sol.m, p, alpha) ** p
            + norm_i(sol.dk, p, alpha) ** p)
-    g0 = _g0_process(instance.gen, tree)
+    g0 = instance.gen.g0_process(tree)
     comps = {
         "xi": lp_norm(tree, instance.xi, p) ** p,
         "y": norm_sp(sol.y, p) ** p,
         "g0": norm_h1(g0, p, alpha) ** p,
     }
     rhs = sum(comps.values())
-    vacuous = lhs == 0.0 and rhs == 0.0
-    return EstimateReport(
-        inequality_id="solution_norm_bound",
-        lhs=lhs, rhs=rhs, constant_used="empirical",
-        passed=vacuous or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-        fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "components": comps, "vacuous": vacuous},
-    )
+    return _empirical("solution_norm_bound", lhs, rhs, fingerprint,
+                      {"p": p, "alpha": alpha, "components": comps,
+                       "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha: float,
@@ -106,7 +106,7 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     """
     tree, gen = sol.tree, instance.gen
     t_hor = tree.grid.horizon
-    g0 = _g0_process(gen, tree)
+    g_n = norm_h1(gen.g0_process(tree), p, alpha) ** p
 
     if branch == "K-bound":
         _require_nondecreasing(sol)
@@ -114,7 +114,6 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         lhs = norm_i(sol.dk, p, alpha) ** p
         y_w = norm_sp_weighted(sol.y, p, alpha) ** p
         z_n = norm_h(sol.z, p, alpha) ** p
-        g_n = norm_h1(g0, p, alpha) ** p
         v2, v3 = max(1.0, 2.0 ** (p - 1.0)), max(1.0, 3.0 ** (p - 1.0))
         inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
                  + v3 * t_hor ** (p / 2.0) * (gen.l_z**p * z_n + g_n))
@@ -130,7 +129,6 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
 
     n_norm = norm_m_composite(sol.z, _mk(sol), p, alpha) ** p
     xi_n = lp_norm(tree, instance.xi, p) ** p
-    g_n = norm_h1(g0, p, alpha) ** p
     w1 = _wr(tree, alpha)
 
     if branch == "N-ge2":
@@ -142,28 +140,20 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
                 f"inadmissible weight: need alpha > {floor:.3f} (eps={eps}, eta={eta}) and eta in (0,1)"
             )
         lhs = norm_h1(sol.y, p, alpha) ** p + n_norm
-        mk = _mk(sol)
-        dn = [np.einsum("ni,ni->n", tree.lift(sol.z.values[k], k), tree.dw[k + 1]) + inc
-              for k, inc in enumerate(mk.increments())]
         if p > 2.0:
+            dn = (_dn(tree, sol, k, inc) for k, inc in enumerate(_mk(sol).increments()))
             star = _star_to_leaves(tree, sol.y.values, dn, w1)
             tail = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
             tail_id = "y_dn_integral"
         else:
-            dk_lifted = [tree.lift(sol.dk.values[k], k) for k in range(tree.n_steps)]
+            dk_lifted = (tree.lift(v, k) for k, v in enumerate(sol.dk.values))
             star = _star_to_leaves(tree, sol.y.values, dk_lifted, w1)
-            tail = max(float(np.dot(tree.path_prob[tree.n_steps], star)), 0.0)
+            tail = max(tree.expectation(star, tree.n_steps), 0.0)
             tail_id = "y_dk_integral_plus"
         comps = {"xi": xi_n, tail_id: tail}
-        rhs = eps * g_n + sum(comps.values())
-        return EstimateReport(
-            inequality_id="composite_norm_ge2",
-            lhs=lhs, rhs=rhs, constant_used="empirical",
-            passed=(lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-            fingerprint=fingerprint,
-            details={"p": p, "alpha": alpha, "eps": eps, "eta": eta,
-                     "g0": g_n, "components": comps},
-        )
+        return _empirical("composite_norm_ge2", lhs, eps * g_n + sum(comps.values()),
+                          fingerprint, {"p": p, "alpha": alpha, "eps": eps, "eta": eta,
+                                        "g0": g_n, "components": comps})
 
     if branch == "N-lt2":
         if not (1.0 < p < 2.0):
@@ -175,32 +165,26 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         if alpha < floor:
             raise ValueError(f"inadmissible weight: need alpha >= {floor:.3f} (beta={beta})")
         lhs = n_norm
-        wp = [math.exp(p * 0.5 * alpha * tree.grid.times[k + 1]) for k in range(tree.n_steps)]
+        wp = _wr(tree, p * 0.5 * alpha)
         phi_y = [phi_p(sol.y.values[k], p) for k in range(tree.n_steps)]
-        dk_lifted = [tree.lift(sol.dk.values[k], k) for k in range(tree.n_steps)]
+        dk_lifted = (tree.lift(v, k) for k, v in enumerate(sol.dk.values))
         star_k = _star_to_leaves(tree, phi_y, dk_lifted, wp)
-        k_tail = max(float(np.dot(tree.path_prob[tree.n_steps], star_k)), 0.0)
+        k_tail = max(tree.expectation(star_k, tree.n_steps), 0.0)
         # jump correction of the p-power expansion; non-negative by construction
-        mk = _mk(sol)
         a_term = 0.0
-        for k, inc in enumerate(mk.increments()):
-            dn = np.einsum("ni,ni->n", tree.lift(sol.z.values[k], k), tree.dw[k + 1]) + inc
+        for k, inc in enumerate(_mk(sol).increments()):
+            dn = _dn(tree, sol, k, inc)
             y_prev = tree.lift(sol.y.values[k], k)
             big = np.maximum(y_prev**2, (y_prev + dn) ** 2)
             term = np.where(big > 0.0, dn**2 * big ** (p / 2.0 - 1.0), 0.0)
             a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
         comps = {"xi": xi_n, "y_weighted_sup": norm_sp_weighted(sol.y, p, alpha) ** p,
                  "phi_dk_integral_plus": k_tail}
-        rhs = eps * g_n + sum(comps.values())
-        return EstimateReport(
-            inequality_id="composite_norm_lt2",
-            lhs=lhs, rhs=rhs, constant_used="empirical",
-            passed=((lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and np.isfinite(lhs / rhs)))
-            and a_term >= -1e-12,
-            fingerprint=fingerprint,
-            details={"p": p, "alpha": alpha, "eps": eps, "beta": beta,
-                     "g0": g_n, "components": comps, "a_term": a_term},
-        )
+        report = _empirical("composite_norm_lt2", lhs, eps * g_n + sum(comps.values()),
+                            fingerprint, {"p": p, "alpha": alpha, "eps": eps, "beta": beta,
+                                          "g0": g_n, "components": comps, "a_term": a_term})
+        report.passed = report.passed and a_term >= -1e-12
+        return report
 
     raise ValueError(f"unknown branch {branch!r}; expected K-bound, N-ge2 or N-lt2")
 
@@ -236,17 +220,27 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
         "dg": norm_h1(dg, p, alpha) ** p,
     }
     rhs = sum(comps.values())
-    vacuous = lhs == 0.0 and rhs == 0.0
-    return EstimateReport(
-        inequality_id="stability_norm_bound",
-        lhs=lhs, rhs=rhs, constant_used="empirical",
-        passed=vacuous or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-        fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "components": comps, "vacuous": vacuous},
-    )
+    return _empirical("stability_norm_bound", lhs, rhs, fingerprint,
+                      {"p": p, "alpha": alpha, "components": comps,
+                       "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 # -- reflected-specific bounds ------------------------------------------------
+
+def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: AdaptedProcess, p: float) -> float:
+    """E[(sum_k e^{l_y t_{k+1}} |g_k| dt)^p]."""
+    w = _wr(tree, l_y)
+    leaf = tree.path_sum(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
+                         for k in range(tree.n_steps))
+    return tree.expectation(leaf**p, tree.n_steps)
+
+
+def _weighted_sup_term(tree: ScenarioTree, l_y: float, s: AdaptedProcess, clip, p: float) -> float:
+    """E[sup_k (e^{l_y t_k} clip(S_k))^p]."""
+    times = tree.grid.times
+    sup = tree.path_max(math.exp(l_y * times[k]) * clip(v) for k, v in enumerate(s.values))
+    return tree.expectation(sup**p, tree.n_steps)
+
 
 def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple, p: float,
                    alpha: float, variant: str = "S_plus", kappa: float = None,
@@ -266,22 +260,9 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
         raise ValueError(f"need 1 < kappa < p, got kappa={kappa}, p={p}")
     lhs = norm_sp_weighted(sol.y, p, alpha) ** p
 
-    times = tree.grid.times
-    g0 = _g0_process(gen, tree)
-    g_leaf = np.zeros(1)
-    for k in range(tree.n_steps):
-        w = math.exp(gen.l_y * times[k + 1])
-        g_leaf = tree.lift(g_leaf, k) + tree.lift(w * np.abs(g0.values[k]), k) * tree.dt
-    g_term = tree.expectation(g_leaf**p, tree.n_steps)
-
-    def clip(v):
-        return np.maximum(v, 0.0) if variant == "S_plus" else np.abs(v)
-
-    sup = None
-    for k in range(tree.n_steps + 1):
-        here = math.exp(gen.l_y * times[k]) * clip(instance.obstacle.values[k])
-        sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
-    s_term = tree.expectation(sup**p, tree.n_steps)
+    g_term = _weighted_leaf_term(tree, gen.l_y, gen.g0_process(tree), p)
+    clip = (lambda v: np.maximum(v, 0.0)) if variant == "S_plus" else np.abs
+    s_term = _weighted_sup_term(tree, gen.l_y, instance.obstacle, clip, p)
     xi_term = math.exp(p * gen.l_y * t_hor) * lp_norm(tree, instance.xi, p) ** p
 
     fac = 6.0 if variant == "S_plus" else 3.0
@@ -310,34 +291,17 @@ def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadr
                              fingerprint: str = "") -> EstimateReport:
     """Paired-obstacle sup bound on delta Y.  Empirical ratio."""
     tree = sol1.tree
-    times = tree.grid.times
     l_y = max(inst1.gen.l_y, inst2.gen.l_y)
-    dy = sol1.y - sol2.y
-    lhs = norm_sp_weighted(dy, p, alpha) ** p
-    dg = delta_driver(inst1, sol1, inst2, tree)
-    g_leaf = np.zeros(1)
-    for k in range(tree.n_steps):
-        w = math.exp(l_y * times[k + 1])
-        g_leaf = tree.lift(g_leaf, k) + tree.lift(w * np.abs(dg.values[k]), k) * tree.dt
-    ds = inst1.obstacle - inst2.obstacle
-    sup = None
-    for k in range(tree.n_steps + 1):
-        here = math.exp(l_y * times[k]) * np.abs(ds.values[k])
-        sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
+    lhs = norm_sp_weighted(sol1.y - sol2.y, p, alpha) ** p
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
-        "ds": tree.expectation(sup**p, tree.n_steps),
-        "dg": tree.expectation(g_leaf**p, tree.n_steps),
+        "ds": _weighted_sup_term(tree, l_y, inst1.obstacle - inst2.obstacle, np.abs, p),
+        "dg": _weighted_leaf_term(tree, l_y, delta_driver(inst1, sol1, inst2, tree), p),
     }
     rhs = sum(comps.values())
-    vacuous = lhs == 0.0 and rhs == 0.0
-    return EstimateReport(
-        inequality_id="obstacle_stability_sup_bound",
-        lhs=lhs, rhs=rhs, constant_used="empirical",
-        passed=vacuous or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-        fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "components": comps, "vacuous": vacuous},
-    )
+    return _empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
+                      {"p": p, "alpha": alpha, "components": comps,
+                       "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -350,23 +314,17 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
     dominated by the weighted sup of delta S times the variation of delta K.
     """
     tree = sol1.tree
+    steps = range(tree.n_steps)
     w1 = _wr(tree, alpha)
-    worst = 0.0
-    lhs_leaf = np.zeros(1)
-    mid_leaf = np.zeros(1)
-    for k in range(tree.n_steps):
-        ddk = sol1.dk.values[k] - sol2.dk.values[k]
-        dy = sol1.y.values[k] - sol2.y.values[k]
-        ds = inst1.obstacle.values[k] - inst2.obstacle.values[k]
-        gap = (dy - ds) * ddk
-        worst = max(worst, float(gap.max()))
-        lhs_leaf = tree.lift(lhs_leaf + w1[k] * dy * ddk, k)
-        mid_leaf = tree.lift(mid_leaf + w1[k] * ds * ddk, k)
-    lhs = float(np.dot(tree.path_prob[tree.n_steps], lhs_leaf))
-    mid = float(np.dot(tree.path_prob[tree.n_steps], mid_leaf))
-    ds_proc = inst1.obstacle - inst2.obstacle
-    ddk_proc = sol1.dk - sol2.dk
-    bound = norm_sp_weighted(ds_proc, 2.0, alpha) * norm_i(ddk_proc, 2.0, alpha)
+    ddk, dy = sol1.dk - sol2.dk, sol1.y - sol2.y
+    ds = inst1.obstacle - inst2.obstacle
+    worst = max([0.0] + [float(((dy.values[k] - ds.values[k]) * ddk.values[k]).max())
+                         for k in steps])
+    lhs = tree.expectation(tree.path_sum(w1[k] * dy.values[k] * ddk.values[k] for k in steps),
+                           tree.n_steps)
+    mid = tree.expectation(tree.path_sum(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
+                           tree.n_steps)
+    bound = norm_sp_weighted(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
     ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
     return EstimateReport(
         inequality_id="cross_term_contact_set",
@@ -394,14 +352,9 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
         "ds_sup": norm_sp_weighted(ds, 2.0, alpha),
     }
     rhs = eps * norm_h1(dg, 2.0, alpha) ** 2 + sum(comps.values())
-    vacuous = lhs == 0.0 and rhs == 0.0
-    return EstimateReport(
-        inequality_id="reflected_stability_p2",
-        lhs=lhs, rhs=rhs, constant_used="empirical",
-        passed=vacuous or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-        fingerprint=fingerprint,
-        details={"alpha": alpha, "eps": eps, "components": comps, "vacuous": vacuous},
-    )
+    return _empirical("reflected_stability_p2", lhs, rhs, fingerprint,
+                      {"alpha": alpha, "eps": eps, "components": comps,
+                       "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 # -- pathwise power expansion and bracket equivalences ------------------------
@@ -424,14 +377,8 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     tree = x.tree
     n = tree.n_steps
     times = tree.grid.times
-
-    def leaves(v, k):
-        for j in range(k, n):
-            v = tree.lift(v, j)
-        return v
-
-    val = [leaves(x.value[k], k) for k in range(n + 1)]
-    rgt = [leaves(x.right[k], k) for k in range(n + 1)]
+    val = [tree.to_leaves(x.value[k], k) for k in range(n + 1)]
+    rgt = [tree.to_leaves(x.right[k], k) for k in range(n + 1)]
     wp = [math.exp(p * 0.5 * alpha * times[k]) for k in range(n + 1)]
     half = p * (p - 1.0) / 2.0
 
@@ -523,16 +470,15 @@ def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
     c = burkholder_constant(p)
     w1 = _wr(tree, alpha)
     dt = tree.dt
-    star = np.zeros(1)
-    qv = np.zeros(1)
-    for k in range(tree.n_steps):
+    star_terms, qv_terms = [], []
+    for k, dm in enumerate(sol.m.increments()):
         z = tree.lift(sol.z.values[k], k)
         dl = (np.einsum("ni,ni->n", z, tree.dw[k + 1])
               + sol.m.values[k + 1] - tree.lift(sol.m.values[k], k))
         y_prev = tree.lift(sol.y.values[k], k)
-        star = tree.lift(star, k) + w1[k] * y_prev * dl
-        bracket = np.einsum("ni,ni->n", z, z) * dt + (sol.m.values[k + 1] - tree.lift(sol.m.values[k], k)) ** 2
-        qv = tree.lift(qv, k) + w1[k] ** 2 * y_prev**2 * bracket
+        star_terms.append(w1[k] * y_prev * dl)
+        qv_terms.append(w1[k] ** 2 * y_prev**2 * (np.einsum("ni,ni->n", z, z) * dt + dm**2))
+    star, qv = tree.path_sum(star_terms), tree.path_sum(qv_terms)
     lhs = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
     rhs = c * tree.expectation(qv ** (p / 4.0), tree.n_steps)
     return EstimateReport(

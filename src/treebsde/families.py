@@ -6,12 +6,10 @@ reported number carries a reproducible fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bsde import BsdeInstance, Generator
-from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
+from .processes import AdaptedProcess, LadlagProcess
 from .reflected import ReflectedInstance
 from .tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
@@ -67,9 +65,7 @@ def random_terminal(tree: ScenarioTree, seed: int, scale: float = 1.0) -> np.nda
         lab = tree.reveal_label[k]
         bump = rng.normal(size=int(lab.max()) + 1)
         vals = np.where(lab >= 0, bump[np.clip(lab, 0, None)], 0.0)
-        for j in range(k, n):
-            vals = tree.lift(vals, j)
-        xi = xi + scale * 0.5 * vals
+        xi = xi + scale * 0.5 * tree.to_leaves(vals, k)
     return xi
 
 
@@ -115,19 +111,15 @@ def random_strong_supermartingale(tree: ScenarioTree, seed: int,
     rng = np.random.default_rng(seed + 3)
     m = random_martingale(tree, seed)
     n = tree.n_steps
-    a_vals = [np.zeros(1)]
-    for k in range(n):
-        da = rng.uniform(0.0, 0.4, size=tree.n_nodes(k))
-        a_vals.append(tree.lift(a_vals[k] + da, k))
+    a_vals = tree.path_sum([rng.uniform(0.0, 0.4, size=tree.n_nodes(k)) for k in range(n)],
+                           process=True)
     drops = []
     for k in range(n + 1):
         d = rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
         d *= (rng.uniform(size=tree.n_nodes(k)) < drop_rate)
         drops.append(d)
     drops[n] = np.zeros(tree.n_nodes(n))  # nothing is announced after the horizon
-    d_cum = [np.zeros(1)]
-    for k in range(n):
-        d_cum.append(tree.lift(d_cum[k] + drops[k], k))
+    d_cum = tree.path_sum(drops[:n], process=True)
     value = [m.values[k] - a_vals[k] - d_cum[k] for k in range(n + 1)]
     right = [value[k] - drops[k] for k in range(n + 1)]
     left = [value[0].copy()]

@@ -7,17 +7,12 @@ discrete Girsanov change of measure with density Pi (1 - eta . dW).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationError, InvariantViolationError, MeasureChangeError
-from .norms import (
-    meyer_constant,
-    meyer_constant_ladlag,
-    norm_i_adapted_increments,
-    norm_sp,
-)
+from .errors import ClassificationError, MeasureChangeError
+from .norms import meyer_constant, meyer_constant_ladlag, norm_i, norm_sp
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stochastic_integral
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree
@@ -49,20 +44,21 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess,
     """
     n.require_martingale(tol)
     dt = tree.dt
-    z_vals, m_vals = [], [np.zeros(1)]
-    ortho = 0.0
-    for k in range(tree.n_steps):
+    z_vals, cross = [], [0.0]
+
+    def residual(k):
         dn = n.values[k + 1] - tree.lift(n.values[k], k)
-        z_k = tree.cond_exp(dn[:, None] * tree.dw[k + 1], k + 1) / dt
-        dm = dn - np.einsum("ni,ni->n", tree.lift(z_k, k), tree.dw[k + 1])
-        z_vals.append(z_k)
-        m_vals.append(tree.lift(m_vals[k], k) + dm)
-        cross = tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)
-        ortho = max(ortho, float(np.abs(cross).max()))
+        z_vals.append(tree.cond_exp(dn[:, None] * tree.dw[k + 1], k + 1) / dt)
+        dm = dn - np.einsum("ni,ni->n", tree.lift(z_vals[k], k), tree.dw[k + 1])
+        cross.append(float(np.abs(tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)).max()))
+        return dm
+
+    # consumed step by step, so the residuals never sit in memory all at once
+    m = AdaptedProcess(tree, tree.path_sum(map(residual, range(tree.n_steps)), process=True))
     return RepresentationPair(
         z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, m_vals),
-        residual_orthogonality=ortho,
+        m=m,
+        residual_orthogonality=max(cross),
     )
 
 
@@ -73,18 +69,18 @@ def doob_decompose(tree: ScenarioTree, x: AdaptedProcess,
     Returns (M, A, dA) with M, A adapted and dA the predictable increments.
     In supermartingale mode a negative compensator increment is an error.
     """
-    da_vals, a_vals, m_vals = [], [np.zeros(1)], [np.zeros(1)]
+    da_vals = []
     for k in range(tree.n_steps):
-        e_next = tree.cond_exp(x.values[k + 1], k + 1)
-        da = x.values[k] - e_next
+        da = x.values[k] - tree.cond_exp(x.values[k + 1], k + 1)
         if supermartingale and float(da.min()) < -tol:
             i = int(da.argmin())
             raise ClassificationError(
                 f"not a supermartingale: E_k[dX] = {-da[i]:.3e} > {tol} at step {k}, node {i}"
             )
         da_vals.append(da)
-        a_vals.append(tree.lift(a_vals[k] + da, k))
-        m_vals.append(x.values[k + 1] - x.values[0][0] + a_vals[k + 1])
+    a_vals = tree.path_sum(da_vals, process=True)
+    m_vals = [np.zeros(1)] + [x.values[k] - x.values[0][0] + a_vals[k]
+                              for k in range(1, tree.n_steps + 1)]
     m = AdaptedProcess(tree, m_vals)
     a = AdaptedProcess(tree, a_vals)
     return m, a, PredictableProcess(tree, da_vals)
@@ -157,10 +153,7 @@ def mertens_decompose(tree: ScenarioTree, x: LadlagProcess,
     """
     check_strong_supermartingale(tree, x, tol)
     drops = x.right_jumps()
-    i_vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        i_vals.append(tree.lift(i_vals[k] + drops[k], k))
-    i = AdaptedProcess(tree, i_vals)
+    i = AdaptedProcess(tree, tree.path_sum(drops[:tree.n_steps], process=True))
     u = AdaptedProcess(tree, [x.value[k] + i.values[k] for k in range(tree.n_steps + 1)])
     m, a, da = doob_decompose(tree, u, supermartingale=True, tol=max(tol, 1e-11))
     return MertensDecomposition(x0=float(x.value[0][0]), m=m, a=a, da=da, i=i, drops=drops)
@@ -176,15 +169,12 @@ def exhaust_jumps(tree: ScenarioTree, x: LadlagProcess, eps: float,
     """
     if eps <= 0.0:
         raise ValueError(f"threshold must be positive, got {eps}")
-    drops = x.right_jumps()
-    count = np.zeros(1)
-    i_vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        take = (drops[k] >= eps) & (count < n_max)
-        inc = np.where(take, drops[k], 0.0)
-        count = tree.lift(count + take.astype(float), k)
-        i_vals.append(tree.lift(i_vals[k] + inc, k))
-    return AdaptedProcess(tree, i_vals)
+    drops = x.right_jumps()[:tree.n_steps]
+    big = [d >= eps for d in drops]
+    # a drop is taken while fewer than n_max earlier ones were big enough
+    seen = tree.path_sum(big, process=True)
+    taken = (np.where(b & (s < n_max), d, 0.0) for b, s, d in zip(big, seen, drops))
+    return AdaptedProcess(tree, tree.path_sum(taken, process=True))
 
 
 def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
@@ -199,9 +189,8 @@ def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
     dec = mertens_decompose(tree, x)
     has_right_jumps = any(float(np.abs(d).max()) > 0.0 for d in dec.drops)
     c = meyer_constant_ladlag(p) if has_right_jumps else meyer_constant(p)
-    a_norm = norm_i_adapted_increments(tree, dec.da.values, p, 0.0)
-    i_inc = [dec.drops[k] for k in range(tree.n_steps)]
-    i_norm = norm_i_adapted_increments(tree, i_inc, p, 0.0)
+    a_norm = norm_i(dec.da, p, 0.0)
+    i_norm = norm_i(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)
     x_norm = norm_sp(x, p)
     lhs, rhs = a_norm + i_norm, c * x_norm
     return EstimateReport(
@@ -239,11 +228,8 @@ class MeasureChange:
     def w_q(self) -> list:
         """Shifted walk W^Q_k = W_k + sum_{j<k} eta_j dt, a Q-martingale."""
         tree = self.tree
-        dt = tree.dt
-        out = [np.zeros((1, tree.d))]
-        for k in range(tree.n_steps):
-            out.append(tree.w[k + 1] + tree.lift(out[k] - tree.w[k] + self.eta.values[k] * dt, k))
-        return out
+        drift = tree.path_sum((v * tree.dt for v in self.eta.values), process=True)
+        return [w + s for w, s in zip(tree.w, drift)]
 
 
 def girsanov_change(tree: ScenarioTree, eta: PredictableProcess) -> MeasureChange:

@@ -21,50 +21,28 @@ from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .tree import ScenarioTree
 
 
-@dataclass(frozen=True)
-class NormConfig:
-    p: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError(f"integrability exponent must satisfy p > 1, got {self.p}")
-        if self.alpha < 0.0:
-            raise ValueError(f"exponential weight must satisfy alpha >= 0, got {self.alpha}")
+def _wr(tree: ScenarioTree, alpha: float) -> list:
+    """Right-endpoint weights e^{alpha t_{k+1}}, one per interval k."""
+    return [math.exp(alpha * tree.grid.times[k + 1]) for k in range(tree.n_steps)]
 
 
-def _accumulate(tree: ScenarioTree, per_step) -> np.ndarray:
-    """Sum per-interval contributions (indexed by the left-endpoint node) to the leaves."""
-    acc = np.zeros(1)
-    for k in range(tree.n_steps):
-        acc = tree.lift(acc, k) + tree.lift(np.asarray(per_step(k), dtype=float), k)
-    return acc
-
-
-def _running_sup(tree: ScenarioTree, slots_at) -> np.ndarray:
-    """Leafwise sup over steps of slot magnitudes; slots_at(k) -> array(s) at step k."""
-    sup = None
-    for k in range(tree.n_steps + 1):
-        here = np.abs(np.asarray(slots_at(k), dtype=float))
-        sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
-    return sup
-
-
-def _wr(tree: ScenarioTree, alpha: float, k: int) -> float:
-    """Right-endpoint weight e^{alpha t_{k+1}} for interval k."""
-    return math.exp(alpha * tree.grid.times[k + 1])
+def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> float:
+    """(E[leaf^power])^{1/p} for a per-leaf path functional."""
+    return tree.expectation(leaf**power, tree.n_steps) ** (1.0 / p)
 
 
 def norm_sp(y, p: float, weights=None) -> float:
     """S^p norm. `y` is adapted or ladlag; `weights` optionally scales step k slots."""
     tree = y.tree
     w = weights if weights is not None else (lambda k: 1.0)
-    if isinstance(y, LadlagProcess):
-        sup = _running_sup(tree, lambda k: w(k) * np.maximum(
-            np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k]))))
-    else:
-        sup = _running_sup(tree, lambda k: w(k) * y.values[k])
-    return float(np.dot(tree.path_prob[tree.n_steps], sup**p)) ** (1.0 / p)
+
+    def slot(k):
+        if isinstance(y, LadlagProcess):
+            return np.maximum(np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k])))
+        return y.values[k]
+
+    sup = tree.path_max(np.abs(w(k) * slot(k)) for k in range(tree.n_steps + 1))
+    return _leaf_norm(tree, sup, p, p)
 
 
 def norm_sp_weighted(y, p: float, alpha: float) -> float:
@@ -73,44 +51,38 @@ def norm_sp_weighted(y, p: float, alpha: float) -> float:
     return norm_sp(y, p, weights=lambda k: math.exp(0.5 * alpha * times[k]))
 
 
+def _sq(v: np.ndarray) -> np.ndarray:
+    """|v|^2 per node for scalar or vector entries."""
+    return np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
+
+
 def norm_h(z: PredictableProcess, p: float, alpha: float) -> float:
     """H^{p,alpha} norm of a predictable (possibly vector) integrand."""
     tree = z.tree
-    dt = tree.dt
-
-    def sq(k):
-        v = z.values[k]
-        s = np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
-        return _wr(tree, alpha, k) * s * dt
-
-    acc = _accumulate(tree, sq)
-    return float(np.dot(tree.path_prob[tree.n_steps], acc ** (p / 2.0))) ** (1.0 / p)
+    w = _wr(tree, alpha)
+    acc = tree.path_sum(w[k] * _sq(v) * tree.dt for k, v in enumerate(z.values))
+    return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def norm_h1(x: AdaptedProcess, p: float, alpha: float) -> float:
     """H^{p,alpha}_1 norm of a scalar adapted integrand (value held on [t_k, t_{k+1}))."""
     tree = x.tree
-    dt = tree.dt
-    acc = _accumulate(tree, lambda k: _wr(tree, alpha, k) * x.values[k] ** 2 * dt)
-    return float(np.dot(tree.path_prob[tree.n_steps], acc ** (p / 2.0))) ** (1.0 / p)
+    w = _wr(tree, alpha)
+    acc = tree.path_sum(w[k] * x.values[k] ** 2 * tree.dt for k in range(tree.n_steps))
+    return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def bracket(tree: ScenarioTree, increments) -> np.ndarray:
     """Leafwise sum of squared jump increments; `increments(k)` at step-(k+1) nodes."""
-    acc = np.zeros(1)
-    for k in range(tree.n_steps):
-        acc = tree.lift(acc, k) + np.asarray(increments(k), dtype=float) ** 2
-    return acc
+    return tree.path_sum(np.asarray(increments(k), dtype=float) ** 2 for k in range(tree.n_steps))
 
 
 def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
     tree = m.tree
-    inc = m.increments()
-    acc = np.zeros(1)
-    for k in range(tree.n_steps):
-        acc = tree.lift(acc, k) + _wr(tree, alpha, k) * inc[k] ** 2
-    return float(np.dot(tree.path_prob[tree.n_steps], acc ** (p / 2.0))) ** (1.0 / p)
+    w = _wr(tree, alpha)
+    acc = tree.path_sum(w[k] * inc**2 for k, inc in enumerate(m.increments()))
+    return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha: float) -> float:
@@ -118,27 +90,18 @@ def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha:
     d[N] = |Z|^2 dt + (d fv)^2.  Orthogonality of the walk and the residual
     makes this the correct bracket decomposition on the tree."""
     tree = z.tree
-    dt = tree.dt
-    inc = fv.increments()
-    acc = np.zeros(1)
-    for k in range(tree.n_steps):
-        v = z.values[k]
-        s = np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
-        acc = tree.lift(acc, k) + _wr(tree, alpha, k) * (tree.lift(s, k) * dt + inc[k] ** 2)
-    return float(np.dot(tree.path_prob[tree.n_steps], acc ** (p / 2.0))) ** (1.0 / p)
+    w = _wr(tree, alpha)
+    acc = tree.path_sum(w[k] * (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2)
+                        for k, inc in enumerate(fv.increments()))
+    return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def norm_i(k_inc: PredictableProcess, p: float, alpha: float) -> float:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
     tree = k_inc.tree
-    acc = _accumulate(tree, lambda k: _wr(tree, 0.5 * alpha, k) * np.abs(k_inc.values[k]))
-    return float(np.dot(tree.path_prob[tree.n_steps], acc**p)) ** (1.0 / p)
-
-
-def norm_i_adapted_increments(tree: ScenarioTree, increments, p: float, alpha: float) -> float:
-    """I^{p,alpha} norm from raw per-interval increment arrays (left-endpoint indexed)."""
-    acc = _accumulate(tree, lambda k: _wr(tree, 0.5 * alpha, k) * np.abs(np.asarray(increments[k])))
-    return float(np.dot(tree.path_prob[tree.n_steps], acc**p)) ** (1.0 / p)
+    w = _wr(tree, 0.5 * alpha)
+    acc = tree.path_sum(w[k] * np.abs(v) for k, v in enumerate(k_inc.values))
+    return _leaf_norm(tree, acc, p, p)
 
 
 # -- pointwise functions and explicit constants -------------------------------
@@ -257,11 +220,3 @@ class ConstantsTable:
     @property
     def meyer_ladlag(self) -> float:
         return meyer_constant_ladlag(self.p)
-
-    def power_lower(self, n: int, ell: float = None) -> float:
-        ell = self.p if ell is None else ell
-        return min(1.0, n ** (ell - 1.0))
-
-    def power_upper(self, n: int, ell: float = None) -> float:
-        ell = self.p if ell is None else ell
-        return max(1.0, n ** (ell - 1.0))

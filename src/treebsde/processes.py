@@ -11,7 +11,7 @@ Storage conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,21 +115,16 @@ class PredictableProcess:
 
     def cumulative(self) -> AdaptedProcess:
         """Running sum booked at the right endpoint: A_0 = 0, A_{k+1} = A_k + dA_{k+1}."""
-        tree = self.tree
-        vals = [np.zeros(1)]
-        for k in range(tree.n_steps):
-            vals.append(tree.lift(vals[k], k) + tree.lift(self.values[k], k))
-        return AdaptedProcess(tree, vals)
+        return AdaptedProcess(self.tree, self.tree.path_sum(self.values, process=True))
 
 
 def stochastic_integral(tree: ScenarioTree, z: PredictableProcess) -> AdaptedProcess:
     """(Z * W)_k = sum_{j<k} Z_j . dW_{j+1}, an exact martingale on the tree."""
-    vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
+    def inc(k):
         zc = tree.lift(z.values[k], k)
-        inc = np.einsum("ni,ni->n", zc, tree.dw[k + 1]) if zc.ndim == 2 else zc * tree.dw[k + 1][:, 0]
-        vals.append(tree.lift(vals[k], k) + inc)
-    return AdaptedProcess(tree, vals)
+        return np.einsum("ni,ni->n", zc, tree.dw[k + 1]) if zc.ndim == 2 else zc * tree.dw[k + 1][:, 0]
+
+    return AdaptedProcess(tree, tree.path_sum(map(inc, range(tree.n_steps)), process=True))
 
 
 @dataclass

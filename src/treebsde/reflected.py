@@ -13,7 +13,6 @@ under a change of measure extracted from the driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -21,13 +20,11 @@ from .bsde import (
     BsdeInstance,
     Generator,
     SolutionQuadruple,
+    _backward_sweep,
     _check_scheme,
-    _implicit_step,
-    _project,
-    check_lipschitz,
 )
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
-from .martingales import MeasureChange, girsanov_change
+from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
 from .processes import AdaptedProcess, PredictableProcess
 from .reports import EstimateReport
@@ -66,35 +63,9 @@ class ReflectedInstance:
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit",
                     probe_seed: int = 0) -> SolutionQuadruple:
     """Backward induction with pointwise reflection and minimal push K."""
-    tree, gen, s = instance.tree, instance.gen, instance.obstacle
-    _check_scheme(tree, gen, scheme)
-    check_lipschitz(gen, tree, seed=probe_seed)
-    dt = tree.dt
-    y_vals = [None] * (tree.n_steps + 1)
-    y_vals[tree.n_steps] = np.maximum(instance.xi, s.values[tree.n_steps])
-    z_vals, dm_vals, dk_vals = [None] * tree.n_steps, [None] * tree.n_steps, [None] * tree.n_steps
-    for k in range(tree.n_steps - 1, -1, -1):
-        ey, z_k, dm = _project(tree, y_vals[k + 1], k)
-        if scheme == "explicit":
-            y_tilde = ey - gen(k, ey, z_k) * dt
-            y_k = np.maximum(s.values[k], y_tilde)
-        else:
-            y_k = _implicit_step(gen, k, ey, z_k, dt, obstacle=s.values[k])
-            y_tilde = ey - gen(k, y_k, z_k) * dt
-        y_vals[k] = y_k
-        z_vals[k], dm_vals[k] = z_k, dm
-        dk_vals[k] = y_k - y_tilde
-    m_vals = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        m_vals.append(tree.lift(m_vals[k], k) + dm_vals[k])
-    return SolutionQuadruple(
-        tree=tree,
-        y=AdaptedProcess(tree, y_vals),
-        z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, m_vals),
-        dk=PredictableProcess(tree, dk_vals),
-        scheme=scheme,
-    )
+    _check_scheme(instance.tree, instance.gen, scheme, probe_seed)
+    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
+                           obstacle=instance.obstacle.values)
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -129,17 +100,11 @@ class StoppingRule:
         tau = np.full(tree.n_nodes(n), n)
         done = np.zeros(tree.n_nodes(n), dtype=bool)
         for k in range(n):
-            here = self._to_leaves(self.stop[k].astype(float), k) > 0.5
+            here = tree.to_leaves(self.stop[k].astype(float), k) > 0.5
             hit = here & ~done
             tau[hit] = k
             done |= hit
         return tau
-
-    def _to_leaves(self, x: np.ndarray, k: int) -> np.ndarray:
-        tree = self.tree
-        for j in range(k, tree.n_steps):
-            x = tree.lift(x, j)
-        return x
 
 
 def _frozen_costs(instance: ReflectedInstance, sol: SolutionQuadruple) -> list:
@@ -364,15 +329,13 @@ def picard_solve(instance: ReflectedInstance, tol: float = 1e-12,
     sweep.  Returns (solution, PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
-    _check_scheme(tree, gen, "implicit")
-    check_lipschitz(gen, tree, seed=probe_seed)
+    _check_scheme(tree, gen, "implicit", probe_seed)
     trace = PicardTrace(alpha_star=picard_alpha(gen))
-    y_prev = [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps + 1)]
-    z_prev = [np.zeros((tree.n_nodes(k), tree.d)) for k in range(tree.n_steps)]
+    y_prev = AdaptedProcess.constant(tree, 0.0)
+    z_prev = PredictableProcess.zeros(tree, tree.d)
     frozen_prev = None
-    sol = None
     for _ in range(max_iter):
-        frozen = [gen(k, y_prev[k], z_prev[k]) for k in range(tree.n_steps)]
+        frozen = [gen(k, y_prev.values[k], z_prev.values[k]) for k in range(tree.n_steps)]
 
         def fn(k, y, z, _frozen=frozen):
             return np.broadcast_to(_frozen[k], y.shape).copy()
@@ -383,22 +346,17 @@ def picard_solve(instance: ReflectedInstance, tol: float = 1e-12,
             obstacle=instance.obstacle,
         )
         new = solve_reflected(inner, scheme="implicit", probe_seed=probe_seed)
-        dy = AdaptedProcess(tree, [new.y.values[k] - y_prev[k] for k in range(tree.n_steps + 1)])
-        dz = PredictableProcess(tree, [new.z.values[k] - z_prev[k] for k in range(tree.n_steps)])
-        trace.dy_s2.append(norm_sp(dy, 2.0))
-        trace.dz_h2.append(norm_h(dz, 2.0, trace.alpha_star))
+        trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
+        trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:
             change = max(float(np.abs(a - b).max()) for a, b in zip(frozen, frozen_prev))
             trace.driver_change.append(change)
             if change <= tol:
                 return new, trace
-        frozen_prev = frozen
-        y_prev = [v.copy() for v in new.y.values]
-        z_prev = [v.copy() for v in new.z.values]
-        sol = new
+        frozen_prev, y_prev, z_prev = frozen, new.y, new.z
         # driver independent of (y, z): the first sweep is already exact
         if gen.l_y == 0.0 and gen.l_z == 0.0:
-            return sol, trace
+            return new, trace
     raise PicardDivergenceError(
         f"frozen-driver iteration did not settle in {max_iter} sweeps "
         f"(last driver change {trace.driver_change[-1] if trace.driver_change else float('nan'):.3e})"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 
@@ -33,9 +32,6 @@ class EstimateReport:
         d = asdict(self)
         d["ratio"] = self.ratio
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
 
 
 PASS_TOL = 1e-9  # relative slack for explicit-constant assertions

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NUMBER,
     InvariantViolationError,
     OffGridError,
     SchemaError,
     TreeSizeError,
+    read_field,
+    read_numbers,
 )
 
 DEFAULT_NODE_CAP = 2**20
@@ -173,6 +176,40 @@ class ScenarioTree:
             raise IndexError("terminal step has no children")
         return np.repeat(np.asarray(x, dtype=float), int(self.branching[step]), axis=0)
 
+    # -- path primitives ------------------------------------------------------
+
+    def to_leaves(self, x: np.ndarray, step: int) -> np.ndarray:
+        """Broadcast step-`step` node values onto every leaf below them."""
+        self._check_step(step)
+        return np.repeat(np.asarray(x, dtype=float), int(np.prod(self.branching[step:])), axis=0)
+
+    def path_sum(self, terms, process: bool = False):
+        """Running sums along paths: S_0 = 0, S_{k+1} = S_k + terms[k].
+
+        terms[k] sits on step-k nodes (an increment known at t_k) or on
+        step-(k+1) nodes.  Terms are consumed one step at a time, so a
+        generator keeps a single step in memory.  Returns S_n on the leaves,
+        or the whole process [S_0, ..., S_n] when `process` is set.
+        """
+        acc = np.zeros(1)
+        out = [acc]
+        for k, term in enumerate(terms):
+            term = np.asarray(term, dtype=float)
+            if term.shape[0] == self.n_nodes(k):
+                acc = self.lift(acc + term, k)
+            else:
+                acc = self.lift(acc, k) + term
+            if process:
+                out.append(acc)
+        return out if process else acc
+
+    def path_max(self, slots) -> np.ndarray:
+        """Running sup along paths of slots[k] (step-k values, k = 0..n), on the leaves."""
+        sup = None
+        for k, here in enumerate(slots):
+            sup = here if sup is None else np.maximum(self.lift(sup, k - 1), here)
+        return sup
+
 
 def build_tree(grid: TimeGrid, d: int = 1, scheme: str = "rademacher",
                reveals=(), node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
@@ -318,26 +355,39 @@ def _label_name(tree: ScenarioTree, step: int, lab: int):
     raise InvariantViolationError(f"label stored at step {step} but no reveal is declared there")
 
 
+_NODE_FIELDS = (("id", int), ("parent", int), ("prob", NUMBER),
+                ("reveal", (str, int, float, type(None))))
+
+
 def deserialize_tree(data: bytes) -> ScenarioTree:
     """Inverse of serialize_tree; validates the schema and all tree invariants."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"top level must be an object, got {type(doc).__name__}")
+    if doc.get("version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {doc.get('version')!r} (expected {SCHEMA_VERSION})")
-    for key in ("grid", "d", "reveals", "nodes"):
-        if key not in doc:
-            raise SchemaError(f"missing top-level field {key!r}")
-    grid = TimeGrid(horizon=float(doc["grid"]["horizon"]), n_steps=int(doc["grid"]["n_steps"]))
-    d = int(doc["d"])
-    reveals = tuple(
-        Reveal(time=float(r["time"]), labels=tuple(r["labels"]), probs=tuple(r["probs"]))
-        for r in doc["reveals"]
-    )
+    grid_doc = read_field(doc, "grid", dict, "tree")
+    d = read_field(doc, "d", int, "tree")
+    try:
+        grid = TimeGrid(horizon=float(read_field(grid_doc, "horizon", NUMBER, "grid")),
+                        n_steps=read_field(grid_doc, "n_steps", int, "grid"))
+        reveals = tuple(
+            Reveal(time=float(read_field(r, "time", NUMBER, f"reveals[{i}]")),
+                   labels=tuple(read_field(r, "labels", list, f"reveals[{i}]")),
+                   probs=tuple(read_numbers(r, "probs", f"reveals[{i}]")))
+            for i, r in enumerate(read_field(doc, "reveals", list, "tree"))
+        )
+    except ValueError as exc:
+        raise SchemaError(f"invalid grid or reveal: {exc}") from exc
     by_step = [[] for _ in range(grid.n_steps + 1)]
-    for nd in doc["nodes"]:
-        step = int(nd["step"])
+    for i, nd in enumerate(read_field(doc, "nodes", list, "tree")):
+        step = read_field(nd, "step", int, f"nodes[{i}]")
+        for key, types in _NODE_FIELDS:
+            read_field(nd, key, types, f"nodes[{i}]")
+        read_numbers(nd, "dw", f"nodes[{i}]")
         if step < 0 or step > grid.n_steps:
             raise SchemaError(f"node {nd.get('id')} has step {step} outside 0..{grid.n_steps}")
         by_step[step].append(nd)
@@ -363,9 +413,9 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
                 raise SchemaError(f"node {nd['id']}: parent {nd['parent']} breaks contiguous uniform branching")
         branching[k - 1] = b
         cond_prob.append(np.array([float(nd["prob"]) for nd in nds]))
-        dwk = np.array([[float(v) for v in nd["dw"]] for nd in nds])
-        if dwk.shape != (len(nds), d):
+        if any(len(nd["dw"]) != d for nd in nds):
             raise SchemaError(f"step {k}: dw vectors are not {d}-dimensional")
+        dwk = np.array([[float(v) for v in nd["dw"]] for nd in nds])
         dw.append(dwk)
         if k in label_index:
             try:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from treebsde import cli
 from treebsde.cli import ConfigError, default_config, load_config, main, tree_from_config
 
 
@@ -45,6 +46,18 @@ class TestConfig:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("section,field,value,command", [
+        ("tree", "d", "two", ["solve"]),
+        ("family", "count", "x", ["verify", "--suite", "apriori"]),
+    ], ids=["tree.d-string", "family.count-string"])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, section, field, value, command):
+        cfg = default_config()
+        cfg[section][field] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"), *command]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"version": 1, "tree": {"horizon": 1.0}}')
@@ -80,12 +93,35 @@ class TestArtifacts:
         for name in ("manifest.json", "reports.csv", "reports.json"):
             assert _read(a / name) == _read(b / name)
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "w1", tmp_path / "w4"
-        assert main(["--seed", "3", "--out", str(a), "verify", "--suite", "meyer"]) == 0
-        assert main(["--seed", "3", "--out", str(b), "--workers", "4",
-                     "verify", "--suite", "meyer"]) == 0
-        assert _read(a / "reports.json") == _read(b / "reports.json")
+    def test_reports_json_is_strict(self, tmp_path):
+        # the constants suite has a row with rhs == 0 < lhs, whose ratio is infinite
+        out = tmp_path / "out"
+        assert main(["--seed", "1", "--out", str(out), "verify", "--suite", "constants"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rows = json.loads(_read(out / "reports.json"), parse_constant=reject)["reports"]
+        assert None in [r["ratio"] for r in rows]
+        assert ",inf," in _read(out / "reports.csv").decode()
+
+    def test_verify_solves_each_instance_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.solve_reflected
+
+        def counted(inst, *args, **kwargs):
+            calls.append(inst)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_reflected", counted)
+        cfg = default_config()
+        cfg["family"]["count"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
+                     "verify", "--suite", "all"]) == 0
+        assert len(calls) == 4
+        assert len({id(inst) for inst in calls}) == 4
 
     def test_counterexample_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.json"

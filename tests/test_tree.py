@@ -1,7 +1,11 @@
 """Tree construction, exact laws, serialization, and failure modes."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebsde.errors import OffGridError, SchemaError, TreeSizeError
 from treebsde.tree import Reveal, TimeGrid, build_tree, deserialize_tree, serialize_tree, validate_tree
@@ -146,3 +150,89 @@ class TestSerialization:
     def test_malformed_blob(self):
         with pytest.raises(SchemaError):
             deserialize_tree(b'{"version": 99}')
+
+
+def _blob_without(path):
+    """Serialized 2-step tree with the field at `path` removed."""
+    doc = json.loads(serialize_tree(build_tree(TimeGrid(horizon=1.0, n_steps=2), d=1)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return json.dumps(doc).encode()
+
+
+class TestMalformedBlobs:
+    @pytest.mark.parametrize("blob", [
+        b"[]",
+        _blob_without(("grid", "horizon")),
+        _blob_without(("nodes", 3, "step")),
+    ], ids=["top-level-list", "no-horizon", "node-without-step"])
+    def test_schema_error(self, blob):
+        with pytest.raises(SchemaError):
+            deserialize_tree(blob)
+
+
+@st.composite
+def _tree_and_values(draw):
+    """Random tree (d in {1, 2}, 1-5 steps, maybe one reveal) with random per-step values."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 2))
+    grid = TimeGrid(horizon=1.0, n_steps=n)
+    reveal = draw(st.one_of(st.none(), st.integers(1, n)))
+    reveals = () if reveal is None else (_reveal(grid, reveal, labels=("u", "v"),
+                                                  probs=(0.25, 0.75)),)
+    tree = build_tree(grid, d=d, reveals=reveals)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [rng.normal(size=tree.n_nodes(k)) for k in range(n + 1)]
+    return tree, values
+
+
+def _naive_to_leaves(tree, x, k):
+    for j in range(k, tree.n_steps):
+        x = tree.lift(x, j)
+    return x
+
+
+class TestPathPrimitives:
+    """The primitives reproduce the hand-written lift loops bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tree_and_values())
+    def test_to_leaves(self, case):
+        tree, values = case
+        for k, v in enumerate(values):
+            assert np.array_equal(tree.to_leaves(v, k), _naive_to_leaves(tree, v, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tree_and_values())
+    def test_path_sum(self, case):
+        tree, values = case
+        n = tree.n_steps
+        # terms on step-(k+1) nodes: S_{k+1} = lift(S_k) + term
+        right = values[1:]
+        acc, whole = np.zeros(1), [np.zeros(1)]
+        for k in range(n):
+            acc = tree.lift(acc, k) + right[k]
+            whole.append(acc)
+        assert np.array_equal(tree.path_sum(right), acc)
+        assert all(np.array_equal(a, b) for a, b in zip(tree.path_sum(right, process=True), whole))
+        # terms on step-k nodes, as in the cumulative sum of predictable increments
+        left = values[:-1]
+        acc, whole = np.zeros(1), [np.zeros(1)]
+        for k in range(n):
+            acc = tree.lift(acc, k) + tree.lift(left[k], k)
+            whole.append(acc)
+        assert np.array_equal(tree.path_sum(iter(left)), acc)
+        got = tree.path_sum(iter(left), process=True)
+        assert len(got) == n + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tree_and_values())
+    def test_path_max(self, case):
+        tree, values = case
+        sup = None
+        for k, here in enumerate(values):
+            sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
+        assert np.array_equal(tree.path_max(iter(values)), sup)
