@@ -44,7 +44,6 @@ from .martingales import (
     represent_martingale,
 )
 from .norms import (
-    ConstantsTable,
     bracket,
     burkholder_constant,
     burkholder_constant_alt,

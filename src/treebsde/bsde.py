@@ -21,6 +21,7 @@ from .tree import ScenarioTree
 IMPLICIT_TOL = 1e-13
 IMPLICIT_MAX_ITER = 200
 LIPSCHITZ_PROBES = 64
+LIPSCHITZ_SEED = 0
 LIPSCHITZ_SLACK = 1e-9
 
 
@@ -56,26 +57,26 @@ class AffineGenerator(Generator):
     eta: np.ndarray = None
 
     @classmethod
-    def build(cls, tree: ScenarioTree, lam: float, eta, g0_fn=None, name: str = "affine"):
+    def build(cls, tree: ScenarioTree, lam: float, eta, g0_fn=None):
         eta = np.zeros(tree.d) if eta is None else np.asarray(eta, dtype=float)
         g0_fn = g0_fn or (lambda k, n: np.zeros(n))
 
         def fn(k, y, z):
             return g0_fn(k, len(y)) + lam * y + z @ eta
 
-        return cls(fn=fn, l_y=abs(lam), l_z=float(np.linalg.norm(eta)), name=name,
+        return cls(fn=fn, l_y=abs(lam), l_z=float(np.linalg.norm(eta)), name="affine",
                    lam=lam, eta=eta)
 
 
-def check_lipschitz(gen: Generator, tree: ScenarioTree, n_probes: int = LIPSCHITZ_PROBES,
-                    seed: int = 0) -> float:
-    """Spot-check the declared Lipschitz constants with random probes.
+def check_lipschitz(gen: Generator, tree: ScenarioTree) -> float:
+    """Spot-check the declared Lipschitz constants with LIPSCHITZ_PROBES seeded
+    random probes.
 
     Returns the worst excess; raises GeneratorContractError beyond the slack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(LIPSCHITZ_PROBES):
         k = int(rng.integers(0, tree.n_steps))
         n = tree.n_nodes(k)
         y, y2 = rng.normal(size=n) * 3, rng.normal(size=n) * 3
@@ -92,12 +93,11 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree, n_probes: int = LIPSCHIT
 
 @dataclass
 class BsdeInstance:
-    """Terminal condition, driver, and optional obstacle on one tree."""
+    """Terminal condition and driver on one tree."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
-    obstacle: Optional[AdaptedProcess] = None
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
@@ -175,7 +175,7 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
     )
 
 
-def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str, probe_seed: int = 0):
+def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str):
     """Solver preconditions: a known scheme, dt * L_y < 1, honest Lipschitz constants."""
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -183,7 +183,7 @@ def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str, probe_seed: i
         raise StepSizeError(
             f"dt * L_y = {tree.dt * gen.l_y:.3f} >= 1; refine the grid or relax the driver"
         )
-    check_lipschitz(gen, tree, seed=probe_seed)
+    check_lipschitz(gen, tree)
 
 
 def _quadruple(tree: ScenarioTree, y_vals: list, z_vals: list, dm_vals: list,
@@ -229,14 +229,13 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
     return _quadruple(tree, y_vals, z_vals, dm_vals, dk_vals, scheme)
 
 
-def solve_bsde(instance: BsdeInstance, scheme: str = "implicit",
-               probe_seed: int = 0) -> SolutionQuadruple:
+def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Solve the plain BSDE (K = 0) by backward induction."""
-    _check_scheme(instance.tree, instance.gen, scheme, probe_seed)
+    _check_scheme(instance.tree, instance.gen, scheme)
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
 
 
-def solve_linear_bsde(instance: BsdeInstance, probe_seed: int = 0) -> SolutionQuadruple:
+def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
     """Closed-form route for affine drivers via discount + change of measure.
 
     Uses the exact discrete representation X_t Y_t = E^Q_t[X_T xi - sum X g0 dt]
@@ -249,7 +248,7 @@ def solve_linear_bsde(instance: BsdeInstance, probe_seed: int = 0) -> SolutionQu
     tree, gen = instance.tree, instance.gen
     if not isinstance(gen, AffineGenerator):
         raise TypeError("solve_linear_bsde needs an AffineGenerator")
-    _check_scheme(tree, gen, "implicit", probe_seed)
+    _check_scheme(tree, gen, "implicit")
     dt = tree.dt
     lam, eta = gen.lam, gen.eta
     eta_pred = PredictableProcess(

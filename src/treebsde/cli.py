@@ -33,6 +33,7 @@ from .estimates import (
     check_bracket_equivalences,
     check_solution_norm_bound,
     check_stability_norm_bound,
+    compensator_weight_floor,
 )
 from .ladder import run_counterexample
 from .martingales import meyer_bound_check
@@ -321,12 +322,11 @@ def suite_stability(inp, first, second) -> list:
 
 def suite_compensator(inp, s, inst, sol) -> list:
     fp, gen = inp.fp("rbsde", s), inst.gen
-    alpha_ge2 = 1.0 + 2.0 * gen.l_y + gen.l_z**2 / 0.5 + 1.0
-    p = 1.5
-    alpha_lt2 = 2.0 * gen.l_y + p * gen.l_z**2 / (2.0 * p * (p - 1.0) / 4.0) + 0.5
+    alpha_ge2 = compensator_weight_floor(gen, 2.0) + 1.0
+    alpha_lt2 = compensator_weight_floor(gen, 1.5) + 0.5
     return [check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound", fingerprint=fp),
             check_compensator_norm_bound(inst, sol, 2.0, alpha_ge2, "N-ge2", fingerprint=fp),
-            check_compensator_norm_bound(inst, sol, p, alpha_lt2, "N-lt2", fingerprint=fp)]
+            check_compensator_norm_bound(inst, sol, 1.5, alpha_lt2, "N-lt2", fingerprint=fp)]
 
 
 def suite_obstacle(inp, s, inst, sol) -> list:
@@ -453,11 +453,15 @@ def cmd_verify(args, cfg) -> int:
 def cmd_counterexample(args, cfg) -> int:
     cc = _need(cfg, "counterexample", dict, "config", {})
     where = "counterexample"
-    rep = run_counterexample(
-        eps=float(_need(cc, "eps", NUMBER, where, 0.05)),
-        dt=float(_need(cc, "dt", NUMBER, where, 1e-4)),
-        horizon=float(_need(cc, "horizon", NUMBER, where, 1.0)),
-        n_paths=_need(cc, "n_paths", int, where, 2000), seed=args.seed)
+    positive = {name: float(_need(cc, name, NUMBER, where, default))
+                for name, default in (("eps", 0.05), ("dt", 1e-4), ("horizon", 1.0))}
+    for name, value in positive.items():
+        if value <= 0.0:
+            raise ConfigError(f"{where}.{name}: must be > 0, got {value}")
+    n_paths = _need(cc, "n_paths", int, where, 2000)
+    if n_paths < 1:
+        raise ConfigError(f"{where}.n_paths: must be >= 1, got {n_paths}")
+    rep = run_counterexample(**positive, n_paths=n_paths, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "paths.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -40,11 +40,7 @@ class StepSizeError(TreeBsdeError):
 
 
 class PicardDivergenceError(TreeBsdeError):
-    """A fixed-point iteration failed to converge; carries the iteration trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A fixed-point iteration failed to converge."""
 
 
 class GeneratorContractError(TreeBsdeError):

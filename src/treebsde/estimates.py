@@ -37,6 +37,12 @@ from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree
 
+# the proofs' auxiliary constants, each fixed at one admissible value
+COMPENSATOR_EPS = 1.0  # driver-term weight of the composite-norm bounds; 1/eps in the N-ge2 floor
+COMPENSATOR_ETA = 0.5  # eta in (0, 1) of the N-ge2 weight floor
+STABILITY_EPS = 1.0    # driver-term weight of the p = 2 reflected stability bound
+ITO_P_TOL = 1e-10
+
 
 def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
     return tree.expectation(np.abs(xi) ** p, tree.n_steps) ** (1.0 / p)
@@ -95,14 +101,30 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
                        "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
+def _beta(p: float) -> float:
+    """beta of the N-lt2 branch: p(p-1)/4, the midpoint of (0, p(p-1)/2)."""
+    return p * (p - 1.0) / 4.0
+
+
+def compensator_weight_floor(gen, p: float) -> float:
+    """Least proof-admissible weight of the composite-norm branches.
+
+    N-ge2 (p >= 2) needs alpha above 1/eps + 2 L_y + L_z^2/eta; N-lt2
+    (p in (1,2)) needs alpha at least 2 L_y + p L_z^2 / (2 beta).
+    """
+    if p >= 2.0:
+        return 1.0 / COMPENSATOR_EPS + 2.0 * gen.l_y + gen.l_z**2 / COMPENSATOR_ETA
+    return 2.0 * gen.l_y + p * gen.l_z**2 / (2.0 * _beta(p))
+
+
 def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha: float,
-                             branch: str, eps: float = 1.0, eta: float = 0.5,
-                             beta: float = None, fingerprint: str = "") -> EstimateReport:
+                             branch: str, fingerprint: str = "") -> EstimateReport:
     """Intermediate estimates behind the main bound.
 
     branch "K-bound": explicit chain constant for the push process (any p > 1,
     needs non-decreasing K).  branch "N-ge2" (p >= 2) and "N-lt2" (p in (1,2)):
-    empirical, with the proof-admissible weight checked up front.
+    empirical, with the proof-admissible weight (compensator_weight_floor)
+    checked up front.
     """
     tree, gen = sol.tree, instance.gen
     t_hor = tree.grid.horizon
@@ -134,11 +156,9 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     if branch == "N-ge2":
         if p < 2.0:
             raise ValueError(f"branch N-ge2 needs p >= 2, got {p}")
-        floor = 1.0 / eps + 2.0 * gen.l_y + gen.l_z**2 / eta
-        if not (0.0 < eta < 1.0) or alpha <= floor:
-            raise ValueError(
-                f"inadmissible weight: need alpha > {floor:.3f} (eps={eps}, eta={eta}) and eta in (0,1)"
-            )
+        floor = compensator_weight_floor(gen, p)
+        if alpha <= floor:
+            raise ValueError(f"inadmissible weight: need alpha > {floor:.3f}")
         lhs = norm_h1(sol.y, p, alpha) ** p + n_norm
         if p > 2.0:
             dn = (_dn(tree, sol, k, inc) for k, inc in enumerate(_mk(sol).increments()))
@@ -151,19 +171,17 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             tail = max(tree.expectation(star, tree.n_steps), 0.0)
             tail_id = "y_dk_integral_plus"
         comps = {"xi": xi_n, tail_id: tail}
-        return _empirical("composite_norm_ge2", lhs, eps * g_n + sum(comps.values()),
-                          fingerprint, {"p": p, "alpha": alpha, "eps": eps, "eta": eta,
-                                        "g0": g_n, "components": comps})
+        return _empirical("composite_norm_ge2", lhs,
+                          COMPENSATOR_EPS * g_n + sum(comps.values()), fingerprint,
+                          {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
+                           "eta": COMPENSATOR_ETA, "g0": g_n, "components": comps})
 
     if branch == "N-lt2":
         if not (1.0 < p < 2.0):
             raise ValueError(f"branch N-lt2 needs p in (1,2), got {p}")
-        beta = p * (p - 1.0) / 4.0 if beta is None else beta
-        if not (0.0 < beta < p * (p - 1.0) / 2.0):
-            raise ValueError(f"inadmissible beta={beta}; need beta in (0, p(p-1)/2)")
-        floor = 2.0 * gen.l_y + p * gen.l_z**2 / (2.0 * beta)
+        floor = compensator_weight_floor(gen, p)
         if alpha < floor:
-            raise ValueError(f"inadmissible weight: need alpha >= {floor:.3f} (beta={beta})")
+            raise ValueError(f"inadmissible weight: need alpha >= {floor:.3f}")
         lhs = n_norm
         wp = _wr(tree, p * 0.5 * alpha)
         phi_y = [phi_p(sol.y.values[k], p) for k in range(tree.n_steps)]
@@ -180,9 +198,11 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
         comps = {"xi": xi_n, "y_weighted_sup": norm_sp_weighted(sol.y, p, alpha) ** p,
                  "phi_dk_integral_plus": k_tail}
-        report = _empirical("composite_norm_lt2", lhs, eps * g_n + sum(comps.values()),
-                            fingerprint, {"p": p, "alpha": alpha, "eps": eps, "beta": beta,
-                                          "g0": g_n, "components": comps, "a_term": a_term})
+        report = _empirical("composite_norm_lt2", lhs,
+                            COMPENSATOR_EPS * g_n + sum(comps.values()), fingerprint,
+                            {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
+                             "beta": _beta(p), "g0": g_n, "components": comps,
+                             "a_term": a_term})
         report.passed = report.passed and a_term >= -1e-12
         return report
 
@@ -243,21 +263,22 @@ def _weighted_sup_term(tree: ScenarioTree, l_y: float, s: AdaptedProcess, clip, 
 
 
 def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple, p: float,
-                   alpha: float, variant: str = "S_plus", kappa: float = None,
+                   alpha: float, variant: str = "S_plus",
                    fingerprint: str = "") -> EstimateReport:
     """Obstacle-problem sup bound on Y with the proof's explicit constants.
 
     variant "S_plus" uses the positive part of the obstacle plus a comparison
     with the unconstrained solution (coefficient 2^{p-1}); variant "S" uses the
-    obstacle itself and drops the comparison term.
+    obstacle itself and drops the comparison term.  The proof's kappa in
+    (1, p) is fixed at the midpoint (1 + p)/2.
     """
     if variant not in ("S_plus", "S"):
         raise ValueError(f"unknown variant {variant!r}")
+    if p <= 1.0:
+        raise ValueError(f"need p > 1, got {p}")
     tree, gen = instance.tree, instance.gen
     t_hor = tree.grid.horizon
-    kappa = (1.0 + p) / 2.0 if kappa is None else kappa
-    if not (1.0 < kappa < p):
-        raise ValueError(f"need 1 < kappa < p, got kappa={kappa}, p={p}")
+    kappa = (1.0 + p) / 2.0
     lhs = norm_sp_weighted(sol.y, p, alpha) ** p
 
     g_term = _weighted_leaf_term(tree, gen.l_y, gen.g0_process(tree), p)
@@ -336,8 +357,7 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
 
 def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadruple,
                         inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                        alpha: float, eps: float = 1.0,
-                        fingerprint: str = "") -> EstimateReport:
+                        alpha: float, fingerprint: str = "") -> EstimateReport:
     """Quadratic stability bound for reflected pairs.  Empirical constant."""
     tree = sol1.tree
     dy = sol1.y - sol2.y
@@ -351,16 +371,16 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
         "xi": lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
         "ds_sup": norm_sp_weighted(ds, 2.0, alpha),
     }
-    rhs = eps * norm_h1(dg, 2.0, alpha) ** 2 + sum(comps.values())
+    rhs = STABILITY_EPS * norm_h1(dg, 2.0, alpha) ** 2 + sum(comps.values())
     return _empirical("reflected_stability_p2", lhs, rhs, fingerprint,
-                      {"alpha": alpha, "eps": eps, "components": comps,
+                      {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
                        "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 # -- pathwise power expansion and bracket equivalences ------------------------
 
 def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
-                           tol: float = 1e-10, fingerprint: str = "") -> EstimateReport:
+                           fingerprint: str = "") -> EstimateReport:
     """Pathwise p-power expansion bound for ladlag paths, p in (1, 2).
 
     Every term of the display is evaluated per leaf path, for every start time
@@ -368,7 +388,8 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     intervals, the Stieltjes integral against the power gradient (combined
     jumps at grid times; the start-time right jump enters through the boundary
     convention of the integral), and the quadratic jump correction.  The worst
-    signed defect lhs - rhs over paths and start times is reported.
+    signed defect lhs - rhs over paths and start times is reported and must
+    not exceed ITO_P_TOL.
     """
     if not (1.0 < p < 2.0):
         raise ValueError(f"need p in (1,2), got {p}")
@@ -409,7 +430,7 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     return EstimateReport(
         inequality_id="pathwise_power_expansion",
         lhs=worst, rhs=0.0, constant_used="exact",
-        passed=worst <= tol, fingerprint=fingerprint,
+        passed=worst <= ITO_P_TOL, fingerprint=fingerprint,
         details={"p": p, "alpha": alpha, "worst_defect": worst},
     )
 

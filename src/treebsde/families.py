@@ -13,6 +13,8 @@ from .processes import AdaptedProcess, LadlagProcess
 from .reflected import ReflectedInstance
 from .tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
+DROP_RATE = 0.3  # chance that a node of a random strong supermartingale announces a drop
+
 
 def fingerprint(kind: str, seed: int, tree: ScenarioTree) -> str:
     rev = ",".join(f"{r.time:g}x{len(r.labels)}" for r in tree.reveals) or "-"
@@ -54,18 +56,18 @@ def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
     return Generator(fn=fn, l_y=l_y, l_z=l_z, name=f"random[{seed}]")
 
 
-def random_terminal(tree: ScenarioTree, seed: int, scale: float = 1.0) -> np.ndarray:
+def random_terminal(tree: ScenarioTree, seed: int) -> np.ndarray:
     """Bounded terminal value depending on the walk and every reveal label."""
     rng = np.random.default_rng(seed + 1)
     n = tree.n_steps
     w = tree.w[n]
     coeffs = rng.normal(size=tree.d)
-    xi = scale * (np.tanh(w @ coeffs) + 0.3 * np.abs(w).sum(axis=1))
+    xi = np.tanh(w @ coeffs) + 0.3 * np.abs(w).sum(axis=1)
     for k in tree.reveal_step_indices():
         lab = tree.reveal_label[k]
         bump = rng.normal(size=int(lab.max()) + 1)
         vals = np.where(lab >= 0, bump[np.clip(lab, 0, None)], 0.0)
-        xi = xi + scale * 0.5 * tree.to_leaves(vals, k)
+        xi = xi + 0.5 * tree.to_leaves(vals, k)
     return xi
 
 
@@ -82,10 +84,9 @@ def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> Adapt
     return AdaptedProcess.from_function(tree, fn)
 
 
-def random_bsde(tree: ScenarioTree, seed: int, l_y: float = 0.5,
-                l_z: float = 0.5) -> BsdeInstance:
+def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
     return BsdeInstance(tree=tree, xi=random_terminal(tree, seed),
-                        gen=random_generator(tree, seed, l_y=l_y, l_z=l_z))
+                        gen=random_generator(tree, seed))
 
 
 def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
@@ -95,13 +96,12 @@ def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
                              obstacle=random_obstacle(tree, seed, margin=margin))
 
 
-def random_martingale(tree: ScenarioTree, seed: int, scale: float = 1.0) -> AdaptedProcess:
+def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:
     """Closed martingale E_t[xi] from a random terminal variable."""
-    return AdaptedProcess.from_terminal(tree, random_terminal(tree, seed, scale=scale))
+    return AdaptedProcess.from_terminal(tree, random_terminal(tree, seed))
 
 
-def random_strong_supermartingale(tree: ScenarioTree, seed: int,
-                                  drop_rate: float = 0.3) -> LadlagProcess:
+def random_strong_supermartingale(tree: ScenarioTree, seed: int) -> LadlagProcess:
     """Ladlag strong supermartingale v = m - a - D with announced drops.
 
     m is a closed martingale, a a non-decreasing process with predictable
@@ -116,7 +116,7 @@ def random_strong_supermartingale(tree: ScenarioTree, seed: int,
     drops = []
     for k in range(n + 1):
         d = rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
-        d *= (rng.uniform(size=tree.n_nodes(k)) < drop_rate)
+        d *= (rng.uniform(size=tree.n_nodes(k)) < DROP_RATE)
         drops.append(d)
     drops[n] = np.zeros(tree.n_nodes(n))  # nothing is announced after the horizon
     d_cum = tree.path_sum(drops[:n], process=True)

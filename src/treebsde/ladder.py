@@ -35,7 +35,7 @@ class LadderReport:
     overshoot: np.ndarray  # per path: max |W - V_-| - eps at ladder jump times
     tv: np.ndarray         # per path: total variation of V
     crossings: np.ndarray  # per path: number of ladder jumps
-    flags: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict, init=False)
 
     @property
     def slack(self) -> float:
@@ -118,13 +118,12 @@ def _run_batch(eps: float, dt: float, n_steps: int, n_paths: int,
 
 
 def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
-                       n_paths: int = 10_000, seed: int = 0,
-                       batch: int = DEFAULT_BATCH) -> LadderReport:
+                       n_paths: int = 10_000, seed: int = 0) -> LadderReport:
     """Simulate the ladder paths and report gap and variation statistics.
 
-    Batches draw from independent streams keyed by (seed, batch index), so the
-    result is reproducible and independent of the batch size grouping only for
-    a fixed `batch` value.
+    Batches of DEFAULT_BATCH paths draw from independent streams keyed by
+    (seed, batch index), so the result is reproducible; it would change with
+    the batch size, which therefore stays fixed.
     """
     if eps <= 0.0 or dt <= 0.0 or horizon <= 0.0 or n_paths < 1:
         raise ValueError("need eps, dt, horizon > 0 and n_paths >= 1")
@@ -134,7 +133,7 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
     start = 0
     b = 0
     while start < n_paths:
-        m = min(batch, n_paths - start)
+        m = min(DEFAULT_BATCH, n_paths - start)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
         g, ov, tv, cr = _run_batch(eps, dt, n_steps, m, rng)
         gaps.append(g)
@@ -153,14 +152,13 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
     return report
 
 
-def tv_scaling(eps_list, dt: float, horizon: float = 1.0, n_paths: int = 2000,
-               seed: int = 0) -> dict:
-    """Mean variation against 1/eps: the fitted log-log slope should be 1."""
+def tv_scaling(eps_list, dt: float, n_paths: int = 2000, seed: int = 0) -> dict:
+    """Mean variation against 1/eps on the unit horizon: the fitted log-log
+    slope should be 1."""
     means = []
     reports = []
     for i, eps in enumerate(eps_list):
-        rep = run_counterexample(eps, dt, horizon=horizon, n_paths=n_paths,
-                                 seed=seed + i)
+        rep = run_counterexample(eps, dt, n_paths=n_paths, seed=seed + i)
         reports.append(rep.summary())
         means.append(float(rep.tv.mean()))
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))

@@ -17,6 +17,9 @@ from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stocha
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree
 
+SUPERMARTINGALE_TOL = 1e-12
+MERTENS_DOOB_TOL = 1e-11   # slack on the sign of the compensator increments of X + I
+
 
 @dataclass
 class RepresentationPair:
@@ -36,13 +39,12 @@ class RepresentationPair:
         return worst
 
 
-def represent_martingale(tree: ScenarioTree, n: AdaptedProcess,
-                         tol: float = 1e-12) -> RepresentationPair:
+def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> RepresentationPair:
     """Project a martingale onto the walk: Z_k = E_k[dN dW]/dt, dM = dN - Z.dW.
 
     Valid because the conditional covariance of dW is exactly dt * I.
     """
-    n.require_martingale(tol)
+    n.require_martingale()
     dt = tree.dt
     z_vals, cross = [], [0.0]
 
@@ -116,34 +118,33 @@ class MertensDecomposition:
         return worst
 
 
-def check_strong_supermartingale(tree: ScenarioTree, x: LadlagProcess, tol: float = 1e-12):
-    """Discrete strong supermartingale test.
+def check_strong_supermartingale(tree: ScenarioTree, x: LadlagProcess):
+    """Discrete strong supermartingale test, each condition to SUPERMARTINGALE_TOL.
 
     Requires value >= right_limit (announced drop non-negative),
     right_limit >= E_k[next value] (optional-sampling step across the interval),
     and path consistency left_limit(k+1) = right_limit(k).
     """
     pc = x.path_consistency_defect()
-    if pc > tol:
+    if pc > SUPERMARTINGALE_TOL:
         raise ClassificationError(f"ladlag path inconsistency: |left(k+1) - right(k)| = {pc:.3e}")
     for k in range(tree.n_steps + 1):
         drop = x.value[k] - x.right[k]
-        if float(drop.min()) < -tol:
+        if float(drop.min()) < -SUPERMARTINGALE_TOL:
             i = int(drop.argmin())
             raise ClassificationError(
                 f"value < right_limit by {-drop[i]:.3e} at step {k}, node {i} (slot 'right')"
             )
         if k < tree.n_steps:
             gap = x.right[k] - tree.cond_exp(x.value[k + 1], k + 1)
-            if float(gap.min()) < -tol:
+            if float(gap.min()) < -SUPERMARTINGALE_TOL:
                 i = int(gap.argmin())
                 raise ClassificationError(
                     f"supermartingale step fails by {-gap[i]:.3e} at step {k}, node {i}"
                 )
 
 
-def mertens_decompose(tree: ScenarioTree, x: LadlagProcess,
-                      tol: float = 1e-12) -> MertensDecomposition:
+def mertens_decompose(tree: ScenarioTree, x: LadlagProcess) -> MertensDecomposition:
     """Mertens decomposition of a discrete ladlag strong supermartingale.
 
     I collects the announced right-side drops X_t - X_{t+}; the remaining
@@ -151,11 +152,11 @@ def mertens_decompose(tree: ScenarioTree, x: LadlagProcess,
     identity X = X_0 + M - A - I is exact and the output is reproducible
     bit-for-bit for a given input.
     """
-    check_strong_supermartingale(tree, x, tol)
+    check_strong_supermartingale(tree, x)
     drops = x.right_jumps()
     i = AdaptedProcess(tree, tree.path_sum(drops[:tree.n_steps], process=True))
     u = AdaptedProcess(tree, [x.value[k] + i.values[k] for k in range(tree.n_steps + 1)])
-    m, a, da = doob_decompose(tree, u, supermartingale=True, tol=max(tol, 1e-11))
+    m, a, da = doob_decompose(tree, u, supermartingale=True, tol=MERTENS_DOOB_TOL)
     return MertensDecomposition(x0=float(x.value[0][0]), m=m, a=a, da=da, i=i, drops=drops)
 
 

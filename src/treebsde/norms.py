@@ -12,7 +12,6 @@ that the assembled inequality constants stay valid in discrete time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -197,26 +196,3 @@ def meyer_constant_ladlag(p: float) -> float:
     """
     cpp = meyer_constant(p)
     return cpp * (1.0 + cpp) + cpp * (1.0 + p / (p - 1.0))
-
-
-@dataclass(frozen=True)
-class ConstantsTable:
-    """Every explicit constant used by the inequality harness, for one p."""
-
-    p: float
-
-    @property
-    def c_star(self) -> float:
-        return burkholder_constant(self.p)
-
-    @property
-    def c_prime(self) -> float:
-        return meyer_c_prime(self.p)
-
-    @property
-    def meyer(self) -> float:
-        return meyer_constant(self.p)
-
-    @property
-    def meyer_ladlag(self) -> float:
-        return meyer_constant_ladlag(self.p)

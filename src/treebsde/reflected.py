@@ -33,6 +33,8 @@ from .tree import ScenarioTree
 DP_DEPTH_CAP = 12
 EXHAUSTIVE_DEPTH_CAP = 4
 SNELL_TOL = 1e-10
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 100
 
 
 @dataclass
@@ -60,10 +62,9 @@ class ReflectedInstance:
         return BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen)
 
 
-def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit",
-                    probe_seed: int = 0) -> SolutionQuadruple:
+def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Backward induction with pointwise reflection and minimal push K."""
-    _check_scheme(instance.tree, instance.gen, scheme, probe_seed)
+    _check_scheme(instance.tree, instance.gen, scheme)
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
                            obstacle=instance.obstacle.values)
 
@@ -141,15 +142,15 @@ RULE_CAP = 2_000_000
 
 
 def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProcess,
-                     costs: list, rule_cap: int = RULE_CAP) -> tuple:
+                     costs: list) -> tuple:
     """Exhaustive search over every adapted stopping rule.
 
     At each internal node the candidate payoffs are "stop now" (the obstacle)
     plus every combination of the children's candidates weighted by the
     one-step transition probabilities, with the running cost accrued over the
     interval.  The candidate count per node is 1 + prod(children counts), so
-    this is exponential in depth; it is capped and meant purely as an oracle,
-    never as a solver.
+    this is exponential in depth; depth and count are capped (RULE_CAP) and it
+    is meant purely as an oracle, never as a solver.
     """
     if tree.n_steps > EXHAUSTIVE_DEPTH_CAP:
         raise DepthCapError(
@@ -177,9 +178,9 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
         count = 1
         for j in range(b):
             count *= child_vals[j].shape[0]
-            if count > rule_cap:
+            if count > RULE_CAP:
                 raise TreeSizeError(
-                    f"stopping rule count exceeds cap {rule_cap} at node ({k},{i})")
+                    f"stopping rule count exceeds cap {RULE_CAP} at node ({k},{i})")
             combo = (combo[:, None] + q[j] * child_vals[j][None, :]).ravel()
         cont = combo - float(np.asarray(costs[k], dtype=float)[i]) * dt
         out = np.concatenate(([float(obstacle.values[k][i])], cont))
@@ -248,8 +249,8 @@ def _extract_linearization(instance: ReflectedInstance, sol: SolutionQuadruple) 
 
 
 def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadruple,
-                                tol: float = SNELL_TOL, fingerprint: str = "") -> list:
-    """Two optimal-stopping representations of the reflected solution.
+                                fingerprint: str = "") -> list:
+    """Two optimal-stopping representations of the reflected solution, each to SNELL_TOL.
 
     (a) With costs frozen at the solution, the plain dynamic program reproduces
         Y exactly at every node.
@@ -265,8 +266,8 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
                    for k in range(tree.n_steps + 1))
     reports = [EstimateReport(
         inequality_id="stopping_value_frozen_costs",
-        lhs=defect_a, rhs=tol, constant_used="exact",
-        passed=defect_a <= tol, fingerprint=fingerprint,
+        lhs=defect_a, rhs=SNELL_TOL, constant_used="exact",
+        passed=defect_a <= SNELL_TOL, fingerprint=fingerprint,
         details={"root_value": float(v.values[0][0])},
     )]
 
@@ -287,8 +288,8 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
         defect_b = max(defect_b, float(np.abs(u - disc[k] * sol.y.values[k]).max()))
     reports.append(EstimateReport(
         inequality_id="stopping_value_discounted_measure_change",
-        lhs=defect_b, rhs=tol, constant_used="exact",
-        passed=defect_b <= tol, fingerprint=fingerprint,
+        lhs=defect_b, rhs=SNELL_TOL, constant_used="exact",
+        passed=defect_b <= SNELL_TOL, fingerprint=fingerprint,
         details={"scheme": sol.scheme},
     ))
     return reports
@@ -301,9 +302,9 @@ class PicardTrace:
     """Per-iteration distances and contraction diagnostics."""
 
     alpha_star: float
-    dy_s2: list = field(default_factory=list)
-    dz_h2: list = field(default_factory=list)
-    driver_change: list = field(default_factory=list)
+    dy_s2: list = field(default_factory=list, init=False)
+    dz_h2: list = field(default_factory=list, init=False)
+    driver_change: list = field(default_factory=list, init=False)
 
     @property
     def combined(self) -> list:
@@ -320,21 +321,20 @@ def picard_alpha(gen: Generator) -> float:
     return 1.0 + 2.0 * gen.l_y + 2.0 * gen.l_z**2
 
 
-def picard_solve(instance: ReflectedInstance, tol: float = 1e-12,
-                 max_iter: int = 100, probe_seed: int = 0) -> tuple:
+def picard_solve(instance: ReflectedInstance) -> tuple:
     """Solve the reflected BSDE by iterating with the driver frozen at the
     previous iterate.  Each inner problem has a constant-in-(y, z) driver and
     is solved exactly; the loop stops when the frozen driver itself stops
-    moving (sup-change <= tol), so drivers that ignore (y, z) converge in one
-    sweep.  Returns (solution, PicardTrace).
+    moving (sup-change <= PICARD_TOL), so drivers that ignore (y, z) converge
+    in one sweep.  Returns (solution, PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
-    _check_scheme(tree, gen, "implicit", probe_seed)
+    _check_scheme(tree, gen, "implicit")
     trace = PicardTrace(alpha_star=picard_alpha(gen))
     y_prev = AdaptedProcess.constant(tree, 0.0)
     z_prev = PredictableProcess.zeros(tree, tree.d)
     frozen_prev = None
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         frozen = [gen(k, y_prev.values[k], z_prev.values[k]) for k in range(tree.n_steps)]
 
         def fn(k, y, z, _frozen=frozen):
@@ -345,20 +345,20 @@ def picard_solve(instance: ReflectedInstance, tol: float = 1e-12,
             gen=Generator(fn=fn, l_y=0.0, l_z=0.0, name="picard-frozen"),
             obstacle=instance.obstacle,
         )
-        new = solve_reflected(inner, scheme="implicit", probe_seed=probe_seed)
+        new = solve_reflected(inner, scheme="implicit")
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:
             change = max(float(np.abs(a - b).max()) for a, b in zip(frozen, frozen_prev))
             trace.driver_change.append(change)
-            if change <= tol:
+            if change <= PICARD_TOL:
                 return new, trace
         frozen_prev, y_prev, z_prev = frozen, new.y, new.z
         # driver independent of (y, z): the first sweep is already exact
         if gen.l_y == 0.0 and gen.l_z == 0.0:
             return new, trace
     raise PicardDivergenceError(
-        f"frozen-driver iteration did not settle in {max_iter} sweeps "
+        f"frozen-driver iteration did not settle in {PICARD_MAX_ITER} sweeps "
         f"(last driver change {trace.driver_change[-1] if trace.driver_change else float('nan'):.3e})"
     )
 

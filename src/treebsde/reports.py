@@ -30,6 +30,7 @@ class EstimateReport:
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        d["passed"] = bool(self.passed)
         d["ratio"] = self.ratio
         return d
 

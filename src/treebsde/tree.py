@@ -97,15 +97,14 @@ class ScenarioTree:
     cond_prob: list           # cond_prob[k][i] = P(node i at step k | parent); [1.0] at root
     dw: list                  # dw[k] shape (n_k, d): walk increment from parent; zeros at root
     reveal_label: list        # reveal_label[k][i]: alphabet index or -1
-    path_prob: list = field(default=None, repr=False)
-    _w: list = field(default=None, repr=False)
+    path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
+    _w: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.path_prob is None:
-            pp = [np.array([1.0])]
-            for k in range(1, self.n_steps + 1):
-                pp.append(pp[k - 1][self.parent_index(k)] * self.cond_prob[k])
-            self.path_prob = pp
+        pp = [np.array([1.0])]
+        for k in range(1, self.n_steps + 1):
+            pp.append(pp[k - 1][self.parent_index(k)] * self.cond_prob[k])
+        self.path_prob = pp
 
     # -- structure -----------------------------------------------------------
 
@@ -211,18 +210,16 @@ class ScenarioTree:
         return sup
 
 
-def build_tree(grid: TimeGrid, d: int = 1, scheme: str = "rademacher",
-               reveals=(), node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
+def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
+               node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
     """Build a scenario tree for the given grid.
 
-    The Rademacher scheme assigns each walk coordinate the increment +-sqrt(dt)
+    The walk is Rademacher: each coordinate takes the increment +-sqrt(dt)
     with probability 1/2, independently across coordinates; at a reveal time the
     branching is (2^d) * alphabet size with product probabilities.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if scheme != "rademacher":
-        raise ValueError(f"unknown scheme {scheme!r}; supported: 'rademacher'")
     reveals = tuple(reveals)
     reveal_at = {}
     for r in reveals:

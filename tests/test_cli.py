@@ -49,7 +49,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("section,field,value,command", [
         ("tree", "d", "two", ["solve"]),
         ("family", "count", "x", ["verify", "--suite", "apriori"]),
-    ], ids=["tree.d-string", "family.count-string"])
+        ("counterexample", "eps", -1, ["counterexample"]),
+        ("counterexample", "dt", 0.0, ["counterexample"]),
+        ("counterexample", "horizon", -0.5, ["counterexample"]),
+        ("counterexample", "n_paths", 0, ["counterexample"]),
+    ], ids=["tree.d-string", "family.count-string", "counterexample.eps-negative",
+            "counterexample.dt-zero", "counterexample.horizon-negative",
+            "counterexample.n_paths-zero"])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, field, value, command):
         cfg = default_config()
         cfg[section][field] = value
@@ -94,16 +100,20 @@ class TestArtifacts:
             assert _read(a / name) == _read(b / name)
 
     def test_reports_json_is_strict(self, tmp_path):
-        # the constants suite has a row with rhs == 0 < lhs, whose ratio is infinite
-        out = tmp_path / "out"
-        assert main(["--seed", "1", "--out", str(out), "verify", "--suite", "constants"]) == 0
-
+        # the constants suite has a row with rhs == 0 < lhs, whose ratio is infinite;
+        # the apriori suite's empirical verdicts are numpy booleans
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        rows = json.loads(_read(out / "reports.json"), parse_constant=reject)["reports"]
+        rows = []
+        for suite in ("constants", "apriori"):
+            out = tmp_path / suite
+            assert main(["--seed", "1", "--out", str(out), "verify", "--suite", suite]) == 0
+            rows += json.loads(_read(out / "reports.json"), parse_constant=reject)["reports"]
         assert None in [r["ratio"] for r in rows]
-        assert ",inf," in _read(out / "reports.csv").decode()
+        assert "solution_norm_bound" in {r["inequality_id"] for r in rows}
+        assert all(type(r["passed"]) is bool for r in rows)
+        assert ",inf," in _read(tmp_path / "constants" / "reports.csv").decode()
 
     def test_verify_solves_each_instance_once(self, tmp_path, monkeypatch):
         calls = []

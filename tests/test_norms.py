@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from treebsde.families import random_martingale, standard_tree
 from treebsde.norms import (
-    ConstantsTable,
     bracket,
     burkholder_constant,
     burkholder_constant_alt,
@@ -59,12 +58,6 @@ class TestConstants:
         # the alternative precedence reading exists and is finite; values differ
         for p in (3.0, 4.0):
             assert math.isfinite(burkholder_constant_alt(p))
-
-    def test_constants_table(self):
-        t = ConstantsTable(p=2.0)
-        assert t.c_prime == pytest.approx(4.0)
-        assert t.meyer == pytest.approx(12.0)
-        assert t.c_star == pytest.approx(2.0)
 
 
 class TestPhiP:
