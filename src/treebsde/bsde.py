@@ -141,12 +141,8 @@ class SolutionQuadruple:
 
     def orthogonality_defect(self) -> float:
         tree = self.tree
-        worst = 0.0
-        for k in range(tree.n_steps):
-            dm = self.m.values[k + 1] - tree.lift(self.m.values[k], k)
-            cross = tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)
-            worst = max(worst, float(np.abs(cross).max()))
-        return worst
+        return max(float(np.abs(tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)).max())
+                   for k, dm in enumerate(self.m.increments()))
 
 
 def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):

@@ -15,13 +15,13 @@ import json
 import math
 import os
 import sys
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import families
 from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
-from .errors import NUMBER, TreeBsdeError, read_field, read_numbers
+from .errors import Field, Tagged, TreeBsdeError, above, at_least, read_record
 from .estimates import (
     check_burkholder,
     check_ito_p_inequality,
@@ -54,7 +54,7 @@ from .reflected import (
     solve_reflected,
     verify_snell_representation,
 )
-from .tree import Reveal, TimeGrid, build_tree, validate_tree
+from .tree import DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, validate_tree
 
 SCHEMA_VERSION = 1
 SUITES = ("apriori", "stability", "compensator", "obstacle", "difference", "meyer", "ito-p",
@@ -65,114 +65,122 @@ class ConfigError(Exception):
     """Raised with a field-level diagnostic; maps to exit code 2."""
 
 
-_need = partial(read_field, error=ConfigError)
-_numbers = partial(read_numbers, error=ConfigError)
+# -- config schema: each field's kind, default and range ----------------------
+
+TREE = {
+    "horizon": Field(float, **above(0)),
+    "n_steps": Field(int, **at_least(1)),
+    "d": Field(int, 1, **at_least(1)),
+    "node_cap": Field(int, DEFAULT_NODE_CAP, **at_least(1)),
+    "reveals": Field([REVEAL], []),
+}
+FAMILY = {
+    "count": Field(int, 25, **at_least(1)),
+    "l_y": Field(float, 0.5, **at_least(0)),
+    "l_z": Field(float, 0.5, **at_least(0)),
+    "margin": Field(float, 0.5),
+}
+GENERATOR = Tagged({
+    "affine": {"lam": Field(float, 0.0), "eta": Field([float], None), "g0": Field(float, 0.0)},
+    "polynomial-clipped": {"l_y": Field(float, **at_least(0)),
+                           "l_z": Field(float, **at_least(0)),
+                           "bound": Field(float, 10.0)},
+    "table": {"values": Field([float])},
+})
+CONFIG = {
+    "version": Field(int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "tree": Field(TREE, None),
+    "family": Field(FAMILY, {}),
+    "norms": Field([{"p": Field(float, **above(1)), "alpha": Field(float, 0.0)}], [{"p": 2.0}]),
+    "counterexample": Field({"eps": Field(float, 0.05, **above(0)),
+                             "dt": Field(float, 1e-4, lambda v: 0 < v < 1, "in (0, 1)"),
+                             "horizon": Field(float, 1.0, **above(0)),
+                             "n_paths": Field(int, 2000, **at_least(1))}, {}),
+    "generator": Field(GENERATOR, None),
+    "scheme": Field(str, "implicit", lambda s: s in ("explicit", "implicit"),
+                    "'explicit' or 'implicit'"),
+}
+# the tree of the default config; every other value in it is a table default
+DEFAULT_TREE = {"horizon": 1.0, "n_steps": 6,
+                "reveals": [{"time": 0.5, "labels": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}]}
 
 
 def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The parsed JSON of a config file, as given."""
     try:
         with open(path, "rb") as fh:
-            cfg = json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = cfg.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported config version {version!r}")
+
+
+def parse_config(raw) -> dict:
+    """Check a config against CONFIG; returns every section with its defaults filled in.
+
+    Ranges that join two fields are checked here too: the counterexample step
+    against its horizon and, given a tree, the generator lengths and
+    dt * L_y < 1 for every driver a command may build.
+    """
+    cfg = read_record(raw, CONFIG, ConfigError)
+    ce, tc, gc = cfg["counterexample"], cfg["tree"], cfg["generator"] or {}
+    if ce["dt"] > ce["horizon"]:
+        raise ConfigError(f"counterexample.dt: must be <= counterexample.horizon "
+                          f"{ce['horizon']}, got {ce['dt']}")
+    if tc is None:
+        return cfg
+    for key, size in (("eta", tc["d"]), ("values", tc["n_steps"])):
+        if gc.get(key) is not None and len(gc[key]) != size:
+            raise ConfigError(f"generator.{key}: need {size} entries, got {len(gc[key])}")
+    dt = tc["horizon"] / tc["n_steps"]
+    lipschitz = {"family.l_y": cfg["family"]["l_y"], "generator.lam": abs(gc.get("lam", 0.0)),
+                 "generator.l_y": gc.get("l_y", 0.0)}
+    for name, l_y in lipschitz.items():
+        if dt * l_y >= 1.0:
+            raise ConfigError(f"{name}: dt * L_y = {dt * l_y:.3f} must be < 1 (dt = {dt:g})")
     return cfg
 
 
 def default_config() -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "tree": {"horizon": 1.0, "n_steps": 6, "d": 1,
-                 "reveals": [{"time": 0.5, "labels": ["a", "b", "c"],
-                              "probs": [0.5, 0.3, 0.2]}]},
-        "family": {"count": 25, "l_y": 0.5, "l_z": 0.5, "margin": 0.5},
-        "norms": [{"p": 2.0, "alpha": 0.0}],
-        "counterexample": {"eps": 0.05, "dt": 1e-4, "horizon": 1.0, "n_paths": 2000},
-    }
+    """The default tree with every table default filled in, bar three rarely set options."""
+    cfg = parse_config({"tree": DEFAULT_TREE})
+    del cfg["tree"]["node_cap"], cfg["generator"], cfg["scheme"]
+    return cfg
 
 
 def tree_from_config(cfg: dict):
-    tc = _need(cfg, "tree", dict, "config")
-    horizon = float(_need(tc, "horizon", NUMBER, "tree"))
-    n_steps = _need(tc, "n_steps", int, "tree")
-    d = _need(tc, "d", int, "tree", 1)
-    node_cap = _need(tc, "node_cap", int, "tree", 2**20)
-    reveals = []
-    for i, rv in enumerate(_need(tc, "reveals", list, "tree", [])):
-        where = f"tree.reveals[{i}]"
-        reveals.append((float(_need(rv, "time", NUMBER, where)),
-                        tuple(_need(rv, "labels", list, where)),
-                        tuple(_numbers(rv, "probs", where))))
+    tc = cfg["tree"]
+    if tc is None:
+        raise ConfigError("tree: missing required section")
     try:
-        return build_tree(TimeGrid(horizon=horizon, n_steps=n_steps), d=d,
-                          reveals=tuple(Reveal(*r) for r in reveals), node_cap=node_cap)
+        return build_tree(TimeGrid(horizon=tc["horizon"], n_steps=tc["n_steps"]), d=tc["d"],
+                          reveals=tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
+                                        for r in tc["reveals"]),
+                          node_cap=tc["node_cap"])
     except (ValueError, TreeBsdeError) as exc:
         raise ConfigError(f"tree: {exc}") from exc
 
 
 def generator_from_config(cfg: dict, tree) -> Generator:
-    gc = _need(cfg, "generator", dict, "config", None)
+    gc = cfg["generator"]
     if gc is None:
         return families.random_generator(tree, seed=0)
-    kind = _need(gc, "kind", str, "generator")
-    if kind == "affine":
-        eta = _numbers(gc, "eta", "generator", None)
-        if eta is not None and len(eta) != tree.d:
-            raise ConfigError(f"generator.eta: need {tree.d} entries, got {len(eta)}")
-        g0 = float(_need(gc, "g0", NUMBER, "generator", 0.0))
-        return AffineGenerator.build(
-            tree, lam=float(_need(gc, "lam", NUMBER, "generator", 0.0)),
-            eta=eta,
-            g0_fn=(lambda k, n, c=g0: np.full(n, c)),
-        )
-    if kind == "polynomial-clipped":
-        l_y = float(_need(gc, "l_y", NUMBER, "generator"))
-        l_z = float(_need(gc, "l_z", NUMBER, "generator"))
-        bound = float(_need(gc, "bound", NUMBER, "generator", 10.0))
-
-        def fn(k, y, z, _ly=l_y, _lz=l_z, _b=bound):
+    if gc["kind"] == "affine":
+        return AffineGenerator.build(tree, lam=gc["lam"], eta=gc["eta"],
+                                     g0_fn=(lambda k, n, c=gc["g0"]: np.full(n, c)))
+    if gc["kind"] == "polynomial-clipped":
+        def fn(k, y, z, l_y=gc["l_y"], l_z=gc["l_z"], bound=gc["bound"]):
             u = z.sum(axis=1) / np.sqrt(z.shape[1]) if z.ndim == 2 else z
-            return np.clip(_ly * np.sin(y) + _lz * np.tanh(u), -_b, _b)
+            return np.clip(l_y * np.sin(y) + l_z * np.tanh(u), -bound, bound)
 
-        return Generator(fn=fn, l_y=l_y, l_z=l_z, name="polynomial-clipped")
-    if kind == "table":
-        table = _numbers(gc, "values", "generator")
-        if len(table) != tree.n_steps:
-            raise ConfigError(
-                f"generator.values: need {tree.n_steps} per-step entries, got {len(table)}")
-
-        def fn(k, y, z, _t=table):
-            return np.full(y.shape, _t[k])
-
-        return Generator(fn=fn, l_y=0.0, l_z=0.0, name="table")
-    raise ConfigError(f"generator.kind: unknown kind {kind!r}")
-
-
-def norm_configs(cfg: dict) -> list:
-    out = []
-    for i, nc in enumerate(_need(cfg, "norms", list, "config", [{"p": 2.0, "alpha": 0.0}])):
-        p = float(_need(nc, "p", NUMBER, f"norms[{i}]"))
-        if p <= 1.0:
-            raise ConfigError(f"norms[{i}].p: must be > 1, got {p}")
-        out.append((p, float(_need(nc, "alpha", NUMBER, f"norms[{i}]", 0.0))))
-    return out
-
-
-def scheme_from_config(cfg: dict) -> str:
-    scheme = _need(cfg, "scheme", str, "config", "implicit")
-    if scheme not in ("explicit", "implicit"):
-        raise ConfigError(f"scheme: expected 'explicit' or 'implicit', got {scheme!r}")
-    return scheme
+        return Generator(fn=fn, l_y=gc["l_y"], l_z=gc["l_z"], name="polynomial-clipped")
+    return Generator(fn=lambda k, y, z, table=gc["values"]: np.full(y.shape, table[k]),
+                     l_y=0.0, l_z=0.0, name="table")
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -227,12 +235,11 @@ class SuiteInputs:
     """Family inputs shared by the verify suites; each is built, and each
     reflected instance solved, once on first use."""
 
-    def __init__(self, cfg: dict, tree, seed: int):
-        self.cfg, self.tree, self.seed = cfg, tree, seed
-        fam = _need(cfg, "family", dict, "config", {})
-        self.count = _need(fam, "count", int, "family", 25)
-        self.params = {name: float(_need(fam, name, NUMBER, "family", 0.5))
-                       for name in ("l_y", "l_z", "margin")}
+    def __init__(self, cfg: dict, seed: int):
+        self.tree, self.seed = tree_from_config(cfg), seed
+        self.count = cfg["family"]["count"]
+        self.params = {name: cfg["family"][name] for name in ("l_y", "l_z", "margin")}
+        self.norms = [(nc["p"], nc["alpha"]) for nc in cfg["norms"]]
 
     def fp(self, kind: str, seed: int) -> str:
         return families.fingerprint(kind, seed, self.tree)
@@ -259,7 +266,6 @@ class SuiteInputs:
 
 def suite_constants(inp) -> list:
     seed = inp.seed
-    reports = []
     checks = [
         ("supermartingale_constant_p2", meyer_c_prime(2.0), 4.0),
         ("compensator_constant_p2", meyer_constant(2.0), 12.0),
@@ -269,12 +275,10 @@ def suite_constants(inp) -> list:
         ("ladlag_compensator_constant", meyer_constant_ladlag(2.0),
          meyer_constant(2.0) * (1 + meyer_constant(2.0)) + meyer_constant(2.0) * 3.0),
     ]
-    for name, got, want in checks:
-        reports.append(EstimateReport(
-            inequality_id=name, lhs=got, rhs=want, constant_used="exact",
-            passed=abs(got - want) <= 1e-12, fingerprint="closed-form",
-            details={},
-        ))
+    reports = [EstimateReport(inequality_id=name, lhs=got, rhs=want, constant_used="exact",
+                              passed=abs(got - want) <= 1e-12, fingerprint="closed-form",
+                              details={})
+               for name, got, want in checks]
     for p in (3.0, 4.0):
         reports.append(EstimateReport(
             inequality_id="moment_constant_alt_parse", lhs=burkholder_constant_alt(p),
@@ -310,14 +314,14 @@ def suite_itop(inp, s, x) -> list:
 
 def suite_apriori(inp, s, inst, sol) -> list:
     return [check_solution_norm_bound(inst, sol, p, alpha, fingerprint=inp.fp("rbsde", s))
-            for p, alpha in norm_configs(inp.cfg)]
+            for p, alpha in inp.norms]
 
 
 def suite_stability(inp, first, second) -> list:
     (s1, i1, sol1), (_, i2, sol2) = first, second
     return [check_stability_norm_bound(i1, sol1, i2, sol2, p, alpha,
                                        fingerprint=inp.fp("pair", s1))
-            for p, alpha in norm_configs(inp.cfg)]
+            for p, alpha in inp.norms]
 
 
 def suite_compensator(inp, s, inst, sol) -> list:
@@ -372,13 +376,13 @@ SUITE_FN = {
 
 # -- subcommand drivers -------------------------------------------------------
 
-def cmd_solve(args, cfg) -> int:
+def cmd_solve(args, cfg: dict, raw) -> int:
     tree = tree_from_config(cfg)
     validate_tree(tree)
     gen = generator_from_config(cfg, tree)
     xi = families.random_terminal(tree, args.seed)
     inst = BsdeInstance(tree=tree, xi=xi, gen=gen)
-    sol = solve_bsde(inst, scheme=scheme_from_config(cfg))
+    sol = solve_bsde(inst, scheme=cfg["scheme"])
     resid = sol.dynamics_residual(gen)
     rep = EstimateReport(
         inequality_id="solver_dynamics_residual", lhs=resid, rhs=args.tol,
@@ -386,8 +390,7 @@ def cmd_solve(args, cfg) -> int:
         fingerprint=families.fingerprint("bsde", args.seed, tree),
         details={"y0": float(sol.y.values[0][0]), "scheme": sol.scheme},
     )
-    failures = write_artifacts(args.out, "solve", cfg, args.seed, [rep])
-    return 1 if failures else 0
+    return 1 if write_artifacts(args.out, "solve", raw, args.seed, [rep]) else 0
 
 
 def _seeded_reflected(cfg: dict, seed: int) -> ReflectedInstance:
@@ -398,10 +401,10 @@ def _seeded_reflected(cfg: dict, seed: int) -> ReflectedInstance:
                              obstacle=families.random_obstacle(tree, seed))
 
 
-def cmd_reflect(args, cfg) -> int:
+def cmd_reflect(args, cfg: dict, raw) -> int:
     inst = _seeded_reflected(cfg, args.seed)
     tree = inst.tree
-    sol = solve_reflected(inst, scheme=scheme_from_config(cfg))
+    sol = solve_reflected(inst, scheme=cfg["scheme"])
     resid = sol.dynamics_residual(inst.gen)
     comp = check_skorokhod(inst, sol)["complementarity"]
     rep = EstimateReport(
@@ -411,11 +414,10 @@ def cmd_reflect(args, cfg) -> int:
         details={"y0": float(sol.y.values[0][0]), "residual": resid,
                  "complementarity": comp},
     )
-    failures = write_artifacts(args.out, "reflect", cfg, args.seed, [rep])
-    return 1 if failures else 0
+    return 1 if write_artifacts(args.out, "reflect", raw, args.seed, [rep]) else 0
 
 
-def cmd_picard(args, cfg) -> int:
+def cmd_picard(args, cfg: dict, raw) -> int:
     inst = _seeded_reflected(cfg, args.seed)
     tree = inst.tree
     sol, trace = picard_solve(inst)
@@ -429,19 +431,18 @@ def cmd_picard(args, cfg) -> int:
         details={"iterations": len(trace.dy_s2), "alpha_star": trace.alpha_star,
                  "contraction_ratios": trace.contraction_ratios},
     )
-    failures = write_artifacts(args.out, "picard", cfg, args.seed, [rep])
-    return 1 if failures else 0
+    return 1 if write_artifacts(args.out, "picard", raw, args.seed, [rep]) else 0
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args, cfg: dict, raw) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    inputs = SuiteInputs(cfg, tree_from_config(cfg), args.seed)
+    inputs = SuiteInputs(cfg, args.seed)
     reports = []
     for name in names:
         for source, check in SUITE_FN[name]:
             items = [()] if source is None else getattr(inputs, source)
             reports += [r for item in items for r in check(inputs, *item)]
-    failures = write_artifacts(args.out, f"verify:{','.join(names)}", cfg,
+    failures = write_artifacts(args.out, f"verify:{','.join(names)}", raw,
                                args.seed, reports)
     if failures:
         print(f"FAIL: {len(failures)} assertion(s): {failures[:5]}", file=sys.stderr)
@@ -450,18 +451,8 @@ def cmd_verify(args, cfg) -> int:
     return 0
 
 
-def cmd_counterexample(args, cfg) -> int:
-    cc = _need(cfg, "counterexample", dict, "config", {})
-    where = "counterexample"
-    positive = {name: float(_need(cc, name, NUMBER, where, default))
-                for name, default in (("eps", 0.05), ("dt", 1e-4), ("horizon", 1.0))}
-    for name, value in positive.items():
-        if value <= 0.0:
-            raise ConfigError(f"{where}.{name}: must be > 0, got {value}")
-    n_paths = _need(cc, "n_paths", int, where, 2000)
-    if n_paths < 1:
-        raise ConfigError(f"{where}.n_paths: must be >= 1, got {n_paths}")
-    rep = run_counterexample(**positive, n_paths=n_paths, seed=args.seed)
+def cmd_counterexample(args, cfg: dict, raw) -> int:
+    rep = run_counterexample(**cfg["counterexample"], seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "paths.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -474,17 +465,16 @@ def cmd_counterexample(args, cfg) -> int:
     summary["passed"] = ok
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         fh.write(_canonical_json(summary))
-    _write_manifest(args.out, "counterexample", cfg, args.seed,
+    _write_manifest(args.out, "counterexample", raw, args.seed,
                     [] if ok else ["ladder_gap_bound"])
     return 0 if ok else 1
 
 
-def cmd_snell_check(args, cfg) -> int:
-    inp = SuiteInputs(cfg, tree_from_config(cfg), args.seed)
+def cmd_snell_check(args, cfg: dict, raw) -> int:
+    inp = SuiteInputs(cfg, args.seed)
     reports = [r for s, inst, sol in inp.solved
                for r in verify_snell_representation(inst, sol, fingerprint=inp.fp("rbsde", s))]
-    failures = write_artifacts(args.out, "snell-check", cfg, args.seed, reports)
-    return 1 if failures else 0
+    return 1 if write_artifacts(args.out, "snell-check", raw, args.seed, reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,16 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        dispatch = {
-            "solve": cmd_solve,
-            "reflect": cmd_reflect,
-            "picard": cmd_picard,
-            "verify": cmd_verify,
-            "counterexample": cmd_counterexample,
-            "snell-check": cmd_snell_check,
-        }
-        return dispatch[args.command](args, cfg)
+        raw = load_config(args.config) if args.config else default_config()
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, parse_config(raw), raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the typed JSON field reads that raise them."""
+"""Exception types shared across the package, and the record schema reader for JSON inputs."""
+
+import math
+import sys
+from typing import Callable, NamedTuple
 
 
 class TreeBsdeError(Exception):
@@ -55,33 +59,82 @@ class MeasureChangeError(TreeBsdeError):
     """The Girsanov positivity precondition fails for the supplied integrand."""
 
 
-NUMBER = (int, float)
-_REQUIRED = object()
+REQUIRED = object()
 
 
-def read_field(obj, key: str, types, where: str, default=_REQUIRED, error=SchemaError):
-    """Typed read of obj[key] from parsed JSON; `default` makes the field optional.
+class Field(NamedTuple):
+    """A JSON field: its kind, its default (REQUIRED: none) and its range.
 
-    An optional field that is missing or null reads as `default`.  A missing
-    required field or a mistyped field raises `error` naming the field.
+    `kind` is float (a finite number, read as a float), a type or a tuple of
+    types (kept as given), a record table {name: Field}, a `Tagged` set of
+    tables, or [kind] for a list.  `ok` tests the value read; `rule` says how.
+    """
+
+    kind: object
+    default: object = REQUIRED
+    ok: Callable = None
+    rule: str = ""
+
+
+def at_least(lo) -> dict:
+    """The range `>= lo`, as Field keyword arguments."""
+    return {"ok": lambda v: v >= lo, "rule": f">= {lo}"}
+
+
+def above(lo) -> dict:
+    """The range `> lo`, as Field keyword arguments."""
+    return {"ok": lambda v: v > lo, "rule": f"> {lo}"}
+
+
+class Tagged(dict):
+    """Record kind with one table per value of the record's `kind` field."""
+
+
+def read_record(obj, table: dict, error=SchemaError, where: str = "") -> dict:
+    """Check a JSON object against `table`; returns its values, defaults filled in.
+
+    An unknown, missing, mistyped or out-of-range field raises `error` naming
+    it.  A missing or null field reads as its default, which unless None is
+    read like a given value: a record default {} fills in the record's defaults.
     """
     if not isinstance(obj, dict):
-        raise error(f"{where}: expected an object, got {type(obj).__name__}")
-    if key not in obj or (obj[key] is None and default is not _REQUIRED):
-        if default is not _REQUIRED:
-            return default
-        raise error(f"{where}: missing field {key!r}")
-    if not isinstance(obj[key], types):
-        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        raise error(f"{where}.{key}: expected {names}, got {type(obj[key]).__name__}")
-    return obj[key]
+        raise error(f"{where or 'top level'}: expected an object, got {type(obj).__name__}")
+    prefix = f"{where}." if where else ""
+    for key in (key for key in obj if key not in table):
+        raise error(f"{prefix}{key}: unknown field")
+    out = {}
+    for key, field in table.items():
+        name, value = prefix + key, obj.get(key)
+        if value is None and field.default is not REQUIRED:
+            value = field.default
+        elif key not in obj:
+            raise error(f"{name}: missing required field")
+        if value is not None or field.default is REQUIRED:
+            value = read_value(value, field.kind, error, name)
+            if field.ok and not field.ok(value):
+                raise error(f"{name}: must be {field.rule}, got {value!r}")
+        out[key] = value
+    return out
 
 
-def read_numbers(obj, key: str, where: str, default=_REQUIRED, error=SchemaError):
-    """Typed read of a list of numbers, returned as floats."""
-    values = read_field(obj, key, list, where, default, error)
-    if values is None:
-        return None
-    if not all(isinstance(v, NUMBER) for v in values):
-        raise error(f"{where}.{key}: expected a list of numbers")
-    return [float(v) for v in values]
+def read_value(value, kind, error=SchemaError, where: str = ""):
+    """Check one JSON value against a Field kind; returns the value read."""
+    if isinstance(kind, Tagged):
+        tag = value.get("kind") if isinstance(value, dict) else None
+        if not (isinstance(tag, str) and tag in kind):
+            raise error(f"{where}.kind: must be one of {', '.join(kind)}, got {tag!r}")
+        return read_record(value, {"kind": Field(str), **kind[tag]}, error, where)
+    if isinstance(kind, dict):
+        return read_record(value, kind, error, where)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise error(f"{where}: expected a list, got {type(value).__name__}")
+        return [read_value(v, kind[0], error, f"{where}[{i}]") for i, v in enumerate(value)]
+    types = (int, float) if kind is float else kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types) \
+            or (isinstance(value, float) and not math.isfinite(value)) \
+            or (kind is float and abs(value) > sys.float_info.max):
+        names = "number" if kind is float else " or ".join(t.__name__ for t in types)
+        raise error(f"{where}: expected {names}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+

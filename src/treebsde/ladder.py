@@ -123,31 +123,19 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
 
     Batches of DEFAULT_BATCH paths draw from independent streams keyed by
     (seed, batch index), so the result is reproducible; it would change with
-    the batch size, which therefore stays fixed.
+    the batch size, which therefore stays fixed.  dt < 1 keeps the overshoot
+    slack defined, and dt <= horizon makes at least one step.
     """
-    if eps <= 0.0 or dt <= 0.0 or horizon <= 0.0 or n_paths < 1:
-        raise ValueError("need eps, dt, horizon > 0 and n_paths >= 1")
-    coarse = dt > eps**2 / 10.0
+    if eps <= 0.0 or horizon <= 0.0 or not 0.0 < dt < 1.0 or dt > horizon or n_paths < 1:
+        raise ValueError("need eps, horizon > 0, 0 < dt < 1, dt <= horizon and n_paths >= 1")
     n_steps = int(round(horizon / dt))
-    gaps, ovs, tvs, crs = [], [], [], []
-    start = 0
-    b = 0
-    while start < n_paths:
-        m = min(DEFAULT_BATCH, n_paths - start)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
-        g, ov, tv, cr = _run_batch(eps, dt, n_steps, m, rng)
-        gaps.append(g)
-        ovs.append(ov)
-        tvs.append(tv)
-        crs.append(cr)
-        start += m
-        b += 1
-    report = LadderReport(
-        eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
-        gap=np.concatenate(gaps), overshoot=np.concatenate(ovs),
-        tv=np.concatenate(tvs), crossings=np.concatenate(crs),
-    )
-    if coarse:
+    batches = [_run_batch(eps, dt, n_steps, min(DEFAULT_BATCH, n_paths - start),
+                          np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b)))))
+               for b, start in enumerate(range(0, n_paths, DEFAULT_BATCH))]
+    gap, overshoot, tv, crossings = (np.concatenate(part) for part in zip(*batches))
+    report = LadderReport(eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
+                          gap=gap, overshoot=overshoot, tv=tv, crossings=crossings)
+    if dt > eps**2 / 10.0:
         report.flags["dt_coarse_for_eps"] = True
     return report
 
@@ -155,14 +143,10 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
 def tv_scaling(eps_list, dt: float, n_paths: int = 2000, seed: int = 0) -> dict:
     """Mean variation against 1/eps on the unit horizon: the fitted log-log
     slope should be 1."""
-    means = []
-    reports = []
-    for i, eps in enumerate(eps_list):
-        rep = run_counterexample(eps, dt, n_paths=n_paths, seed=seed + i)
-        reports.append(rep.summary())
-        means.append(float(rep.tv.mean()))
+    reports = [run_counterexample(eps, dt, n_paths=n_paths, seed=seed + i)
+               for i, eps in enumerate(eps_list)]
+    means = [float(rep.tv.mean()) for rep in reports]
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))
-    ys = np.log(np.asarray(means))
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = float(np.polyfit(xs, np.log(np.asarray(means)), 1)[0])
     return {"eps": list(eps_list), "tv_means": means, "slope": slope,
-            "summaries": reports}
+            "summaries": [rep.summary() for rep in reports]}

@@ -32,11 +32,8 @@ class RepresentationPair:
     def reconstruction_defect(self, n: AdaptedProcess) -> float:
         tree = n.tree
         zw = stochastic_integral(tree, self.z)
-        worst = 0.0
-        for k in range(tree.n_steps + 1):
-            rebuilt = n.values[0][0] + zw.values[k] + self.m.values[k]
-            worst = max(worst, float(np.abs(rebuilt - n.values[k]).max()))
-        return worst
+        return max(float(np.abs(n.values[0][0] + zw.values[k] + self.m.values[k]
+                                 - n.values[k]).max()) for k in range(tree.n_steps + 1))
 
 
 def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> RepresentationPair:

@@ -172,13 +172,11 @@ def meyer_c_prime(p: float) -> float:
     if p <= 2.0:
         return (p * p / (p - 1.0)) ** (1.0 / (p - 1.0))
     best = math.inf
-    k = 2
-    while k < p:
+    for k in range(2, math.ceil(p)):
         prod = p
         for j in range(2, k + 1):
             prod *= p * j / (p - j)
         best = min(best, prod ** (k / (p - 1.0)))
-        k += 1
     return best
 
 

@@ -157,8 +157,6 @@ class LadlagProcess:
 
     def path_consistency_defect(self) -> float:
         """max |left_limit(k+1) - right_limit(k)| over the tree."""
-        worst = 0.0
-        for k in range(self.tree.n_steps):
-            gap = self.left[k + 1] - self.tree.lift(self.right[k], k)
-            worst = max(worst, float(np.abs(gap).max()))
-        return worst
+        lift = self.tree.lift
+        return max(float(np.abs(self.left[k + 1] - lift(self.right[k], k)).max())
+                   for k in range(self.tree.n_steps))

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NUMBER,
+    Field,
     InvariantViolationError,
     OffGridError,
     SchemaError,
     TreeSizeError,
-    read_field,
-    read_numbers,
+    above,
+    at_least,
+    read_record,
 )
 
 DEFAULT_NODE_CAP = 2**20
@@ -319,6 +320,7 @@ SCHEMA_VERSION = 1
 def serialize_tree(tree: ScenarioTree) -> bytes:
     """Canonical UTF-8 JSON encoding of the tree; round-trip is the identity."""
     offsets = np.cumsum([0] + [tree.n_nodes(k) for k in range(tree.n_steps + 1)])
+    labels = dict(zip(tree.reveal_step_indices(), (r.labels for r in tree.reveals)))
     nodes = []
     for k in range(tree.n_steps + 1):
         parents = tree.parent_index(k) + offsets[k - 1] if k > 0 else np.array([-1])
@@ -330,7 +332,7 @@ def serialize_tree(tree: ScenarioTree) -> bytes:
                 "parent": int(parents[i]),
                 "prob": float(tree.cond_prob[k][i]),
                 "dw": [float(v) for v in tree.dw[k][i]],
-                "reveal": None if lab < 0 else _label_name(tree, k, lab),
+                "reveal": None if lab < 0 else labels[k][lab],
             })
     doc = {
         "version": SCHEMA_VERSION,
@@ -345,15 +347,23 @@ def serialize_tree(tree: ScenarioTree) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def _label_name(tree: ScenarioTree, step: int, lab: int):
-    for r in tree.reveals:
-        if tree.grid.index_of(r.time) == step:
-            return r.labels[lab]
-    raise InvariantViolationError(f"label stored at step {step} but no reveal is declared there")
-
-
-_NODE_FIELDS = (("id", int), ("parent", int), ("prob", NUMBER),
-                ("reveal", (str, int, float, type(None))))
+LABEL = (str, int, float)
+# a reveal as written in a serialized tree and in a config's tree section
+REVEAL = {
+    "time": Field(float),
+    "labels": Field([LABEL], ok=lambda labels: len(set(labels)) == len(labels),
+                    rule="distinct"),
+    "probs": Field([float]),
+}
+BLOB = {
+    "version": Field(int, ok=lambda v: v == SCHEMA_VERSION, rule=str(SCHEMA_VERSION)),
+    "grid": Field({"horizon": Field(float, **above(0)), "n_steps": Field(int, **at_least(1))}),
+    "d": Field(int, **at_least(1)),
+    "reveals": Field([REVEAL]),
+    "nodes": Field([{"id": Field(int), "step": Field(int), "parent": Field(int),
+                     "prob": Field(float), "dw": Field([float]),
+                     "reveal": Field(LABEL + (type(None),))}]),
+}
 
 
 def deserialize_tree(data: bytes) -> ScenarioTree:
@@ -362,70 +372,50 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"top level must be an object, got {type(doc).__name__}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {doc.get('version')!r} (expected {SCHEMA_VERSION})")
-    grid_doc = read_field(doc, "grid", dict, "tree")
-    d = read_field(doc, "d", int, "tree")
+    doc = read_record(doc, BLOB)
+    d, nodes = doc["d"], doc["nodes"]
+    grid = TimeGrid(**doc["grid"])
+    if grid.n_steps >= len(nodes):
+        raise SchemaError(f"grid.n_steps: {grid.n_steps} steps need more than {len(nodes)} nodes")
     try:
-        grid = TimeGrid(horizon=float(read_field(grid_doc, "horizon", NUMBER, "grid")),
-                        n_steps=read_field(grid_doc, "n_steps", int, "grid"))
-        reveals = tuple(
-            Reveal(time=float(read_field(r, "time", NUMBER, f"reveals[{i}]")),
-                   labels=tuple(read_field(r, "labels", list, f"reveals[{i}]")),
-                   probs=tuple(read_numbers(r, "probs", f"reveals[{i}]")))
-            for i, r in enumerate(read_field(doc, "reveals", list, "tree"))
-        )
-    except ValueError as exc:
-        raise SchemaError(f"invalid grid or reveal: {exc}") from exc
+        reveals = tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
+                        for r in doc["reveals"])
+        label_index = {grid.index_of(r.time): {name: i for i, name in enumerate(r.labels)}
+                       for r in reveals}
+    except (ValueError, OffGridError) as exc:
+        raise SchemaError(f"invalid reveal: {exc}") from exc
     by_step = [[] for _ in range(grid.n_steps + 1)]
-    for i, nd in enumerate(read_field(doc, "nodes", list, "tree")):
-        step = read_field(nd, "step", int, f"nodes[{i}]")
-        for key, types in _NODE_FIELDS:
-            read_field(nd, key, types, f"nodes[{i}]")
-        read_numbers(nd, "dw", f"nodes[{i}]")
-        if step < 0 or step > grid.n_steps:
-            raise SchemaError(f"node {nd.get('id')} has step {step} outside 0..{grid.n_steps}")
-        by_step[step].append(nd)
+    for i, nd in enumerate(nodes):
+        if len(nd["dw"]) != d:
+            raise SchemaError(f"nodes[{i}].dw: need {d} entries, got {len(nd['dw'])}")
+        if nd["step"] < 0 or nd["step"] > grid.n_steps:
+            raise SchemaError(f"node {nd['id']} has step {nd['step']} outside 0..{grid.n_steps}")
+        by_step[nd["step"]].append(nd)
     if len(by_step[0]) != 1:
         raise SchemaError(f"expected a single root, found {len(by_step[0])}")
-    label_index = {}
-    for r in reveals:
-        label_index[grid.index_of(r.time)] = {name: i for i, name in enumerate(r.labels)}
 
     branching = np.zeros(grid.n_steps, dtype=int)
     cond_prob = [np.array([1.0])]
     dw = [np.zeros((1, d))]
     reveal_label = [np.array([-1])]
-    prev_ids = [int(by_step[0][0]["id"])]
+    prev_ids = [by_step[0][0]["id"]]
     for k in range(1, grid.n_steps + 1):
-        nds = sorted(by_step[k], key=lambda nd: int(nd["id"]))
+        nds = sorted(by_step[k], key=lambda nd: nd["id"])
         if not nds or len(nds) % len(prev_ids):
             raise SchemaError(f"step {k}: {len(nds)} nodes cannot branch uniformly from {len(prev_ids)} parents")
         b = len(nds) // len(prev_ids)
-        expect_parent = np.repeat(prev_ids, b)
-        for nd, par in zip(nds, expect_parent):
-            if int(nd["parent"]) != int(par):
+        for j, nd in enumerate(nds):
+            if nd["parent"] != prev_ids[j // b]:
                 raise SchemaError(f"node {nd['id']}: parent {nd['parent']} breaks contiguous uniform branching")
         branching[k - 1] = b
-        cond_prob.append(np.array([float(nd["prob"]) for nd in nds]))
-        if any(len(nd["dw"]) != d for nd in nds):
-            raise SchemaError(f"step {k}: dw vectors are not {d}-dimensional")
-        dwk = np.array([[float(v) for v in nd["dw"]] for nd in nds])
-        dw.append(dwk)
-        if k in label_index:
-            try:
-                labs = np.array([label_index[k][nd["reveal"]] for nd in nds])
-            except KeyError as exc:
-                raise SchemaError(f"step {k}: unknown reveal label {exc}") from exc
-        else:
-            labs = np.full(len(nds), -1)
-            for nd in nds:
-                if nd["reveal"] is not None:
-                    raise SchemaError(f"node {nd['id']} carries a reveal label but none is declared at step {k}")
-        reveal_label.append(labs)
-        prev_ids = [int(nd["id"]) for nd in nds]
+        cond_prob.append(np.array([nd["prob"] for nd in nds]))
+        dw.append(np.array([nd["dw"] for nd in nds]))
+        names = label_index.get(k, {None: -1})
+        try:
+            reveal_label.append(np.array([names[nd["reveal"]] for nd in nds]))
+        except KeyError as exc:
+            raise SchemaError(f"step {k}: reveal label {exc} is not declared there") from exc
+        prev_ids = [nd["id"] for nd in nds]
     tree = ScenarioTree(grid=grid, d=d, reveals=reveals, branching=branching,
                         cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
     validate_tree(tree)

@@ -4,9 +4,18 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebsde import cli
-from treebsde.cli import ConfigError, default_config, load_config, main, tree_from_config
+from treebsde.cli import (
+    ConfigError,
+    default_config,
+    load_config,
+    main,
+    parse_config,
+    tree_from_config,
+)
 
 
 def _read(path):
@@ -16,7 +25,7 @@ def _read(path):
 
 class TestConfig:
     def test_default_config_builds(self):
-        tree = tree_from_config(default_config())
+        tree = tree_from_config(parse_config(default_config()))
         assert tree.n_steps == 6
 
     def test_missing_field_diagnostic(self, tmp_path):
@@ -24,13 +33,13 @@ class TestConfig:
         p.write_text('{"version": 1, "tree": {"horizon": 1.0}}')
         cfg = load_config(str(p))
         with pytest.raises(ConfigError, match="n_steps"):
-            tree_from_config(cfg)
+            parse_config(cfg)
 
     def test_wrong_type_diagnostic(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"version": 1, "tree": {"horizon": 1.0, "n_steps": "six"}}')
         with pytest.raises(ConfigError, match="n_steps"):
-            tree_from_config(load_config(str(p)))
+            parse_config(load_config(str(p)))
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -41,28 +50,105 @@ class TestConfig:
     def test_unknown_version(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"version": 99}')
-        with pytest.raises(ConfigError):
-            load_config(str(p))
+        with pytest.raises(ConfigError, match="version"):
+            parse_config(load_config(str(p)))
+
+
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_GENERATOR = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["affine", "polynomial-clipped", "table", "other"])},
+    optional={key: st.floats(-3, 3) | st.lists(st.floats(-1, 1), max_size=7) | _JSON
+              for key in ("lam", "eta", "g0", "l_y", "l_z", "bound", "values")})
+# every field of the default config, the optional ones it leaves out, and a new key per object
+_CONFIG_PATHS = ([(key,) for key in cli.CONFIG] + [("tree", key) for key in cli.TREE]
+                 + [("family", key) for key in cli.FAMILY]
+                 + [("counterexample", key) for key in cli.CONFIG["counterexample"].kind]
+                 + [("norms", 0, key) for key in ("p", "alpha")]
+                 + [("tree", "reveals", 0, key) for key in ("time", "labels", "probs")]
+                 + [path + ("extra",) for path in [(), ("tree",), ("family",), ("norms", 0)]])
+
+
+class TestConfigFuzz:
+    """The config parse returns a checked config or raises ConfigError, whatever the JSON."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_JSON)
+    def test_any_json(self, raw):
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.sampled_from(_CONFIG_PATHS), st.one_of(st.just(_DELETE), _JSON, _GENERATOR))
+    def test_mutated_default(self, path, value):
+        cfg = default_config()
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        if value is not _DELETE:
+            target[path[-1]] = value
+        elif path[-1] in target:
+            del target[path[-1]]
+        try:
+            parse_config(cfg)
+        except ConfigError:
+            pass
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("section,field,value,command", [
-        ("tree", "d", "two", ["solve"]),
-        ("family", "count", "x", ["verify", "--suite", "apriori"]),
-        ("counterexample", "eps", -1, ["counterexample"]),
-        ("counterexample", "dt", 0.0, ["counterexample"]),
-        ("counterexample", "horizon", -0.5, ["counterexample"]),
-        ("counterexample", "n_paths", 0, ["counterexample"]),
+    # each case merges `fields` into one section of the default config; the
+    # last field named is the one the diagnostic must name
+    @pytest.mark.parametrize("section,fields,command", [
+        ("tree", {"d": "two"}, ["solve"]),
+        ("family", {"count": "x"}, ["verify", "--suite", "apriori"]),
+        ("counterexample", {"eps": -1}, ["counterexample"]),
+        ("counterexample", {"dt": 0.0}, ["counterexample"]),
+        ("counterexample", {"horizon": -0.5}, ["counterexample"]),
+        ("counterexample", {"n_paths": 0}, ["counterexample"]),
+        ("tree", {"d": True}, ["solve"]),
+        ("family", {"count": True}, ["verify", "--suite", "apriori"]),
+        ("family", {"count": 0}, ["verify", "--suite", "apriori"]),
+        ("family", {"count": -3}, ["verify", "--suite", "apriori"]),
+        ("family", {"l_y": -1}, ["verify", "--suite", "apriori"]),
+        ("generator", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": -1}, ["solve"]),
+        ("family", {"l_y": 50}, ["verify", "--suite", "apriori"]),
+        ("generator", {"kind": "affine", "lam": 50}, ["solve"]),
+        ("counterexample", {"dt": 2}, ["counterexample"]),
+        ("counterexample", {"horizon": 0.1, "dt": 0.5}, ["counterexample"]),
+        ("generator", {"kind": "affine", "eta": [0.1, 0.2]}, ["solve"]),
+        ("generator", {"kind": "table", "values": [0.1]}, ["solve"]),
+        ("family", {"cuont": 3}, ["verify", "--suite", "apriori"]),
     ], ids=["tree.d-string", "family.count-string", "counterexample.eps-negative",
             "counterexample.dt-zero", "counterexample.horizon-negative",
-            "counterexample.n_paths-zero"])
-    def test_mistyped_field_exits_2(self, tmp_path, capsys, section, field, value, command):
+            "counterexample.n_paths-zero", "tree.d-bool", "family.count-bool",
+            "family.count-zero", "family.count-negative", "family.l_y-negative",
+            "generator.l_z-negative", "family.l_y-step-size", "generator.lam-step-size",
+            "counterexample.dt-above-one", "counterexample.dt-above-horizon",
+            "generator.eta-length", "generator.values-length", "family.unknown-field"])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, command):
         cfg = default_config()
-        cfg[section][field] = value
+        cfg[section] = {**cfg.get(section, {}), **fields}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["--config", str(p), "--out", str(tmp_path / "out"), *command]) == 2
-        assert f"{section}.{field}" in capsys.readouterr().err
+        assert f"config error: {section}.{list(fields)[-1]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        {"generator": {"kind": "affine", "lam": 0.3, "eta": [0.2], "g0": 0.1}},
+        {"generator": {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": 2.0}},
+        {"generator": {"kind": "table", "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]}},
+        {"scheme": "explicit"},
+    ], ids=["affine", "polynomial-clipped", "table", "explicit"])
+    def test_generator_and_scheme_solve_exits_0(self, tmp_path, extra):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**default_config(), **extra}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"), "solve"]) == 0
 
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"

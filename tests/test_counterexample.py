@@ -49,6 +49,13 @@ class TestLadder:
         with pytest.raises(ValueError):
             run_counterexample(eps=0.1, dt=1e-3, n_paths=0)
 
+    @pytest.mark.parametrize("dt,horizon", [(2.0, 5.0), (0.5, 0.1)],
+                             ids=["dt-above-one", "dt-above-horizon"])
+    def test_step_out_of_range(self, dt, horizon):
+        # dt >= 1 leaves the overshoot slack undefined; dt > horizon runs no step
+        with pytest.raises(ValueError, match="dt"):
+            run_counterexample(eps=0.05, dt=dt, horizon=horizon, n_paths=3)
+
     def test_slack_formula(self):
         assert overshoot_slack(1e-4) == pytest.approx(
             np.sqrt(2e-4 * np.log(1e4)), abs=1e-12)

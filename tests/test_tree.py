@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde.errors import OffGridError, SchemaError, TreeSizeError
+from treebsde.errors import OffGridError, SchemaError, TreeBsdeError, TreeSizeError
 from treebsde.tree import Reveal, TimeGrid, build_tree, deserialize_tree, serialize_tree, validate_tree
 
 
@@ -152,25 +152,99 @@ class TestSerialization:
             deserialize_tree(b'{"version": 99}')
 
 
-def _blob_without(path):
-    """Serialized 2-step tree with the field at `path` removed."""
-    doc = json.loads(serialize_tree(build_tree(TimeGrid(horizon=1.0, n_steps=2), d=1)))
+def _revealed_doc():
+    """Parsed serialization of a 2-step tree with a reveal at t_1."""
+    grid = TimeGrid(horizon=1.0, n_steps=2)
+    tree = build_tree(grid, d=1, reveals=(_reveal(grid, 1, labels=("u", "v"),
+                                                  probs=(0.25, 0.75)),))
+    return json.loads(serialize_tree(tree))
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value=_DELETE):
+    """`doc` with the field at `path` set to `value`, or removed."""
     target = doc
     for key in path[:-1]:
         target = target[key]
-    del target[path[-1]]
+    if value is not _DELETE:
+        target[path[-1]] = value
+    elif isinstance(target, list) or path[-1] in target:
+        del target[path[-1]]
+    return doc
+
+
+def _blob_with(path, value=_DELETE):
+    return json.dumps(_set(_revealed_doc(), path, value)).encode()
+
+
+def _duplicate_labels_blob():
+    """Both reveal labels named "u", and every node labelled "u"."""
+    doc = _revealed_doc()
+    doc["reveals"][0]["labels"] = ["u", "u"]
+    for node in doc["nodes"]:
+        node["reveal"] = node["reveal"] and "u"
     return json.dumps(doc).encode()
 
 
 class TestMalformedBlobs:
     @pytest.mark.parametrize("blob", [
         b"[]",
-        _blob_without(("grid", "horizon")),
-        _blob_without(("nodes", 3, "step")),
-    ], ids=["top-level-list", "no-horizon", "node-without-step"])
+        _blob_with(("grid", "horizon")),
+        _blob_with(("nodes", 3, "step")),
+        _blob_with(("d",), True),
+        _blob_with(("reveals", 0, "labels"), [["u"], ["v"]]),
+        _blob_with(("reveals", 0, "time"), 0.3),
+        _duplicate_labels_blob(),
+        _blob_with(("grid", "n_steps"), 100),
+        _blob_with(("d",), 5),
+    ], ids=["top-level-list", "no-horizon", "node-without-step", "d-bool", "labels-lists",
+            "reveal-off-grid", "labels-duplicate", "steps-beyond-nodes", "d-beyond-dw"])
     def test_schema_error(self, blob):
         with pytest.raises(SchemaError):
             deserialize_tree(blob)
+
+
+def _paths(doc, path=()):
+    """Path of every value in a parsed JSON document, and of a new key in every object."""
+    if isinstance(doc, dict):
+        yield path + ("extra",)
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+_BLOB = json.dumps(_revealed_doc()).encode()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+class TestBlobFuzz:
+    """A mutated blob either loads or raises a package error, never a Python one."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.sampled_from(list(_paths(_revealed_doc()))), st.one_of(st.just(_DELETE), _JSON))
+    def test_mutated_blob(self, path, value):
+        try:
+            deserialize_tree(json.dumps(_set(_revealed_doc(), path, value)).encode())
+        except TreeBsdeError:
+            pass
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, len(_BLOB) - 1), st.integers(0, 255))
+    def test_mutated_bytes(self, index, byte):
+        blob = _BLOB[:index] + bytes([byte]) + _BLOB[index + 1:]
+        try:
+            deserialize_tree(blob)
+        except TreeBsdeError:
+            pass
 
 
 @st.composite
