@@ -91,18 +91,23 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree) -> float:
     return worst
 
 
-@dataclass
+@dataclass(frozen=True)
 class BsdeInstance:
-    """Terminal condition and driver on one tree."""
+    """Terminal condition and driver on one tree.  Binding them checks the
+    driver's contract once (dt * L_y < 1, check_lipschitz); solvers trust it."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
 
     def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float)
+        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         if self.xi.shape[0] != self.tree.n_nodes(self.tree.n_steps):
             raise ValueError("terminal condition is not measurable at the terminal partition")
+        if self.tree.dt * self.gen.l_y >= 1.0:
+            raise StepSizeError(f"dt * L_y = {self.tree.dt * self.gen.l_y:.3f} >= 1; "
+                                "refine the grid or relax the driver")
+        check_lipschitz(self.gen, self.tree)
 
 
 @dataclass
@@ -171,17 +176,6 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
     )
 
 
-def _check_scheme(tree: ScenarioTree, gen: Generator, scheme: str):
-    """Solver preconditions: a known scheme, dt * L_y < 1, honest Lipschitz constants."""
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if tree.dt * gen.l_y >= 1.0:
-        raise StepSizeError(
-            f"dt * L_y = {tree.dt * gen.l_y:.3f} >= 1; refine the grid or relax the driver"
-        )
-    check_lipschitz(gen, tree)
-
-
 def _quadruple(tree: ScenarioTree, y_vals: list, z_vals: list, dm_vals: list,
                dk_vals: list = None, scheme: str = "implicit") -> SolutionQuadruple:
     """Assemble (Y, Z, M, K) from per-step arrays; M is the running sum of dM."""
@@ -205,6 +199,8 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
     step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
     exactly zero.
     """
+    if scheme not in ("explicit", "implicit"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     n, dt = tree.n_steps, tree.dt
     y_vals = [None] * (n + 1)
     y_vals[n] = xi.copy() if obstacle is None else np.maximum(xi, obstacle[n])
@@ -227,7 +223,6 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Solve the plain BSDE (K = 0) by backward induction."""
-    _check_scheme(instance.tree, instance.gen, scheme)
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
 
 
@@ -244,7 +239,6 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
     tree, gen = instance.tree, instance.gen
     if not isinstance(gen, AffineGenerator):
         raise TypeError("solve_linear_bsde needs an AffineGenerator")
-    _check_scheme(tree, gen, "implicit")
     dt = tree.dt
     lam, eta = gen.lam, gen.eta
     eta_pred = PredictableProcess(
@@ -279,8 +273,6 @@ class SolutionDifference:
 
 
 def solution_diff(a: SolutionQuadruple, b: SolutionQuadruple) -> SolutionDifference:
-    if a.tree is not b.tree:
-        raise ValueError("solution_diff needs two solutions on the same tree")
     return SolutionDifference(
         tree=a.tree,
         dy=a.y - b.y,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import families
 from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
-from .errors import Field, Tagged, TreeBsdeError, above, at_least, read_record
+from .errors import Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least, read_record
 from .estimates import (
     check_burkholder,
     check_ito_p_inequality,
@@ -54,7 +54,8 @@ from .reflected import (
     solve_reflected,
     verify_snell_representation,
 )
-from .tree import DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, validate_tree
+from .tree import (DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, check_tree_shape,
+                   validate_tree)
 
 SCHEMA_VERSION = 1
 SUITES = ("apriori", "stability", "compensator", "obstacle", "difference", "meyer", "ito-p",
@@ -124,8 +125,9 @@ def parse_config(raw) -> dict:
     """Check a config against CONFIG; returns every section with its defaults filled in.
 
     Ranges that join two fields are checked here too: the counterexample step
-    against its horizon and, given a tree, the generator lengths and
-    dt * L_y < 1 for every driver a command may build.
+    against its horizon and, given a tree, its reveals and node cap (without
+    building it), the generator lengths and dt * L_y < 1 for every driver a
+    command may build.
     """
     cfg = read_record(raw, CONFIG, ConfigError)
     ce, tc, gc = cfg["counterexample"], cfg["tree"], cfg["generator"] or {}
@@ -134,6 +136,11 @@ def parse_config(raw) -> dict:
                           f"{ce['horizon']}, got {ce['dt']}")
     if tc is None:
         return cfg
+    try:
+        check_tree_shape(**_tree_args(tc))
+    except (ValueError, TreeBsdeError) as exc:
+        field = "node_cap" if isinstance(exc, TreeSizeError) else "reveals"
+        raise ConfigError(f"tree.{field}: {exc}") from exc
     for key, size in (("eta", tc["d"]), ("values", tc["n_steps"])):
         if gc.get(key) is not None and len(gc[key]) != size:
             raise ConfigError(f"generator.{key}: need {size} entries, got {len(gc[key])}")
@@ -153,17 +160,17 @@ def default_config() -> dict:
     return cfg
 
 
+def _tree_args(tc: dict) -> dict:
+    return {"grid": TimeGrid(horizon=tc["horizon"], n_steps=tc["n_steps"]), "d": tc["d"],
+            "reveals": tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
+                             for r in tc["reveals"]),
+            "node_cap": tc["node_cap"]}
+
+
 def tree_from_config(cfg: dict):
-    tc = cfg["tree"]
-    if tc is None:
+    if cfg["tree"] is None:
         raise ConfigError("tree: missing required section")
-    try:
-        return build_tree(TimeGrid(horizon=tc["horizon"], n_steps=tc["n_steps"]), d=tc["d"],
-                          reveals=tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
-                                        for r in tc["reveals"]),
-                          node_cap=tc["node_cap"])
-    except (ValueError, TreeBsdeError) as exc:
-        raise ConfigError(f"tree: {exc}") from exc
+    return build_tree(**_tree_args(cfg["tree"]))
 
 
 def generator_from_config(cfg: dict, tree) -> Generator:
@@ -477,6 +484,12 @@ def cmd_snell_check(args, cfg: dict, raw) -> int:
     return 1 if write_artifacts(args.out, "snell-check", raw, args.seed, reports) else 0
 
 
+def _tolerance(text: str) -> float:
+    if not (math.isfinite(tol := float(text)) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treebsde",
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=_tolerance, default=1e-10, help="finite and > 0")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="solve one backward equation")
     sub.add_parser("reflect", help="solve one reflected equation")

@@ -31,6 +31,12 @@ def _as_step_arrays(tree: ScenarioTree, values, n_entries: int) -> list:
     return out
 
 
+def _pairs(a, b):
+    if a.tree is not b.tree:
+        raise ValueError("process arithmetic needs two processes on the same tree")
+    return zip(a.values, b.values)
+
+
 @dataclass
 class AdaptedProcess:
     """Node-indexed process: values[k] holds one entry per step-k node."""
@@ -60,10 +66,10 @@ class AdaptedProcess:
         return cls(tree, [np.asarray(fn(tree, k), dtype=float) for k in range(tree.n_steps + 1)])
 
     def __add__(self, other):
-        return AdaptedProcess(self.tree, [a + b for a, b in zip(self.values, other.values)])
+        return AdaptedProcess(self.tree, [a + b for a, b in _pairs(self, other)])
 
     def __sub__(self, other):
-        return AdaptedProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
+        return AdaptedProcess(self.tree, [a - b for a, b in _pairs(self, other)])
 
     def scale(self, c: float) -> "AdaptedProcess":
         return AdaptedProcess(self.tree, [c * a for a in self.values])
@@ -111,7 +117,7 @@ class PredictableProcess:
         return cls(tree, [np.zeros(shape(tree.n_nodes(k))) for k in range(tree.n_steps)])
 
     def __sub__(self, other):
-        return PredictableProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
+        return PredictableProcess(self.tree, [a - b for a, b in _pairs(self, other)])
 
     def cumulative(self) -> AdaptedProcess:
         """Running sum booked at the right endpoint: A_0 = 0, A_{k+1} = A_k + dA_{k+1}."""

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (
-    BsdeInstance,
-    Generator,
-    SolutionQuadruple,
-    _backward_sweep,
-    _check_scheme,
-)
+from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
@@ -37,34 +31,34 @@ PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReflectedInstance:
-    """Terminal condition, driver and lower obstacle on one tree."""
+    """Terminal condition, driver and lower obstacle on one tree; plain() is the
+    instance without the obstacle, built (and its driver checked) once."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
     obstacle: AdaptedProcess
+    _plain: BsdeInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float)
-        if self.xi.shape[0] != self.tree.n_nodes(self.tree.n_steps):
-            raise ValueError("terminal condition is not measurable at the terminal partition")
+        object.__setattr__(self, "_plain", BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen))
+        object.__setattr__(self, "xi", self._plain.xi)
         n = self.tree.n_steps
         # terminal compatibility: the obstacle cannot exceed the terminal value
         clipped = np.minimum(self.obstacle.values[n], self.xi)
         if np.any(clipped != self.obstacle.values[n]):
             vals = [v.copy() for v in self.obstacle.values]
             vals[n] = clipped
-            self.obstacle = AdaptedProcess(self.tree, vals)
+            object.__setattr__(self, "obstacle", AdaptedProcess(self.tree, vals))
 
     def plain(self) -> BsdeInstance:
-        return BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen)
+        return self._plain
 
 
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Backward induction with pointwise reflection and minimal push K."""
-    _check_scheme(instance.tree, instance.gen, scheme)
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
                            obstacle=instance.obstacle.values)
 
@@ -329,7 +323,6 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     in one sweep.  Returns (solution, PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
-    _check_scheme(tree, gen, "implicit")
     trace = PicardTrace(alpha_star=picard_alpha(gen))
     y_prev = AdaptedProcess.constant(tree, 0.0)
     z_prev = PredictableProcess.zeros(tree, tree.d)
@@ -337,15 +330,9 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     for _ in range(PICARD_MAX_ITER):
         frozen = [gen(k, y_prev.values[k], z_prev.values[k]) for k in range(tree.n_steps)]
 
-        def fn(k, y, z, _frozen=frozen):
-            return np.broadcast_to(_frozen[k], y.shape).copy()
-
-        inner = ReflectedInstance(
-            tree=tree, xi=instance.xi,
-            gen=Generator(fn=fn, l_y=0.0, l_z=0.0, name="picard-frozen"),
-            obstacle=instance.obstacle,
-        )
-        new = solve_reflected(inner, scheme="implicit")
+        # a driver constant in (y, z) meets any contract: no instance to check
+        frozen_gen = Generator(fn=lambda k, y, z, _f=frozen: _f[k], l_y=0.0, l_z=0.0, name="picard-frozen")
+        new = _backward_sweep(tree, instance.xi, frozen_gen, "implicit", obstacle=instance.obstacle.values)
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:

@@ -52,14 +52,17 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def index_of(self, time: float) -> int:
-        """Grid index of `time`; raises OffGridError if it is not a grid instant."""
-        times = self.times
-        hits = np.flatnonzero(np.isclose(times, time, rtol=0.0, atol=1e-12 * max(1.0, self.horizon)))
-        if hits.size != 1:
+        """Grid index of `time`: the one instant of `times` (t_j = j dt, t_n = T) within
+        1e-12 max(1, T) of it, else OffGridError.  Only instants near time / dt can be."""
+        n, dt, tol = self.n_steps, self.dt, 1e-12 * max(1.0, self.horizon)
+        near = round(max(0.0, min(float(n), time / dt))) if dt > 0.0 else 0
+        hits = [j for j in range(max(near - 2, 0), min(near + 3, n + 1))
+                if abs((self.horizon if j == n else j * dt) - time) <= tol]
+        if len(hits) != 1:
             raise OffGridError(
                 f"time {time} is not on the grid (T={self.horizon}, n={self.n_steps}, dt={self.dt})"
             )
-        return int(hits[0])
+        return hits[0]
 
 
 @dataclass(frozen=True)
@@ -211,17 +214,11 @@ class ScenarioTree:
         return sup
 
 
-def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
-               node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
-    """Build a scenario tree for the given grid.
-
-    The walk is Rademacher: each coordinate takes the increment +-sqrt(dt)
-    with probability 1/2, independently across coordinates; at a reveal time the
-    branching is (2^d) * alphabet size with product probabilities.
-    """
+def check_tree_shape(grid: TimeGrid, d: int, reveals: tuple, node_cap: int) -> dict:
+    """Check a tree's reveals and node cap before building it: nothing is allocated and
+    the work does not grow with d.  Returns {grid index: reveal}."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    reveals = tuple(reveals)
     reveal_at = {}
     for r in reveals:
         idx = grid.index_of(r.time)
@@ -230,7 +227,27 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
         if idx in reveal_at:
             raise ValueError(f"two reveals at the same grid instant t_{idx}")
         reveal_at[idx] = r
+    n = 1
+    for k in range(1, grid.n_steps + 1):
+        n *= len(reveal_at[k].labels) if k in reveal_at else 1
+        # 2^d alone exceeds any cap of at most d bits
+        if d >= int(node_cap).bit_length() or n << d > node_cap:
+            raise TreeSizeError(f"step {k} would hold {n} * 2**{d} nodes, "
+                                f"beyond the configured cap {node_cap}")
+        n <<= d
+    return reveal_at
 
+
+def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
+               node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
+    """Build a scenario tree for the given grid.
+
+    The walk is Rademacher: each coordinate takes the increment +-sqrt(dt)
+    with probability 1/2, independently across coordinates; at a reveal time the
+    branching is (2^d) * alphabet size with product probabilities.
+    """
+    reveals = tuple(reveals)
+    reveal_at = check_tree_shape(grid, d, reveals, node_cap)
     sdt = np.sqrt(grid.dt)
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))  # (2^d, d), canonical order
     base_prob = np.full(2**d, 0.5**d)
@@ -249,17 +266,11 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
             bdw = np.repeat(signs * sdt, a, axis=0)
             bprob = np.repeat(base_prob, a) * np.tile(np.asarray(r.probs, dtype=float), 2**d)
             blab = np.tile(np.arange(a), 2**d)
-        b = len(bprob)
-        n_next = n_prev * b
-        if n_next > node_cap:
-            raise TreeSizeError(
-                f"step {k + 1} would hold {n_next} nodes, beyond the configured cap {node_cap}"
-            )
-        branching[k] = b
+        branching[k] = b = len(bprob)
         cond_prob.append(np.tile(bprob, n_prev))
         dw.append(np.tile(bdw, (n_prev, 1)))
         reveal_label.append(np.tile(blab, n_prev))
-        n_prev = n_next
+        n_prev *= b
     return ScenarioTree(grid=grid, d=d, reveals=reveals, branching=branching,
                         cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
 

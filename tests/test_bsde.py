@@ -1,5 +1,6 @@
 """Backward solvers: exact dynamics, closed forms, schemes, contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,14 @@ from treebsde.bsde import (
     solve_linear_bsde,
 )
 from treebsde.errors import GeneratorContractError, StepSizeError
-from treebsde.families import random_bsde, random_terminal, standard_tree
+from treebsde.families import (
+    random_bsde,
+    random_obstacle,
+    random_reflected,
+    random_terminal,
+    standard_tree,
+)
+from treebsde.reflected import ReflectedInstance
 from treebsde.tree import TimeGrid, build_tree
 
 
@@ -95,6 +103,14 @@ class TestSolveBsde:
             solve_bsde(BsdeInstance(tree=tr, xi=np.zeros(tr.n_nodes(2)), gen=gen))
 
 
+def _bind(kind, tree, gen):
+    """A plain or a reflected instance binding `gen` to `tree`."""
+    xi = random_terminal(tree, 0)
+    if kind == "plain":
+        return BsdeInstance(tree=tree, xi=xi, gen=gen)
+    return ReflectedInstance(tree=tree, xi=xi, gen=gen, obstacle=random_obstacle(tree, 0))
+
+
 class TestLipschitzContract:
     def test_violation_detected(self, tree):
         lying = Generator(fn=lambda k, y, z: 5.0 * y, l_y=0.5, l_z=0.0, name="lying")
@@ -104,6 +120,31 @@ class TestLipschitzContract:
     def test_honest_generator_passes(self, tree):
         inst = random_bsde(tree, 9)
         check_lipschitz(inst.gen, tree)
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    def test_lying_driver_rejected_when_bound(self, tree, kind):
+        lying = Generator(fn=lambda k, y, z: 5.0 * y, l_y=0.5, l_z=0.0, name="lying")
+        with pytest.raises(GeneratorContractError):
+            _bind(kind, tree, lying)
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    def test_stiff_driver_rejected_when_bound(self, kind):
+        tr = standard_tree(n_steps=2, horizon=10.0)
+        stiff = Generator(fn=lambda k, y, z: np.sin(y), l_y=1.0, l_z=0.0, name="stiff")
+        with pytest.raises(StepSizeError):
+            _bind(kind, tr, stiff)
+
+    def test_reflected_shares_its_plain_instance(self, tree):
+        inst = random_reflected(tree, 9)
+        assert inst.plain() is inst.plain()
+        assert inst.plain().gen is inst.gen and inst.plain().xi is inst.xi
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    def test_instances_are_frozen(self, tree, kind):
+        inst = _bind(kind, tree, random_bsde(tree, 9).gen)
+        for name in ("tree", "xi", "gen"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, getattr(inst, name))
 
 
 class TestLinearSolver:

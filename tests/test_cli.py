@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import cli
+from treebsde import bsde, cli
 from treebsde.cli import (
     ConfigError,
     default_config,
@@ -124,13 +124,24 @@ class TestExitCodes:
         ("generator", {"kind": "affine", "eta": [0.1, 0.2]}, ["solve"]),
         ("generator", {"kind": "table", "values": [0.1]}, ["solve"]),
         ("family", {"cuont": 3}, ["verify", "--suite", "apriori"]),
+        ("tree", {"reveals": [{"time": 0.3, "labels": ["a", "b"], "probs": [0.5, 0.5]}]},
+         ["counterexample"]),
+        ("tree", {"reveals": [{"time": 0.5, "labels": ["a", "b"], "probs": [0.5, 0.6]}]},
+         ["counterexample"]),
+        ("tree", {"reveals": [{"time": 0.0, "labels": ["a", "b"], "probs": [0.5, 0.5]}]},
+         ["counterexample"]),
+        ("tree", {"node_cap": 100}, ["counterexample"]),
+        # 2^22 sign patterns at the first step: refused before any is built
+        ("tree", {"d": 22, "node_cap": 2**20}, ["solve"]),
     ], ids=["tree.d-string", "family.count-string", "counterexample.eps-negative",
             "counterexample.dt-zero", "counterexample.horizon-negative",
             "counterexample.n_paths-zero", "tree.d-bool", "family.count-bool",
             "family.count-zero", "family.count-negative", "family.l_y-negative",
             "generator.l_z-negative", "family.l_y-step-size", "generator.lam-step-size",
             "counterexample.dt-above-one", "counterexample.dt-above-horizon",
-            "generator.eta-length", "generator.values-length", "family.unknown-field"])
+            "generator.eta-length", "generator.values-length", "family.unknown-field",
+            "tree.reveals-off-grid", "tree.reveals-bad-law", "tree.reveals-t0",
+            "tree.node_cap-exceeded", "tree.d-beyond-node-cap"])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, command):
         cfg = default_config()
         cfg[section] = {**cfg.get(section, {}), **fields}
@@ -149,6 +160,13 @@ class TestExitCodes:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({**default_config(), **extra}))
         assert main(["--config", str(p), "--out", str(tmp_path / "out"), "solve"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", tol, "--out", str(tmp_path / "out"), "solve"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -218,6 +236,25 @@ class TestArtifacts:
                      "verify", "--suite", "all"]) == 0
         assert len(calls) == 4
         assert len({id(inst) for inst in calls}) == 4
+
+    @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
+                                                (["picard"], 1)], ids=["verify", "picard"])
+    def test_driver_checked_once_per_instance(self, tmp_path, monkeypatch, command, probes):
+        calls = []
+        real = bsde.check_lipschitz
+
+        def counted(gen, tree):
+            calls.append(gen)
+            return real(gen, tree)
+
+        monkeypatch.setattr(bsde, "check_lipschitz", counted)
+        cfg = default_config()
+        cfg["family"]["count"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
+                     *command]) == 0
+        assert len(calls) == probes
 
     def test_counterexample_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treebsde.bsde import Generator
+from treebsde.bsde import Generator, solution_diff
 from treebsde.estimates import (
     check_burkholder,
     check_cross_term,
@@ -148,3 +148,28 @@ class TestEmpiricalChecks:
 
         res = measure_stability_decay(make_pair, [0.2, 0.1, 0.05, 0.025], p, 0.5)
         assert res["order"] >= res["required"]
+
+
+# each pair API, called on two reflected instances and their solutions
+_PAIR_APIS = {
+    "solution_diff": lambda i1, s1, i2, s2: solution_diff(s1, s2),
+    "stability_norm_bound": lambda i1, s1, i2, s2: check_stability_norm_bound(
+        i1, s1, i2, s2, 2.0, 0.0),
+    "obstacle_stability_bound": lambda i1, s1, i2, s2: check_obstacle_stability_bound(
+        i1, s1, i2, s2, 2.0, 0.0),
+    "reflected_stability_p2": lambda i1, s1, i2, s2: check_reflected_stability_p2(
+        i1, s1, i2, s2, alpha=0.5),
+    "cross_term": lambda i1, s1, i2, s2: check_cross_term(i1, s1, i2, s2, alpha=0.5),
+}
+
+
+class TestPairsNeedOneTree:
+    @pytest.mark.parametrize("steps", [(4, 5), (4, 4)], ids=["other-depth", "same-shape"])
+    @pytest.mark.parametrize("api", list(_PAIR_APIS))
+    def test_two_trees_rejected(self, api, steps):
+        args = []
+        for seed, n in enumerate(steps):
+            inst = random_reflected(standard_tree(n_steps=n), seed)
+            args += [inst, solve_reflected(inst)]
+        with pytest.raises(ValueError, match="same tree"):
+            _PAIR_APIS[api](*args)
