@@ -11,12 +11,15 @@ paths are independent and no conditional expectation is ever taken.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_BATCH = 1000
 TIME_CHUNK = 4000
+TIME_BLOCK = 32  # steps per block of the crossing scan
 
 
 def overshoot_slack(dt: float) -> float:
@@ -77,7 +80,7 @@ class LadderReport:
 
 def _run_batch(eps: float, dt: float, n_steps: int, n_paths: int,
                rng: np.random.Generator) -> tuple:
-    """Simulate one batch of paths, chunked in time to bound memory.
+    """Simulate one batch of paths, chunked in time into one reused buffer.
 
     State per path: current W, last ladder level, running sup gap, max jump
     overshoot, TV sums for the positive and negative jump parts, crossing
@@ -85,36 +88,54 @@ def _run_batch(eps: float, dt: float, n_steps: int, n_paths: int,
     so the gap there is zero and the deviation eps + overshoot belongs to the
     left limit, tracked separately.
     """
-    sdt = math.sqrt(dt)
+    buf = np.empty(n_paths * min(TIME_CHUNK, n_steps))
     w = np.zeros(n_paths)
-    level = np.zeros(n_paths)
-    gap = np.zeros(n_paths)
-    overshoot = np.zeros(n_paths)
-    tv_pos = np.zeros(n_paths)
-    tv_neg = np.zeros(n_paths)
-    crossings = np.zeros(n_paths, dtype=np.int64)
-    done = 0
-    while done < n_steps:
+    state = level, gap, overshoot, tv_pos, tv_neg, crossings = (
+        *np.zeros((5, n_paths)), np.zeros(n_paths, dtype=np.int64))
+    for done in range(0, n_steps, TIME_CHUNK):
         m = min(TIME_CHUNK, n_steps - done)
-        incs = rng.standard_normal((n_paths, m)) * sdt
-        paths = w[:, None] + np.cumsum(incs, axis=1)
-        # each crossing resets the reference level, so scan the chunk in time
-        for j in range(m):
-            wj = paths[:, j]
-            dev = np.abs(wj - level)
-            hit = dev >= eps
-            if hit.any():
-                jump = wj[hit] - level[hit]
-                overshoot[hit] = np.maximum(overshoot[hit], dev[hit] - eps)
-                tv_pos[hit] += np.maximum(jump, 0.0)
-                tv_neg[hit] += np.maximum(-jump, 0.0)
-                crossings[hit] += 1
-                level[hit] = wj[hit]
-                dev = np.abs(wj - level)
-            np.maximum(gap, dev, out=gap)
-        w = paths[:, -1]
-        done += m
+        paths = buf[:n_paths * m].reshape(n_paths, m)
+        rng.standard_normal(out=paths)
+        paths *= math.sqrt(dt)
+        np.cumsum(paths, axis=1, out=paths)
+        paths += w[:, None]
+        _scan(paths, eps, *state)
+        w = paths[:, -1].copy()
     return gap, overshoot, tv_pos + tv_neg, crossings
+
+
+def _scan(paths, eps, level, gap, overshoot, tv_pos, tv_neg, crossings) -> None:
+    """Advance the ladder state in place over one chunk, TIME_BLOCK steps at a time.
+
+    A block within eps of the level has no crossing, and its sup gap is
+    max(bmax - level, level - bmin): subtraction rounds monotonically, so this
+    is the step-by-step max bit for bit.  A path with a crossing books the gap
+    up to it and the jump at it, then rescans the block from the new level.
+    """
+    starts = np.arange(0, paths.shape[1], TIME_BLOCK)
+    bmax, bmin = np.maximum.reduceat(paths, starts, 1), np.minimum.reduceat(paths, starts, 1)
+    for k, s in enumerate(starts):
+        top = np.maximum(bmax[:, k] - level, level - bmin[:, k])
+        np.maximum(gap, np.where(top < eps, top, 0.0), out=gap)
+        idx = np.flatnonzero(top >= eps)
+        seg, lev = paths[idx, s:s + TIME_BLOCK], level[idx]
+        cols = np.arange(seg.shape[1])
+        while idx.size:
+            dev = np.abs(seg - lev[:, None])
+            hit = dev >= eps
+            p = hit.argmax(axis=1)
+            has = hit[np.arange(idx.size), p]
+            before = cols < np.where(has, p, cols.size)[:, None]
+            gap[idx] = np.maximum(gap[idx], np.where(before, dev, 0.0).max(axis=1))
+            idx, seg, p = idx[has], seg[has], p[has]
+            wj = seg[np.arange(idx.size), p]
+            jump = wj - lev[has]
+            overshoot[idx] = np.maximum(overshoot[idx], np.abs(jump) - eps)
+            tv_pos[idx] += np.maximum(jump, 0.0)
+            tv_neg[idx] += np.maximum(-jump, 0.0)
+            crossings[idx] += 1
+            level[idx] = lev = wj
+            seg = np.where(cols <= p[:, None], wj[:, None], seg)  # deviation 0 up to p
 
 
 def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
@@ -122,16 +143,34 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
     """Simulate the ladder paths and report gap and variation statistics.
 
     Batches of DEFAULT_BATCH paths draw from independent streams keyed by
-    (seed, batch index), so the result is reproducible; it would change with
-    the batch size, which therefore stays fixed.  dt < 1 keeps the overshoot
-    slack defined, and dt <= horizon makes at least one step.
+    (seed, batch index) and run on up to one thread per CPU; the result would
+    change with the batch size, which therefore stays fixed, but not with the
+    thread count.  dt < 1 keeps the overshoot slack defined, and dt <= horizon
+    makes at least one step.
     """
-    if eps <= 0.0 or horizon <= 0.0 or not 0.0 < dt < 1.0 or dt > horizon or n_paths < 1:
-        raise ValueError("need eps, horizon > 0, 0 < dt < 1, dt <= horizon and n_paths >= 1")
+    if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0 and n_paths >= 1):
+        raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon, n_paths >= 1")
     n_steps = int(round(horizon / dt))
-    batches = [_run_batch(eps, dt, n_steps, min(DEFAULT_BATCH, n_paths - start),
-                          np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b)))))
-               for b, start in enumerate(range(0, n_paths, DEFAULT_BATCH))]
+    sizes = [min(DEFAULT_BATCH, n_paths - start) for start in range(0, n_paths, DEFAULT_BATCH)]
+    n_threads = min(len(sizes), len(os.sched_getaffinity(0)))
+    batches, errors = [None] * len(sizes), []
+
+    def share(t: int) -> None:
+        try:
+            for b in range(t, len(sizes), n_threads):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
+                batches[b] = _run_batch(eps, dt, n_steps, sizes[b], rng)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=share, args=(t,)) for t in range(1, n_threads)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     gap, overshoot, tv, crossings = (np.concatenate(part) for part in zip(*batches))
     report = LadderReport(eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
                           gap=gap, overshoot=overshoot, tv=tv, crossings=crossings)

@@ -64,6 +64,15 @@ class TimeGrid:
             )
         return hits[0]
 
+    def reveal_steps(self, reveals: tuple) -> dict:
+        """{grid index: reveal}, for reveals on distinct grid instants after t_0."""
+        steps = [self.index_of(r.time) for r in reveals]
+        if 0 in steps:
+            raise OffGridError("reveal at t_0 carries no information; use a later grid instant")
+        if len(set(steps)) < len(steps):
+            raise ValueError(f"two reveals at the same grid instant t_{max(steps, key=steps.count)}")
+        return dict(zip(steps, reveals))
+
 
 @dataclass(frozen=True)
 class Reveal:
@@ -219,14 +228,7 @@ def check_tree_shape(grid: TimeGrid, d: int, reveals: tuple, node_cap: int) -> d
     the work does not grow with d.  Returns {grid index: reveal}."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    reveal_at = {}
-    for r in reveals:
-        idx = grid.index_of(r.time)
-        if idx == 0:
-            raise OffGridError("reveal at t_0 carries no information; use a later grid instant")
-        if idx in reveal_at:
-            raise ValueError(f"two reveals at the same grid instant t_{idx}")
-        reveal_at[idx] = r
+    reveal_at = grid.reveal_steps(reveals)
     n = 1
     for k in range(1, grid.n_steps + 1):
         n *= len(reveal_at[k].labels) if k in reveal_at else 1
@@ -391,8 +393,8 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
     try:
         reveals = tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
                         for r in doc["reveals"])
-        label_index = {grid.index_of(r.time): {name: i for i, name in enumerate(r.labels)}
-                       for r in reveals}
+        label_index = {k: {name: i for i, name in enumerate(r.labels)}
+                       for k, r in grid.reveal_steps(reveals).items()}
     except (ValueError, OffGridError) as exc:
         raise SchemaError(f"invalid reveal: {exc}") from exc
     by_step = [[] for _ in range(grid.n_steps + 1)]

@@ -1,9 +1,60 @@
 """Ladder simulation: gap bound, variation growth, reproducibility."""
 
+import hashlib
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from treebsde import ladder
 from treebsde.ladder import LadderReport, overshoot_slack, run_counterexample, tv_scaling
+
+
+def _step_loop_batch(eps, dt, n_steps, n_paths, rng):
+    """Reference scan: one instant at a time over fresh chunk arrays."""
+    sdt = math.sqrt(dt)
+    w = np.zeros(n_paths)
+    level = np.zeros(n_paths)
+    gap = np.zeros(n_paths)
+    overshoot = np.zeros(n_paths)
+    tv_pos = np.zeros(n_paths)
+    tv_neg = np.zeros(n_paths)
+    crossings = np.zeros(n_paths, dtype=np.int64)
+    done = 0
+    while done < n_steps:
+        m = min(ladder.TIME_CHUNK, n_steps - done)
+        incs = rng.standard_normal((n_paths, m)) * sdt
+        paths = w[:, None] + np.cumsum(incs, axis=1)
+        for j in range(m):
+            wj = paths[:, j]
+            dev = np.abs(wj - level)
+            hit = dev >= eps
+            if hit.any():
+                jump = wj[hit] - level[hit]
+                overshoot[hit] = np.maximum(overshoot[hit], dev[hit] - eps)
+                tv_pos[hit] += np.maximum(jump, 0.0)
+                tv_neg[hit] += np.maximum(-jump, 0.0)
+                crossings[hit] += 1
+                level[hit] = wj[hit]
+                dev = np.abs(wj - level)
+            np.maximum(gap, dev, out=gap)
+        w = paths[:, -1]
+        done += m
+    return gap, overshoot, tv_pos + tv_neg, crossings
+
+
+def _step_loop(eps, dt, horizon, n_paths, seed):
+    """The ladder arrays from the reference scan, batched as run_counterexample batches."""
+    n_steps = int(round(horizon / dt))
+    batches = [_step_loop_batch(eps, dt, n_steps, min(ladder.DEFAULT_BATCH, n_paths - start),
+                                np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b)))))
+               for b, start in enumerate(range(0, n_paths, ladder.DEFAULT_BATCH))]
+    return [np.concatenate(part) for part in zip(*batches)]
+
+
+def _arrays(rep):
+    return [rep.gap, rep.overshoot, rep.tv, rep.crossings]
 
 
 class TestLadder:
@@ -49,12 +100,16 @@ class TestLadder:
         with pytest.raises(ValueError):
             run_counterexample(eps=0.1, dt=1e-3, n_paths=0)
 
-    @pytest.mark.parametrize("dt,horizon", [(2.0, 5.0), (0.5, 0.1)],
-                             ids=["dt-above-one", "dt-above-horizon"])
-    def test_step_out_of_range(self, dt, horizon):
-        # dt >= 1 leaves the overshoot slack undefined; dt > horizon runs no step
+    @pytest.mark.parametrize("eps,dt,horizon", [
+        (0.05, 2.0, 5.0), (0.05, 0.5, 0.1), (math.nan, 1e-3, 1.0), (math.inf, 1e-3, 1.0),
+        (0.05, 1e-3, math.nan), (0.05, 1e-3, math.inf),
+    ], ids=["dt-above-one", "dt-above-horizon", "eps-nan", "eps-inf", "horizon-nan",
+            "horizon-inf"])
+    def test_step_out_of_range(self, eps, dt, horizon):
+        # dt >= 1 leaves the overshoot slack undefined; dt > horizon runs no step;
+        # a non-finite eps or horizon sets no scale
         with pytest.raises(ValueError, match="dt"):
-            run_counterexample(eps=0.05, dt=dt, horizon=horizon, n_paths=3)
+            run_counterexample(eps=eps, dt=dt, horizon=horizon, n_paths=3)
 
     def test_slack_formula(self):
         assert overshoot_slack(1e-4) == pytest.approx(
@@ -69,3 +124,52 @@ class TestLadder:
         rows = rep.rows()
         assert len(rows) == 20
         assert set(rows[0]) == {"eps", "path", "gap", "tv", "crossings"}
+
+
+class TestScan:
+    """The block scan reproduces the step-by-step scan bit for bit."""
+
+    @pytest.mark.parametrize("eps,dt,horizon,n_paths", [
+        (0.1, 1e-4, 0.41, 1013), (5.0, 1e-3, 0.1, 50), (0.01, 1e-3, 1.0, 30),
+        (0.057, 1e-4, 0.2, 200),
+    ], ids=["short-last-chunk-and-batch", "no-crossing", "coarse", "one-per-block"])
+    def test_matches_step_loop(self, eps, dt, horizon, n_paths):
+        rep = run_counterexample(eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=8)
+        for got, want in zip(_arrays(rep), _step_loop(eps, dt, horizon, n_paths, seed=8)):
+            assert np.array_equal(got, want)
+
+    def test_pinned_digest(self):
+        # 5000 steps (TIME_CHUNK + 1000) and a 37-path last batch
+        rep = run_counterexample(eps=0.1, dt=2e-4, n_paths=2037, seed=11)
+        digest = hashlib.sha256()
+        for arr in _arrays(rep):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "749c438b000cf6df2d7fc316ae4b2424c1949cafd7e425ad25d1796e5511572c")
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_thread_count_does_not_matter(self, monkeypatch, cpus):
+        want = _step_loop(0.1, 1e-2, 1.0, 4500, seed=9)
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that a lost result would show
+        try:
+            got = _arrays(run_counterexample(eps=0.1, dt=1e-2, n_paths=4500, seed=9))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_batch_error_propagates(self, monkeypatch):
+        real = ladder._run_batch
+
+        def failing(eps, dt, n_steps, n_paths, rng):
+            if n_paths == 37:
+                raise FloatingPointError("batch failed")
+            return real(eps, dt, n_steps, n_paths, rng)
+
+        # the 37-path batch runs on the second thread
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ladder, "_run_batch", failing)
+        with pytest.raises(FloatingPointError, match="batch failed"):
+            run_counterexample(eps=0.1, dt=1e-3, n_paths=1037, seed=9)

@@ -188,6 +188,13 @@ def _duplicate_labels_blob():
     return json.dumps(doc).encode()
 
 
+def _extra_reveal_blob(time):
+    """The reveal declared again at `time`, which `build_tree` would refuse."""
+    doc = _revealed_doc()
+    doc["reveals"].append({**doc["reveals"][0], "time": time})
+    return json.dumps(doc).encode()
+
+
 class TestMalformedBlobs:
     @pytest.mark.parametrize("blob", [
         b"[]",
@@ -199,8 +206,11 @@ class TestMalformedBlobs:
         _duplicate_labels_blob(),
         _blob_with(("grid", "n_steps"), 100),
         _blob_with(("d",), 5),
+        _extra_reveal_blob(0.0),
+        _extra_reveal_blob(0.5),
     ], ids=["top-level-list", "no-horizon", "node-without-step", "d-bool", "labels-lists",
-            "reveal-off-grid", "labels-duplicate", "steps-beyond-nodes", "d-beyond-dw"])
+            "reveal-off-grid", "labels-duplicate", "steps-beyond-nodes", "d-beyond-dw",
+            "reveal-at-t0", "reveal-twice-at-t1"])
     def test_schema_error(self, blob):
         with pytest.raises(SchemaError):
             deserialize_tree(blob)
