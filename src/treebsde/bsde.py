@@ -256,27 +256,3 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
     _, z_vals, dm_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
     return _quadruple(tree, y_vals, list(z_vals), list(dm_vals))
 
-
-@dataclass
-class SolutionDifference:
-    """Component-wise difference of two quadruples on the same tree."""
-
-    tree: ScenarioTree
-    dy: AdaptedProcess
-    dz: PredictableProcess
-    dm: AdaptedProcess
-    ddk: PredictableProcess        # signed finite-variation increments
-
-    def d_mk(self) -> AdaptedProcess:
-        """delta(M - K) as one adapted finite-variation-plus-martingale process."""
-        return self.dm - self.ddk.cumulative()
-
-
-def solution_diff(a: SolutionQuadruple, b: SolutionQuadruple) -> SolutionDifference:
-    return SolutionDifference(
-        tree=a.tree,
-        dy=a.y - b.y,
-        dz=a.z - b.z,
-        dm=a.m - b.m,
-        ddk=a.dk - b.dk,
-    )

@@ -85,7 +85,7 @@ GENERATOR = Tagged({
     "affine": {"lam": Field(float, 0.0), "eta": Field([float], None), "g0": Field(float, 0.0)},
     "polynomial-clipped": {"l_y": Field(float, **at_least(0)),
                            "l_z": Field(float, **at_least(0)),
-                           "bound": Field(float, 10.0)},
+                           "bound": Field(float, 10.0, **above(0))},
     "table": {"values": Field([float])},
 })
 CONFIG = {
@@ -383,62 +383,58 @@ SUITE_FN = {
 
 # -- subcommand drivers -------------------------------------------------------
 
-def cmd_solve(args, cfg: dict, raw) -> int:
+def _single_report(args, cfg: dict, raw, kind: str, check) -> int:
+    """Write the one exact report of a seeded instance on the config tree.
+
+    The tree is checked against its invariants first.  `kind` is the
+    fingerprint kind: "bsde" is the plain instance, any other the reflected
+    one on a seeded obstacle.  `check(inst)` returns (inequality_id, lhs, rhs,
+    details), and the report passes when lhs <= rhs.
+    """
     tree = tree_from_config(cfg)
     validate_tree(tree)
-    gen = generator_from_config(cfg, tree)
-    xi = families.random_terminal(tree, args.seed)
-    inst = BsdeInstance(tree=tree, xi=xi, gen=gen)
-    sol = solve_bsde(inst, scheme=cfg["scheme"])
-    resid = sol.dynamics_residual(gen)
-    rep = EstimateReport(
-        inequality_id="solver_dynamics_residual", lhs=resid, rhs=args.tol,
-        constant_used="exact", passed=resid <= args.tol,
-        fingerprint=families.fingerprint("bsde", args.seed, tree),
-        details={"y0": float(sol.y.values[0][0]), "scheme": sol.scheme},
-    )
-    return 1 if write_artifacts(args.out, "solve", raw, args.seed, [rep]) else 0
+    xi, gen = families.random_terminal(tree, args.seed), generator_from_config(cfg, tree)
+    inst = (BsdeInstance(tree=tree, xi=xi, gen=gen) if kind == "bsde" else
+            ReflectedInstance(tree=tree, xi=xi, gen=gen,
+                              obstacle=families.random_obstacle(tree, args.seed)))
+    inequality_id, lhs, rhs, details = check(inst)
+    rep = EstimateReport(inequality_id=inequality_id, lhs=lhs, rhs=rhs, constant_used="exact",
+                         passed=lhs <= rhs,
+                         fingerprint=families.fingerprint(kind, args.seed, tree), details=details)
+    return 1 if write_artifacts(args.out, args.command, raw, args.seed, [rep]) else 0
 
 
-def _seeded_reflected(cfg: dict, seed: int) -> ReflectedInstance:
-    """Config tree and driver with seeded terminal value and obstacle."""
-    tree = tree_from_config(cfg)
-    return ReflectedInstance(tree=tree, xi=families.random_terminal(tree, seed),
-                             gen=generator_from_config(cfg, tree),
-                             obstacle=families.random_obstacle(tree, seed))
+def cmd_solve(args, cfg: dict, raw) -> int:
+    def check(inst):
+        sol = solve_bsde(inst, scheme=cfg["scheme"])
+        return ("solver_dynamics_residual", sol.dynamics_residual(inst.gen), args.tol,
+                {"y0": float(sol.y.values[0][0]), "scheme": sol.scheme})
+
+    return _single_report(args, cfg, raw, "bsde", check)
 
 
 def cmd_reflect(args, cfg: dict, raw) -> int:
-    inst = _seeded_reflected(cfg, args.seed)
-    tree = inst.tree
-    sol = solve_reflected(inst, scheme=cfg["scheme"])
-    resid = sol.dynamics_residual(inst.gen)
-    comp = check_skorokhod(inst, sol)["complementarity"]
-    rep = EstimateReport(
-        inequality_id="reflected_dynamics_and_contact", lhs=max(resid, comp),
-        rhs=args.tol, constant_used="exact", passed=max(resid, comp) <= args.tol,
-        fingerprint=families.fingerprint("rbsde", args.seed, tree),
-        details={"y0": float(sol.y.values[0][0]), "residual": resid,
-                 "complementarity": comp},
-    )
-    return 1 if write_artifacts(args.out, "reflect", raw, args.seed, [rep]) else 0
+    def check(inst):
+        sol = solve_reflected(inst, scheme=cfg["scheme"])
+        resid = sol.dynamics_residual(inst.gen)
+        comp = check_skorokhod(inst, sol)["complementarity"]
+        return ("reflected_dynamics_and_contact", max(resid, comp), args.tol,
+                {"y0": float(sol.y.values[0][0]), "residual": resid, "complementarity": comp})
+
+    return _single_report(args, cfg, raw, "rbsde", check)
 
 
 def cmd_picard(args, cfg: dict, raw) -> int:
-    inst = _seeded_reflected(cfg, args.seed)
-    tree = inst.tree
-    sol, trace = picard_solve(inst)
-    direct = solve_reflected(inst, scheme="implicit")
-    gap = max(float(np.abs(sol.y.values[k] - direct.y.values[k]).max())
-              for k in range(tree.n_steps + 1))
-    rep = EstimateReport(
-        inequality_id="fixed_point_vs_direct", lhs=gap, rhs=1e-9,
-        constant_used="exact", passed=gap <= 1e-9,
-        fingerprint=families.fingerprint("picard", args.seed, tree),
-        details={"iterations": len(trace.dy_s2), "alpha_star": trace.alpha_star,
-                 "contraction_ratios": trace.contraction_ratios},
-    )
-    return 1 if write_artifacts(args.out, "picard", raw, args.seed, [rep]) else 0
+    def check(inst):
+        sol, trace = picard_solve(inst)
+        direct = solve_reflected(inst, scheme="implicit")
+        gap = max(float(np.abs(sol.y.values[k] - direct.y.values[k]).max())
+                  for k in range(inst.tree.n_steps + 1))
+        return ("fixed_point_vs_direct", gap, 1e-9,
+                {"iterations": len(trace.dy_s2), "alpha_star": trace.alpha_star,
+                 "contraction_ratios": trace.contraction_ratios})
+
+    return _single_report(args, cfg, raw, "picard", check)
 
 
 def cmd_verify(args, cfg: dict, raw) -> int:

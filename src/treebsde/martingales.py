@@ -7,7 +7,7 @@ discrete Girsanov change of measure with density Pi (1 - eta . dW).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -207,7 +207,13 @@ class MeasureChange:
 
     tree: ScenarioTree
     eta: PredictableProcess
-    density: AdaptedProcess
+    density: AdaptedProcess = field(init=False)
+
+    def __post_init__(self):
+        tree, d_vals = self.tree, [np.ones(1)]
+        for k in range(tree.n_steps):
+            d_vals.append(tree.lift(d_vals[k], k) * self.one_step_factor(k))
+        self.density = AdaptedProcess(tree, d_vals)
 
     def one_step_factor(self, k: int) -> np.ndarray:
         """(1 - eta_k . dW_{k+1}) on step-(k+1) nodes."""
@@ -247,9 +253,4 @@ def girsanov_change(tree: ScenarioTree, eta: PredictableProcess) -> MeasureChang
             f"positivity fails: max |eta|_1 = {worst} needs dt < {1.0 / worst**2:.3e} "
             f"(current dt = {tree.dt})"
         )
-    d_vals = [np.ones(1)]
-    for k in range(tree.n_steps):
-        eta_k = tree.lift(eta.values[k], k)
-        factor = 1.0 - np.einsum("ni,ni->n", eta_k, tree.dw[k + 1])
-        d_vals.append(tree.lift(d_vals[k], k) * factor)
-    return MeasureChange(tree=tree, eta=eta, density=AdaptedProcess(tree, d_vals))
+    return MeasureChange(tree=tree, eta=eta)

@@ -71,9 +71,6 @@ class AdaptedProcess:
     def __sub__(self, other):
         return AdaptedProcess(self.tree, [a - b for a, b in _pairs(self, other)])
 
-    def scale(self, c: float) -> "AdaptedProcess":
-        return AdaptedProcess(self.tree, [c * a for a in self.values])
-
     def increments(self) -> list:
         """List of n_steps arrays: X_{k+1} - X_k lifted onto step-(k+1) nodes."""
         return [self.values[k + 1] - self.tree.lift(self.values[k], k)

@@ -11,7 +11,6 @@ from treebsde.bsde import (
     BsdeInstance,
     Generator,
     check_lipschitz,
-    solution_diff,
     solve_bsde,
     solve_linear_bsde,
 )
@@ -182,19 +181,3 @@ class TestLinearSolver:
         assert errs[2] <= 0.6 * errs[1]
         rich = [abs(2 * errs[i + 1] - errs[i]) for i in range(2)]
         assert rich[1] <= 0.35 * rich[0]
-
-
-class TestSolutionDiff:
-    def test_requires_same_tree(self):
-        t1 = standard_tree(n_steps=4)
-        t2 = standard_tree(n_steps=4)
-        s1 = solve_bsde(random_bsde(t1, 12))
-        s2 = solve_bsde(random_bsde(t2, 12))
-        with pytest.raises(ValueError):
-            solution_diff(s1, s2)
-
-    def test_self_difference_is_zero(self, tree):
-        s = solve_bsde(random_bsde(tree, 13))
-        d = solution_diff(s, s)
-        assert max(np.abs(v).max() for v in d.dy.values) == 0.0
-        assert max(np.abs(v).max() for v in d.d_mk().values) == 0.0

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -117,6 +118,10 @@ class TestExitCodes:
         ("family", {"count": -3}, ["verify", "--suite", "apriori"]),
         ("family", {"l_y": -1}, ["verify", "--suite", "apriori"]),
         ("generator", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": -1}, ["solve"]),
+        ("generator", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": -1.0},
+         ["solve"]),
+        ("generator", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": 0.0},
+         ["solve"]),
         ("family", {"l_y": 50}, ["verify", "--suite", "apriori"]),
         ("generator", {"kind": "affine", "lam": 50}, ["solve"]),
         ("counterexample", {"dt": 2}, ["counterexample"]),
@@ -137,7 +142,8 @@ class TestExitCodes:
             "counterexample.dt-zero", "counterexample.horizon-negative",
             "counterexample.n_paths-zero", "tree.d-bool", "family.count-bool",
             "family.count-zero", "family.count-negative", "family.l_y-negative",
-            "generator.l_z-negative", "family.l_y-step-size", "generator.lam-step-size",
+            "generator.l_z-negative", "generator.bound-negative", "generator.bound-zero",
+            "family.l_y-step-size", "generator.lam-step-size",
             "counterexample.dt-above-one", "counterexample.dt-above-horizon",
             "generator.eta-length", "generator.values-length", "family.unknown-field",
             "tree.reveals-off-grid", "tree.reveals-bad-law", "tree.reveals-t0",
@@ -255,6 +261,40 @@ class TestArtifacts:
         assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
                      *command]) == 0
         assert len(calls) == probes
+
+    @pytest.mark.parametrize("command", ["solve", "reflect", "picard"])
+    def test_tree_validated(self, tmp_path, monkeypatch, command):
+        trees = []
+        monkeypatch.setattr(cli, "validate_tree", lambda tree: trees.append(tree) or {})
+        assert main(["--seed", "1", "--out", str(tmp_path / "out"), command]) == 0
+        assert len(trees) == 1
+
+    # sha256 of (reports.json, reports.csv, manifest.json) at --seed 1 on the
+    # default config; a refactor of the commands must leave every byte alone
+    @pytest.mark.parametrize("command,digests", [
+        (["solve"], ("d22eab8040ec60ca7233a76de2436edd113b685df01bd50c5bf4ea978a6e0249",
+                     "3fe201d969afbc34a31585edf02e3210509ab4cfc6a50ce24924bc1cea75811c",
+                     "35234ede4b4ff1ac6227588855a94542834e2b277c4a25e7213e437461bbd0df")),
+        (["reflect"], ("67178d4da1780c0e23d6bb2c26ff9f70ab4c6ce77184465629ade46d57b3185f",
+                       "3133299eb762383df6fdab5664ae462fd0401dcdce7d2a88924fcb978dc86788",
+                       "e6781e0bbb14471c7670fd1fc6c24599aed359c5880b3899523c8ed9eb0ab4d8")),
+        (["picard"], ("a3e8d0ca6c7fb22d6413942ccec1c167f0599321a9612520b2a5e0659da754d0",
+                      "8842358348386529ead175fc44f4129c3eb8ab348eaf12900a6ac931073a02ce",
+                      "48856579dd5d197e8129efd5a1fa42c795aa96adf2310a3eeb9d60256ba0ab22")),
+        (["verify", "--suite", "all"],
+         ("e3b0f887b4275895d4d7cf5f63f20b4dc316e124caf00d7f21904bee37239ee1",
+          "0906f0745c886f36a02ce8beb7d05964ff5464d322de07ef47533c1064867c9e",
+          "5ecc8f7fe60dd405b9ff6d3d78237bae5c0ed998af006a8a0e97da09fe64d62a")),
+        (["snell-check"], ("767d9fb83b703712533dc0ecce387f46cb186a41eaef542dbb642f8099b8f5d5",
+                           "b8b6e71023d365c28d117da7228fc515e3ecd65f4c0b959aa7177f96dfb16bf7",
+                           "ee7b96f0e6d05dfdc302f9a64d7c9603910211bd1ee58e45cb9dd91327e89b23")),
+    ], ids=["solve", "reflect", "picard", "verify", "snell-check"])
+    def test_artifacts_pinned(self, tmp_path, command, digests):
+        out = tmp_path / "out"
+        assert main(["--seed", "1", "--out", str(out), *command]) == 0
+        got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
+                    for name in ("reports.json", "reports.csv", "manifest.json"))
+        assert got == digests
 
     def test_counterexample_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treebsde.bsde import Generator, solution_diff
+from treebsde.bsde import Generator
 from treebsde.estimates import (
     check_burkholder,
     check_cross_term,
@@ -152,7 +152,6 @@ class TestEmpiricalChecks:
 
 # each pair API, called on two reflected instances and their solutions
 _PAIR_APIS = {
-    "solution_diff": lambda i1, s1, i2, s2: solution_diff(s1, s2),
     "stability_norm_bound": lambda i1, s1, i2, s2: check_stability_norm_bound(
         i1, s1, i2, s2, 2.0, 0.0),
     "obstacle_stability_bound": lambda i1, s1, i2, s2: check_obstacle_stability_bound(
