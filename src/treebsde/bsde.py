@@ -29,8 +29,9 @@ LIPSCHITZ_SLACK = 1e-9
 class Generator:
     """Driver g(step, node, y, z) with declared Lipschitz constants.
 
-    `fn(k, y, z)` must be vectorized over step-k nodes: y has shape (n_k,),
-    z has shape (n_k, d), and the result has shape (n_k,).
+    `fn(k, y, z)` is called on the driver steps k = 0..n-1 only and must be
+    vectorized over step-k nodes: y has shape (n_k,), z has shape (n_k, d),
+    and the result has shape (n_k,).
     """
 
     fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -45,8 +46,9 @@ class Generator:
         n = tree.n_nodes(k)
         return self(k, np.zeros(n), np.zeros((n, tree.d)))
 
-    def g0_process(self, tree: ScenarioTree) -> AdaptedProcess:
-        return AdaptedProcess(tree, [self.g0(tree, k) for k in range(tree.n_steps + 1)])
+    def g0_process(self, tree: ScenarioTree) -> PredictableProcess:
+        """g(k, 0, 0) on the driver steps k = 0..n-1, the only ones the norms read."""
+        return PredictableProcess(tree, [self.g0(tree, k) for k in range(tree.n_steps)])
 
 
 @dataclass

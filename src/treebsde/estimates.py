@@ -32,7 +32,7 @@ from .norms import (
     norm_sp_weighted,
     phi_p,
 )
-from .processes import AdaptedProcess, LadlagProcess
+from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree
@@ -245,7 +245,8 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
 
 # -- reflected-specific bounds ------------------------------------------------
 
-def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: AdaptedProcess, p: float) -> float:
+def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: AdaptedProcess | PredictableProcess,
+                        p: float) -> float:
     """E[(sum_k e^{l_y t_{k+1}} |g_k| dt)^p]."""
     w = _wr(tree, l_y)
     leaf = tree.path_sum(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt

@@ -38,20 +38,22 @@ def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
     """Lipschitz driver with node-dependent zero level.
 
     g(k, y, z) = b0_k + l_y sin(y + c_k) + l_z tanh(z . u) with |u| = 1, so the
-    declared constants are exact (the derivatives are bounded by 1).
+    declared constants are exact (the derivatives are bounded by 1).  The zero
+    level b0_k depends on the node only, so it is built once per driver step
+    k < n.
     """
     rng = np.random.default_rng(seed)
     u = rng.normal(size=tree.d)
     u /= np.linalg.norm(u)
     a0, a1, c = rng.normal(size=3)
     lab_bias = rng.normal(size=8)
+    b0 = []
+    for k in range(tree.n_steps):
+        w, lab = tree.w[k].sum(axis=1), tree.reveal_label[k]
+        b0.append(a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[np.clip(lab, 0, 7)], 0.0))
 
     def fn(k, y, z):
-        w = tree.w[k].sum(axis=1)
-        lab = tree.reveal_label[k]
-        b0 = a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[np.clip(lab, 0, 7)], 0.0)
-        b0 = np.broadcast_to(b0, y.shape)
-        return b0 + l_y * np.sin(y + c) + l_z * np.tanh(z @ u)
+        return b0[k] + l_y * np.sin(y + c) + l_z * np.tanh(z @ u)
 
     return Generator(fn=fn, l_y=l_y, l_z=l_z, name=f"random[{seed}]")
 

@@ -138,28 +138,31 @@ def _scan(paths, eps, level, gap, overshoot, tv_pos, tv_neg, crossings) -> None:
             seg = np.where(cols <= p[:, None], wj[:, None], seg)  # deviation 0 up to p
 
 
-def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
-                       n_paths: int = 10_000, seed: int = 0) -> LadderReport:
-    """Simulate the ladder paths and report gap and variation statistics.
+def _simulate(runs, dt: float, horizon: float) -> list:
+    """One LadderReport per (eps, n_paths, seed) run.  The batches of all runs
+    are shared out over up to one thread per CPU, the calling thread among them.
 
-    Batches of DEFAULT_BATCH paths draw from independent streams keyed by
-    (seed, batch index) and run on up to one thread per CPU; the result would
-    change with the batch size, which therefore stays fixed, but not with the
-    thread count.  dt < 1 keeps the overshoot slack defined, and dt <= horizon
-    makes at least one step.
+    Batch b of a run draws from the stream keyed by (seed, b), whatever else
+    shares the threads, so each report equals its run simulated alone.
     """
-    if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0 and n_paths >= 1):
-        raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon, n_paths >= 1")
+    for eps, n_paths, _ in runs:
+        if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0
+                and n_paths >= 1):
+            raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon, "
+                             "n_paths >= 1")
     n_steps = int(round(horizon / dt))
-    sizes = [min(DEFAULT_BATCH, n_paths - start) for start in range(0, n_paths, DEFAULT_BATCH)]
-    n_threads = min(len(sizes), len(os.sched_getaffinity(0)))
-    batches, errors = [None] * len(sizes), []
+    jobs = [(r, eps, seed, b, min(DEFAULT_BATCH, n_paths - start))
+            for r, (eps, n_paths, seed) in enumerate(runs)
+            for b, start in enumerate(range(0, n_paths, DEFAULT_BATCH))]
+    n_threads = min(len(jobs), len(os.sched_getaffinity(0)))
+    batches, errors = [None] * len(jobs), []
 
     def share(t: int) -> None:
         try:
-            for b in range(t, len(sizes), n_threads):
+            for j in range(t, len(jobs), n_threads):
+                _, eps, seed, b, size = jobs[j]
                 rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
-                batches[b] = _run_batch(eps, dt, n_steps, sizes[b], rng)
+                batches[j] = _run_batch(eps, dt, n_steps, size, rng)
         except BaseException as exc:
             errors.append(exc)
 
@@ -171,19 +174,36 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
         thread.join()
     if errors:
         raise errors[0]
-    gap, overshoot, tv, crossings = (np.concatenate(part) for part in zip(*batches))
-    report = LadderReport(eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
-                          gap=gap, overshoot=overshoot, tv=tv, crossings=crossings)
-    if dt > eps**2 / 10.0:
-        report.flags["dt_coarse_for_eps"] = True
-    return report
+    reports = []
+    for r, (eps, n_paths, seed) in enumerate(runs):
+        parts = [out for job, out in zip(jobs, batches) if job[0] == r]
+        gap, overshoot, tv, crossings = (np.concatenate(part) for part in zip(*parts))
+        report = LadderReport(eps=eps, dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
+                              gap=gap, overshoot=overshoot, tv=tv, crossings=crossings)
+        if dt > eps**2 / 10.0:
+            report.flags["dt_coarse_for_eps"] = True
+        reports.append(report)
+    return reports
+
+
+def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
+                       n_paths: int = 10_000, seed: int = 0) -> LadderReport:
+    """Simulate the ladder paths and report gap and variation statistics.
+
+    Batches of DEFAULT_BATCH paths draw from independent streams keyed by
+    (seed, batch index) and run on up to one thread per CPU; the result would
+    change with the batch size, which therefore stays fixed, but not with the
+    thread count.  dt < 1 keeps the overshoot slack defined, and dt <= horizon
+    makes at least one step.
+    """
+    return _simulate([(eps, n_paths, seed)], dt, horizon)[0]
 
 
 def tv_scaling(eps_list, dt: float, n_paths: int = 2000, seed: int = 0) -> dict:
     """Mean variation against 1/eps on the unit horizon: the fitted log-log
-    slope should be 1."""
-    reports = [run_counterexample(eps, dt, n_paths=n_paths, seed=seed + i)
-               for i, eps in enumerate(eps_list)]
+    slope should be 1.  Eps value i is run_counterexample(eps_i, seed=seed + i);
+    the batches of all eps values share the threads."""
+    reports = _simulate([(eps, n_paths, seed + i) for i, eps in enumerate(eps_list)], dt, 1.0)
     means = [float(rep.tv.mean()) for rep in reports]
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))
     slope = float(np.polyfit(xs, np.log(np.asarray(means)), 1)[0])

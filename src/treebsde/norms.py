@@ -63,8 +63,8 @@ def norm_h(z: PredictableProcess, p: float, alpha: float) -> float:
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
-def norm_h1(x: AdaptedProcess, p: float, alpha: float) -> float:
-    """H^{p,alpha}_1 norm of a scalar adapted integrand (value held on [t_k, t_{k+1}))."""
+def norm_h1(x: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> float:
+    """H^{p,alpha}_1 norm of a scalar integrand held on [t_k, t_{k+1}); reads steps k < n."""
     tree = x.tree
     w = _wr(tree, alpha)
     acc = tree.path_sum(w[k] * x.values[k] ** 2 * tree.dt for k in range(tree.n_steps))

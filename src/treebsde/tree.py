@@ -9,6 +9,7 @@ quasi left-continuity of the generated filtration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -47,9 +48,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        """t_0..t_n, computed once per grid and read-only."""
+        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
 
     def index_of(self, time: float) -> int:
         """Grid index of `time`: the one instant of `times` (t_j = j dt, t_n = T) within

@@ -173,3 +173,39 @@ class TestScan:
         monkeypatch.setattr(ladder, "_run_batch", failing)
         with pytest.raises(FloatingPointError, match="batch failed"):
             run_counterexample(eps=0.1, dt=1e-3, n_paths=1037, seed=9)
+
+
+class TestTvScaling:
+    """All eps values share the threads; each equals its run simulated alone."""
+
+    EPS = [0.2, 0.1, 0.05]
+
+    def _serial(self, monkeypatch, dt, n_paths, seed):
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: {0})
+        reports = [run_counterexample(eps, dt, n_paths=n_paths, seed=seed + i)
+                   for i, eps in enumerate(self.EPS)]
+        means = [float(rep.tv.mean()) for rep in reports]
+        slope = float(np.polyfit(np.log(1.0 / np.asarray(self.EPS)), np.log(means), 1)[0])
+        return {"eps": self.EPS, "tv_means": means, "slope": slope,
+                "summaries": [rep.summary() for rep in reports]}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_matches_serial_runs(self, monkeypatch, cpus):
+        # 1500 paths: a full and a half batch per eps, six jobs over the threads
+        want = self._serial(monkeypatch, 1e-3, 1500, seed=12)
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tv_scaling(self.EPS, dt=1e-3, n_paths=1500, seed=12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_bad_eps_rejected_before_any_run(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("ran a batch")
+
+        monkeypatch.setattr(ladder, "_run_batch", no_batch)
+        with pytest.raises(ValueError, match="eps"):
+            tv_scaling([0.2, math.nan], dt=1e-3, n_paths=10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treebsde.bsde import Generator
+from treebsde.cli import generator_from_config, parse_config, tree_from_config
 from treebsde.estimates import (
     check_burkholder,
     check_cross_term,
@@ -18,8 +19,10 @@ from treebsde.estimates import (
     measure_stability_decay,
 )
 from treebsde.families import (
+    random_obstacle,
     random_reflected,
     random_strong_supermartingale,
+    random_terminal,
     standard_tree,
 )
 from treebsde.reflected import ReflectedInstance, solve_reflected
@@ -88,6 +91,23 @@ class TestEmpiricalChecks:
             rep = check_solution_norm_bound(inst, sol, 2.0, 0.0)
             assert rep.passed
             assert np.isfinite(rep.ratio)
+
+    def test_table_driver_defined_on_driver_steps(self):
+        # a table driver has one value per driver step k < n and none at t_n
+        values = [0.3, -0.2, 0.5, 0.1]
+        cfg = parse_config({"tree": {"horizon": 1.0, "n_steps": 4},
+                            "generator": {"kind": "table", "values": values}})
+        tree = tree_from_config(cfg)
+        inst = ReflectedInstance(tree=tree, xi=random_terminal(tree, 2),
+                                 gen=generator_from_config(cfg, tree),
+                                 obstacle=random_obstacle(tree, 2))
+        sol = solve_reflected(inst)
+        main = check_solution_norm_bound(inst, sol, 2.0, 0.0)
+        assert main.details["components"]["g0"] == pytest.approx(
+            sum(v * v for v in values) * tree.dt, rel=1e-12)
+        reports = [main, check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound"),
+                   check_obstacle_sup_bound(inst, sol, 2.0, 0.0)]
+        assert all(rep.passed and np.isfinite(rep.ratio) for rep in reports)
 
     @pytest.mark.parametrize("branch,p,alpha", [("N-ge2", 2.0, 5.0),
                                                 ("N-ge2", 3.0, 5.0),

@@ -22,6 +22,17 @@ class TestTimeGrid:
         assert np.allclose(np.diff(grid.times), grid.dt)
         assert grid.times[0] == 0.0 and grid.times[-1] == 2.0
 
+    def test_times_built_once_and_read_only(self):
+        grid = TimeGrid(horizon=0.7, n_steps=9)
+        h = hash(grid)
+        assert grid.times is grid.times
+        assert grid.times.tobytes() == np.linspace(0.0, 0.7, 10).tobytes()
+        with pytest.raises(ValueError):
+            grid.times[3] = 0.0
+        twin = TimeGrid(horizon=0.7, n_steps=9)  # times not built yet
+        assert grid == twin and hash(grid) == hash(twin) == h == hash((0.7, 9))
+        assert grid != TimeGrid(horizon=0.7, n_steps=10)
+
     def test_index_of_on_grid(self):
         grid = TimeGrid(horizon=1.0, n_steps=4)
         assert grid.index_of(0.5) == 2
