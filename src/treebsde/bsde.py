@@ -50,6 +50,11 @@ class Generator:
         """g(k, 0, 0) on the driver steps k = 0..n-1, the only ones the norms read."""
         return PredictableProcess(tree, [self.g0(tree, k) for k in range(tree.n_steps)])
 
+    def along(self, y: AdaptedProcess, z: PredictableProcess) -> PredictableProcess:
+        """g(k, Y_k, Z_k) on the driver steps k = 0..n-1: the driver along a solution."""
+        return PredictableProcess(y.tree, [self(k, y.values[k], z.values[k])
+                                           for k in range(y.tree.n_steps)])
+
 
 @dataclass
 class AffineGenerator(Generator):
@@ -140,9 +145,9 @@ class SolutionQuadruple:
         for k in range(tree.n_steps):
             y_in = self.y.values[k] if self.scheme == "implicit" else tree.cond_exp(self.y.values[k + 1], k + 1)
             g = gen(k, y_in, self.z.values[k])
-            zdw = np.einsum("ni,ni->n", tree.lift(self.z.values[k], k), tree.dw[k + 1])
             dm = self.m.values[k + 1] - tree.lift(self.m.values[k], k)
-            rhs = self.y.values[k + 1] - tree.lift(g, k) * dt - zdw - dm + tree.lift(self.dk.values[k], k)
+            rhs = (self.y.values[k + 1] - tree.lift(g, k) * dt - tree.dot_dw(self.z.values[k], k)
+                   - dm + tree.lift(self.dk.values[k], k))
             worst = max(worst, float(np.abs(rhs - tree.lift(self.y.values[k], k)).max()))
         return worst
 
@@ -156,7 +161,7 @@ def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
     """(E_k[Y_{k+1}], Z_k, dM_{k+1}) by exact projection on the walk increments."""
     ey = tree.cond_exp(y_next, k + 1)
     z_k = tree.cond_exp(y_next[:, None] * tree.dw[k + 1], k + 1) / tree.dt
-    dm = y_next - tree.lift(ey, k) - np.einsum("ni,ni->n", tree.lift(z_k, k), tree.dw[k + 1])
+    dm = y_next - tree.lift(ey, k) - tree.dot_dw(z_k, k)
     return ey, z_k, dm
 
 

@@ -58,8 +58,6 @@ from .tree import (DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, check
                    validate_tree)
 
 SCHEMA_VERSION = 1
-SUITES = ("apriori", "stability", "compensator", "obstacle", "difference", "meyer", "ito-p",
-          "equivalence", "constants")
 
 
 class ConfigError(Exception):
@@ -367,18 +365,20 @@ def suite_equivalence(inp, s, inst, sol) -> list:
 
 
 # suite -> rows of (shared input, check); a row maps each item of the shared
-# input (None: run once) to reports, and rows run in order
+# input (None: run once) to reports, and rows run in order.  `verify --suite
+# all` runs the suites in this order.
 SUITE_FN = {
-    "constants": [(None, suite_constants)],
-    "meyer": [("supermartingales", suite_meyer)],
     "apriori": [("solved", suite_apriori)],
     "stability": [("pairs", suite_stability)],
     "compensator": [("solved", suite_compensator)],
     "obstacle": [("solved", suite_obstacle), ("pairs", suite_obstacle_pair)],
     "difference": [("pairs", suite_difference)],
+    "meyer": [("supermartingales", suite_meyer)],
     "ito-p": [("supermartingales", suite_itop)],
     "equivalence": [("solved", suite_equivalence)],
+    "constants": [(None, suite_constants)],
 }
+SUITES = tuple(SUITE_FN)
 
 
 # -- subcommand drivers -------------------------------------------------------

@@ -20,16 +20,15 @@ import numpy as np
 from .bsde import SolutionQuadruple, solve_bsde
 from .errors import ClassificationError
 from .norms import (
+    _sq,
     _wr,
     burkholder_constant,
     meyer_constant,
     norm_h,
-    norm_h1,
     norm_i,
     norm_m,
     norm_m_composite,
     norm_sp,
-    norm_sp_weighted,
     phi_p,
 )
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
@@ -42,15 +41,16 @@ COMPENSATOR_EPS = 1.0  # driver-term weight of the composite-norm bounds; 1/eps 
 COMPENSATOR_ETA = 0.5  # eta in (0, 1) of the N-ge2 weight floor
 STABILITY_EPS = 1.0    # driver-term weight of the p = 2 reflected stability bound
 ITO_P_TOL = 1e-10
+PUSH_TOL = 1e-12  # round-off allowed below zero in a push increment
 
 
 def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
     return tree.expectation(np.abs(xi) ** p, tree.n_steps) ** (1.0 / p)
 
 
-def _require_nondecreasing(sol: SolutionQuadruple, tol: float = 1e-12):
+def _require_nondecreasing(sol: SolutionQuadruple):
     worst = min(float(v.min()) for v in sol.dk.values)
-    if worst < -tol:
+    if worst < -PUSH_TOL:
         raise ClassificationError(f"push process is not non-decreasing (min increment {worst:.3e})")
 
 
@@ -74,9 +74,14 @@ def _empirical(inequality_id: str, lhs: float, rhs: float, fingerprint: str,
     )
 
 
-def _dn(tree: ScenarioTree, sol: SolutionQuadruple, k: int, dfv: np.ndarray) -> np.ndarray:
+def _dn(sol: SolutionQuadruple, k: int, dfv: np.ndarray) -> np.ndarray:
     """Z_k . dW_{k+1} + dfv on step-(k+1) nodes."""
-    return np.einsum("ni,ni->n", tree.lift(sol.z.values[k], k), tree.dw[k + 1]) + dfv
+    return sol.tree.dot_dw(sol.z.values[k], k) + dfv
+
+
+def _dl(sol: SolutionQuadruple, k: int) -> np.ndarray:
+    """The martingale increment Z_k . dW_{k+1} + dM_{k+1} on step-(k+1) nodes."""
+    return _dn(sol, k, sol.m.values[k + 1]) - sol.tree.lift(sol.m.values[k], k)
 
 
 # -- Empirical ratio bounds -------------------------------------------
@@ -93,7 +98,7 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
     comps = {
         "xi": lp_norm(tree, instance.xi, p) ** p,
         "y": norm_sp(sol.y, p) ** p,
-        "g0": norm_h1(g0, p, alpha) ** p,
+        "g0": norm_h(g0, p, alpha) ** p,
     }
     rhs = sum(comps.values())
     return _empirical("solution_norm_bound", lhs, rhs, fingerprint,
@@ -128,13 +133,13 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     """
     tree, gen = sol.tree, instance.gen
     t_hor = tree.grid.horizon
-    g_n = norm_h1(gen.g0_process(tree), p, alpha) ** p
+    g_n = norm_h(gen.g0_process(tree), p, alpha) ** p
 
     if branch == "K-bound":
         _require_nondecreasing(sol)
         c_m = meyer_constant(p)
         lhs = norm_i(sol.dk, p, alpha) ** p
-        y_w = norm_sp_weighted(sol.y, p, alpha) ** p
+        y_w = norm_sp(sol.y, p, alpha) ** p
         z_n = norm_h(sol.z, p, alpha) ** p
         v2, v3 = max(1.0, 2.0 ** (p - 1.0)), max(1.0, 3.0 ** (p - 1.0))
         inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
@@ -159,9 +164,9 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         floor = compensator_weight_floor(gen, p)
         if alpha <= floor:
             raise ValueError(f"inadmissible weight: need alpha > {floor:.3f}")
-        lhs = norm_h1(sol.y, p, alpha) ** p + n_norm
+        lhs = norm_h(sol.y, p, alpha) ** p + n_norm
         if p > 2.0:
-            dn = (_dn(tree, sol, k, inc) for k, inc in enumerate(_mk(sol).increments()))
+            dn = (_dn(sol, k, inc) for k, inc in enumerate(_mk(sol).increments()))
             star = _star_to_leaves(tree, sol.y.values, dn, w1)
             tail = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
             tail_id = "y_dn_integral"
@@ -191,12 +196,12 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         # jump correction of the p-power expansion; non-negative by construction
         a_term = 0.0
         for k, inc in enumerate(_mk(sol).increments()):
-            dn = _dn(tree, sol, k, inc)
+            dn = _dn(sol, k, inc)
             y_prev = tree.lift(sol.y.values[k], k)
             big = np.maximum(y_prev**2, (y_prev + dn) ** 2)
             term = np.where(big > 0.0, dn**2 * big ** (p / 2.0 - 1.0), 0.0)
             a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
-        comps = {"xi": xi_n, "y_weighted_sup": norm_sp_weighted(sol.y, p, alpha) ** p,
+        comps = {"xi": xi_n, "y_weighted_sup": norm_sp(sol.y, p, alpha) ** p,
                  "phi_dk_integral_plus": k_tail}
         report = _empirical("composite_norm_lt2", lhs,
                             COMPENSATOR_EPS * g_n + sum(comps.values()), fingerprint,
@@ -209,14 +214,9 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     raise ValueError(f"unknown branch {branch!r}; expected K-bound, N-ge2 or N-lt2")
 
 
-def delta_driver(inst1, sol1, inst2, tree: ScenarioTree) -> AdaptedProcess:
+def delta_driver(inst1, sol1, inst2) -> PredictableProcess:
     """delta g evaluated along the first solution: g1(Y1,Z1) - g2(Y1,Z1)."""
-    vals = []
-    for k in range(tree.n_steps):
-        y, z = sol1.y.values[k], sol1.z.values[k]
-        vals.append(inst1.gen(k, y, z) - inst2.gen(k, y, z))
-    vals.append(np.zeros(tree.n_nodes(tree.n_steps)))
-    return AdaptedProcess(tree, vals)
+    return inst1.gen.along(sol1.y, sol1.z) - inst2.gen.along(sol1.y, sol1.z)
 
 
 def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
@@ -230,12 +230,12 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
     lhs = norm_h(dz, p, alpha) ** p + norm_m(dmk, p, alpha) ** p
     dy = sol1.y - sol2.y
     dy_sp = norm_sp(dy, p)
-    dg = delta_driver(inst1, sol1, inst2, tree)
+    dg = delta_driver(inst1, sol1, inst2)
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
         "dy_p": dy_sp**p,
         "dy_low": dy_sp ** min(p / 2.0, p - 1.0),
-        "dg": norm_h1(dg, p, alpha) ** p,
+        "dg": norm_h(dg, p, alpha) ** p,
     }
     rhs = sum(comps.values())
     return _empirical("stability_norm_bound", lhs, rhs, fingerprint,
@@ -245,8 +245,7 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
 
 # -- reflected-specific bounds ------------------------------------------------
 
-def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: AdaptedProcess | PredictableProcess,
-                        p: float) -> float:
+def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: PredictableProcess, p: float) -> float:
     """E[(sum_k e^{l_y t_{k+1}} |g_k| dt)^p]."""
     w = _wr(tree, l_y)
     leaf = tree.path_sum(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
@@ -278,7 +277,7 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     tree, gen = instance.tree, instance.gen
     t_hor = tree.grid.horizon
     kappa = (1.0 + p) / 2.0
-    lhs = norm_sp_weighted(sol.y, p, alpha) ** p
+    lhs = norm_sp(sol.y, p, alpha) ** p
 
     g_term = _weighted_leaf_term(tree, gen.l_y, gen.g0_process(tree), p)
     clip = (lambda v: np.maximum(v, 0.0)) if variant == "S_plus" else np.abs
@@ -294,7 +293,7 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
                "constant": c, "g0_term": g_term, "obstacle_term": s_term, "xi_term": xi_term}
     if variant == "S_plus":
         free = solve_bsde(instance.plain(), scheme="implicit")
-        comp_term = 2.0 ** (p - 1.0) * norm_sp_weighted(free.y, p, alpha) ** p
+        comp_term = 2.0 ** (p - 1.0) * norm_sp(free.y, p, alpha) ** p
         rhs += comp_term
         details["comparison_term"] = comp_term
     return EstimateReport(
@@ -312,11 +311,11 @@ def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadr
     """Paired-obstacle sup bound on delta Y.  Empirical ratio."""
     tree = sol1.tree
     l_y = max(inst1.gen.l_y, inst2.gen.l_y)
-    lhs = norm_sp_weighted(sol1.y - sol2.y, p, alpha) ** p
+    lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
         "ds": _weighted_sup_term(tree, l_y, inst1.obstacle - inst2.obstacle, np.abs, p),
-        "dg": _weighted_leaf_term(tree, l_y, delta_driver(inst1, sol1, inst2, tree), p),
+        "dg": _weighted_leaf_term(tree, l_y, delta_driver(inst1, sol1, inst2), p),
     }
     rhs = sum(comps.values())
     return _empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
@@ -344,7 +343,7 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
                            tree.n_steps)
     mid = tree.expectation(tree.path_sum(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
                            tree.n_steps)
-    bound = norm_sp_weighted(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
+    bound = norm_sp(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
     ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
     return EstimateReport(
         inequality_id="cross_term_contact_set",
@@ -362,15 +361,15 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
     dy = sol1.y - sol2.y
     dz = sol1.z - sol2.z
     dmk = _mk(sol1) - _mk(sol2)
-    lhs = (norm_h1(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
+    lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
            + norm_m(dmk, 2.0, alpha) ** 2)
-    dg = delta_driver(inst1, sol1, inst2, tree)
+    dg = delta_driver(inst1, sol1, inst2)
     ds = inst1.obstacle - inst2.obstacle
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
-        "ds_sup": norm_sp_weighted(ds, 2.0, alpha),
+        "ds_sup": norm_sp(ds, 2.0, alpha),
     }
-    rhs = STABILITY_EPS * norm_h1(dg, 2.0, alpha) ** 2 + sum(comps.values())
+    rhs = STABILITY_EPS * norm_h(dg, 2.0, alpha) ** 2 + sum(comps.values())
     return _empirical("reflected_stability_p2", lhs, rhs, fingerprint,
                       {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
                        "vacuous": lhs == 0.0 and rhs == 0.0})
@@ -468,9 +467,7 @@ def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
 
     worst = 0.0
     for k in range(tree.n_steps):
-        dl = (np.einsum("ni,ni->n", tree.lift(sol.z.values[k], k), tree.dw[k + 1])
-              + sol.m.values[k + 1] - tree.lift(sol.m.values[k], k))
-        inc = phi_p(sol.y.values[k], p) * tree.cond_exp(dl, k + 1)
+        inc = phi_p(sol.y.values[k], p) * tree.cond_exp(_dl(sol, k), k + 1)
         worst = max(worst, float(np.abs(inc).max()))
     reports.append(EstimateReport(
         inequality_id="gradient_integrand_martingale",
@@ -492,12 +489,9 @@ def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
     dt = tree.dt
     star_terms, qv_terms = [], []
     for k, dm in enumerate(sol.m.increments()):
-        z = tree.lift(sol.z.values[k], k)
-        dl = (np.einsum("ni,ni->n", z, tree.dw[k + 1])
-              + sol.m.values[k + 1] - tree.lift(sol.m.values[k], k))
         y_prev = tree.lift(sol.y.values[k], k)
-        star_terms.append(w1[k] * y_prev * dl)
-        qv_terms.append(w1[k] ** 2 * y_prev**2 * (np.einsum("ni,ni->n", z, z) * dt + dm**2))
+        star_terms.append(w1[k] * y_prev * _dl(sol, k))
+        qv_terms.append(w1[k] ** 2 * y_prev**2 * (tree.lift(_sq(sol.z.values[k]), k) * dt + dm**2))
     star, qv = tree.path_sum(star_terms), tree.path_sum(qv_terms)
     lhs = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
     rhs = c * tree.expectation(qv ** (p / 4.0), tree.n_steps)

@@ -124,7 +124,4 @@ def random_strong_supermartingale(tree: ScenarioTree, seed: int) -> LadlagProces
     d_cum = tree.path_sum(drops[:n], process=True)
     value = [m.values[k] - a_vals[k] - d_cum[k] for k in range(n + 1)]
     right = [value[k] - drops[k] for k in range(n + 1)]
-    left = [value[0].copy()]
-    for k in range(1, n + 1):
-        left.append(tree.lift(right[k - 1], k - 1))
-    return LadlagProcess(tree, left, value, right)
+    return LadlagProcess.from_right(tree, value, right)

@@ -48,7 +48,7 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> Representatio
     def residual(k):
         dn = n.values[k + 1] - tree.lift(n.values[k], k)
         z_vals.append(tree.cond_exp(dn[:, None] * tree.dw[k + 1], k + 1) / dt)
-        dm = dn - np.einsum("ni,ni->n", tree.lift(z_vals[k], k), tree.dw[k + 1])
+        dm = dn - tree.dot_dw(z_vals[k], k)
         cross.append(float(np.abs(tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)).max()))
         return dm
 
@@ -217,9 +217,7 @@ class MeasureChange:
 
     def one_step_factor(self, k: int) -> np.ndarray:
         """(1 - eta_k . dW_{k+1}) on step-(k+1) nodes."""
-        tree = self.tree
-        eta_k = tree.lift(self.eta.values[k], k)
-        return 1.0 - np.einsum("ni,ni->n", eta_k, tree.dw[k + 1])
+        return 1.0 - self.tree.dot_dw(self.eta.values[k], k)
 
     def cond_exp_q(self, x: np.ndarray, step: int) -> np.ndarray:
         """Q-conditional expectation of a step-`step` value onto step-1 nodes."""

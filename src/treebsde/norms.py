@@ -1,7 +1,7 @@
 """Weighted path norms on tree processes and the explicit inequality constants.
 
 Discrete transcriptions, with T the horizon and dt the step:
-  * S^p:        E[ sup_k |Y_k|^p ]                          (all slots for ladlag)
+  * S^{p,a}:    E[ sup_k (e^{(a/2) t_k} |Y_k|)^p ]        (all slots for ladlag; S^p at a = 0)
   * H^{p,a}:    E[ ( sum_k e^{a t_{k+1}} |Z_k|^2 dt )^{p/2} ]
   * M^{p,a}:    E[ ( sum_k e^{a t_{k+1}} (dM_{k+1})^2 )^{p/2} ]
   * I^{p,a}:    E[ ( sum_k e^{(a/2) t_{k+1}} |dK_{k+1}| )^p ]
@@ -30,24 +30,19 @@ def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> 
     return tree.expectation(leaf**power, tree.n_steps) ** (1.0 / p)
 
 
-def norm_sp(y, p: float, weights=None) -> float:
-    """S^p norm. `y` is adapted or ladlag; `weights` optionally scales step k slots."""
+def norm_sp(y, p: float, alpha: float = 0.0) -> float:
+    """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (all three slots)."""
     tree = y.tree
-    w = weights if weights is not None else (lambda k: 1.0)
+    times = tree.grid.times
 
     def slot(k):
         if isinstance(y, LadlagProcess):
             return np.maximum(np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k])))
         return y.values[k]
 
-    sup = tree.path_max(np.abs(w(k) * slot(k)) for k in range(tree.n_steps + 1))
+    sup = tree.path_max(np.abs(math.exp(0.5 * alpha * times[k]) * slot(k))
+                        for k in range(tree.n_steps + 1))
     return _leaf_norm(tree, sup, p, p)
-
-
-def norm_sp_weighted(y, p: float, alpha: float) -> float:
-    """S^p norm of e^{(alpha/2) t} Y."""
-    times = y.tree.grid.times
-    return norm_sp(y, p, weights=lambda k: math.exp(0.5 * alpha * times[k]))
 
 
 def _sq(v: np.ndarray) -> np.ndarray:
@@ -55,25 +50,13 @@ def _sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
 
 
-def norm_h(z: PredictableProcess, p: float, alpha: float) -> float:
-    """H^{p,alpha} norm of a predictable (possibly vector) integrand."""
+def norm_h(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> float:
+    """H^{p,alpha} norm of a (scalar or vector) integrand held on [t_k, t_{k+1});
+    reads steps k < n."""
     tree = z.tree
     w = _wr(tree, alpha)
-    acc = tree.path_sum(w[k] * _sq(v) * tree.dt for k, v in enumerate(z.values))
+    acc = tree.path_sum(w[k] * _sq(z.values[k]) * tree.dt for k in range(tree.n_steps))
     return _leaf_norm(tree, acc, p / 2.0, p)
-
-
-def norm_h1(x: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> float:
-    """H^{p,alpha}_1 norm of a scalar integrand held on [t_k, t_{k+1}); reads steps k < n."""
-    tree = x.tree
-    w = _wr(tree, alpha)
-    acc = tree.path_sum(w[k] * x.values[k] ** 2 * tree.dt for k in range(tree.n_steps))
-    return _leaf_norm(tree, acc, p / 2.0, p)
-
-
-def bracket(tree: ScenarioTree, increments) -> np.ndarray:
-    """Leafwise sum of squared jump increments; `increments(k)` at step-(k+1) nodes."""
-    return tree.path_sum(np.asarray(increments(k), dtype=float) ** 2 for k in range(tree.n_steps))
 
 
 def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:

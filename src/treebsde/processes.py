@@ -123,11 +123,8 @@ class PredictableProcess:
 
 def stochastic_integral(tree: ScenarioTree, z: PredictableProcess) -> AdaptedProcess:
     """(Z * W)_k = sum_{j<k} Z_j . dW_{j+1}, an exact martingale on the tree."""
-    def inc(k):
-        zc = tree.lift(z.values[k], k)
-        return np.einsum("ni,ni->n", zc, tree.dw[k + 1]) if zc.ndim == 2 else zc * tree.dw[k + 1][:, 0]
-
-    return AdaptedProcess(tree, tree.path_sum(map(inc, range(tree.n_steps)), process=True))
+    incs = (tree.dot_dw(v, k) for k, v in enumerate(z.values))
+    return AdaptedProcess(tree, tree.path_sum(incs, process=True))
 
 
 @dataclass
@@ -146,13 +143,16 @@ class LadlagProcess:
         self.right = _as_step_arrays(self.tree, self.right, n)
 
     @classmethod
+    def from_right(cls, tree: ScenarioTree, value: list, right: list) -> "LadlagProcess":
+        """Genuine paths from value and right-limit slots: left_limit(k+1) = right_limit(k),
+        and left_limit(0) = value(0)."""
+        left = [value[0].copy()] + [tree.lift(right[k], k) for k in range(tree.n_steps)]
+        return cls(tree, left, value, right)
+
+    @classmethod
     def from_cadlag(cls, x: AdaptedProcess) -> "LadlagProcess":
         """Cadlag embedding: left_limit(k) = value(k-1), right_limit = value."""
-        tree = x.tree
-        left = [x.values[0].copy()]
-        for k in range(1, tree.n_steps + 1):
-            left.append(tree.lift(x.values[k - 1], k - 1))
-        return cls(tree, left, [v.copy() for v in x.values], [v.copy() for v in x.values])
+        return cls.from_right(x.tree, [v.copy() for v in x.values], [v.copy() for v in x.values])
 
     def right_jumps(self) -> list:
         """Announced drops value - right_limit at each step."""

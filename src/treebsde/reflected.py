@@ -80,41 +80,9 @@ def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict
 
 # -- optimal stopping ---------------------------------------------------------
 
-@dataclass
-class StoppingRule:
-    """Earliest-maximizing rule: stop[k][i] is True where stopping is optimal."""
-
-    tree: ScenarioTree
-    stop: list
-    value: float
-
-    def stopping_step(self) -> np.ndarray:
-        """Per-leaf step at which the rule stops (n_steps if never)."""
-        tree = self.tree
-        n = tree.n_steps
-        tau = np.full(tree.n_nodes(n), n)
-        done = np.zeros(tree.n_nodes(n), dtype=bool)
-        for k in range(n):
-            here = tree.to_leaves(self.stop[k].astype(float), k) > 0.5
-            hit = here & ~done
-            tau[hit] = k
-            done |= hit
-        return tau
-
-
-def _frozen_costs(instance: ReflectedInstance, sol: SolutionQuadruple) -> list:
-    """Running costs c_k = g_k(Y_k, Z_k) evaluated at the solution."""
-    return [instance.gen(k, sol.y.values[k], sol.z.values[k])
-            for k in range(instance.tree.n_steps)]
-
-
 def snell_dynamic_program(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProcess,
-                          costs: list) -> tuple:
-    """Value process v_k = max(S_k, -c_k dt + E_k[v_{k+1}]), v_n = xi.
-
-    Returns (v as AdaptedProcess, StoppingRule).  Ties break toward stopping,
-    which makes the rule the earliest maximizer.
-    """
+                          costs: list) -> AdaptedProcess:
+    """Value process v_k = max(S_k, -c_k dt + E_k[v_{k+1}]), v_n = xi."""
     if tree.n_steps > DP_DEPTH_CAP:
         raise DepthCapError(
             f"dynamic program capped at depth {DP_DEPTH_CAP}, tree has {tree.n_steps} steps"
@@ -122,22 +90,17 @@ def snell_dynamic_program(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedP
     dt = tree.dt
     v = [None] * (tree.n_steps + 1)
     v[tree.n_steps] = np.asarray(xi, dtype=float)
-    stop = [None] * (tree.n_steps + 1)
-    stop[tree.n_steps] = np.ones(tree.n_nodes(tree.n_steps), dtype=bool)
     for k in range(tree.n_steps - 1, -1, -1):
-        cont = tree.cond_exp(v[k + 1], k + 1) - costs[k] * dt
-        v[k] = np.maximum(obstacle.values[k], cont)
-        stop[k] = obstacle.values[k] >= cont
-    vp = AdaptedProcess(tree, v)
-    return vp, StoppingRule(tree=tree, stop=stop, value=float(v[0][0]))
+        v[k] = np.maximum(obstacle.values[k], tree.cond_exp(v[k + 1], k + 1) - costs[k] * dt)
+    return AdaptedProcess(tree, v)
 
 
 RULE_CAP = 2_000_000
 
 
 def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProcess,
-                     costs: list) -> tuple:
-    """Exhaustive search over every adapted stopping rule.
+                     costs: list) -> float:
+    """Root value of the best adapted stopping rule, by exhaustive search.
 
     At each internal node the candidate payoffs are "stop now" (the obstacle)
     plus every combination of the children's candidates weighted by the
@@ -154,17 +117,12 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
     n = tree.n_steps
     dt = tree.dt
     xi = np.asarray(xi, dtype=float)
-    cache = {}
 
     def candidates(k: int, i: int) -> np.ndarray:
         """Expected payoffs, viewed from node (k, i), of every stopping rule
-        on the subtree.  Index 0 is 'stop now'; index c > 0 encodes one choice
-        per child in mixed radix."""
+        on the subtree: 'stop now', then one entry per choice of the children's rules."""
         if k == n:
             return np.array([xi[i]])
-        key = (k, i)
-        if key in cache:
-            return cache[key]
         b = tree.branching[k]
         child_vals = [candidates(k + 1, i * b + j) for j in range(b)]
         q = tree.cond_prob[k + 1][i * b: (i + 1) * b]
@@ -177,35 +135,9 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
                     f"stopping rule count exceeds cap {RULE_CAP} at node ({k},{i})")
             combo = (combo[:, None] + q[j] * child_vals[j][None, :]).ravel()
         cont = combo - float(np.asarray(costs[k], dtype=float)[i]) * dt
-        out = np.concatenate(([float(obstacle.values[k][i])], cont))
-        cache[key] = out
-        return out
+        return np.concatenate(([float(obstacle.values[k][i])], cont))
 
-    def decode(k: int, i: int, idx: int, marks: list) -> None:
-        if k == n:
-            return
-        if idx == 0:
-            marks[k][i] = True
-            return
-        b = tree.branching[k]
-        idx -= 1
-        # mixed radix, last child varies fastest (matches the ravel order)
-        radices = [cache[(k + 1, i * b + j)].shape[0] if k + 1 < n else 1
-                   for j in range(b)]
-        picks = [0] * b
-        for j in range(b - 1, -1, -1):
-            picks[j] = idx % radices[j]
-            idx //= radices[j]
-        for j in range(b):
-            decode(k + 1, i * b + j, picks[j], marks)
-
-    vals = candidates(0, 0)
-    best_idx = int(np.argmax(vals))
-    best_value = float(vals[best_idx])
-    marks = [np.zeros(tree.n_nodes(k), dtype=bool) for k in range(n)]
-    decode(0, 0, best_idx, marks)
-    stop = marks + [np.ones(tree.n_nodes(n), dtype=bool)]
-    return best_value, StoppingRule(tree=tree, stop=stop, value=best_value)
+    return float(candidates(0, 0).max())
 
 
 def _extract_linearization(instance: ReflectedInstance, sol: SolutionQuadruple) -> tuple:
@@ -254,8 +186,8 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
         Y at every node.  Needs sol to come from the implicit scheme.
     """
     tree = instance.tree
-    costs = _frozen_costs(instance, sol)
-    v, _ = snell_dynamic_program(tree, instance.xi, instance.obstacle, costs)
+    costs = instance.gen.along(sol.y, sol.z).values
+    v = snell_dynamic_program(tree, instance.xi, instance.obstacle, costs)
     defect_a = max(float(np.abs(v.values[k] - sol.y.values[k]).max())
                    for k in range(tree.n_steps + 1))
     reports = [EstimateReport(
@@ -328,7 +260,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     z_prev = PredictableProcess.zeros(tree, tree.d)
     frozen_prev = None
     for _ in range(PICARD_MAX_ITER):
-        frozen = [gen(k, y_prev.values[k], z_prev.values[k]) for k in range(tree.n_steps)]
+        frozen = gen.along(y_prev, z_prev).values
 
         # a driver constant in (y, z) meets any contract: no instance to check
         frozen_gen = Generator(fn=lambda k, y, z, _f=frozen: _f[k], l_y=0.0, l_z=0.0, name="picard-frozen")

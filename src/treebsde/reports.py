@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -29,10 +29,8 @@ class EstimateReport:
         return self.lhs / self.rhs
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["passed"] = bool(self.passed)
-        d["ratio"] = self.ratio
-        return d
+        """The fields, `passed` as a bool and the ratio; `details` is shared, not copied."""
+        return {**vars(self), "passed": bool(self.passed), "ratio": self.ratio}
 
 
 PASS_TOL = 1e-9  # relative slack for explicit-constant assertions

@@ -115,7 +115,6 @@ class ScenarioTree:
     dw: list                  # dw[k] shape (n_k, d): walk increment from parent; zeros at root
     reveal_label: list        # reveal_label[k][i]: alphabet index or -1
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
-    _w: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pp = [np.array([1.0])]
@@ -144,15 +143,13 @@ class ScenarioTree:
     def reveal_step_indices(self) -> list:
         return [self.grid.index_of(r.time) for r in self.reveals]
 
-    @property
+    @functools.cached_property
     def w(self) -> list:
-        """Cumulative walk value per node, shape (n_k, d) at each step."""
-        if self._w is None:
-            w = [np.zeros((1, self.d))]
-            for k in range(1, self.n_steps + 1):
-                w.append(w[k - 1][self.parent_index(k)] + self.dw[k])
-            self._w = w
-        return self._w
+        """Cumulative walk value per node, shape (n_k, d) at each step, built once."""
+        w = [np.zeros((1, self.d))]
+        for k in range(1, self.n_steps + 1):
+            w.append(w[k - 1][self.parent_index(k)] + self.dw[k])
+        return w
 
     # -- expectation operators ------------------------------------------------
 
@@ -187,10 +184,22 @@ class ScenarioTree:
 
     def lift(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto their step+1 children."""
-        self._check_step(step)
-        if step == self.n_steps:
-            raise IndexError("terminal step has no children")
+        if not 0 <= step < self.n_steps:
+            raise IndexError(f"step {step} has no children (valid: 0..{self.n_steps - 1})")
         return np.repeat(np.asarray(x, dtype=float), int(self.branching[step]), axis=0)
+
+    def dot_dw(self, z: np.ndarray, k: int) -> np.ndarray:
+        """Z_k . dW_{k+1} on step-(k+1) nodes, for Z_k on step-k nodes.
+
+        Z_k has shape (n_k, d); a scalar Z_k (shape (n_k,)) is read as the
+        one coordinate of a d = 1 walk and rejected on a wider one.
+        """
+        zc = self.lift(z, k)
+        if zc.ndim == 2:
+            return np.einsum("ni,ni->n", zc, self.dw[k + 1])
+        if self.d > 1:
+            raise ValueError(f"step {k}: scalar integrand against a {self.d}-dimensional walk")
+        return zc * self.dw[k + 1][:, 0]
 
     # -- path primitives ------------------------------------------------------
 

@@ -40,7 +40,6 @@ from treebsde.norms import meyer_c_prime, norm_sp, power_sum_bounds, young_bound
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.reflected import (
     ReflectedInstance,
-    _frozen_costs,
     check_skorokhod,
     picard_solve,
     snell_bruteforce,
@@ -145,18 +144,18 @@ def test_snell_oracle_equivalence():
         tree = shallow[seed % 2]
         inst = random_reflected(tree, seed)
         sol = solve_reflected(inst, scheme="implicit")
-        costs = _frozen_costs(inst, sol)
+        costs = inst.gen.along(sol.y, sol.z).values
         term = np.maximum(inst.xi, inst.obstacle.values[4])
-        bv, _ = snell_bruteforce(tree, term, inst.obstacle, costs)
+        bv = snell_bruteforce(tree, term, inst.obstacle, costs)
         worst4 = max(worst4, abs(float(sol.y.values[0][0]) - bv))
     deep = standard_tree(n_steps=12)
     worst12 = 0.0
     for seed in range(100):
         inst = random_reflected(deep, seed)
         sol = solve_reflected(inst, scheme="implicit")
-        costs = _frozen_costs(inst, sol)
+        costs = inst.gen.along(sol.y, sol.z).values
         term = np.maximum(inst.xi, inst.obstacle.values[12])
-        v, _ = snell_dynamic_program(deep, term, inst.obstacle, costs)
+        v = snell_dynamic_program(deep, term, inst.obstacle, costs)
         worst12 = max(worst12, max(np.abs(v.values[k] - sol.y.values[k]).max()
                                    for k in range(13)))
     elapsed = time.time() - t0

@@ -101,6 +101,14 @@ class TestSolveBsde:
         with pytest.raises(StepSizeError):
             solve_bsde(BsdeInstance(tree=tr, xi=np.zeros(tr.n_nodes(2)), gen=gen))
 
+    def test_along_is_the_per_step_driver(self, tree):
+        inst = random_bsde(tree, 5)
+        sol = solve_bsde(inst)
+        got = inst.gen.along(sol.y, sol.z)
+        assert len(got.values) == tree.n_steps
+        for k in range(tree.n_steps):
+            assert np.array_equal(got.values[k], inst.gen(k, sol.y.values[k], sol.z.values[k]))
+
 
 def _bind(kind, tree, gen):
     """A plain or a reflected instance binding `gen` to `tree`."""

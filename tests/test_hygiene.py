@@ -1,0 +1,41 @@
+"""Source hygiene of the package, checked with `ast` alone (no linter needed)."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "treebsde"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    module = _parse(path)
+    imported = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    used = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+    assert not sorted(imported - used), f"{path.name} never uses {sorted(imported - used)}"
+
+
+def _reads_dw(node):
+    return any(isinstance(n, ast.Attribute) and n.attr == "dw" or isinstance(n, ast.Name) and n.id == "dw"
+               for n in ast.walk(node))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tree.py"], ids=lambda p: p.name)
+def test_dw_is_contracted_in_tree_only(path):
+    """Z . dW is ScenarioTree.dot_dw; no other module spells the contraction out."""
+    lines = [node.lineno for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+             and any(_reads_dw(arg) for arg in node.args)]
+    assert not lines, f"{path.name} lines {lines}: einsum on dw, use ScenarioTree.dot_dw"

@@ -203,6 +203,17 @@ class TestGirsanov:
             prev = mc.cond_exp_q(m.values[k], k)
             assert np.abs(prev - m.values[k - 1]).max() <= 1e-12
 
+    def test_scalar_eta(self):
+        # d = 1: a scalar eta is the one coordinate; d = 2: rejected, naming the step
+        tree1 = standard_tree(n_steps=4, d=1)
+        scalar = PredictableProcess(tree1, [np.full(tree1.n_nodes(k), 0.4) for k in range(4)])
+        got, want = girsanov_change(tree1, scalar), girsanov_change(tree1, self._eta(tree1, 0.4))
+        assert all(np.array_equal(a, b) for a, b in zip(got.density.values, want.density.values))
+        tree2 = standard_tree(n_steps=4, d=2)
+        scalar = PredictableProcess(tree2, [np.full(tree2.n_nodes(k), 0.4) for k in range(4)])
+        with pytest.raises(ValueError, match="step 0:"):
+            girsanov_change(tree2, scalar)
+
     def test_rejects_large_drift(self, tree):
         # |eta| sqrt(dt) >= 1 flips a density factor negative
         c = 1.0 / np.sqrt(tree.dt) + 0.1

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 from treebsde.families import random_martingale, standard_tree
 from treebsde.norms import (
-    bracket,
     burkholder_constant,
     burkholder_constant_alt,
     meyer_c_prime,
     meyer_constant,
     meyer_constant_ladlag,
     norm_h,
-    norm_h1,
     norm_i,
     norm_m,
     norm_sp,
-    norm_sp_weighted,
     phi_p,
     power_sum_bounds,
     young_bound,
@@ -97,10 +94,15 @@ class TestNorms:
         from treebsde.processes import AdaptedProcess
         x = AdaptedProcess.constant(tree, -3.0)
         assert norm_sp(x, 2.0) == pytest.approx(3.0, abs=1e-12)
+        # the weight e^{(alpha/2) t} peaks at the horizon on every path
+        want = 3.0 * math.exp(0.35 * tree.grid.horizon)
+        assert norm_sp(x, 2.0, alpha=0.7) == pytest.approx(want, abs=1e-12)
 
     def test_sp_weighted_reduces_to_sp_at_zero(self, tree):
         m = random_martingale(tree, 0)
-        assert norm_sp_weighted(m, 2.0, 0.0) == pytest.approx(norm_sp(m, 2.0), abs=1e-12)
+        sup = tree.path_max(np.abs(m.values[k]) for k in range(tree.n_steps + 1))
+        want = math.sqrt(tree.expectation(sup**2, tree.n_steps))
+        assert norm_sp(m, 2.0, alpha=0.0) == pytest.approx(want, abs=1e-12)
 
     def test_h_norm_unit_integrand(self, tree):
         z = PredictableProcess.zeros(tree, d=tree.d)
@@ -113,12 +115,12 @@ class TestNorms:
     def test_h1_scalar_constant(self, tree):
         from treebsde.processes import AdaptedProcess
         g = AdaptedProcess.constant(tree, 2.0)
-        assert norm_h1(g, 2.0, 0.0) == pytest.approx(2.0 * math.sqrt(tree.grid.horizon), abs=1e-12)
+        assert norm_h(g, 2.0, 0.0) == pytest.approx(2.0 * math.sqrt(tree.grid.horizon), abs=1e-12)
 
     def test_m_norm_is_root_expected_bracket(self, tree):
         m = random_martingale(tree, 1)
         incs = m.increments()
-        qv = bracket(tree, lambda k: incs[k])
+        qv = tree.path_sum(inc**2 for inc in incs)
         want = math.sqrt(tree.expectation(qv, tree.n_steps))
         assert norm_m(m, 2.0, 0.0) == pytest.approx(want, abs=1e-12)
 

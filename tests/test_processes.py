@@ -58,6 +58,18 @@ class TestPredictableProcess:
         assert worst <= 1e-13
         assert float(integ.values[0][0]) == 0.0
 
+    def test_scalar_integrand_needs_one_dimension(self):
+        # Z = 1 held as a scalar on a d = 2 walk would pick dW^1 alone
+        tree2 = standard_tree(n_steps=4, d=2)
+        ones = PredictableProcess(tree2, [np.ones(tree2.n_nodes(k)) for k in range(4)])
+        with pytest.raises(ValueError, match="step 0:"):
+            stochastic_integral(tree2, ones)
+        tree1 = standard_tree(n_steps=4, d=1)
+        scalar = PredictableProcess(tree1, [np.ones(tree1.n_nodes(k)) for k in range(4)])
+        column = PredictableProcess(tree1, [np.ones((tree1.n_nodes(k), 1)) for k in range(4)])
+        got, want = stochastic_integral(tree1, scalar), stochastic_integral(tree1, column)
+        assert all(np.array_equal(a, b) for a, b in zip(got.values, want.values))
+
     def test_integral_bracket_is_dt(self, tree):
         # unit integrand: the running bracket equals t exactly
         z = PredictableProcess.zeros(tree, d=tree.d)
@@ -80,6 +92,18 @@ class TestLadlagProcess:
             assert np.array_equal(x.right[k], m.values[k])
         for jump in x.right_jumps():
             assert np.abs(jump).max() == 0.0
+
+    def test_from_right_matches_cadlag_loop(self, tree):
+        m = random_martingale(tree, 4)
+        x = LadlagProcess.from_right(tree, m.values, m.values)
+        assert x.path_consistency_defect() == 0.0
+        # the left-limit loop from_cadlag was written with
+        left = [m.values[0]] + [tree.lift(m.values[k - 1], k - 1)
+                                for k in range(1, tree.n_steps + 1)]
+        y = LadlagProcess.from_cadlag(m)
+        for slots in ((x.left, y.left, left), (x.value, y.value, m.values),
+                      (x.right, y.right, m.values)):
+            assert all(np.array_equal(a, b) and np.array_equal(b, c) for a, b, c in zip(*slots))
 
     def test_random_supermartingale_consistency(self, tree):
         x = random_strong_supermartingale(tree, 5)

@@ -16,7 +16,6 @@ from treebsde.norms import norm_sp
 from treebsde.processes import AdaptedProcess
 from treebsde.reflected import (
     ReflectedInstance,
-    _frozen_costs,
     check_skorokhod,
     picard_solve,
     snell_bruteforce,
@@ -97,9 +96,9 @@ class TestSnell:
     def test_dp_matches_solver(self, tree):
         inst = random_reflected(tree, 8)
         sol = solve_reflected(inst)
-        costs = _frozen_costs(inst, sol)
+        costs = inst.gen.along(sol.y, sol.z).values
         term = np.maximum(inst.xi, inst.obstacle.values[tree.n_steps])
-        v, rule = snell_dynamic_program(tree, term, inst.obstacle, costs)
+        v = snell_dynamic_program(tree, term, inst.obstacle, costs)
         gap = max(np.abs(v.values[k] - sol.y.values[k]).max()
                   for k in range(tree.n_steps + 1))
         assert gap <= 1e-10
@@ -109,21 +108,11 @@ class TestSnell:
         for seed in range(10):
             inst = random_reflected(small, seed)
             sol = solve_reflected(inst)
-            costs = _frozen_costs(inst, sol)
+            costs = inst.gen.along(sol.y, sol.z).values
             term = np.maximum(inst.xi, inst.obstacle.values[4])
-            v, _ = snell_dynamic_program(small, term, inst.obstacle, costs)
-            bv, _ = snell_bruteforce(small, term, inst.obstacle, costs)
+            v = snell_dynamic_program(small, term, inst.obstacle, costs)
+            bv = snell_bruteforce(small, term, inst.obstacle, costs)
             assert abs(float(v.values[0][0]) - bv) <= 1e-12
-
-    def test_bruteforce_rule_is_consistent(self):
-        small = standard_tree(n_steps=3, with_reveal=False)
-        inst = random_reflected(small, 3)
-        sol = solve_reflected(inst)
-        costs = _frozen_costs(inst, sol)
-        term = np.maximum(inst.xi, inst.obstacle.values[3])
-        bv, rule = snell_bruteforce(small, term, inst.obstacle, costs)
-        assert rule.value == bv
-        assert rule.stopping_step().max() <= 3
 
     def test_depth_caps(self, tree):
         big = standard_tree(n_steps=13, d=1, with_reveal=False)

@@ -331,3 +331,29 @@ class TestPathPrimitives:
         for k, here in enumerate(values):
             sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
         assert np.array_equal(tree.path_max(iter(values)), sup)
+
+
+class TestStepPrimitives:
+    @pytest.mark.parametrize("step", ["-1", "n"])
+    def test_lift_rejects_steps_without_children(self, step):
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=3), d=1)
+        k = -1 if step == "-1" else tree.n_steps
+        with pytest.raises(IndexError, match=f"step {k} "):
+            tree.lift(np.zeros(tree.n_nodes(max(k, 0))), k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True])
+    def test_dot_dw_matches_einsum(self, d, with_reveal):
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        tree = build_tree(grid, d=d, reveals=(_reveal(grid, 2),) if with_reveal else ())
+        rng = np.random.default_rng(d)
+        for k in range(tree.n_steps):
+            z = rng.normal(size=(tree.n_nodes(k), d))
+            want = np.einsum("ni,ni->n", tree.lift(z, k), tree.dw[k + 1])
+            assert np.array_equal(tree.dot_dw(z, k), want)
+            if d == 1:
+                # a scalar integrand keeps the plain product
+                assert np.array_equal(tree.dot_dw(z[:, 0], k), tree.lift(z[:, 0], k) * tree.dw[k + 1][:, 0])
+            else:
+                with pytest.raises(ValueError, match=f"step {k}:"):
+                    tree.dot_dw(z[:, 0], k)
