@@ -180,7 +180,7 @@ def generator_from_config(cfg: dict, tree) -> Generator:
                                      g0_fn=(lambda k, n, c=gc["g0"]: np.full(n, c)))
     if gc["kind"] == "polynomial-clipped":
         def fn(k, y, z, l_y=gc["l_y"], l_z=gc["l_z"], bound=gc["bound"]):
-            u = z.sum(axis=1) / np.sqrt(z.shape[1]) if z.ndim == 2 else z
+            u = z if z.ndim == y.ndim else z.sum(axis=-1) / np.sqrt(z.shape[-1])
             return np.clip(l_y * np.sin(y) + l_z * np.tanh(u), -bound, bound)
 
         return Generator(fn=fn, l_y=gc["l_y"], l_z=gc["l_z"], name="polynomial-clipped")

@@ -247,6 +247,12 @@ def picard_alpha(gen: Generator) -> float:
     return 1.0 + 2.0 * gen.l_y + 2.0 * gen.l_z**2
 
 
+def _frozen_generator(frozen: list) -> Generator:
+    """The driver frozen at given per-step values: constant in (y, z)."""
+    return Generator(fn=lambda k, y, z, _f=frozen: np.broadcast_to(_f[k], y.shape),
+                     l_y=0.0, l_z=0.0, name="picard-frozen")
+
+
 def picard_solve(instance: ReflectedInstance) -> tuple:
     """Solve the reflected BSDE by iterating with the driver frozen at the
     previous iterate.  Each inner problem has a constant-in-(y, z) driver and
@@ -263,8 +269,8 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
         frozen = gen.along(y_prev, z_prev).values
 
         # a driver constant in (y, z) meets any contract: no instance to check
-        frozen_gen = Generator(fn=lambda k, y, z, _f=frozen: _f[k], l_y=0.0, l_z=0.0, name="picard-frozen")
-        new = _backward_sweep(tree, instance.xi, frozen_gen, "implicit", obstacle=instance.obstacle.values)
+        new = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
+                              obstacle=instance.obstacle.values)
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:

@@ -98,13 +98,13 @@ class Reveal:
             raise ValueError(f"reveal law must be a positive probability vector, got {self.probs}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioTree:
     """Scenario tree with uniform branching per step.
 
     Nodes at step k+1 are grouped contiguously under their parent, so the node
     at index j of step k+1 has parent j // branching[k].  All per-node data is
-    stored as one numpy array per step.
+    stored as one numpy array per step.  Trees compare and hash by identity.
     """
 
     grid: TimeGrid
@@ -115,8 +115,10 @@ class ScenarioTree:
     dw: list                  # dw[k] shape (n_k, d): walk increment from parent; zeros at root
     reveal_label: list        # reveal_label[k][i]: alphabet index or -1
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
+    fanout: tuple = field(init=False, repr=False)     # branching as Python ints
 
     def __post_init__(self):
+        self.fanout = tuple(self.branching.tolist())
         pp = [np.array([1.0])]
         for k in range(1, self.n_steps + 1):
             pp.append(pp[k - 1][self.parent_index(k)] * self.cond_prob[k])
@@ -166,7 +168,7 @@ class ScenarioTree:
         self._check_step(step, lo=1)
         x = np.asarray(x, dtype=float)
         n_prev = self.n_nodes(step - 1)
-        b = int(self.branching[step - 1])
+        b = self.fanout[step - 1]
         if x.shape[0] != self.n_nodes(step):
             raise ValueError(f"value array has {x.shape[0]} entries, step {step} has {self.n_nodes(step)} nodes")
         cp = self.cond_prob[step]
@@ -184,9 +186,9 @@ class ScenarioTree:
 
     def lift(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto their step+1 children."""
-        if not 0 <= step < self.n_steps:
+        if not 0 <= step < len(self.fanout):
             raise IndexError(f"step {step} has no children (valid: 0..{self.n_steps - 1})")
-        return np.repeat(np.asarray(x, dtype=float), int(self.branching[step]), axis=0)
+        return np.asarray(x, dtype=float).repeat(self.fanout[step], axis=0)
 
     def dot_dw(self, z: np.ndarray, k: int) -> np.ndarray:
         """Z_k . dW_{k+1} on step-(k+1) nodes, for Z_k on step-k nodes.

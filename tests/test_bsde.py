@@ -7,23 +7,29 @@ import numpy as np
 import pytest
 
 from treebsde.bsde import (
+    LIPSCHITZ_PROBES,
+    LIPSCHITZ_SEED,
+    LIPSCHITZ_STACK,
     AffineGenerator,
     BsdeInstance,
     Generator,
+    _probe_excess,
     check_lipschitz,
     solve_bsde,
     solve_linear_bsde,
 )
+from treebsde.cli import default_config, generator_from_config, parse_config, tree_from_config
 from treebsde.errors import GeneratorContractError, StepSizeError
 from treebsde.families import (
     random_bsde,
+    random_generator,
     random_obstacle,
     random_reflected,
     random_terminal,
     standard_tree,
 )
-from treebsde.reflected import ReflectedInstance
-from treebsde.tree import TimeGrid, build_tree
+from treebsde.reflected import ReflectedInstance, _frozen_generator, truncate_instance
+from treebsde.tree import Reveal, TimeGrid, build_tree
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +158,138 @@ class TestLipschitzContract:
         for name in ("tree", "xi", "gen"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(inst, name, getattr(inst, name))
+
+
+def _per_probe_lipschitz(gen, tree):
+    """Reference: the probe loop with one pair of driver calls per probe."""
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
+    worst = 0.0
+    for _ in range(LIPSCHITZ_PROBES):
+        k = int(rng.integers(0, tree.n_steps))
+        n = tree.n_nodes(k)
+        y, y2 = rng.normal(size=n) * 3, rng.normal(size=n) * 3
+        z, z2 = rng.normal(size=(n, tree.d)) * 3, rng.normal(size=(n, tree.d)) * 3
+        lhs = np.abs(gen(k, y, z) - gen(k, y2, z2))
+        bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.linalg.norm(z - z2, axis=1)
+        worst = max(worst, float((lhs - bound).max()))
+    return worst
+
+
+def _recording(gen, calls):
+    """`gen` with a driver that logs (step, y shape) of every call."""
+    def fn(k, y, z):
+        calls.append((k, y.shape))
+        return gen.fn(k, y, z)
+    return Generator(fn=fn, l_y=gen.l_y, l_z=gen.l_z, name=gen.name)
+
+
+def _const_by_len(c):
+    # ignores leading axes: one value per entry of the first axis
+    return Generator(fn=lambda k, y, z: np.full(len(y), c), l_y=0.0, l_z=0.0, name="by-len")
+
+
+class TestStackedProbes:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True])
+    def test_matches_per_probe_loop(self, d, with_reveal):
+        tree = standard_tree(n_steps=5, d=d, with_reveal=with_reveal)
+        for seed in (0, 1):
+            gen = random_generator(tree, seed)
+            assert check_lipschitz(gen, tree) == _per_probe_lipschitz(gen, tree)
+        affine = AffineGenerator.build(tree, lam=0.6, eta=[0.3] * d,
+                                       g0_fn=lambda k, n: np.full(n, 0.2))
+        assert check_lipschitz(affine, tree) == _per_probe_lipschitz(affine, tree)
+
+    def test_wide_steps_keep_one_probe_per_call(self):
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=14), d=1)
+        assert tree.n_nodes(tree.n_steps - 1) > LIPSCHITZ_STACK
+        gen, calls = random_generator(tree, 4), []
+        assert check_lipschitz(_recording(gen, calls), tree) == _per_probe_lipschitz(gen, tree)
+        wide = [shape for k, shape in calls if tree.n_nodes(k) > LIPSCHITZ_STACK]
+        narrow = [shape for k, shape in calls if tree.n_nodes(k) <= LIPSCHITZ_STACK]
+        assert wide and all(len(shape) == 1 for shape in wide)
+        assert narrow and all(len(shape) == 2 for shape in narrow)
+
+    def test_one_call_pair_per_probed_step(self):
+        """Performance guard: the probes of a step share one pair of driver calls."""
+        tree = tree_from_config(parse_config({"tree": default_config()["tree"]}))
+        calls = []
+        check_lipschitz(_recording(random_generator(tree, 0), calls), tree)
+        steps = {k for k, _ in calls}
+        assert len(calls) <= 2 * len(steps) < LIPSCHITZ_PROBES
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    @pytest.mark.parametrize("fn", [
+        lambda k, y, z: np.where(y > 4, np.nan, 0.1 * y),
+        lambda k, y, z: np.full(y.shape, np.inf),
+    ], ids=["nan-above-4", "inf"])
+    def test_non_finite_driver_rejected(self, kind, fn):
+        tree = standard_tree(n_steps=4)
+        gen = Generator(fn=fn, l_y=0.5, l_z=0.0, name="blowup")
+        with pytest.raises(GeneratorContractError, match=r"blowup: step \d+: non-finite driver value"):
+            check_lipschitz(gen, tree)
+        with pytest.raises(GeneratorContractError, match=r"blowup: step \d+: non-finite"):
+            _bind(kind, tree, gen)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["m==n_k", "m!=n_k"])
+    def test_driver_dropping_leading_axes_rejected(self, tree, extra):
+        k = 4
+        n = tree.n_nodes(k)
+        draw = np.random.default_rng(0).normal(size=(n + extra, 4 * n))
+        with pytest.raises(GeneratorContractError,
+                           match=rf"by-len: step {k}: y \({n + extra}, {n}\) and z "
+                                 rf"\({n + extra}, {n}, 1\) gave a driver value of shape \({n + extra},\)"):
+            _probe_excess(_const_by_len(0.3), k, n, draw)
+
+    def test_driver_dropping_leading_axes_rejected_when_bound(self, tree):
+        with pytest.raises(GeneratorContractError, match="by-len: step"):
+            _bind("plain", tree, _const_by_len(0.3))
+
+
+def _cli_driver(spec):
+    def make(tree):
+        section = {"horizon": tree.grid.horizon, "n_steps": tree.n_steps, "d": tree.d,
+                   "reveals": [{"time": r.time, "labels": list(r.labels), "probs": list(r.probs)}
+                               for r in tree.reveals]}
+        cfg = parse_config({"tree": section, "generator": spec(tree)})
+        return generator_from_config(cfg, tree)
+    return make
+
+
+# every driver the package builds, as a function of the tree
+DRIVERS = {
+    "random_generator": lambda tree: random_generator(tree, 3),
+    "AffineGenerator.build": lambda tree: AffineGenerator.build(
+        tree, lam=0.6, eta=[0.3] * tree.d, g0_fn=lambda k, n: np.full(n, 0.2)),
+    "cli-affine": _cli_driver(lambda tree: {"kind": "affine", "lam": 0.3,
+                                            "eta": [0.2] * tree.d, "g0": 0.1}),
+    "cli-polynomial-clipped": _cli_driver(lambda tree: {"kind": "polynomial-clipped",
+                                                        "l_y": 0.5, "l_z": 0.5, "bound": 2.0}),
+    "cli-table": _cli_driver(lambda tree: {"kind": "table",
+                                           "values": [0.1 * k for k in range(tree.n_steps)]}),
+    "truncate_instance": lambda tree: truncate_instance(random_reflected(tree, 3), 0.8).gen,
+    "picard-frozen": lambda tree: _frozen_generator(
+        [np.random.default_rng(k).normal(size=tree.n_nodes(k)) for k in range(tree.n_steps)]),
+}
+
+
+class TestDriverContract:
+    """Every driver is vectorized over step-k nodes with any leading axes."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_leading_axes_match_row_calls(self, name, d):
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        tree = build_tree(grid, d=d, reveals=(Reveal(grid.times[2], ("a", "b"), (0.4, 0.6)),))
+        gen = DRIVERS[name](tree)
+        rng = np.random.default_rng(d)
+        for k in range(tree.n_steps):
+            n = tree.n_nodes(k)
+            y, z = rng.normal(size=(2, 3, n)), rng.normal(size=(2, 3, n, d))
+            out = gen(k, y, z)
+            assert out.shape == y.shape
+            for i, j in np.ndindex(2, 3):
+                assert np.array_equal(out[i, j], gen(k, y[i, j], z[i, j]))
 
 
 class TestLinearSolver:

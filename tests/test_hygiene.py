@@ -39,3 +39,19 @@ def test_dw_is_contracted_in_tree_only(path):
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
              and any(_reads_dw(arg) for arg in node.args)]
     assert not lines, f"{path.name} lines {lines}: einsum on dw, use ScenarioTree.dot_dw"
+
+
+def _is_driver(node):
+    """A driver body: a function or lambda whose first parameters are k, y, z."""
+    return (isinstance(node, (ast.FunctionDef, ast.Lambda))
+            and [a.arg for a in node.args.args[:3]] == ["k", "y", "z"])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_drivers_do_not_take_len_of_y(path):
+    """Drivers take any leading axes, so the node count of y is y.shape[-1], never len(y)."""
+    lines = [call.lineno for node in ast.walk(_parse(path)) if _is_driver(node)
+             for call in ast.walk(node)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+             and any(isinstance(a, ast.Name) and a.id == "y" for a in call.args)]
+    assert not lines, f"{path.name} lines {lines}: len(y) in a driver, use y.shape[-1]"

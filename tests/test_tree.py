@@ -338,8 +338,26 @@ class TestStepPrimitives:
     def test_lift_rejects_steps_without_children(self, step):
         tree = build_tree(TimeGrid(horizon=1.0, n_steps=3), d=1)
         k = -1 if step == "-1" else tree.n_steps
-        with pytest.raises(IndexError, match=f"step {k} "):
+        with pytest.raises(IndexError, match=rf"^step {k} has no children \(valid: 0\.\.2\)$"):
             tree.lift(np.zeros(tree.n_nodes(max(k, 0))), k)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lift_matches_np_repeat(self, d):
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        tree = build_tree(grid, d=d, reveals=(_reveal(grid, 2),))
+        rng = np.random.default_rng(d)
+        for k in range(tree.n_steps):
+            b = int(tree.branching[k])
+            for x in (rng.normal(size=tree.n_nodes(k)), rng.normal(size=(tree.n_nodes(k), d)),
+                      list(rng.normal(size=tree.n_nodes(k)))):
+                got = tree.lift(x, k)
+                assert got.dtype == float
+                assert np.array_equal(got, np.repeat(np.asarray(x, dtype=float), b, axis=0))
+
+    def test_trees_compare_and_hash_by_identity(self):
+        a, b = build_tree(TimeGrid(horizon=1.0, n_steps=3)), build_tree(TimeGrid(horizon=1.0, n_steps=3))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("with_reveal", [False, True])
