@@ -186,15 +186,14 @@ class SolutionQuadruple:
         return worst
 
     def orthogonality_defect(self) -> float:
-        tree = self.tree
-        return max(float(np.abs(tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)).max())
+        return max(float(np.abs(self.tree.cond_exp_dw(dm, k)).max())
                    for k, dm in enumerate(self.m.increments()))
 
 
 def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
     """(E_k[Y_{k+1}], Z_k, dM_{k+1}) by exact projection on the walk increments."""
     ey = tree.cond_exp(y_next, k + 1)
-    z_k = tree.cond_exp(y_next[:, None] * tree.dw[k + 1], k + 1) / tree.dt
+    z_k = tree.cond_exp_dw(y_next, k) / tree.dt
     dm = y_next - tree.lift(ey, k) - tree.dot_dw(z_k, k)
     return ey, z_k, dm
 

@@ -387,7 +387,9 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     jumps at grid times; the start-time right jump enters through the boundary
     convention of the integral), and the quadratic jump correction.  The worst
     signed defect lhs - rhs over paths and start times is reported and must
-    not exceed ITO_P_TOL.
+    not exceed ITO_P_TOL.  Row j of `rhs` and `star` is the display started at
+    t_j: each step's term is built once and added, in increasing k, to the rows
+    it covers, so every row sees the operations of its own sum.
     """
     if not (1.0 < p < 2.0):
         raise ValueError(f"need p in (1,2), got {p}")
@@ -400,31 +402,24 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     rgt = [tree.to_leaves(x.right[k], k) for k in range(n + 1)]
     wp = [math.exp(p * 0.5 * alpha * times[k]) for k in range(n + 1)]
     half = p * (p - 1.0) / 2.0
-
-    def jump_penalty(a, b):
-        big = np.maximum(a**2, b**2)
-        return np.where(big > 0.0, (b - a) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
-
-    worst = -np.inf
-    for j in range(n + 1):
-        lhs = wp[j] * np.abs(val[j]) ** p
-        rhs = wp[n] * np.abs(val[n]) ** p
-        # ds terms: the path is constant on each open interval
-        for k in range(j, n):
-            rhs -= (wp[k + 1] - wp[k]) * np.abs(rgt[k]) ** p
-        # gradient integral, combined jumps; boundary right jump at the start
-        star = wp[j] * phi_p(val[j], p) * (rgt[j] - val[j]) if j < n else 0.0
-        for k in range(j + 1, n):
-            star = star + wp[k] * phi_p(rgt[k - 1], p) * (rgt[k] - rgt[k - 1])
-        if j < n:
-            star = star + wp[n] * phi_p(rgt[n - 1], p) * (val[n] - rgt[n - 1])
-        rhs = rhs - p * star
-        # quadratic jump correction over (t_j, T]
-        for k in range(j + 1, n):
-            rhs = rhs - half * wp[k] * jump_penalty(rgt[k - 1], rgt[k])
-        if j < n:
-            rhs = rhs - half * wp[n] * jump_penalty(rgt[n - 1], val[n])
-        worst = max(worst, float((lhs - rhs).max()))
+    # the path just after t_{k+1}: combined jumps inside, the terminal value at T
+    after = rgt[1:n] + [val[n]]
+    rhs = np.tile(wp[n] * np.abs(val[n]) ** p, (n + 1, 1))
+    star = np.zeros_like(rhs)
+    for k in range(n):
+        # gradient integral: boundary right jump at the start t_k
+        star[k] = wp[k] * phi_p(val[k], p) * (rgt[k] - val[k])
+        # ds term: the path is constant on the open interval (t_k, t_{k+1})
+        rhs[:k + 1] -= (wp[k + 1] - wp[k]) * np.abs(rgt[k]) ** p
+        star[:k + 1] += wp[k + 1] * phi_p(rgt[k], p) * (after[k] - rgt[k])
+    rhs -= p * star
+    # quadratic jump correction at t_{k+1}
+    for k in range(n):
+        big = np.maximum(rgt[k] ** 2, after[k] ** 2)
+        jump = np.where(big > 0.0, (after[k] - rgt[k]) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
+        rhs[:k + 1] -= half * wp[k + 1] * jump
+    worst = max([-np.inf] + [float((wp[j] * np.abs(val[j]) ** p - rhs[j]).max())
+                             for j in range(n + 1)])
     return EstimateReport(
         inequality_id="pathwise_power_expansion",
         lhs=worst, rhs=0.0, constant_used="exact",

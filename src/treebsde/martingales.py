@@ -27,7 +27,6 @@ class RepresentationPair:
 
     z: PredictableProcess
     m: AdaptedProcess
-    residual_orthogonality: float
 
     def reconstruction_defect(self, n: AdaptedProcess) -> float:
         tree = n.tree
@@ -42,23 +41,16 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> Representatio
     Valid because the conditional covariance of dW is exactly dt * I.
     """
     n.require_martingale()
-    dt = tree.dt
-    z_vals, cross = [], [0.0]
+    z_vals = []
 
     def residual(k):
         dn = n.values[k + 1] - tree.lift(n.values[k], k)
-        z_vals.append(tree.cond_exp(dn[:, None] * tree.dw[k + 1], k + 1) / dt)
-        dm = dn - tree.dot_dw(z_vals[k], k)
-        cross.append(float(np.abs(tree.cond_exp(dm[:, None] * tree.dw[k + 1], k + 1)).max()))
-        return dm
+        z_vals.append(tree.cond_exp_dw(dn, k) / tree.dt)
+        return dn - tree.dot_dw(z_vals[k], k)
 
     # consumed step by step, so the residuals never sit in memory all at once
     m = AdaptedProcess(tree, tree.path_sum(map(residual, range(tree.n_steps)), process=True))
-    return RepresentationPair(
-        z=PredictableProcess(tree, z_vals),
-        m=m,
-        residual_orthogonality=max(cross),
-    )
+    return RepresentationPair(z=PredictableProcess(tree, z_vals), m=m)
 
 
 def doob_decompose(tree: ScenarioTree, x: AdaptedProcess,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,15 +111,13 @@ class ScenarioTree:
     grid: TimeGrid
     d: int
     reveals: tuple            # tuple[Reveal, ...], resolved to grid instants
-    branching: np.ndarray     # branching factor out of each step, len n_steps
+    branching: tuple          # branching factor out of each step as Python ints, len n_steps
     cond_prob: list           # cond_prob[k][i] = P(node i at step k | parent); [1.0] at root
     dw: list                  # dw[k] shape (n_k, d): walk increment from parent; zeros at root
     reveal_label: list        # reveal_label[k][i]: alphabet index or -1
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
-    fanout: tuple = field(init=False, repr=False)     # branching as Python ints
 
     def __post_init__(self):
-        self.fanout = tuple(self.branching.tolist())
         pp = [np.array([1.0])]
         for k in range(1, self.n_steps + 1):
             pp.append(pp[k - 1][self.parent_index(k)] * self.cond_prob[k])
@@ -140,7 +139,7 @@ class ScenarioTree:
     def parent_index(self, step: int) -> np.ndarray:
         if step < 1 or step > self.n_steps:
             raise IndexError(f"step {step} has no parents (valid: 1..{self.n_steps})")
-        return np.arange(self.n_nodes(step)) // int(self.branching[step - 1])
+        return np.arange(self.n_nodes(step)) // self.branching[step - 1]
 
     def reveal_step_indices(self) -> list:
         return [self.grid.index_of(r.time) for r in self.reveals]
@@ -168,7 +167,7 @@ class ScenarioTree:
         self._check_step(step, lo=1)
         x = np.asarray(x, dtype=float)
         n_prev = self.n_nodes(step - 1)
-        b = self.fanout[step - 1]
+        b = self.branching[step - 1]
         if x.shape[0] != self.n_nodes(step):
             raise ValueError(f"value array has {x.shape[0]} entries, step {step} has {self.n_nodes(step)} nodes")
         cp = self.cond_prob[step]
@@ -186,9 +185,9 @@ class ScenarioTree:
 
     def lift(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto their step+1 children."""
-        if not 0 <= step < len(self.fanout):
+        if not 0 <= step < len(self.branching):
             raise IndexError(f"step {step} has no children (valid: 0..{self.n_steps - 1})")
-        return np.asarray(x, dtype=float).repeat(self.fanout[step], axis=0)
+        return np.asarray(x, dtype=float).repeat(self.branching[step], axis=0)
 
     def dot_dw(self, z: np.ndarray, k: int) -> np.ndarray:
         """Z_k . dW_{k+1} on step-(k+1) nodes, for Z_k on step-k nodes.
@@ -203,12 +202,17 @@ class ScenarioTree:
             raise ValueError(f"step {k}: scalar integrand against a {self.d}-dimensional walk")
         return zc * self.dw[k + 1][:, 0]
 
+    def cond_exp_dw(self, x: np.ndarray, k: int) -> np.ndarray:
+        """E_k[x dW_{k+1}] on step-k nodes, shape (n_k, d), for x on step-(k+1)
+        nodes: the adjoint of dot_dw."""
+        return self.cond_exp(x[:, None] * self.dw[k + 1], k + 1)
+
     # -- path primitives ------------------------------------------------------
 
     def to_leaves(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto every leaf below them."""
         self._check_step(step)
-        return np.repeat(np.asarray(x, dtype=float), int(np.prod(self.branching[step:])), axis=0)
+        return np.repeat(np.asarray(x, dtype=float), math.prod(self.branching[step:]), axis=0)
 
     def path_sum(self, terms, process: bool = False):
         """Running sums along paths: S_0 = 0, S_{k+1} = S_k + terms[k].
@@ -269,7 +273,7 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))  # (2^d, d), canonical order
     base_prob = np.full(2**d, 0.5**d)
 
-    branching = np.zeros(grid.n_steps, dtype=int)
+    branching = []
     cond_prob = [np.array([1.0])]
     dw = [np.zeros((1, d))]
     reveal_label = [np.array([-1])]
@@ -283,12 +287,12 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
             bdw = np.repeat(signs * sdt, a, axis=0)
             bprob = np.repeat(base_prob, a) * np.tile(np.asarray(r.probs, dtype=float), 2**d)
             blab = np.tile(np.arange(a), 2**d)
-        branching[k] = b = len(bprob)
+        branching.append(len(bprob))
         cond_prob.append(np.tile(bprob, n_prev))
         dw.append(np.tile(bdw, (n_prev, 1)))
         reveal_label.append(np.tile(blab, n_prev))
-        n_prev *= b
-    return ScenarioTree(grid=grid, d=d, reveals=reveals, branching=branching,
+        n_prev *= len(bprob)
+    return ScenarioTree(grid=grid, d=d, reveals=reveals, branching=tuple(branching),
                         cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
 
 
@@ -303,7 +307,7 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
     defects = {"prob_sum": 0.0, "dw_mean": 0.0, "dw_cov": 0.0, "reveal_indep": 0.0}
     reveal_steps = set(tree.reveal_step_indices())
     for k in range(1, tree.n_steps + 1):
-        b = int(tree.branching[k - 1])
+        b = tree.branching[k - 1]
         n_prev = tree.n_nodes(k - 1)
         cp = tree.cond_prob[k].reshape(n_prev, b)
         sums = cp.sum(axis=1)
@@ -413,7 +417,11 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
     except (ValueError, OffGridError) as exc:
         raise SchemaError(f"invalid reveal: {exc}") from exc
     by_step = [[] for _ in range(grid.n_steps + 1)]
+    seen = set()
     for i, nd in enumerate(nodes):
+        if nd["id"] in seen:
+            raise SchemaError(f"nodes[{i}]: id {nd['id']} is repeated")
+        seen.add(nd["id"])
         if len(nd["dw"]) != d:
             raise SchemaError(f"nodes[{i}].dw: need {d} entries, got {len(nd['dw'])}")
         if nd["step"] < 0 or nd["step"] > grid.n_steps:
@@ -422,7 +430,7 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
     if len(by_step[0]) != 1:
         raise SchemaError(f"expected a single root, found {len(by_step[0])}")
 
-    branching = np.zeros(grid.n_steps, dtype=int)
+    branching = []
     cond_prob = [np.array([1.0])]
     dw = [np.zeros((1, d))]
     reveal_label = [np.array([-1])]
@@ -435,7 +443,7 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
         for j, nd in enumerate(nds):
             if nd["parent"] != prev_ids[j // b]:
                 raise SchemaError(f"node {nd['id']}: parent {nd['parent']} breaks contiguous uniform branching")
-        branching[k - 1] = b
+        branching.append(b)
         cond_prob.append(np.array([nd["prob"] for nd in nds]))
         dw.append(np.array([nd["dw"] for nd in nds]))
         names = label_index.get(k, {None: -1})
@@ -444,7 +452,7 @@ def deserialize_tree(data: bytes) -> ScenarioTree:
         except KeyError as exc:
             raise SchemaError(f"step {k}: reveal label {exc} is not declared there") from exc
         prev_ids = [nd["id"] for nd in nds]
-    tree = ScenarioTree(grid=grid, d=d, reveals=reveals, branching=branching,
+    tree = ScenarioTree(grid=grid, d=d, reveals=reveals, branching=tuple(branching),
                         cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
     validate_tree(tree)
     return tree

@@ -28,7 +28,13 @@ from treebsde.families import (
     random_terminal,
     standard_tree,
 )
-from treebsde.reflected import ReflectedInstance, _frozen_generator, truncate_instance
+from treebsde.reflected import (
+    ReflectedInstance,
+    _extract_linearization,
+    _frozen_generator,
+    solve_reflected,
+    truncate_instance,
+)
 from treebsde.tree import Reveal, TimeGrid, build_tree
 
 
@@ -290,6 +296,66 @@ class TestDriverContract:
             assert out.shape == y.shape
             for i, j in np.ndindex(2, 3):
                 assert np.array_equal(out[i, j], gen(k, y[i, j], z[i, j]))
+
+
+def _per_point_linearization(instance, sol):
+    """Reference: the linearization with d + 3 driver calls per step."""
+    tree, gen = instance.tree, instance.gen
+    lam_vals, eta_vals, g0_vals = [], [], []
+    for k in range(tree.n_steps):
+        y, z = sol.y.values[k], sol.z.values[k]
+        n = y.shape[0]
+        zeros_y = np.zeros(n)
+        g_yz = gen(k, y, z)
+        g_0z = gen(k, zeros_y, z)
+        lam = np.where(np.abs(y) > 1e-12, (g_yz - g_0z) / np.where(y == 0.0, 1.0, y), 0.0)
+        lam = np.clip(lam, -gen.l_y, gen.l_y)
+        eta = np.zeros((n, tree.d))
+        prev = gen(k, zeros_y, np.zeros((n, tree.d)))
+        g0_vals.append(prev)
+        partial = np.zeros((n, tree.d))
+        for i in range(tree.d):
+            partial[:, i] = z[:, i]
+            cur = gen(k, zeros_y, partial.copy())
+            zi = z[:, i]
+            eta[:, i] = np.where(np.abs(zi) > 1e-12,
+                                 (cur - prev) / np.where(zi == 0.0, 1.0, zi), 0.0)
+            prev = cur
+        eta = np.clip(eta, -gen.l_z, gen.l_z)
+        lam_vals.append(lam)
+        eta_vals.append(eta)
+    return lam_vals, eta_vals, g0_vals
+
+
+def _linearized_instance(name, d, reveal, seed=0):
+    tree = standard_tree(n_steps=4, d=d, with_reveal=reveal)
+    inst = ReflectedInstance(tree=tree, xi=random_terminal(tree, seed), gen=DRIVERS[name](tree),
+                             obstacle=random_obstacle(tree, seed))
+    return inst, solve_reflected(inst)
+
+
+class TestStackedLinearization:
+    """The Snell linearization evaluates each step's d + 2 points in one driver call."""
+
+    @pytest.mark.parametrize("reveal", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["random_generator", "cli-affine", "cli-polynomial-clipped"])
+    def test_matches_per_point_calls(self, name, d, reveal):
+        inst, sol = _linearized_instance(name, d, reveal)
+        got, want = _extract_linearization(inst, sol), _per_point_linearization(inst, sol)
+        for got_vals, want_vals in zip(got, want):
+            assert len(got_vals) == len(want_vals) == inst.tree.n_steps
+            for a, b in zip(got_vals, want_vals):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_driver_call_per_step(self, d):
+        inst, sol = _linearized_instance("random_generator", d, True)
+        tree, calls = inst.tree, []
+        recorded = dataclasses.replace(inst, gen=_recording(inst.gen, calls))
+        calls.clear()  # binding ran the Lipschitz probes
+        _extract_linearization(recorded, sol)
+        assert calls == [(k, (d + 2, tree.n_nodes(k))) for k in range(tree.n_steps)]
 
 
 class TestLinearSolver:

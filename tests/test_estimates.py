@@ -1,8 +1,11 @@
 """Inequality harness: explicit constants hold, empirical ratios behave."""
 
+import math
+
 import numpy as np
 import pytest
 
+from treebsde import estimates
 from treebsde.bsde import Generator
 from treebsde.cli import generator_from_config, parse_config, tree_from_config
 from treebsde.estimates import (
@@ -25,6 +28,7 @@ from treebsde.families import (
     random_terminal,
     standard_tree,
 )
+from treebsde.norms import phi_p
 from treebsde.reflected import ReflectedInstance, solve_reflected
 
 
@@ -83,6 +87,68 @@ class TestExplicitChecks:
             x = random_strong_supermartingale(tree, seed)
             rep = check_ito_p_inequality(x, p, alpha=1.0)
             assert rep.passed, f"seed {seed}: defect {rep.lhs}"
+
+
+def _ito_p_worst_reference(x, p, alpha):
+    """Worst defect of the power-expansion display, one start time at a time."""
+    tree = x.tree
+    n = tree.n_steps
+    times = tree.grid.times
+    val = [tree.to_leaves(x.value[k], k) for k in range(n + 1)]
+    rgt = [tree.to_leaves(x.right[k], k) for k in range(n + 1)]
+    wp = [math.exp(p * 0.5 * alpha * times[k]) for k in range(n + 1)]
+    half = p * (p - 1.0) / 2.0
+
+    def jump_penalty(a, b):
+        big = np.maximum(a**2, b**2)
+        return np.where(big > 0.0, (b - a) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
+
+    worst = -np.inf
+    for j in range(n + 1):
+        lhs = wp[j] * np.abs(val[j]) ** p
+        rhs = wp[n] * np.abs(val[n]) ** p
+        for k in range(j, n):
+            rhs -= (wp[k + 1] - wp[k]) * np.abs(rgt[k]) ** p
+        star = wp[j] * phi_p(val[j], p) * (rgt[j] - val[j]) if j < n else 0.0
+        for k in range(j + 1, n):
+            star = star + wp[k] * phi_p(rgt[k - 1], p) * (rgt[k] - rgt[k - 1])
+        if j < n:
+            star = star + wp[n] * phi_p(rgt[n - 1], p) * (val[n] - rgt[n - 1])
+        rhs = rhs - p * star
+        for k in range(j + 1, n):
+            rhs = rhs - half * wp[k] * jump_penalty(rgt[k - 1], rgt[k])
+        if j < n:
+            rhs = rhs - half * wp[n] * jump_penalty(rgt[n - 1], val[n])
+        worst = max(worst, float((lhs - rhs).max()))
+    return worst
+
+
+class TestPowerExpansionRows:
+    """Start times as rows give the per-start-time loop's defect bit for bit."""
+
+    @pytest.mark.parametrize("reveal", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8])
+    def test_matches_start_time_loop(self, n, d, reveal):
+        tree = standard_tree(n_steps=n, d=d, with_reveal=reveal)
+        for seed in range(3 if tree.n_nodes(n) < 10**5 else 1):  # one seed on 196608 leaves
+            x = random_strong_supermartingale(tree, seed)
+            for p in (1.2, 1.5, 1.9):
+                for alpha in (1.0, 0.3):
+                    rep = check_ito_p_inequality(x, p, alpha)
+                    assert rep.lhs == _ito_p_worst_reference(x, p, alpha), (seed, p, alpha)
+
+    def test_phi_p_called_at_most_twice_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(y, p):
+            calls.append(p)
+            return phi_p(y, p)
+
+        monkeypatch.setattr(estimates, "phi_p", counted)
+        tree = standard_tree(n_steps=5)
+        check_ito_p_inequality(random_strong_supermartingale(tree, 0), 1.5, 1.0)
+        assert 0 < len(calls) <= 2 * tree.n_steps
 
 
 class TestEmpiricalChecks:

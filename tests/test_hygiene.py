@@ -26,19 +26,14 @@ def test_imported_names_are_used(path):
     assert not sorted(imported - used), f"{path.name} never uses {sorted(imported - used)}"
 
 
-def _reads_dw(node):
-    return any(isinstance(n, ast.Attribute) and n.attr == "dw" or isinstance(n, ast.Name) and n.id == "dw"
-               for n in ast.walk(node))
-
-
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tree.py"], ids=lambda p: p.name)
 def test_dw_is_contracted_in_tree_only(path):
-    """Z . dW is ScenarioTree.dot_dw; no other module spells the contraction out."""
-    lines = [node.lineno for node in ast.walk(_parse(path))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
-             and any(_reads_dw(arg) for arg in node.args)]
-    assert not lines, f"{path.name} lines {lines}: einsum on dw, use ScenarioTree.dot_dw"
+    """Z . dW is ScenarioTree.dot_dw and E_k[x dW] is ScenarioTree.cond_exp_dw; no other
+    module reads dw at all."""
+    lines = sorted({node.lineno for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.Attribute) and node.attr == "dw"
+                    or isinstance(node, ast.Name) and node.id == "dw"})
+    assert not lines, f"{path.name} lines {lines}: dw read outside tree.py"
 
 
 def _is_driver(node):

@@ -50,6 +50,7 @@ class TestSolveReflected:
         inst = random_reflected(tree, seed)
         sol = solve_reflected(inst)
         d = check_skorokhod(inst, sol)
+        assert sorted(d) == ["complementarity", "min_increment"]
         assert d["min_increment"] >= -1e-12
         assert d["complementarity"] <= 1e-12
 
@@ -80,6 +81,15 @@ class TestSolveReflected:
                                  obstacle=obstacle)
         n = tree.n_steps
         assert np.array_equal(inst.obstacle.values[n], np.minimum(100.0, xi))
+
+    @pytest.mark.parametrize("n_other", [4, 6], ids=["same-shape", "other-depth"])
+    def test_obstacle_from_another_tree_rejected(self, n_other):
+        # a margin of 50 keeps the obstacle below xi, so no terminal clip rebuilds it
+        tree, other = standard_tree(n_steps=4), standard_tree(n_steps=n_other)
+        with pytest.raises(ValueError, match="another tree"):
+            ReflectedInstance(tree=tree, xi=random_terminal(tree, 0),
+                              gen=random_generator(tree, 0),
+                              obstacle=random_obstacle(other, 0, margin=50.0))
 
     def test_obstacle_monotonicity(self, tree):
         xi = random_terminal(tree, 7)

@@ -206,6 +206,14 @@ def _extra_reveal_blob(time):
     return json.dumps(doc).encode()
 
 
+def _binary_blob_with_ids(ids, parents):
+    """A 2-step binary tree whose seven nodes (root, step 1, step 2) get new ids and parents."""
+    doc = json.loads(serialize_tree(build_tree(TimeGrid(horizon=1.0, n_steps=2))))
+    for node, i, parent in zip(doc["nodes"], ids, parents):
+        node["id"], node["parent"] = i, parent
+    return json.dumps(doc).encode()
+
+
 class TestMalformedBlobs:
     @pytest.mark.parametrize("blob", [
         b"[]",
@@ -219,9 +227,11 @@ class TestMalformedBlobs:
         _blob_with(("d",), 5),
         _extra_reveal_blob(0.0),
         _extra_reveal_blob(0.5),
+        _binary_blob_with_ids([0, 1, 1, 3, 4, 5, 6], [-1, 0, 0, 1, 1, 1, 1]),
+        _binary_blob_with_ids([0, 1, 2, 1, 2, 3, 4], [-1, 0, 0, 1, 1, 2, 2]),
     ], ids=["top-level-list", "no-horizon", "node-without-step", "d-bool", "labels-lists",
             "reveal-off-grid", "labels-duplicate", "steps-beyond-nodes", "d-beyond-dw",
-            "reveal-at-t0", "reveal-twice-at-t1"])
+            "reveal-at-t0", "reveal-twice-at-t1", "ids-repeated-in-step", "ids-repeated-across-steps"])
     def test_schema_error(self, blob):
         with pytest.raises(SchemaError):
             deserialize_tree(blob)
@@ -354,6 +364,15 @@ class TestStepPrimitives:
                 assert got.dtype == float
                 assert np.array_equal(got, np.repeat(np.asarray(x, dtype=float), b, axis=0))
 
+    @pytest.mark.parametrize("with_reveal", [False, True])
+    def test_branching_is_python_ints(self, with_reveal):
+        grid = TimeGrid(horizon=1.0, n_steps=3)
+        tree = build_tree(grid, d=2, reveals=(_reveal(grid, 2),) if with_reveal else ())
+        for t in (tree, deserialize_tree(serialize_tree(tree))):
+            assert type(t.branching) is tuple and all(type(b) is int for b in t.branching)
+            assert t.branching == ((4, 12, 4) if with_reveal else (4, 4, 4))
+            assert not hasattr(t, "fanout")
+
     def test_trees_compare_and_hash_by_identity(self):
         a, b = build_tree(TimeGrid(horizon=1.0, n_steps=3)), build_tree(TimeGrid(horizon=1.0, n_steps=3))
         assert a == a and a != b
@@ -375,3 +394,18 @@ class TestStepPrimitives:
             else:
                 with pytest.raises(ValueError, match=f"step {k}:"):
                     tree.dot_dw(z[:, 0], k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True])
+    def test_cond_exp_dw_is_adjoint_of_dot_dw(self, d, with_reveal):
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        tree = build_tree(grid, d=d, reveals=(_reveal(grid, 2),) if with_reveal else ())
+        rng = np.random.default_rng(d)
+        for k in range(tree.n_steps):
+            x, z = rng.normal(size=tree.n_nodes(k + 1)), rng.normal(size=(tree.n_nodes(k), d))
+            got = tree.cond_exp_dw(x, k)
+            assert got.shape == (tree.n_nodes(k), d)
+            assert np.array_equal(got, tree.cond_exp(x[:, None] * tree.dw[k + 1], k + 1))
+            # E[(Z . dW) x] = E[Z . E_k[x dW]]
+            lhs = tree.expectation(tree.dot_dw(z, k) * x, k + 1)
+            assert lhs == pytest.approx(tree.expectation((z * got).sum(axis=1), k), abs=1e-14)
