@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from .processes import AdaptedProcess, PredictableProcess, stochastic_integral
-from .tree import ScenarioTree
+from .tree import ScenarioTree, sup_abs
 
 IMPLICIT_TOL = 1e-13
 IMPLICIT_MAX_ITER = 200
@@ -132,6 +132,16 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree) -> float:
     return worst
 
 
+def require_finite(what: str, arrays, first_step: int = 0):
+    """ValueError naming the first step and node of `arrays` (one per step from
+    `first_step` on) that holds a non-finite value."""
+    for k, a in enumerate(arrays, first_step):
+        finite = np.isfinite(a)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"{what} is not finite at step {k}, node {i} ({float(a[i])})")
+
+
 @dataclass(frozen=True)
 class BsdeInstance:
     """Terminal condition and driver on one tree.  Binding them checks the
@@ -145,6 +155,7 @@ class BsdeInstance:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         if self.xi.shape[0] != self.tree.n_nodes(self.tree.n_steps):
             raise ValueError("terminal condition is not measurable at the terminal partition")
+        require_finite("terminal condition", [self.xi], self.tree.n_steps)
         if self.tree.dt * self.gen.l_y >= 1.0:
             raise StepSizeError(f"dt * L_y = {self.tree.dt * self.gen.l_y:.3f} >= 1; "
                                 "refine the grid or relax the driver")
@@ -175,19 +186,19 @@ class SolutionQuadruple:
         """Max pathwise defect of the backward dynamics under the solve scheme."""
         tree = self.tree
         dt = tree.dt
-        worst = 0.0
-        for k in range(tree.n_steps):
+
+        def defect(k):
             y_in = self.y.values[k] if self.scheme == "implicit" else tree.cond_exp(self.y.values[k + 1], k + 1)
             g = gen(k, y_in, self.z.values[k])
             dm = self.m.values[k + 1] - tree.lift(self.m.values[k], k)
             rhs = (self.y.values[k + 1] - tree.lift(g, k) * dt - tree.dot_dw(self.z.values[k], k)
                    - dm + tree.lift(self.dk.values[k], k))
-            worst = max(worst, float(np.abs(rhs - tree.lift(self.y.values[k], k)).max()))
-        return worst
+            return rhs - tree.lift(self.y.values[k], k)
+
+        return sup_abs(map(defect, range(tree.n_steps)))
 
     def orthogonality_defect(self) -> float:
-        return max(float(np.abs(self.tree.cond_exp_dw(dm, k)).max())
-                   for k, dm in enumerate(self.m.increments()))
+        return sup_abs(self.tree.cond_exp_dw(dm, k) for k, dm in enumerate(self.m.increments()))
 
 
 def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
@@ -200,18 +211,22 @@ def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
 
 def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
                    dt: float, obstacle: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration."""
+    """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration;
+    a non-finite iterate stops it at once."""
     y = target.copy()
     for _ in range(IMPLICIT_MAX_ITER):
         y_new = target - gen(k, y, z_k) * dt
         if obstacle is not None:
             y_new = np.maximum(obstacle, y_new)
         defect = float(np.abs(y_new - y).max())
+        if not math.isfinite(defect):
+            raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
+                                        f"{int(np.abs(y_new - y).argmax())} ({gen.name})")
         y = y_new
         if defect <= IMPLICIT_TOL:
             return y
     raise PicardDivergenceError(
-        f"inner fixed point not converged after {IMPLICIT_MAX_ITER} iterations "
+        f"step {k}: inner fixed point not converged after {IMPLICIT_MAX_ITER} iterations "
         f"(last defect {defect:.3e}, contraction factor dt*L_y = {dt * gen.l_y:.3f})"
     )
 
@@ -225,7 +240,7 @@ def _quadruple(tree: ScenarioTree, y_vals: list, z_vals: list, dm_vals: list,
         tree=tree,
         y=AdaptedProcess(tree, y_vals),
         z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, tree.path_sum(dm_vals, process=True)),
+        m=AdaptedProcess(tree, tree.path_scan(dm_vals, process=True)),
         dk=PredictableProcess(tree, dk_vals),
         scheme=scheme,
     )

@@ -55,7 +55,7 @@ from .reflected import (
     verify_snell_representation,
 )
 from .tree import (DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, check_tree_shape,
-                   validate_tree)
+                   sup_abs, validate_tree)
 
 SCHEMA_VERSION = 1
 
@@ -418,7 +418,7 @@ def cmd_reflect(args, cfg: dict, raw) -> int:
         sol = solve_reflected(inst, scheme=cfg["scheme"])
         resid = sol.dynamics_residual(inst.gen)
         comp = check_skorokhod(inst, sol)["complementarity"]
-        return ("reflected_dynamics_and_contact", max(resid, comp), args.tol,
+        return ("reflected_dynamics_and_contact", float(np.maximum(resid, comp)), args.tol,
                 {"y0": float(sol.y.values[0][0]), "residual": resid, "complementarity": comp})
 
     return _single_report(args, cfg, raw, "rbsde", check)
@@ -428,8 +428,7 @@ def cmd_picard(args, cfg: dict, raw) -> int:
     def check(inst):
         sol, trace = picard_solve(inst)
         direct = solve_reflected(inst, scheme="implicit")
-        gap = max(float(np.abs(sol.y.values[k] - direct.y.values[k]).max())
-                  for k in range(inst.tree.n_steps + 1))
+        gap = sup_abs(a - b for a, b in zip(sol.y.values, direct.y.values))
         return ("fixed_point_vs_direct", gap, 1e-9,
                 {"iterations": len(trace.dy_s2), "alpha_star": trace.alpha_star,
                  "contraction_ratios": trace.contraction_ratios})

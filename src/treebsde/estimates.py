@@ -34,7 +34,7 @@ from .norms import (
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
-from .tree import ScenarioTree
+from .tree import ScenarioTree, sup_abs
 
 # the proofs' auxiliary constants, each fixed at one admissible value
 COMPENSATOR_EPS = 1.0  # driver-term weight of the composite-norm bounds; 1/eps in the N-ge2 floor
@@ -49,8 +49,8 @@ def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
 
 
 def _require_nondecreasing(sol: SolutionQuadruple):
-    worst = min(float(v.min()) for v in sol.dk.values)
-    if worst < -PUSH_TOL:
+    worst = float(np.min([v.min() for v in sol.dk.values]))
+    if not worst >= -PUSH_TOL:
         raise ClassificationError(f"push process is not non-decreasing (min increment {worst:.3e})")
 
 
@@ -60,18 +60,8 @@ def _mk(sol: SolutionQuadruple) -> AdaptedProcess:
 
 def _star_to_leaves(tree: ScenarioTree, phi_vals, increments, weights) -> np.ndarray:
     """Per-leaf Stieltjes sum:  sum_k w_k phi_k dX_{k+1} with phi_k at step k."""
-    return tree.path_sum(weights[k] * tree.lift(phi_vals[k], k) * inc
-                         for k, inc in enumerate(increments))
-
-
-def _empirical(inequality_id: str, lhs: float, rhs: float, fingerprint: str,
-               details: dict) -> EstimateReport:
-    """Existence-of-a-constant check: only a finite ratio (or 0 <= 0) is asserted."""
-    return EstimateReport(
-        inequality_id=inequality_id, lhs=lhs, rhs=rhs, constant_used="empirical",
-        passed=(lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and np.isfinite(lhs / rhs)),
-        fingerprint=fingerprint, details=details,
-    )
+    return tree.path_scan(weights[k] * tree.lift(phi_vals[k], k) * inc
+                          for k, inc in enumerate(increments))
 
 
 def _dn(sol: SolutionQuadruple, k: int, dfv: np.ndarray) -> np.ndarray:
@@ -101,9 +91,9 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
         "g0": norm_h(g0, p, alpha) ** p,
     }
     rhs = sum(comps.values())
-    return _empirical("solution_norm_bound", lhs, rhs, fingerprint,
-                      {"p": p, "alpha": alpha, "components": comps,
-                       "vacuous": lhs == 0.0 and rhs == 0.0})
+    return EstimateReport.empirical("solution_norm_bound", lhs, rhs, fingerprint,
+                                    {"p": p, "alpha": alpha, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 def _beta(p: float) -> float:
@@ -145,14 +135,10 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
                  + v3 * t_hor ** (p / 2.0) * (gen.l_z**p * z_n + g_n))
         rhs = c_m**p * v2 * inner
-        return EstimateReport(
-            inequality_id="push_norm_chain",
-            lhs=lhs, rhs=rhs, constant_used=c_m**p * v2,
-            passed=explicit_pass(lhs, rhs), fingerprint=fingerprint,
-            details={"p": p, "alpha": alpha, "meyer": c_m,
-                     "y_weighted": y_w, "z": z_n, "g0": g_n,
-                     "time_factor": t_hor ** (p / 2.0)},
-        )
+        return EstimateReport.explicit(
+            "push_norm_chain", lhs, rhs, c_m**p * v2, fingerprint,
+            {"p": p, "alpha": alpha, "meyer": c_m, "y_weighted": y_w, "z": z_n, "g0": g_n,
+             "time_factor": t_hor ** (p / 2.0)})
 
     n_norm = norm_m_composite(sol.z, _mk(sol), p, alpha) ** p
     xi_n = lp_norm(tree, instance.xi, p) ** p
@@ -176,10 +162,10 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             tail = max(tree.expectation(star, tree.n_steps), 0.0)
             tail_id = "y_dk_integral_plus"
         comps = {"xi": xi_n, tail_id: tail}
-        return _empirical("composite_norm_ge2", lhs,
-                          COMPENSATOR_EPS * g_n + sum(comps.values()), fingerprint,
-                          {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
-                           "eta": COMPENSATOR_ETA, "g0": g_n, "components": comps})
+        rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
+        return EstimateReport.empirical("composite_norm_ge2", lhs, rhs, fingerprint,
+                                        {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
+                                         "eta": COMPENSATOR_ETA, "g0": g_n, "components": comps})
 
     if branch == "N-lt2":
         if not (1.0 < p < 2.0):
@@ -203,11 +189,11 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
         comps = {"xi": xi_n, "y_weighted_sup": norm_sp(sol.y, p, alpha) ** p,
                  "phi_dk_integral_plus": k_tail}
-        report = _empirical("composite_norm_lt2", lhs,
-                            COMPENSATOR_EPS * g_n + sum(comps.values()), fingerprint,
-                            {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
-                             "beta": _beta(p), "g0": g_n, "components": comps,
-                             "a_term": a_term})
+        rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
+        report = EstimateReport.empirical("composite_norm_lt2", lhs, rhs, fingerprint,
+                                          {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
+                                           "beta": _beta(p), "g0": g_n, "components": comps,
+                                           "a_term": a_term})
         report.passed = report.passed and a_term >= -1e-12
         return report
 
@@ -238,9 +224,9 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
         "dg": norm_h(dg, p, alpha) ** p,
     }
     rhs = sum(comps.values())
-    return _empirical("stability_norm_bound", lhs, rhs, fingerprint,
-                      {"p": p, "alpha": alpha, "components": comps,
-                       "vacuous": lhs == 0.0 and rhs == 0.0})
+    return EstimateReport.empirical("stability_norm_bound", lhs, rhs, fingerprint,
+                                    {"p": p, "alpha": alpha, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 # -- reflected-specific bounds ------------------------------------------------
@@ -248,15 +234,19 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
 def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: PredictableProcess, p: float) -> float:
     """E[(sum_k e^{l_y t_{k+1}} |g_k| dt)^p]."""
     w = _wr(tree, l_y)
-    leaf = tree.path_sum(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
-                         for k in range(tree.n_steps))
+    leaf = tree.path_scan(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
+                          for k in range(tree.n_steps))
     return tree.expectation(leaf**p, tree.n_steps)
 
 
 def _weighted_sup_term(tree: ScenarioTree, l_y: float, s: AdaptedProcess, clip, p: float) -> float:
     """E[sup_k (e^{l_y t_k} clip(S_k))^p]."""
     times = tree.grid.times
-    sup = tree.path_max(math.exp(l_y * times[k]) * clip(v) for k, v in enumerate(s.values))
+
+    def weighted(k):
+        return math.exp(l_y * times[k]) * clip(s.values[k])
+
+    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
     return tree.expectation(sup**p, tree.n_steps)
 
 
@@ -296,12 +286,7 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
         comp_term = 2.0 ** (p - 1.0) * norm_sp(free.y, p, alpha) ** p
         rhs += comp_term
         details["comparison_term"] = comp_term
-    return EstimateReport(
-        inequality_id="obstacle_sup_bound",
-        lhs=lhs, rhs=rhs, constant_used=c,
-        passed=explicit_pass(lhs, rhs), fingerprint=fingerprint,
-        details=details,
-    )
+    return EstimateReport.explicit("obstacle_sup_bound", lhs, rhs, c, fingerprint, details)
 
 
 def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -318,9 +303,9 @@ def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadr
         "dg": _weighted_leaf_term(tree, l_y, delta_driver(inst1, sol1, inst2), p),
     }
     rhs = sum(comps.values())
-    return _empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
-                      {"p": p, "alpha": alpha, "components": comps,
-                       "vacuous": lhs == 0.0 and rhs == 0.0})
+    return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
+                                    {"p": p, "alpha": alpha, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -337,11 +322,11 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
     w1 = _wr(tree, alpha)
     ddk, dy = sol1.dk - sol2.dk, sol1.y - sol2.y
     ds = inst1.obstacle - inst2.obstacle
-    worst = max([0.0] + [float(((dy.values[k] - ds.values[k]) * ddk.values[k]).max())
-                         for k in steps])
-    lhs = tree.expectation(tree.path_sum(w1[k] * dy.values[k] * ddk.values[k] for k in steps),
+    worst = float(np.max([0.0] + [((dy.values[k] - ds.values[k]) * ddk.values[k]).max()
+                                  for k in steps]))
+    lhs = tree.expectation(tree.path_scan(w1[k] * dy.values[k] * ddk.values[k] for k in steps),
                            tree.n_steps)
-    mid = tree.expectation(tree.path_sum(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
+    mid = tree.expectation(tree.path_scan(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
                            tree.n_steps)
     bound = norm_sp(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
     ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
@@ -370,9 +355,9 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
         "ds_sup": norm_sp(ds, 2.0, alpha),
     }
     rhs = STABILITY_EPS * norm_h(dg, 2.0, alpha) ** 2 + sum(comps.values())
-    return _empirical("reflected_stability_p2", lhs, rhs, fingerprint,
-                      {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
-                       "vacuous": lhs == 0.0 and rhs == 0.0})
+    return EstimateReport.empirical("reflected_stability_p2", lhs, rhs, fingerprint,
+                                    {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
 
 
 # -- pathwise power expansion and bracket equivalences ------------------------
@@ -418,8 +403,7 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
         big = np.maximum(rgt[k] ** 2, after[k] ** 2)
         jump = np.where(big > 0.0, (after[k] - rgt[k]) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
         rhs[:k + 1] -= half * wp[k + 1] * jump
-    worst = max([-np.inf] + [float((wp[j] * np.abs(val[j]) ** p - rhs[j]).max())
-                             for j in range(n + 1)])
+    worst = float(np.max([(wp[j] * np.abs(val[j]) ** p - rhs[j]).max() for j in range(n + 1)]))
     return EstimateReport(
         inequality_id="pathwise_power_expansion",
         lhs=worst, rhs=0.0, constant_used="exact",
@@ -453,17 +437,12 @@ def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
     mzw_n = norm_m_composite(sol.z, sol.m, p, alpha) ** p
     c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
     rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * norm_i(sol.dk, p, alpha) ** p)
-    reports.append(EstimateReport(
-        inequality_id="martingale_part_bracket_bound",
-        lhs=mzw_n, rhs=rhs, constant_used=c,
-        passed=explicit_pass(mzw_n, rhs), fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)},
-    ))
+    reports.append(EstimateReport.explicit(
+        "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
+        {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
 
-    worst = 0.0
-    for k in range(tree.n_steps):
-        inc = phi_p(sol.y.values[k], p) * tree.cond_exp(_dl(sol, k), k + 1)
-        worst = max(worst, float(np.abs(inc).max()))
+    worst = sup_abs(phi_p(sol.y.values[k], p) * tree.cond_exp(_dl(sol, k), k + 1)
+                    for k in range(tree.n_steps))
     reports.append(EstimateReport(
         inequality_id="gradient_integrand_martingale",
         lhs=worst, rhs=0.0, constant_used="exact",
@@ -487,15 +466,11 @@ def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
         y_prev = tree.lift(sol.y.values[k], k)
         star_terms.append(w1[k] * y_prev * _dl(sol, k))
         qv_terms.append(w1[k] ** 2 * y_prev**2 * (tree.lift(_sq(sol.z.values[k]), k) * dt + dm**2))
-    star, qv = tree.path_sum(star_terms), tree.path_sum(qv_terms)
+    star, qv = tree.path_scan(star_terms), tree.path_scan(qv_terms)
     lhs = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
     rhs = c * tree.expectation(qv ** (p / 4.0), tree.n_steps)
-    return EstimateReport(
-        inequality_id="martingale_moment_bound",
-        lhs=lhs, rhs=rhs, constant_used=c,
-        passed=explicit_pass(lhs, rhs), fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha},
-    )
+    return EstimateReport.explicit("martingale_moment_bound", lhs, rhs, c, fingerprint,
+                                   {"p": p, "alpha": alpha})
 
 
 # -- decay measurements -------------------------------------------------------

@@ -108,20 +108,20 @@ def random_strong_supermartingale(tree: ScenarioTree, seed: int) -> LadlagProces
 
     m is a closed martingale, a a non-decreasing process with predictable
     increments, and D the running sum of non-negative drops d_k booked left
-    continuously; the triple slots are (v - lagged drop, v, v - d_k).
+    continuously; the slots are (v, v - d_k), so the left limit is v - lagged drop.
     """
     rng = np.random.default_rng(seed + 3)
     m = random_martingale(tree, seed)
     n = tree.n_steps
-    a_vals = tree.path_sum([rng.uniform(0.0, 0.4, size=tree.n_nodes(k)) for k in range(n)],
-                           process=True)
+    a_vals = tree.path_scan([rng.uniform(0.0, 0.4, size=tree.n_nodes(k)) for k in range(n)],
+                            process=True)
     drops = []
     for k in range(n + 1):
         d = rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
         d *= (rng.uniform(size=tree.n_nodes(k)) < DROP_RATE)
         drops.append(d)
     drops[n] = np.zeros(tree.n_nodes(n))  # nothing is announced after the horizon
-    d_cum = tree.path_sum(drops[:n], process=True)
+    d_cum = tree.path_scan(drops[:n], process=True)
     value = [m.values[k] - a_vals[k] - d_cum[k] for k in range(n + 1)]
     right = [value[k] - drops[k] for k in range(n + 1)]
-    return LadlagProcess.from_right(tree, value, right)
+    return LadlagProcess(tree, value, right)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +140,7 @@ def _scan(paths, eps, level, gap, overshoot, tv_pos, tv_neg, crossings) -> None:
 
 def _simulate(runs, dt: float, horizon: float) -> list:
     """One LadderReport per (eps, n_paths, seed) run.  The batches of all runs
-    are shared out over up to one thread per CPU, the calling thread among them.
+    are shared out over a pool of up to one thread per CPU.
 
     Batch b of a run draws from the stream keyed by (seed, b), whatever else
     shares the threads, so each report equals its run simulated alone.
@@ -154,26 +154,14 @@ def _simulate(runs, dt: float, horizon: float) -> list:
     jobs = [(r, eps, seed, b, min(DEFAULT_BATCH, n_paths - start))
             for r, (eps, n_paths, seed) in enumerate(runs)
             for b, start in enumerate(range(0, n_paths, DEFAULT_BATCH))]
-    n_threads = min(len(jobs), len(os.sched_getaffinity(0)))
-    batches, errors = [None] * len(jobs), []
 
-    def share(t: int) -> None:
-        try:
-            for j in range(t, len(jobs), n_threads):
-                _, eps, seed, b, size = jobs[j]
-                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
-                batches[j] = _run_batch(eps, dt, n_steps, size, rng)
-        except BaseException as exc:
-            errors.append(exc)
+    def run(job) -> tuple:
+        _, eps, seed, b, size = job
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
+        return _run_batch(eps, dt, n_steps, size, rng)
 
-    threads = [threading.Thread(target=share, args=(t,)) for t in range(1, n_threads)]
-    for thread in threads:
-        thread.start()
-    share(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+        batches = list(pool.map(run, jobs))
     reports = []
     for r, (eps, n_paths, seed) in enumerate(runs):
         parts = [out for job, out in zip(jobs, batches) if job[0] == r]

@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ClassificationError, MeasureChangeError
 from .norms import meyer_constant, meyer_constant_ladlag, norm_i, norm_sp
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stochastic_integral
-from .reports import EstimateReport, explicit_pass
-from .tree import ScenarioTree
+from .reports import EstimateReport
+from .tree import ScenarioTree, sup_abs
 
 SUPERMARTINGALE_TOL = 1e-12
 MERTENS_DOOB_TOL = 1e-11   # slack on the sign of the compensator increments of X + I
@@ -31,8 +31,8 @@ class RepresentationPair:
     def reconstruction_defect(self, n: AdaptedProcess) -> float:
         tree = n.tree
         zw = stochastic_integral(tree, self.z)
-        return max(float(np.abs(n.values[0][0] + zw.values[k] + self.m.values[k]
-                                 - n.values[k]).max()) for k in range(tree.n_steps + 1))
+        return sup_abs(n.values[0][0] + zw.values[k] + self.m.values[k] - n.values[k]
+                       for k in range(tree.n_steps + 1))
 
 
 def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> RepresentationPair:
@@ -49,7 +49,7 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> Representatio
         return dn - tree.dot_dw(z_vals[k], k)
 
     # consumed step by step, so the residuals never sit in memory all at once
-    m = AdaptedProcess(tree, tree.path_sum(map(residual, range(tree.n_steps)), process=True))
+    m = AdaptedProcess(tree, tree.path_scan(map(residual, range(tree.n_steps)), process=True))
     return RepresentationPair(z=PredictableProcess(tree, z_vals), m=m)
 
 
@@ -63,13 +63,13 @@ def doob_decompose(tree: ScenarioTree, x: AdaptedProcess,
     da_vals = []
     for k in range(tree.n_steps):
         da = x.values[k] - tree.cond_exp(x.values[k + 1], k + 1)
-        if supermartingale and float(da.min()) < -tol:
+        if supermartingale and not float(da.min()) >= -tol:
             i = int(da.argmin())
             raise ClassificationError(
                 f"not a supermartingale: E_k[dX] = {-da[i]:.3e} > {tol} at step {k}, node {i}"
             )
         da_vals.append(da)
-    a_vals = tree.path_sum(da_vals, process=True)
+    a_vals = tree.path_scan(da_vals, process=True)
     m_vals = [np.zeros(1)] + [x.values[k] - x.values[0][0] + a_vals[k]
                               for k in range(1, tree.n_steps + 1)]
     m = AdaptedProcess(tree, m_vals)
@@ -89,44 +89,40 @@ class MertensDecomposition:
     drops: list                # announced right-side drops per step
 
     def identity_defect(self, x: LadlagProcess) -> float:
-        """max slot-wise defect of X = X_0 + M - A - I over the triple representation."""
+        """max defect of X = X_0 + M - A - I over the value, right and left slots."""
         tree = x.tree
-        worst = 0.0
-        for k in range(tree.n_steps + 1):
+
+        def defects(k):
             v = self.x0 + self.m.values[k] - self.a.values[k] - self.i.values[k]
-            worst = max(worst, float(np.abs(v - x.value[k]).max()))
-            r = v - self.drops[k]
-            worst = max(worst, float(np.abs(r - x.right[k]).max()))
+            yield v - x.value[k]
+            yield v - self.drops[k] - x.right[k]
             if k > 0:
                 # left limits: M, A are cadlag (left limit = previous value), I is
                 # left-continuous (left limit = current value)
                 lm = tree.lift(self.m.values[k - 1], k - 1)
                 la = tree.lift(self.a.values[k - 1], k - 1)
-                left = self.x0 + lm - la - self.i.values[k]
-                worst = max(worst, float(np.abs(left - x.left[k]).max()))
-        return worst
+                yield self.x0 + lm - la - self.i.values[k] - x.left[k]
+
+        return sup_abs(d for k in range(tree.n_steps + 1) for d in defects(k))
 
 
 def check_strong_supermartingale(tree: ScenarioTree, x: LadlagProcess):
     """Discrete strong supermartingale test, each condition to SUPERMARTINGALE_TOL.
 
-    Requires value >= right_limit (announced drop non-negative),
-    right_limit >= E_k[next value] (optional-sampling step across the interval),
-    and path consistency left_limit(k+1) = right_limit(k).
+    Requires value >= right_limit (announced drop non-negative) and
+    right_limit >= E_k[next value] (optional-sampling step across the interval);
+    a NaN fails both.
     """
-    pc = x.path_consistency_defect()
-    if pc > SUPERMARTINGALE_TOL:
-        raise ClassificationError(f"ladlag path inconsistency: |left(k+1) - right(k)| = {pc:.3e}")
     for k in range(tree.n_steps + 1):
         drop = x.value[k] - x.right[k]
-        if float(drop.min()) < -SUPERMARTINGALE_TOL:
+        if not float(drop.min()) >= -SUPERMARTINGALE_TOL:
             i = int(drop.argmin())
             raise ClassificationError(
                 f"value < right_limit by {-drop[i]:.3e} at step {k}, node {i} (slot 'right')"
             )
         if k < tree.n_steps:
             gap = x.right[k] - tree.cond_exp(x.value[k + 1], k + 1)
-            if float(gap.min()) < -SUPERMARTINGALE_TOL:
+            if not float(gap.min()) >= -SUPERMARTINGALE_TOL:
                 i = int(gap.argmin())
                 raise ClassificationError(
                     f"supermartingale step fails by {-gap[i]:.3e} at step {k}, node {i}"
@@ -143,7 +139,7 @@ def mertens_decompose(tree: ScenarioTree, x: LadlagProcess) -> MertensDecomposit
     """
     check_strong_supermartingale(tree, x)
     drops = x.right_jumps()
-    i = AdaptedProcess(tree, tree.path_sum(drops[:tree.n_steps], process=True))
+    i = AdaptedProcess(tree, tree.path_scan(drops[:tree.n_steps], process=True))
     u = AdaptedProcess(tree, [x.value[k] + i.values[k] for k in range(tree.n_steps + 1)])
     m, a, da = doob_decompose(tree, u, supermartingale=True, tol=MERTENS_DOOB_TOL)
     return MertensDecomposition(x0=float(x.value[0][0]), m=m, a=a, da=da, i=i, drops=drops)
@@ -157,14 +153,14 @@ def exhaust_jumps(tree: ScenarioTree, x: LadlagProcess, eps: float,
     times s < t_k with drop >= eps.  Monotone in n_max and, as eps decreases,
     stabilizes to the Mertens I on a finite grid.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"threshold must be positive, got {eps}")
     drops = x.right_jumps()[:tree.n_steps]
-    big = [d >= eps for d in drops]
+    big = [~(d < eps) for d in drops]  # a NaN drop is taken, so it shows in I
     # a drop is taken while fewer than n_max earlier ones were big enough
-    seen = tree.path_sum(big, process=True)
+    seen = tree.path_scan(big, process=True)
     taken = (np.where(b & (s < n_max), d, 0.0) for b, s, d in zip(big, seen, drops))
-    return AdaptedProcess(tree, tree.path_sum(taken, process=True))
+    return AdaptedProcess(tree, tree.path_scan(taken, process=True))
 
 
 def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
@@ -177,20 +173,16 @@ def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     dec = mertens_decompose(tree, x)
-    has_right_jumps = any(float(np.abs(d).max()) > 0.0 for d in dec.drops)
+    has_right_jumps = sup_abs(dec.drops) > 0.0
     c = meyer_constant_ladlag(p) if has_right_jumps else meyer_constant(p)
     a_norm = norm_i(dec.da, p, 0.0)
     i_norm = norm_i(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)
     x_norm = norm_sp(x, p)
     lhs, rhs = a_norm + i_norm, c * x_norm
-    return EstimateReport(
-        inequality_id="meyer_compensator_bound",
-        lhs=lhs, rhs=rhs, constant_used=c,
-        passed=explicit_pass(lhs, rhs),
-        fingerprint=fingerprint,
-        details={"a_norm": a_norm, "i_norm": i_norm, "x_norm": x_norm, "p": p,
-                 "ladlag": bool(has_right_jumps)},
-    )
+    return EstimateReport.explicit(
+        "meyer_compensator_bound", lhs, rhs, c, fingerprint,
+        {"a_norm": a_norm, "i_norm": i_norm, "x_norm": x_norm, "p": p,
+         "ladlag": bool(has_right_jumps)})
 
 
 @dataclass
@@ -202,10 +194,9 @@ class MeasureChange:
     density: AdaptedProcess = field(init=False)
 
     def __post_init__(self):
-        tree, d_vals = self.tree, [np.ones(1)]
-        for k in range(tree.n_steps):
-            d_vals.append(tree.lift(d_vals[k], k) * self.one_step_factor(k))
-        self.density = AdaptedProcess(tree, d_vals)
+        factors = map(self.one_step_factor, range(self.tree.n_steps))
+        self.density = AdaptedProcess(self.tree, self.tree.path_scan(
+            factors, np.multiply, start=1.0, process=True))
 
     def one_step_factor(self, k: int) -> np.ndarray:
         """(1 - eta_k . dW_{k+1}) on step-(k+1) nodes."""
@@ -222,7 +213,7 @@ class MeasureChange:
     def w_q(self) -> list:
         """Shifted walk W^Q_k = W_k + sum_{j<k} eta_j dt, a Q-martingale."""
         tree = self.tree
-        drift = tree.path_sum((v * tree.dt for v in self.eta.values), process=True)
+        drift = tree.path_scan((v * tree.dt for v in self.eta.values), process=True)
         return [w + s for w, s in zip(tree.w, drift)]
 
 
@@ -232,13 +223,8 @@ def girsanov_change(tree: ScenarioTree, eta: PredictableProcess) -> MeasureChang
     Requires |eta_k|_1 sqrt(dt) < 1 at every node so every density factor is
     positive for Rademacher increments.
     """
-    sdt = np.sqrt(tree.dt)
-    worst = 0.0
-    for k in range(tree.n_steps):
-        v = eta.values[k]
-        l1 = np.abs(v).sum(axis=1) if v.ndim == 2 else np.abs(v)
-        worst = max(worst, float(l1.max()) if l1.size else 0.0)
-    if worst * sdt >= 1.0:
+    worst = sup_abs(np.abs(v).sum(axis=1) if v.ndim == 2 else v for v in eta.values)
+    if not worst * np.sqrt(tree.dt) < 1.0:
         raise MeasureChangeError(
             f"positivity fails: max |eta|_1 = {worst} needs dt < {1.0 / worst**2:.3e} "
             f"(current dt = {tree.dt})"

@@ -31,7 +31,7 @@ def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> 
 
 
 def norm_sp(y, p: float, alpha: float = 0.0) -> float:
-    """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (all three slots)."""
+    """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (value, right and left limit)."""
     tree = y.tree
     times = tree.grid.times
 
@@ -40,8 +40,10 @@ def norm_sp(y, p: float, alpha: float = 0.0) -> float:
             return np.maximum(np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k])))
         return y.values[k]
 
-    sup = tree.path_max(np.abs(math.exp(0.5 * alpha * times[k]) * slot(k))
-                        for k in range(tree.n_steps + 1))
+    def weighted(k):
+        return np.abs(math.exp(0.5 * alpha * times[k]) * slot(k))
+
+    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
     return _leaf_norm(tree, sup, p, p)
 
 
@@ -55,7 +57,7 @@ def norm_h(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> fl
     reads steps k < n."""
     tree = z.tree
     w = _wr(tree, alpha)
-    acc = tree.path_sum(w[k] * _sq(z.values[k]) * tree.dt for k in range(tree.n_steps))
+    acc = tree.path_scan(w[k] * _sq(z.values[k]) * tree.dt for k in range(tree.n_steps))
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
@@ -63,7 +65,7 @@ def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
     tree = m.tree
     w = _wr(tree, alpha)
-    acc = tree.path_sum(w[k] * inc**2 for k, inc in enumerate(m.increments()))
+    acc = tree.path_scan(w[k] * inc**2 for k, inc in enumerate(m.increments()))
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
@@ -73,8 +75,8 @@ def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha:
     makes this the correct bracket decomposition on the tree."""
     tree = z.tree
     w = _wr(tree, alpha)
-    acc = tree.path_sum(w[k] * (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2)
-                        for k, inc in enumerate(fv.increments()))
+    acc = tree.path_scan(w[k] * (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2)
+                         for k, inc in enumerate(fv.increments()))
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
@@ -82,7 +84,7 @@ def norm_i(k_inc: PredictableProcess, p: float, alpha: float) -> float:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
     tree = k_inc.tree
     w = _wr(tree, 0.5 * alpha)
-    acc = tree.path_sum(w[k] * np.abs(v) for k, v in enumerate(k_inc.values))
+    acc = tree.path_scan(w[k] * np.abs(v) for k, v in enumerate(k_inc.values))
     return _leaf_norm(tree, acc, p, p)
 
 

@@ -4,13 +4,14 @@ Storage conventions:
   * AdaptedProcess: one value per (step, node); measurability is structural.
   * PredictableProcess: the value acting on the interval (t_k, t_{k+1}] is
     stored on the step-k node, which makes sibling-constancy structural.
-  * LadlagProcess: triples (left_limit, value, right_limit) per (step, node);
-    paths are constant on open intervals, so left_limit at t_{k+1} equals the
-    right_limit at t_k for genuine paths.
+  * LadlagProcess: (value, right_limit) per (step, node); paths are constant
+    on open intervals, so the left limit at t_{k+1} is the right limit at t_k.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +78,20 @@ class AdaptedProcess:
                 for k in range(self.tree.n_steps)]
 
     def martingale_defect(self) -> tuple:
-        """(max |E_k[dX_{k+1}]|, step, node) over all nodes."""
+        """(max |E_k[dX_{k+1}]|, step, node) over all nodes; the first NaN wins."""
         worst, ws, wn = 0.0, -1, -1
         for k in range(self.tree.n_steps):
             e = self.tree.cond_exp(self.values[k + 1], k + 1) - self.values[k]
             i = int(np.abs(e).argmax())
-            if abs(e[i]) > worst:
+            if not abs(e[i]) <= worst:
                 worst, ws, wn = abs(float(e[i])), k, i
+                if math.isnan(worst):
+                    break
         return worst, ws, wn
 
     def require_martingale(self, tol: float = 1e-12):
         defect, step, node = self.martingale_defect()
-        if defect > tol:
+        if not defect <= tol:
             raise NotAMartingaleError(
                 f"martingale defect {defect:.3e} > {tol} at step {step}, node {node}",
                 step=step, node=node, defect=defect,
@@ -118,48 +121,39 @@ class PredictableProcess:
 
     def cumulative(self) -> AdaptedProcess:
         """Running sum booked at the right endpoint: A_0 = 0, A_{k+1} = A_k + dA_{k+1}."""
-        return AdaptedProcess(self.tree, self.tree.path_sum(self.values, process=True))
+        return AdaptedProcess(self.tree, self.tree.path_scan(self.values, process=True))
 
 
 def stochastic_integral(tree: ScenarioTree, z: PredictableProcess) -> AdaptedProcess:
     """(Z * W)_k = sum_{j<k} Z_j . dW_{j+1}, an exact martingale on the tree."""
     incs = (tree.dot_dw(v, k) for k, v in enumerate(z.values))
-    return AdaptedProcess(tree, tree.path_sum(incs, process=True))
+    return AdaptedProcess(tree, tree.path_scan(incs, process=True))
 
 
 @dataclass
 class LadlagProcess:
-    """Triple-slot process: (left_limit, value, right_limit) per (step, node)."""
+    """Two-slot process: (value, right_limit) per (step, node).  Paths are
+    constant on the open intervals, so the left limit is derived, never stored."""
 
     tree: ScenarioTree
-    left: list
     value: list
     right: list
 
     def __post_init__(self):
         n = self.tree.n_steps + 1
-        self.left = _as_step_arrays(self.tree, self.left, n)
         self.value = _as_step_arrays(self.tree, self.value, n)
         self.right = _as_step_arrays(self.tree, self.right, n)
 
-    @classmethod
-    def from_right(cls, tree: ScenarioTree, value: list, right: list) -> "LadlagProcess":
-        """Genuine paths from value and right-limit slots: left_limit(k+1) = right_limit(k),
-        and left_limit(0) = value(0)."""
-        left = [value[0].copy()] + [tree.lift(right[k], k) for k in range(tree.n_steps)]
-        return cls(tree, left, value, right)
+    @functools.cached_property
+    def left(self) -> list:
+        """Left limits: left(0) = value(0) and left(k+1) = right(k) lifted."""
+        return [self.value[0]] + [self.tree.lift(r, k) for k, r in enumerate(self.right[:-1])]
 
     @classmethod
     def from_cadlag(cls, x: AdaptedProcess) -> "LadlagProcess":
-        """Cadlag embedding: left_limit(k) = value(k-1), right_limit = value."""
-        return cls.from_right(x.tree, [v.copy() for v in x.values], [v.copy() for v in x.values])
+        """Cadlag embedding: right_limit = value, so left_limit(k) = value(k-1)."""
+        return cls(x.tree, [v.copy() for v in x.values], [v.copy() for v in x.values])
 
     def right_jumps(self) -> list:
         """Announced drops value - right_limit at each step."""
         return [self.value[k] - self.right[k] for k in range(self.tree.n_steps + 1)]
-
-    def path_consistency_defect(self) -> float:
-        """max |left_limit(k+1) - right_limit(k)| over the tree."""
-        lift = self.tree.lift
-        return max(float(np.abs(self.left[k + 1] - lift(self.right[k], k)).max())
-                   for k in range(self.tree.n_steps))

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep
+from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, require_finite
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
 from .processes import AdaptedProcess, PredictableProcess
 from .reports import EstimateReport
-from .tree import ScenarioTree
+from .tree import ScenarioTree, sup_abs
 
 DP_DEPTH_CAP = 12
 EXHAUSTIVE_DEPTH_CAP = 4
@@ -45,6 +45,7 @@ class ReflectedInstance:
     def __post_init__(self):
         if self.obstacle.tree is not self.tree:
             raise ValueError("the obstacle lives on another tree than the instance")
+        require_finite("obstacle", self.obstacle.values)
         object.__setattr__(self, "_plain", BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen))
         object.__setattr__(self, "xi", self._plain.xi)
         n = self.tree.n_steps
@@ -66,16 +67,12 @@ def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> So
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
-    """Minimality diagnostics: dK >= 0 and (Y - S) dK = 0 node by node."""
-    tree = instance.tree
-    neg = 0.0
-    flat = 0.0
-    for k in range(tree.n_steps):
-        dk = sol.dk.values[k]
-        neg = min(neg, float(dk.min()))
-        gap = sol.y.values[k] - instance.obstacle.values[k]
-        flat = max(flat, float(np.abs(gap * dk).max()))
-    return {"min_increment": neg, "complementarity": flat}
+    """Minimality diagnostics: dK >= 0 and (Y - S) dK = 0 node by node; a NaN
+    makes both NaN."""
+    steps = range(instance.tree.n_steps)
+    y, s, dk = sol.y.values, instance.obstacle.values, sol.dk.values
+    return {"min_increment": float(np.min([0.0] + [dk[k].min() for k in steps])),
+            "complementarity": sup_abs((y[k] - s[k]) * dk[k] for k in steps)}
 
 
 # -- optimal stopping ---------------------------------------------------------
@@ -179,8 +176,7 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
     tree = instance.tree
     costs = instance.gen.along(sol.y, sol.z).values
     v = snell_dynamic_program(tree, instance.xi, instance.obstacle, costs)
-    defect_a = max(float(np.abs(v.values[k] - sol.y.values[k]).max())
-                   for k in range(tree.n_steps + 1))
+    defect_a = sup_abs(v.values[k] - sol.y.values[k] for k in range(tree.n_steps + 1))
     reports = [EstimateReport(
         inequality_id="stopping_value_frozen_costs",
         lhs=defect_a, rhs=SNELL_TOL, constant_used="exact",
@@ -191,22 +187,20 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
     lam_vals, eta_vals, g0_vals = _extract_linearization(instance, sol)
     dt = tree.dt
     factors = [1.0 + lam * dt for lam in lam_vals]
-    if min(float(f.min()) for f in factors) <= 0.0:
+    if not all(float(f.min()) > 0.0 for f in factors):
         raise MeasureChangeError("discount factor 1 + lam dt is not positive; refine the grid")
     mc = girsanov_change(tree, PredictableProcess(tree, eta_vals))
-    disc = [np.ones(1)]
-    for k in range(tree.n_steps):
-        disc.append(tree.lift(disc[k] / factors[k], k))
+    disc = tree.path_scan(factors, np.divide, start=1.0, process=True)
     u = disc[tree.n_steps] * instance.xi
-    defect_b = float(np.abs(u - disc[tree.n_steps] * sol.y.values[tree.n_steps]).max())
+    defect_b = np.abs(u - disc[tree.n_steps] * sol.y.values[tree.n_steps]).max()
     for k in range(tree.n_steps - 1, -1, -1):
         cont = mc.cond_exp_q(u, k + 1) - (disc[k] / factors[k]) * g0_vals[k] * dt
         u = np.maximum(disc[k] * instance.obstacle.values[k], cont)
-        defect_b = max(defect_b, float(np.abs(u - disc[k] * sol.y.values[k]).max()))
+        defect_b = np.maximum(defect_b, np.abs(u - disc[k] * sol.y.values[k]).max())
     reports.append(EstimateReport(
         inequality_id="stopping_value_discounted_measure_change",
-        lhs=defect_b, rhs=SNELL_TOL, constant_used="exact",
-        passed=defect_b <= SNELL_TOL, fingerprint=fingerprint,
+        lhs=float(defect_b), rhs=SNELL_TOL, constant_used="exact",
+        passed=bool(defect_b <= SNELL_TOL), fingerprint=fingerprint,
         details={"scheme": sol.scheme},
     ))
     return reports
@@ -265,7 +259,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:
-            change = max(float(np.abs(a - b).max()) for a, b in zip(frozen, frozen_prev))
+            change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
             trace.driver_change.append(change)
             if change <= PICARD_TOL:
                 return new, trace

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -21,6 +22,20 @@ class EstimateReport:
     passed: bool
     fingerprint: str = ""
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def explicit(cls, inequality_id: str, lhs: float, rhs: float, constant_used,
+                 fingerprint: str, details: dict) -> "EstimateReport":
+        """Explicit tier: lhs <= rhs up to the relative slack PASS_TOL."""
+        return cls(inequality_id, lhs, rhs, constant_used, explicit_pass(lhs, rhs),
+                   fingerprint, details)
+
+    @classmethod
+    def empirical(cls, inequality_id: str, lhs: float, rhs: float, fingerprint: str,
+                  details: dict) -> "EstimateReport":
+        """Existence-of-a-constant tier: only a finite ratio (or 0 <= 0) is asserted."""
+        passed = (lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and math.isfinite(lhs / rhs))
+        return cls(inequality_id, lhs, rhs, "empirical", passed, fingerprint, details)
 
     @property
     def ratio(self) -> float:

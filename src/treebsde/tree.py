@@ -95,8 +95,9 @@ class Reveal:
         if len(self.labels) != len(self.probs) or len(self.labels) < 2:
             raise ValueError("reveal needs >= 2 labels and matching probabilities")
         p = np.asarray(self.probs, dtype=float)
-        if np.any(p <= 0.0) or abs(p.sum() - 1.0) > TREE_TOL:
-            raise ValueError(f"reveal law must be a positive probability vector, got {self.probs}")
+        if not (np.all(p > 0.0) and abs(p.sum() - 1.0) <= TREE_TOL):
+            raise ValueError(f"reveal law must be a finite positive probability vector, "
+                             f"got {self.probs}")
 
 
 @dataclass(eq=False)
@@ -118,10 +119,7 @@ class ScenarioTree:
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
 
     def __post_init__(self):
-        pp = [np.array([1.0])]
-        for k in range(1, self.n_steps + 1):
-            pp.append(pp[k - 1][self.parent_index(k)] * self.cond_prob[k])
-        self.path_prob = pp
+        self.path_prob = self.path_scan(self.cond_prob[1:], np.multiply, start=1.0, process=True)
 
     # -- structure -----------------------------------------------------------
 
@@ -147,10 +145,7 @@ class ScenarioTree:
     @functools.cached_property
     def w(self) -> list:
         """Cumulative walk value per node, shape (n_k, d) at each step, built once."""
-        w = [np.zeros((1, self.d))]
-        for k in range(1, self.n_steps + 1):
-            w.append(w[k - 1][self.parent_index(k)] + self.dw[k])
-        return w
+        return self.path_scan(self.dw[1:], start=np.zeros((1, self.d)), process=True)
 
     # -- expectation operators ------------------------------------------------
 
@@ -214,32 +209,33 @@ class ScenarioTree:
         self._check_step(step)
         return np.repeat(np.asarray(x, dtype=float), math.prod(self.branching[step:]), axis=0)
 
-    def path_sum(self, terms, process: bool = False):
-        """Running sums along paths: S_0 = 0, S_{k+1} = S_k + terms[k].
+    def path_scan(self, terms, op=np.add, start=0.0, process: bool = False):
+        """Running `op` along paths: S_0 = start, S_{k+1} = op(S_k, terms[k]).
 
-        terms[k] sits on step-k nodes (an increment known at t_k) or on
-        step-(k+1) nodes.  Terms are consumed one step at a time, so a
-        generator keeps a single step in memory.  Returns S_n on the leaves,
+        terms[k] sits on step-k nodes (an increment known at t_k: combined, then
+        lifted) or on step-(k+1) nodes (combined after the lift), and is the
+        second operand of `op`.  Terms are consumed one step at a time, so a
+        generator never holds every step at once.  Returns S_n on the leaves,
         or the whole process [S_0, ..., S_n] when `process` is set.
         """
-        acc = np.zeros(1)
+        acc = np.array(start, dtype=float, ndmin=1)
         out = [acc]
         for k, term in enumerate(terms):
             term = np.asarray(term, dtype=float)
             if term.shape[0] == self.n_nodes(k):
-                acc = self.lift(acc + term, k)
+                acc = self.lift(op(acc, term), k)
             else:
-                acc = self.lift(acc, k) + term
+                acc = self.lift(acc, k)
+                op(acc, term, out=acc)  # in place on the fresh lift: no third leaf array
             if process:
                 out.append(acc)
         return out if process else acc
 
-    def path_max(self, slots) -> np.ndarray:
-        """Running sup along paths of slots[k] (step-k values, k = 0..n), on the leaves."""
-        sup = None
-        for k, here in enumerate(slots):
-            sup = here if sup is None else np.maximum(self.lift(sup, k - 1), here)
-        return sup
+
+def sup_abs(arrays) -> float:
+    """max |x| over the step arrays, folded with np.maximum so that a NaN anywhere
+    makes it NaN.  map drops each array once its max is read."""
+    return float(functools.reduce(np.maximum, map(lambda a: np.abs(a).max(), arrays), 0.0))
 
 
 def check_tree_shape(grid: TimeGrid, d: int, reveals: tuple, node_cap: int) -> dict:
@@ -301,7 +297,8 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
 def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
     """Check all tree invariants; returns the defect magnitudes.
 
-    Raises InvariantViolationError naming the first offending node.
+    Raises InvariantViolationError naming the first offending step (and node);
+    a NaN defect offends too.
     """
     dt = tree.dt
     defects = {"prob_sum": 0.0, "dw_mean": 0.0, "dw_cov": 0.0, "reveal_indep": 0.0}
@@ -311,22 +308,22 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
         n_prev = tree.n_nodes(k - 1)
         cp = tree.cond_prob[k].reshape(n_prev, b)
         sums = cp.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
         if bad.size:
             i = int(bad[0])
             raise InvariantViolationError(
-                f"child probabilities at step {k - 1}, node {i} sum to {sums[i]!r} (tol {tol})"
+                f"child probabilities at step {k - 1}, node {i} sum to {float(sums[i])!r} (tol {tol})"
             )
-        defects["prob_sum"] = max(defects["prob_sum"], float(np.abs(sums - 1.0).max()))
+        defects["prob_sum"] = float(np.maximum(defects["prob_sum"], np.abs(sums - 1.0).max()))
         dwk = tree.dw[k].reshape(n_prev, b, tree.d)
         mean = np.einsum("nb,nbi->ni", cp, dwk)
         m = float(np.abs(mean).max())
-        if m > tol:
+        if not m <= tol:
             raise InvariantViolationError(f"conditional mean of dW at step {k} is {m} > {tol}")
         defects["dw_mean"] = max(defects["dw_mean"], m)
         cov = np.einsum("nb,nbi,nbj->nij", cp, dwk, dwk)
         c = float(np.abs(cov - dt * np.eye(tree.d)).max())
-        if c > tol:
+        if not c <= tol:
             raise InvariantViolationError(f"conditional covariance of dW at step {k} deviates from dt*I by {c}")
         defects["dw_cov"] = max(defects["dw_cov"], c)
         if k in reveal_steps:
@@ -338,7 +335,7 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
             p_lab = joint.sum(axis=1)
             outer = p_dw[:, :, None] * p_lab[:, None, :]
             r = float(np.abs(joint - outer).max())
-            if r > tol:
+            if not r <= tol:
                 raise InvariantViolationError(f"reveal label at step {k} is not independent of dW (defect {r})")
             defects["reveal_indep"] = max(defects["reveal_indep"], r)
     return defects

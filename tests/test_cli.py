@@ -310,3 +310,9 @@ class TestArtifacts:
         assert summary["passed"] is True
         with open(out / "paths.csv") as fh:
             assert len(fh.readlines()) == 101  # header + one row per path
+        # every byte is pinned, as for the tree commands
+        got = tuple(hashlib.sha256(_read(out / name)).hexdigest()
+                    for name in ("summary.json", "paths.csv", "manifest.json"))
+        assert got == ("c3be4a33ec396d674bea40b82b2a3709321b4b383b168aed7befb58e18db2faa",
+                       "059312f08baa42421212de14ec6acdf48f487e5d96fa3a1fdbb10e5773da279f",
+                       "49cf8001f3b693802af3a3734369666c028c03f791b242f1c1ceca7b929a0b85")

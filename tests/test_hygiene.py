@@ -50,3 +50,30 @@ def test_drivers_do_not_take_len_of_y(path):
              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
              and any(isinstance(a, ast.Name) and a.id == "y" for a in call.args)]
     assert not lines, f"{path.name} lines {lines}: len(y) in a driver, use y.shape[-1]"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_step_maxima_keep_nan(path):
+    """A max or min over steps of an array's .max()/.min() is tree.sup_abs or a numpy
+    fold: the builtin max and min drop a NaN that does not come first."""
+    lines = [node.lineno for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("max", "min")
+             and any(isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) in ("max", "min")
+                     for sub in ast.walk(node))]
+    assert not lines, f"{path.name} lines {lines}: builtin max/min over array maxima"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_lift_loops(path):
+    """A running quantity along paths is ScenarioTree.path_scan: no list appends a
+    lift of its own entries."""
+    lines = []
+    for node in ast.walk(_parse(path)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+                and isinstance(node.func.value, ast.Name)):
+            name = node.func.value.id
+            lines += [node.lineno for sub in ast.walk(node)
+                      if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "lift"
+                      and any(isinstance(n, ast.Name) and n.id == name
+                              for arg in sub.args for n in ast.walk(arg))]
+    assert not lines, f"{path.name} lines {lines}: a lift loop, use ScenarioTree.path_scan"

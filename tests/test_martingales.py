@@ -119,8 +119,7 @@ class TestExhaustJumps:
         drops = [0.3, 0.1, 0.0, 0.0]
         value = [np.full(tree.n_nodes(k), levels[k]) for k in range(4)]
         right = [value[k] - drops[k] for k in range(4)]
-        left = [value[0].copy()] + [tree.lift(right[k - 1], k - 1) for k in range(1, 4)]
-        return tree, LadlagProcess(tree, left, value, right)
+        return tree, LadlagProcess(tree, value, right)
 
     def test_no_right_jumps_gives_zero(self, tree):
         m = random_martingale(tree, 13)

@@ -100,7 +100,8 @@ class TestNorms:
 
     def test_sp_weighted_reduces_to_sp_at_zero(self, tree):
         m = random_martingale(tree, 0)
-        sup = tree.path_max(np.abs(m.values[k]) for k in range(tree.n_steps + 1))
+        slots = [np.abs(v) for v in m.values]
+        sup = tree.path_scan(slots[1:], np.maximum, start=slots[0])
         want = math.sqrt(tree.expectation(sup**2, tree.n_steps))
         assert norm_sp(m, 2.0, alpha=0.0) == pytest.approx(want, abs=1e-12)
 
@@ -120,7 +121,7 @@ class TestNorms:
     def test_m_norm_is_root_expected_bracket(self, tree):
         m = random_martingale(tree, 1)
         incs = m.increments()
-        qv = tree.path_sum(inc**2 for inc in incs)
+        qv = tree.path_scan(inc**2 for inc in incs)
         want = math.sqrt(tree.expectation(qv, tree.n_steps))
         assert norm_m(m, 2.0, 0.0) == pytest.approx(want, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """Tree construction, exact laws, serialization, and failure modes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebsde.errors import OffGridError, SchemaError, TreeBsdeError, TreeSizeError
-from treebsde.tree import Reveal, TimeGrid, build_tree, deserialize_tree, serialize_tree, validate_tree
+from treebsde.tree import (Reveal, TimeGrid, build_tree, deserialize_tree, serialize_tree, sup_abs,
+                           validate_tree)
 
 
 def _reveal(grid, k, labels=("a", "b", "c"), probs=(0.5, 0.3, 0.2)):
@@ -309,38 +311,61 @@ class TestPathPrimitives:
         for k, v in enumerate(values):
             assert np.array_equal(tree.to_leaves(v, k), _naive_to_leaves(tree, v, k))
 
-    @settings(max_examples=40, deadline=None)
-    @given(_tree_and_values())
-    def test_path_sum(self, case):
+    @pytest.mark.parametrize("op", ["add", "multiply", "divide", "maximum"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=_tree_and_values())
+    def test_path_scan(self, op, case):
         tree, values = case
-        n = tree.n_steps
-        # terms on step-(k+1) nodes: S_{k+1} = lift(S_k) + term
-        right = values[1:]
-        acc, whole = np.zeros(1), [np.zeros(1)]
+        n, ufunc = tree.n_steps, getattr(np, op)
+        if op in ("multiply", "divide"):
+            values = [1.0 + np.abs(v) for v in values]  # products as density and discount
+        start = values[0]
+        # step-(k+1) terms, combined after the lift: path sums, the density, path_max
+        acc, whole = start, [start]
         for k in range(n):
-            acc = tree.lift(acc, k) + right[k]
+            acc = ufunc(tree.lift(acc, k), values[k + 1])
             whole.append(acc)
-        assert np.array_equal(tree.path_sum(right), acc)
-        assert all(np.array_equal(a, b) for a, b in zip(tree.path_sum(right, process=True), whole))
-        # terms on step-k nodes, as in the cumulative sum of predictable increments
-        left = values[:-1]
-        acc, whole = np.zeros(1), [np.zeros(1)]
-        for k in range(n):
-            acc = tree.lift(acc, k) + tree.lift(left[k], k)
-            whole.append(acc)
-        assert np.array_equal(tree.path_sum(iter(left)), acc)
-        got = tree.path_sum(iter(left), process=True)
+        assert np.array_equal(tree.path_scan(iter(values[1:]), ufunc, start=start), acc)
+        got = tree.path_scan(iter(values[1:]), ufunc, start=start, process=True)
         assert len(got) == n + 1
         assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+        # step-k terms, combined and then lifted: predictable sums, the Snell discount
+        acc, whole = start, [start]
+        for k in range(n):
+            acc = tree.lift(ufunc(acc, values[k]), k)
+            whole.append(acc)
+        assert np.array_equal(tree.path_scan(iter(values[:-1]), ufunc, start=start), acc)
+        got = tree.path_scan(iter(values[:-1]), ufunc, start=start, process=True)
+        assert len(got) == n + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+        if op == "add":  # the default zero start
+            acc = np.zeros(1)
+            for k in range(n):
+                acc = tree.lift(acc, k) + tree.lift(values[k], k)
+            assert np.array_equal(tree.path_scan(values[:-1]), acc)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(_tree_and_values())
-    def test_path_max(self, case):
-        tree, values = case
-        sup = None
-        for k, here in enumerate(values):
-            sup = here if sup is None else np.maximum(tree.lift(sup, k - 1), here)
-        assert np.array_equal(tree.path_max(iter(values)), sup)
+    def test_path_scan_vector_start(self, case):
+        """The walk (a (1, d) start) and the path probabilities match their parent loops."""
+        tree, _ = case
+        w, pp = [np.zeros((1, tree.d))], [np.array([1.0])]
+        for k in range(1, tree.n_steps + 1):
+            w.append(w[k - 1][tree.parent_index(k)] + tree.dw[k])
+            pp.append(pp[k - 1][tree.parent_index(k)] * tree.cond_prob[k])
+        for got, want in ((tree.w, w), (tree.path_prob, pp)):
+            assert len(got) == len(want)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("where", [None, 0, 1, 2])
+    def test_sup_abs(self, where):
+        arrays = [np.array([-0.5]), np.array([0.25, -3.0, 1.0]), np.array([2.0, -1.0])]
+        if where is None:
+            assert sup_abs(arrays) == 3.0
+            assert sup_abs(iter(arrays)) == 3.0
+        else:
+            arrays[where][-1] = np.nan
+            assert math.isnan(sup_abs(arrays))
 
 
 class TestStepPrimitives:
