@@ -9,6 +9,7 @@ its increments through the same quadruple container.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -16,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeneratorContractError, PicardDivergenceError, StepSizeError
+from .martingales import girsanov_change
 from .processes import AdaptedProcess, PredictableProcess, stochastic_integral
 from .tree import ScenarioTree, sup_abs
 
@@ -164,7 +166,8 @@ class BsdeInstance:
 
 @dataclass
 class SolutionQuadruple:
-    """(Y, Z, M, K) with K stored through its predictable increments."""
+    """(Y, Z, M, K) with K stored through its predictable increments; K and M - K
+    are built once, on first use."""
 
     tree: ScenarioTree
     y: AdaptedProcess
@@ -173,9 +176,13 @@ class SolutionQuadruple:
     dk: PredictableProcess
     scheme: str = "implicit"
 
-    @property
+    @functools.cached_property
     def k(self) -> AdaptedProcess:
         return self.dk.cumulative()
+
+    @functools.cached_property
+    def mk(self) -> AdaptedProcess:
+        return self.m - self.k
 
     def n_process(self) -> AdaptedProcess:
         """N = Z*W + M - K."""
@@ -289,8 +296,6 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
     density from girsanov_change.  Agrees with solve_bsde(implicit) to within
     the inner fixed-point tolerance.
     """
-    from .martingales import girsanov_change  # local import to avoid a cycle
-
     tree, gen = instance.tree, instance.gen
     if not isinstance(gen, AffineGenerator):
         raise TypeError("solve_linear_bsde needs an AffineGenerator")

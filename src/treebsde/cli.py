@@ -300,12 +300,10 @@ def suite_constants(inp) -> list:
         lhs, rhs = young_bound(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
                                float(rng.uniform(0.1, 3)), float(rng.uniform(1.1, 4)))
         worst_yg = max(worst_yg, lhs - rhs)
-    for name, worst in (("power_sum_sandwich", worst_ps), ("young_product_bound", worst_yg)):
-        reports.append(EstimateReport(
-            inequality_id=name, lhs=worst, rhs=0.0, constant_used="exact",
-            passed=worst <= 1e-9, fingerprint=f"seed={seed}", details={"n_samples": 200},
-        ))
-    return reports
+    return reports + [EstimateReport.exact(name, worst, 0.0, 1e-9, f"seed={seed}",
+                                           {"n_samples": 200})
+                      for name, worst in (("power_sum_sandwich", worst_ps),
+                                          ("young_product_bound", worst_yg))]
 
 
 def suite_meyer(inp, s, x) -> list:
@@ -398,9 +396,8 @@ def _single_report(args, cfg: dict, raw, kind: str, check) -> int:
             ReflectedInstance(tree=tree, xi=xi, gen=gen,
                               obstacle=families.random_obstacle(tree, args.seed)))
     inequality_id, lhs, rhs, details = check(inst)
-    rep = EstimateReport(inequality_id=inequality_id, lhs=lhs, rhs=rhs, constant_used="exact",
-                         passed=lhs <= rhs,
-                         fingerprint=families.fingerprint(kind, args.seed, tree), details=details)
+    rep = EstimateReport.exact(inequality_id, lhs, rhs, 0.0,
+                               families.fingerprint(kind, args.seed, tree), details)
     return 1 if write_artifacts(args.out, args.command, raw, args.seed, [rep]) else 0
 
 
@@ -485,12 +482,18 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treebsde",
         description="Exact BSDE and reflected-BSDE laboratory on scenario trees.")
     parser.add_argument("--config", default=None, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0, help="an integer >= 0")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--tol", type=_tolerance, default=1e-10, help="finite and > 0")
     sub = parser.add_subparsers(dest="command", required=True)

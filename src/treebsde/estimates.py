@@ -30,8 +30,10 @@ from .norms import (
     norm_m_composite,
     norm_sp,
     phi_p,
+    sup_power,
+    weighted_sum,
 )
-from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
+from .processes import LadlagProcess, PredictableProcess
 from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree, sup_abs
@@ -52,10 +54,6 @@ def _require_nondecreasing(sol: SolutionQuadruple):
     worst = float(np.min([v.min() for v in sol.dk.values]))
     if not worst >= -PUSH_TOL:
         raise ClassificationError(f"push process is not non-decreasing (min increment {worst:.3e})")
-
-
-def _mk(sol: SolutionQuadruple) -> AdaptedProcess:
-    return sol.m - sol.k
 
 
 def _star_to_leaves(tree: ScenarioTree, phi_vals, increments, weights) -> np.ndarray:
@@ -140,7 +138,7 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             {"p": p, "alpha": alpha, "meyer": c_m, "y_weighted": y_w, "z": z_n, "g0": g_n,
              "time_factor": t_hor ** (p / 2.0)})
 
-    n_norm = norm_m_composite(sol.z, _mk(sol), p, alpha) ** p
+    n_norm = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
     xi_n = lp_norm(tree, instance.xi, p) ** p
     w1 = _wr(tree, alpha)
 
@@ -152,7 +150,7 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
             raise ValueError(f"inadmissible weight: need alpha > {floor:.3f}")
         lhs = norm_h(sol.y, p, alpha) ** p + n_norm
         if p > 2.0:
-            dn = (_dn(sol, k, inc) for k, inc in enumerate(_mk(sol).increments()))
+            dn = (_dn(sol, k, inc) for k, inc in enumerate(sol.mk.increments()))
             star = _star_to_leaves(tree, sol.y.values, dn, w1)
             tail = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
             tail_id = "y_dn_integral"
@@ -181,7 +179,7 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         k_tail = max(tree.expectation(star_k, tree.n_steps), 0.0)
         # jump correction of the p-power expansion; non-negative by construction
         a_term = 0.0
-        for k, inc in enumerate(_mk(sol).increments()):
+        for k, inc in enumerate(sol.mk.increments()):
             dn = _dn(sol, k, inc)
             y_prev = tree.lift(sol.y.values[k], k)
             big = np.maximum(y_prev**2, (y_prev + dn) ** 2)
@@ -212,7 +210,7 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
     _require_nondecreasing(sol1)
     _require_nondecreasing(sol2)
     dz = sol1.z - sol2.z
-    dmk = _mk(sol1) - _mk(sol2)
+    dmk = sol1.mk - sol2.mk
     lhs = norm_h(dz, p, alpha) ** p + norm_m(dmk, p, alpha) ** p
     dy = sol1.y - sol2.y
     dy_sp = norm_sp(dy, p)
@@ -230,25 +228,6 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
 
 
 # -- reflected-specific bounds ------------------------------------------------
-
-def _weighted_leaf_term(tree: ScenarioTree, l_y: float, g: PredictableProcess, p: float) -> float:
-    """E[(sum_k e^{l_y t_{k+1}} |g_k| dt)^p]."""
-    w = _wr(tree, l_y)
-    leaf = tree.path_scan(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
-                          for k in range(tree.n_steps))
-    return tree.expectation(leaf**p, tree.n_steps)
-
-
-def _weighted_sup_term(tree: ScenarioTree, l_y: float, s: AdaptedProcess, clip, p: float) -> float:
-    """E[sup_k (e^{l_y t_k} clip(S_k))^p]."""
-    times = tree.grid.times
-
-    def weighted(k):
-        return math.exp(l_y * times[k]) * clip(s.values[k])
-
-    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
-    return tree.expectation(sup**p, tree.n_steps)
-
 
 def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple, p: float,
                    alpha: float, variant: str = "S_plus",
@@ -269,9 +248,13 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     kappa = (1.0 + p) / 2.0
     lhs = norm_sp(sol.y, p, alpha) ** p
 
-    g_term = _weighted_leaf_term(tree, gen.l_y, gen.g0_process(tree), p)
-    clip = (lambda v: np.maximum(v, 0.0)) if variant == "S_plus" else np.abs
-    s_term = _weighted_sup_term(tree, gen.l_y, instance.obstacle, clip, p)
+    # E[(sum_k e^{L_y t_{k+1}} |g0_k| dt)^p] and E[sup_k (e^{L_y t_k} S_k)^p], S_k clipped at 0
+    g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, gen.g0_process(tree).values), tree.dt)
+    g_term = tree.expectation(g_leaf**p, tree.n_steps)
+    s_vals = instance.obstacle.values
+    if variant == "S_plus":
+        s_vals = (np.maximum(v, 0.0) for v in s_vals)
+    s_term = sup_power(tree, s_vals, p, 2.0 * gen.l_y)
     xi_term = math.exp(p * gen.l_y * t_hor) * lp_norm(tree, instance.xi, p) ** p
 
     fac = 6.0 if variant == "S_plus" else 3.0
@@ -297,10 +280,11 @@ def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadr
     tree = sol1.tree
     l_y = max(inst1.gen.l_y, inst2.gen.l_y)
     lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
+    dg = weighted_sum(tree, l_y, map(np.abs, delta_driver(inst1, sol1, inst2).values), tree.dt)
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
-        "ds": _weighted_sup_term(tree, l_y, inst1.obstacle - inst2.obstacle, np.abs, p),
-        "dg": _weighted_leaf_term(tree, l_y, delta_driver(inst1, sol1, inst2), p),
+        "ds": sup_power(tree, (inst1.obstacle - inst2.obstacle).values, p, 2.0 * l_y),
+        "dg": tree.expectation(dg**p, tree.n_steps),
     }
     rhs = sum(comps.values())
     return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
@@ -345,7 +329,7 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
     tree = sol1.tree
     dy = sol1.y - sol2.y
     dz = sol1.z - sol2.z
-    dmk = _mk(sol1) - _mk(sol2)
+    dmk = sol1.mk - sol2.mk
     lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
            + norm_m(dmk, 2.0, alpha) ** 2)
     dg = delta_driver(inst1, sol1, inst2)
@@ -404,12 +388,8 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
         jump = np.where(big > 0.0, (after[k] - rgt[k]) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
         rhs[:k + 1] -= half * wp[k + 1] * jump
     worst = float(np.max([(wp[j] * np.abs(val[j]) ** p - rhs[j]).max() for j in range(n + 1)]))
-    return EstimateReport(
-        inequality_id="pathwise_power_expansion",
-        lhs=worst, rhs=0.0, constant_used="exact",
-        passed=worst <= ITO_P_TOL, fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "worst_defect": worst},
-    )
+    return EstimateReport.exact("pathwise_power_expansion", worst, 0.0, ITO_P_TOL, fingerprint,
+                                {"p": p, "alpha": alpha, "worst_defect": worst})
 
 
 def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
@@ -420,9 +400,8 @@ def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
     reports = []
 
     z_n = norm_h(sol.z, p, alpha) ** p
-    mk = _mk(sol)
-    mk_n = norm_m(mk, p, alpha) ** p
-    n_n = norm_m_composite(sol.z, mk, p, alpha) ** p
+    mk_n = norm_m(sol.mk, p, alpha) ** p
+    n_n = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
     lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     reports.append(EstimateReport(
@@ -443,12 +422,8 @@ def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
 
     worst = sup_abs(phi_p(sol.y.values[k], p) * tree.cond_exp(_dl(sol, k), k + 1)
                     for k in range(tree.n_steps))
-    reports.append(EstimateReport(
-        inequality_id="gradient_integrand_martingale",
-        lhs=worst, rhs=0.0, constant_used="exact",
-        passed=worst <= 1e-12, fingerprint=fingerprint,
-        details={"p": p, "defect": worst},
-    ))
+    reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0, 1e-12,
+                                        fingerprint, {"p": p, "defect": worst}))
     return reports
 
 

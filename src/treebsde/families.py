@@ -77,13 +77,8 @@ def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> Adapt
     """Adapted lower obstacle built from the walk, shifted down by `margin`."""
     rng = np.random.default_rng(seed + 2)
     amp, freq, off = rng.normal(), rng.normal(), rng.normal()
-
-    def fn(tree, k):
-        w = tree.w[k].sum(axis=1)
-        t = tree.grid.times[k]
-        return amp * np.sin(freq * t + w) + 0.3 * off - margin
-
-    return AdaptedProcess.from_function(tree, fn)
+    return AdaptedProcess(tree, [amp * np.sin(freq * t + w.sum(axis=1)) + 0.3 * off - margin
+                                 for t, w in zip(tree.grid.times, tree.w)])
 
 
 def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:

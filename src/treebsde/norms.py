@@ -7,12 +7,14 @@ Discrete transcriptions, with T the horizon and dt the step:
   * I^{p,a}:    E[ ( sum_k e^{(a/2) t_{k+1}} |dK_{k+1}| )^p ]
 Integral weights sit at the right endpoint of each interval: jumps of M and K
 are booked at t_{k+1}, and the same convention is kept for the ds-integrals so
-that the assembled inequality constants stay valid in discrete time.
+that the assembled inequality constants stay valid in discrete time.  Every
+sum is one weighted_sum and every sup one sup_power, shared with the estimates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,21 +32,28 @@ def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> 
     return tree.expectation(leaf**power, tree.n_steps) ** (1.0 / p)
 
 
+def weighted_sum(tree: ScenarioTree, alpha: float, terms, scale=None) -> np.ndarray:
+    """Per-leaf sum_k e^{alpha t_{k+1}} term_k (times `scale` when given), for terms on
+    step-k or step-(k+1) nodes; computed as w_k * term_k * scale, weight first.
+    `map` keeps no term alive past its product, so a leaf-sized term is freed
+    before the next one is built."""
+    weigh = operator.mul if scale is None else (lambda w, term: w * term * scale)
+    return tree.path_scan(map(weigh, _wr(tree, alpha), terms))
+
+
+def sup_power(tree: ScenarioTree, slots, p: float, alpha: float = 0.0) -> float:
+    """E[sup_k (e^{(alpha/2) t_k} |slot_k|)^p], with one slot array per step k = 0..n."""
+    weighted = map(lambda t, s: np.abs(math.exp(0.5 * alpha * t) * s), tree.grid.times, slots)
+    sup = tree.path_scan(weighted, np.maximum, start=next(weighted))
+    return tree.expectation(sup**p, tree.n_steps)
+
+
 def norm_sp(y, p: float, alpha: float = 0.0) -> float:
     """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (value, right and left limit)."""
-    tree = y.tree
-    times = tree.grid.times
-
-    def slot(k):
-        if isinstance(y, LadlagProcess):
-            return np.maximum(np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k])))
-        return y.values[k]
-
-    def weighted(k):
-        return np.abs(math.exp(0.5 * alpha * times[k]) * slot(k))
-
-    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
-    return _leaf_norm(tree, sup, p, p)
+    slots = ((np.maximum(np.abs(lft), np.maximum(np.abs(v), np.abs(r)))
+              for lft, v, r in zip(y.left, y.value, y.right))
+             if isinstance(y, LadlagProcess) else y.values)
+    return sup_power(y.tree, slots, p, alpha) ** (1.0 / p)
 
 
 def _sq(v: np.ndarray) -> np.ndarray:
@@ -56,17 +65,14 @@ def norm_h(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> fl
     """H^{p,alpha} norm of a (scalar or vector) integrand held on [t_k, t_{k+1});
     reads steps k < n."""
     tree = z.tree
-    w = _wr(tree, alpha)
-    acc = tree.path_scan(w[k] * _sq(z.values[k]) * tree.dt for k in range(tree.n_steps))
+    acc = weighted_sum(tree, alpha, map(_sq, z.values[:tree.n_steps]), tree.dt)
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
-    tree = m.tree
-    w = _wr(tree, alpha)
-    acc = tree.path_scan(w[k] * inc**2 for k, inc in enumerate(m.increments()))
-    return _leaf_norm(tree, acc, p / 2.0, p)
+    acc = weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
+    return _leaf_norm(m.tree, acc, p / 2.0, p)
 
 
 def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha: float) -> float:
@@ -74,18 +80,15 @@ def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha:
     d[N] = |Z|^2 dt + (d fv)^2.  Orthogonality of the walk and the residual
     makes this the correct bracket decomposition on the tree."""
     tree = z.tree
-    w = _wr(tree, alpha)
-    acc = tree.path_scan(w[k] * (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2)
-                         for k, inc in enumerate(fv.increments()))
+    acc = weighted_sum(tree, alpha, (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2
+                                     for k, inc in enumerate(fv.increments())))
     return _leaf_norm(tree, acc, p / 2.0, p)
 
 
 def norm_i(k_inc: PredictableProcess, p: float, alpha: float) -> float:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
-    tree = k_inc.tree
-    w = _wr(tree, 0.5 * alpha)
-    acc = tree.path_scan(w[k] * np.abs(v) for k, v in enumerate(k_inc.values))
-    return _leaf_norm(tree, acc, p, p)
+    acc = weighted_sum(k_inc.tree, 0.5 * alpha, map(np.abs, k_inc.values))
+    return _leaf_norm(k_inc.tree, acc, p, p)
 
 
 # -- pointwise functions and explicit constants -------------------------------

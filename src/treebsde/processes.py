@@ -61,11 +61,6 @@ class AdaptedProcess:
             vals[k - 1] = tree.cond_exp(vals[k], k)
         return cls(tree, vals)
 
-    @classmethod
-    def from_function(cls, tree: ScenarioTree, fn) -> "AdaptedProcess":
-        """fn(tree, step) -> array over step-k nodes."""
-        return cls(tree, [np.asarray(fn(tree, k), dtype=float) for k in range(tree.n_steps + 1)])
-
     def __add__(self, other):
         return AdaptedProcess(self.tree, [a + b for a, b in _pairs(self, other)])
 

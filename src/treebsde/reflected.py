@@ -177,12 +177,8 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
     costs = instance.gen.along(sol.y, sol.z).values
     v = snell_dynamic_program(tree, instance.xi, instance.obstacle, costs)
     defect_a = sup_abs(v.values[k] - sol.y.values[k] for k in range(tree.n_steps + 1))
-    reports = [EstimateReport(
-        inequality_id="stopping_value_frozen_costs",
-        lhs=defect_a, rhs=SNELL_TOL, constant_used="exact",
-        passed=defect_a <= SNELL_TOL, fingerprint=fingerprint,
-        details={"root_value": float(v.values[0][0])},
-    )]
+    reports = [EstimateReport.exact("stopping_value_frozen_costs", defect_a, SNELL_TOL, 0.0,
+                                    fingerprint, {"root_value": float(v.values[0][0])})]
 
     lam_vals, eta_vals, g0_vals = _extract_linearization(instance, sol)
     dt = tree.dt
@@ -197,12 +193,9 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
         cont = mc.cond_exp_q(u, k + 1) - (disc[k] / factors[k]) * g0_vals[k] * dt
         u = np.maximum(disc[k] * instance.obstacle.values[k], cont)
         defect_b = np.maximum(defect_b, np.abs(u - disc[k] * sol.y.values[k]).max())
-    reports.append(EstimateReport(
-        inequality_id="stopping_value_discounted_measure_change",
-        lhs=float(defect_b), rhs=SNELL_TOL, constant_used="exact",
-        passed=bool(defect_b <= SNELL_TOL), fingerprint=fingerprint,
-        details={"scheme": sol.scheme},
-    ))
+    reports.append(EstimateReport.exact("stopping_value_discounted_measure_change",
+                                        float(defect_b), SNELL_TOL, 0.0, fingerprint,
+                                        {"scheme": sol.scheme}))
     return reports
 
 

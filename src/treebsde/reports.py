@@ -11,8 +11,9 @@ class EstimateReport:
     """One checked inequality: both sides, the constant used, ratio, verdict.
 
     `constant_used` is either the explicit numeric constant assembled from the
-    printed formulas, or the string "empirical" when only existence of a
-    constant is asserted and the ratio itself is the deliverable.
+    printed formulas, the string "empirical" when only existence of a
+    constant is asserted and the ratio itself is the deliverable, or "exact"
+    for a defect or identity that holds to a stated tolerance.
     """
 
     inequality_id: str
@@ -36,6 +37,13 @@ class EstimateReport:
         """Existence-of-a-constant tier: only a finite ratio (or 0 <= 0) is asserted."""
         passed = (lhs == 0.0 and rhs == 0.0) or (rhs > 0.0 and math.isfinite(lhs / rhs))
         return cls(inequality_id, lhs, rhs, "empirical", passed, fingerprint, details)
+
+    @classmethod
+    def exact(cls, inequality_id: str, lhs: float, rhs: float, tol: float, fingerprint: str,
+              details: dict) -> "EstimateReport":
+        """Exact tier: a defect or an identity that passes when lhs <= rhs + tol, so a NaN
+        fails."""
+        return cls(inequality_id, lhs, rhs, "exact", lhs <= rhs + tol, fingerprint, details)
 
     @property
     def ratio(self) -> float:

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        try:
+            object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 

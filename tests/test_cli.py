@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebsde import bsde, cli
+from treebsde.processes import PredictableProcess
 from treebsde.cli import (
     ConfigError,
     default_config,
@@ -174,6 +175,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["solve"], ["reflect"], ["picard"],
+                                         ["verify", "--suite", "constants"], ["counterexample"],
+                                         ["snell-check"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, "--out", str(tmp_path / "out"), *command])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"version": 1, "tree": {"horizon": 1.0}}')
@@ -242,6 +254,27 @@ class TestArtifacts:
                      "verify", "--suite", "all"]) == 0
         assert len(calls) == 4
         assert len({id(inst) for inst in calls}) == 4
+
+    def test_push_built_once_per_solution(self, tmp_path, monkeypatch):
+        """K (and with it M - K) is one running sum per solved instance: the
+        benchmark's family pass, at family.count 10, builds it 10 times."""
+        calls = []
+        real = PredictableProcess.cumulative
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PredictableProcess, "cumulative", counted)
+        cfg = default_config()
+        cfg["family"]["count"] = 10
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for seed, command in [(1, ["verify", "--suite", "all"]), (1, ["snell-check"]),
+                              (1, ["picard"]), (2, ["picard"]), (3, ["picard"])]:
+            assert main(["--config", str(path), "--seed", str(seed),
+                         "--out", str(tmp_path / "out"), *command]) == 0
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
                                                 (["picard"], 1)], ids=["verify", "picard"])

@@ -30,6 +30,7 @@ from treebsde.families import (
 )
 from treebsde.norms import phi_p
 from treebsde.reflected import ReflectedInstance, solve_reflected
+from treebsde.reports import EstimateReport
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,17 @@ def _ito_p_worst_reference(x, p, alpha):
             rhs = rhs - half * wp[n] * jump_penalty(rgt[n - 1], val[n])
         worst = max(worst, float((lhs - rhs).max()))
     return worst
+
+
+class TestExactTier:
+    def test_passes_within_tolerance(self):
+        rep = EstimateReport.exact("defect", 1e-12, 0.0, 1e-12, "fp", {})
+        assert rep.passed and rep.constant_used == "exact"
+        assert not EstimateReport.exact("defect", 2e-12, 0.0, 1e-12, "fp", {}).passed
+
+    @pytest.mark.parametrize("lhs,rhs", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_fails(self, lhs, rhs):
+        assert not EstimateReport.exact("defect", lhs, rhs, 1e-10, "fp", {}).passed
 
 
 class TestPowerExpansionRows:

@@ -77,3 +77,14 @@ def test_no_hand_written_lift_loops(path):
                       and any(isinstance(n, ast.Name) and n.id == name
                               for arg in sub.args for n in ast.walk(arg))]
     assert not lines, f"{path.name} lines {lines}: a lift loop, use ScenarioTree.path_scan"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "norms.py"], ids=lambda p: p.name)
+def test_weighted_sups_are_norms_sup_power(path):
+    """A running sup along paths is norms.sup_power: no other module passes np.maximum
+    to path_scan."""
+    lines = [node.lineno for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "path_scan"
+             and any(isinstance(arg, ast.Attribute) and arg.attr == "maximum"
+                     for arg in list(node.args) + [kw.value for kw in node.keywords])]
+    assert not lines, f"{path.name} lines {lines}: a sup along paths, use norms.sup_power"

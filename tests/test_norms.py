@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde.families import random_martingale, standard_tree
+from treebsde.families import (
+    random_martingale,
+    random_reflected,
+    random_strong_supermartingale,
+    standard_tree,
+)
 from treebsde.norms import (
     burkholder_constant,
     burkholder_constant_alt,
@@ -17,12 +22,16 @@ from treebsde.norms import (
     norm_h,
     norm_i,
     norm_m,
+    norm_m_composite,
     norm_sp,
     phi_p,
     power_sum_bounds,
+    sup_power,
+    weighted_sum,
     young_bound,
 )
-from treebsde.processes import PredictableProcess
+from treebsde.processes import LadlagProcess, PredictableProcess
+from treebsde.reflected import solve_reflected
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +154,117 @@ class TestNorms:
         alpha = 2.0
         want = math.exp((alpha / 2.0) * tree.grid.times[1])
         assert norm_i(dk, 2.0, alpha) == pytest.approx(want, abs=1e-12)
+
+
+# -- reference transcriptions: one hand-written path scan per norm ------------
+
+def _ref_wr(tree, alpha):
+    return [math.exp(alpha * tree.grid.times[k + 1]) for k in range(tree.n_steps)]
+
+
+def _ref_leaf_norm(tree, leaf, power, p):
+    return tree.expectation(leaf**power, tree.n_steps) ** (1.0 / p)
+
+
+def _ref_sq(v):
+    return np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
+
+
+def _ref_norm_sp(y, p, alpha=0.0):
+    tree = y.tree
+    times = tree.grid.times
+
+    def slot(k):
+        if isinstance(y, LadlagProcess):
+            return np.maximum(np.abs(y.left[k]), np.maximum(np.abs(y.value[k]), np.abs(y.right[k])))
+        return y.values[k]
+
+    def weighted(k):
+        return np.abs(math.exp(0.5 * alpha * times[k]) * slot(k))
+
+    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
+    return _ref_leaf_norm(tree, sup, p, p)
+
+
+def _ref_norm_h(z, p, alpha):
+    tree = z.tree
+    w = _ref_wr(tree, alpha)
+    acc = tree.path_scan(w[k] * _ref_sq(z.values[k]) * tree.dt for k in range(tree.n_steps))
+    return _ref_leaf_norm(tree, acc, p / 2.0, p)
+
+
+def _ref_norm_m(m, p, alpha):
+    tree = m.tree
+    w = _ref_wr(tree, alpha)
+    acc = tree.path_scan(w[k] * inc**2 for k, inc in enumerate(m.increments()))
+    return _ref_leaf_norm(tree, acc, p / 2.0, p)
+
+
+def _ref_norm_m_composite(z, fv, p, alpha):
+    tree = z.tree
+    w = _ref_wr(tree, alpha)
+    acc = tree.path_scan(w[k] * (tree.lift(_ref_sq(z.values[k]), k) * tree.dt + inc**2)
+                         for k, inc in enumerate(fv.increments()))
+    return _ref_leaf_norm(tree, acc, p / 2.0, p)
+
+
+def _ref_norm_i(k_inc, p, alpha):
+    tree = k_inc.tree
+    w = _ref_wr(tree, 0.5 * alpha)
+    acc = tree.path_scan(w[k] * np.abs(v) for k, v in enumerate(k_inc.values))
+    return _ref_leaf_norm(tree, acc, p, p)
+
+
+def _ref_weighted_leaf_term(tree, l_y, g, p):
+    w = _ref_wr(tree, l_y)
+    leaf = tree.path_scan(tree.lift(w[k] * np.abs(g.values[k]), k) * tree.dt
+                          for k in range(tree.n_steps))
+    return tree.expectation(leaf**p, tree.n_steps)
+
+
+def _ref_weighted_sup_term(tree, l_y, s, clip, p):
+    times = tree.grid.times
+
+    def weighted(k):
+        return math.exp(l_y * times[k]) * clip(s.values[k])
+
+    sup = tree.path_scan(map(weighted, range(1, tree.n_steps + 1)), np.maximum, start=weighted(0))
+    return tree.expectation(sup**p, tree.n_steps)
+
+
+class TestSharedScaffoldKeepsBits:
+    """weighted_sum and sup_power multiply the weight first and dt last, so every
+    norm and estimate term equals its one-scan-per-norm transcription bit for bit."""
+
+    @pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
+    @pytest.mark.parametrize("d,n", [(1, 3), (1, 4), (1, 5), (1, 8),
+                                     (2, 3), (2, 4), (2, 5), (3, 3)])
+    def test_equal_to_reference(self, d, n, reveal):
+        tree = standard_tree(n_steps=n, d=d, with_reveal=reveal)
+        for seed in range(2):
+            inst = random_reflected(tree, seed, margin=0.3)
+            sol = solve_reflected(inst)
+            mk = sol.m - sol.k
+            x = random_strong_supermartingale(tree, seed)
+            g = inst.gen.along(sol.y, sol.z)
+            abs_g = [np.abs(v) for v in g.values]
+            s = inst.obstacle
+            for p in (1.2, 1.5, 2.0, 3.0):
+                for a in (0.0, 0.3, 1.7):
+                    pairs = [
+                        (norm_sp(sol.y, p, a), _ref_norm_sp(sol.y, p, a)),
+                        (norm_sp(x, p, a), _ref_norm_sp(x, p, a)),
+                        (norm_h(sol.z, p, a), _ref_norm_h(sol.z, p, a)),
+                        (norm_h(sol.y, p, a), _ref_norm_h(sol.y, p, a)),
+                        (norm_m(mk, p, a), _ref_norm_m(mk, p, a)),
+                        (norm_m_composite(sol.z, mk, p, a), _ref_norm_m_composite(sol.z, mk, p, a)),
+                        (norm_i(sol.dk, p, a), _ref_norm_i(sol.dk, p, a)),
+                        (tree.expectation(weighted_sum(tree, a, abs_g, tree.dt) ** p, tree.n_steps),
+                         _ref_weighted_leaf_term(tree, a, g, p)),
+                        (sup_power(tree, s.values, p, 2.0 * a),
+                         _ref_weighted_sup_term(tree, a, s, np.abs, p)),
+                        (sup_power(tree, [np.maximum(v, 0.0) for v in s.values], p, 2.0 * a),
+                         _ref_weighted_sup_term(tree, a, s, lambda v: np.maximum(v, 0.0), p)),
+                    ]
+                    for i, (got, want) in enumerate(pairs):
+                        assert got == want, (seed, p, a, i, got, want)

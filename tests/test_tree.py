@@ -50,6 +50,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, n_steps=0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(horizon=horizon, n_steps=3)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", None])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            TimeGrid(horizon=1.0, n_steps=n_steps)
+
+    def test_numpy_integer_steps(self):
+        grid = TimeGrid(horizon=1.0, n_steps=np.int64(3))
+        assert type(grid.n_steps) is int and grid == TimeGrid(horizon=1.0, n_steps=3)
+        assert build_tree(grid).n_nodes(3) == 8
+
 
 class TestBuildTree:
     def test_counts_binary(self):
