@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,12 +37,18 @@ class Generator:
     `fn(k, y, z)` is called on the driver steps k = 0..n-1 only and must be
     vectorized over step-k nodes, with any leading axes: y has shape
     (..., n_k), z has shape (..., n_k, d), and the result has shape (..., n_k).
+
+    A family of B drivers with the same constants is one Generator whose
+    `members` are its B member drivers and whose `fn` evaluates them all at
+    once: y has shape (..., B, n_k) and z (..., B, n_k, d), the member axis
+    last among the leading axes, and row i of the result is member i's value.
     """
 
     fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     l_y: float
     l_z: float
     name: str = "generator"
+    members: tuple = field(default=(), repr=False)
 
     def __call__(self, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(k, y, z), dtype=float)
@@ -79,59 +86,102 @@ class AffineGenerator(Generator):
                    lam=lam, eta=eta)
 
 
-def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> float:
-    """Worst Lipschitz excess of the step-k probes in `draw`, which holds y, y2, z, z2
-    one after another on its last axis; leading axes stack probes into one call pair."""
+def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> np.ndarray:
+    """Worst Lipschitz excess of the step-k probes in `draw`, one per member of `gen`
+    (a lone driver is its own one member).  `draw` holds y, y2, z, z2 one after
+    another on its last axis; leading axes stack probes into one call pair.  A
+    family's members see the same probes through a member axis of length one."""
     lead, d = draw.shape[:-1], draw.shape[-1] // (2 * n) - 1
+    gens = gen.members or (gen,)
     y, y2 = draw[..., :n], draw[..., n:2 * n]
     z = draw[..., 2 * n:(2 + d) * n].reshape(lead + (n, d))
     z2 = draw[..., (2 + d) * n:].reshape(lead + (n, d))
+    if gen.members:
+        y, y2, z, z2 = y[..., None, :], y2[..., None, :], z[..., None, :, :], z2[..., None, :, :]
+    want = y.shape[:-2] + (len(gens), n) if gen.members else y.shape
     g, g2 = gen(k, y, z), gen(k, y2, z2)
     for out in (g, g2):
-        if out.shape != y.shape:
+        if out.shape != want:
             raise GeneratorContractError(
                 f"{gen.name}: step {k}: y {y.shape} and z {z.shape} gave a driver value of "
                 f"shape {out.shape}; leading axes must be kept")
-        if not np.isfinite(out).all():
-            raise GeneratorContractError(f"{gen.name}: step {k}: non-finite driver value")
+        finite = np.isfinite(out).reshape(-1, len(gens), n).all(axis=(0, 2))
+        if not finite.all():
+            raise GeneratorContractError(f"{gens[finite.argmin()].name}: step {k}: "
+                                         "non-finite driver value")
     lhs = np.abs(g - g2)
     bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.linalg.norm(z - z2, axis=-1)
-    excess = float((lhs - bound).max())
-    if not math.isfinite(excess):
-        raise GeneratorContractError(f"{gen.name}: step {k}: non-finite Lipschitz excess {excess}")
+    excess = (lhs - bound).reshape(-1, len(gens), n).max(axis=(0, 2))
+    finite = np.isfinite(excess)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise GeneratorContractError(
+            f"{gens[i].name}: step {k}: non-finite Lipschitz excess {excess[i]}")
     return excess
 
 
-def check_lipschitz(gen: Generator, tree: ScenarioTree) -> float:
-    """Spot-check the declared Lipschitz constants with LIPSCHITZ_PROBES seeded
-    random probes.
+_PROBES = weakref.WeakKeyDictionary()  # tree -> (stacked narrow draws per step, wide states)
 
-    Probes of one step at most LIPSCHITZ_STACK nodes wide are stacked on a
-    leading axis and evaluated with one pair of driver calls; wider steps get
-    one pair per probe.  Returns the worst excess; raises GeneratorContractError
-    beyond the slack, on a non-finite driver value and on a driver that drops
-    the leading axes.
+
+def _probe_draws(tree: ScenarioTree):
+    """The LIPSCHITZ_PROBES seeded probes of `tree` as (step, draw) pairs.
+
+    A probe draws y, y2, z, z2 in one normal() call, the same samples as four
+    calls since normal() keeps no state.  The probes of one step at most
+    LIPSCHITZ_STACK nodes wide come stacked on a leading axis, in one pair per
+    step; they are drawn once per tree and kept with it.  A wider probe comes
+    alone and is never kept: later checks redraw it from the generator state
+    recorded before it.
     """
+    cached = _PROBES.get(tree)
+    if cached is not None:
+        stacks, wide = cached
+        for k, state in wide:
+            rng = np.random.default_rng(LIPSCHITZ_SEED)
+            rng.bit_generator.state = state
+            yield k, _draw(rng, tree, k)
+        yield from stacks.items()
+        return
     rng = np.random.default_rng(LIPSCHITZ_SEED)
-    stacks = {}
-    worst = 0.0
+    stacks, wide = {}, []
     for _ in range(LIPSCHITZ_PROBES):
         k = int(rng.integers(0, tree.n_steps))
-        n = tree.n_nodes(k)
-        # y, y2, z, z2: the same samples as four calls, since normal() keeps no state
-        draw = rng.normal(size=(2 + 2 * tree.d) * n)
-        draw *= 3
-        if n > LIPSCHITZ_STACK:
-            worst = max(worst, _probe_excess(gen, k, n, draw))
+        if tree.n_nodes(k) > LIPSCHITZ_STACK:
+            wide.append((k, rng.bit_generator.state))
+            yield k, _draw(rng, tree, k)
         else:
-            stacks.setdefault(k, []).append(draw)
-    for k, draws in stacks.items():
-        worst = max(worst, _probe_excess(gen, k, tree.n_nodes(k), np.stack(draws)))
-    if worst > LIPSCHITZ_SLACK:
+            stacks.setdefault(k, []).append(_draw(rng, tree, k))
+    stacks = {k: np.stack(draws) for k, draws in stacks.items()}
+    _PROBES[tree] = stacks, wide
+    yield from stacks.items()
+
+
+def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int) -> np.ndarray:
+    draw = rng.normal(size=(2 + 2 * tree.d) * tree.n_nodes(k))
+    draw *= 3
+    return draw
+
+
+def check_lipschitz(gen: Generator, tree: ScenarioTree):
+    """Spot-check the declared Lipschitz constants on the LIPSCHITZ_PROBES seeded
+    probes of the tree (see _probe_draws), with one pair of driver calls per
+    probed step, or per probe on steps wider than LIPSCHITZ_STACK nodes.
+
+    Returns the worst excess, one per member for a family, whose members share
+    each call pair.  Raises GeneratorContractError naming the driver (the first
+    offending member of a family) beyond the slack, on a non-finite driver value
+    and on a driver that drops the leading axes.
+    """
+    worst = np.zeros(len(gen.members) or 1)
+    for k, draw in _probe_draws(tree):
+        worst = np.maximum(worst, _probe_excess(gen, k, tree.n_nodes(k), draw))
+    over = worst > LIPSCHITZ_SLACK
+    if over.any():
+        i = int(over.argmax())
         raise GeneratorContractError(
-            f"{gen.name}: Lipschitz excess {worst:.3e} beyond declared (L_y={gen.l_y}, L_z={gen.l_z})"
-        )
-    return worst
+            f"{(gen.members or (gen,))[i].name}: Lipschitz excess {worst[i]:.3e} beyond "
+            f"declared (L_y={gen.l_y}, L_z={gen.l_z})")
+    return worst if gen.members else float(worst[0])
 
 
 def require_finite(what: str, arrays, first_step: int = 0):
@@ -144,24 +194,33 @@ def require_finite(what: str, arrays, first_step: int = 0):
             raise ValueError(f"{what} is not finite at step {k}, node {i} ({float(a[i])})")
 
 
+def check_step_size(tree: ScenarioTree, gen: Generator):
+    """StepSizeError unless dt * L_y < 1, which makes the implicit step a contraction."""
+    if tree.dt * gen.l_y >= 1.0:
+        raise StepSizeError(f"dt * L_y = {tree.dt * gen.l_y:.3f} >= 1; "
+                            "refine the grid or relax the driver")
+
+
 @dataclass(frozen=True)
 class BsdeInstance:
     """Terminal condition and driver on one tree.  Binding them checks the
-    driver's contract once (dt * L_y < 1, check_lipschitz); solvers trust it."""
+    driver's contract once (check_step_size, check_lipschitz) and keeps the
+    worst probe excess; solvers trust it.  A family, whose one stacked check
+    probes every member, passes each member's excess in instead."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
+    excess: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         if self.xi.shape[0] != self.tree.n_nodes(self.tree.n_steps):
             raise ValueError("terminal condition is not measurable at the terminal partition")
         require_finite("terminal condition", [self.xi], self.tree.n_steps)
-        if self.tree.dt * self.gen.l_y >= 1.0:
-            raise StepSizeError(f"dt * L_y = {self.tree.dt * self.gen.l_y:.3f} >= 1; "
-                                "refine the grid or relax the driver")
-        check_lipschitz(self.gen, self.tree)
+        check_step_size(self.tree, self.gen)
+        if self.excess is None:
+            object.__setattr__(self, "excess", check_lipschitz(self.gen, self.tree))
 
 
 @dataclass
@@ -216,76 +275,110 @@ def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
     return ey, z_k, dm
 
 
+def _drive(gen: Generator, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The driver on the node arrays of a family's stacked copies of a tree (see
+    ScenarioTree.forest): block i of the node axis is member i, which the family
+    driver sees on a leading member axis.  A lone driver gets the arrays as they are."""
+    if not gen.members:
+        return gen(k, y, z)
+    b = len(gen.members)
+    return gen(k, y.reshape(b, -1), z.reshape(b, -1, z.shape[-1])).reshape(y.shape)
+
+
 def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
                    dt: float, obstacle: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration;
-    a non-finite iterate stops it at once."""
+    a non-finite iterate stops it at once.
+
+    Each member of a family driver (see _drive) stops at its own IMPLICIT_TOL
+    and keeps that iterate while the others go on, so it gets the bits of its
+    solo solve.
+    """
+    members = len(gen.members) or 1
     y = target.copy()
+    live = None  # per member, once some member has stopped: still iterating
     for _ in range(IMPLICIT_MAX_ITER):
-        y_new = target - gen(k, y, z_k) * dt
+        y_new = target - _drive(gen, k, y, z_k) * dt
         if obstacle is not None:
             y_new = np.maximum(obstacle, y_new)
+        if live is not None:
+            y_new.reshape(members, -1)[~live] = y.reshape(members, -1)[~live]
         defect = float(np.abs(y_new - y).max())
-        if not math.isfinite(defect):
-            raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
-                                        f"{int(np.abs(y_new - y).argmax())} ({gen.name})")
-        y = y_new
         if defect <= IMPLICIT_TOL:
-            return y
+            return y_new
+        if not math.isfinite(defect):
+            blocks = np.abs(y_new - y).reshape(members, -1)
+            i = int(np.isfinite(blocks).all(axis=1).argmin())
+            raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
+                                        f"{int(blocks[i].argmax())} "
+                                        f"({(gen.members or (gen,))[i].name})")
+        if members > 1:
+            live = np.abs(y_new - y).reshape(members, -1).max(axis=1) > IMPLICIT_TOL
+        y = y_new
     raise PicardDivergenceError(
         f"step {k}: inner fixed point not converged after {IMPLICIT_MAX_ITER} iterations "
         f"(last defect {defect:.3e}, contraction factor dt*L_y = {dt * gen.l_y:.3f})"
     )
 
 
-def _quadruple(tree: ScenarioTree, y_vals: list, z_vals: list, dm_vals: list,
-               dk_vals: list = None, scheme: str = "implicit") -> SolutionQuadruple:
-    """Assemble (Y, Z, M, K) from per-step arrays; M is the running sum of dM."""
+def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, z_vals: list,
+                dm_vals: list, dk_vals: list = None, scheme: str = "implicit") -> list:
+    """(Y, Z, M, K) on `tree` for each copy of it in `forest` from per-step forest
+    arrays; M is the running sum of dM."""
+    members, n = forest.n_nodes(0), tree.n_steps
     if dk_vals is None:
-        dk_vals = [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps)]
-    return SolutionQuadruple(
-        tree=tree,
-        y=AdaptedProcess(tree, y_vals),
-        z=PredictableProcess(tree, z_vals),
-        m=AdaptedProcess(tree, tree.path_scan(dm_vals, process=True)),
-        dk=PredictableProcess(tree, dk_vals),
-        scheme=scheme,
-    )
+        dk_vals = [np.zeros(forest.n_nodes(k)) for k in range(n)]
+    m_vals = forest.path_scan(dm_vals, start=np.zeros(members), process=True)
+
+    def split(arrays) -> list:
+        if members == 1:
+            return [arrays]
+        blocks = [a.reshape((members, -1) + a.shape[1:]) for a in arrays]
+        return [[b[i] for b in blocks] for i in range(members)]
+
+    return [SolutionQuadruple(tree=tree, y=AdaptedProcess(tree, y), z=PredictableProcess(tree, z),
+                              m=AdaptedProcess(tree, m), dk=PredictableProcess(tree, dk),
+                              scheme=scheme)
+            for y, z, m, dk in zip(*map(split, (y_vals, z_vals, m_vals, dk_vals)))]
 
 
 def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: str,
-                    obstacle: list = None) -> SolutionQuadruple:
-    """Backward induction for the plain (no obstacle) and the reflected equation.
+                    obstacle: list = None) -> list:
+    """Backward induction for the plain (no obstacle) and the reflected equation;
+    one SolutionQuadruple per member.
 
     With an obstacle S, Y_k = max(S_k, y~_k) where y~_k is the unconstrained
     step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
-    exactly zero.
+    exactly zero.  A family driver (B = len(gen.members)) solves its B members
+    in one sweep over B stacked copies of the tree: block i of xi (B n_n nodes)
+    and of each obstacle[k] (B n_k nodes) is member i's.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    forest = tree.forest(len(gen.members) or 1)
     n, dt = tree.n_steps, tree.dt
     y_vals = [None] * (n + 1)
     y_vals[n] = xi.copy() if obstacle is None else np.maximum(xi, obstacle[n])
     z_vals, dm_vals = [None] * n, [None] * n
     dk_vals = None if obstacle is None else [None] * n
     for k in range(n - 1, -1, -1):
-        ey, z_vals[k], dm_vals[k] = _project(tree, y_vals[k + 1], k)
+        ey, z_vals[k], dm_vals[k] = _project(forest, y_vals[k + 1], k)
         s_k = None if obstacle is None else obstacle[k]
         if scheme == "explicit":
-            y_tilde = ey - gen(k, ey, z_vals[k]) * dt
+            y_tilde = ey - _drive(gen, k, ey, z_vals[k]) * dt
             y_vals[k] = y_tilde if s_k is None else np.maximum(s_k, y_tilde)
         else:
             y_vals[k] = _implicit_step(gen, k, ey, z_vals[k], dt, obstacle=s_k)
             if s_k is not None:
-                y_tilde = ey - gen(k, y_vals[k], z_vals[k]) * dt
+                y_tilde = ey - _drive(gen, k, y_vals[k], z_vals[k]) * dt
         if s_k is not None:
             dk_vals[k] = y_vals[k] - y_tilde
-    return _quadruple(tree, y_vals, z_vals, dm_vals, dk_vals, scheme)
+    return _quadruples(tree, forest, y_vals, z_vals, dm_vals, dk_vals, scheme)
 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Solve the plain BSDE (K = 0) by backward induction."""
-    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
+    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)[0]
 
 
 def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
@@ -314,5 +407,5 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
         u_vals[k] = u
     y_vals = [u_vals[k] / disc[k] for k in range(tree.n_steps + 1)]
     _, z_vals, dm_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
-    return _quadruple(tree, y_vals, list(z_vals), list(dm_vals))
+    return _quadruples(tree, tree, y_vals, z_vals, dm_vals)[0]
 

@@ -35,7 +35,7 @@ from .estimates import (
     check_stability_norm_bound,
     compensator_weight_floor,
 )
-from .ladder import run_counterexample
+from .ladder import run_counterexample, step_count
 from .martingales import meyer_bound_check
 from .norms import (
     burkholder_constant,
@@ -51,6 +51,7 @@ from .reflected import (
     ReflectedInstance,
     check_skorokhod,
     picard_solve,
+    solve_family,
     solve_reflected,
     verify_snell_representation,
 )
@@ -123,15 +124,19 @@ def parse_config(raw) -> dict:
     """Check a config against CONFIG; returns every section with its defaults filled in.
 
     Ranges that join two fields are checked here too: the counterexample step
-    against its horizon and, given a tree, its reveals and node cap (without
-    building it), the generator lengths and dt * L_y < 1 for every driver a
-    command may build.
+    against its horizon (at most it, and a whole number of steps in it) and,
+    given a tree, its reveals and node cap (without building it), the generator
+    lengths and dt * L_y < 1 for every driver a command may build.
     """
     cfg = read_record(raw, CONFIG, ConfigError)
     ce, tc, gc = cfg["counterexample"], cfg["tree"], cfg["generator"] or {}
     if ce["dt"] > ce["horizon"]:
         raise ConfigError(f"counterexample.dt: must be <= counterexample.horizon "
                           f"{ce['horizon']}, got {ce['dt']}")
+    try:
+        step_count(ce["dt"], ce["horizon"])
+    except ValueError as exc:
+        raise ConfigError(f"counterexample.dt: {exc}") from exc
     if tc is None:
         return cfg
     try:
@@ -251,12 +256,11 @@ class SuiteInputs:
 
     @cached_property
     def solved(self) -> list:
-        """(seed, instance, implicit solution) per reflected family member."""
-        out = []
-        for s in range(self.seed, self.seed + self.count):
-            inst = families.random_reflected(self.tree, s, **self.params)
-            out.append((s, inst, solve_reflected(inst, scheme="implicit")))
-        return out
+        """(seed, instance, implicit solution) per reflected family member, all
+        members bound and solved as one family."""
+        seeds = range(self.seed, self.seed + self.count)
+        family = families.reflected_family(self.tree, seeds, **self.params)
+        return list(zip(seeds, family.members, solve_family(family, scheme="implicit")))
 
     @cached_property
     def pairs(self) -> list:

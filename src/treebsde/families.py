@@ -10,7 +10,7 @@ import numpy as np
 
 from .bsde import BsdeInstance, Generator
 from .processes import AdaptedProcess, LadlagProcess
-from .reflected import ReflectedInstance
+from .reflected import ReflectedFamily, ReflectedInstance
 from .tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
 DROP_RATE = 0.3  # chance that a node of a random strong supermartingale announces a drop
@@ -33,52 +33,82 @@ def standard_tree(n_steps: int = 6, d: int = 1, horizon: float = 1.0,
     return build_tree(grid, d=d, reveals=reveals)
 
 
-def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
-                     l_z: float = 0.5) -> Generator:
-    """Lipschitz driver with node-dependent zero level.
+def _seeded_driver(b0: list, c: np.ndarray, u: np.ndarray, l_y: float, l_z: float):
+    """g(k, y, z) = b0_k + l_y sin(y + c) + l_z tanh(z . u), on the parameters of one
+    member (b0_k (n_k,), c a scalar, u (d, 1)) or of a family, with a leading member
+    axis on each (b0_k (B, n_k), c (B, 1), u (B, d, 1)).  z . u is a matmul either way."""
+    def fn(k, y, z):
+        return b0[k] + l_y * np.sin(y + c) + l_z * np.tanh((z @ u)[..., 0])
 
-    g(k, y, z) = b0_k + l_y sin(y + c_k) + l_z tanh(z . u) with |u| = 1, so the
+    return fn
+
+
+def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
+                     l_z: float = 0.5) -> Generator:
+    """The seeded drivers of `seeds` as one family Generator; member i is
+    random_generator(tree, seeds[i]), a view of row i of the family's parameters.
+
+    g(k, y, z) = b0_k + l_y sin(y + c) + l_z tanh(z . u) with |u| = 1, so the
     declared constants are exact (the derivatives are bounded by 1).  The zero
     level b0_k depends on the node only, so it is built once per driver step
     k < n.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=tree.d)
-    u /= np.linalg.norm(u)
-    a0, a1, c = rng.normal(size=3)
-    lab_bias = rng.normal(size=8)
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
+    for row in u:
+        row /= np.linalg.norm(row[:, 0])
+    params = np.stack([rng.normal(size=11) for rng in rngs])
+    a0, a1, c, lab_bias = params[:, :1], params[:, 1:2], params[:, 2:3], params[:, 3:]
     b0 = []
     for k in range(tree.n_steps):
         w, lab = tree.w[k].sum(axis=1), tree.reveal_label[k]
-        b0.append(a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[np.clip(lab, 0, 7)], 0.0))
+        b0.append(a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0))
+    members = tuple(Generator(fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z),
+                              l_y=l_y, l_z=l_z, name=f"random[{seed}]")
+                    for i, seed in enumerate(seeds))
+    return Generator(fn=_seeded_driver(b0, c, u, l_y, l_z), l_y=l_y, l_z=l_z,
+                     name=f"random[{','.join(map(str, seeds))}]", members=members)
 
-    def fn(k, y, z):
-        return b0[k] + l_y * np.sin(y + c) + l_z * np.tanh(z @ u)
 
-    return Generator(fn=fn, l_y=l_y, l_z=l_z, name=f"random[{seed}]")
+def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
+                     l_z: float = 0.5) -> Generator:
+    """Lipschitz driver with node-dependent zero level: the family of one seed."""
+    return generator_family(tree, [seed], l_y=l_y, l_z=l_z).members[0]
+
+
+def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
+    """random_terminal of each seed, one row per seed."""
+    n = tree.n_steps
+    w = tree.w[n]
+    rngs = [np.random.default_rng(seed + 1) for seed in seeds]
+    coeffs = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
+    xi = np.tanh((w @ coeffs)[..., 0]) + 0.3 * np.abs(w).sum(axis=1)
+    for k in tree.reveal_step_indices():
+        lab = tree.reveal_label[k]
+        bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
+        vals = np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0)
+        xi = xi + 0.5 * tree.to_leaves(vals.T, k).T
+    return xi
 
 
 def random_terminal(tree: ScenarioTree, seed: int) -> np.ndarray:
     """Bounded terminal value depending on the walk and every reveal label."""
-    rng = np.random.default_rng(seed + 1)
-    n = tree.n_steps
-    w = tree.w[n]
-    coeffs = rng.normal(size=tree.d)
-    xi = np.tanh(w @ coeffs) + 0.3 * np.abs(w).sum(axis=1)
-    for k in tree.reveal_step_indices():
-        lab = tree.reveal_label[k]
-        bump = rng.normal(size=int(lab.max()) + 1)
-        vals = np.where(lab >= 0, bump[np.clip(lab, 0, None)], 0.0)
-        xi = xi + 0.5 * tree.to_leaves(vals, k)
-    return xi
+    return _terminals(tree, [seed])[0]
+
+
+def _obstacles(tree: ScenarioTree, seeds, margin: float) -> list:
+    """random_obstacle of each seed as its per-step values, one row per seed."""
+    amp, freq, off = np.array([np.random.default_rng(seed + 2).normal(size=3)
+                               for seed in seeds]).T[:, :, None]
+    shift = 0.3 * off
+    return [amp * np.sin(freq * t + w.sum(axis=1)) + shift - margin
+            for t, w in zip(tree.grid.times, tree.w)]
 
 
 def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> AdaptedProcess:
     """Adapted lower obstacle built from the walk, shifted down by `margin`."""
-    rng = np.random.default_rng(seed + 2)
-    amp, freq, off = rng.normal(), rng.normal(), rng.normal()
-    return AdaptedProcess(tree, [amp * np.sin(freq * t + w.sum(axis=1)) + 0.3 * off - margin
-                                 for t, w in zip(tree.grid.times, tree.w)])
+    return AdaptedProcess(tree, [s[0] for s in _obstacles(tree, [seed], margin)])
 
 
 def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
@@ -91,6 +121,18 @@ def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
     return ReflectedInstance(tree=tree, xi=random_terminal(tree, seed),
                              gen=random_generator(tree, seed, l_y=l_y, l_z=l_z),
                              obstacle=random_obstacle(tree, seed, margin=margin))
+
+
+def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0.5,
+                     margin: float = 0.0) -> ReflectedFamily:
+    """random_reflected of every seed, bound as one family: member i equals
+    random_reflected(tree, seeds[i], ...) and its driver is probed once."""
+    seeds = list(seeds)
+    obstacles = _obstacles(tree, seeds, margin)
+    return ReflectedFamily.bind(tree, generator_family(tree, seeds, l_y=l_y, l_z=l_z),
+                                _terminals(tree, seeds),
+                                [AdaptedProcess(tree, [s[i] for s in obstacles])
+                                 for i in range(len(seeds))])
 
 
 def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:

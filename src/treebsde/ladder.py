@@ -11,6 +11,7 @@ paths are independent and no conditional expectation is ever taken.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -138,6 +139,23 @@ def _scan(paths, eps, level, gap, overshoot, tv_pos, tv_neg, crossings) -> None:
             seg = np.where(cols <= p[:, None], wj[:, None], seg)  # deviation 0 up to p
 
 
+def step_count(dt: float, horizon: float) -> int:
+    """The number of steps dt in the horizon; ValueError naming both unless it is
+    whole: round(horizon / dt) * dt equals the horizon to a relative 1e-9."""
+    n_steps = round(horizon / dt)
+    if not abs(n_steps * dt - horizon) <= 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon} is not a whole number of steps dt = {dt} "
+                         f"(horizon / dt = {horizon / dt!r})")
+    return n_steps
+
+
+def _path_count(n_paths) -> int:
+    try:
+        return operator.index(n_paths)
+    except TypeError:
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}") from None
+
+
 def _simulate(runs, dt: float, horizon: float) -> list:
     """One LadderReport per (eps, n_paths, seed) run.  The batches of all runs
     are shared out over a pool of up to one thread per CPU.
@@ -145,12 +163,13 @@ def _simulate(runs, dt: float, horizon: float) -> list:
     Batch b of a run draws from the stream keyed by (seed, b), whatever else
     shares the threads, so each report equals its run simulated alone.
     """
+    runs = [(eps, _path_count(n_paths), seed) for eps, n_paths, seed in runs]
     for eps, n_paths, _ in runs:
         if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0
                 and n_paths >= 1):
             raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon, "
                              "n_paths >= 1")
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(dt, horizon)
     jobs = [(r, eps, seed, b, min(DEFAULT_BATCH, n_paths - start))
             for r, (eps, n_paths, seed) in enumerate(runs)
             for b, start in enumerate(range(0, n_paths, DEFAULT_BATCH))]
@@ -182,7 +201,8 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
     (seed, batch index) and run on up to one thread per CPU; the result would
     change with the batch size, which therefore stays fixed, but not with the
     thread count.  dt < 1 keeps the overshoot slack defined, and dt <= horizon
-    makes at least one step.
+    makes at least one step; the horizon must be a whole number of steps
+    (step_count), and n_paths an integer.
     """
     return _simulate([(eps, n_paths, seed)], dt, horizon)[0]
 
@@ -190,7 +210,10 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
 def tv_scaling(eps_list, dt: float, n_paths: int = 2000, seed: int = 0) -> dict:
     """Mean variation against 1/eps on the unit horizon: the fitted log-log
     slope should be 1.  Eps value i is run_counterexample(eps_i, seed=seed + i);
-    the batches of all eps values share the threads."""
+    the batches of all eps values share the threads.  A slope needs at least two
+    distinct eps values."""
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"tv_scaling needs at least two distinct eps values, got {eps_list!r}")
     reports = _simulate([(eps, n_paths, seed + i) for i, eps in enumerate(eps_list)], dt, 1.0)
     means = [float(rep.tv.mean()) for rep in reports]
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))

@@ -13,10 +13,12 @@ under a change of measure extracted from the driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, require_finite
+from .bsde import (BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, check_lipschitz,
+                   check_step_size, require_finite)
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
@@ -34,20 +36,24 @@ PICARD_MAX_ITER = 100
 @dataclass(frozen=True)
 class ReflectedInstance:
     """Terminal condition, driver and lower obstacle on one tree; plain() is the
-    instance without the obstacle, built (and its driver checked) once."""
+    instance without the obstacle, built (and its driver checked) once.  `excess`
+    is as for BsdeInstance."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
     obstacle: AdaptedProcess
+    excess: Optional[float] = field(default=None, compare=False)
     _plain: BsdeInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.obstacle.tree is not self.tree:
             raise ValueError("the obstacle lives on another tree than the instance")
         require_finite("obstacle", self.obstacle.values)
-        object.__setattr__(self, "_plain", BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen))
+        object.__setattr__(self, "_plain", BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen,
+                                                        excess=self.excess))
         object.__setattr__(self, "xi", self._plain.xi)
+        object.__setattr__(self, "excess", self._plain.excess)
         n = self.tree.n_steps
         # terminal compatibility: the obstacle cannot exceed the terminal value
         clipped = np.minimum(self.obstacle.values[n], self.xi)
@@ -60,10 +66,38 @@ class ReflectedInstance:
         return self._plain
 
 
+@dataclass(frozen=True)
+class ReflectedFamily:
+    """Reflected instances on one tree driven by the members of one family
+    generator: `members[i]` is bound to `gen.members[i]`.  Binding probes every
+    member in one stacked check; solve_family solves them in one sweep."""
+
+    gen: Generator
+    members: tuple
+
+    @classmethod
+    def bind(cls, tree: ScenarioTree, gen: Generator, xis, obstacles) -> ReflectedFamily:
+        check_step_size(tree, gen)
+        excess = check_lipschitz(gen, tree)
+        return cls(gen=gen, members=tuple(
+            ReflectedInstance(tree=tree, xi=xi, gen=g, obstacle=s, excess=float(e))
+            for xi, g, s, e in zip(xis, gen.members, obstacles, excess, strict=True)))
+
+
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Backward induction with pointwise reflection and minimal push K."""
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
-                           obstacle=instance.obstacle.values)
+                           obstacle=instance.obstacle.values)[0]
+
+
+def solve_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
+    """solve_reflected of every member, in one backward sweep; each member's solution
+    has the bits of its solo solve."""
+    members, tree = family.members, family.members[0].tree
+    obstacle = [np.concatenate([m.obstacle.values[k] for m in members])
+                for k in range(tree.n_steps + 1)]
+    return _backward_sweep(tree, np.concatenate([m.xi for m in members]), family.gen, scheme,
+                           obstacle=obstacle)
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -248,7 +282,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
 
         # a driver constant in (y, z) meets any contract: no instance to check
         new = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
-                              obstacle=instance.obstacle.values)
+                              obstacle=instance.obstacle.values)[0]
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:

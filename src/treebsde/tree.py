@@ -124,7 +124,8 @@ class ScenarioTree:
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
 
     def __post_init__(self):
-        self.path_prob = self.path_scan(self.cond_prob[1:], np.multiply, start=1.0, process=True)
+        self.path_prob = self.path_scan(self.cond_prob[1:], np.multiply, start=self.cond_prob[0],
+                                        process=True)
 
     # -- structure -----------------------------------------------------------
 
@@ -143,6 +144,18 @@ class ScenarioTree:
         if step < 1 or step > self.n_steps:
             raise IndexError(f"step {step} has no parents (valid: 1..{self.n_steps})")
         return np.arange(self.n_nodes(step)) // self.branching[step - 1]
+
+    def forest(self, copies: int) -> ScenarioTree:
+        """`copies` disjoint copies of the tree as one tree with a root per copy: copy i
+        holds block i of the nodes of each step, so that cond_exp, lift, dot_dw and
+        path_scan act on every copy in one call.  One copy is the tree itself."""
+        if copies == 1:
+            return self
+        return ScenarioTree(grid=self.grid, d=self.d, reveals=self.reveals,
+                            branching=self.branching,
+                            cond_prob=[np.tile(p, copies) for p in self.cond_prob],
+                            dw=[np.tile(w, (copies, 1)) for w in self.dw],
+                            reveal_label=[np.tile(lab, copies) for lab in self.reveal_label])
 
     def reveal_step_indices(self) -> list:
         return [self.grid.index_of(r.time) for r in self.reveals]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import bsde, cli
+from treebsde import bsde, cli, reflected
 from treebsde.processes import PredictableProcess
 from treebsde.cli import (
     ConfigError,
@@ -127,6 +127,7 @@ class TestExitCodes:
         ("generator", {"kind": "affine", "lam": 50}, ["solve"]),
         ("counterexample", {"dt": 2}, ["counterexample"]),
         ("counterexample", {"horizon": 0.1, "dt": 0.5}, ["counterexample"]),
+        ("counterexample", {"horizon": 1.0, "dt": 0.3}, ["counterexample"]),
         ("generator", {"kind": "affine", "eta": [0.1, 0.2]}, ["solve"]),
         ("generator", {"kind": "table", "values": [0.1]}, ["solve"]),
         ("family", {"cuont": 3}, ["verify", "--suite", "apriori"]),
@@ -146,6 +147,7 @@ class TestExitCodes:
             "generator.l_z-negative", "generator.bound-negative", "generator.bound-zero",
             "family.l_y-step-size", "generator.lam-step-size",
             "counterexample.dt-above-one", "counterexample.dt-above-horizon",
+            "counterexample.dt-not-whole-steps",
             "generator.eta-length", "generator.values-length", "family.unknown-field",
             "tree.reveals-off-grid", "tree.reveals-bad-law", "tree.reveals-t0",
             "tree.node_cap-exceeded", "tree.d-beyond-node-cap"])
@@ -238,14 +240,20 @@ class TestArtifacts:
         assert ",inf," in _read(tmp_path / "constants" / "reports.csv").decode()
 
     def test_verify_solves_each_instance_once(self, tmp_path, monkeypatch):
+        """Every member is solved exactly once, whether alone or in a family sweep."""
         calls = []
-        real = cli.solve_reflected
+        solo, family = cli.solve_reflected, cli.solve_family
 
-        def counted(inst, *args, **kwargs):
+        def counted_solo(inst, *args, **kwargs):
             calls.append(inst)
-            return real(inst, *args, **kwargs)
+            return solo(inst, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_reflected", counted)
+        def counted_family(fam, *args, **kwargs):
+            calls.extend(fam.members)
+            return family(fam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_reflected", counted_solo)
+        monkeypatch.setattr(cli, "solve_family", counted_family)
         cfg = default_config()
         cfg["family"]["count"] = 4
         path = tmp_path / "cfg.json"
@@ -279,14 +287,17 @@ class TestArtifacts:
     @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
                                                 (["picard"], 1)], ids=["verify", "picard"])
     def test_driver_checked_once_per_instance(self, tmp_path, monkeypatch, command, probes):
+        """Each member generator is checked exactly once: alone, or by its family's
+        one stacked check, and never again when its instance is bound."""
         calls = []
         real = bsde.check_lipschitz
 
         def counted(gen, tree):
-            calls.append(gen)
+            calls.extend(gen.members or (gen,))
             return real(gen, tree)
 
         monkeypatch.setattr(bsde, "check_lipschitz", counted)
+        monkeypatch.setattr(reflected, "check_lipschitz", counted)
         cfg = default_config()
         cfg["family"]["count"] = 4
         path = tmp_path / "cfg.json"
@@ -294,6 +305,7 @@ class TestArtifacts:
         assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
                      *command]) == 0
         assert len(calls) == probes
+        assert len({id(gen) for gen in calls}) == probes
 
     @pytest.mark.parametrize("command", ["solve", "reflect", "picard"])
     def test_tree_validated(self, tmp_path, monkeypatch, command):

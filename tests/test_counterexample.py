@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from treebsde import ladder
-from treebsde.ladder import LadderReport, overshoot_slack, run_counterexample, tv_scaling
+from treebsde.ladder import (LadderReport, overshoot_slack, run_counterexample, step_count,
+                             tv_scaling)
 
 
 def _step_loop_batch(eps, dt, n_steps, n_paths, rng):
@@ -110,6 +111,33 @@ class TestLadder:
         # a non-finite eps or horizon sets no scale
         with pytest.raises(ValueError, match="dt"):
             run_counterexample(eps=eps, dt=dt, horizon=horizon, n_paths=3)
+
+    @pytest.mark.parametrize("dt,horizon", [(0.3, 1.0), (1e-3, 0.0105), (0.4, 0.5)])
+    def test_horizon_not_whole_steps(self, dt, horizon):
+        # 3 steps of 0.3 would stop at t = 0.9 while the report kept horizon 1.0
+        with pytest.raises(ValueError, match=r"horizon .* whole number of steps dt"):
+            run_counterexample(eps=0.1, dt=dt, horizon=horizon, n_paths=3)
+
+    @pytest.mark.parametrize("dt,horizon", [(1e-5, 1.0), (1e-4, 1.0), (4e-5, 50 * 4e-5),
+                                            (1e-3, 50 * 1e-3), (1e-4, 0.41), (0.25, 0.25)])
+    def test_whole_steps_in_use(self, dt, horizon):
+        assert step_count(dt, horizon) == round(horizon / dt)
+
+    @pytest.mark.parametrize("eps_list", [[], [0.1], [0.1, 0.1]])
+    def test_tv_scaling_needs_two_eps(self, monkeypatch, eps_list):
+        monkeypatch.setattr(ladder, "_run_batch", lambda *a: pytest.fail("a batch ran"))
+        with pytest.raises(ValueError, match="two distinct eps"):
+            tv_scaling(eps_list, dt=1e-3, n_paths=10)
+
+    @pytest.mark.parametrize("n_paths", [10.0, "10", None])
+    def test_n_paths_must_be_integer(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            run_counterexample(eps=0.1, dt=1e-2, n_paths=n_paths)
+
+    def test_numpy_integer_n_paths(self):
+        rep = run_counterexample(eps=0.1, dt=1e-2, n_paths=np.int64(7), seed=3)
+        assert rep.n_paths == 7 and type(rep.n_paths) is int
+        assert np.array_equal(rep.tv, run_counterexample(eps=0.1, dt=1e-2, n_paths=7, seed=3).tv)
 
     def test_slack_formula(self):
         assert overshoot_slack(1e-4) == pytest.approx(

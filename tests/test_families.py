@@ -1,9 +1,16 @@
-"""Seeded families: the random driver's zero level is built once per driver step."""
+"""Seeded families: the random driver's zero level is built once per driver step, and a
+family of reflected instances is bound and solved as one, with each member's own bits."""
 
 import numpy as np
 import pytest
 
-from treebsde.families import random_generator, standard_tree
+from treebsde import bsde
+from treebsde.bsde import Generator, check_lipschitz
+from treebsde.errors import GeneratorContractError
+from treebsde.families import (generator_family, random_generator, random_obstacle,
+                               random_reflected, random_terminal, reflected_family,
+                               standard_tree)
+from treebsde.reflected import ReflectedFamily, solve_family, solve_reflected
 from treebsde.processes import PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
@@ -97,3 +104,139 @@ class TestRandomGenerator:
         assert len(g0.values) == tree.n_steps
         for k in range(tree.n_steps):
             assert g0.values[k].tobytes() == gen.g0(tree, k).tobytes()
+
+
+# -- the family solve ------------------------------------------------------------
+
+FAMILY_STEPS = {1: 5, 2: 4, 3: 3}
+
+
+def _family_sizes(tree):
+    """1, 2 and 25 members, plus a B equal to d and to a step's node count, which
+    an axis mix-up between members, nodes and walk coordinates would not survive."""
+    return sorted({1, 2, 25, tree.d, tree.n_nodes(1)})
+
+
+def _solution_arrays(sol):
+    return [*sol.y.values, *sol.z.values, *sol.m.values, *sol.dk.values]
+
+
+class TestFamilySolve:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True], ids=["plain", "reveal"])
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    def test_member_is_its_solo_instance(self, d, with_reveal, scheme):
+        tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
+        rng = np.random.default_rng(d)
+        for size in _family_sizes(tree):
+            seeds = range(3, 3 + size)
+            fam = reflected_family(tree, seeds, l_y=0.4, l_z=0.6, margin=0.5)
+            sols = solve_family(fam, scheme=scheme)
+            assert len(fam.members) == len(sols) == size
+            for seed, inst, sol in zip(seeds, fam.members, sols):
+                solo = random_reflected(tree, seed, l_y=0.4, l_z=0.6, margin=0.5)
+                solo_sol = solve_reflected(solo, scheme=scheme)
+                assert np.array_equal(inst.xi, solo.xi)
+                assert all(map(np.array_equal, inst.obstacle.values, solo.obstacle.values))
+                for k in range(tree.n_steps):
+                    n = tree.n_nodes(k)
+                    y, z = rng.normal(size=(3, n)) * 3, rng.normal(size=(3, n, d)) * 3
+                    assert np.array_equal(inst.gen(k, y, z), solo.gen(k, y, z))
+                assert inst.excess == solo.excess == check_lipschitz(solo.gen, tree)
+                assert sol.scheme == solo_sol.scheme == scheme
+                got, want = _solution_arrays(sol), _solution_arrays(solo_sol)
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_family_rows_are_member_values(self, d):
+        tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d)
+        gen = generator_family(tree, range(d + 1))
+        rng = np.random.default_rng(0)
+        for k in range(tree.n_steps):
+            n = tree.n_nodes(k)
+            y, z = rng.normal(size=(2, d + 1, n)), rng.normal(size=(2, d + 1, n, d))
+            out = gen(k, y, z)
+            assert out.shape == y.shape
+            for i, member in enumerate(gen.members):
+                assert np.array_equal(out[:, i], member(k, y[:, i], z[:, i]))
+
+    def test_lying_member_named(self):
+        tree = standard_tree(n_steps=4)
+        scale = np.array([[0.1], [0.5], [5.0], [0.2]])
+        members = tuple(Generator(fn=lambda k, y, z, s=s: s * y, l_y=0.5, l_z=0.0,
+                                  name=f"member{i}") for i, s in enumerate(scale))
+        fam = Generator(fn=lambda k, y, z: scale * y, l_y=0.5, l_z=0.0, name="family",
+                        members=members)
+        with pytest.raises(GeneratorContractError, match=r"^member2: Lipschitz excess"):
+            check_lipschitz(fam, tree)
+        xis = [random_terminal(tree, i) for i in range(4)]
+        obstacles = [random_obstacle(tree, i) for i in range(4)]
+        with pytest.raises(GeneratorContractError, match=r"^member2: Lipschitz excess"):
+            ReflectedFamily.bind(tree, fam, xis, obstacles)
+        honest = Generator(fn=lambda k, y, z: scale[:2] * y / 10, l_y=0.5, l_z=0.0,
+                           name="honest", members=members[:2])
+        excess = check_lipschitz(honest, tree)
+        assert excess.shape == (2,)
+        assert list(excess) == [check_lipschitz(g, tree) for g in members[:2]]
+
+    def test_non_finite_member_named(self):
+        tree = standard_tree(n_steps=4)
+        members = tuple(Generator(fn=lambda k, y, z: 0.1 * y, l_y=0.5, l_z=0.0, name=f"m{i}")
+                        for i in range(3))
+        mask = np.array([[False], [True], [False]])
+        fam = Generator(fn=lambda k, y, z: np.where(mask & (y > 4), np.nan, 0.1 * y),
+                        l_y=0.5, l_z=0.0, name="family", members=members)
+        with pytest.raises(GeneratorContractError, match=r"^m1: step \d+: non-finite driver value"):
+            check_lipschitz(fam, tree)
+
+
+class TestFamilyWork:
+    """Performance guards of the family solve."""
+
+    def test_probes_drawn_once_per_tree(self, monkeypatch):
+        tree = standard_tree(n_steps=6)
+        assert max(tree.n_nodes(k) for k in range(tree.n_steps)) <= bsde.LIPSCHITZ_STACK
+        draws = []
+        real = bsde._draw
+        monkeypatch.setattr(bsde, "_draw", lambda *args: draws.append(args[2]) or real(*args))
+        fam = reflected_family(tree, range(10))
+        assert len(draws) == bsde.LIPSCHITZ_PROBES
+        for seed in range(10):
+            random_reflected(tree, seed)
+        assert all(inst.excess == random_reflected(tree, s).excess
+                   for s, inst in zip(range(10), fam.members))
+        assert len(draws) == bsde.LIPSCHITZ_PROBES
+        reflected_family(standard_tree(n_steps=6), range(3))
+        assert len(draws) == 2 * bsde.LIPSCHITZ_PROBES
+
+    def test_wide_probes_redrawn_not_kept(self, monkeypatch):
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=14), d=1)
+        gen = random_generator(tree, 4)
+        draws = []
+        real = bsde._draw
+        monkeypatch.setattr(bsde, "_draw", lambda *args: draws.append(args[2]) or real(*args))
+        first = check_lipschitz(gen, tree)
+        wide = [k for k in draws if tree.n_nodes(k) > bsde.LIPSCHITZ_STACK]
+        assert wide and len(draws) == bsde.LIPSCHITZ_PROBES
+        assert check_lipschitz(gen, tree) == first
+        assert draws[bsde.LIPSCHITZ_PROBES:] == wide
+
+    def test_one_driver_call_per_inner_iteration(self):
+        tree = standard_tree(n_steps=6)
+        seeds = range(5)
+        fam = reflected_family(tree, seeds, margin=0.5)
+        calls = []
+        fn = fam.gen.fn
+        fam.gen.fn = lambda k, y, z: calls.append(k) or fn(k, y, z)
+        solve_family(fam)
+        solo_calls = []
+        for seed in seeds:
+            inst = random_reflected(tree, seed, margin=0.5)
+            member_calls = []
+            inner = inst.gen.fn
+            inst.gen.fn = lambda k, y, z, inner=inner: member_calls.append(k) or inner(k, y, z)
+            solve_reflected(inst)
+            solo_calls.append(member_calls)
+        for k in range(tree.n_steps):
+            # the inner iterations of the slowest member, plus the push's one call
+            assert calls.count(k) == max(c.count(k) for c in solo_calls)

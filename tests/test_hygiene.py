@@ -88,3 +88,41 @@ def test_weighted_sups_are_norms_sup_power(path):
              and any(isinstance(arg, ast.Attribute) and arg.attr == "maximum"
                      for arg in list(node.args) + [kw.value for kw in node.keywords])]
     assert not lines, f"{path.name} lines {lines}: a sup along paths, use norms.sup_power"
+
+
+def test_seeded_driver_spelled_once():
+    """The seeded driver formula is written once in families, for a lone driver and a
+    family alike: random_generator is the family of one seed."""
+    lines = [node.lineno for node in ast.walk(_parse(SRC / "families.py")) if _is_driver(node)]
+    assert len(lines) == 1, f"families.py lines {lines}: more than one driver formula"
+
+
+def _calls_driver(node):
+    """A driver evaluation: gen(...), x.gen(...), x.along(...) or bsde._drive(...)."""
+    return isinstance(node, ast.Call) and (getattr(node.func, "id", None) in ("gen", "_drive")
+                                           or getattr(node.func, "attr", None) in ("gen", "along"))
+
+
+def _is_backward(loop):
+    """A loop over range(..., -1, -1): a backward induction over the steps."""
+    it = loop.iter if isinstance(loop, ast.For) else None
+    return (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+            and len(it.args) == 3 and [ast.unparse(a) for a in it.args[1:]] == ["-1", "-1"])
+
+
+def test_one_backward_sweep_and_inner_fixed_point():
+    """Lone and family solves share bsde._backward_sweep, the only backward induction
+    that evaluates a driver, and bsde._implicit_step, the only inner fixed point."""
+    sweeps, fixed_points = set(), set()
+    for path in MODULES:
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(_is_backward(loop) and any(map(_calls_driver, ast.walk(loop)))
+                   for loop in ast.walk(fn)):
+                sweeps.add((path.name, fn.name))
+            if any(isinstance(n, ast.Name) and n.id in ("IMPLICIT_TOL", "IMPLICIT_MAX_ITER")
+                   for n in ast.walk(fn)):
+                fixed_points.add((path.name, fn.name))
+    assert sweeps == {("bsde.py", "_backward_sweep")}
+    assert fixed_points == {("bsde.py", "_implicit_step")}
