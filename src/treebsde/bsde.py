@@ -222,6 +222,11 @@ class BsdeInstance:
         if self.excess is None:
             object.__setattr__(self, "excess", check_lipschitz(self.gen, self.tree))
 
+    @functools.cached_property
+    def g0(self) -> PredictableProcess:
+        """g(k, 0, 0) on the driver steps, built once per instance."""
+        return self.gen.g0_process(self.tree)
+
 
 @dataclass
 class SolutionQuadruple:

@@ -52,6 +52,7 @@ from .reflected import (
     check_skorokhod,
     picard_solve,
     solve_family,
+    solve_free_family,
     solve_reflected,
     verify_snell_representation,
 )
@@ -247,7 +248,7 @@ class SuiteInputs:
 
     def __init__(self, cfg: dict, seed: int):
         self.tree, self.seed = tree_from_config(cfg), seed
-        self.count = cfg["family"]["count"]
+        self.seeds = range(seed, seed + cfg["family"]["count"])
         self.params = {name: cfg["family"][name] for name in ("l_y", "l_z", "margin")}
         self.norms = [(nc["p"], nc["alpha"]) for nc in cfg["norms"]]
 
@@ -255,12 +256,21 @@ class SuiteInputs:
         return families.fingerprint(kind, seed, self.tree)
 
     @cached_property
+    def family(self):
+        return families.reflected_family(self.tree, self.seeds, **self.params)
+
+    @cached_property
     def solved(self) -> list:
         """(seed, instance, implicit solution) per reflected family member, all
         members bound and solved as one family."""
-        seeds = range(self.seed, self.seed + self.count)
-        family = families.reflected_family(self.tree, seeds, **self.params)
-        return list(zip(seeds, family.members, solve_family(family, scheme="implicit")))
+        return list(zip(self.seeds, self.family.members,
+                        solve_family(self.family, scheme="implicit")))
+
+    @cached_property
+    def free(self) -> dict:
+        """seed -> implicit solution of the member's plain() instance, all members
+        solved in one obstacle-free sweep."""
+        return dict(zip(self.seeds, solve_free_family(self.family, scheme="implicit")))
 
     @cached_property
     def pairs(self) -> list:
@@ -270,7 +280,7 @@ class SuiteInputs:
     @cached_property
     def supermartingales(self) -> list:
         return [(s, families.random_strong_supermartingale(self.tree, s))
-                for s in range(self.seed, self.seed + self.count)]
+                for s in self.seeds]
 
 
 def suite_constants(inp) -> list:
@@ -342,7 +352,7 @@ def suite_compensator(inp, s, inst, sol) -> list:
 
 def suite_obstacle(inp, s, inst, sol) -> list:
     return [check_obstacle_sup_bound(inst, sol, 2.0, 0.0, variant=variant,
-                                     fingerprint=inp.fp("rbsde", s))
+                                     fingerprint=inp.fp("rbsde", s), free=inp.free[s])
             for variant in ("S_plus", "S")]
 
 

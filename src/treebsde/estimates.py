@@ -82,11 +82,10 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
     lhs = (norm_h(sol.z, p, alpha) ** p
            + norm_m(sol.m, p, alpha) ** p
            + norm_i(sol.dk, p, alpha) ** p)
-    g0 = instance.gen.g0_process(tree)
     comps = {
         "xi": lp_norm(tree, instance.xi, p) ** p,
         "y": norm_sp(sol.y, p) ** p,
-        "g0": norm_h(g0, p, alpha) ** p,
+        "g0": norm_h(instance.g0, p, alpha) ** p,
     }
     rhs = sum(comps.values())
     return EstimateReport.empirical("solution_norm_bound", lhs, rhs, fingerprint,
@@ -121,7 +120,7 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     """
     tree, gen = sol.tree, instance.gen
     t_hor = tree.grid.horizon
-    g_n = norm_h(gen.g0_process(tree), p, alpha) ** p
+    g_n = norm_h(instance.g0, p, alpha) ** p
 
     if branch == "K-bound":
         _require_nondecreasing(sol)
@@ -230,14 +229,15 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
 # -- reflected-specific bounds ------------------------------------------------
 
 def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple, p: float,
-                   alpha: float, variant: str = "S_plus",
-                   fingerprint: str = "") -> EstimateReport:
+                   alpha: float, variant: str = "S_plus", fingerprint: str = "",
+                   free: SolutionQuadruple = None) -> EstimateReport:
     """Obstacle-problem sup bound on Y with the proof's explicit constants.
 
     variant "S_plus" uses the positive part of the obstacle plus a comparison
     with the unconstrained solution (coefficient 2^{p-1}); variant "S" uses the
-    obstacle itself and drops the comparison term.  The proof's kappa in
-    (1, p) is fixed at the midpoint (1 + p)/2.
+    obstacle itself and drops the comparison term.  `free` is the implicit
+    solution of instance.plain(), solved here when not given.  The proof's
+    kappa in (1, p) is fixed at the midpoint (1 + p)/2.
     """
     if variant not in ("S_plus", "S"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -249,7 +249,7 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     lhs = norm_sp(sol.y, p, alpha) ** p
 
     # E[(sum_k e^{L_y t_{k+1}} |g0_k| dt)^p] and E[sup_k (e^{L_y t_k} S_k)^p], S_k clipped at 0
-    g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, gen.g0_process(tree).values), tree.dt)
+    g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, instance.g0.values), tree.dt)
     g_term = tree.expectation(g_leaf**p, tree.n_steps)
     s_vals = instance.obstacle.values
     if variant == "S_plus":
@@ -265,7 +265,8 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     details = {"p": p, "alpha": alpha, "kappa": kappa, "variant": variant,
                "constant": c, "g0_term": g_term, "obstacle_term": s_term, "xi_term": xi_term}
     if variant == "S_plus":
-        free = solve_bsde(instance.plain(), scheme="implicit")
+        if free is None:
+            free = solve_bsde(instance.plain(), scheme="implicit")
         comp_term = 2.0 ** (p - 1.0) * norm_sp(free.y, p, alpha) ** p
         rhs += comp_term
         details["comparison_term"] = comp_term

@@ -12,6 +12,7 @@ under a change of measure extracted from the driver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,12 +59,15 @@ class ReflectedInstance:
         # terminal compatibility: the obstacle cannot exceed the terminal value
         clipped = np.minimum(self.obstacle.values[n], self.xi)
         if np.any(clipped != self.obstacle.values[n]):
-            vals = [v.copy() for v in self.obstacle.values]
-            vals[n] = clipped
-            object.__setattr__(self, "obstacle", AdaptedProcess(self.tree, vals))
+            object.__setattr__(self, "obstacle",
+                               AdaptedProcess(self.tree, self.obstacle.values[:n] + [clipped]))
 
     def plain(self) -> BsdeInstance:
         return self._plain
+
+    @property
+    def g0(self) -> PredictableProcess:
+        return self._plain.g0
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,13 @@ def solve_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
                 for k in range(tree.n_steps + 1)]
     return _backward_sweep(tree, np.concatenate([m.xi for m in members]), family.gen, scheme,
                            obstacle=obstacle)
+
+
+def solve_free_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
+    """solve_bsde of every member's plain() instance, in one obstacle-free backward
+    sweep; each member's solution has the bits of its solo solve."""
+    return _backward_sweep(family.members[0].tree, np.concatenate([m.xi for m in family.members]),
+                           family.gen, scheme)
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -267,10 +278,13 @@ def _frozen_generator(frozen: list) -> Generator:
 
 def picard_solve(instance: ReflectedInstance) -> tuple:
     """Solve the reflected BSDE by iterating with the driver frozen at the
-    previous iterate.  Each inner problem has a constant-in-(y, z) driver and
-    is solved exactly; the loop stops when the frozen driver itself stops
-    moving (sup-change <= PICARD_TOL), so drivers that ignore (y, z) converge
-    in one sweep.  Returns (solution, PicardTrace).
+    previous iterate.  Each inner problem has a constant-in-(y, z) driver, whose
+    explicit step is the implicit fixed point bit for bit, so each sweep takes
+    it and the solution keeps scheme "implicit"; a frozen value that makes the
+    sweep non-finite (NaN or -inf) stops the iteration in that sweep.  The loop
+    stops when the frozen driver itself stops moving (sup-change <= PICARD_TOL),
+    so drivers that ignore (y, z) converge in one sweep.  Returns (solution,
+    PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
     trace = PicardTrace(alpha_star=picard_alpha(gen))
@@ -281,9 +295,15 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
         frozen = gen.along(y_prev, z_prev).values
 
         # a driver constant in (y, z) meets any contract: no instance to check
-        new = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
+        new = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
                               obstacle=instance.obstacle.values)[0]
+        new.scheme = "implicit"
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
+        if not math.isfinite(trace.dy_s2[-1]):  # the sweep met a NaN or -inf frozen value
+            k = max(k for k, y in enumerate(new.y.values) if not np.isfinite(y).all())
+            raise PicardDivergenceError(f"step {k}: non-finite frozen driver at node "
+                                        f"{int(np.isfinite(new.y.values[k]).argmin())} "
+                                        f"({gen.name})")
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:
             change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
@@ -302,7 +322,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
 
 def truncate_instance(instance: ReflectedInstance, level: float) -> ReflectedInstance:
     """Clip terminal value, obstacle and driver output to [-level, level]."""
-    if level <= 0.0:
+    if not level > 0.0:
         raise ValueError(f"truncation level must be positive, got {level}")
     tree, gen = instance.tree, instance.gen
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import bsde, cli, reflected
+from treebsde import bsde, cli, estimates, reflected
 from treebsde.processes import PredictableProcess
 from treebsde.cli import (
     ConfigError,
@@ -283,6 +283,27 @@ class TestArtifacts:
             assert main(["--config", str(path), "--seed", str(seed),
                          "--out", str(tmp_path / "out"), *command]) == 0
         assert len(calls) <= 10
+
+    def test_free_solved_in_family_and_g0_built_once(self, tmp_path, monkeypatch):
+        """The obstacle bound's free solutions come from one family sweep, never
+        from a solo solve, and each member builds g0 once: at family.count 10 the
+        solo route made 10 free solves and 60 g0 builds."""
+        solo, free, g0 = [], [], []
+        real_free, real_g0 = cli.solve_free_family, bsde.Generator.g0_process
+        monkeypatch.setattr(estimates, "solve_bsde", lambda *a, **kw: solo.append(a))
+        monkeypatch.setattr(cli, "solve_free_family",
+                            lambda fam, *a, **kw: free.extend(fam.members) or real_free(fam, *a, **kw))
+        monkeypatch.setattr(bsde.Generator, "g0_process",
+                            lambda gen, tree: g0.append(gen) or real_g0(gen, tree))
+        cfg = default_config()
+        cfg["family"]["count"] = 10
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
+                     "verify", "--suite", "all"]) == 0
+        assert solo == []
+        assert len(free) == len({id(inst) for inst in free}) == 10
+        assert len(g0) == len({id(gen) for gen in g0}) == 10
 
     @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
                                                 (["picard"], 1)], ids=["verify", "picard"])

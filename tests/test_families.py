@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from treebsde import bsde
-from treebsde.bsde import Generator, check_lipschitz
+from treebsde.bsde import Generator, check_lipschitz, solve_bsde
 from treebsde.errors import GeneratorContractError
 from treebsde.families import (generator_family, random_generator, random_obstacle,
                                random_reflected, random_terminal, reflected_family,
                                standard_tree)
-from treebsde.reflected import ReflectedFamily, solve_family, solve_reflected
+from treebsde.reflected import ReflectedFamily, solve_family, solve_free_family, solve_reflected
 from treebsde.processes import PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
@@ -146,6 +146,23 @@ class TestFamilySolve:
                 assert sol.scheme == solo_sol.scheme == scheme
                 got, want = _solution_arrays(sol), _solution_arrays(solo_sol)
                 assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True], ids=["plain", "reveal"])
+    def test_free_member_is_its_solo_plain_solve(self, d, with_reveal):
+        """The obstacle-free family sweep gives each member the bits of solve_bsde of
+        its plain() instance, so the obstacle bound can take it in place of a solo solve."""
+        tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
+        for size in (1, 2, 25):
+            fam = reflected_family(tree, range(3, 3 + size), l_y=0.4, l_z=0.6, margin=0.5)
+            sols = solve_free_family(fam)
+            assert len(sols) == size
+            for inst, sol in zip(fam.members, sols):
+                solo = solve_bsde(inst.plain(), scheme="implicit")
+                assert sol.scheme == solo.scheme == "implicit"
+                got, want = _solution_arrays(sol), _solution_arrays(solo)
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+                assert not any(dk.any() for dk in sol.dk.values)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_family_rows_are_member_values(self, d):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from treebsde import bsde, reflected
 from treebsde.bsde import Generator, solve_bsde
-from treebsde.errors import DepthCapError
+from treebsde.errors import DepthCapError, PicardDivergenceError
 from treebsde.families import (
     random_generator,
     random_obstacle,
@@ -12,11 +13,16 @@ from treebsde.families import (
     random_terminal,
     standard_tree,
 )
-from treebsde.norms import norm_sp
-from treebsde.processes import AdaptedProcess
+from treebsde.norms import norm_h, norm_sp
+from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.reflected import (
+    PICARD_MAX_ITER,
+    PICARD_TOL,
+    PicardTrace,
     ReflectedInstance,
+    _frozen_generator,
     check_skorokhod,
+    picard_alpha,
     picard_solve,
     snell_bruteforce,
     snell_dynamic_program,
@@ -24,7 +30,7 @@ from treebsde.reflected import (
     truncate_instance,
     verify_snell_representation,
 )
-from treebsde.tree import TimeGrid, build_tree
+from treebsde.tree import TimeGrid, build_tree, sup_abs
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +87,19 @@ class TestSolveReflected:
                                  obstacle=obstacle)
         n = tree.n_steps
         assert np.array_equal(inst.obstacle.values[n], np.minimum(100.0, xi))
+
+    def test_terminal_clip_shares_other_steps(self, tree):
+        """Only the terminal slot is new; every earlier step is the caller's array."""
+        xi = random_terminal(tree, 6)
+        obstacle = random_obstacle(tree, 6, margin=-1.0)
+        n = tree.n_steps
+        before = obstacle.values[n].copy()
+        inst = ReflectedInstance(tree=tree, xi=xi, gen=random_generator(tree, 6),
+                                 obstacle=obstacle)
+        assert np.any(before > xi)  # the clip takes some terminal node
+        assert all(inst.obstacle.values[k] is obstacle.values[k] for k in range(n))
+        assert np.array_equal(inst.obstacle.values[n], np.minimum(before, xi))
+        assert np.array_equal(obstacle.values[n], before)
 
     @pytest.mark.parametrize("n_other", [4, 6], ids=["same-shape", "other-depth"])
     def test_obstacle_from_another_tree_rejected(self, n_other):
@@ -169,7 +188,94 @@ class TestPicard:
         assert len(trace.driver_change) <= 1
 
 
+def _implicit_frozen_picard(instance):
+    """picard_solve as it stood with an implicit inner fixed point per frozen sweep."""
+    tree, gen = instance.tree, instance.gen
+    trace = PicardTrace(alpha_star=picard_alpha(gen))
+    y_prev = AdaptedProcess.constant(tree, 0.0)
+    z_prev = PredictableProcess.zeros(tree, tree.d)
+    frozen_prev = None
+    for _ in range(PICARD_MAX_ITER):
+        frozen = gen.along(y_prev, z_prev).values
+        new = bsde._backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
+                                   obstacle=instance.obstacle.values)[0]
+        trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
+        trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
+        if frozen_prev is not None:
+            change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
+            trace.driver_change.append(change)
+            if change <= PICARD_TOL:
+                return new, trace
+        frozen_prev, y_prev, z_prev = frozen, new.y, new.z
+        if gen.l_y == 0.0 and gen.l_z == 0.0:
+            return new, trace
+    raise AssertionError("reference Picard loop did not settle")
+
+
+class TestPicardExplicitStep:
+    """The frozen driver is constant in (y, z), so its explicit step is the
+    implicit fixed point: picard_solve keeps every bit of the implicit loop."""
+
+    @pytest.mark.parametrize("d,margin", [(1, 0.0), (1, -1.0), (2, 0.0), (3, 0.5)])
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_matches_implicit_frozen_loop(self, d, margin, seed):
+        tree = standard_tree(n_steps={1: 6, 2: 4, 3: 3}[d], d=d)
+        inst = random_reflected(tree, seed, margin=margin)
+        sol, trace = picard_solve(inst)
+        ref, ref_trace = _implicit_frozen_picard(inst)
+        assert sol.scheme == ref.scheme == "implicit"
+        for got, want in [(sol.y, ref.y), (sol.z, ref.z), (sol.m, ref.m), (sol.dk, ref.dk)]:
+            assert all(map(np.array_equal, got.values, want.values))
+        for name in ("dy_s2", "dz_h2", "driver_change"):
+            assert getattr(trace, name) == getattr(ref_trace, name)
+
+    def test_flat_driver_matches_implicit_frozen_loop(self, tree):
+        gen = Generator(fn=lambda k, y, z: np.full(y.shape, 0.3), l_y=0.0, l_z=0.0, name="flat")
+        inst = ReflectedInstance(tree=tree, xi=random_terminal(tree, 22), gen=gen,
+                                 obstacle=random_obstacle(tree, 22, margin=-0.5))
+        (sol, trace), (ref, ref_trace) = picard_solve(inst), _implicit_frozen_picard(inst)
+        assert all(map(np.array_equal, sol.y.values, ref.y.values))
+        assert all(map(np.array_equal, sol.dk.values, ref.dk.values))
+        assert trace.dy_s2 == ref_trace.dy_s2 and len(trace.dy_s2) == 1
+
+    @staticmethod
+    def _unchecked(tree, fn):
+        """An instance whose driver skips the probe check (the excess is given)."""
+        gen = Generator(fn=fn, l_y=0.5, l_z=0.0, name="spoiled")
+        return ReflectedInstance(tree=tree, xi=random_terminal(tree, 1), gen=gen,
+                                 obstacle=random_obstacle(tree, 1), excess=0.0)
+
+    def test_nan_at_zero_raises_in_the_first_sweep(self, tree, monkeypatch):
+        calls = []
+
+        def fn(k, y, z):
+            calls.append(k)
+            return np.where((k == 3) & (np.arange(y.shape[-1]) == 1), np.nan, 0.1 * y)
+
+        sweeps = []
+        real = bsde._backward_sweep
+        monkeypatch.setattr(reflected, "_backward_sweep",
+                            lambda *a, **kw: sweeps.append(a) or real(*a, **kw))
+        with pytest.raises(PicardDivergenceError,
+                           match=r"^step 3: non-finite frozen driver at node 1 \(spoiled\)$"):
+            picard_solve(self._unchecked(tree, fn))
+        assert sorted(calls) == list(range(tree.n_steps)) and len(sweeps) == 1
+
+    def test_nan_along_the_iterate_raises_in_its_sweep(self, tree):
+        """Finite at y = 0, NaN once the iterate moves: the second frozen driver
+        stops the loop, at the last driver step the sweep meets first."""
+        inst = self._unchecked(tree, lambda k, y, z: np.where(y != 0.0, np.nan, 0.0))
+        with pytest.raises(PicardDivergenceError, match=rf"^step {tree.n_steps - 1}: "
+                                                        "non-finite frozen driver"):
+            picard_solve(inst)
+
+
 class TestTruncation:
+    @pytest.mark.parametrize("level", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_level_must_be_positive(self, tree, level):
+        with pytest.raises(ValueError, match=f"^truncation level must be positive, got {level}$"):
+            truncate_instance(random_reflected(tree, 0), level)
+
     def test_cauchy_increments_decay_monotonically(self):
         """Exponential-of-the-walk terminal with a per-leaf smear, so the tail
         has mass in every truncation bracket; equally spaced levels then cut
