@@ -270,7 +270,7 @@ class SuiteInputs:
     def free(self) -> dict:
         """seed -> implicit solution of the member's plain() instance, all members
         solved in one obstacle-free sweep."""
-        return dict(zip(self.seeds, solve_free_family(self.family, scheme="implicit")))
+        return dict(zip(self.seeds, solve_free_family(self.family)))
 
     @cached_property
     def pairs(self) -> list:

@@ -104,11 +104,11 @@ def solve_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
                            obstacle=obstacle)
 
 
-def solve_free_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
-    """solve_bsde of every member's plain() instance, in one obstacle-free backward
-    sweep; each member's solution has the bits of its solo solve."""
+def solve_free_family(family: ReflectedFamily) -> list:
+    """Implicit solve_bsde of every member's plain() instance, in one obstacle-free
+    backward sweep; each member's solution has the bits of its solo solve."""
     return _backward_sweep(family.members[0].tree, np.concatenate([m.xi for m in family.members]),
-                           family.gen, scheme)
+                           family.gen, "implicit")
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -299,10 +299,12 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
                               obstacle=instance.obstacle.values)[0]
         new.scheme = "implicit"
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
-        if not math.isfinite(trace.dy_s2[-1]):  # the sweep met a NaN or -inf frozen value
-            k = max(k for k, y in enumerate(new.y.values) if not np.isfinite(y).all())
-            raise PicardDivergenceError(f"step {k}: non-finite frozen driver at node "
-                                        f"{int(np.isfinite(new.y.values[k]).argmin())} "
+        # an infinite norm may only be a finite iterate too large to square
+        bad = ([] if math.isfinite(trace.dy_s2[-1]) else
+               [k for k, y in enumerate(new.y.values) if not np.isfinite(y).all()])
+        if bad:  # the sweep met a NaN or -inf frozen value
+            raise PicardDivergenceError(f"step {bad[-1]}: non-finite frozen driver at node "
+                                        f"{int(np.isfinite(new.y.values[bad[-1]]).argmin())} "
                                         f"({gen.name})")
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:

@@ -238,6 +238,19 @@ class TestPicardExplicitStep:
         assert all(map(np.array_equal, sol.dk.values, ref.dk.values))
         assert trace.dy_s2 == ref_trace.dy_s2 and len(trace.dy_s2) == 1
 
+    def test_huge_finite_iterate_matches_implicit_frozen_loop(self, tree):
+        """|Y| near 1e200 squares to an infinite S^2 norm with every value finite:
+        the loop records the inf and goes on, as the implicit loop did."""
+        gen = Generator(fn=lambda k, y, z: np.full(y.shape, -1e200), l_y=0.0, l_z=0.0,
+                        name="huge")
+        inst = ReflectedInstance(tree=tree, xi=random_terminal(tree, 22), gen=gen,
+                                 obstacle=random_obstacle(tree, 22, margin=-0.5))
+        with np.errstate(over="ignore"):
+            (sol, trace), (ref, ref_trace) = picard_solve(inst), _implicit_frozen_picard(inst)
+        assert all(np.isfinite(y).all() for y in sol.y.values)
+        assert all(map(np.array_equal, sol.y.values, ref.y.values))
+        assert trace.dy_s2 == ref_trace.dy_s2 == [np.inf]
+
     @staticmethod
     def _unchecked(tree, fn):
         """An instance whose driver skips the probe check (the excess is given)."""
