@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from .martingales import girsanov_change
-from .processes import AdaptedProcess, PredictableProcess, stochastic_integral
+from .processes import AdaptedProcess, PredictableProcess
 from .tree import ScenarioTree, sup_abs
 
 IMPLICIT_TOL = 1e-13
@@ -247,11 +247,6 @@ class SolutionQuadruple:
     @functools.cached_property
     def mk(self) -> AdaptedProcess:
         return self.m - self.k
-
-    def n_process(self) -> AdaptedProcess:
-        """N = Z*W + M - K."""
-        zw = stochastic_integral(self.tree, self.z)
-        return zw + self.m - self.k
 
     def dynamics_residual(self, gen: Generator) -> float:
         """Max pathwise defect of the backward dynamics under the solve scheme."""

@@ -15,13 +15,14 @@ import json
 import math
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import families
 from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
-from .errors import Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least, read_record
+from .errors import (ConfigError, Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least,
+                     read_record)
 from .estimates import (
     check_burkholder,
     check_ito_p_inequality,
@@ -56,18 +57,20 @@ from .reflected import (
     solve_reflected,
     verify_snell_representation,
 )
-from .tree import (DEFAULT_NODE_CAP, REVEAL, Reveal, TimeGrid, build_tree, check_tree_shape,
-                   sup_abs, validate_tree)
+from .tree import (DEFAULT_NODE_CAP, Reveal, TimeGrid, build_tree, check_tree_shape, sup_abs,
+                   validate_tree)
 
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
-    """Raised with a field-level diagnostic; maps to exit code 2."""
-
-
 # -- config schema: each field's kind, default and range ----------------------
 
+REVEAL = {
+    "time": Field(float),
+    "labels": Field([(str, int, float)], ok=lambda labels: len(set(labels)) == len(labels),
+                    rule="distinct"),
+    "probs": Field([float]),
+}
 TREE = {
     "horizon": Field(float, **above(0)),
     "n_steps": Field(int, **at_least(1)),
@@ -129,7 +132,7 @@ def parse_config(raw) -> dict:
     given a tree, its reveals and node cap (without building it), the generator
     lengths and dt * L_y < 1 for every driver a command may build.
     """
-    cfg = read_record(raw, CONFIG, ConfigError)
+    cfg = read_record(raw, CONFIG)
     ce, tc, gc = cfg["counterexample"], cfg["tree"], cfg["generator"] or {}
     if ce["dt"] > ce["horizon"]:
         raise ConfigError(f"counterexample.dt: must be <= counterexample.horizon "
@@ -502,6 +505,7 @@ def _seed(text: str) -> int:
     return seed
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treebsde",

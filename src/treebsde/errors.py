@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the record schema reader for JSON inputs."""
+"""Exception types shared across the package, and the record schema reader for the JSON config."""
 
 import math
 import sys
@@ -15,10 +15,6 @@ class OffGridError(TreeBsdeError):
 
 class TreeSizeError(TreeBsdeError):
     """Tree construction would exceed the configured node cap."""
-
-
-class SchemaError(TreeBsdeError):
-    """A serialized tree or a config file violates the expected schema."""
 
 
 class InvariantViolationError(TreeBsdeError):
@@ -59,6 +55,10 @@ class MeasureChangeError(TreeBsdeError):
     """The Girsanov positivity precondition fails for the supplied integrand."""
 
 
+class ConfigError(Exception):
+    """Raised with a field-level diagnostic; maps to exit code 2."""
+
+
 REQUIRED = object()
 
 
@@ -90,51 +90,51 @@ class Tagged(dict):
     """Record kind with one table per value of the record's `kind` field."""
 
 
-def read_record(obj, table: dict, error=SchemaError, where: str = "") -> dict:
+def read_record(obj, table: dict, where: str = "") -> dict:
     """Check a JSON object against `table`; returns its values, defaults filled in.
 
-    An unknown, missing, mistyped or out-of-range field raises `error` naming
-    it.  A missing or null field reads as its default, which unless None is
-    read like a given value: a record default {} fills in the record's defaults.
+    An unknown, missing, mistyped or out-of-range field raises ConfigError naming
+    it.  A missing or null field reads as its default, which unless None is read
+    like a given value: a record default {} fills in the record's defaults.
     """
     if not isinstance(obj, dict):
-        raise error(f"{where or 'top level'}: expected an object, got {type(obj).__name__}")
+        raise ConfigError(f"{where or 'top level'}: expected an object, got {type(obj).__name__}")
     prefix = f"{where}." if where else ""
     for key in (key for key in obj if key not in table):
-        raise error(f"{prefix}{key}: unknown field")
+        raise ConfigError(f"{prefix}{key}: unknown field")
     out = {}
     for key, field in table.items():
         name, value = prefix + key, obj.get(key)
         if value is None and field.default is not REQUIRED:
             value = field.default
         elif key not in obj:
-            raise error(f"{name}: missing required field")
+            raise ConfigError(f"{name}: missing required field")
         if value is not None or field.default is REQUIRED:
-            value = read_value(value, field.kind, error, name)
+            value = read_value(value, field.kind, name)
             if field.ok and not field.ok(value):
-                raise error(f"{name}: must be {field.rule}, got {value!r}")
+                raise ConfigError(f"{name}: must be {field.rule}, got {value!r}")
         out[key] = value
     return out
 
 
-def read_value(value, kind, error=SchemaError, where: str = ""):
+def read_value(value, kind, where: str = ""):
     """Check one JSON value against a Field kind; returns the value read."""
     if isinstance(kind, Tagged):
         tag = value.get("kind") if isinstance(value, dict) else None
         if not (isinstance(tag, str) and tag in kind):
-            raise error(f"{where}.kind: must be one of {', '.join(kind)}, got {tag!r}")
-        return read_record(value, {"kind": Field(str), **kind[tag]}, error, where)
+            raise ConfigError(f"{where}.kind: must be one of {', '.join(kind)}, got {tag!r}")
+        return read_record(value, {"kind": Field(str), **kind[tag]}, where)
     if isinstance(kind, dict):
-        return read_record(value, kind, error, where)
+        return read_record(value, kind, where)
     if isinstance(kind, list):
         if not isinstance(value, list):
-            raise error(f"{where}: expected a list, got {type(value).__name__}")
-        return [read_value(v, kind[0], error, f"{where}[{i}]") for i, v in enumerate(value)]
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        return [read_value(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     types = (int, float) if kind is float else kind if isinstance(kind, tuple) else (kind,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types) \
             or (isinstance(value, float) and not math.isfinite(value)) \
             or (kind is float and abs(value) > sys.float_info.max):
         names = "number" if kind is float else " or ".join(t.__name__ for t in types)
-        raise error(f"{where}: expected {names}, got {type(value).__name__}")
+        raise ConfigError(f"{where}: expected {names}, got {type(value).__name__}")
     return float(value) if kind is float else value
 

@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    Field,
-    InvariantViolationError,
-    OffGridError,
-    SchemaError,
-    TreeSizeError,
-    above,
-    at_least,
-    read_record,
-)
+from .errors import InvariantViolationError, OffGridError, TreeSizeError
 
 DEFAULT_NODE_CAP = 2**20
 TREE_TOL = 1e-12
@@ -358,116 +348,3 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
             defects["reveal_indep"] = max(defects["reveal_indep"], r)
     return defects
 
-
-# -- serialization ------------------------------------------------------------
-
-SCHEMA_VERSION = 1
-
-
-def serialize_tree(tree: ScenarioTree) -> bytes:
-    """Canonical UTF-8 JSON encoding of the tree; round-trip is the identity."""
-    offsets = np.cumsum([0] + [tree.n_nodes(k) for k in range(tree.n_steps + 1)])
-    labels = dict(zip(tree.reveal_step_indices(), (r.labels for r in tree.reveals)))
-    nodes = []
-    for k in range(tree.n_steps + 1):
-        parents = tree.parent_index(k) + offsets[k - 1] if k > 0 else np.array([-1])
-        for i in range(tree.n_nodes(k)):
-            lab = int(tree.reveal_label[k][i])
-            nodes.append({
-                "id": int(offsets[k] + i),
-                "step": k,
-                "parent": int(parents[i]),
-                "prob": float(tree.cond_prob[k][i]),
-                "dw": [float(v) for v in tree.dw[k][i]],
-                "reveal": None if lab < 0 else labels[k][lab],
-            })
-    doc = {
-        "version": SCHEMA_VERSION,
-        "grid": {"horizon": tree.grid.horizon, "n_steps": tree.grid.n_steps},
-        "d": tree.d,
-        "reveals": [
-            {"time": r.time, "labels": list(r.labels), "probs": [float(p) for p in r.probs]}
-            for r in tree.reveals
-        ],
-        "nodes": nodes,
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
-
-
-LABEL = (str, int, float)
-# a reveal as written in a serialized tree and in a config's tree section
-REVEAL = {
-    "time": Field(float),
-    "labels": Field([LABEL], ok=lambda labels: len(set(labels)) == len(labels),
-                    rule="distinct"),
-    "probs": Field([float]),
-}
-BLOB = {
-    "version": Field(int, ok=lambda v: v == SCHEMA_VERSION, rule=str(SCHEMA_VERSION)),
-    "grid": Field({"horizon": Field(float, **above(0)), "n_steps": Field(int, **at_least(1))}),
-    "d": Field(int, **at_least(1)),
-    "reveals": Field([REVEAL]),
-    "nodes": Field([{"id": Field(int), "step": Field(int), "parent": Field(int),
-                     "prob": Field(float), "dw": Field([float]),
-                     "reveal": Field(LABEL + (type(None),))}]),
-}
-
-
-def deserialize_tree(data: bytes) -> ScenarioTree:
-    """Inverse of serialize_tree; validates the schema and all tree invariants."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"not valid UTF-8 JSON: {exc}") from exc
-    doc = read_record(doc, BLOB)
-    d, nodes = doc["d"], doc["nodes"]
-    grid = TimeGrid(**doc["grid"])
-    if grid.n_steps >= len(nodes):
-        raise SchemaError(f"grid.n_steps: {grid.n_steps} steps need more than {len(nodes)} nodes")
-    try:
-        reveals = tuple(Reveal(r["time"], tuple(r["labels"]), tuple(r["probs"]))
-                        for r in doc["reveals"])
-        label_index = {k: {name: i for i, name in enumerate(r.labels)}
-                       for k, r in grid.reveal_steps(reveals).items()}
-    except (ValueError, OffGridError) as exc:
-        raise SchemaError(f"invalid reveal: {exc}") from exc
-    by_step = [[] for _ in range(grid.n_steps + 1)]
-    seen = set()
-    for i, nd in enumerate(nodes):
-        if nd["id"] in seen:
-            raise SchemaError(f"nodes[{i}]: id {nd['id']} is repeated")
-        seen.add(nd["id"])
-        if len(nd["dw"]) != d:
-            raise SchemaError(f"nodes[{i}].dw: need {d} entries, got {len(nd['dw'])}")
-        if nd["step"] < 0 or nd["step"] > grid.n_steps:
-            raise SchemaError(f"node {nd['id']} has step {nd['step']} outside 0..{grid.n_steps}")
-        by_step[nd["step"]].append(nd)
-    if len(by_step[0]) != 1:
-        raise SchemaError(f"expected a single root, found {len(by_step[0])}")
-
-    branching = []
-    cond_prob = [np.array([1.0])]
-    dw = [np.zeros((1, d))]
-    reveal_label = [np.array([-1])]
-    prev_ids = [by_step[0][0]["id"]]
-    for k in range(1, grid.n_steps + 1):
-        nds = sorted(by_step[k], key=lambda nd: nd["id"])
-        if not nds or len(nds) % len(prev_ids):
-            raise SchemaError(f"step {k}: {len(nds)} nodes cannot branch uniformly from {len(prev_ids)} parents")
-        b = len(nds) // len(prev_ids)
-        for j, nd in enumerate(nds):
-            if nd["parent"] != prev_ids[j // b]:
-                raise SchemaError(f"node {nd['id']}: parent {nd['parent']} breaks contiguous uniform branching")
-        branching.append(b)
-        cond_prob.append(np.array([nd["prob"] for nd in nds]))
-        dw.append(np.array([nd["dw"] for nd in nds]))
-        names = label_index.get(k, {None: -1})
-        try:
-            reveal_label.append(np.array([names[nd["reveal"]] for nd in nds]))
-        except KeyError as exc:
-            raise SchemaError(f"step {k}: reveal label {exc} is not declared there") from exc
-        prev_ids = [nd["id"] for nd in nds]
-    tree = ScenarioTree(grid=grid, d=d, reveals=reveals, branching=tuple(branching),
-                        cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
-    validate_tree(tree)
-    return tree

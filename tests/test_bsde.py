@@ -28,6 +28,7 @@ from treebsde.families import (
     random_terminal,
     standard_tree,
 )
+from treebsde.processes import stochastic_integral
 from treebsde.reflected import (
     ReflectedInstance,
     _extract_linearization,
@@ -78,10 +79,10 @@ class TestSolveBsde:
         sol = solve_bsde(inst)
         assert sol.orthogonality_defect() <= 1e-12
 
-    def test_n_process_is_martingale(self, tree):
+    def test_zw_plus_m_minus_k_is_martingale(self, tree):
         inst = random_bsde(tree, 4)
         sol = solve_bsde(inst)
-        sol.n_process().require_martingale(1e-11)
+        (stochastic_integral(tree, sol.z) + sol.m - sol.k).require_martingale(1e-11)
 
     def test_plain_bsde_has_zero_k(self, tree):
         inst = random_bsde(tree, 5)

@@ -159,6 +159,23 @@ class TestExitCodes:
         assert main(["--config", str(p), "--out", str(tmp_path / "out"), *command]) == 2
         assert f"config error: {section}.{list(fields)[-1]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reveals,diagnostic", [
+        ([{"time": 0.5, "labels": ["a", "a"], "probs": [0.5, 0.5]}],
+         "tree.reveals[0].labels: must be distinct"),
+        ([{"time": 0.5, "labels": [["a"], "b"], "probs": [0.5, 0.5]}],
+         "tree.reveals[0].labels[0]: expected str or int or float"),
+        ([{"time": 0.5, "labels": ["a", "b"], "probs": [0.5, 0.5]},
+          {"time": 0.5, "labels": ["c", "d"], "probs": [0.5, 0.5]}],
+         "tree.reveals: two reveals at the same grid instant"),
+    ], ids=["labels-duplicate", "label-not-scalar", "two-at-one-instant"])
+    def test_reveal_rule_exits_2(self, tmp_path, capsys, reveals, diagnostic):
+        cfg = default_config()
+        cfg["tree"]["reveals"] = reveals
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"), "solve"]) == 2
+        assert f"config error: {diagnostic}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         {"generator": {"kind": "affine", "lam": 0.3, "eta": [0.2], "g0": 0.1}},
         {"generator": {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": 2.0}},
@@ -197,6 +214,16 @@ class TestExitCodes:
     def test_solve_exits_0(self, tmp_path):
         code = main(["--seed", "5", "--out", str(tmp_path / "out"), "solve"])
         assert code == 0
+
+    def test_parser_built_once_serves_every_call(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        runs = [("7", ["verify", "--suite", "constants"], "verify:constants"),
+                ("4", ["solve"], "solve")]
+        for seed, argv, _ in runs:
+            assert main(["--seed", seed, "--out", str(tmp_path / seed), *argv]) == 0
+        for seed, _, command in runs:
+            manifest = json.loads(_read(tmp_path / seed / "manifest.json"))
+            assert (manifest["seed"], manifest["command"]) == (int(seed), command)
 
     def test_verify_constants_exits_0(self, tmp_path):
         code = main(["--seed", "1", "--out", str(tmp_path / "out"),

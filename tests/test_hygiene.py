@@ -126,3 +126,22 @@ def test_one_backward_sweep_and_inner_fixed_point():
                 fixed_points.add((path.name, fn.name))
     assert sweeps == {("bsde.py", "_backward_sweep")}
     assert fixed_points == {("bsde.py", "_implicit_step")}
+
+
+def _reads_input(path):
+    """Does the module import json, or call the record reader from outside errors.py?"""
+    for node in ast.walk(_parse(path)):
+        if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "json"):
+            return True
+        if (path.name != "errors.py" and isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in ("read_record", "read_value")):
+            return True
+    return False
+
+
+def test_config_is_the_one_json_input():
+    """The JSON config is the one input format: cli.py alone imports json or reads a
+    record, so a second format comes with its caller."""
+    assert {path.name for path in MODULES if _reads_input(path)} == {"cli.py"}

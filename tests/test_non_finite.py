@@ -45,8 +45,8 @@ class TestBoundary:
             Reveal(0.5, ("a", "b"), probs)
 
     def test_validate_tree_rejects_nan_probability(self):
-        # a serialized tree cannot carry a NaN (its schema reader rejects one), a
-        # tree assembled in code can
+        # a built tree's probabilities come from finite reveal laws; a tree
+        # altered in code can carry a NaN
         tree = build_tree(TimeGrid(horizon=1.0, n_steps=3), d=1)
         tree.cond_prob[2][1] = NAN
         with pytest.raises(InvariantViolationError, match=r"at step 1, node 0 sum to nan"):

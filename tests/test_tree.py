@@ -1,6 +1,5 @@
-"""Tree construction, exact laws, serialization, and failure modes."""
+"""Tree construction, exact laws, and failure modes."""
 
-import json
 import math
 
 import numpy as np
@@ -8,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde.errors import OffGridError, SchemaError, TreeBsdeError, TreeSizeError
-from treebsde.tree import (Reveal, TimeGrid, build_tree, deserialize_tree, serialize_tree, sup_abs,
-                           validate_tree)
+from treebsde.errors import OffGridError, TreeSizeError
+from treebsde.tree import Reveal, TimeGrid, build_tree, sup_abs, validate_tree
 
 
 def _reveal(grid, k, labels=("a", "b", "c"), probs=(0.5, 0.3, 0.2)):
@@ -151,148 +149,15 @@ class TestConditionalExpectation:
 
 
 class TestSerialization:
-    def test_round_trip_bytes_identical(self):
-        grid = TimeGrid(horizon=1.0, n_steps=3)
-        tree = build_tree(grid, d=2, reveals=(_reveal(grid, 2, labels=("u", "v"),
-                                                      probs=(0.4, 0.6)),))
-        blob = serialize_tree(tree)
-        again = serialize_tree(deserialize_tree(blob))
-        assert blob == again
-
-    def test_round_trip_preserves_structure(self):
-        grid = TimeGrid(horizon=1.0, n_steps=3)
-        tree = build_tree(grid, d=1, reveals=(_reveal(grid, 1),))
-        back = deserialize_tree(serialize_tree(tree))
-        for k in range(4):
-            assert np.array_equal(back.cond_prob[k], tree.cond_prob[k])
-            assert np.array_equal(back.dw[k], tree.dw[k])
-            assert np.array_equal(back.reveal_label[k], tree.reveal_label[k])
+    """A tree is rebuilt from its grid, dimension and reveals, never stored: two builds agree."""
 
     def test_deterministic_build(self):
         grid = TimeGrid(horizon=1.0, n_steps=4)
         r = (_reveal(grid, 2),)
-        a = serialize_tree(build_tree(grid, d=1, reveals=r))
-        b = serialize_tree(build_tree(grid, d=1, reveals=r))
-        assert a == b
-
-    def test_malformed_blob(self):
-        with pytest.raises(SchemaError):
-            deserialize_tree(b'{"version": 99}')
-
-
-def _revealed_doc():
-    """Parsed serialization of a 2-step tree with a reveal at t_1."""
-    grid = TimeGrid(horizon=1.0, n_steps=2)
-    tree = build_tree(grid, d=1, reveals=(_reveal(grid, 1, labels=("u", "v"),
-                                                  probs=(0.25, 0.75)),))
-    return json.loads(serialize_tree(tree))
-
-
-_DELETE = object()
-
-
-def _set(doc, path, value=_DELETE):
-    """`doc` with the field at `path` set to `value`, or removed."""
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    if value is not _DELETE:
-        target[path[-1]] = value
-    elif isinstance(target, list) or path[-1] in target:
-        del target[path[-1]]
-    return doc
-
-
-def _blob_with(path, value=_DELETE):
-    return json.dumps(_set(_revealed_doc(), path, value)).encode()
-
-
-def _duplicate_labels_blob():
-    """Both reveal labels named "u", and every node labelled "u"."""
-    doc = _revealed_doc()
-    doc["reveals"][0]["labels"] = ["u", "u"]
-    for node in doc["nodes"]:
-        node["reveal"] = node["reveal"] and "u"
-    return json.dumps(doc).encode()
-
-
-def _extra_reveal_blob(time):
-    """The reveal declared again at `time`, which `build_tree` would refuse."""
-    doc = _revealed_doc()
-    doc["reveals"].append({**doc["reveals"][0], "time": time})
-    return json.dumps(doc).encode()
-
-
-def _binary_blob_with_ids(ids, parents):
-    """A 2-step binary tree whose seven nodes (root, step 1, step 2) get new ids and parents."""
-    doc = json.loads(serialize_tree(build_tree(TimeGrid(horizon=1.0, n_steps=2))))
-    for node, i, parent in zip(doc["nodes"], ids, parents):
-        node["id"], node["parent"] = i, parent
-    return json.dumps(doc).encode()
-
-
-class TestMalformedBlobs:
-    @pytest.mark.parametrize("blob", [
-        b"[]",
-        _blob_with(("grid", "horizon")),
-        _blob_with(("nodes", 3, "step")),
-        _blob_with(("d",), True),
-        _blob_with(("reveals", 0, "labels"), [["u"], ["v"]]),
-        _blob_with(("reveals", 0, "time"), 0.3),
-        _duplicate_labels_blob(),
-        _blob_with(("grid", "n_steps"), 100),
-        _blob_with(("d",), 5),
-        _extra_reveal_blob(0.0),
-        _extra_reveal_blob(0.5),
-        _binary_blob_with_ids([0, 1, 1, 3, 4, 5, 6], [-1, 0, 0, 1, 1, 1, 1]),
-        _binary_blob_with_ids([0, 1, 2, 1, 2, 3, 4], [-1, 0, 0, 1, 1, 2, 2]),
-    ], ids=["top-level-list", "no-horizon", "node-without-step", "d-bool", "labels-lists",
-            "reveal-off-grid", "labels-duplicate", "steps-beyond-nodes", "d-beyond-dw",
-            "reveal-at-t0", "reveal-twice-at-t1", "ids-repeated-in-step", "ids-repeated-across-steps"])
-    def test_schema_error(self, blob):
-        with pytest.raises(SchemaError):
-            deserialize_tree(blob)
-
-
-def _paths(doc, path=()):
-    """Path of every value in a parsed JSON document, and of a new key in every object."""
-    if isinstance(doc, dict):
-        yield path + ("extra",)
-        items = doc.items()
-    else:
-        items = enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield path + (key,)
-        yield from _paths(value, path + (key,))
-
-
-_BLOB = json.dumps(_revealed_doc()).encode()
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                 max_size=3),
-    max_leaves=6)
-
-
-class TestBlobFuzz:
-    """A mutated blob either loads or raises a package error, never a Python one."""
-
-    @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(st.sampled_from(list(_paths(_revealed_doc()))), st.one_of(st.just(_DELETE), _JSON))
-    def test_mutated_blob(self, path, value):
-        try:
-            deserialize_tree(json.dumps(_set(_revealed_doc(), path, value)).encode())
-        except TreeBsdeError:
-            pass
-
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(st.integers(0, len(_BLOB) - 1), st.integers(0, 255))
-    def test_mutated_bytes(self, index, byte):
-        blob = _BLOB[:index] + bytes([byte]) + _BLOB[index + 1:]
-        try:
-            deserialize_tree(blob)
-        except TreeBsdeError:
-            pass
+        a, b = build_tree(grid, d=1, reveals=r), build_tree(grid, d=1, reveals=r)
+        assert a.branching == b.branching
+        for name in ("cond_prob", "dw", "reveal_label"):
+            assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
 
 
 @st.composite
@@ -408,10 +273,9 @@ class TestStepPrimitives:
     def test_branching_is_python_ints(self, with_reveal):
         grid = TimeGrid(horizon=1.0, n_steps=3)
         tree = build_tree(grid, d=2, reveals=(_reveal(grid, 2),) if with_reveal else ())
-        for t in (tree, deserialize_tree(serialize_tree(tree))):
-            assert type(t.branching) is tuple and all(type(b) is int for b in t.branching)
-            assert t.branching == ((4, 12, 4) if with_reveal else (4, 4, 4))
-            assert not hasattr(t, "fanout")
+        assert type(tree.branching) is tuple and all(type(b) is int for b in tree.branching)
+        assert tree.branching == ((4, 12, 4) if with_reveal else (4, 4, 4))
+        assert not hasattr(tree, "fanout")
 
     def test_trees_compare_and_hash_by_identity(self):
         a, b = build_tree(TimeGrid(horizon=1.0, n_steps=3)), build_tree(TimeGrid(horizon=1.0, n_steps=3))
