@@ -10,6 +10,7 @@ its increments through the same quadruple container.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -53,6 +54,12 @@ class Generator:
     def __call__(self, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(k, y, z), dtype=float)
 
+    @property
+    def family(self) -> tuple:
+        """The member drivers: `members`, or the driver itself for a lone driver, which
+        the solvers call on a member axis of length one."""
+        return self.members or (self,)
+
     def g0(self, tree: ScenarioTree, k: int) -> np.ndarray:
         n = tree.n_nodes(k)
         return self(k, np.zeros(n), np.zeros((n, tree.d)))
@@ -87,36 +94,33 @@ class AffineGenerator(Generator):
 
 
 def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> np.ndarray:
-    """Worst Lipschitz excess of the step-k probes in `draw`, one per member of `gen`
-    (a lone driver is its own one member).  `draw` holds y, y2, z, z2 one after
-    another on its last axis; leading axes stack probes into one call pair.  A
-    family's members see the same probes through a member axis of length one."""
+    """Worst Lipschitz excess of the step-k probes in `draw`, one per member of
+    gen.family.  `draw` holds y, y2, z, z2 one after another on its last axis;
+    leading axes stack probes into one call pair.  The members see the same probes
+    through a member axis of length one."""
     lead, d = draw.shape[:-1], draw.shape[-1] // (2 * n) - 1
-    gens = gen.members or (gen,)
-    y, y2 = draw[..., :n], draw[..., n:2 * n]
-    z = draw[..., 2 * n:(2 + d) * n].reshape(lead + (n, d))
-    z2 = draw[..., (2 + d) * n:].reshape(lead + (n, d))
-    if gen.members:
-        y, y2, z, z2 = y[..., None, :], y2[..., None, :], z[..., None, :, :], z2[..., None, :, :]
-    want = y.shape[:-2] + (len(gens), n) if gen.members else y.shape
+    family = gen.family
+    y, y2 = draw[..., None, :n], draw[..., None, n:2 * n]
+    z = draw[..., 2 * n:(2 + d) * n].reshape(lead + (1, n, d))
+    z2 = draw[..., (2 + d) * n:].reshape(lead + (1, n, d))
     g, g2 = gen(k, y, z), gen(k, y2, z2)
     for out in (g, g2):
-        if out.shape != want:
+        if out.shape != lead + (len(family), n):
             raise GeneratorContractError(
                 f"{gen.name}: step {k}: y {y.shape} and z {z.shape} gave a driver value of "
                 f"shape {out.shape}; leading axes must be kept")
-        finite = np.isfinite(out).reshape(-1, len(gens), n).all(axis=(0, 2))
+        finite = np.isfinite(out).reshape(-1, len(family), n).all(axis=(0, 2))
         if not finite.all():
-            raise GeneratorContractError(f"{gens[finite.argmin()].name}: step {k}: "
+            raise GeneratorContractError(f"{family[finite.argmin()].name}: step {k}: "
                                          "non-finite driver value")
     lhs = np.abs(g - g2)
     bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.linalg.norm(z - z2, axis=-1)
-    excess = (lhs - bound).reshape(-1, len(gens), n).max(axis=(0, 2))
+    excess = (lhs - bound).reshape(-1, len(family), n).max(axis=(0, 2))
     finite = np.isfinite(excess)
     if not finite.all():
         i = int(finite.argmin())
         raise GeneratorContractError(
-            f"{gens[i].name}: step {k}: non-finite Lipschitz excess {excess[i]}")
+            f"{family[i].name}: step {k}: non-finite Lipschitz excess {excess[i]}")
     return excess
 
 
@@ -172,14 +176,14 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree):
     offending member of a family) beyond the slack, on a non-finite driver value
     and on a driver that drops the leading axes.
     """
-    worst = np.zeros(len(gen.members) or 1)
+    worst = np.zeros(len(gen.family))
     for k, draw in _probe_draws(tree):
         worst = np.maximum(worst, _probe_excess(gen, k, tree.n_nodes(k), draw))
     over = worst > LIPSCHITZ_SLACK
     if over.any():
         i = int(over.argmax())
         raise GeneratorContractError(
-            f"{(gen.members or (gen,))[i].name}: Lipschitz excess {worst[i]:.3e} beyond "
+            f"{gen.family[i].name}: Lipschitz excess {worst[i]:.3e} beyond "
             f"declared (L_y={gen.l_y}, L_z={gen.l_z})")
     return worst if gen.members else float(worst[0])
 
@@ -276,12 +280,10 @@ def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
 
 
 def _drive(gen: Generator, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The driver on the node arrays of a family's stacked copies of a tree (see
-    ScenarioTree.forest): block i of the node axis is member i, which the family
-    driver sees on a leading member axis.  A lone driver gets the arrays as they are."""
-    if not gen.members:
-        return gen(k, y, z)
-    b = len(gen.members)
+    """The driver on the node arrays of the stacked copies of a tree, one per member
+    of gen.family (see ScenarioTree.forest): block i of the node axis is member i,
+    which the driver sees on a leading member axis."""
+    b = len(gen.family)
     return gen(k, y.reshape(b, -1), z.reshape(b, -1, z.shape[-1])).reshape(y.shape)
 
 
@@ -290,35 +292,41 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
     """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration;
     a non-finite iterate stops it at once.
 
-    Each member of a family driver (see _drive) stops at its own IMPLICIT_TOL
-    and keeps that iterate while the others go on, so it gets the bits of its
-    solo solve.
+    The map contracts by q = dt * L_y, so from a first defect e the defect reaches
+    IMPLICIT_TOL within log(IMPLICIT_TOL / e) / log(q) iterations; the cap is twice
+    that, and never under IMPLICIT_MAX_ITER.  The iterates keep the member axis of
+    _drive: row i is member i of gen.family, which stops at its own IMPLICIT_TOL
+    and keeps that iterate while the others go on, so it gets the bits of its solo
+    solve.
     """
-    members = len(gen.members) or 1
-    y = target.copy()
-    live = None  # per member, once some member has stopped: still iterating
-    for _ in range(IMPLICIT_MAX_ITER):
-        y_new = target - _drive(gen, k, y, z_k) * dt
+    b, q, cap = len(gen.family), dt * gen.l_y, IMPLICIT_MAX_ITER
+    target, z_k = target.reshape(b, -1), z_k.reshape(b, -1, z_k.shape[-1])
+    obstacle = None if obstacle is None else obstacle.reshape(b, -1)
+    y, stopped = target.copy(), None  # stopped: per member, once some member has stopped
+    for it in itertools.count(1):
+        y_new = target - gen(k, y, z_k) * dt
         if obstacle is not None:
             y_new = np.maximum(obstacle, y_new)
-        if live is not None:
-            y_new.reshape(members, -1)[~live] = y.reshape(members, -1)[~live]
-        defect = float(np.abs(y_new - y).max())
+        if stopped is not None:
+            y_new[stopped] = y[stopped]
+        defects = np.maximum.reduce(np.abs(y_new - y), axis=1)
+        defect = float(np.maximum.reduce(defects))
         if defect <= IMPLICIT_TOL:
-            return y_new
+            return y_new.reshape(-1)
         if not math.isfinite(defect):
-            blocks = np.abs(y_new - y).reshape(members, -1)
-            i = int(np.isfinite(blocks).all(axis=1).argmin())
+            i = int(np.isfinite(defects).argmin())
             raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
-                                        f"{int(blocks[i].argmax())} "
-                                        f"({(gen.members or (gen,))[i].name})")
-        if members > 1:
-            live = np.abs(y_new - y).reshape(members, -1).max(axis=1) > IMPLICIT_TOL
+                                        f"{int(np.abs(y_new - y)[i].argmax())} "
+                                        f"({gen.family[i].name})")
+        if it == 1 and 0.0 < q < 1.0:
+            cap = max(cap, math.ceil(2.0 * math.log(IMPLICIT_TOL / defect) / math.log(q)))
+        if it == cap:
+            raise PicardDivergenceError(
+                f"step {k}: inner fixed point not converged after {cap} iterations "
+                f"(last defect {defect:.3e}, contraction factor dt*L_y = {q:.3f})")
+        if np.minimum.reduce(defects) <= IMPLICIT_TOL:
+            stopped = defects <= IMPLICIT_TOL
         y = y_new
-    raise PicardDivergenceError(
-        f"step {k}: inner fixed point not converged after {IMPLICIT_MAX_ITER} iterations "
-        f"(last defect {defect:.3e}, contraction factor dt*L_y = {dt * gen.l_y:.3f})"
-    )
 
 
 def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, z_vals: list,
@@ -330,11 +338,8 @@ def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, z_vals: 
         dk_vals = [np.zeros(forest.n_nodes(k)) for k in range(n)]
     m_vals = forest.path_scan(dm_vals, start=np.zeros(members), process=True)
 
-    def split(arrays) -> list:
-        if members == 1:
-            return [arrays]
-        blocks = [a.reshape((members, -1) + a.shape[1:]) for a in arrays]
-        return [[b[i] for b in blocks] for i in range(members)]
+    def split(arrays):  # per member, its block of each array
+        return zip(*(a.reshape((members, -1) + a.shape[1:]) for a in arrays))
 
     return [SolutionQuadruple(tree=tree, y=AdaptedProcess(tree, y), z=PredictableProcess(tree, z),
                               m=AdaptedProcess(tree, m), dk=PredictableProcess(tree, dk),
@@ -349,13 +354,13 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
 
     With an obstacle S, Y_k = max(S_k, y~_k) where y~_k is the unconstrained
     step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
-    exactly zero.  A family driver (B = len(gen.members)) solves its B members
-    in one sweep over B stacked copies of the tree: block i of xi (B n_n nodes)
-    and of each obstacle[k] (B n_k nodes) is member i's.
+    exactly zero.  The B = len(gen.family) members are solved in one sweep over B
+    stacked copies of the tree: block i of xi (B n_n nodes) and of each
+    obstacle[k] (B n_k nodes) is member i's.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    forest = tree.forest(len(gen.members) or 1)
+    forest = tree.forest(len(gen.family))
     n, dt = tree.n_steps, tree.dt
     y_vals = [None] * (n + 1)
     y_vals[n] = xi.copy() if obstacle is None else np.maximum(xi, obstacle[n])

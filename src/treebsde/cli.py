@@ -3,7 +3,8 @@
 Subcommands run the solvers and verification suites described in the package
 API, emitting deterministic CSV/JSON artifacts plus a manifest holding the
 config hash and seed.  Exit codes: 0 all hard assertions pass, 1 an assertion
-failed (the manifest lists which), 2 configuration error.
+failed or the run raised an error (the manifest lists which), 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .norms import (
 )
 from .reports import EstimateReport
 from .reflected import (
+    DP_DEPTH_CAP,
     ReflectedInstance,
     check_skorokhod,
     picard_solve,
@@ -104,6 +106,8 @@ CONFIG = {
     "scheme": Field(str, "implicit", lambda s: s in ("explicit", "implicit"),
                     "'explicit' or 'implicit'"),
 }
+# the driver of solve, reflect and picard when the config has no generator section
+DEFAULT_GENERATOR = {"seed": 0, "l_y": 0.5, "l_z": 0.5}
 # the tree of the default config; every other value in it is a table default
 DEFAULT_TREE = {"horizon": 1.0, "n_steps": 6,
                 "reveals": [{"time": 0.5, "labels": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}]}
@@ -153,7 +157,8 @@ def parse_config(raw) -> dict:
             raise ConfigError(f"generator.{key}: need {size} entries, got {len(gc[key])}")
     dt = tc["horizon"] / tc["n_steps"]
     lipschitz = {"family.l_y": cfg["family"]["l_y"], "generator.lam": abs(gc.get("lam", 0.0)),
-                 "generator.l_y": gc.get("l_y", 0.0)}
+                 "generator.l_y": gc.get("l_y", 0.0),
+                 "generator (absent: the default driver)": 0.0 if gc else DEFAULT_GENERATOR["l_y"]}
     for name, l_y in lipschitz.items():
         if dt * l_y >= 1.0:
             raise ConfigError(f"{name}: dt * L_y = {dt * l_y:.3f} must be < 1 (dt = {dt:g})")
@@ -183,7 +188,7 @@ def tree_from_config(cfg: dict):
 def generator_from_config(cfg: dict, tree) -> Generator:
     gc = cfg["generator"]
     if gc is None:
-        return families.random_generator(tree, seed=0)
+        return families.random_generator(tree, **DEFAULT_GENERATOR)
     if gc["kind"] == "affine":
         return AffineGenerator.build(tree, lam=gc["lam"], eta=gc["eta"],
                                      g0_fn=(lambda k, n, c=gc["g0"]: np.full(n, c)))
@@ -267,7 +272,7 @@ class SuiteInputs:
         """(seed, instance, implicit solution) per reflected family member, all
         members bound and solved as one family."""
         return list(zip(self.seeds, self.family.members,
-                        solve_family(self.family, scheme="implicit")))
+                        solve_family(self.family)))
 
     @cached_property
     def free(self) -> dict:
@@ -487,6 +492,15 @@ def cmd_counterexample(args, cfg: dict, raw) -> int:
 
 
 def cmd_snell_check(args, cfg: dict, raw) -> int:
+    if (tc := cfg["tree"]) is not None:  # the two oracles' limits, before any work
+        dt, l_z = tc["horizon"] / tc["n_steps"], cfg["family"]["l_z"]
+        if tc["n_steps"] > DP_DEPTH_CAP:
+            raise ConfigError(f"tree.n_steps: snell-check's dynamic program is capped at "
+                              f"depth {DP_DEPTH_CAP}, got {tc['n_steps']}")
+        # eta is clipped at l_z in each coordinate: d l_z sqrt(dt) < 1 keeps its density positive
+        if tc["d"] * l_z * math.sqrt(dt) >= 1.0:
+            raise ConfigError(f"family.l_z: snell-check's change of measure needs d * l_z * "
+                              f"sqrt(dt) < 1, got {tc['d']} * {l_z:g} * sqrt({dt:g})")
     inp = SuiteInputs(cfg, args.seed)
     reports = [r for s, inst, sol in inp.solved
                for r in verify_snell_representation(inst, sol, fingerprint=inp.fp("rbsde", s))]
@@ -534,6 +548,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (TreeBsdeError, OverflowError) as exc:  # a run error on an accepted config
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        os.makedirs(args.out, exist_ok=True)
+        _write_manifest(args.out, args.command, raw, args.seed, [type(exc).__name__],
+                        error=str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -421,9 +421,13 @@ def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
         "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
         {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
 
-    worst = sup_abs(phi_p(sol.y.values[k], p) * tree.cond_exp(_dl(sol, k), k + 1)
-                    for k in range(tree.n_steps))
-    reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0, 1e-12,
+    terms = [(phi_p(sol.y.values[k], p), _dl(sol, k)) for k in range(tree.n_steps)]
+    worst = sup_abs(phi * tree.cond_exp(dl, k + 1) for k, (phi, dl) in enumerate(terms))
+    # round-off in the product grows with max|phi_p(Y)| max|dL|, and so does the
+    # tolerance, never below 1e-12 and never infinite
+    scale = sup_abs(phi for phi, _ in terms) * sup_abs(dl for _, dl in terms)
+    reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0,
+                                        1e-12 * (scale if 1.0 < scale < math.inf else 1.0),
                                         fingerprint, {"p": p, "defect": worst}))
     return reports
 

@@ -179,7 +179,9 @@ def _simulate(runs, dt: float, horizon: float) -> list:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
         return _run_batch(eps, dt, n_steps, size, rng)
 
-    with ThreadPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+    # os.sched_getaffinity is missing on some platforms (macOS, Windows)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(len(jobs), cpus or 1)) as pool:
         batches = list(pool.map(run, jobs))
     reports = []
     for r, (eps, n_paths, seed) in enumerate(runs):

@@ -12,9 +12,9 @@ under a change of measure extracted from the driver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,26 +35,17 @@ PICARD_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class ReflectedInstance:
-    """Terminal condition, driver and lower obstacle on one tree; plain() is the
-    instance without the obstacle, built (and its driver checked) once.  `excess`
-    is as for BsdeInstance."""
+class ReflectedInstance(BsdeInstance):
+    """A BsdeInstance with a lower obstacle, checked before the parent's checks; the
+    terminal obstacle is clipped to min(S_T, xi)."""
 
-    tree: ScenarioTree
-    xi: np.ndarray
-    gen: Generator
-    obstacle: AdaptedProcess
-    excess: Optional[float] = field(default=None, compare=False)
-    _plain: BsdeInstance = field(init=False, repr=False, compare=False)
+    obstacle: AdaptedProcess = field(kw_only=True)
 
     def __post_init__(self):
         if self.obstacle.tree is not self.tree:
             raise ValueError("the obstacle lives on another tree than the instance")
         require_finite("obstacle", self.obstacle.values)
-        object.__setattr__(self, "_plain", BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen,
-                                                        excess=self.excess))
-        object.__setattr__(self, "xi", self._plain.xi)
-        object.__setattr__(self, "excess", self._plain.excess)
+        super().__post_init__()
         n = self.tree.n_steps
         # terminal compatibility: the obstacle cannot exceed the terminal value
         clipped = np.minimum(self.obstacle.values[n], self.xi)
@@ -62,12 +53,14 @@ class ReflectedInstance:
             object.__setattr__(self, "obstacle",
                                AdaptedProcess(self.tree, self.obstacle.values[:n] + [clipped]))
 
-    def plain(self) -> BsdeInstance:
-        return self._plain
+    @functools.cached_property
+    def _plain(self) -> BsdeInstance:
+        return BsdeInstance(tree=self.tree, xi=self.xi, gen=self.gen, excess=self.excess)
 
-    @property
-    def g0(self) -> PredictableProcess:
-        return self._plain.g0
+    def plain(self) -> BsdeInstance:
+        """The instance without the obstacle, built on first use with this excess, so
+        its driver is not probed again."""
+        return self._plain
 
 
 @dataclass(frozen=True)
@@ -94,14 +87,14 @@ def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> So
                            obstacle=instance.obstacle.values)[0]
 
 
-def solve_family(family: ReflectedFamily, scheme: str = "implicit") -> list:
-    """solve_reflected of every member, in one backward sweep; each member's solution
-    has the bits of its solo solve."""
+def solve_family(family: ReflectedFamily) -> list:
+    """Implicit solve_reflected of every member, in one backward sweep; each member's
+    solution has the bits of its solo solve."""
     members, tree = family.members, family.members[0].tree
     obstacle = [np.concatenate([m.obstacle.values[k] for m in members])
                 for k in range(tree.n_steps + 1)]
-    return _backward_sweep(tree, np.concatenate([m.xi for m in members]), family.gen, scheme,
-                           obstacle=obstacle)
+    return _backward_sweep(tree, np.concatenate([m.xi for m in members]), family.gen,
+                           "implicit", obstacle=obstacle)
 
 
 def solve_free_family(family: ReflectedFamily) -> list:

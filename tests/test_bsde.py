@@ -7,19 +7,22 @@ import numpy as np
 import pytest
 
 from treebsde.bsde import (
+    IMPLICIT_MAX_ITER,
+    IMPLICIT_TOL,
     LIPSCHITZ_PROBES,
     LIPSCHITZ_SEED,
     LIPSCHITZ_STACK,
     AffineGenerator,
     BsdeInstance,
     Generator,
+    _implicit_step,
     _probe_excess,
     check_lipschitz,
     solve_bsde,
     solve_linear_bsde,
 )
 from treebsde.cli import default_config, generator_from_config, parse_config, tree_from_config
-from treebsde.errors import GeneratorContractError, StepSizeError
+from treebsde.errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from treebsde.families import (
     random_bsde,
     random_generator,
@@ -154,10 +157,22 @@ class TestLipschitzContract:
         with pytest.raises(StepSizeError):
             _bind(kind, tr, stiff)
 
-    def test_reflected_shares_its_plain_instance(self, tree):
+    def test_reflected_is_a_plain_instance_plus_an_obstacle(self):
+        assert issubclass(ReflectedInstance, BsdeInstance)
+        names = [f.name for f in dataclasses.fields(BsdeInstance)]
+        assert [f.name for f in dataclasses.fields(ReflectedInstance)] == names + ["obstacle"]
+
+    def test_reflected_shares_its_plain_instance(self, tree, monkeypatch):
         inst = random_reflected(tree, 9)
-        assert inst.plain() is inst.plain()
+
+        def probed(gen, tree):
+            raise AssertionError("plain() probed the driver again")
+
+        # built on first use, with the instance's excess
+        monkeypatch.setattr("treebsde.bsde.check_lipschitz", probed)
+        assert inst.plain() is inst.plain() and type(inst.plain()) is BsdeInstance
         assert inst.plain().gen is inst.gen and inst.plain().xi is inst.xi
+        assert inst.plain().excess == inst.excess
 
     @pytest.mark.parametrize("kind", ["plain", "reflected"])
     def test_instances_are_frozen(self, tree, kind):
@@ -212,10 +227,12 @@ class TestStackedProbes:
         assert tree.n_nodes(tree.n_steps - 1) > LIPSCHITZ_STACK
         gen, calls = random_generator(tree, 4), []
         assert check_lipschitz(_recording(gen, calls), tree) == _per_probe_lipschitz(gen, tree)
-        wide = [shape for k, shape in calls if tree.n_nodes(k) > LIPSCHITZ_STACK]
-        narrow = [shape for k, shape in calls if tree.n_nodes(k) <= LIPSCHITZ_STACK]
-        assert wide and all(len(shape) == 1 for shape in wide)
-        assert narrow and all(len(shape) == 2 for shape in narrow)
+        wide = [(k, shape) for k, shape in calls if tree.n_nodes(k) > LIPSCHITZ_STACK]
+        narrow = [(k, shape) for k, shape in calls if tree.n_nodes(k) <= LIPSCHITZ_STACK]
+        # a lone driver is called on a member axis of length one
+        assert wide and all(shape == (1, tree.n_nodes(k)) for k, shape in wide)
+        assert narrow and all(len(shape) == 3 and shape[1:] == (1, tree.n_nodes(k))
+                              for k, shape in narrow)
 
     def test_one_call_pair_per_probed_step(self):
         """Performance guard: the probes of a step share one pair of driver calls."""
@@ -244,8 +261,9 @@ class TestStackedProbes:
         n = tree.n_nodes(k)
         draw = np.random.default_rng(0).normal(size=(n + extra, 4 * n))
         with pytest.raises(GeneratorContractError,
-                           match=rf"by-len: step {k}: y \({n + extra}, {n}\) and z "
-                                 rf"\({n + extra}, {n}, 1\) gave a driver value of shape \({n + extra},\)"):
+                           match=rf"by-len: step {k}: y \({n + extra}, 1, {n}\) and z "
+                                 rf"\({n + extra}, 1, {n}, 1\) gave a driver value of shape "
+                                 rf"\({n + extra},\)"):
             _probe_excess(_const_by_len(0.3), k, n, draw)
 
     def test_driver_dropping_leading_axes_rejected_when_bound(self, tree):
@@ -357,6 +375,30 @@ class TestStackedLinearization:
         calls.clear()  # binding ran the Lipschitz probes
         _extract_linearization(recorded, sol)
         assert calls == [(k, (d + 2, tree.n_nodes(k))) for k in range(tree.n_steps)]
+
+
+class TestInnerFixedPointCap:
+    """The inner fixed point's cap follows its contraction q = dt * L_y: twice the
+    log(IMPLICIT_TOL / first defect) / log(q) iterations, never under IMPLICIT_MAX_ITER."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slow_contraction_converges(self, seed):
+        # dt * L_y = 0.983: each of these stopped after IMPLICIT_MAX_ITER iterations
+        tree = standard_tree(n_steps=6)
+        for inst in (random_reflected(tree, seed, l_y=5.9),
+                     BsdeInstance(tree=tree, xi=random_terminal(tree, seed),
+                                  gen=random_generator(tree, seed, l_y=5.9))):
+            sol = solve_reflected(inst) if isinstance(inst, ReflectedInstance) else solve_bsde(inst)
+            assert sol.dynamics_residual(inst.gen) <= 1e-12
+
+    @pytest.mark.parametrize("l_y,cap", [(0.5, IMPLICIT_MAX_ITER),
+                                         (0.9, math.ceil(2 * math.log(IMPLICIT_TOL) / math.log(0.9)))])
+    def test_cap_from_first_defect(self, l_y, cap):
+        # y flips between -1 and 1 for ever: the first defect is 1
+        flip = Generator(fn=lambda k, y, z: np.where(y >= 0, 1.0, -1.0), l_y=l_y, l_z=0.0,
+                         name="flip")
+        with pytest.raises(PicardDivergenceError, match=f"not converged after {cap} iterations"):
+            _implicit_step(flip, 0, np.zeros(3), np.zeros((3, 1)), 1.0)
 
 
 class TestLinearSolver:

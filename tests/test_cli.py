@@ -176,6 +176,47 @@ class TestExitCodes:
         assert main(["--config", str(p), "--out", str(tmp_path / "out"), "solve"]) == 2
         assert f"config error: {diagnostic}" in capsys.readouterr().err
 
+    # configs whose every field is in range, each past a limit of the command it runs
+    @pytest.mark.parametrize("cfg,command,diagnostic", [
+        ({"tree": {"horizon": 8.0, "n_steps": 4}, "family": {"l_y": 0.1}}, "solve", "generator"),
+        ({"tree": {"horizon": 8.0, "n_steps": 4}, "family": {"l_y": 0.1}}, "reflect", "generator"),
+        ({"tree": {"horizon": 8.0, "n_steps": 4}, "family": {"l_y": 0.1}}, "picard", "generator"),
+        ({"tree": {"horizon": 1.0, "n_steps": 13}}, "snell-check", "tree.n_steps"),
+        ({"family": {"count": 2, "l_z": 3.0}}, "snell-check", "family.l_z"),
+    ], ids=["default-driver-solve", "default-driver-reflect", "default-driver-picard",
+            "snell-depth-cap", "snell-measure-change"])
+    def test_command_limit_exits_2(self, tmp_path, capsys, cfg, command, diagnostic):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**default_config(), **cfg}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"), command]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {diagnostic}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg,command,error", [
+        ({"generator": {"kind": "polynomial-clipped", "l_y": 5.0, "l_z": 5.0, "bound": 0.1}},
+         "picard", "PicardDivergenceError"),
+        ({"tree": {"horizon": 1e6, "n_steps": 4}, "family": {"count": 2, "l_y": 1e-7, "l_z": 1e-7},
+          "generator": {"kind": "affine"}}, "verify", "OverflowError"),
+    ], ids=["picard-unsettled", "verify-weight-overflow"])
+    def test_run_error_exits_1_with_manifest(self, tmp_path, capsys, cfg, command, error):
+        p, out = tmp_path / "cfg.json", tmp_path / "out"
+        p.write_text(json.dumps({**default_config(), **cfg}))
+        assert main(["--config", str(p), "--seed", "3", "--out", str(out), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+        manifest = json.loads(_read(out / "manifest.json"))
+        assert (manifest["command"], manifest["seed"], manifest["failures"]) == (command, 3, [error])
+
+    @pytest.mark.parametrize("family,command", [
+        ({"count": 2, "l_y": 5.9}, "verify"),
+        ({"count": 2, "l_y": 5.9}, "snell-check"),
+        ({"count": 2, "margin": -50.0}, "verify"),
+    ], ids=["slow-inner-fixed-point-verify", "slow-inner-fixed-point-snell", "high-obstacle"])
+    def test_hard_family_exits_0(self, tmp_path, family, command):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**default_config(), "family": family}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"), command]) == 0
+
     @pytest.mark.parametrize("extra", [
         {"generator": {"kind": "affine", "lam": 0.3, "eta": [0.2], "g0": 0.1}},
         {"generator": {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": 2.0}},

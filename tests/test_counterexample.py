@@ -188,6 +188,17 @@ class TestScan:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("cpu_count", [2, None])
+    def test_runs_without_sched_getaffinity(self, monkeypatch, cpu_count):
+        """Where os.sched_getaffinity is missing (macOS, Windows) the pool is sized by
+        os.cpu_count(), or one thread when that is unknown, with the same bits."""
+        want = _arrays(run_counterexample(eps=0.1, dt=1e-2, n_paths=2500, seed=9))
+        monkeypatch.delattr(ladder.os, "sched_getaffinity")
+        monkeypatch.setattr(ladder.os, "cpu_count", lambda: cpu_count)
+        got = _arrays(run_counterexample(eps=0.1, dt=1e-2, n_paths=2500, seed=9))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_batch_error_propagates(self, monkeypatch):
         real = ladder._run_batch
 

@@ -1,5 +1,6 @@
 """Inequality harness: explicit constants hold, empirical ratios behave."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from treebsde.families import (
     standard_tree,
 )
 from treebsde.norms import phi_p
+from treebsde.processes import AdaptedProcess
 from treebsde.reflected import ReflectedInstance, solve_reflected
 from treebsde.reports import EstimateReport
 
@@ -45,6 +47,38 @@ def solved(tree):
         inst = random_reflected(tree, seed, margin=0.5)
         out.append((inst, solve_reflected(inst, scheme="implicit")))
     return out
+
+
+def _gradient_row(sol, p=3.0):
+    rows = [r for r in check_bracket_equivalences(sol, p, 0.3)
+            if r.inequality_id == "gradient_integrand_martingale"]
+    assert len(rows) == 1
+    return rows[0]
+
+
+class TestGradientIntegrandTolerance:
+    """The gradient-integrand defect is held to a tolerance that scales with
+    max|phi_p(Y_k)| max|dL_{k+1}|, where its round-off grows."""
+
+    @pytest.fixture(scope="class")
+    def high(self, tree):
+        # an obstacle 50 above the default members: |Y| near 50 puts the p = 3 round-off
+        # above 1e-11, which an absolute 1e-12 failed
+        return [solve_reflected(random_reflected(tree, seed, margin=-50.0)) for seed in (0, 1)]
+
+    def test_round_off_at_large_y_passes(self, high):
+        for sol in high:
+            row = _gradient_row(sol)
+            assert row.lhs > 1e-12 and row.passed
+
+    def test_perturbed_dm_fails(self, high):
+        """dM moved by 1e-6 at one terminal node, under the largest |Y| of the step before."""
+        sol = high[0]
+        tree, n = sol.tree, sol.tree.n_steps
+        m = [v.copy() for v in sol.m.values]
+        m[n][int(np.abs(tree.lift(sol.y.values[n - 1], n - 1)).argmax())] += 1e-6
+        row = _gradient_row(dataclasses.replace(sol, m=AdaptedProcess(tree, m)))
+        assert row.lhs > 1e-4 and not row.passed
 
 
 class TestExplicitChecks:

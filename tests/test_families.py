@@ -124,18 +124,17 @@ def _solution_arrays(sol):
 class TestFamilySolve:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("with_reveal", [False, True], ids=["plain", "reveal"])
-    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
-    def test_member_is_its_solo_instance(self, d, with_reveal, scheme):
+    def test_member_is_its_solo_instance(self, d, with_reveal):
         tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
         rng = np.random.default_rng(d)
         for size in _family_sizes(tree):
             seeds = range(3, 3 + size)
             fam = reflected_family(tree, seeds, l_y=0.4, l_z=0.6, margin=0.5)
-            sols = solve_family(fam, scheme=scheme)
+            sols = solve_family(fam)
             assert len(fam.members) == len(sols) == size
             for seed, inst, sol in zip(seeds, fam.members, sols):
                 solo = random_reflected(tree, seed, l_y=0.4, l_z=0.6, margin=0.5)
-                solo_sol = solve_reflected(solo, scheme=scheme)
+                solo_sol = solve_reflected(solo, scheme="implicit")
                 assert np.array_equal(inst.xi, solo.xi)
                 assert all(map(np.array_equal, inst.obstacle.values, solo.obstacle.values))
                 for k in range(tree.n_steps):
@@ -143,7 +142,7 @@ class TestFamilySolve:
                     y, z = rng.normal(size=(3, n)) * 3, rng.normal(size=(3, n, d)) * 3
                     assert np.array_equal(inst.gen(k, y, z), solo.gen(k, y, z))
                 assert inst.excess == solo.excess == check_lipschitz(solo.gen, tree)
-                assert sol.scheme == solo_sol.scheme == scheme
+                assert sol.scheme == solo_sol.scheme == "implicit"
                 got, want = _solution_arrays(sol), _solution_arrays(solo_sol)
                 assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
 

@@ -145,3 +145,20 @@ def test_config_is_the_one_json_input():
     """The JSON config is the one input format: cli.py alone imports json or reads a
     record, so a second format comes with its caller."""
     assert {path.name for path in MODULES if _reads_input(path)} == {"cli.py"}
+
+
+def _named(body, name):
+    return next(node for node in body if getattr(node, "name", None) == name)
+
+
+def test_lone_driver_is_a_family_of_one():
+    """bsde.py keeps one path for lone and family drivers: only Generator.family, and
+    check_lipschitz's return statement (a float for a lone driver), read `.members`."""
+    module = _parse(SRC / "bsde.py")
+    check = _named(module.body, "check_lipschitz")
+    roots = [_named(_named(module.body, "Generator").body, "family"),
+             *(ret for ret in ast.walk(check) if isinstance(ret, ast.Return))]
+    allowed = {id(node) for root in roots for node in ast.walk(root)}
+    lines = [node.lineno for node in ast.walk(module) if isinstance(node, ast.Attribute)
+             and node.attr == "members" and id(node) not in allowed]
+    assert not lines, f"bsde.py lines {lines}: .members read outside Generator.family"
