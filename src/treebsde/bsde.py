@@ -272,11 +272,8 @@ class SolutionQuadruple:
 
 
 def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
-    """(E_k[Y_{k+1}], Z_k, dM_{k+1}) by exact projection on the walk increments."""
-    ey = tree.cond_exp(y_next, k + 1)
-    z_k = tree.cond_exp_dw(y_next, k) / tree.dt
-    dm = y_next - tree.lift(ey, k) - tree.dot_dw(z_k, k)
-    return ey, z_k, dm
+    """(E_k[Y_{k+1}], Z_k) by exact projection on the walk increments."""
+    return tree.cond_exp(y_next, k + 1), tree.cond_exp_dw(y_next, k) / tree.dt
 
 
 def _drive(gen: Generator, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -329,13 +326,16 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
         y = y_new
 
 
-def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, z_vals: list,
-                dm_vals: list, dk_vals: list = None, scheme: str = "implicit") -> list:
+def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, ey_vals: list,
+                z_vals: list, dk_vals: list = None, scheme: str = "implicit") -> list:
     """(Y, Z, M, K) on `tree` for each copy of it in `forest` from per-step forest
-    arrays; M is the running sum of dM."""
+    arrays; M is the running sum of the residuals
+    dM_{k+1} = Y_{k+1} - E_k[Y_{k+1}] - Z_k . dW_{k+1}, each built as the sum takes it."""
     members, n = forest.n_nodes(0), tree.n_steps
     if dk_vals is None:
         dk_vals = [np.zeros(forest.n_nodes(k)) for k in range(n)]
+    dm_vals = (y_vals[k + 1] - forest.lift(ey_vals[k], k) - forest.dot_dw(z_vals[k], k)
+               for k in range(n))
     m_vals = forest.path_scan(dm_vals, start=np.zeros(members), process=True)
 
     def split(arrays):  # per member, its block of each array
@@ -348,7 +348,7 @@ def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, z_vals: 
 
 
 def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: str,
-                    obstacle: list = None) -> list:
+                    obstacle: list = None, lean: bool = False) -> list:
     """Backward induction for the plain (no obstacle) and the reflected equation;
     one SolutionQuadruple per member.
 
@@ -356,7 +356,8 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
     step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
     exactly zero.  The B = len(gen.family) members are solved in one sweep over B
     stacked copies of the tree: block i of xi (B n_n nodes) and of each
-    obstacle[k] (B n_k nodes) is member i's.
+    obstacle[k] (B n_k nodes) is member i's.  A `lean` sweep stops at Y and Z: it
+    returns their per-step forest arrays, and builds neither M nor the quadruples.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -364,10 +365,11 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
     n, dt = tree.n_steps, tree.dt
     y_vals = [None] * (n + 1)
     y_vals[n] = xi.copy() if obstacle is None else np.maximum(xi, obstacle[n])
-    z_vals, dm_vals = [None] * n, [None] * n
+    ey_vals, z_vals = [None] * n, [None] * n
     dk_vals = None if obstacle is None else [None] * n
     for k in range(n - 1, -1, -1):
-        ey, z_vals[k], dm_vals[k] = _project(forest, y_vals[k + 1], k)
+        ey_vals[k], z_vals[k] = _project(forest, y_vals[k + 1], k)
+        ey = ey_vals[k]
         s_k = None if obstacle is None else obstacle[k]
         if scheme == "explicit":
             y_tilde = ey - _drive(gen, k, ey, z_vals[k]) * dt
@@ -378,7 +380,9 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
                 y_tilde = ey - _drive(gen, k, y_vals[k], z_vals[k]) * dt
         if s_k is not None:
             dk_vals[k] = y_vals[k] - y_tilde
-    return _quadruples(tree, forest, y_vals, z_vals, dm_vals, dk_vals, scheme)
+    if lean:
+        return y_vals, z_vals
+    return _quadruples(tree, forest, y_vals, ey_vals, z_vals, dk_vals, scheme)
 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
@@ -411,6 +415,6 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
         u = mc.cond_exp_q(u_vals[k + 1], k + 1) - disc[k + 1] * gen.g0(tree, k) * dt
         u_vals[k] = u
     y_vals = [u_vals[k] / disc[k] for k in range(tree.n_steps + 1)]
-    _, z_vals, dm_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
-    return _quadruples(tree, tree, y_vals, z_vals, dm_vals)[0]
+    ey_vals, z_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
+    return _quadruples(tree, tree, y_vals, ey_vals, z_vals)[0]
 

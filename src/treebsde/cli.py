@@ -36,6 +36,7 @@ from .estimates import (
     check_solution_norm_bound,
     check_stability_norm_bound,
     compensator_weight_floor,
+    delta_driver,
 )
 from .ladder import run_counterexample, step_count
 from .martingales import meyer_bound_check
@@ -57,7 +58,7 @@ from .reflected import (
     solve_family,
     solve_free_family,
     solve_reflected,
-    verify_snell_representation,
+    verify_snell_family,
 )
 from .tree import (DEFAULT_NODE_CAP, Reveal, TimeGrid, build_tree, check_tree_shape, sup_abs,
                    validate_tree)
@@ -286,6 +287,12 @@ class SuiteInputs:
         return list(zip(self.solved[::2], self.solved[1::2]))
 
     @cached_property
+    def delta(self) -> dict:
+        """seed of a pair's first member -> the pair's delta_driver, shared by the
+        stability, obstacle-pair and difference suites."""
+        return {s1: delta_driver(i1, sol1, i2) for (s1, i1, sol1), (_, i2, _) in self.pairs}
+
+    @cached_property
     def supermartingales(self) -> list:
         return [(s, families.random_strong_supermartingale(self.tree, s))
                 for s in self.seeds]
@@ -345,7 +352,7 @@ def suite_apriori(inp, s, inst, sol) -> list:
 def suite_stability(inp, first, second) -> list:
     (s1, i1, sol1), (_, i2, sol2) = first, second
     return [check_stability_norm_bound(i1, sol1, i2, sol2, p, alpha,
-                                       fingerprint=inp.fp("pair", s1))
+                                       fingerprint=inp.fp("pair", s1), dg=inp.delta[s1])
             for p, alpha in inp.norms]
 
 
@@ -367,21 +374,21 @@ def suite_obstacle(inp, s, inst, sol) -> list:
 def suite_obstacle_pair(inp, first, second) -> list:
     (s1, i1, sol1), (_, i2, sol2) = first, second
     return [check_obstacle_stability_bound(i1, sol1, i2, sol2, 2.0, 0.0,
-                                           fingerprint=inp.fp("pair", s1))]
+                                           fingerprint=inp.fp("pair", s1), dg=inp.delta[s1])]
 
 
 def suite_difference(inp, first, second) -> list:
     (s1, i1, sol1), (_, i2, sol2) = first, second
     fp = inp.fp("pair", s1)
-    return [check_reflected_stability_p2(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp),
+    return [check_reflected_stability_p2(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp,
+                                         dg=inp.delta[s1]),
             check_cross_term(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp)]
 
 
 def suite_equivalence(inp, s, inst, sol) -> list:
     fp = inp.fp("rbsde", s)
-    reports = [r for p in (1.5, 2.0, 3.0)
-               for r in check_bracket_equivalences(sol, p, 0.3, fingerprint=fp)]
-    return reports + [check_burkholder(sol, 3.0, 0.3, fingerprint=fp)]
+    return (check_bracket_equivalences(sol, (1.5, 2.0, 3.0), 0.3, fingerprint=fp)
+            + [check_burkholder(sol, 3.0, 0.3, fingerprint=fp)])
 
 
 # suite -> rows of (shared input, check); a row maps each item of the shared
@@ -502,8 +509,8 @@ def cmd_snell_check(args, cfg: dict, raw) -> int:
             raise ConfigError(f"family.l_z: snell-check's change of measure needs d * l_z * "
                               f"sqrt(dt) < 1, got {tc['d']} * {l_z:g} * sqrt({dt:g})")
     inp = SuiteInputs(cfg, args.seed)
-    reports = [r for s, inst, sol in inp.solved
-               for r in verify_snell_representation(inst, sol, fingerprint=inp.fp("rbsde", s))]
+    reports = verify_snell_family(inp.family, [sol for _, _, sol in inp.solved],
+                                  [inp.fp("rbsde", s) for s in inp.seeds])
     return 1 if write_artifacts(args.out, "snell-check", raw, args.seed, reports) else 0
 
 

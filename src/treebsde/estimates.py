@@ -20,9 +20,14 @@ import numpy as np
 from .bsde import SolutionQuadruple, solve_bsde
 from .errors import ClassificationError
 from .norms import (
+    _leaf_norm,
     _sq,
     _wr,
     burkholder_constant,
+    leaf_composite,
+    leaf_h,
+    leaf_i,
+    leaf_m,
     meyer_constant,
     norm_h,
     norm_i,
@@ -203,8 +208,10 @@ def delta_driver(inst1, sol1, inst2) -> PredictableProcess:
 
 
 def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
-                        p: float, alpha: float, fingerprint: str = "") -> EstimateReport:
-    """Stability bound for the difference of two solutions.  Empirical."""
+                        p: float, alpha: float, fingerprint: str = "",
+                        dg: PredictableProcess = None) -> EstimateReport:
+    """Stability bound for the difference of two solutions.  Empirical.  `dg` is the
+    pair's delta_driver, built here when not given."""
     tree = sol1.tree
     _require_nondecreasing(sol1)
     _require_nondecreasing(sol2)
@@ -213,7 +220,7 @@ def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: Solu
     lhs = norm_h(dz, p, alpha) ** p + norm_m(dmk, p, alpha) ** p
     dy = sol1.y - sol2.y
     dy_sp = norm_sp(dy, p)
-    dg = delta_driver(inst1, sol1, inst2)
+    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
         "dy_p": dy_sp**p,
@@ -275,17 +282,19 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
 
 def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadruple,
                              inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                             p: float, alpha: float,
-                             fingerprint: str = "") -> EstimateReport:
-    """Paired-obstacle sup bound on delta Y.  Empirical ratio."""
+                             p: float, alpha: float, fingerprint: str = "",
+                             dg: PredictableProcess = None) -> EstimateReport:
+    """Paired-obstacle sup bound on delta Y.  Empirical ratio.  `dg` is the pair's
+    delta_driver, built here when not given."""
     tree = sol1.tree
     l_y = max(inst1.gen.l_y, inst2.gen.l_y)
     lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
-    dg = weighted_sum(tree, l_y, map(np.abs, delta_driver(inst1, sol1, inst2).values), tree.dt)
+    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
+    dg_leaf = weighted_sum(tree, l_y, map(np.abs, dg.values), tree.dt)
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
         "ds": sup_power(tree, (inst1.obstacle - inst2.obstacle).values, p, 2.0 * l_y),
-        "dg": tree.expectation(dg**p, tree.n_steps),
+        "dg": tree.expectation(dg_leaf**p, tree.n_steps),
     }
     rhs = sum(comps.values())
     return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
@@ -325,15 +334,17 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
 
 def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadruple,
                         inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                        alpha: float, fingerprint: str = "") -> EstimateReport:
-    """Quadratic stability bound for reflected pairs.  Empirical constant."""
+                        alpha: float, fingerprint: str = "",
+                        dg: PredictableProcess = None) -> EstimateReport:
+    """Quadratic stability bound for reflected pairs.  Empirical constant.  `dg` is the
+    pair's delta_driver, built here when not given."""
     tree = sol1.tree
     dy = sol1.y - sol2.y
     dz = sol1.z - sol2.z
     dmk = sol1.mk - sol2.mk
     lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
            + norm_m(dmk, 2.0, alpha) ** 2)
-    dg = delta_driver(inst1, sol1, inst2)
+    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
     ds = inst1.obstacle - inst2.obstacle
     comps = {
         "xi": lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
@@ -393,42 +404,50 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
                                 {"p": p, "alpha": alpha, "worst_defect": worst})
 
 
-def check_bracket_equivalences(sol: SolutionQuadruple, p: float, alpha: float,
-                       fingerprint: str = "") -> list:
-    """Bracket-norm equivalences and the gradient-integrand martingale property."""
+def check_bracket_equivalences(sol: SolutionQuadruple, ps, alpha: float,
+                               fingerprint: str = "") -> list:
+    """Bracket-norm equivalences and the gradient-integrand martingale property: three
+    rows for each p of `ps`, in order.  The per-leaf sums, the increments dL and their
+    E_k do not depend on p, so each is built once and read for every p."""
+    _require_nondecreasing(sol)
     tree = sol.tree
     t_hor = tree.grid.horizon
+    z_leaf, mk_leaf = leaf_h(sol.z, alpha), leaf_m(sol.mk, alpha)
+    n_leaf, mzw_leaf = leaf_composite(sol.z, sol.mk, alpha), leaf_composite(sol.z, sol.m, alpha)
+    k_leaf = leaf_i(sol.dk, alpha)
+    dl = [_dl(sol, k) for k in range(tree.n_steps)]
+    dl_cond = [tree.cond_exp(v, k + 1) for k, v in enumerate(dl)]
+    dl_sup = sup_abs(dl)
     reports = []
+    for p in ps:
+        z_n = _leaf_norm(tree, z_leaf, p / 2.0, p) ** p
+        mk_n = _leaf_norm(tree, mk_leaf, p / 2.0, p) ** p
+        n_n = _leaf_norm(tree, n_leaf, p / 2.0, p) ** p
+        lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
+        hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
+        reports.append(EstimateReport(
+            inequality_id="bracket_norm_two_sided",
+            lhs=lo, rhs=n_n, constant_used=min(1.0, 2.0 ** (p / 2.0 - 1.0)),
+            passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi),
+            fingerprint=fingerprint,
+            details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n},
+        ))
 
-    z_n = norm_h(sol.z, p, alpha) ** p
-    mk_n = norm_m(sol.mk, p, alpha) ** p
-    n_n = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
-    lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
-    hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
-    reports.append(EstimateReport(
-        inequality_id="bracket_norm_two_sided",
-        lhs=lo, rhs=n_n, constant_used=min(1.0, 2.0 ** (p / 2.0 - 1.0)),
-        passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi),
-        fingerprint=fingerprint,
-        details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n},
-    ))
+        mzw_n = _leaf_norm(tree, mzw_leaf, p / 2.0, p) ** p
+        c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
+        rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * _leaf_norm(tree, k_leaf, p, p) ** p)
+        reports.append(EstimateReport.explicit(
+            "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
+            {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
 
-    _require_nondecreasing(sol)
-    mzw_n = norm_m_composite(sol.z, sol.m, p, alpha) ** p
-    c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
-    rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * norm_i(sol.dk, p, alpha) ** p)
-    reports.append(EstimateReport.explicit(
-        "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
-        {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
-
-    terms = [(phi_p(sol.y.values[k], p), _dl(sol, k)) for k in range(tree.n_steps)]
-    worst = sup_abs(phi * tree.cond_exp(dl, k + 1) for k, (phi, dl) in enumerate(terms))
-    # round-off in the product grows with max|phi_p(Y)| max|dL|, and so does the
-    # tolerance, never below 1e-12 and never infinite
-    scale = sup_abs(phi for phi, _ in terms) * sup_abs(dl for _, dl in terms)
-    reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0,
-                                        1e-12 * (scale if 1.0 < scale < math.inf else 1.0),
-                                        fingerprint, {"p": p, "defect": worst}))
+        phi = [phi_p(y, p) for y in sol.y.values[:tree.n_steps]]
+        worst = sup_abs(map(np.multiply, phi, dl_cond))
+        # round-off in the product grows with max|phi_p(Y)| max|dL|, and so does the
+        # tolerance, never below 1e-12 and never infinite
+        scale = sup_abs(phi) * dl_sup
+        reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0,
+                                            1e-12 * (scale if 1.0 < scale < math.inf else 1.0),
+                                            fingerprint, {"p": p, "defect": worst}))
     return reports
 
 

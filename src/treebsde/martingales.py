@@ -196,7 +196,7 @@ class MeasureChange:
     def __post_init__(self):
         factors = map(self.one_step_factor, range(self.tree.n_steps))
         self.density = AdaptedProcess(self.tree, self.tree.path_scan(
-            factors, np.multiply, start=1.0, process=True))
+            factors, np.multiply, start=np.ones(self.tree.n_nodes(0)), process=True))
 
     def one_step_factor(self, k: int) -> np.ndarray:
         """(1 - eta_k . dW_{k+1}) on step-(k+1) nodes."""

@@ -9,6 +9,8 @@ Integral weights sit at the right endpoint of each interval: jumps of M and K
 are booked at t_{k+1}, and the same convention is kept for the ds-integrals so
 that the assembled inequality constants stay valid in discrete time.  Every
 sum is one weighted_sum and every sup one sup_power, shared with the estimates.
+Each norm is _leaf_norm of a per-leaf sum that does not depend on p (leaf_h,
+leaf_m, leaf_composite, leaf_i), so a check that reads several p builds it once.
 """
 
 from __future__ import annotations
@@ -61,34 +63,50 @@ def _sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", v, v) if v.ndim == 2 else v * v
 
 
+def leaf_h(z: AdaptedProcess | PredictableProcess, alpha: float) -> np.ndarray:
+    """Per-leaf sum_k e^{alpha t_{k+1}} |Z_k|^2 dt over the steps k < n."""
+    tree = z.tree
+    return weighted_sum(tree, alpha, map(_sq, z.values[:tree.n_steps]), tree.dt)
+
+
 def norm_h(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> float:
     """H^{p,alpha} norm of a (scalar or vector) integrand held on [t_k, t_{k+1});
     reads steps k < n."""
-    tree = z.tree
-    acc = weighted_sum(tree, alpha, map(_sq, z.values[:tree.n_steps]), tree.dt)
-    return _leaf_norm(tree, acc, p / 2.0, p)
+    return _leaf_norm(z.tree, leaf_h(z, alpha), p / 2.0, p)
+
+
+def leaf_m(m: AdaptedProcess, alpha: float) -> np.ndarray:
+    """Per-leaf bracket sum_k e^{alpha t_{k+1}} (dM_{k+1})^2."""
+    return weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
 
 
 def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
-    acc = weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
-    return _leaf_norm(m.tree, acc, p / 2.0, p)
+    return _leaf_norm(m.tree, leaf_m(m, alpha), p / 2.0, p)
+
+
+def leaf_composite(z: PredictableProcess, fv: AdaptedProcess, alpha: float) -> np.ndarray:
+    """Per-leaf bracket of N = Z*W + fv: sum_k e^{alpha t_{k+1}} (|Z_k|^2 dt + (d fv)^2)."""
+    tree = z.tree
+    return weighted_sum(tree, alpha, (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2
+                                      for k, inc in enumerate(fv.increments())))
 
 
 def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha: float) -> float:
     """M^{p,alpha} norm of N = Z*W + (orthogonal part), with bracket
     d[N] = |Z|^2 dt + (d fv)^2.  Orthogonality of the walk and the residual
     makes this the correct bracket decomposition on the tree."""
-    tree = z.tree
-    acc = weighted_sum(tree, alpha, (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2
-                                     for k, inc in enumerate(fv.increments())))
-    return _leaf_norm(tree, acc, p / 2.0, p)
+    return _leaf_norm(z.tree, leaf_composite(z, fv, alpha), p / 2.0, p)
+
+
+def leaf_i(k_inc: PredictableProcess, alpha: float) -> np.ndarray:
+    """Per-leaf variation sum_k e^{(alpha/2) t_{k+1}} |dK_{k+1}|."""
+    return weighted_sum(k_inc.tree, 0.5 * alpha, map(np.abs, k_inc.values))
 
 
 def norm_i(k_inc: PredictableProcess, p: float, alpha: float) -> float:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
-    acc = weighted_sum(k_inc.tree, 0.5 * alpha, map(np.abs, k_inc.values))
-    return _leaf_norm(k_inc.tree, acc, p, p)
+    return _leaf_norm(k_inc.tree, leaf_i(k_inc, alpha), p, p)
 
 
 # -- pointwise functions and explicit constants -------------------------------

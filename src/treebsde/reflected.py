@@ -175,29 +175,34 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
     return float(candidates(0, 0).max())
 
 
-def _extract_linearization(instance: ReflectedInstance, sol: SolutionQuadruple) -> tuple:
-    """Per-node (lam, eta, g0) with g(Y,Z) = g0 + lam Y + eta . Z exactly.
+def _linearization(gen: Generator, k: int, y: np.ndarray, z: np.ndarray,
+                   member_axis: tuple = ()) -> tuple:
+    """Per-node (g, lam, eta, g0) at step k with g = g(Y, Z) = g0 + lam Y + eta . Z exactly.
 
     lam is the difference quotient in y at (Y, Z); eta telescopes coordinate
     difference quotients of z at y = 0; g0 = g(0, 0).  Both are bounded by the
-    declared Lipschitz constants, clipped against roundoff.  Each step makes one
-    driver call on its d + 2 points stacked on a leading axis: (Y, Z), then
-    (0, Z with coordinates >= i zeroed) for i = 0..d, the last being (0, Z).
+    declared Lipschitz constants, clipped against roundoff.  One driver call takes
+    the d + 2 points stacked on a leading axis: (Y, Z), then (0, Z with coordinates
+    >= i zeroed) for i = 0..d, the last being (0, Z).  On the nodes of a forest,
+    `member_axis` is (B,): the driver then sees each point on a member axis.
     """
-    tree, gen = instance.tree, instance.gen
-    keep = np.tri(tree.d + 1, tree.d, -1, dtype=bool)[:, None, :]  # row i keeps i coordinates
-    lam_vals, eta_vals, g0_vals = [], [], []
-    for k in range(tree.n_steps):
-        y, z = sol.y.values[k], sol.z.values[k]
-        ys = np.zeros((tree.d + 2,) + y.shape)
-        ys[0] = y
-        g = gen(k, ys, np.concatenate([z[None], np.where(keep, z, 0.0)]))
-        lam = np.where(np.abs(y) > 1e-12, (g[0] - g[-1]) / np.where(y == 0.0, 1.0, y), 0.0)
-        eta = np.where(np.abs(z) > 1e-12, (g[2:] - g[1:-1]).T / np.where(z == 0.0, 1.0, z), 0.0)
-        lam_vals.append(np.clip(lam, -gen.l_y, gen.l_y))
-        eta_vals.append(np.clip(eta, -gen.l_z, gen.l_z))
-        g0_vals.append(g[1])
-    return lam_vals, eta_vals, g0_vals
+    d = z.shape[-1]
+    keep = np.tri(d + 1, d, -1, dtype=bool)[:, None, :]  # row i keeps i coordinates
+    ys = np.zeros((d + 2,) + y.shape)
+    ys[0] = y
+    zs = np.concatenate([z[None], np.where(keep, z, 0.0)])
+    g = gen(k, ys.reshape((d + 2,) + member_axis + (-1,)),
+            zs.reshape((d + 2,) + member_axis + (-1, d))).reshape(ys.shape)
+    lam = np.where(np.abs(y) > 1e-12, (g[0] - g[-1]) / np.where(y == 0.0, 1.0, y), 0.0)
+    eta = np.where(np.abs(z) > 1e-12, (g[2:] - g[1:-1]).T / np.where(z == 0.0, 1.0, z), 0.0)
+    return g[0], np.clip(lam, -gen.l_y, gen.l_y), np.clip(eta, -gen.l_z, gen.l_z), g[1]
+
+
+def _extract_linearization(instance: ReflectedInstance, sol: SolutionQuadruple) -> tuple:
+    """The (lam, eta, g0) of _linearization along one instance's solution, one list each."""
+    steps = (_linearization(instance.gen, k, sol.y.values[k], sol.z.values[k])[1:]
+             for k in range(instance.tree.n_steps))
+    return tuple(map(list, zip(*steps)))
 
 
 def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadruple,
@@ -210,31 +215,62 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
         change of measure under which the discounted value solves a dynamic
         program with only the zero-input cost; its value equals the discounted
         Y at every node.  Needs sol to come from the implicit scheme.
-    """
-    tree = instance.tree
-    costs = instance.gen.along(sol.y, sol.z).values
-    v = snell_dynamic_program(tree, instance.xi, instance.obstacle, costs)
-    defect_a = sup_abs(v.values[k] - sol.y.values[k] for k in range(tree.n_steps + 1))
-    reports = [EstimateReport.exact("stopping_value_frozen_costs", defect_a, SNELL_TOL, 0.0,
-                                    fingerprint, {"root_value": float(v.values[0][0])})]
 
-    lam_vals, eta_vals, g0_vals = _extract_linearization(instance, sol)
-    dt = tree.dt
+    The instance is checked as a family of one (verify_snell_family).
+    """
+    return verify_snell_family(ReflectedFamily(gen=instance.gen, members=(instance,)), [sol],
+                               [fingerprint])
+
+
+def verify_snell_family(family: ReflectedFamily, sols: list, fingerprints: list) -> list:
+    """verify_snell_representation of every member, sols[i] solving members[i], in one
+    pass over the B stacked copies of the tree (ScenarioTree.forest): one driver call
+    per step gives every member's frozen costs and linearization, and the dynamic
+    programs and the change of measure run on the forest.  Two reports per member, in
+    member order, each with the bits of the member's solo check.
+    """
+    members, gen, b = family.members, family.gen, len(family.members)
+    tree = members[0].tree
+    forest, n, dt = tree.forest(b), tree.n_steps, tree.dt
+
+    def stack(arrays):  # the forest array of the members' blocks; one member's is its own
+        arrays = list(arrays)
+        return arrays[0] if b == 1 else np.concatenate(arrays)
+
+    def member_max(a):  # per member, the max over its block; a NaN stays NaN
+        return a.reshape(b, -1).max(axis=1)
+
+    y = [stack(s.y.values[k] for s in sols) for k in range(n + 1)]
+    z = [stack(s.z.values[k] for s in sols) for k in range(n)]
+    xi = stack(m.xi for m in members)
+    obstacle = AdaptedProcess(forest, [stack(m.obstacle.values[k] for m in members)
+                                       for k in range(n + 1)])
+    costs, lam_vals, eta_vals, g0_vals = map(list, zip(*(
+        _linearization(gen, k, y[k], z[k], member_axis=(b,)) for k in range(n))))
+
+    v = snell_dynamic_program(forest, xi, obstacle, costs)
+    defect_a = functools.reduce(np.maximum, (member_max(np.abs(v.values[k] - y[k]))
+                                             for k in range(n + 1)), np.zeros(b))
+
     factors = [1.0 + lam * dt for lam in lam_vals]
-    if not all(float(f.min()) > 0.0 for f in factors):
-        raise MeasureChangeError("discount factor 1 + lam dt is not positive; refine the grid")
-    mc = girsanov_change(tree, PredictableProcess(tree, eta_vals))
-    disc = tree.path_scan(factors, np.divide, start=1.0, process=True)
-    u = disc[tree.n_steps] * instance.xi
-    defect_b = np.abs(u - disc[tree.n_steps] * sol.y.values[tree.n_steps]).max()
-    for k in range(tree.n_steps - 1, -1, -1):
+    positive = functools.reduce(np.logical_and,
+                                (f.reshape(b, -1).min(axis=1) > 0.0 for f in factors))
+    if not positive.all():
+        raise MeasureChangeError(f"{gen.family[int(positive.argmin())].name}: discount factor "
+                                 "1 + lam dt is not positive; refine the grid")
+    mc = girsanov_change(forest, PredictableProcess(forest, eta_vals))
+    disc = forest.path_scan(factors, np.divide, start=1.0, process=True)
+    u = disc[n] * xi
+    defect_b = member_max(np.abs(u - disc[n] * y[n]))
+    for k in range(n - 1, -1, -1):
         cont = mc.cond_exp_q(u, k + 1) - (disc[k] / factors[k]) * g0_vals[k] * dt
-        u = np.maximum(disc[k] * instance.obstacle.values[k], cont)
-        defect_b = np.maximum(defect_b, np.abs(u - disc[k] * sol.y.values[k]).max())
-    reports.append(EstimateReport.exact("stopping_value_discounted_measure_change",
-                                        float(defect_b), SNELL_TOL, 0.0, fingerprint,
-                                        {"scheme": sol.scheme}))
-    return reports
+        u = np.maximum(disc[k] * obstacle.values[k], cont)
+        defect_b = np.maximum(defect_b, member_max(np.abs(u - disc[k] * y[k])))
+    return [rep for i, (fp, sol) in enumerate(zip(fingerprints, sols, strict=True)) for rep in (
+        EstimateReport.exact("stopping_value_frozen_costs", float(defect_a[i]), SNELL_TOL, 0.0,
+                             fp, {"root_value": float(v.values[0][i])}),
+        EstimateReport.exact("stopping_value_discounted_measure_change", float(defect_b[i]),
+                             SNELL_TOL, 0.0, fp, {"scheme": sol.scheme}))]
 
 
 # -- Picard iteration ---------------------------------------------------------
@@ -276,8 +312,10 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     it and the solution keeps scheme "implicit"; a frozen value that makes the
     sweep non-finite (NaN or -inf) stops the iteration in that sweep.  The loop
     stops when the frozen driver itself stops moving (sup-change <= PICARD_TOL),
-    so drivers that ignore (y, z) converge in one sweep.  Returns (solution,
-    PicardTrace).
+    so drivers that ignore (y, z) converge in one sweep.  Both are known before
+    the last sweep runs: the sweeps before it are lean (Y and Z alone, which the
+    trace and the next frozen driver read), and only the last builds M and the
+    solution.  Returns (solution, PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
     trace = PicardTrace(alpha_star=picard_alpha(gen))
@@ -286,29 +324,29 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     frozen_prev = None
     for _ in range(PICARD_MAX_ITER):
         frozen = gen.along(y_prev, z_prev).values
-
+        if frozen_prev is not None:
+            trace.driver_change.append(sup_abs(a - b for a, b in zip(frozen, frozen_prev)))
+        # the last sweep: a driver independent of (y, z) is exact in the first one
+        last = (gen.l_y == 0.0 and gen.l_z == 0.0
+                or frozen_prev is not None and trace.driver_change[-1] <= PICARD_TOL)
         # a driver constant in (y, z) meets any contract: no instance to check
-        new = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
-                              obstacle=instance.obstacle.values)[0]
-        new.scheme = "implicit"
-        trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
+        out = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
+                              obstacle=instance.obstacle.values, lean=not last)
+        y, z = ((out[0].y, out[0].z) if last else
+                (AdaptedProcess(tree, out[0]), PredictableProcess(tree, out[1])))
+        trace.dy_s2.append(norm_sp(y - y_prev, 2.0))
         # an infinite norm may only be a finite iterate too large to square
         bad = ([] if math.isfinite(trace.dy_s2[-1]) else
-               [k for k, y in enumerate(new.y.values) if not np.isfinite(y).all()])
+               [k for k, v in enumerate(y.values) if not np.isfinite(v).all()])
         if bad:  # the sweep met a NaN or -inf frozen value
             raise PicardDivergenceError(f"step {bad[-1]}: non-finite frozen driver at node "
-                                        f"{int(np.isfinite(new.y.values[bad[-1]]).argmin())} "
+                                        f"{int(np.isfinite(y.values[bad[-1]]).argmin())} "
                                         f"({gen.name})")
-        trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
-        if frozen_prev is not None:
-            change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
-            trace.driver_change.append(change)
-            if change <= PICARD_TOL:
-                return new, trace
-        frozen_prev, y_prev, z_prev = frozen, new.y, new.z
-        # driver independent of (y, z): the first sweep is already exact
-        if gen.l_y == 0.0 and gen.l_z == 0.0:
-            return new, trace
+        trace.dz_h2.append(norm_h(z - z_prev, 2.0, trace.alpha_star))
+        if last:
+            out[0].scheme = "implicit"
+            return out[0], trace
+        frozen_prev, y_prev, z_prev = frozen, y, z
     raise PicardDivergenceError(
         f"frozen-driver iteration did not settle in {PICARD_MAX_ITER} sweeps "
         f"(last driver change {trace.driver_change[-1] if trace.driver_change else float('nan'):.3e})"

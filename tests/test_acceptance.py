@@ -220,7 +220,7 @@ def test_explicit_constant_suite():
         if not check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound").passed:
             fails.append(("k-chain", seed))
         if seed < 200:
-            for rep in check_bracket_equivalences(sol, 2.0, 0.3):
+            for rep in check_bracket_equivalences(sol, (2.0,), 0.3):
                 if not rep.passed:
                     fails.append((rep.inequality_id, seed))
 

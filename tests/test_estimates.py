@@ -50,7 +50,7 @@ def solved(tree):
 
 
 def _gradient_row(sol, p=3.0):
-    rows = [r for r in check_bracket_equivalences(sol, p, 0.3)
+    rows = [r for r in check_bracket_equivalences(sol, (p,), 0.3)
             if r.inequality_id == "gradient_integrand_martingale"]
     assert len(rows) == 1
     return rows[0]
@@ -107,7 +107,7 @@ class TestExplicitChecks:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bracket_equivalences(self, solved, p):
         for _, sol in solved[:5]:
-            for rep in check_bracket_equivalences(sol, p, 0.3):
+            for rep in check_bracket_equivalences(sol, (p,), 0.3):
                 assert rep.passed, rep.inequality_id
 
     @pytest.mark.parametrize("p", [3.0, 4.0])

@@ -128,7 +128,7 @@ def _snell(which):
 def _gradient_integrand(tree):
     _, sol = _solved(tree)
     sol.m.values[2][3] = NAN
-    rep = check_bracket_equivalences(sol, 2.0, 0.3)[2]
+    rep = check_bracket_equivalences(sol, (2.0,), 0.3)[2]
     assert rep.inequality_id == "gradient_integrand_martingale"
     return rep.lhs, rep
 
