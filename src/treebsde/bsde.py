@@ -28,6 +28,7 @@ IMPLICIT_MAX_ITER = 200
 LIPSCHITZ_PROBES = 64
 LIPSCHITZ_SEED = 0
 LIPSCHITZ_SLACK = 1e-9
+ROUND_OFF_ULPS = 4  # round-off allowed beyond an absolute tolerance, in ulps of the values
 LIPSCHITZ_STACK = 4096  # widest step (in nodes) whose probes share one driver call
 
 
@@ -93,9 +94,11 @@ class AffineGenerator(Generator):
                    lam=lam, eta=eta)
 
 
-def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> np.ndarray:
+def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> tuple:
     """Worst Lipschitz excess of the step-k probes in `draw`, one per member of
-    gen.family.  `draw` holds y, y2, z, z2 one after another on its last axis;
+    gen.family, and whether a probe of the member exceeds LIPSCHITZ_SLACK plus
+    ROUND_OFF_ULPS ulps of its largest |g|, so that round-off in a large driver value
+    is no breach.  `draw` holds y, y2, z, z2 one after another on its last axis;
     leading axes stack probes into one call pair.  The members see the same probes
     through a member axis of length one."""
     lead, d = draw.shape[:-1], draw.shape[-1] // (2 * n) - 1
@@ -115,13 +118,19 @@ def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> np.ndarra
                                          "non-finite driver value")
     lhs = np.abs(g - g2)
     bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.linalg.norm(z - z2, axis=-1)
-    excess = (lhs - bound).reshape(-1, len(family), n).max(axis=(0, 2))
+    per_probe = (lhs - bound).reshape(-1, len(family), n).max(axis=2)
+    excess = per_probe.max(axis=0)
     finite = np.isfinite(excess)
     if not finite.all():
         i = int(finite.argmin())
         raise GeneratorContractError(
             f"{family[i].name}: step {k}: non-finite Lipschitz excess {excess[i]}")
-    return excess
+    over = per_probe > LIPSCHITZ_SLACK
+    if over.any():  # only then is |g| read, so a passing probe costs nothing more
+        g_max = np.maximum(*(np.abs(out).reshape(-1, len(family), n).max(axis=2)
+                             for out in (g, g2)))
+        over &= per_probe > LIPSCHITZ_SLACK + ROUND_OFF_ULPS * np.spacing(g_max)
+    return excess, over.any(axis=0)
 
 
 _PROBES = weakref.WeakKeyDictionary()  # tree -> (stacked narrow draws per step, wide states)
@@ -173,13 +182,13 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree):
 
     Returns the worst excess, one per member for a family, whose members share
     each call pair.  Raises GeneratorContractError naming the driver (the first
-    offending member of a family) beyond the slack, on a non-finite driver value
-    and on a driver that drops the leading axes.
+    offending member of a family) beyond the slack and round-off (_probe_excess),
+    on a non-finite driver value and on a driver that drops the leading axes.
     """
-    worst = np.zeros(len(gen.family))
+    worst, over = np.zeros(len(gen.family)), np.zeros(len(gen.family), dtype=bool)
     for k, draw in _probe_draws(tree):
-        worst = np.maximum(worst, _probe_excess(gen, k, tree.n_nodes(k), draw))
-    over = worst > LIPSCHITZ_SLACK
+        excess, beyond = _probe_excess(gen, k, tree.n_nodes(k), draw)
+        worst, over = np.maximum(worst, excess), over | beyond
     if over.any():
         i = int(over.argmax())
         raise GeneratorContractError(
@@ -235,7 +244,8 @@ class BsdeInstance:
 @dataclass
 class SolutionQuadruple:
     """(Y, Z, M, K) with K stored through its predictable increments; K and M - K
-    are built once, on first use."""
+    are built once, on first use.  On a forest (ScenarioTree.forest) it holds the
+    solutions of a family, whose `members` are row views of its arrays."""
 
     tree: ScenarioTree
     y: AdaptedProcess
@@ -251,6 +261,24 @@ class SolutionQuadruple:
     @functools.cached_property
     def mk(self) -> AdaptedProcess:
         return self.m - self.k
+
+    def members(self, tree: ScenarioTree) -> list:
+        """The solution of each copy of `tree` in this solution's forest, in copy order,
+        whose arrays (K and M - K included) are row views of this one's; on `tree`
+        itself, [self]."""
+        if self.tree is tree:
+            return [self]
+        copies, procs = self.tree.n_nodes(0), (self.y, self.z, self.m, self.dk, self.k, self.mk)
+        rows = zip(*(zip(*(a.reshape((copies, -1) + a.shape[1:]) for a in proc.values))
+                     for proc in procs))
+        out = []
+        for y, z, m, dk, k, mk in rows:
+            sol = SolutionQuadruple(tree, AdaptedProcess(tree, y), PredictableProcess(tree, z),
+                                    AdaptedProcess(tree, m), PredictableProcess(tree, dk),
+                                    self.scheme)
+            vars(sol).update(k=AdaptedProcess(tree, k), mk=AdaptedProcess(tree, mk))
+            out.append(sol)
+        return out
 
     def dynamics_residual(self, gen: Generator) -> float:
         """Max pathwise defect of the backward dynamics under the solve scheme."""
@@ -291,10 +319,11 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
 
     The map contracts by q = dt * L_y, so from a first defect e the defect reaches
     IMPLICIT_TOL within log(IMPLICIT_TOL / e) / log(q) iterations; the cap is twice
-    that, and never under IMPLICIT_MAX_ITER.  The iterates keep the member axis of
-    _drive: row i is member i of gen.family, which stops at its own IMPLICIT_TOL
-    and keeps that iterate while the others go on, so it gets the bits of its solo
-    solve.
+    that, and never under IMPLICIT_MAX_ITER.  A member whose first iterate reaches
+    |y| in the hundreds stops within ROUND_OFF_ULPS ulps of it instead, as round-off
+    there exceeds IMPLICIT_TOL.  The iterates keep the member axis of _drive: row i
+    is member i of gen.family, which stops at its own tolerance and keeps that
+    iterate while the others go on, so it gets the bits of its solo solve.
     """
     b, q, cap = len(gen.family), dt * gen.l_y, IMPLICIT_MAX_ITER
     target, z_k = target.reshape(b, -1), z_k.reshape(b, -1, z_k.shape[-1])
@@ -307,9 +336,13 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
         if stopped is not None:
             y_new[stopped] = y[stopped]
         defects = np.maximum.reduce(np.abs(y_new - y), axis=1)
-        defect = float(np.maximum.reduce(defects))
-        if defect <= IMPLICIT_TOL:
+        if it == 1:
+            tol = np.maximum(IMPLICIT_TOL,
+                             ROUND_OFF_ULPS * np.spacing(np.maximum.reduce(np.abs(y_new), axis=1)))
+        done = defects <= tol
+        if done.all():
             return y_new.reshape(-1)
+        defect = float(np.maximum.reduce(defects))
         if not math.isfinite(defect):
             i = int(np.isfinite(defects).argmin())
             raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
@@ -321,36 +354,32 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
             raise PicardDivergenceError(
                 f"step {k}: inner fixed point not converged after {cap} iterations "
                 f"(last defect {defect:.3e}, contraction factor dt*L_y = {q:.3f})")
-        if np.minimum.reduce(defects) <= IMPLICIT_TOL:
-            stopped = defects <= IMPLICIT_TOL
+        if done.any():
+            stopped = done
         y = y_new
 
 
-def _quadruples(tree: ScenarioTree, forest: ScenarioTree, y_vals: list, ey_vals: list,
-                z_vals: list, dk_vals: list = None, scheme: str = "implicit") -> list:
-    """(Y, Z, M, K) on `tree` for each copy of it in `forest` from per-step forest
-    arrays; M is the running sum of the residuals
-    dM_{k+1} = Y_{k+1} - E_k[Y_{k+1}] - Z_k . dW_{k+1}, each built as the sum takes it."""
-    members, n = forest.n_nodes(0), tree.n_steps
+def _quadruple(forest: ScenarioTree, y_vals: list, ey_vals: list, z_vals: list,
+               dk_vals: list = None, scheme: str = "implicit") -> SolutionQuadruple:
+    """(Y, Z, M, K) on `forest` from its per-step arrays; M is the running sum of the
+    residuals dM_{k+1} = Y_{k+1} - E_k[Y_{k+1}] - Z_k . dW_{k+1}, each built as the
+    sum takes it."""
+    n = forest.n_steps
     if dk_vals is None:
         dk_vals = [np.zeros(forest.n_nodes(k)) for k in range(n)]
     dm_vals = (y_vals[k + 1] - forest.lift(ey_vals[k], k) - forest.dot_dw(z_vals[k], k)
                for k in range(n))
-    m_vals = forest.path_scan(dm_vals, start=np.zeros(members), process=True)
-
-    def split(arrays):  # per member, its block of each array
-        return zip(*(a.reshape((members, -1) + a.shape[1:]) for a in arrays))
-
-    return [SolutionQuadruple(tree=tree, y=AdaptedProcess(tree, y), z=PredictableProcess(tree, z),
-                              m=AdaptedProcess(tree, m), dk=PredictableProcess(tree, dk),
-                              scheme=scheme)
-            for y, z, m, dk in zip(*map(split, (y_vals, z_vals, m_vals, dk_vals)))]
+    m_vals = forest.path_scan(dm_vals, start=np.zeros(forest.n_nodes(0)), process=True)
+    return SolutionQuadruple(tree=forest, y=AdaptedProcess(forest, y_vals),
+                             z=PredictableProcess(forest, z_vals),
+                             m=AdaptedProcess(forest, m_vals),
+                             dk=PredictableProcess(forest, dk_vals), scheme=scheme)
 
 
 def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: str,
-                    obstacle: list = None, lean: bool = False) -> list:
-    """Backward induction for the plain (no obstacle) and the reflected equation;
-    one SolutionQuadruple per member.
+                    obstacle: list = None, lean: bool = False) -> SolutionQuadruple:
+    """Backward induction for the plain (no obstacle) and the reflected equation:
+    the solution on tree.forest(B), whose `members(tree)` are the members' solutions.
 
     With an obstacle S, Y_k = max(S_k, y~_k) where y~_k is the unconstrained
     step, and the push is dK_{k+1} = Y_k - y~_k >= 0.  Without one, dK stays
@@ -382,12 +411,12 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
             dk_vals[k] = y_vals[k] - y_tilde
     if lean:
         return y_vals, z_vals
-    return _quadruples(tree, forest, y_vals, ey_vals, z_vals, dk_vals, scheme)
+    return _quadruple(forest, y_vals, ey_vals, z_vals, dk_vals, scheme)
 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Solve the plain BSDE (K = 0) by backward induction."""
-    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)[0]
+    return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
 
 
 def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
@@ -416,5 +445,5 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
         u_vals[k] = u
     y_vals = [u_vals[k] / disc[k] for k in range(tree.n_steps + 1)]
     ey_vals, z_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))
-    return _quadruples(tree, tree, y_vals, ey_vals, z_vals)[0]
+    return _quadruple(tree, y_vals, ey_vals, z_vals)
 

@@ -25,21 +25,21 @@ from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
 from .errors import (ConfigError, Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least,
                      read_record)
 from .estimates import (
-    check_burkholder,
-    check_ito_p_inequality,
-    check_compensator_norm_bound,
-    check_obstacle_stability_bound,
-    check_obstacle_sup_bound,
-    check_reflected_stability_p2,
+    check_bracket_family,
+    check_burkholder_family,
+    check_compensator_norm_family,
     check_cross_term,
-    check_bracket_equivalences,
-    check_solution_norm_bound,
+    check_ito_p_family,
+    check_obstacle_stability_bound,
+    check_obstacle_sup_family,
+    check_reflected_stability_p2,
+    check_solution_norm_family,
     check_stability_norm_bound,
     compensator_weight_floor,
     delta_driver,
 )
 from .ladder import run_counterexample, step_count
-from .martingales import meyer_bound_check
+from .martingales import meyer_bound_family
 from .norms import (
     burkholder_constant,
     burkholder_constant_alt,
@@ -253,7 +253,8 @@ def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int, reports: l
 
 class SuiteInputs:
     """Family inputs shared by the verify suites; each is built, and each
-    reflected instance solved, once on first use."""
+    reflected instance solved, once on first use.  The member suites read the
+    family's forest solutions and supermartingales, of which the members' are views."""
 
     def __init__(self, cfg: dict, seed: int):
         self.tree, self.seed = tree_from_config(cfg), seed
@@ -264,22 +265,27 @@ class SuiteInputs:
     def fp(self, kind: str, seed: int) -> str:
         return families.fingerprint(kind, seed, self.tree)
 
+    def fps(self, kind: str) -> list:
+        return [self.fp(kind, s) for s in self.seeds]
+
     @cached_property
     def family(self):
         return families.reflected_family(self.tree, self.seeds, **self.params)
 
     @cached_property
-    def solved(self) -> list:
-        """(seed, instance, implicit solution) per reflected family member, all
-        members bound and solved as one family."""
-        return list(zip(self.seeds, self.family.members,
-                        solve_family(self.family)))
+    def sol(self):
+        """The implicit solution of every reflected family member, in one sweep."""
+        return solve_family(self.family)
 
     @cached_property
-    def free(self) -> dict:
-        """seed -> implicit solution of the member's plain() instance, all members
-        solved in one obstacle-free sweep."""
-        return dict(zip(self.seeds, solve_free_family(self.family)))
+    def solved(self) -> list:
+        """(seed, instance, implicit solution) per reflected family member."""
+        return list(zip(self.seeds, self.family.members, self.sol.members(self.tree)))
+
+    @cached_property
+    def free(self):
+        """The implicit solution of every member's plain() instance, in one sweep."""
+        return solve_free_family(self.family)
 
     @cached_property
     def pairs(self) -> list:
@@ -293,9 +299,8 @@ class SuiteInputs:
         return {s1: delta_driver(i1, sol1, i2) for (s1, i1, sol1), (_, i2, _) in self.pairs}
 
     @cached_property
-    def supermartingales(self) -> list:
-        return [(s, families.random_strong_supermartingale(self.tree, s))
-                for s in self.seeds]
+    def supermartingales(self):
+        return families.strong_supermartingale_family(self.tree, self.seeds)
 
 
 def suite_constants(inp) -> list:
@@ -335,18 +340,19 @@ def suite_constants(inp) -> list:
                                           ("young_product_bound", worst_yg))]
 
 
-def suite_meyer(inp, s, x) -> list:
-    return [meyer_bound_check(inp.tree, x, p=2.0, fingerprint=inp.fp("ssm", s))]
+def suite_meyer(inp) -> list:
+    x = inp.supermartingales
+    return meyer_bound_family(x.tree, x, 2.0, inp.fps("ssm"))
 
 
-def suite_itop(inp, s, x) -> list:
-    return [check_ito_p_inequality(x, p, alpha=1.0, fingerprint=inp.fp(f"ssm-p{p}", s))
-            for p in (1.2, 1.5, 1.9)]
+def suite_itop(inp) -> list:
+    return [r for p in (1.2, 1.5, 1.9)
+            for r in check_ito_p_family(inp.supermartingales, p, 1.0, inp.fps(f"ssm-p{p}"))]
 
 
-def suite_apriori(inp, s, inst, sol) -> list:
-    return [check_solution_norm_bound(inst, sol, p, alpha, fingerprint=inp.fp("rbsde", s))
-            for p, alpha in inp.norms]
+def suite_apriori(inp) -> list:
+    return [r for p, alpha in inp.norms
+            for r in check_solution_norm_family(inp.family, inp.sol, p, alpha, inp.fps("rbsde"))]
 
 
 def suite_stability(inp, first, second) -> list:
@@ -356,19 +362,17 @@ def suite_stability(inp, first, second) -> list:
             for p, alpha in inp.norms]
 
 
-def suite_compensator(inp, s, inst, sol) -> list:
-    fp, gen = inp.fp("rbsde", s), inst.gen
-    alpha_ge2 = compensator_weight_floor(gen, 2.0) + 1.0
-    alpha_lt2 = compensator_weight_floor(gen, 1.5) + 0.5
-    return [check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound", fingerprint=fp),
-            check_compensator_norm_bound(inst, sol, 2.0, alpha_ge2, "N-ge2", fingerprint=fp),
-            check_compensator_norm_bound(inst, sol, 1.5, alpha_lt2, "N-lt2", fingerprint=fp)]
+def suite_compensator(inp) -> list:
+    gen = inp.family.gen
+    runs = [(2.0, 0.0, "K-bound"), (2.0, compensator_weight_floor(gen, 2.0) + 1.0, "N-ge2"),
+            (1.5, compensator_weight_floor(gen, 1.5) + 0.5, "N-lt2")]
+    return [r for p, alpha, branch in runs for r in check_compensator_norm_family(
+        inp.family, inp.sol, p, alpha, branch, inp.fps("rbsde"))]
 
 
-def suite_obstacle(inp, s, inst, sol) -> list:
-    return [check_obstacle_sup_bound(inst, sol, 2.0, 0.0, variant=variant,
-                                     fingerprint=inp.fp("rbsde", s), free=inp.free[s])
-            for variant in ("S_plus", "S")]
+def suite_obstacle(inp) -> list:
+    return [r for variant in ("S_plus", "S") for r in check_obstacle_sup_family(
+        inp.family, inp.sol, 2.0, 0.0, variant, inp.fps("rbsde"), inp.free)]
 
 
 def suite_obstacle_pair(inp, first, second) -> list:
@@ -385,24 +389,24 @@ def suite_difference(inp, first, second) -> list:
             check_cross_term(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp)]
 
 
-def suite_equivalence(inp, s, inst, sol) -> list:
-    fp = inp.fp("rbsde", s)
-    return (check_bracket_equivalences(sol, (1.5, 2.0, 3.0), 0.3, fingerprint=fp)
-            + [check_burkholder(sol, 3.0, 0.3, fingerprint=fp)])
+def suite_equivalence(inp) -> list:
+    fps = inp.fps("rbsde")
+    return (check_bracket_family(inp.sol, (1.5, 2.0, 3.0), 0.3, fps)
+            + check_burkholder_family(inp.sol, 3.0, 0.3, fps))
 
 
 # suite -> rows of (shared input, check); a row maps each item of the shared
-# input (None: run once) to reports, and rows run in order.  `verify --suite
-# all` runs the suites in this order.
+# input (None: run once, over the whole family) to reports, and rows run in
+# order.  `verify --suite all` runs the suites in this order.
 SUITE_FN = {
-    "apriori": [("solved", suite_apriori)],
+    "apriori": [(None, suite_apriori)],
     "stability": [("pairs", suite_stability)],
-    "compensator": [("solved", suite_compensator)],
-    "obstacle": [("solved", suite_obstacle), ("pairs", suite_obstacle_pair)],
+    "compensator": [(None, suite_compensator)],
+    "obstacle": [(None, suite_obstacle), ("pairs", suite_obstacle_pair)],
     "difference": [("pairs", suite_difference)],
-    "meyer": [("supermartingales", suite_meyer)],
-    "ito-p": [("supermartingales", suite_itop)],
-    "equivalence": [("solved", suite_equivalence)],
+    "meyer": [(None, suite_meyer)],
+    "ito-p": [(None, suite_itop)],
+    "equivalence": [(None, suite_equivalence)],
     "constants": [(None, suite_constants)],
 }
 SUITES = tuple(SUITE_FN)
@@ -509,8 +513,7 @@ def cmd_snell_check(args, cfg: dict, raw) -> int:
             raise ConfigError(f"family.l_z: snell-check's change of measure needs d * l_z * "
                               f"sqrt(dt) < 1, got {tc['d']} * {l_z:g} * sqrt({dt:g})")
     inp = SuiteInputs(cfg, args.seed)
-    reports = verify_snell_family(inp.family, [sol for _, _, sol in inp.solved],
-                                  [inp.fp("rbsde", s) for s in inp.seeds])
+    reports = verify_snell_family(inp.family, inp.sol, inp.fps("rbsde"))
     return 1 if write_artifacts(args.out, "snell-check", raw, args.seed, reports) else 0
 
 

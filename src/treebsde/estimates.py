@@ -9,10 +9,17 @@ examined by the callers.
 Weight convention: increments booked at t_{k+1} carry the weight evaluated at
 t_{k+1}.  Time integrals bounded by Cauchy-Schwarz pick up a T^{p/2} factor
 that is kept explicitly (it equals 1 on the default unit horizon).
+
+Each `*_family` form checks a whole family in one pass over ScenarioTree.forest(B)
+(a ReflectedFamily with its solve_family solution, or a strong_supermartingale_family
+process) and returns one report per member, in member order, with the bits of the
+member's own check (see norms); the arithmetic after each expectation stays Python
+float arithmetic per member.  Each plain check is its family form on one member.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,18 +37,23 @@ from .norms import (
     leaf_m,
     meyer_constant,
     norm_h,
+    norm_h_family,
     norm_i,
+    norm_i_family,
     norm_m,
-    norm_m_composite,
+    norm_m_composite_family,
+    norm_m_family,
     norm_sp,
+    norm_sp_family,
     phi_p,
     sup_power,
+    sup_power_family,
     weighted_sum,
 )
 from .processes import LadlagProcess, PredictableProcess
-from .reflected import ReflectedInstance
+from .reflected import ReflectedFamily, ReflectedInstance
 from .reports import EstimateReport, explicit_pass
-from .tree import ScenarioTree, sup_abs
+from .tree import ScenarioTree, sup_abs_copies
 
 # the proofs' auxiliary constants, each fixed at one admissible value
 COMPENSATOR_EPS = 1.0  # driver-term weight of the composite-norm bounds; 1/eps in the N-ge2 floor
@@ -52,13 +64,28 @@ PUSH_TOL = 1e-12  # round-off allowed below zero in a push increment
 
 
 def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
-    return tree.expectation(np.abs(xi) ** p, tree.n_steps) ** (1.0 / p)
+    return _leaf_norm(tree, np.abs(xi), p, p)[0]
+
+
+def _powers(values, p: float) -> list:
+    """v ** p of each member's value, in Python float arithmetic."""
+    return [v ** p for v in values]
+
+
+def _family_of(instance) -> ReflectedFamily:
+    """An instance as the family of one, whose forest is its own tree."""
+    return ReflectedFamily(gen=instance.gen, members=(instance,))
 
 
 def _require_nondecreasing(sol: SolutionQuadruple):
-    worst = float(np.min([v.min() for v in sol.dk.values]))
-    if not worst >= -PUSH_TOL:
-        raise ClassificationError(f"push process is not non-decreasing (min increment {worst:.3e})")
+    copies = sol.tree.n_nodes(0)
+    worst = functools.reduce(np.minimum, (v.reshape(copies, -1).min(axis=1)
+                                          for v in sol.dk.values))
+    bad = ~(worst >= -PUSH_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ClassificationError(f"{'' if copies == 1 else f'member {i}: '}push process is "
+                                  f"not non-decreasing (min increment {worst[i]:.3e})")
 
 
 def _star_to_leaves(tree: ScenarioTree, phi_vals, increments, weights) -> np.ndarray:
@@ -81,21 +108,28 @@ def _dl(sol: SolutionQuadruple, k: int) -> np.ndarray:
 
 def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha: float,
                         fingerprint: str = "") -> EstimateReport:
-    """Full-solution bound: (Z, M, K) norms against (xi, Y, g0).  Empirical."""
+    """Full-solution bound: (Z, M, K) norms against (xi, Y, g0).  Empirical.  The
+    family of one (check_solution_norm_family)."""
+    return check_solution_norm_family(_family_of(instance), sol, p, alpha, [fingerprint])[0]
+
+
+def check_solution_norm_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+                               alpha: float, fingerprints: list) -> list:
+    """check_solution_norm_bound of every member; `sol` is the family's forest solution."""
     _require_nondecreasing(sol)
-    tree = sol.tree
-    lhs = (norm_h(sol.z, p, alpha) ** p
-           + norm_m(sol.m, p, alpha) ** p
-           + norm_i(sol.dk, p, alpha) ** p)
-    comps = {
-        "xi": lp_norm(tree, instance.xi, p) ** p,
-        "y": norm_sp(sol.y, p) ** p,
-        "g0": norm_h(instance.g0, p, alpha) ** p,
-    }
-    rhs = sum(comps.values())
-    return EstimateReport.empirical("solution_norm_bound", lhs, rhs, fingerprint,
-                                    {"p": p, "alpha": alpha, "components": comps,
-                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+    terms = (norm_h_family(sol.z, p, alpha), norm_m_family(sol.m, p, alpha),
+             norm_i_family(sol.dk, p, alpha), _leaf_norm(sol.tree, np.abs(family.xi), p, p),
+             norm_sp_family(sol.y, p), norm_h_family(family.g0, p, alpha))
+    reports = []
+    for z_n, m_n, k_n, xi_n, y_n, g_n, fp in zip(*(_powers(t, p) for t in terms), fingerprints,
+                                                 strict=True):
+        lhs = z_n + m_n + k_n
+        comps = {"xi": xi_n, "y": y_n, "g0": g_n}
+        rhs = sum(comps.values())
+        reports.append(EstimateReport.empirical("solution_norm_bound", lhs, rhs, fp,
+                                                {"p": p, "alpha": alpha, "components": comps,
+                                                 "vacuous": lhs == 0.0 and rhs == 0.0}))
+    return reports
 
 
 def _beta(p: float) -> float:
@@ -121,29 +155,39 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     branch "K-bound": explicit chain constant for the push process (any p > 1,
     needs non-decreasing K).  branch "N-ge2" (p >= 2) and "N-lt2" (p in (1,2)):
     empirical, with the proof-admissible weight (compensator_weight_floor)
-    checked up front.
+    checked up front.  The family of one (check_compensator_norm_family).
     """
-    tree, gen = sol.tree, instance.gen
+    return check_compensator_norm_family(_family_of(instance), sol, p, alpha, branch,
+                                         [fingerprint])[0]
+
+
+def check_compensator_norm_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+                                  alpha: float, branch: str, fingerprints: list) -> list:
+    """check_compensator_norm_bound of every member; `sol` is the family's forest solution."""
+    tree, gen = sol.tree, family.gen
     t_hor = tree.grid.horizon
-    g_n = norm_h(instance.g0, p, alpha) ** p
+    g_ns = _powers(norm_h_family(family.g0, p, alpha), p)
 
     if branch == "K-bound":
         _require_nondecreasing(sol)
         c_m = meyer_constant(p)
-        lhs = norm_i(sol.dk, p, alpha) ** p
-        y_w = norm_sp(sol.y, p, alpha) ** p
-        z_n = norm_h(sol.z, p, alpha) ** p
         v2, v3 = max(1.0, 2.0 ** (p - 1.0)), max(1.0, 3.0 ** (p - 1.0))
-        inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
-                 + v3 * t_hor ** (p / 2.0) * (gen.l_z**p * z_n + g_n))
-        rhs = c_m**p * v2 * inner
-        return EstimateReport.explicit(
-            "push_norm_chain", lhs, rhs, c_m**p * v2, fingerprint,
-            {"p": p, "alpha": alpha, "meyer": c_m, "y_weighted": y_w, "z": z_n, "g0": g_n,
-             "time_factor": t_hor ** (p / 2.0)})
+        terms = (norm_i_family(sol.dk, p, alpha), norm_sp_family(sol.y, p, alpha),
+                 norm_h_family(sol.z, p, alpha))
+        reports = []
+        for lhs, y_w, z_n, g_n, fp in zip(*(_powers(t, p) for t in terms), g_ns, fingerprints,
+                                          strict=True):
+            inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
+                     + v3 * t_hor ** (p / 2.0) * (gen.l_z**p * z_n + g_n))
+            rhs = c_m**p * v2 * inner
+            reports.append(EstimateReport.explicit(
+                "push_norm_chain", lhs, rhs, c_m**p * v2, fp,
+                {"p": p, "alpha": alpha, "meyer": c_m, "y_weighted": y_w, "z": z_n, "g0": g_n,
+                 "time_factor": t_hor ** (p / 2.0)}))
+        return reports
 
-    n_norm = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
-    xi_n = lp_norm(tree, instance.xi, p) ** p
+    n_norms = _powers(norm_m_composite_family(sol.z, sol.mk, p, alpha), p)
+    xi_ns = _powers(_leaf_norm(tree, np.abs(family.xi), p, p), p)
     w1 = _wr(tree, alpha)
 
     if branch == "N-ge2":
@@ -152,22 +196,26 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         floor = compensator_weight_floor(gen, p)
         if alpha <= floor:
             raise ValueError(f"inadmissible weight: need alpha > {floor:.3f}")
-        lhs = norm_h(sol.y, p, alpha) ** p + n_norm
+        lhss = [h + n_n for h, n_n in zip(_powers(norm_h_family(sol.y, p, alpha), p), n_norms)]
         if p > 2.0:
             dn = (_dn(sol, k, inc) for k, inc in enumerate(sol.mk.increments()))
             star = _star_to_leaves(tree, sol.y.values, dn, w1)
-            tail = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
+            tails = tree.expectations(np.abs(star) ** (p / 2.0), tree.n_steps)
             tail_id = "y_dn_integral"
         else:
             dk_lifted = (tree.lift(v, k) for k, v in enumerate(sol.dk.values))
             star = _star_to_leaves(tree, sol.y.values, dk_lifted, w1)
-            tail = max(tree.expectation(star, tree.n_steps), 0.0)
+            tails = [max(e, 0.0) for e in tree.expectations(star, tree.n_steps)]
             tail_id = "y_dk_integral_plus"
-        comps = {"xi": xi_n, tail_id: tail}
-        rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
-        return EstimateReport.empirical("composite_norm_ge2", lhs, rhs, fingerprint,
-                                        {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
-                                         "eta": COMPENSATOR_ETA, "g0": g_n, "components": comps})
+        reports = []
+        for lhs, xi_n, tail, g_n, fp in zip(lhss, xi_ns, tails, g_ns, fingerprints, strict=True):
+            comps = {"xi": xi_n, tail_id: tail}
+            rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
+            reports.append(EstimateReport.empirical(
+                "composite_norm_ge2", lhs, rhs, fp,
+                {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS, "eta": COMPENSATOR_ETA,
+                 "g0": g_n, "components": comps}))
+        return reports
 
     if branch == "N-lt2":
         if not (1.0 < p < 2.0):
@@ -175,29 +223,33 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
         floor = compensator_weight_floor(gen, p)
         if alpha < floor:
             raise ValueError(f"inadmissible weight: need alpha >= {floor:.3f}")
-        lhs = n_norm
         wp = _wr(tree, p * 0.5 * alpha)
         phi_y = [phi_p(sol.y.values[k], p) for k in range(tree.n_steps)]
         dk_lifted = (tree.lift(v, k) for k, v in enumerate(sol.dk.values))
         star_k = _star_to_leaves(tree, phi_y, dk_lifted, wp)
-        k_tail = max(tree.expectation(star_k, tree.n_steps), 0.0)
+        k_tails = [max(e, 0.0) for e in tree.expectations(star_k, tree.n_steps)]
         # jump correction of the p-power expansion; non-negative by construction
-        a_term = 0.0
+        a_terms = [0.0] * len(fingerprints)
         for k, inc in enumerate(sol.mk.increments()):
             dn = _dn(sol, k, inc)
             y_prev = tree.lift(sol.y.values[k], k)
             big = np.maximum(y_prev**2, (y_prev + dn) ** 2)
             term = np.where(big > 0.0, dn**2 * big ** (p / 2.0 - 1.0), 0.0)
-            a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
-        comps = {"xi": xi_n, "y_weighted_sup": norm_sp(sol.y, p, alpha) ** p,
-                 "phi_dk_integral_plus": k_tail}
-        rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
-        report = EstimateReport.empirical("composite_norm_lt2", lhs, rhs, fingerprint,
-                                          {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
-                                           "beta": _beta(p), "g0": g_n, "components": comps,
-                                           "a_term": a_term})
-        report.passed = report.passed and a_term >= -1e-12
-        return report
+            a_terms = [a + wp[k] * (p * (p - 1.0) / 2.0) * e
+                       for a, e in zip(a_terms, tree.expectations(term, k + 1), strict=True)]
+        reports = []
+        for lhs, xi_n, y_sup, k_tail, a_term, g_n, fp in zip(
+                n_norms, xi_ns, _powers(norm_sp_family(sol.y, p, alpha), p), k_tails, a_terms,
+                g_ns, fingerprints, strict=True):
+            comps = {"xi": xi_n, "y_weighted_sup": y_sup, "phi_dk_integral_plus": k_tail}
+            rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
+            report = EstimateReport.empirical("composite_norm_lt2", lhs, rhs, fp,
+                                              {"p": p, "alpha": alpha, "eps": COMPENSATOR_EPS,
+                                               "beta": _beta(p), "g0": g_n, "components": comps,
+                                               "a_term": a_term})
+            report.passed = report.passed and a_term >= -1e-12
+            reports.append(report)
+        return reports
 
     raise ValueError(f"unknown branch {branch!r}; expected K-bound, N-ge2 or N-lt2")
 
@@ -244,40 +296,56 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     with the unconstrained solution (coefficient 2^{p-1}); variant "S" uses the
     obstacle itself and drops the comparison term.  `free` is the implicit
     solution of instance.plain(), solved here when not given.  The proof's
-    kappa in (1, p) is fixed at the midpoint (1 + p)/2.
+    kappa in (1, p) is fixed at the midpoint (1 + p)/2.  The family of one
+    (check_obstacle_sup_family).
     """
+    if free is None and variant == "S_plus":
+        free = solve_bsde(instance.plain(), scheme="implicit")
+    return check_obstacle_sup_family(_family_of(instance), sol, p, alpha, variant,
+                                     [fingerprint], free)[0]
+
+
+def check_obstacle_sup_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+                              alpha: float, variant: str, fingerprints: list,
+                              free: SolutionQuadruple) -> list:
+    """check_obstacle_sup_bound of every member; `sol` is the family's forest solution and
+    `free` that of the members' plain() equations (solve_free_family), read by S_plus."""
     if variant not in ("S_plus", "S"):
         raise ValueError(f"unknown variant {variant!r}")
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    tree, gen = instance.tree, instance.gen
+    tree, gen = sol.tree, family.gen
     t_hor = tree.grid.horizon
     kappa = (1.0 + p) / 2.0
-    lhs = norm_sp(sol.y, p, alpha) ** p
 
     # E[(sum_k e^{L_y t_{k+1}} |g0_k| dt)^p] and E[sup_k (e^{L_y t_k} S_k)^p], S_k clipped at 0
-    g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, instance.g0.values), tree.dt)
-    g_term = tree.expectation(g_leaf**p, tree.n_steps)
-    s_vals = instance.obstacle.values
+    g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, family.g0.values), tree.dt)
+    g_terms = tree.expectations(g_leaf**p, tree.n_steps)
+    s_vals = family.obstacle.values
     if variant == "S_plus":
         s_vals = (np.maximum(v, 0.0) for v in s_vals)
-    s_term = sup_power(tree, s_vals, p, 2.0 * gen.l_y)
-    xi_term = math.exp(p * gen.l_y * t_hor) * lp_norm(tree, instance.xi, p) ** p
+    s_terms = sup_power_family(tree, s_vals, p, 2.0 * gen.l_y)
+    xi_terms = [math.exp(p * gen.l_y * t_hor) * v ** p
+                for v in _leaf_norm(tree, np.abs(family.xi), p, p)]
+    comp_terms = ([2.0 ** (p - 1.0) * v ** p for v in norm_sp_family(free.y, p, alpha)]
+                  if variant == "S_plus" else [None] * len(fingerprints))
 
     fac = 6.0 if variant == "S_plus" else 3.0
     c = (math.exp(p * (gen.l_y + alpha / 2.0) * t_hor
                   + p * kappa / (2.0 * (kappa - 1.0)) * gen.l_z**2 * t_hor)
          * fac ** (p - 1.0) * (p / (p - 1.0)) ** p)
-    rhs = c * (g_term + s_term + xi_term)
-    details = {"p": p, "alpha": alpha, "kappa": kappa, "variant": variant,
-               "constant": c, "g0_term": g_term, "obstacle_term": s_term, "xi_term": xi_term}
-    if variant == "S_plus":
-        if free is None:
-            free = solve_bsde(instance.plain(), scheme="implicit")
-        comp_term = 2.0 ** (p - 1.0) * norm_sp(free.y, p, alpha) ** p
-        rhs += comp_term
-        details["comparison_term"] = comp_term
-    return EstimateReport.explicit("obstacle_sup_bound", lhs, rhs, c, fingerprint, details)
+    reports = []
+    for lhs, g_term, s_term, xi_term, comp_term, fp in zip(
+            _powers(norm_sp_family(sol.y, p, alpha), p), g_terms, s_terms, xi_terms, comp_terms,
+            fingerprints, strict=True):
+        rhs = c * (g_term + s_term + xi_term)
+        details = {"p": p, "alpha": alpha, "kappa": kappa, "variant": variant,
+                   "constant": c, "g0_term": g_term, "obstacle_term": s_term, "xi_term": xi_term}
+        if comp_term is not None:
+            rhs += comp_term
+            details["comparison_term"] = comp_term
+        reports.append(EstimateReport.explicit("obstacle_sup_bound", lhs, rhs, c, fp, details))
+    return reports
 
 
 def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -368,9 +436,17 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     jumps at grid times; the start-time right jump enters through the boundary
     convention of the integral), and the quadratic jump correction.  The worst
     signed defect lhs - rhs over paths and start times is reported and must
-    not exceed ITO_P_TOL.  Row j of `rhs` and `star` is the display started at
-    t_j: each step's term is built once and added, in increasing k, to the rows
-    it covers, so every row sees the operations of its own sum.
+    not exceed ITO_P_TOL.  The family of one (check_ito_p_family).
+    """
+    return check_ito_p_family(x, p, alpha, [fingerprint])[0]
+
+
+def check_ito_p_family(x: LadlagProcess, p: float, alpha: float, fingerprints: list) -> list:
+    """check_ito_p_inequality of each copy of a process on a forest, one report per copy.
+
+    Row j of `rhs` and `star` is the display started at t_j: each step's term is
+    built once and added, in increasing k, to the rows it covers, so every row sees
+    the operations of its own sum.
     """
     if not (1.0 < p < 2.0):
         raise ValueError(f"need p in (1,2), got {p}")
@@ -399,16 +475,24 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
         big = np.maximum(rgt[k] ** 2, after[k] ** 2)
         jump = np.where(big > 0.0, (after[k] - rgt[k]) ** 2 * big ** (p / 2.0 - 1.0), 0.0)
         rhs[:k + 1] -= half * wp[k + 1] * jump
-    worst = float(np.max([(wp[j] * np.abs(val[j]) ** p - rhs[j]).max() for j in range(n + 1)]))
-    return EstimateReport.exact("pathwise_power_expansion", worst, 0.0, ITO_P_TOL, fingerprint,
-                                {"p": p, "alpha": alpha, "worst_defect": worst})
+    worst = np.max([wp[j] * np.abs(val[j]) ** p - rhs[j] for j in range(n + 1)], axis=0)
+    return [EstimateReport.exact("pathwise_power_expansion", w, 0.0, ITO_P_TOL, fp,
+                                 {"p": p, "alpha": alpha, "worst_defect": w})
+            for w, fp in zip(worst.reshape(len(fingerprints), -1).max(axis=1).tolist(),
+                             fingerprints, strict=True)]
 
 
 def check_bracket_equivalences(sol: SolutionQuadruple, ps, alpha: float,
                                fingerprint: str = "") -> list:
     """Bracket-norm equivalences and the gradient-integrand martingale property: three
-    rows for each p of `ps`, in order.  The per-leaf sums, the increments dL and their
-    E_k do not depend on p, so each is built once and read for every p."""
+    rows for each p of `ps`, in order.  The family of one (check_bracket_family)."""
+    return check_bracket_family(sol, ps, alpha, [fingerprint])
+
+
+def check_bracket_family(sol: SolutionQuadruple, ps, alpha: float, fingerprints: list) -> list:
+    """check_bracket_equivalences of each member of a forest solution, member after
+    member.  The per-leaf sums, the increments dL and their E_k do not depend on p, so
+    each is built once and read for every p."""
     _require_nondecreasing(sol)
     tree = sol.tree
     t_hor = tree.grid.horizon
@@ -417,43 +501,51 @@ def check_bracket_equivalences(sol: SolutionQuadruple, ps, alpha: float,
     k_leaf = leaf_i(sol.dk, alpha)
     dl = [_dl(sol, k) for k in range(tree.n_steps)]
     dl_cond = [tree.cond_exp(v, k + 1) for k, v in enumerate(dl)]
-    dl_sup = sup_abs(dl)
-    reports = []
+    dl_sup = sup_abs_copies(tree, dl).tolist()
+    rows = [[] for _ in fingerprints]
     for p in ps:
-        z_n = _leaf_norm(tree, z_leaf, p / 2.0, p) ** p
-        mk_n = _leaf_norm(tree, mk_leaf, p / 2.0, p) ** p
-        n_n = _leaf_norm(tree, n_leaf, p / 2.0, p) ** p
-        lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
-        hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
-        reports.append(EstimateReport(
-            inequality_id="bracket_norm_two_sided",
-            lhs=lo, rhs=n_n, constant_used=min(1.0, 2.0 ** (p / 2.0 - 1.0)),
-            passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi),
-            fingerprint=fingerprint,
-            details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n},
-        ))
-
-        mzw_n = _leaf_norm(tree, mzw_leaf, p / 2.0, p) ** p
-        c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
-        rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * _leaf_norm(tree, k_leaf, p, p) ** p)
-        reports.append(EstimateReport.explicit(
-            "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
-            {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
-
+        z_ns, mk_ns, n_ns, mzw_ns = (_powers(_leaf_norm(tree, leaf, p / 2.0, p), p)
+                                     for leaf in (z_leaf, mk_leaf, n_leaf, mzw_leaf))
+        k_ns = _powers(_leaf_norm(tree, k_leaf, p, p), p)
         phi = [phi_p(y, p) for y in sol.y.values[:tree.n_steps]]
-        worst = sup_abs(map(np.multiply, phi, dl_cond))
-        # round-off in the product grows with max|phi_p(Y)| max|dL|, and so does the
-        # tolerance, never below 1e-12 and never infinite
-        scale = sup_abs(phi) * dl_sup
-        reports.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0,
+        worsts = sup_abs_copies(tree, map(np.multiply, phi, dl_cond)).tolist()
+        phi_sups = sup_abs_copies(tree, phi).tolist()
+        c_lo, c_hi = min(1.0, 2.0 ** (p / 2.0 - 1.0)), max(1.0, 2.0 ** (p / 2.0 - 1.0))
+        c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
+        prefactor = math.exp(alpha * p * t_hor / 2.0)
+        for row, z_n, mk_n, n_n, mzw_n, k_n, worst, phi_sup, dl_s, fp in zip(
+                rows, z_ns, mk_ns, n_ns, mzw_ns, k_ns, worsts, phi_sups, dl_sup, fingerprints,
+                strict=True):
+            lo, hi = c_lo * (z_n + mk_n), c_hi * (z_n + mk_n)
+            row.append(EstimateReport(
+                inequality_id="bracket_norm_two_sided",
+                lhs=lo, rhs=n_n, constant_used=c_lo,
+                passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi),
+                fingerprint=fp,
+                details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n},
+            ))
+            row.append(EstimateReport.explicit(
+                "martingale_part_bracket_bound", mzw_n, c * (n_n + prefactor * k_n), c, fp,
+                {"p": p, "alpha": alpha, "prefactor": prefactor}))
+            # round-off in the product grows with max|phi_p(Y)| max|dL|, and so does the
+            # tolerance, never below 1e-12 and never infinite
+            scale = phi_sup * dl_s
+            row.append(EstimateReport.exact("gradient_integrand_martingale", worst, 0.0,
                                             1e-12 * (scale if 1.0 < scale < math.inf else 1.0),
-                                            fingerprint, {"p": p, "defect": worst}))
-    return reports
+                                            fp, {"p": p, "defect": worst}))
+    return [r for row in rows for r in row]
 
 
 def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
                      fingerprint: str = "") -> EstimateReport:
-    """Moment bound for the weighted integral of Y against the martingale part."""
+    """Moment bound for the weighted integral of Y against the martingale part.  The
+    family of one (check_burkholder_family)."""
+    return check_burkholder_family(sol, p, alpha, [fingerprint])[0]
+
+
+def check_burkholder_family(sol: SolutionQuadruple, p: float, alpha: float,
+                            fingerprints: list) -> list:
+    """check_burkholder of each member of a forest solution, one report per member."""
     if p < 2.0:
         raise ValueError(f"constant defined for p >= 2, got {p}")
     tree = sol.tree
@@ -466,10 +558,11 @@ def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
         star_terms.append(w1[k] * y_prev * _dl(sol, k))
         qv_terms.append(w1[k] ** 2 * y_prev**2 * (tree.lift(_sq(sol.z.values[k]), k) * dt + dm**2))
     star, qv = tree.path_scan(star_terms), tree.path_scan(qv_terms)
-    lhs = tree.expectation(np.abs(star) ** (p / 2.0), tree.n_steps)
-    rhs = c * tree.expectation(qv ** (p / 4.0), tree.n_steps)
-    return EstimateReport.explicit("martingale_moment_bound", lhs, rhs, c, fingerprint,
-                                   {"p": p, "alpha": alpha})
+    return [EstimateReport.explicit("martingale_moment_bound", lhs, c * e, c, fp,
+                                    {"p": p, "alpha": alpha})
+            for lhs, e, fp in zip(tree.expectations(np.abs(star) ** (p / 2.0), tree.n_steps),
+                                  tree.expectations(qv ** (p / 4.0), tree.n_steps),
+                                  fingerprints, strict=True)]
 
 
 # -- decay measurements -------------------------------------------------------

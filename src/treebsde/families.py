@@ -140,25 +140,35 @@ def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:
     return AdaptedProcess.from_terminal(tree, random_terminal(tree, seed))
 
 
-def random_strong_supermartingale(tree: ScenarioTree, seed: int) -> LadlagProcess:
-    """Ladlag strong supermartingale v = m - a - D with announced drops.
+def strong_supermartingale_family(tree: ScenarioTree, seeds) -> LadlagProcess:
+    """random_strong_supermartingale of every seed on tree.forest(len(seeds)): copy i
+    is that of seeds[i], bit for bit, and the family of one seed lives on the tree.
 
-    m is a closed martingale, a a non-decreasing process with predictable
-    increments, and D the running sum of non-negative drops d_k booked left
-    continuously; the slots are (v, v - d_k), so the left limit is v - lagged drop.
+    Each is a ladlag strong supermartingale v = m - a - D with announced drops: m is a
+    closed martingale, a a non-decreasing process with predictable increments, and D
+    the running sum of non-negative drops d_k booked left continuously; the slots are
+    (v, v - d_k), so the left limit is v - lagged drop.
     """
-    rng = np.random.default_rng(seed + 3)
-    m = random_martingale(tree, seed)
-    n = tree.n_steps
-    a_vals = tree.path_scan([rng.uniform(0.0, 0.4, size=tree.n_nodes(k)) for k in range(n)],
-                            process=True)
-    drops = []
-    for k in range(n + 1):
+    seeds = list(seeds)
+    forest, n = tree.forest(len(seeds)), tree.n_steps
+    rngs = [np.random.default_rng(seed + 3) for seed in seeds]
+    m = AdaptedProcess.from_terminal(forest, _terminals(tree, seeds).reshape(-1))
+    a_vals = forest.path_scan([np.concatenate([rng.uniform(0.0, 0.4, size=tree.n_nodes(k))
+                                               for rng in rngs]) for k in range(n)], process=True)
+
+    def drop(rng, k):
         d = rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
         d *= (rng.uniform(size=tree.n_nodes(k)) < DROP_RATE)
-        drops.append(d)
-    drops[n] = np.zeros(tree.n_nodes(n))  # nothing is announced after the horizon
-    d_cum = tree.path_scan(drops[:n], process=True)
+        return d
+
+    drops = [np.concatenate([drop(rng, k) for rng in rngs]) for k in range(n + 1)]
+    drops[n] = np.zeros(forest.n_nodes(n))  # nothing is announced after the horizon
+    d_cum = forest.path_scan(drops[:n], process=True)
     value = [m.values[k] - a_vals[k] - d_cum[k] for k in range(n + 1)]
     right = [value[k] - drops[k] for k in range(n + 1)]
-    return LadlagProcess(tree, value, right)
+    return LadlagProcess(forest, value, right)
+
+
+def random_strong_supermartingale(tree: ScenarioTree, seed: int) -> LadlagProcess:
+    """Ladlag strong supermartingale with announced drops: the family of one seed."""
+    return strong_supermartingale_family(tree, [seed])

@@ -7,15 +7,16 @@ discrete Girsanov change of measure with density Pi (1 - eta . dW).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClassificationError, MeasureChangeError
-from .norms import meyer_constant, meyer_constant_ladlag, norm_i, norm_sp
+from .norms import meyer_constant, meyer_constant_ladlag, norm_i_family, norm_sp_family
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stochastic_integral
 from .reports import EstimateReport
-from .tree import ScenarioTree, sup_abs
+from .tree import ScenarioTree, sup_abs, sup_abs_copies
 
 SUPERMARTINGALE_TOL = 1e-12
 MERTENS_DOOB_TOL = 1e-11   # slack on the sign of the compensator increments of X + I
@@ -58,20 +59,20 @@ def doob_decompose(tree: ScenarioTree, x: AdaptedProcess,
     """Doob decomposition X = X_0 + M - A with dA_{k+1} = -E_k[dX_{k+1}] predictable.
 
     Returns (M, A, dA) with M, A adapted and dA the predictable increments.
-    In supermartingale mode a negative compensator increment is an error.
+    In supermartingale mode a negative compensator increment is an error.  On a
+    forest each copy is decomposed from its own root.
     """
     da_vals = []
     for k in range(tree.n_steps):
         da = x.values[k] - tree.cond_exp(x.values[k + 1], k + 1)
         if supermartingale and not float(da.min()) >= -tol:
             i = int(da.argmin())
-            raise ClassificationError(
-                f"not a supermartingale: E_k[dX] = {-da[i]:.3e} > {tol} at step {k}, node {i}"
-            )
+            raise ClassificationError(f"not a supermartingale: E_k[dX] = {-da[i]:.3e} > {tol} "
+                                      f"at step {k}, {tree.locate(k, i)}")
         da_vals.append(da)
     a_vals = tree.path_scan(da_vals, process=True)
-    m_vals = [np.zeros(1)] + [x.values[k] - x.values[0][0] + a_vals[k]
-                              for k in range(1, tree.n_steps + 1)]
+    m_vals = [np.zeros(tree.n_nodes(0))] + [x.values[k] - tree.from_roots(x.values[0], k)
+                                            + a_vals[k] for k in range(1, tree.n_steps + 1)]
     m = AdaptedProcess(tree, m_vals)
     a = AdaptedProcess(tree, a_vals)
     return m, a, PredictableProcess(tree, da_vals)
@@ -81,7 +82,7 @@ def doob_decompose(tree: ScenarioTree, x: AdaptedProcess,
 class MertensDecomposition:
     """X = X_0 + M - A - I with A right-continuous predictable and I left-continuous."""
 
-    x0: float
+    x0: np.ndarray             # X_0, one per copy of a forest
     m: AdaptedProcess          # right-continuous martingale, M_0 = 0
     a: AdaptedProcess          # A_k, non-decreasing, A_0 = 0, increments predictable
     da: PredictableProcess
@@ -93,7 +94,8 @@ class MertensDecomposition:
         tree = x.tree
 
         def defects(k):
-            v = self.x0 + self.m.values[k] - self.a.values[k] - self.i.values[k]
+            x0 = tree.from_roots(self.x0, k)
+            v = x0 + self.m.values[k] - self.a.values[k] - self.i.values[k]
             yield v - x.value[k]
             yield v - self.drops[k] - x.right[k]
             if k > 0:
@@ -101,7 +103,7 @@ class MertensDecomposition:
                 # left-continuous (left limit = current value)
                 lm = tree.lift(self.m.values[k - 1], k - 1)
                 la = tree.lift(self.a.values[k - 1], k - 1)
-                yield self.x0 + lm - la - self.i.values[k] - x.left[k]
+                yield x0 + lm - la - self.i.values[k] - x.left[k]
 
         return sup_abs(d for k in range(tree.n_steps + 1) for d in defects(k))
 
@@ -111,22 +113,20 @@ def check_strong_supermartingale(tree: ScenarioTree, x: LadlagProcess):
 
     Requires value >= right_limit (announced drop non-negative) and
     right_limit >= E_k[next value] (optional-sampling step across the interval);
-    a NaN fails both.
+    a NaN fails both.  On a forest the error names the copy (member) and its node.
     """
     for k in range(tree.n_steps + 1):
         drop = x.value[k] - x.right[k]
         if not float(drop.min()) >= -SUPERMARTINGALE_TOL:
             i = int(drop.argmin())
-            raise ClassificationError(
-                f"value < right_limit by {-drop[i]:.3e} at step {k}, node {i} (slot 'right')"
-            )
+            raise ClassificationError(f"value < right_limit by {-drop[i]:.3e} at step {k}, "
+                                      f"{tree.locate(k, i)} (slot 'right')")
         if k < tree.n_steps:
             gap = x.right[k] - tree.cond_exp(x.value[k + 1], k + 1)
             if not float(gap.min()) >= -SUPERMARTINGALE_TOL:
                 i = int(gap.argmin())
-                raise ClassificationError(
-                    f"supermartingale step fails by {-gap[i]:.3e} at step {k}, node {i}"
-                )
+                raise ClassificationError(f"supermartingale step fails by {-gap[i]:.3e} at "
+                                          f"step {k}, {tree.locate(k, i)}")
 
 
 def mertens_decompose(tree: ScenarioTree, x: LadlagProcess) -> MertensDecomposition:
@@ -142,7 +142,7 @@ def mertens_decompose(tree: ScenarioTree, x: LadlagProcess) -> MertensDecomposit
     i = AdaptedProcess(tree, tree.path_scan(drops[:tree.n_steps], process=True))
     u = AdaptedProcess(tree, [x.value[k] + i.values[k] for k in range(tree.n_steps + 1)])
     m, a, da = doob_decompose(tree, u, supermartingale=True, tol=MERTENS_DOOB_TOL)
-    return MertensDecomposition(x0=float(x.value[0][0]), m=m, a=a, da=da, i=i, drops=drops)
+    return MertensDecomposition(x0=x.value[0], m=m, a=a, da=da, i=i, drops=drops)
 
 
 def exhaust_jumps(tree: ScenarioTree, x: LadlagProcess, eps: float,
@@ -168,34 +168,47 @@ def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
     """Meyer compensator estimate |A|_{I^p} + |I|_{I^p} <= C_p |X|_{S^p}.
 
     Uses the explicit right-continuous constant C'_p (1 + p/(p-1)) when X has
-    no right jumps, and the composed ladlag constant otherwise.
+    no right jumps, and the composed ladlag constant otherwise.  The process is
+    checked as a family of one (meyer_bound_family).
     """
+    return meyer_bound_family(tree, x, p, [fingerprint])[0]
+
+
+def meyer_bound_family(tree: ScenarioTree, x: LadlagProcess, p: float,
+                       fingerprints: list) -> list:
+    """meyer_bound_check of each copy of a process on a forest (`tree`), in one
+    decomposition: one report per copy, in copy order, named by `fingerprints`."""
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     dec = mertens_decompose(tree, x)
-    has_right_jumps = sup_abs(dec.drops) > 0.0
-    c = meyer_constant_ladlag(p) if has_right_jumps else meyer_constant(p)
-    a_norm = norm_i(dec.da, p, 0.0)
-    i_norm = norm_i(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)
-    x_norm = norm_sp(x, p)
-    lhs, rhs = a_norm + i_norm, c * x_norm
-    return EstimateReport.explicit(
-        "meyer_compensator_bound", lhs, rhs, c, fingerprint,
-        {"a_norm": a_norm, "i_norm": i_norm, "x_norm": x_norm, "p": p,
-         "ladlag": bool(has_right_jumps)})
+    has_right_jumps = sup_abs_copies(tree, dec.drops) > 0.0
+    a_norms = norm_i_family(dec.da, p, 0.0)
+    i_norms = norm_i_family(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)
+    reports = []
+    for a_norm, i_norm, x_norm, jumps, fp in zip(a_norms, i_norms, norm_sp_family(x, p),
+                                                 has_right_jumps, fingerprints, strict=True):
+        c = meyer_constant_ladlag(p) if jumps else meyer_constant(p)
+        lhs, rhs = a_norm + i_norm, c * x_norm
+        reports.append(EstimateReport.explicit(
+            "meyer_compensator_bound", lhs, rhs, c, fp,
+            {"a_norm": a_norm, "i_norm": i_norm, "x_norm": x_norm, "p": p,
+             "ladlag": bool(jumps)}))
+    return reports
 
 
 @dataclass
 class MeasureChange:
-    """Doleans-Dade density D_k = Pi_{j<k} (1 - eta_j . dW_{j+1}) and its measure."""
+    """Doleans-Dade density D_k = Pi_{j<k} (1 - eta_j . dW_{j+1}) and its measure; the
+    density is built on first use, since Q-conditional expectations need only the
+    one-step factors."""
 
     tree: ScenarioTree
     eta: PredictableProcess
-    density: AdaptedProcess = field(init=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def density(self) -> AdaptedProcess:
         factors = map(self.one_step_factor, range(self.tree.n_steps))
-        self.density = AdaptedProcess(self.tree, self.tree.path_scan(
+        return AdaptedProcess(self.tree, self.tree.path_scan(
             factors, np.multiply, start=np.ones(self.tree.n_nodes(0)), process=True))
 
     def one_step_factor(self, k: int) -> np.ndarray:
@@ -223,7 +236,8 @@ def girsanov_change(tree: ScenarioTree, eta: PredictableProcess) -> MeasureChang
     Requires |eta_k|_1 sqrt(dt) < 1 at every node so every density factor is
     positive for Rademacher increments.
     """
-    worst = sup_abs(np.abs(v).sum(axis=1) if v.ndim == 2 else v for v in eta.values)
+    worst = sup_abs(np.abs(v).sum(axis=1) if v.ndim == 2 else tree.check_integrand(v, k)
+                    for k, v in enumerate(eta.values))
     if not worst * np.sqrt(tree.dt) < 1.0:
         raise MeasureChangeError(
             f"positivity fails: max |eta|_1 = {worst} needs dt < {1.0 / worst**2:.3e} "

@@ -11,10 +11,16 @@ that the assembled inequality constants stay valid in discrete time.  Every
 sum is one weighted_sum and every sup one sup_power, shared with the estimates.
 Each norm is _leaf_norm of a per-leaf sum that does not depend on p (leaf_h,
 leaf_m, leaf_composite, leaf_i), so a check that reads several p builds it once.
+
+On a forest (ScenarioTree.forest) each `*_family` form builds its sums for all copies
+at once and returns one value per copy: one np.dot per copy, then Python float
+arithmetic, so each value has the bits of the copy's own.  The plain form of a norm
+is its family form on a lone tree, which is one copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -29,9 +35,19 @@ def _wr(tree: ScenarioTree, alpha: float) -> list:
     return [math.exp(alpha * tree.grid.times[k + 1]) for k in range(tree.n_steps)]
 
 
-def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> float:
-    """(E[leaf^power])^{1/p} for a per-leaf path functional."""
-    return tree.expectation(leaf**power, tree.n_steps) ** (1.0 / p)
+def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> list:
+    """Per copy, (E[leaf^power])^{1/p} for a per-leaf path functional."""
+    return [e ** (1.0 / p) for e in tree.expectations(leaf**power, tree.n_steps)]
+
+
+def _lone(family_form):
+    """The plain form of a family norm: its one value on a lone tree."""
+    @functools.wraps(family_form)
+    def lone(*args, **kwargs):
+        return family_form(*args, **kwargs)[0]
+
+    lone.__name__ = lone.__qualname__ = family_form.__name__.removesuffix("_family")
+    return lone
 
 
 def weighted_sum(tree: ScenarioTree, alpha: float, terms, scale=None) -> np.ndarray:
@@ -43,19 +59,19 @@ def weighted_sum(tree: ScenarioTree, alpha: float, terms, scale=None) -> np.ndar
     return tree.path_scan(map(weigh, _wr(tree, alpha), terms))
 
 
-def sup_power(tree: ScenarioTree, slots, p: float, alpha: float = 0.0) -> float:
-    """E[sup_k (e^{(alpha/2) t_k} |slot_k|)^p], with one slot array per step k = 0..n."""
+def sup_power_family(tree: ScenarioTree, slots, p: float, alpha: float = 0.0) -> list:
+    """Per copy, E[sup_k (e^{(alpha/2) t_k} |slot_k|)^p], with one slot array per step k = 0..n."""
     weighted = map(lambda t, s: np.abs(math.exp(0.5 * alpha * t) * s), tree.grid.times, slots)
     sup = tree.path_scan(weighted, np.maximum, start=next(weighted))
-    return tree.expectation(sup**p, tree.n_steps)
+    return tree.expectations(sup**p, tree.n_steps)
 
 
-def norm_sp(y, p: float, alpha: float = 0.0) -> float:
+def norm_sp_family(y, p: float, alpha: float = 0.0) -> list:
     """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (value, right and left limit)."""
     slots = ((np.maximum(np.abs(lft), np.maximum(np.abs(v), np.abs(r)))
               for lft, v, r in zip(y.left, y.value, y.right))
              if isinstance(y, LadlagProcess) else y.values)
-    return sup_power(y.tree, slots, p, alpha) ** (1.0 / p)
+    return [e ** (1.0 / p) for e in sup_power_family(y.tree, slots, p, alpha)]
 
 
 def _sq(v: np.ndarray) -> np.ndarray:
@@ -69,7 +85,7 @@ def leaf_h(z: AdaptedProcess | PredictableProcess, alpha: float) -> np.ndarray:
     return weighted_sum(tree, alpha, map(_sq, z.values[:tree.n_steps]), tree.dt)
 
 
-def norm_h(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> float:
+def norm_h_family(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> list:
     """H^{p,alpha} norm of a (scalar or vector) integrand held on [t_k, t_{k+1});
     reads steps k < n."""
     return _leaf_norm(z.tree, leaf_h(z, alpha), p / 2.0, p)
@@ -80,7 +96,7 @@ def leaf_m(m: AdaptedProcess, alpha: float) -> np.ndarray:
     return weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
 
 
-def norm_m(m: AdaptedProcess, p: float, alpha: float) -> float:
+def norm_m_family(m: AdaptedProcess, p: float, alpha: float) -> list:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
     return _leaf_norm(m.tree, leaf_m(m, alpha), p / 2.0, p)
 
@@ -92,7 +108,8 @@ def leaf_composite(z: PredictableProcess, fv: AdaptedProcess, alpha: float) -> n
                                       for k, inc in enumerate(fv.increments())))
 
 
-def norm_m_composite(z: PredictableProcess, fv: AdaptedProcess, p: float, alpha: float) -> float:
+def norm_m_composite_family(z: PredictableProcess, fv: AdaptedProcess, p: float,
+                            alpha: float) -> list:
     """M^{p,alpha} norm of N = Z*W + (orthogonal part), with bracket
     d[N] = |Z|^2 dt + (d fv)^2.  Orthogonality of the walk and the residual
     makes this the correct bracket decomposition on the tree."""
@@ -104,9 +121,14 @@ def leaf_i(k_inc: PredictableProcess, alpha: float) -> np.ndarray:
     return weighted_sum(k_inc.tree, 0.5 * alpha, map(np.abs, k_inc.values))
 
 
-def norm_i(k_inc: PredictableProcess, p: float, alpha: float) -> float:
+def norm_i_family(k_inc: PredictableProcess, p: float, alpha: float) -> list:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
     return _leaf_norm(k_inc.tree, leaf_i(k_inc, alpha), p, p)
+
+
+sup_power, norm_sp, norm_h = _lone(sup_power_family), _lone(norm_sp_family), _lone(norm_h_family)
+norm_m, norm_m_composite = _lone(norm_m_family), _lone(norm_m_composite_family)
+norm_i = _lone(norm_i_family)
 
 
 # -- pointwise functions and explicit constants -------------------------------

@@ -25,7 +25,7 @@ from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
 from .processes import AdaptedProcess, PredictableProcess
 from .reports import EstimateReport
-from .tree import ScenarioTree, sup_abs
+from .tree import ScenarioTree, sup_abs, sup_abs_copies
 
 DP_DEPTH_CAP = 12
 EXHAUSTIVE_DEPTH_CAP = 4
@@ -67,10 +67,30 @@ class ReflectedInstance(BsdeInstance):
 class ReflectedFamily:
     """Reflected instances on one tree driven by the members of one family
     generator: `members[i]` is bound to `gen.members[i]`.  Binding probes every
-    member in one stacked check; solve_family solves them in one sweep."""
+    member in one stacked check; solve_family solves them in one sweep.  `xi`, `g0`
+    and `obstacle` are the members' stacked on `forest` (ScenarioTree.forest), built
+    on first use; a family of one stacks nothing and hands out its member's own."""
 
     gen: Generator
     members: tuple
+
+    @functools.cached_property
+    def forest(self) -> ScenarioTree:
+        return self.members[0].tree.forest(len(self.members))
+
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        return _stack([m.xi for m in self.members])
+
+    @functools.cached_property
+    def g0(self) -> PredictableProcess:
+        return PredictableProcess(self.forest, list(map(_stack, zip(*(m.g0.values
+                                                                      for m in self.members)))))
+
+    @functools.cached_property
+    def obstacle(self) -> AdaptedProcess:
+        return AdaptedProcess(self.forest, list(map(_stack, zip(*(m.obstacle.values
+                                                                  for m in self.members)))))
 
     @classmethod
     def bind(cls, tree: ScenarioTree, gen: Generator, xis, obstacles) -> ReflectedFamily:
@@ -81,27 +101,28 @@ class ReflectedFamily:
             for xi, g, s, e in zip(xis, gen.members, obstacles, excess, strict=True)))
 
 
+def _stack(arrays) -> np.ndarray:
+    """The members' arrays as one forest array; one member's is its own."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
     """Backward induction with pointwise reflection and minimal push K."""
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
-                           obstacle=instance.obstacle.values)[0]
+                           obstacle=instance.obstacle.values)
 
 
-def solve_family(family: ReflectedFamily) -> list:
-    """Implicit solve_reflected of every member, in one backward sweep; each member's
-    solution has the bits of its solo solve."""
-    members, tree = family.members, family.members[0].tree
-    obstacle = [np.concatenate([m.obstacle.values[k] for m in members])
-                for k in range(tree.n_steps + 1)]
-    return _backward_sweep(tree, np.concatenate([m.xi for m in members]), family.gen,
-                           "implicit", obstacle=obstacle)
+def solve_family(family: ReflectedFamily) -> SolutionQuadruple:
+    """Implicit solve_reflected of every member, in one backward sweep: the solution on
+    family.forest, whose members(tree) each have the bits of the member's solo solve."""
+    return _backward_sweep(family.members[0].tree, family.xi, family.gen, "implicit",
+                           obstacle=family.obstacle.values)
 
 
-def solve_free_family(family: ReflectedFamily) -> list:
+def solve_free_family(family: ReflectedFamily) -> SolutionQuadruple:
     """Implicit solve_bsde of every member's plain() instance, in one obstacle-free
-    backward sweep; each member's solution has the bits of its solo solve."""
-    return _backward_sweep(family.members[0].tree, np.concatenate([m.xi for m in family.members]),
-                           family.gen, "implicit")
+    backward sweep, as solve_family."""
+    return _backward_sweep(family.members[0].tree, family.xi, family.gen, "implicit")
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -218,39 +239,27 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
 
     The instance is checked as a family of one (verify_snell_family).
     """
-    return verify_snell_family(ReflectedFamily(gen=instance.gen, members=(instance,)), [sol],
+    return verify_snell_family(ReflectedFamily(gen=instance.gen, members=(instance,)), sol,
                                [fingerprint])
 
 
-def verify_snell_family(family: ReflectedFamily, sols: list, fingerprints: list) -> list:
-    """verify_snell_representation of every member, sols[i] solving members[i], in one
-    pass over the B stacked copies of the tree (ScenarioTree.forest): one driver call
+def verify_snell_family(family: ReflectedFamily, sol: SolutionQuadruple,
+                        fingerprints: list) -> list:
+    """verify_snell_representation of every member, `sol` the family's forest solution
+    (solve_family), in one pass over the B stacked copies of the tree: one driver call
     per step gives every member's frozen costs and linearization, and the dynamic
     programs and the change of measure run on the forest.  Two reports per member, in
     member order, each with the bits of the member's solo check.
     """
-    members, gen, b = family.members, family.gen, len(family.members)
-    tree = members[0].tree
-    forest, n, dt = tree.forest(b), tree.n_steps, tree.dt
-
-    def stack(arrays):  # the forest array of the members' blocks; one member's is its own
-        arrays = list(arrays)
-        return arrays[0] if b == 1 else np.concatenate(arrays)
-
-    def member_max(a):  # per member, the max over its block; a NaN stays NaN
-        return a.reshape(b, -1).max(axis=1)
-
-    y = [stack(s.y.values[k] for s in sols) for k in range(n + 1)]
-    z = [stack(s.z.values[k] for s in sols) for k in range(n)]
-    xi = stack(m.xi for m in members)
-    obstacle = AdaptedProcess(forest, [stack(m.obstacle.values[k] for m in members)
-                                       for k in range(n + 1)])
+    gen, b, forest, xi, obstacle = (family.gen, len(family.members), family.forest, family.xi,
+                                    family.obstacle)
+    n, dt = forest.n_steps, forest.dt
+    y, z = sol.y.values, sol.z.values
     costs, lam_vals, eta_vals, g0_vals = map(list, zip(*(
         _linearization(gen, k, y[k], z[k], member_axis=(b,)) for k in range(n))))
 
     v = snell_dynamic_program(forest, xi, obstacle, costs)
-    defect_a = functools.reduce(np.maximum, (member_max(np.abs(v.values[k] - y[k]))
-                                             for k in range(n + 1)), np.zeros(b))
+    defect_a = sup_abs_copies(forest, (v.values[k] - y[k] for k in range(n + 1)))
 
     factors = [1.0 + lam * dt for lam in lam_vals]
     positive = functools.reduce(np.logical_and,
@@ -261,16 +270,17 @@ def verify_snell_family(family: ReflectedFamily, sols: list, fingerprints: list)
     mc = girsanov_change(forest, PredictableProcess(forest, eta_vals))
     disc = forest.path_scan(factors, np.divide, start=1.0, process=True)
     u = disc[n] * xi
-    defect_b = member_max(np.abs(u - disc[n] * y[n]))
+    defect_b = sup_abs_copies(forest, [u - disc[n] * y[n]])
     for k in range(n - 1, -1, -1):
         cont = mc.cond_exp_q(u, k + 1) - (disc[k] / factors[k]) * g0_vals[k] * dt
         u = np.maximum(disc[k] * obstacle.values[k], cont)
-        defect_b = np.maximum(defect_b, member_max(np.abs(u - disc[k] * y[k])))
-    return [rep for i, (fp, sol) in enumerate(zip(fingerprints, sols, strict=True)) for rep in (
-        EstimateReport.exact("stopping_value_frozen_costs", float(defect_a[i]), SNELL_TOL, 0.0,
-                             fp, {"root_value": float(v.values[0][i])}),
-        EstimateReport.exact("stopping_value_discounted_measure_change", float(defect_b[i]),
-                             SNELL_TOL, 0.0, fp, {"scheme": sol.scheme}))]
+        defect_b = np.maximum(defect_b, sup_abs_copies(forest, [u - disc[k] * y[k]]))
+    return [rep for fp, d_a, d_b, root in zip(fingerprints, defect_a.tolist(), defect_b.tolist(),
+                                              v.values[0].tolist(), strict=True) for rep in (
+        EstimateReport.exact("stopping_value_frozen_costs", d_a, SNELL_TOL, 0.0, fp,
+                             {"root_value": root}),
+        EstimateReport.exact("stopping_value_discounted_measure_change", d_b, SNELL_TOL, 0.0, fp,
+                             {"scheme": sol.scheme}))]
 
 
 # -- Picard iteration ---------------------------------------------------------
@@ -332,7 +342,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
         # a driver constant in (y, z) meets any contract: no instance to check
         out = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
                               obstacle=instance.obstacle.values, lean=not last)
-        y, z = ((out[0].y, out[0].z) if last else
+        y, z = ((out.y, out.z) if last else
                 (AdaptedProcess(tree, out[0]), PredictableProcess(tree, out[1])))
         trace.dy_s2.append(norm_sp(y - y_prev, 2.0))
         # an infinite norm may only be a finite iterate too large to square
@@ -344,8 +354,8 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
                                         f"({gen.name})")
         trace.dz_h2.append(norm_h(z - z_prev, 2.0, trace.alpha_star))
         if last:
-            out[0].scheme = "implicit"
-            return out[0], trace
+            out.scheme = "implicit"
+            return out, trace
         frozen_prev, y_prev, z_prev = frozen, y, z
     raise PicardDivergenceError(
         f"frozen-driver iteration did not settle in {PICARD_MAX_ITER} sweeps "

@@ -138,14 +138,27 @@ class ScenarioTree:
     def forest(self, copies: int) -> ScenarioTree:
         """`copies` disjoint copies of the tree as one tree with a root per copy: copy i
         holds block i of the nodes of each step, so that cond_exp, lift, dot_dw and
-        path_scan act on every copy in one call.  One copy is the tree itself."""
+        path_scan act on every copy in one call.  One copy is the tree itself; a forest
+        is built once per tree and count, so processes of one family share it."""
         if copies == 1:
             return self
-        return ScenarioTree(grid=self.grid, d=self.d, reveals=self.reveals,
-                            branching=self.branching,
-                            cond_prob=[np.tile(p, copies) for p in self.cond_prob],
-                            dw=[np.tile(w, (copies, 1)) for w in self.dw],
-                            reveal_label=[np.tile(lab, copies) for lab in self.reveal_label])
+        forests = self.__dict__.setdefault("_forests", {})
+        if copies not in forests:
+            forests[copies] = ScenarioTree(
+                grid=self.grid, d=self.d, reveals=self.reveals, branching=self.branching,
+                cond_prob=[np.tile(p, copies) for p in self.cond_prob],
+                dw=[np.tile(w, (copies, 1)) for w in self.dw],
+                reveal_label=[np.tile(lab, copies) for lab in self.reveal_label])
+        return forests[copies]
+
+    def locate(self, step: int, node: int) -> str:
+        """'node i' of a lone tree; on a forest, the copy (member) and its node i."""
+        member, i = divmod(node, self.n_nodes(step) // self.n_nodes(0))
+        return f"node {i}" if self.n_nodes(0) == 1 else f"member {member}, node {i}"
+
+    def from_roots(self, x: np.ndarray, step: int) -> np.ndarray:
+        """Broadcast root values, one per copy, onto the step-`step` nodes."""
+        return np.repeat(x, self.n_nodes(step) // self.n_nodes(0), axis=0)
 
     def reveal_step_indices(self) -> list:
         return [self.grid.index_of(r.time) for r in self.reveals]
@@ -186,6 +199,15 @@ class ScenarioTree:
         x = np.asarray(x, dtype=float)
         return float(np.dot(self.path_prob[step], x))
 
+    def expectations(self, x: np.ndarray, step: int) -> list:
+        """Per copy of a forest (one per root), the expectation of its block of `x`: one
+        np.dot of the block with the copy's path probabilities, so a lone tree gets
+        [expectation(x, step)] bit for bit."""
+        self._check_step(step)
+        blocks = np.asarray(x, dtype=float).reshape(self.n_nodes(0), -1)
+        prob = self.path_prob[step][:blocks.shape[1]]
+        return [float(np.dot(prob, block)) for block in blocks]
+
     def lift(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto their step+1 children."""
         if not 0 <= step < len(self.branching):
@@ -198,12 +220,16 @@ class ScenarioTree:
         Z_k has shape (n_k, d); a scalar Z_k (shape (n_k,)) is read as the
         one coordinate of a d = 1 walk and rejected on a wider one.
         """
-        zc = self.lift(z, k)
+        zc = self.lift(self.check_integrand(z, k), k)
         if zc.ndim == 2:
             return np.einsum("ni,ni->n", zc, self.dw[k + 1])
-        if self.d > 1:
-            raise ValueError(f"step {k}: scalar integrand against a {self.d}-dimensional walk")
         return zc * self.dw[k + 1][:, 0]
+
+    def check_integrand(self, z: np.ndarray, k: int) -> np.ndarray:
+        """`z`, unless it is a scalar step-k integrand against a walk wider than d = 1."""
+        if np.ndim(z) == 1 and self.d > 1:
+            raise ValueError(f"step {k}: scalar integrand against a {self.d}-dimensional walk")
+        return z
 
     def cond_exp_dw(self, x: np.ndarray, k: int) -> np.ndarray:
         """E_k[x dW_{k+1}] on step-k nodes, shape (n_k, d), for x on step-(k+1)
@@ -224,9 +250,12 @@ class ScenarioTree:
         lifted) or on step-(k+1) nodes (combined after the lift), and is the
         second operand of `op`.  Terms are consumed one step at a time, so a
         generator never holds every step at once.  Returns S_n on the leaves,
-        or the whole process [S_0, ..., S_n] when `process` is set.
+        or the whole process [S_0, ..., S_n] when `process` is set.  A start of
+        one entry starts every root of a forest.
         """
         acc = np.array(start, dtype=float, ndmin=1)
+        if acc.shape[0] != self.n_nodes(0):
+            acc = acc.repeat(self.n_nodes(0), axis=0)
         out = [acc]
         for k, term in enumerate(terms):
             term = np.asarray(term, dtype=float)
@@ -244,6 +273,13 @@ def sup_abs(arrays) -> float:
     """max |x| over the step arrays, folded with np.maximum so that a NaN anywhere
     makes it NaN.  map drops each array once its max is read."""
     return float(functools.reduce(np.maximum, map(lambda a: np.abs(a).max(), arrays), 0.0))
+
+
+def sup_abs_copies(tree: ScenarioTree, arrays) -> np.ndarray:
+    """sup_abs of each copy's blocks of the step arrays of a forest, one entry per copy."""
+    copies = tree.n_nodes(0)
+    return functools.reduce(np.maximum, (np.abs(a).reshape(copies, -1).max(axis=1)
+                                         for a in arrays), np.zeros(copies))
 
 
 def check_tree_shape(grid: TimeGrid, d: int, reveals: tuple, node_cap: int) -> dict:

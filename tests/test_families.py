@@ -130,7 +130,7 @@ class TestFamilySolve:
         for size in _family_sizes(tree):
             seeds = range(3, 3 + size)
             fam = reflected_family(tree, seeds, l_y=0.4, l_z=0.6, margin=0.5)
-            sols = solve_family(fam)
+            sols = solve_family(fam).members(tree)
             assert len(fam.members) == len(sols) == size
             for seed, inst, sol in zip(seeds, fam.members, sols):
                 solo = random_reflected(tree, seed, l_y=0.4, l_z=0.6, margin=0.5)
@@ -154,7 +154,7 @@ class TestFamilySolve:
         tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
         for size in (1, 2, 25):
             fam = reflected_family(tree, range(3, 3 + size), l_y=0.4, l_z=0.6, margin=0.5)
-            sols = solve_free_family(fam)
+            sols = solve_free_family(fam).members(tree)
             assert len(sols) == size
             for inst, sol in zip(fam.members, sols):
                 solo = solve_bsde(inst.plain(), scheme="implicit")

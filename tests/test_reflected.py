@@ -198,7 +198,7 @@ def _implicit_frozen_picard(instance):
     for _ in range(PICARD_MAX_ITER):
         frozen = gen.along(y_prev, z_prev).values
         new = bsde._backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
-                                   obstacle=instance.obstacle.values)[0]
+                                   obstacle=instance.obstacle.values)
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
         if frozen_prev is not None:

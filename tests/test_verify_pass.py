@@ -44,7 +44,7 @@ CASE_IDS = [f"d{d}-{'reveal' if r else 'plain'}-m{m}" for d, r, m in CASES]
 def _family(d, reveal, margin, size=5):
     tree = standard_tree(n_steps=STEPS[d], d=d, with_reveal=reveal)
     fam = reflected_family(tree, range(3, 3 + size), margin=margin)
-    return fam, solve_family(fam)
+    return fam, solve_family(fam).members(tree)
 
 
 def _same_reports(got, want):
@@ -99,7 +99,7 @@ def _full_container_picard(instance):
     for _ in range(PICARD_MAX_ITER):
         frozen = gen.along(y_prev, z_prev).values
         new = bsde._backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
-                                   obstacle=instance.obstacle.values)[0]
+                                   obstacle=instance.obstacle.values)
         new.scheme = "implicit"
         trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
         trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
@@ -165,15 +165,15 @@ class TestBracketSequence:
 
     def test_suite_builds_five_leaf_sums_per_solution(self, monkeypatch):
         """Performance guard: the equivalence suite builds each weighted per-leaf sum
-        once per solution (5 sums), where one call per p built 15."""
+        once for the whole family (5 sums), where one call per p built 15 per solution."""
         inp = cli.SuiteInputs(cli.parse_config(cli.default_config()), 1)
         calls = []
         real = norms.weighted_sum
         monkeypatch.setattr(norms, "weighted_sum", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        s, inst, sol = inp.solved[0]
+        assert inp.sol.members(inp.tree)
         calls.clear()
-        reports = cli.suite_equivalence(inp, s, inst, sol)
-        assert len(reports) == 10 and all(r.passed for r in reports)
+        reports = cli.suite_equivalence(inp)
+        assert len(reports) == 10 * len(inp.seeds) and all(r.passed for r in reports)
         assert len(calls) == 5
 
 
@@ -226,7 +226,7 @@ class TestSnellFamily:
         for size in sorted({1, 2, 5, d, tree.n_nodes(1)}):
             fam, sols = _family(d, reveal, margin, size)
             fps = [f"m{i}" for i in range(size)]
-            got = verify_snell_family(fam, sols, fps)
+            got = verify_snell_family(fam, solve_family(fam), fps)
             want = [r for inst, sol, fp in zip(fam.members, sols, fps)
                     for r in _member_snell(inst, sol, fp)]
             _same_reports(got, want)
@@ -257,7 +257,7 @@ class TestSnellFamily:
         fn = fam.gen.fn
         recorded = dataclasses.replace(fam, gen=dataclasses.replace(
             fam.gen, fn=lambda k, y, z: calls.append((k, y.shape)) or fn(k, y, z)))
-        verify_snell_family(recorded, sols, ["fp"] * 5)
+        verify_snell_family(recorded, solve_family(fam), ["fp"] * 5)
         assert calls == [(k, (tree.d + 2, 5, tree.n_nodes(k))) for k in range(tree.n_steps)]
 
     def test_non_positive_discount_names_the_member(self):
@@ -270,8 +270,8 @@ class TestSnellFamily:
         steep = Generator(fn=lambda k, y, z: slope * y, l_y=8.0, l_z=0.0, name="steep",
                           members=members)
         with pytest.raises(MeasureChangeError, match=r"^steep\[1\]: discount factor "):
-            verify_snell_family(ReflectedFamily(gen=steep, members=fam.members), sols,
-                                ["fp"] * 3)
+            verify_snell_family(ReflectedFamily(gen=steep, members=fam.members),
+                                solve_family(fam), ["fp"] * 3)
         lone_gen = Generator(fn=members[1].fn, l_y=0.5, l_z=0.0, name="steep[1]")
         lone = dataclasses.replace(fam.members[1], gen=lone_gen, excess=0.0)
         lone_gen.l_y = 8.0  # declared after binding: the breach this check catches
