@@ -61,13 +61,13 @@ class Generator:
         the solvers call on a member axis of length one."""
         return self.members or (self,)
 
-    def g0(self, tree: ScenarioTree, k: int) -> np.ndarray:
-        n = tree.n_nodes(k)
-        return self(k, np.zeros(n), np.zeros((n, tree.d)))
-
     def g0_process(self, tree: ScenarioTree) -> PredictableProcess:
-        """g(k, 0, 0) on the driver steps k = 0..n-1, the only ones the norms read."""
-        return PredictableProcess(tree, [self.g0(tree, k) for k in range(tree.n_steps)])
+        """g(k, 0, 0) on the driver steps k = 0..n-1, the only ones the norms read, on
+        tree.forest(len(self.family)): one driver call per step for a whole family."""
+        forest = tree.forest(len(self.family))
+        return PredictableProcess(forest, [
+            _drive(self, k, np.zeros(forest.n_nodes(k)), np.zeros((forest.n_nodes(k), tree.d)))
+            for k in range(tree.n_steps)])
 
     def along(self, y: AdaptedProcess, z: PredictableProcess) -> PredictableProcess:
         """g(k, Y_k, Z_k) on the driver steps k = 0..n-1: the driver along a solution."""
@@ -197,14 +197,14 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree):
     return worst if gen.members else float(worst[0])
 
 
-def require_finite(what: str, arrays, first_step: int = 0):
-    """ValueError naming the first step and node of `arrays` (one per step from
-    `first_step` on) that holds a non-finite value."""
+def require_finite(what: str, tree: ScenarioTree, arrays, first_step: int = 0):
+    """ValueError naming the first step and node of `arrays` (one per step of `tree`
+    from `first_step` on) that holds a non-finite value; on a forest, its member too."""
     for k, a in enumerate(arrays, first_step):
         finite = np.isfinite(a)
         if not finite.all():
             i = int(finite.argmin())
-            raise ValueError(f"{what} is not finite at step {k}, node {i} ({float(a[i])})")
+            raise ValueError(f"{what} is not finite at step {k}, {tree.locate(k, i)} ({a[i]})")
 
 
 def check_step_size(tree: ScenarioTree, gen: Generator):
@@ -216,28 +216,34 @@ def check_step_size(tree: ScenarioTree, gen: Generator):
 
 @dataclass(frozen=True)
 class BsdeInstance:
-    """Terminal condition and driver on one tree.  Binding them checks the
-    driver's contract once (check_step_size, check_lipschitz) and keeps the
-    worst probe excess; solvers trust it.  A family, whose one stacked check
-    probes every member, passes each member's excess in instead."""
+    """Terminal condition and driver on one tree, or on tree.forest(B) for a driver of B
+    members (Generator.members), block i member i's.  Binding checks the driver's
+    contract once (check_step_size, check_lipschitz) and keeps the worst probe excess,
+    one per member; solvers trust it, and an instance given its excess is not probed."""
 
     tree: ScenarioTree
     xi: np.ndarray
     gen: Generator
-    excess: Optional[float] = field(default=None, compare=False)
+    excess: Optional[float | np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if self.xi.shape[0] != self.tree.n_nodes(self.tree.n_steps):
+        forest, n = self.forest, self.tree.n_steps
+        if self.xi.shape[0] != forest.n_nodes(n):
             raise ValueError("terminal condition is not measurable at the terminal partition")
-        require_finite("terminal condition", [self.xi], self.tree.n_steps)
+        require_finite("terminal condition", forest, [self.xi], n)
         check_step_size(self.tree, self.gen)
         if self.excess is None:
             object.__setattr__(self, "excess", check_lipschitz(self.gen, self.tree))
 
+    @property
+    def forest(self) -> ScenarioTree:
+        """The tree the arrays live on: one copy of `tree` per member of gen.family."""
+        return self.tree.forest(len(self.gen.family))
+
     @functools.cached_property
     def g0(self) -> PredictableProcess:
-        """g(k, 0, 0) on the driver steps, built once per instance."""
+        """g(k, 0, 0) on the driver steps of the forest, built once per instance."""
         return self.gen.g0_process(self.tree)
 
 
@@ -415,7 +421,7 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
 
 
 def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuadruple:
-    """Solve the plain BSDE (K = 0) by backward induction."""
+    """Solve the plain BSDE (K = 0) by backward induction, a family in one sweep."""
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme)
 
 
@@ -441,7 +447,7 @@ def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
     u_vals = [None] * (tree.n_steps + 1)
     u_vals[tree.n_steps] = u
     for k in range(tree.n_steps - 1, -1, -1):
-        u = mc.cond_exp_q(u_vals[k + 1], k + 1) - disc[k + 1] * gen.g0(tree, k) * dt
+        u = mc.cond_exp_q(u_vals[k + 1], k + 1) - disc[k + 1] * instance.g0.values[k] * dt
         u_vals[k] = u
     y_vals = [u_vals[k] / disc[k] for k in range(tree.n_steps + 1)]
     ey_vals, z_vals = zip(*(_project(tree, y_vals[k + 1], k) for k in range(tree.n_steps)))

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import families
-from .bsde import AffineGenerator, BsdeInstance, Generator, solve_bsde
+from .bsde import ROUND_OFF_ULPS, AffineGenerator, BsdeInstance, Generator, solve_bsde
 from .errors import (ConfigError, Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least,
                      read_record)
 from .estimates import (
@@ -55,8 +55,6 @@ from .reflected import (
     ReflectedInstance,
     check_skorokhod,
     picard_solve,
-    solve_family,
-    solve_free_family,
     solve_reflected,
     verify_snell_family,
 )
@@ -275,7 +273,7 @@ class SuiteInputs:
     @cached_property
     def sol(self):
         """The implicit solution of every reflected family member, in one sweep."""
-        return solve_family(self.family)
+        return solve_reflected(self.family)
 
     @cached_property
     def solved(self) -> list:
@@ -285,7 +283,7 @@ class SuiteInputs:
     @cached_property
     def free(self):
         """The implicit solution of every member's plain() instance, in one sweep."""
-        return solve_free_family(self.family)
+        return solve_bsde(self.family.plain())
 
     @cached_property
     def pairs(self) -> list:
@@ -434,10 +432,18 @@ def _single_report(args, cfg: dict, raw, kind: str, check) -> int:
     return 1 if write_artifacts(args.out, args.command, raw, args.seed, [rep]) else 0
 
 
+def _scaled_tol(tol: float, sol) -> float:
+    """`tol`, or ROUND_OFF_ULPS ulps of the largest |Y| or |dK| where that is more: they
+    bound every term of the dynamics (a reflected Y may sit on the obstacle while the
+    driver term and the push that cancels it are large)."""
+    return max(tol, ROUND_OFF_ULPS * float(np.spacing(sup_abs(sol.y.values + sol.dk.values))))
+
+
 def cmd_solve(args, cfg: dict, raw) -> int:
     def check(inst):
         sol = solve_bsde(inst, scheme=cfg["scheme"])
-        return ("solver_dynamics_residual", sol.dynamics_residual(inst.gen), args.tol,
+        return ("solver_dynamics_residual", sol.dynamics_residual(inst.gen),
+                _scaled_tol(args.tol, sol),
                 {"y0": float(sol.y.values[0][0]), "scheme": sol.scheme})
 
     return _single_report(args, cfg, raw, "bsde", check)
@@ -448,7 +454,8 @@ def cmd_reflect(args, cfg: dict, raw) -> int:
         sol = solve_reflected(inst, scheme=cfg["scheme"])
         resid = sol.dynamics_residual(inst.gen)
         comp = check_skorokhod(inst, sol)["complementarity"]
-        return ("reflected_dynamics_and_contact", float(np.maximum(resid, comp)), args.tol,
+        return ("reflected_dynamics_and_contact", float(np.maximum(resid, comp)),
+                _scaled_tol(args.tol, sol),
                 {"y0": float(sol.y.values[0][0]), "residual": resid, "complementarity": comp})
 
     return _single_report(args, cfg, raw, "rbsde", check)

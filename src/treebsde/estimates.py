@@ -11,10 +11,11 @@ t_{k+1}.  Time integrals bounded by Cauchy-Schwarz pick up a T^{p/2} factor
 that is kept explicitly (it equals 1 on the default unit horizon).
 
 Each `*_family` form checks a whole family in one pass over ScenarioTree.forest(B)
-(a ReflectedFamily with its solve_family solution, or a strong_supermartingale_family
-process) and returns one report per member, in member order, with the bits of the
-member's own check (see norms); the arithmetic after each expectation stays Python
-float arithmetic per member.  Each plain check is its family form on one member.
+(a family ReflectedInstance with its solve_reflected solution, or a
+strong_supermartingale_family process) and returns one report per member, in member
+order, with the bits of the member's own check (see norms); the arithmetic after each
+expectation stays Python float arithmetic per member.  Each plain check is its family
+form on a lone instance, the family of one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .norms import (
     weighted_sum,
 )
 from .processes import LadlagProcess, PredictableProcess
-from .reflected import ReflectedFamily, ReflectedInstance
+from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree, sup_abs_copies
 
@@ -70,11 +71,6 @@ def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
 def _powers(values, p: float) -> list:
     """v ** p of each member's value, in Python float arithmetic."""
     return [v ** p for v in values]
-
-
-def _family_of(instance) -> ReflectedFamily:
-    """An instance as the family of one, whose forest is its own tree."""
-    return ReflectedFamily(gen=instance.gen, members=(instance,))
 
 
 def _require_nondecreasing(sol: SolutionQuadruple):
@@ -110,10 +106,10 @@ def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha:
                         fingerprint: str = "") -> EstimateReport:
     """Full-solution bound: (Z, M, K) norms against (xi, Y, g0).  Empirical.  The
     family of one (check_solution_norm_family)."""
-    return check_solution_norm_family(_family_of(instance), sol, p, alpha, [fingerprint])[0]
+    return check_solution_norm_family(instance, sol, p, alpha, [fingerprint])[0]
 
 
-def check_solution_norm_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+def check_solution_norm_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                                alpha: float, fingerprints: list) -> list:
     """check_solution_norm_bound of every member; `sol` is the family's forest solution."""
     _require_nondecreasing(sol)
@@ -157,11 +153,10 @@ def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alp
     empirical, with the proof-admissible weight (compensator_weight_floor)
     checked up front.  The family of one (check_compensator_norm_family).
     """
-    return check_compensator_norm_family(_family_of(instance), sol, p, alpha, branch,
-                                         [fingerprint])[0]
+    return check_compensator_norm_family(instance, sol, p, alpha, branch, [fingerprint])[0]
 
 
-def check_compensator_norm_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+def check_compensator_norm_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                                   alpha: float, branch: str, fingerprints: list) -> list:
     """check_compensator_norm_bound of every member; `sol` is the family's forest solution."""
     tree, gen = sol.tree, family.gen
@@ -301,15 +296,14 @@ def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple
     """
     if free is None and variant == "S_plus":
         free = solve_bsde(instance.plain(), scheme="implicit")
-    return check_obstacle_sup_family(_family_of(instance), sol, p, alpha, variant,
-                                     [fingerprint], free)[0]
+    return check_obstacle_sup_family(instance, sol, p, alpha, variant, [fingerprint], free)[0]
 
 
-def check_obstacle_sup_family(family: ReflectedFamily, sol: SolutionQuadruple, p: float,
+def check_obstacle_sup_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                               alpha: float, variant: str, fingerprints: list,
                               free: SolutionQuadruple) -> list:
     """check_obstacle_sup_bound of every member; `sol` is the family's forest solution and
-    `free` that of the members' plain() equations (solve_free_family), read by S_plus."""
+    `free` that of its plain() instance (solve_bsde), read by S_plus."""
     if variant not in ("S_plus", "S"):
         raise ValueError(f"unknown variant {variant!r}")
     if p <= 1.0:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bsde import BsdeInstance, Generator
 from .processes import AdaptedProcess, LadlagProcess
-from .reflected import ReflectedFamily, ReflectedInstance
+from .reflected import ReflectedInstance
 from .tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
 DROP_RATE = 0.3  # chance that a node of a random strong supermartingale announces a drop
@@ -124,15 +124,15 @@ def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
 
 
 def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0.5,
-                     margin: float = 0.0) -> ReflectedFamily:
-    """random_reflected of every seed, bound as one family: member i equals
-    random_reflected(tree, seeds[i], ...) and its driver is probed once."""
+                     margin: float = 0.0) -> ReflectedInstance:
+    """random_reflected of every seed as one instance on tree.forest(len(seeds)), its
+    driver probed once: block i is seeds[i]'s, and members[i] equals
+    random_reflected(tree, seeds[i], ...)."""
     seeds = list(seeds)
-    obstacles = _obstacles(tree, seeds, margin)
-    return ReflectedFamily.bind(tree, generator_family(tree, seeds, l_y=l_y, l_z=l_z),
-                                _terminals(tree, seeds),
-                                [AdaptedProcess(tree, [s[i] for s in obstacles])
-                                 for i in range(len(seeds))])
+    return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds).reshape(-1),
+                             gen=generator_family(tree, seeds, l_y=l_y, l_z=l_z),
+                             obstacle=AdaptedProcess(tree.forest(len(seeds)), [
+                                 s.reshape(-1) for s in _obstacles(tree, seeds, margin)]))
 
 
 def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, check_lipschitz,
-                   check_step_size, require_finite)
+from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, require_finite
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
@@ -36,22 +35,22 @@ PICARD_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class ReflectedInstance(BsdeInstance):
-    """A BsdeInstance with a lower obstacle, checked before the parent's checks; the
-    terminal obstacle is clipped to min(S_T, xi)."""
+    """A BsdeInstance with a lower obstacle on its forest, checked before the parent's
+    checks; the terminal obstacle is clipped to min(S_T, xi)."""
 
     obstacle: AdaptedProcess = field(kw_only=True)
 
     def __post_init__(self):
-        if self.obstacle.tree is not self.tree:
+        if self.obstacle.tree is not self.forest:
             raise ValueError("the obstacle lives on another tree than the instance")
-        require_finite("obstacle", self.obstacle.values)
+        require_finite("obstacle", self.forest, self.obstacle.values)
         super().__post_init__()
         n = self.tree.n_steps
         # terminal compatibility: the obstacle cannot exceed the terminal value
         clipped = np.minimum(self.obstacle.values[n], self.xi)
         if np.any(clipped != self.obstacle.values[n]):
-            object.__setattr__(self, "obstacle",
-                               AdaptedProcess(self.tree, self.obstacle.values[:n] + [clipped]))
+            object.__setattr__(self, "obstacle", AdaptedProcess(
+                self.obstacle.tree, self.obstacle.values[:n] + [clipped]))
 
     @functools.cached_property
     def _plain(self) -> BsdeInstance:
@@ -62,67 +61,26 @@ class ReflectedInstance(BsdeInstance):
         its driver is not probed again."""
         return self._plain
 
-
-@dataclass(frozen=True)
-class ReflectedFamily:
-    """Reflected instances on one tree driven by the members of one family
-    generator: `members[i]` is bound to `gen.members[i]`.  Binding probes every
-    member in one stacked check; solve_family solves them in one sweep.  `xi`, `g0`
-    and `obstacle` are the members' stacked on `forest` (ScenarioTree.forest), built
-    on first use; a family of one stacks nothing and hands out its member's own."""
-
-    gen: Generator
-    members: tuple
-
     @functools.cached_property
-    def forest(self) -> ScenarioTree:
-        return self.members[0].tree.forest(len(self.members))
-
-    @functools.cached_property
-    def xi(self) -> np.ndarray:
-        return _stack([m.xi for m in self.members])
-
-    @functools.cached_property
-    def g0(self) -> PredictableProcess:
-        return PredictableProcess(self.forest, list(map(_stack, zip(*(m.g0.values
-                                                                      for m in self.members)))))
-
-    @functools.cached_property
-    def obstacle(self) -> AdaptedProcess:
-        return AdaptedProcess(self.forest, list(map(_stack, zip(*(m.obstacle.values
-                                                                  for m in self.members)))))
-
-    @classmethod
-    def bind(cls, tree: ScenarioTree, gen: Generator, xis, obstacles) -> ReflectedFamily:
-        check_step_size(tree, gen)
-        excess = check_lipschitz(gen, tree)
-        return cls(gen=gen, members=tuple(
-            ReflectedInstance(tree=tree, xi=xi, gen=g, obstacle=s, excess=float(e))
-            for xi, g, s, e in zip(xis, gen.members, obstacles, excess, strict=True)))
-
-
-def _stack(arrays) -> np.ndarray:
-    """The members' arrays as one forest array; one member's is its own."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    def members(self) -> tuple:
+        """The instance of each member of gen.members, built on first use: member i has
+        the driver gen.members[i], the excess[i] (no probe again) and row views of block
+        i of xi and the obstacle.  An instance whose driver has no members is its own."""
+        if not self.gen.members:
+            return (self,)
+        tree, b = self.tree, len(self.gen.members)
+        obstacles = zip(*(v.reshape(b, -1) for v in self.obstacle.values))
+        return tuple(ReflectedInstance(tree=tree, xi=xi, gen=g, excess=float(e),
+                                       obstacle=AdaptedProcess(tree, list(s)))
+                     for xi, g, s, e in zip(self.xi.reshape(b, -1), self.gen.members,
+                                            obstacles, self.excess, strict=True))
 
 
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
-    """Backward induction with pointwise reflection and minimal push K."""
+    """Backward induction with pointwise reflection and minimal push K, a family in one
+    sweep over its forest, each member with the bits of its solo solve."""
     return _backward_sweep(instance.tree, instance.xi, instance.gen, scheme,
                            obstacle=instance.obstacle.values)
-
-
-def solve_family(family: ReflectedFamily) -> SolutionQuadruple:
-    """Implicit solve_reflected of every member, in one backward sweep: the solution on
-    family.forest, whose members(tree) each have the bits of the member's solo solve."""
-    return _backward_sweep(family.members[0].tree, family.xi, family.gen, "implicit",
-                           obstacle=family.obstacle.values)
-
-
-def solve_free_family(family: ReflectedFamily) -> SolutionQuadruple:
-    """Implicit solve_bsde of every member's plain() instance, in one obstacle-free
-    backward sweep, as solve_family."""
-    return _backward_sweep(family.members[0].tree, family.xi, family.gen, "implicit")
 
 
 def check_skorokhod(instance: ReflectedInstance, sol: SolutionQuadruple) -> dict:
@@ -239,20 +197,19 @@ def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadru
 
     The instance is checked as a family of one (verify_snell_family).
     """
-    return verify_snell_family(ReflectedFamily(gen=instance.gen, members=(instance,)), sol,
-                               [fingerprint])
+    return verify_snell_family(instance, sol, [fingerprint])
 
 
-def verify_snell_family(family: ReflectedFamily, sol: SolutionQuadruple,
+def verify_snell_family(instance: ReflectedInstance, sol: SolutionQuadruple,
                         fingerprints: list) -> list:
-    """verify_snell_representation of every member, `sol` the family's forest solution
-    (solve_family), in one pass over the B stacked copies of the tree: one driver call
-    per step gives every member's frozen costs and linearization, and the dynamic
-    programs and the change of measure run on the forest.  Two reports per member, in
-    member order, each with the bits of the member's solo check.
+    """verify_snell_representation of every member of an instance, `sol` its forest
+    solution, in one pass over the forest: one driver call per step gives every member's
+    frozen costs and linearization, and the dynamic programs and the change of measure
+    run on the forest.  Two reports per member, in member order, each with the bits of
+    the member's solo check.
     """
-    gen, b, forest, xi, obstacle = (family.gen, len(family.members), family.forest, family.xi,
-                                    family.obstacle)
+    gen, forest, xi, obstacle = instance.gen, sol.tree, instance.xi, instance.obstacle
+    b = len(gen.family)
     n, dt = forest.n_steps, forest.dt
     y, z = sol.y.values, sol.z.values
     costs, lam_vals, eta_vals, g0_vals = map(list, zip(*(

@@ -308,20 +308,15 @@ class TestArtifacts:
         assert ",inf," in _read(tmp_path / "constants" / "reports.csv").decode()
 
     def test_verify_solves_each_instance_once(self, tmp_path, monkeypatch):
-        """Every member is solved exactly once, whether alone or in a family sweep."""
+        """Every member is solved exactly once, in the family's one reflected sweep."""
         calls = []
-        solo, family = cli.solve_reflected, cli.solve_family
+        solo = cli.solve_reflected
 
-        def counted_solo(inst, *args, **kwargs):
-            calls.append(inst)
+        def counted(inst, *args, **kwargs):
+            calls.extend(inst.gen.family)
             return solo(inst, *args, **kwargs)
 
-        def counted_family(fam, *args, **kwargs):
-            calls.extend(fam.members)
-            return family(fam, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_reflected", counted_solo)
-        monkeypatch.setattr(cli, "solve_family", counted_family)
+        monkeypatch.setattr(cli, "solve_reflected", counted)
         cfg = default_config()
         cfg["family"]["count"] = 4
         path = tmp_path / "cfg.json"
@@ -329,7 +324,7 @@ class TestArtifacts:
         assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
                      "verify", "--suite", "all"]) == 0
         assert len(calls) == 4
-        assert len({id(inst) for inst in calls}) == 4
+        assert len({id(gen) for gen in calls}) == 4
 
     def test_push_built_once_per_solution(self, tmp_path, monkeypatch):
         """K (and with it M - K) is one running sum per solved instance: the
@@ -354,13 +349,14 @@ class TestArtifacts:
 
     def test_free_solved_in_family_and_g0_built_once(self, tmp_path, monkeypatch):
         """The obstacle bound's free solutions come from one family sweep, never
-        from a solo solve, and each member builds g0 once: at family.count 10 the
-        solo route made 10 free solves and 60 g0 builds."""
+        from a solo solve, and the family builds g0 once, one driver call per step: at
+        family.count 10 the solo route made 10 free solves and 60 g0 builds, and a
+        build per member 10."""
         solo, free, g0 = [], [], []
-        real_free, real_g0 = cli.solve_free_family, bsde.Generator.g0_process
+        real_free, real_g0 = cli.solve_bsde, bsde.Generator.g0_process
         monkeypatch.setattr(estimates, "solve_bsde", lambda *a, **kw: solo.append(a))
-        monkeypatch.setattr(cli, "solve_free_family",
-                            lambda fam, *a, **kw: free.extend(fam.members) or real_free(fam, *a, **kw))
+        monkeypatch.setattr(cli, "solve_bsde",
+                            lambda inst, *a, **kw: free.append(inst) or real_free(inst, *a, **kw))
         monkeypatch.setattr(bsde.Generator, "g0_process",
                             lambda gen, tree: g0.append(gen) or real_g0(gen, tree))
         cfg = default_config()
@@ -370,8 +366,19 @@ class TestArtifacts:
         assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
                      "verify", "--suite", "all"]) == 0
         assert solo == []
-        assert len(free) == len({id(inst) for inst in free}) == 10
-        assert len(g0) == len({id(gen) for gen in g0}) == 10
+        assert len(free) == 1 and len(free[0].gen.family) == 10
+        assert len(g0) == 1 and g0[0] is free[0].gen
+
+    def test_snell_check_builds_no_member_instance(self, tmp_path, monkeypatch):
+        """snell-check solves and checks the family as one instance: the only
+        ReflectedInstance it binds is the family's, whose members it never reads."""
+        built = []
+        real = reflected.ReflectedInstance.__post_init__
+        monkeypatch.setattr(reflected.ReflectedInstance, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        assert main(["--seed", "1", "--out", str(tmp_path / "out"), "snell-check"]) == 0
+        assert len(built) == 1 and len(built[0].gen.family) == 25
+        assert "members" not in vars(built[0])
 
     @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
                                                 (["picard"], 1)], ids=["verify", "picard"])
@@ -386,7 +393,6 @@ class TestArtifacts:
             return real(gen, tree)
 
         monkeypatch.setattr(bsde, "check_lipschitz", counted)
-        monkeypatch.setattr(reflected, "check_lipschitz", counted)
         cfg = default_config()
         cfg["family"]["count"] = 4
         path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Seeded families: the random driver's zero level is built once per driver step, and a
-family of reflected instances is bound and solved as one, with each member's own bits."""
+family of reflected instances is one instance on the forest, solved as one, with each
+member's own bits."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from treebsde.errors import GeneratorContractError
 from treebsde.families import (generator_family, random_generator, random_obstacle,
                                random_reflected, random_terminal, reflected_family,
                                standard_tree)
-from treebsde.reflected import ReflectedFamily, solve_family, solve_free_family, solve_reflected
-from treebsde.processes import PredictableProcess
+from treebsde.reflected import ReflectedInstance, solve_reflected
+from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
 
@@ -103,7 +104,8 @@ class TestRandomGenerator:
         assert isinstance(g0, PredictableProcess)
         assert len(g0.values) == tree.n_steps
         for k in range(tree.n_steps):
-            assert g0.values[k].tobytes() == gen.g0(tree, k).tobytes()
+            n = tree.n_nodes(k)
+            assert g0.values[k].tobytes() == gen(k, np.zeros(n), np.zeros((n, tree.d))).tobytes()
 
 
 # -- the family solve ------------------------------------------------------------
@@ -130,7 +132,7 @@ class TestFamilySolve:
         for size in _family_sizes(tree):
             seeds = range(3, 3 + size)
             fam = reflected_family(tree, seeds, l_y=0.4, l_z=0.6, margin=0.5)
-            sols = solve_family(fam).members(tree)
+            sols = solve_reflected(fam).members(tree)
             assert len(fam.members) == len(sols) == size
             for seed, inst, sol in zip(seeds, fam.members, sols):
                 solo = random_reflected(tree, seed, l_y=0.4, l_z=0.6, margin=0.5)
@@ -154,7 +156,7 @@ class TestFamilySolve:
         tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
         for size in (1, 2, 25):
             fam = reflected_family(tree, range(3, 3 + size), l_y=0.4, l_z=0.6, margin=0.5)
-            sols = solve_free_family(fam).members(tree)
+            sols = solve_bsde(fam.plain()).members(tree)
             assert len(sols) == size
             for inst, sol in zip(fam.members, sols):
                 solo = solve_bsde(inst.plain(), scheme="implicit")
@@ -188,7 +190,9 @@ class TestFamilySolve:
         xis = [random_terminal(tree, i) for i in range(4)]
         obstacles = [random_obstacle(tree, i) for i in range(4)]
         with pytest.raises(GeneratorContractError, match=r"^member2: Lipschitz excess"):
-            ReflectedFamily.bind(tree, fam, xis, obstacles)
+            ReflectedInstance(tree=tree, xi=np.concatenate(xis), gen=fam,
+                              obstacle=AdaptedProcess(tree.forest(4), [
+                                  np.concatenate(s) for s in zip(*(o.values for o in obstacles))]))
         honest = Generator(fn=lambda k, y, z: scale[:2] * y / 10, l_y=0.5, l_z=0.0,
                            name="honest", members=members[:2])
         excess = check_lipschitz(honest, tree)
@@ -204,6 +208,57 @@ class TestFamilySolve:
                         l_y=0.5, l_z=0.0, name="family", members=members)
         with pytest.raises(GeneratorContractError, match=r"^m1: step \d+: non-finite driver value"):
             check_lipschitz(fam, tree)
+
+
+def _instance_arrays(inst):
+    return [inst.xi, *inst.obstacle.values, *inst.g0.values]
+
+
+class TestFamilyIsOneInstance:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_reveal", [False, True], ids=["plain", "reveal"])
+    def test_members_are_solo_instances(self, d, with_reveal):
+        tree = standard_tree(n_steps=FAMILY_STEPS[d], d=d, with_reveal=with_reveal)
+        for size in (1, 2, 10):
+            seeds = range(7, 7 + size)
+            fam = reflected_family(tree, seeds, margin=0.3)
+            assert fam.forest is fam.obstacle.tree is fam.g0.tree is tree.forest(size)
+            assert fam.xi.shape == (fam.forest.n_nodes(tree.n_steps),)
+            assert len(fam.members) == size
+            for seed, inst, gen in zip(seeds, fam.members, fam.gen.members, strict=True):
+                solo = random_reflected(tree, seed, margin=0.3)
+                assert inst.tree is tree and inst.gen is gen
+                got, want = _instance_arrays(inst), _instance_arrays(solo)
+                assert all(a.shape == b.shape and np.array_equal(a, b)
+                           for a, b in zip(got, want, strict=True))
+                assert inst.excess == solo.excess
+
+    def test_members_are_row_views_built_once_unprobed(self, monkeypatch):
+        tree = standard_tree(n_steps=4)
+        fam = reflected_family(tree, range(3))
+        monkeypatch.setattr(bsde, "check_lipschitz", lambda *a: pytest.fail("probed again"))
+        assert fam.members is fam.members
+        for i, inst in enumerate(fam.members):
+            assert np.shares_memory(inst.xi, fam.xi) and inst.excess == fam.excess[i]
+            assert all(np.shares_memory(a, b) for a, b in zip(inst.obstacle.values,
+                                                              fam.obstacle.values))
+
+    def test_g0_one_driver_call_per_step(self):
+        tree = standard_tree(n_steps=5, d=2)
+        fam = reflected_family(tree, range(10))
+        calls = []
+        fn = fam.gen.fn
+        fam.gen.fn = lambda k, y, z: calls.append((k, y.shape)) or fn(k, y, z)
+        assert fam.g0.tree is fam.forest
+        assert calls == [(k, (10, tree.n_nodes(k))) for k in range(tree.n_steps)]
+
+    def test_solves_build_no_member(self, monkeypatch):
+        tree = standard_tree(n_steps=5)
+        fam = reflected_family(tree, range(4), margin=0.5)
+        monkeypatch.setattr(ReflectedInstance, "__post_init__",
+                            lambda self: pytest.fail("an instance was built"))
+        assert solve_reflected(fam).tree is solve_bsde(fam.plain()).tree is fam.forest
+        assert "members" not in vars(fam)
 
 
 class TestFamilyWork:
@@ -244,7 +299,7 @@ class TestFamilyWork:
         calls = []
         fn = fam.gen.fn
         fam.gen.fn = lambda k, y, z: calls.append(k) or fn(k, y, z)
-        solve_family(fam)
+        solve_reflected(fam)
         solo_calls = []
         for seed in seeds:
             inst = random_reflected(tree, seed, margin=0.5)

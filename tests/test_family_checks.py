@@ -61,8 +61,7 @@ from treebsde.norms import (
 )
 from treebsde.processes import LadlagProcess, PredictableProcess
 from treebsde.reflected import (
-    solve_free_family,
-    solve_family,
+    solve_reflected,
     verify_snell_family,
     verify_snell_representation,
 )
@@ -89,7 +88,7 @@ def _same_reports(got, want):
 def _family(d, reveal, margin, size):
     tree = standard_tree(n_steps=STEPS[d], d=d, with_reveal=reveal)
     fam = reflected_family(tree, range(3, 3 + size), margin=margin)
-    return tree, fam, solve_family(fam)
+    return tree, fam, solve_reflected(fam)
 
 
 # -- references: the member-by-member checks as they stood -----------------------------
@@ -306,7 +305,7 @@ class TestFamilyChecksMatchMemberChecks:
     def test_solution_compensator_obstacle(self, d, reveal, margin):
         for size in SIZES:
             tree, fam, sol = _family(d, reveal, margin, size)
-            members, free = sol.members(tree), solve_free_family(fam)
+            members, free = sol.members(tree), solve_bsde(fam.plain())
             free_members = free.members(tree)
             fps = [f"m{i}" for i in range(size)]
             for p in PS:
@@ -373,19 +372,24 @@ def test_supermartingale_family_members_are_solo_draws(d, reveal):
 
 
 def test_family_of_one_copies_nothing():
+    """A family of one seed lives on the tree itself and still hands out its member
+    driver, whose instance views the family's arrays."""
     tree = standard_tree(n_steps=4)
     fam = reflected_family(tree, [3])
-    inst, sol = fam.members[0], solve_family(fam)
+    (inst,), sol = fam.members, solve_reflected(fam)
     assert fam.forest is tree and sol.tree is tree and sol.members(tree) == [sol]
-    assert fam.xi is inst.xi
-    assert all(a is b for a, b in zip(fam.g0.values, inst.g0.values))
-    assert all(a is b for a, b in zip(fam.obstacle.values, inst.obstacle.values))
+    assert fam.obstacle.tree is fam.g0.tree is tree
+    assert inst is not fam and inst.gen is fam.gen.members[0] and inst.excess == fam.excess[0]
+    assert np.shares_memory(fam.xi, inst.xi) and np.array_equal(fam.xi, inst.xi)
+    assert all(np.shares_memory(a, b) and np.array_equal(a, b)
+               for a, b in zip(fam.obstacle.values, inst.obstacle.values))
+    assert all(map(np.array_equal, fam.g0.values, inst.g0.values))
 
 
 def test_member_views_share_the_forest_push():
     tree = standard_tree(n_steps=4, d=2)
     fam = reflected_family(tree, range(4), margin=0.5)
-    sol = solve_family(fam)
+    sol = solve_reflected(fam)
     for i, member in enumerate(sol.members(tree)):
         assert member.tree is tree
         for name in ("y", "m", "k", "mk"):
@@ -469,15 +473,47 @@ class TestRoundOffAtLargeValues:
         assert abs(sol.y.values[0][0]) > 1e3
         assert sol.dynamics_residual(big.gen) <= 1e-11
 
-    def test_large_affine_level_solves(self, tmp_path):
-        """g0 = 1e8: the probes' excess of one ulp and the inner fixed point's last ulp
-        are round-off; the residual, one ulp of Y, passes a tolerance at that scale."""
+    def _large_level(self, tmp_path, command, *flags):
+        """Exit code and report of `command` at seed 1 on the default tree with g0 = 1e8."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tree": cli.DEFAULT_TREE,
                                    "generator": {"kind": "affine", "lam": 0.5, "g0": 1e8}}))
         out = tmp_path / "out"
-        assert cli.main(["--config", str(cfg), "--out", str(out), "--tol", "1e-7", "solve"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["failures"] == []
+        code = cli.main(["--config", str(cfg), "--out", str(out), "--seed", "1", *flags, command])
+        (report,) = json.loads((out / "reports.json").read_text())["reports"]
+        return code, report, json.loads((out / "manifest.json").read_text())["failures"]
+
+    @pytest.mark.parametrize("command", ["solve", "reflect"])
+    @pytest.mark.parametrize("flags", [(), ("--tol", "1e-7")], ids=["default-tol", "tol-1e-7"])
+    def test_large_affine_level_solves(self, tmp_path, command, flags):
+        """g0 = 1e8: the probes' excess of one ulp and the inner fixed point's last ulp
+        are round-off; the residual, one ulp of Y, passes a tolerance at that scale.  At
+        the default --tol the residual (about 7e-9 and 3e-9) exceeds it, and the report
+        compares it with ROUND_OFF_ULPS ulps of the largest |Y| or |dK| instead (Y of
+        about 1e8 in the plain solve; reflected, Y sits on the obstacle and the push is
+        about 1.7e7)."""
+        code, report, failures = self._large_level(tmp_path, command, *flags)
+        assert code == 0 and failures == []
+        if flags:
+            assert report["rhs"] == 1e-7
+        else:
+            assert 1e-10 < report["lhs"] <= report["rhs"] <= bsde.ROUND_OFF_ULPS * np.spacing(1e9)
+
+    @pytest.mark.parametrize("command,solver", [("solve", "solve_bsde"),
+                                                ("reflect", "solve_reflected")])
+    def test_residual_beyond_round_off_still_fails(self, tmp_path, monkeypatch, command, solver):
+        """Y_0 moved by 1 at that scale, tens of millions of ulps: the report fails."""
+        real = getattr(cli, solver)
+
+        def spoiled(inst, *args, **kwargs):
+            sol = real(inst, *args, **kwargs)
+            sol.y.values[0] = sol.y.values[0] + 1.0
+            return sol
+
+        monkeypatch.setattr(cli, solver, spoiled)
+        code, report, failures = self._large_level(tmp_path, command)
+        assert code == 1 and failures and not report["passed"]
+        assert report["lhs"] > 0.5 > 1e6 * report["rhs"]
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_understated_constant_at_that_scale_raises(self, members):
@@ -494,7 +530,8 @@ class TestRoundOffAtLargeValues:
         with pytest.raises(GeneratorContractError, match=r"^understated: Lipschitz excess"):
             check_lipschitz(lying, tree)
         with pytest.raises(GeneratorContractError):
-            BsdeInstance(tree=tree, xi=np.zeros(tree.n_nodes(tree.n_steps)), gen=lying)
+            BsdeInstance(tree=tree, xi=np.zeros(tree.forest(members).n_nodes(tree.n_steps)),
+                         gen=lying)
 
     def test_return_value_unchanged(self):
         tree = standard_tree(n_steps=5)

@@ -112,12 +112,18 @@ def _is_backward(loop):
 
 def test_one_backward_sweep_and_inner_fixed_point():
     """Lone and family solves share bsde._backward_sweep, the only backward induction
-    that evaluates a driver, and bsde._implicit_step, the only inner fixed point."""
-    sweeps, fixed_points = set(), set()
+    that evaluates a driver, and bsde._implicit_step, the only inner fixed point.  The
+    sweep's callers are the three solvers, each taking a lone or a family instance, so
+    no solve path of its own comes back for families."""
+    sweeps, fixed_points, callers = set(), set(), set()
     for path in MODULES:
         for fn in ast.walk(_parse(path)):
             if not isinstance(fn, ast.FunctionDef):
                 continue
+            if any(isinstance(n, ast.Call) and (getattr(n.func, "id", None)
+                                                or getattr(n.func, "attr", None)) == "_backward_sweep"
+                   for n in ast.walk(fn)):
+                callers.add((path.name, fn.name))
             if any(_is_backward(loop) and any(map(_calls_driver, ast.walk(loop)))
                    for loop in ast.walk(fn)):
                 sweeps.add((path.name, fn.name))
@@ -126,6 +132,8 @@ def test_one_backward_sweep_and_inner_fixed_point():
                 fixed_points.add((path.name, fn.name))
     assert sweeps == {("bsde.py", "_backward_sweep")}
     assert fixed_points == {("bsde.py", "_implicit_step")}
+    assert callers == {("bsde.py", "solve_bsde"), ("reflected.py", "solve_reflected"),
+                       ("reflected.py", "picard_solve")}
 
 
 def _reads_input(path):

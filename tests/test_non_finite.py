@@ -15,10 +15,10 @@ from treebsde.estimates import (check_bracket_equivalences, check_cross_term,
                                 check_ito_p_inequality, check_solution_norm_bound)
 from treebsde.families import (random_generator, random_martingale, random_obstacle,
                                random_reflected, random_strong_supermartingale,
-                               random_terminal, standard_tree)
+                               random_terminal, reflected_family, standard_tree)
 from treebsde.martingales import (doob_decompose, exhaust_jumps, girsanov_change,
                                   mertens_decompose, represent_martingale)
-from treebsde.processes import LadlagProcess, PredictableProcess
+from treebsde.processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from treebsde.reflected import (ReflectedInstance, check_skorokhod, solve_reflected,
                                 verify_snell_representation)
 from treebsde.tree import Reveal, TimeGrid, build_tree, validate_tree
@@ -72,6 +72,18 @@ class TestBoundary:
         with pytest.raises(ValueError, match=r"obstacle is not finite at step 2, node 5 \(nan\)"):
             ReflectedInstance(tree=tree, xi=random_terminal(tree, 1),
                               gen=random_generator(tree, 1), obstacle=obstacle)
+
+    @pytest.mark.parametrize("slot", ["obstacle", "xi"])
+    def test_family_instance_names_the_member(self, tree, slot):
+        """A NaN in member 2 of a family of four: the error names the member and its node."""
+        fam = reflected_family(tree, range(4))
+        xi, obstacle = fam.xi.copy(), [v.copy() for v in fam.obstacle.values]
+        k, node, what = (2, 5, "obstacle") if slot == "obstacle" else (4, 7, "terminal condition")
+        (obstacle[k] if slot == "obstacle" else xi)[2 * tree.n_nodes(k) + node] = NAN
+        with pytest.raises(ValueError, match=rf"^{what} is not finite at step {k}, member 2, "
+                                             rf"node {node} \(nan\)$"):
+            ReflectedInstance(tree=tree, xi=xi, gen=fam.gen, excess=fam.excess,
+                              obstacle=AdaptedProcess(fam.forest, obstacle))
 
     def test_reflected_instance_rejects_non_finite_terminal_value(self, tree):
         xi = random_terminal(tree, 1)

@@ -23,12 +23,10 @@ from treebsde.reflected import (
     PICARD_TOL,
     SNELL_TOL,
     PicardTrace,
-    ReflectedFamily,
     _frozen_generator,
     picard_alpha,
     picard_solve,
     snell_dynamic_program,
-    solve_family,
     solve_reflected,
     verify_snell_family,
     verify_snell_representation,
@@ -44,7 +42,7 @@ CASE_IDS = [f"d{d}-{'reveal' if r else 'plain'}-m{m}" for d, r, m in CASES]
 def _family(d, reveal, margin, size=5):
     tree = standard_tree(n_steps=STEPS[d], d=d, with_reveal=reveal)
     fam = reflected_family(tree, range(3, 3 + size), margin=margin)
-    return fam, solve_family(fam).members(tree)
+    return fam, solve_reflected(fam).members(tree)
 
 
 def _same_reports(got, want):
@@ -226,7 +224,7 @@ class TestSnellFamily:
         for size in sorted({1, 2, 5, d, tree.n_nodes(1)}):
             fam, sols = _family(d, reveal, margin, size)
             fps = [f"m{i}" for i in range(size)]
-            got = verify_snell_family(fam, solve_family(fam), fps)
+            got = verify_snell_family(fam, solve_reflected(fam), fps)
             want = [r for inst, sol, fp in zip(fam.members, sols, fps)
                     for r in _member_snell(inst, sol, fp)]
             _same_reports(got, want)
@@ -253,11 +251,11 @@ class TestSnellFamily:
         """Performance guard: the frozen costs and the linearization of the whole
         family come from one driver call per step."""
         fam, sols = _family(2, True, 0.5, size=5)
-        tree, calls = fam.members[0].tree, []
+        tree, calls = fam.tree, []
         fn = fam.gen.fn
         recorded = dataclasses.replace(fam, gen=dataclasses.replace(
             fam.gen, fn=lambda k, y, z: calls.append((k, y.shape)) or fn(k, y, z)))
-        verify_snell_family(recorded, solve_family(fam), ["fp"] * 5)
+        verify_snell_family(recorded, solve_reflected(fam), ["fp"] * 5)
         assert calls == [(k, (tree.d + 2, 5, tree.n_nodes(k))) for k in range(tree.n_steps)]
 
     def test_non_positive_discount_names_the_member(self):
@@ -267,11 +265,12 @@ class TestSnellFamily:
         slope = np.array([[0.0], [-8.0], [0.0]])
         members = tuple(Generator(fn=lambda k, y, z, s=s: s * y, l_y=8.0, l_z=0.0,
                                   name=f"steep[{i}]") for i, s in enumerate(slope[:, 0]))
-        steep = Generator(fn=lambda k, y, z: slope * y, l_y=8.0, l_z=0.0, name="steep",
+        steep = Generator(fn=lambda k, y, z: slope * y, l_y=0.5, l_z=0.0, name="steep",
                           members=members)
+        steep_fam = dataclasses.replace(fam, gen=steep, excess=np.zeros(3))
+        steep.l_y = 8.0  # declared after binding, as for the lone driver below
         with pytest.raises(MeasureChangeError, match=r"^steep\[1\]: discount factor "):
-            verify_snell_family(ReflectedFamily(gen=steep, members=fam.members),
-                                solve_family(fam), ["fp"] * 3)
+            verify_snell_family(steep_fam, solve_reflected(fam), ["fp"] * 3)
         lone_gen = Generator(fn=members[1].fn, l_y=0.5, l_z=0.0, name="steep[1]")
         lone = dataclasses.replace(fam.members[1], gen=lone_gen, excess=0.0)
         lone_gen.l_y = 8.0  # declared after binding: the breach this check catches
