@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from .martingales import girsanov_change
-from .processes import AdaptedProcess, PredictableProcess
+from .processes import AdaptedProcess, PredictableProcess, split_process
 from .tree import ScenarioTree, sup_abs
 
 IMPLICIT_TOL = 1e-13
@@ -65,9 +65,9 @@ class Generator:
         """g(k, 0, 0) on the driver steps k = 0..n-1, the only ones the norms read, on
         tree.forest(len(self.family)): one driver call per step for a whole family."""
         forest = tree.forest(len(self.family))
-        return PredictableProcess(forest, [
-            _drive(self, k, np.zeros(forest.n_nodes(k)), np.zeros((forest.n_nodes(k), tree.d)))
-            for k in range(tree.n_steps)])
+        return PredictableProcess(forest, [_drive(self, forest, k, np.zeros(forest.n_nodes(k)),
+                                                  np.zeros((forest.n_nodes(k), tree.d)))
+                                           for k in range(tree.n_steps)])
 
     def along(self, y: AdaptedProcess, z: PredictableProcess) -> PredictableProcess:
         """g(k, Y_k, Z_k) on the driver steps k = 0..n-1: the driver along a solution."""
@@ -274,15 +274,11 @@ class SolutionQuadruple:
         itself, [self]."""
         if self.tree is tree:
             return [self]
-        copies, procs = self.tree.n_nodes(0), (self.y, self.z, self.m, self.dk, self.k, self.mk)
-        rows = zip(*(zip(*(a.reshape((copies, -1) + a.shape[1:]) for a in proc.values))
-                     for proc in procs))
         out = []
-        for y, z, m, dk, k, mk in rows:
-            sol = SolutionQuadruple(tree, AdaptedProcess(tree, y), PredictableProcess(tree, z),
-                                    AdaptedProcess(tree, m), PredictableProcess(tree, dk),
-                                    self.scheme)
-            vars(sol).update(k=AdaptedProcess(tree, k), mk=AdaptedProcess(tree, mk))
+        for y, z, m, dk, k, mk in zip(*(split_process(p, tree) for p in (
+                self.y, self.z, self.m, self.dk, self.k, self.mk))):
+            sol = SolutionQuadruple(tree, y, z, m, dk, self.scheme)
+            vars(sol).update(k=k, mk=mk)
             out.append(sol)
         return out
 
@@ -310,12 +306,11 @@ def _project(tree: ScenarioTree, y_next: np.ndarray, k: int):
     return tree.cond_exp(y_next, k + 1), tree.cond_exp_dw(y_next, k) / tree.dt
 
 
-def _drive(gen: Generator, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The driver on the node arrays of the stacked copies of a tree, one per member
-    of gen.family (see ScenarioTree.forest): block i of the node axis is member i,
-    which the driver sees on a leading member axis."""
-    b = len(gen.family)
-    return gen(k, y.reshape(b, -1), z.reshape(b, -1, z.shape[-1])).reshape(y.shape)
+def _drive(gen: Generator, forest: ScenarioTree, k: int, y: np.ndarray, z: np.ndarray):
+    """The driver on the node arrays of `forest`, one copy per member of gen.family
+    (see ScenarioTree.forest): block i of the node axis is member i, which the driver
+    sees on a leading member axis."""
+    return forest.join(gen(k, forest.split(y), forest.split(z)))
 
 
 def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
@@ -407,12 +402,12 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
         ey = ey_vals[k]
         s_k = None if obstacle is None else obstacle[k]
         if scheme == "explicit":
-            y_tilde = ey - _drive(gen, k, ey, z_vals[k]) * dt
+            y_tilde = ey - _drive(gen, forest, k, ey, z_vals[k]) * dt
             y_vals[k] = y_tilde if s_k is None else np.maximum(s_k, y_tilde)
         else:
             y_vals[k] = _implicit_step(gen, k, ey, z_vals[k], dt, obstacle=s_k)
             if s_k is not None:
-                y_tilde = ey - _drive(gen, k, y_vals[k], z_vals[k]) * dt
+                y_tilde = ey - _drive(gen, forest, k, y_vals[k], z_vals[k]) * dt
         if s_k is not None:
             dk_vals[k] = y_vals[k] - y_tilde
     if lean:
@@ -426,7 +421,8 @@ def solve_bsde(instance: BsdeInstance, scheme: str = "implicit") -> SolutionQuad
 
 
 def solve_linear_bsde(instance: BsdeInstance) -> SolutionQuadruple:
-    """Closed-form route for affine drivers via discount + change of measure.
+    """Closed-form route for a lone instance with an affine driver, via discount + change
+    of measure.
 
     Uses the exact discrete representation X_t Y_t = E^Q_t[X_T xi - sum X g0 dt]
     with discrete discount X_{k+1} = X_k / (1 + lam dt) and the Doleans-Dade

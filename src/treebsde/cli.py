@@ -433,9 +433,8 @@ def _single_report(args, cfg: dict, raw, kind: str, check) -> int:
 
 
 def _scaled_tol(tol: float, sol) -> float:
-    """`tol`, or ROUND_OFF_ULPS ulps of the largest |Y| or |dK| where that is more: they
-    bound every term of the dynamics (a reflected Y may sit on the obstacle while the
-    driver term and the push that cancels it are large)."""
+    """`tol`, or ROUND_OFF_ULPS ulps of the largest |Y| or |dK| where that is more: a
+    reflected Y may sit on the obstacle while the driver term and the push are large."""
     return max(tol, ROUND_OFF_ULPS * float(np.spacing(sup_abs(sol.y.values + sol.dk.values))))
 
 

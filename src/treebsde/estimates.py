@@ -74,13 +74,11 @@ def _powers(values, p: float) -> list:
 
 
 def _require_nondecreasing(sol: SolutionQuadruple):
-    copies = sol.tree.n_nodes(0)
-    worst = functools.reduce(np.minimum, (v.reshape(copies, -1).min(axis=1)
-                                          for v in sol.dk.values))
+    worst = functools.reduce(np.minimum, (sol.tree.split(v).min(axis=1) for v in sol.dk.values))
     bad = ~(worst >= -PUSH_TOL)
     if bad.any():
         i = int(bad.argmax())
-        raise ClassificationError(f"{'' if copies == 1 else f'member {i}: '}push process is "
+        raise ClassificationError(f"{'' if len(worst) == 1 else f'member {i}: '}push process is "
                                   f"not non-decreasing (min increment {worst[i]:.3e})")
 
 
@@ -472,8 +470,7 @@ def check_ito_p_family(x: LadlagProcess, p: float, alpha: float, fingerprints: l
     worst = np.max([wp[j] * np.abs(val[j]) ** p - rhs[j] for j in range(n + 1)], axis=0)
     return [EstimateReport.exact("pathwise_power_expansion", w, 0.0, ITO_P_TOL, fp,
                                  {"p": p, "alpha": alpha, "worst_defect": w})
-            for w, fp in zip(worst.reshape(len(fingerprints), -1).max(axis=1).tolist(),
-                             fingerprints, strict=True)]
+            for w, fp in zip(tree.split(worst).max(axis=1).tolist(), fingerprints, strict=True)]
 
 
 def check_bracket_equivalences(sol: SolutionQuadruple, ps, alpha: float,

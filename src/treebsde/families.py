@@ -78,7 +78,7 @@ def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
 
 
 def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
-    """random_terminal of each seed, one row per seed."""
+    """random_terminal of each seed on tree.forest(len(seeds)), block i seeds[i]'s."""
     n = tree.n_steps
     w = tree.w[n]
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
@@ -89,26 +89,27 @@ def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
         bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
         vals = np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0)
         xi = xi + 0.5 * tree.to_leaves(vals.T, k).T
-    return xi
+    return ScenarioTree.join(xi)
 
 
 def random_terminal(tree: ScenarioTree, seed: int) -> np.ndarray:
     """Bounded terminal value depending on the walk and every reveal label."""
-    return _terminals(tree, [seed])[0]
+    return _terminals(tree, [seed])
 
 
-def _obstacles(tree: ScenarioTree, seeds, margin: float) -> list:
-    """random_obstacle of each seed as its per-step values, one row per seed."""
+def _obstacles(tree: ScenarioTree, seeds: list, margin: float) -> AdaptedProcess:
+    """random_obstacle of each seed on tree.forest(len(seeds)), copy i seeds[i]'s."""
     amp, freq, off = np.array([np.random.default_rng(seed + 2).normal(size=3)
                                for seed in seeds]).T[:, :, None]
     shift = 0.3 * off
-    return [amp * np.sin(freq * t + w.sum(axis=1)) + shift - margin
-            for t, w in zip(tree.grid.times, tree.w)]
+    return AdaptedProcess(tree.forest(len(seeds)), [
+        ScenarioTree.join(amp * np.sin(freq * t + w.sum(axis=1)) + shift - margin)
+        for t, w in zip(tree.grid.times, tree.w)])
 
 
 def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> AdaptedProcess:
     """Adapted lower obstacle built from the walk, shifted down by `margin`."""
-    return AdaptedProcess(tree, [s[0] for s in _obstacles(tree, [seed], margin)])
+    return _obstacles(tree, [seed], margin)
 
 
 def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
@@ -129,10 +130,9 @@ def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0
     driver probed once: block i is seeds[i]'s, and members[i] equals
     random_reflected(tree, seeds[i], ...)."""
     seeds = list(seeds)
-    return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds).reshape(-1),
+    return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds),
                              gen=generator_family(tree, seeds, l_y=l_y, l_z=l_z),
-                             obstacle=AdaptedProcess(tree.forest(len(seeds)), [
-                                 s.reshape(-1) for s in _obstacles(tree, seeds, margin)]))
+                             obstacle=_obstacles(tree, seeds, margin))
 
 
 def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:
@@ -152,16 +152,12 @@ def strong_supermartingale_family(tree: ScenarioTree, seeds) -> LadlagProcess:
     seeds = list(seeds)
     forest, n = tree.forest(len(seeds)), tree.n_steps
     rngs = [np.random.default_rng(seed + 3) for seed in seeds]
-    m = AdaptedProcess.from_terminal(forest, _terminals(tree, seeds).reshape(-1))
+    m = AdaptedProcess.from_terminal(forest, _terminals(tree, seeds))
     a_vals = forest.path_scan([np.concatenate([rng.uniform(0.0, 0.4, size=tree.n_nodes(k))
                                                for rng in rngs]) for k in range(n)], process=True)
-
-    def drop(rng, k):
-        d = rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
-        d *= (rng.uniform(size=tree.n_nodes(k)) < DROP_RATE)
-        return d
-
-    drops = [np.concatenate([drop(rng, k) for rng in rngs]) for k in range(n + 1)]
+    drops = [np.concatenate([rng.uniform(0.0, 0.5, size=tree.n_nodes(k))
+                             * (rng.uniform(size=tree.n_nodes(k)) < DROP_RATE) for rng in rngs])
+             for k in range(n + 1)]
     drops[n] = np.zeros(forest.n_nodes(n))  # nothing is announced after the horizon
     d_cum = forest.path_scan(drops[:n], process=True)
     value = [m.values[k] - a_vals[k] - d_cum[k] for k in range(n + 1)]

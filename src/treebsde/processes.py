@@ -119,6 +119,12 @@ class PredictableProcess:
         return AdaptedProcess(self.tree, self.tree.path_scan(self.values, process=True))
 
 
+def split_process(x, tree: ScenarioTree) -> list:
+    """The process of each copy of `tree` in x's forest, in copy order: x's type on
+    `tree`, with row views of x's arrays (ScenarioTree.split)."""
+    return [type(x)(tree, list(rows)) for rows in zip(*map(x.tree.split, x.values))]
+
+
 def stochastic_integral(tree: ScenarioTree, z: PredictableProcess) -> AdaptedProcess:
     """(Z * W)_k = sum_{j<k} Z_j . dW_{j+1}, an exact martingale on the tree."""
     incs = (tree.dot_dw(v, k) for k, v in enumerate(z.values))

@@ -22,7 +22,7 @@ from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, r
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import norm_h, norm_sp
-from .processes import AdaptedProcess, PredictableProcess
+from .processes import AdaptedProcess, PredictableProcess, split_process
 from .reports import EstimateReport
 from .tree import ScenarioTree, sup_abs, sup_abs_copies
 
@@ -65,15 +65,18 @@ class ReflectedInstance(BsdeInstance):
     def members(self) -> tuple:
         """The instance of each member of gen.members, built on first use: member i has
         the driver gen.members[i], the excess[i] (no probe again) and row views of block
-        i of xi and the obstacle.  An instance whose driver has no members is its own."""
+        i of xi, the obstacle and g0 (no driver call again).  An instance whose driver
+        has no members is its own; a family of one seed hands out its member driver."""
         if not self.gen.members:
             return (self,)
-        tree, b = self.tree, len(self.gen.members)
-        obstacles = zip(*(v.reshape(b, -1) for v in self.obstacle.values))
-        return tuple(ReflectedInstance(tree=tree, xi=xi, gen=g, excess=float(e),
-                                       obstacle=AdaptedProcess(tree, list(s)))
-                     for xi, g, s, e in zip(self.xi.reshape(b, -1), self.gen.members,
-                                            obstacles, self.excess, strict=True))
+        tree, out = self.tree, []
+        for xi, g, e, s, g0 in zip(self.forest.split(self.xi), self.gen.members, self.excess,
+                                   split_process(self.obstacle, tree),
+                                   split_process(self.g0, tree), strict=True):
+            inst = ReflectedInstance(tree=tree, xi=xi, gen=g, excess=float(e), obstacle=s)
+            vars(inst).update(g0=g0)
+            out.append(inst)
+        return tuple(out)
 
 
 def solve_reflected(instance: ReflectedInstance, scheme: str = "implicit") -> SolutionQuadruple:
@@ -177,13 +180,6 @@ def _linearization(gen: Generator, k: int, y: np.ndarray, z: np.ndarray,
     return g[0], np.clip(lam, -gen.l_y, gen.l_y), np.clip(eta, -gen.l_z, gen.l_z), g[1]
 
 
-def _extract_linearization(instance: ReflectedInstance, sol: SolutionQuadruple) -> tuple:
-    """The (lam, eta, g0) of _linearization along one instance's solution, one list each."""
-    steps = (_linearization(instance.gen, k, sol.y.values[k], sol.z.values[k])[1:]
-             for k in range(instance.tree.n_steps))
-    return tuple(map(list, zip(*steps)))
-
-
 def verify_snell_representation(instance: ReflectedInstance, sol: SolutionQuadruple,
                                 fingerprint: str = "") -> list:
     """Two optimal-stopping representations of the reflected solution, each to SNELL_TOL.
@@ -209,18 +205,17 @@ def verify_snell_family(instance: ReflectedInstance, sol: SolutionQuadruple,
     the member's solo check.
     """
     gen, forest, xi, obstacle = instance.gen, sol.tree, instance.xi, instance.obstacle
-    b = len(gen.family)
     n, dt = forest.n_steps, forest.dt
     y, z = sol.y.values, sol.z.values
     costs, lam_vals, eta_vals, g0_vals = map(list, zip(*(
-        _linearization(gen, k, y[k], z[k], member_axis=(b,)) for k in range(n))))
+        _linearization(gen, k, y[k], z[k], member_axis=(len(gen.family),)) for k in range(n))))
 
     v = snell_dynamic_program(forest, xi, obstacle, costs)
     defect_a = sup_abs_copies(forest, (v.values[k] - y[k] for k in range(n + 1)))
 
     factors = [1.0 + lam * dt for lam in lam_vals]
     positive = functools.reduce(np.logical_and,
-                                (f.reshape(b, -1).min(axis=1) > 0.0 for f in factors))
+                                (forest.split(f).min(axis=1) > 0.0 for f in factors))
     if not positive.all():
         raise MeasureChangeError(f"{gen.family[int(positive.argmin())].name}: discount factor "
                                  "1 + lam dt is not positive; refine the grid")
@@ -282,7 +277,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     so drivers that ignore (y, z) converge in one sweep.  Both are known before
     the last sweep runs: the sweeps before it are lean (Y and Z alone, which the
     trace and the next frozen driver read), and only the last builds M and the
-    solution.  Returns (solution, PicardTrace).
+    solution.  Takes a lone instance; returns (solution, PicardTrace).
     """
     tree, gen = instance.tree, instance.gen
     trace = PicardTrace(alpha_star=picard_alpha(gen))
@@ -321,7 +316,7 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
 
 
 def truncate_instance(instance: ReflectedInstance, level: float) -> ReflectedInstance:
-    """Clip terminal value, obstacle and driver output to [-level, level]."""
+    """Clip terminal value, obstacle and driver output of a lone instance to [-level, level]."""
     if not level > 0.0:
         raise ValueError(f"truncation level must be positive, got {level}")
     tree, gen = instance.tree, instance.gen

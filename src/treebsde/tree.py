@@ -151,6 +151,15 @@ class ScenarioTree:
                 reveal_label=[np.tile(lab, copies) for lab in self.reveal_label])
         return forests[copies]
 
+    def split(self, x: np.ndarray) -> np.ndarray:
+        """Row i is copy i's block of the step array `x` of this forest, as a view."""
+        return x.reshape((self.n_nodes(0), -1) + x.shape[1:])
+
+    @staticmethod
+    def join(blocks: np.ndarray) -> np.ndarray:
+        """The forest step array whose block i is blocks[i]: the inverse of `split`."""
+        return blocks.reshape((-1,) + blocks.shape[2:])
+
     def locate(self, step: int, node: int) -> str:
         """'node i' of a lone tree; on a forest, the copy (member) and its node i."""
         member, i = divmod(node, self.n_nodes(step) // self.n_nodes(0))
@@ -204,7 +213,7 @@ class ScenarioTree:
         np.dot of the block with the copy's path probabilities, so a lone tree gets
         [expectation(x, step)] bit for bit."""
         self._check_step(step)
-        blocks = np.asarray(x, dtype=float).reshape(self.n_nodes(0), -1)
+        blocks = self.split(np.asarray(x, dtype=float))
         prob = self.path_prob[step][:blocks.shape[1]]
         return [float(np.dot(prob, block)) for block in blocks]
 

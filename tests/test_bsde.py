@@ -34,8 +34,8 @@ from treebsde.families import (
 from treebsde.processes import stochastic_integral
 from treebsde.reflected import (
     ReflectedInstance,
-    _extract_linearization,
     _frozen_generator,
+    _linearization,
     solve_reflected,
     truncate_instance,
 )
@@ -315,6 +315,13 @@ class TestDriverContract:
             assert out.shape == y.shape
             for i, j in np.ndindex(2, 3):
                 assert np.array_equal(out[i, j], gen(k, y[i, j], z[i, j]))
+
+
+def _extract_linearization(instance, sol):
+    """The (lam, eta, g0) of _linearization along one instance's solution, one list each."""
+    steps = (_linearization(instance.gen, k, sol.y.values[k], sol.z.values[k])[1:]
+             for k in range(instance.tree.n_steps))
+    return tuple(map(list, zip(*steps)))
 
 
 def _per_point_linearization(instance, sol):

@@ -237,11 +237,17 @@ class TestFamilyIsOneInstance:
         tree = standard_tree(n_steps=4)
         fam = reflected_family(tree, range(3))
         monkeypatch.setattr(bsde, "check_lipschitz", lambda *a: pytest.fail("probed again"))
+        calls = []
+        for gen in (fam.gen, *fam.gen.members):
+            monkeypatch.setattr(gen, "fn", lambda k, y, z, f=gen.fn: calls.append(k) or f(k, y, z))
         assert fam.members is fam.members
         for i, inst in enumerate(fam.members):
             assert np.shares_memory(inst.xi, fam.xi) and inst.excess == fam.excess[i]
-            assert all(np.shares_memory(a, b) for a, b in zip(inst.obstacle.values,
-                                                              fam.obstacle.values))
+            for slot in ("obstacle", "g0"):
+                assert all(np.shares_memory(a, b) for a, b in zip(
+                    getattr(inst, slot).values, getattr(fam, slot).values, strict=True))
+        # the family's g0, one driver call per step; no member builds its own
+        assert calls == list(range(tree.n_steps))
 
     def test_g0_one_driver_call_per_step(self):
         tree = standard_tree(n_steps=5, d=2)

@@ -383,7 +383,8 @@ def test_family_of_one_copies_nothing():
     assert np.shares_memory(fam.xi, inst.xi) and np.array_equal(fam.xi, inst.xi)
     assert all(np.shares_memory(a, b) and np.array_equal(a, b)
                for a, b in zip(fam.obstacle.values, inst.obstacle.values))
-    assert all(map(np.array_equal, fam.g0.values, inst.g0.values))
+    assert all(np.shares_memory(a, b) and np.array_equal(a, b)
+               for a, b in zip(fam.g0.values, inst.g0.values))
 
 
 def test_member_views_share_the_forest_push():

@@ -113,8 +113,9 @@ def _is_backward(loop):
 def test_one_backward_sweep_and_inner_fixed_point():
     """Lone and family solves share bsde._backward_sweep, the only backward induction
     that evaluates a driver, and bsde._implicit_step, the only inner fixed point.  The
-    sweep's callers are the three solvers, each taking a lone or a family instance, so
-    no solve path of its own comes back for families."""
+    sweep's callers are the three solvers: solve_bsde and solve_reflected take a lone or
+    a family instance, picard_solve a lone one, so no solve path of its own comes back
+    for families."""
     sweeps, fixed_points, callers = set(), set(), set()
     for path in MODULES:
         for fn in ast.walk(_parse(path)):
