@@ -28,15 +28,15 @@ from .estimates import (
     check_bracket_family,
     check_burkholder_family,
     check_compensator_norm_family,
-    check_cross_term,
+    check_cross_term_family,
     check_ito_p_family,
-    check_obstacle_stability_bound,
+    check_obstacle_stability_family,
     check_obstacle_sup_family,
-    check_reflected_stability_p2,
+    check_reflected_stability_p2_family,
     check_solution_norm_family,
-    check_stability_norm_bound,
+    check_stability_norm_family,
     compensator_weight_floor,
-    delta_driver,
+    pair_differences,
 )
 from .ladder import run_counterexample, step_count
 from .martingales import meyer_bound_family
@@ -46,10 +46,9 @@ from .norms import (
     meyer_c_prime,
     meyer_constant,
     meyer_constant_ladlag,
-    power_sum_bounds,
     young_bound,
 )
-from .reports import EstimateReport
+from .reports import EstimateReport, json_safe
 from .reflected import (
     DP_DEPTH_CAP,
     ReflectedInstance,
@@ -62,6 +61,7 @@ from .tree import (DEFAULT_NODE_CAP, Reveal, TimeGrid, build_tree, check_tree_sh
                    validate_tree)
 
 SCHEMA_VERSION = 1
+CONSTANT_SAMPLES = 200  # random samples of the power-sum and Young inequalities per verify
 
 
 # -- config schema: each field's kind, default and range ----------------------
@@ -203,20 +203,14 @@ def generator_from_config(cfg: dict, tree) -> Generator:
 
 # -- artifact helpers ---------------------------------------------------------
 
-def _finite(obj):
-    """Non-finite floats become None, so that the JSON artifacts stay strict."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
+def _dumps(obj) -> str:
+    """Canonical JSON of a document without non-finite floats (json_safe)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=float,
+                      allow_nan=False)
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"), default=float,
-                      allow_nan=False)
+    return _dumps(json_safe(obj))
 
 
 def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int, failures: list,
@@ -230,20 +224,18 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int, failures: 
 
 def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int, reports: list) -> list:
     os.makedirs(out_dir, exist_ok=True)
-    rows = [r.to_dict() for r in reports]
-    rows.sort(key=lambda r: (r["inequality_id"], r["fingerprint"]))
-    failures = [f'{r["inequality_id"]}[{r["fingerprint"]}]' for r in rows if not r["passed"]]
-    with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-        fh.write(_canonical_json({"reports": rows, "extra": {}}))
+    reports = sorted(reports, key=lambda r: (r.inequality_id, r.fingerprint))
+    failures = [f"{r.inequality_id}[{r.fingerprint}]" for r in reports if not r.passed]
+    with open(os.path.join(out_dir, "reports.json"), "w") as fh:  # rows are strict already
+        fh.write(_dumps({"reports": [r.to_dict() for r in reports], "extra": {}}))
     with open(os.path.join(out_dir, "reports.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["inequality_id", "fingerprint", "lhs", "rhs", "ratio",
                          "constant_used", "passed"])
-        for r in rows:
-            writer.writerow([r["inequality_id"], r["fingerprint"], repr(r["lhs"]),
-                             repr(r["rhs"]), repr(r["ratio"]),
-                             str(r["constant_used"]), int(r["passed"])])
-    _write_manifest(out_dir, command, cfg, seed, failures, n_reports=len(rows))
+        for r in reports:
+            writer.writerow([r.inequality_id, r.fingerprint, repr(r.lhs), repr(r.rhs),
+                             repr(r.ratio), str(r.constant_used), int(r.passed)])
+    _write_manifest(out_dir, command, cfg, seed, failures, n_reports=len(reports))
     return failures
 
 
@@ -251,8 +243,9 @@ def write_artifacts(out_dir: str, command: str, cfg: dict, seed: int, reports: l
 
 class SuiteInputs:
     """Family inputs shared by the verify suites; each is built, and each
-    reflected instance solved, once on first use.  The member suites read the
-    family's forest solutions and supermartingales, of which the members' are views."""
+    reflected instance solved, once on first use.  The suites read the family's forest
+    solutions and supermartingales, of which the members' are views, and the member
+    pairs' differences on the forest of pairs."""
 
     def __init__(self, cfg: dict, seed: int):
         self.tree, self.seed = tree_from_config(cfg), seed
@@ -276,25 +269,20 @@ class SuiteInputs:
         return solve_reflected(self.family)
 
     @cached_property
-    def solved(self) -> list:
-        """(seed, instance, implicit solution) per reflected family member."""
-        return list(zip(self.seeds, self.family.members, self.sol.members(self.tree)))
-
-    @cached_property
     def free(self):
         """The implicit solution of every member's plain() instance, in one sweep."""
         return solve_bsde(self.family.plain())
 
     @cached_property
-    def pairs(self) -> list:
-        """Consecutive members (0, 1), (2, 3), ... of `solved`."""
-        return list(zip(self.solved[::2], self.solved[1::2]))
+    def differences(self):
+        """The member pairs (0, 1), (2, 3), ... as PairDifferences, shared by the
+        stability, obstacle-pair and difference suites; None for a family of one."""
+        return pair_differences(self.family, self.sol) if len(self.seeds) > 1 else None
 
     @cached_property
-    def delta(self) -> dict:
-        """seed of a pair's first member -> the pair's delta_driver, shared by the
-        stability, obstacle-pair and difference suites."""
-        return {s1: delta_driver(i1, sol1, i2) for (s1, i1, sol1), (_, i2, _) in self.pairs}
+    def pair_fps(self) -> list:
+        """The fingerprint of each pair, by its first member's seed."""
+        return [self.fp("pair", s) for s in self.seeds[:-1:2]]
 
     @cached_property
     def supermartingales(self):
@@ -323,17 +311,26 @@ def suite_constants(inp) -> list:
             fingerprint=f"p={p}", details={"note": "alternative precedence, reported only"},
         ))
     rng = np.random.default_rng(seed)
-    worst_ps, worst_yg = 0.0, 0.0
-    for _ in range(200):
-        a = rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6)))
-        ell = float(rng.uniform(0.2, 4.0))
-        lo, mid, hi = power_sum_bounds(a, ell)
-        worst_ps = max(worst_ps, lo - mid, mid - hi)
+    draws, ells, worst_yg = [], [], 0.0
+    for _ in range(CONSTANT_SAMPLES):
+        draws.append(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6))))
+        ells.append(float(rng.uniform(0.2, 4.0)))
         lhs, rhs = young_bound(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
                                float(rng.uniform(0.1, 3)), float(rng.uniform(1.1, 4)))
         worst_yg = max(worst_yg, lhs - rhs)
+    # power_sum_bounds of every sample in one pass: each sample a zero-padded row, whose
+    # zeros add nothing to its sums; the powers of scalars stay Python float pow
+    sizes = np.array([a.size for a in draws])
+    padded = np.zeros((CONSTANT_SAMPLES, 5))
+    padded[np.arange(5) < sizes[:, None]] = np.concatenate(draws)
+    power_sums = (padded ** np.array(ells)[:, None]).sum(axis=1).tolist()
+    worst_ps = 0.0
+    for size, ell, s, total in zip(sizes.tolist(), ells, power_sums,
+                                   padded.sum(axis=1).tolist()):
+        mid, spread = total ** ell, size ** (ell - 1.0)
+        worst_ps = max(worst_ps, min(1.0, spread) * s - mid, mid - max(1.0, spread) * s)
     return reports + [EstimateReport.exact(name, worst, 0.0, 1e-9, f"seed={seed}",
-                                           {"n_samples": 200})
+                                           {"n_samples": CONSTANT_SAMPLES})
                       for name, worst in (("power_sum_sandwich", worst_ps),
                                           ("young_product_bound", worst_yg))]
 
@@ -353,11 +350,11 @@ def suite_apriori(inp) -> list:
             for r in check_solution_norm_family(inp.family, inp.sol, p, alpha, inp.fps("rbsde"))]
 
 
-def suite_stability(inp, first, second) -> list:
-    (s1, i1, sol1), (_, i2, sol2) = first, second
-    return [check_stability_norm_bound(i1, sol1, i2, sol2, p, alpha,
-                                       fingerprint=inp.fp("pair", s1), dg=inp.delta[s1])
-            for p, alpha in inp.norms]
+def suite_stability(inp) -> list:
+    if inp.differences is None:
+        return []
+    return [r for p, alpha in inp.norms
+            for r in check_stability_norm_family(inp.differences, p, alpha, inp.pair_fps)]
 
 
 def suite_compensator(inp) -> list:
@@ -373,18 +370,17 @@ def suite_obstacle(inp) -> list:
         inp.family, inp.sol, 2.0, 0.0, variant, inp.fps("rbsde"), inp.free)]
 
 
-def suite_obstacle_pair(inp, first, second) -> list:
-    (s1, i1, sol1), (_, i2, sol2) = first, second
-    return [check_obstacle_stability_bound(i1, sol1, i2, sol2, 2.0, 0.0,
-                                           fingerprint=inp.fp("pair", s1), dg=inp.delta[s1])]
+def suite_obstacle_pair(inp) -> list:
+    if inp.differences is None:
+        return []
+    return check_obstacle_stability_family(inp.differences, 2.0, 0.0, inp.pair_fps)
 
 
-def suite_difference(inp, first, second) -> list:
-    (s1, i1, sol1), (_, i2, sol2) = first, second
-    fp = inp.fp("pair", s1)
-    return [check_reflected_stability_p2(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp,
-                                         dg=inp.delta[s1]),
-            check_cross_term(i1, sol1, i2, sol2, alpha=0.5, fingerprint=fp)]
+def suite_difference(inp) -> list:
+    if inp.differences is None:
+        return []
+    return (check_reflected_stability_p2_family(inp.differences, 0.5, inp.pair_fps)
+            + check_cross_term_family(inp.differences, 0.5, inp.pair_fps))
 
 
 def suite_equivalence(inp) -> list:
@@ -393,19 +389,18 @@ def suite_equivalence(inp) -> list:
             + check_burkholder_family(inp.sol, 3.0, 0.3, fps))
 
 
-# suite -> rows of (shared input, check); a row maps each item of the shared
-# input (None: run once, over the whole family) to reports, and rows run in
-# order.  `verify --suite all` runs the suites in this order.
+# suite -> its checks, each run once over the whole family, in order; `verify --suite
+# all` runs the suites in this order
 SUITE_FN = {
-    "apriori": [(None, suite_apriori)],
-    "stability": [("pairs", suite_stability)],
-    "compensator": [(None, suite_compensator)],
-    "obstacle": [(None, suite_obstacle), ("pairs", suite_obstacle_pair)],
-    "difference": [("pairs", suite_difference)],
-    "meyer": [(None, suite_meyer)],
-    "ito-p": [(None, suite_itop)],
-    "equivalence": [(None, suite_equivalence)],
-    "constants": [(None, suite_constants)],
+    "apriori": (suite_apriori,),
+    "stability": (suite_stability,),
+    "compensator": (suite_compensator,),
+    "obstacle": (suite_obstacle, suite_obstacle_pair),
+    "difference": (suite_difference,),
+    "meyer": (suite_meyer,),
+    "ito-p": (suite_itop,),
+    "equivalence": (suite_equivalence,),
+    "constants": (suite_constants,),
 }
 SUITES = tuple(SUITE_FN)
 
@@ -477,9 +472,8 @@ def cmd_verify(args, cfg: dict, raw) -> int:
     inputs = SuiteInputs(cfg, args.seed)
     reports = []
     for name in names:
-        for source, check in SUITE_FN[name]:
-            items = [()] if source is None else getattr(inputs, source)
-            reports += [r for item in items for r in check(inputs, *item)]
+        for check in SUITE_FN[name]:
+            reports += check(inputs)
     failures = write_artifacts(args.out, f"verify:{','.join(names)}", raw,
                                args.seed, reports)
     if failures:

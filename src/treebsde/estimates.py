@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,21 +39,16 @@ from .norms import (
     leaf_i,
     leaf_m,
     meyer_constant,
-    norm_h,
     norm_h_family,
-    norm_i,
     norm_i_family,
-    norm_m,
     norm_m_composite_family,
     norm_m_family,
-    norm_sp,
     norm_sp_family,
     phi_p,
-    sup_power,
     sup_power_family,
     weighted_sum,
 )
-from .processes import LadlagProcess, PredictableProcess
+from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .reflected import ReflectedInstance
 from .reports import EstimateReport, explicit_pass
 from .tree import ScenarioTree, sup_abs_copies
@@ -62,10 +59,6 @@ COMPENSATOR_ETA = 0.5  # eta in (0, 1) of the N-ge2 weight floor
 STABILITY_EPS = 1.0    # driver-term weight of the p = 2 reflected stability bound
 ITO_P_TOL = 1e-10
 PUSH_TOL = 1e-12  # round-off allowed below zero in a push increment
-
-
-def lp_norm(tree: ScenarioTree, xi: np.ndarray, p: float) -> float:
-    return _leaf_norm(tree, np.abs(xi), p, p)[0]
 
 
 def _powers(values, p: float) -> list:
@@ -252,30 +245,101 @@ def delta_driver(inst1, sol1, inst2) -> PredictableProcess:
     return inst1.gen.along(sol1.y, sol1.z) - inst2.gen.along(sol1.y, sol1.z)
 
 
+@dataclass(frozen=True)
+class PairDifferences:
+    """Pairs of solutions on one tree as their differences, one copy of the tree per
+    pair: first minus second, with the bits of the lone pair's process subtraction.
+    The member pairs (2i, 2i + 1) of a family are pair_differences, on
+    tree.forest(B // 2); two lone solutions are lone_pair, the family of one pair."""
+
+    y: AdaptedProcess
+    z: PredictableProcess
+    mk: AdaptedProcess
+    dk: PredictableProcess
+    xi: np.ndarray
+    obstacle: Optional[AdaptedProcess]  # None unless both instances have one
+    l_y: float  # the larger L_y of each pair's two drivers
+    sols: tuple  # the paired solutions, whose pushes the stability check reads
+    delta: Callable = field(repr=False)  # builds dg
+
+    @property
+    def tree(self) -> ScenarioTree:
+        return self.y.tree
+
+    @functools.cached_property
+    def dg(self) -> PredictableProcess:
+        """Each pair's delta_driver, built on first use."""
+        return self.delta()
+
+
+def pair_differences(family: ReflectedInstance, sol: SolutionQuadruple) -> PairDifferences:
+    """The member pairs (2i, 2i + 1) of a family of B >= 2 members, `sol` its forest
+    solution, on tree.forest(B // 2); an odd last member is in no pair.  Each difference
+    is one array operation per step: split, reshape to (B // 2, 2, n_k), subtract.  The
+    delta drivers of all pairs take one family-driver call per step, on a forest whose
+    blocks 2i and 2i + 1 both hold member 2i's solution."""
+    forest, b = sol.tree, len(family.gen.family)
+    pairs = family.tree.forest(b // 2)
+
+    def diff(blocks):
+        two = blocks[:b - b % 2].reshape((-1, 2) + blocks.shape[1:])
+        return ScenarioTree.join(two[:, 0] - two[:, 1])
+
+    def diffs(x):
+        return type(x)(pairs, [diff(forest.split(v)) for v in x.values])
+
+    even = np.arange(b) & ~1
+
+    def delta():
+        return PredictableProcess(pairs, [
+            diff(family.gen(k, forest.split(y)[even], forest.split(z)[even]))
+            for k, (y, z) in enumerate(zip(sol.y.values, sol.z.values))])
+
+    return PairDifferences(diffs(sol.y), diffs(sol.z), diffs(sol.mk), diffs(sol.dk),
+                           diff(forest.split(family.xi)), diffs(family.obstacle),
+                           family.gen.l_y, (sol,), delta)
+
+
+def lone_pair(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
+              dg: PredictableProcess = None) -> PairDifferences:
+    """Two instances and their solutions on one tree as the family of one pair; `dg` is
+    their delta_driver, built on first use when not given."""
+    s1, s2 = getattr(inst1, "obstacle", None), getattr(inst2, "obstacle", None)
+    return PairDifferences(sol1.y - sol2.y, sol1.z - sol2.z, sol1.mk - sol2.mk,
+                           sol1.dk - sol2.dk, inst1.xi - inst2.xi,
+                           None if s1 is None or s2 is None else s1 - s2,
+                           max(inst1.gen.l_y, inst2.gen.l_y), (sol1, sol2),
+                           lambda: delta_driver(inst1, sol1, inst2) if dg is None else dg)
+
+
 def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
                         p: float, alpha: float, fingerprint: str = "",
                         dg: PredictableProcess = None) -> EstimateReport:
     """Stability bound for the difference of two solutions.  Empirical.  `dg` is the
-    pair's delta_driver, built here when not given."""
-    tree = sol1.tree
-    _require_nondecreasing(sol1)
-    _require_nondecreasing(sol2)
-    dz = sol1.z - sol2.z
-    dmk = sol1.mk - sol2.mk
-    lhs = norm_h(dz, p, alpha) ** p + norm_m(dmk, p, alpha) ** p
-    dy = sol1.y - sol2.y
-    dy_sp = norm_sp(dy, p)
-    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
-    comps = {
-        "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
-        "dy_p": dy_sp**p,
-        "dy_low": dy_sp ** min(p / 2.0, p - 1.0),
-        "dg": norm_h(dg, p, alpha) ** p,
-    }
-    rhs = sum(comps.values())
-    return EstimateReport.empirical("stability_norm_bound", lhs, rhs, fingerprint,
-                                    {"p": p, "alpha": alpha, "components": comps,
-                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+    pair's delta_driver, built here when not given.  The family of one pair
+    (check_stability_norm_family)."""
+    return check_stability_norm_family(lone_pair(inst1, sol1, inst2, sol2, dg), p, alpha,
+                                       [fingerprint])[0]
+
+
+def check_stability_norm_family(pairs: PairDifferences, p: float, alpha: float,
+                                fingerprints: list) -> list:
+    """check_stability_norm_bound of every pair, one report per pair."""
+    for sol in pairs.sols:
+        _require_nondecreasing(sol)
+    reports = []
+    for z_n, mk_n, dy_sp, xi_n, dg_n, fp in zip(
+            norm_h_family(pairs.z, p, alpha), norm_m_family(pairs.mk, p, alpha),
+            norm_sp_family(pairs.y, p), _leaf_norm(pairs.tree, np.abs(pairs.xi), p, p),
+            norm_h_family(pairs.dg, p, alpha), fingerprints, strict=True):
+        lhs = z_n ** p + mk_n ** p
+        comps = {"xi": xi_n ** p, "dy_p": dy_sp ** p, "dy_low": dy_sp ** min(p / 2.0, p - 1.0),
+                 "dg": dg_n ** p}
+        rhs = sum(comps.values())
+        reports.append(EstimateReport.empirical("stability_norm_bound", lhs, rhs, fp,
+                                                {"p": p, "alpha": alpha, "components": comps,
+                                                 "vacuous": lhs == 0.0 and rhs == 0.0}))
+    return reports
 
 
 # -- reflected-specific bounds ------------------------------------------------
@@ -345,21 +409,29 @@ def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadr
                              p: float, alpha: float, fingerprint: str = "",
                              dg: PredictableProcess = None) -> EstimateReport:
     """Paired-obstacle sup bound on delta Y.  Empirical ratio.  `dg` is the pair's
-    delta_driver, built here when not given."""
-    tree = sol1.tree
-    l_y = max(inst1.gen.l_y, inst2.gen.l_y)
-    lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
-    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
-    dg_leaf = weighted_sum(tree, l_y, map(np.abs, dg.values), tree.dt)
-    comps = {
-        "xi": lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
-        "ds": sup_power(tree, (inst1.obstacle - inst2.obstacle).values, p, 2.0 * l_y),
-        "dg": tree.expectation(dg_leaf**p, tree.n_steps),
-    }
-    rhs = sum(comps.values())
-    return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
-                                    {"p": p, "alpha": alpha, "components": comps,
-                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+    delta_driver, built here when not given.  The family of one pair
+    (check_obstacle_stability_family)."""
+    return check_obstacle_stability_family(lone_pair(inst1, sol1, inst2, sol2, dg), p, alpha,
+                                           [fingerprint])[0]
+
+
+def check_obstacle_stability_family(pairs: PairDifferences, p: float, alpha: float,
+                                    fingerprints: list) -> list:
+    """check_obstacle_stability_bound of every pair, one report per pair."""
+    tree, l_y = pairs.tree, pairs.l_y
+    dg_leaf = weighted_sum(tree, l_y, map(np.abs, pairs.dg.values), tree.dt)
+    reports = []
+    for dy_n, xi_n, ds, dg, fp in zip(
+            norm_sp_family(pairs.y, p, alpha), _leaf_norm(tree, np.abs(pairs.xi), p, p),
+            sup_power_family(tree, pairs.obstacle.values, p, 2.0 * l_y),
+            tree.expectations(dg_leaf**p, tree.n_steps), fingerprints, strict=True):
+        lhs = dy_n ** p
+        comps = {"xi": xi_n ** p, "ds": ds, "dg": dg}
+        rhs = sum(comps.values())
+        reports.append(EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fp,
+                                                {"p": p, "alpha": alpha, "components": comps,
+                                                 "vacuous": lhs == 0.0 and rhs == 0.0}))
+    return reports
 
 
 def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -370,26 +442,35 @@ def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
     Node by node, delta Y d(delta K) <= delta S d(delta K), a consequence of
     each solution pushing only on its own contact set; the expectation is then
     dominated by the weighted sup of delta S times the variation of delta K.
+    The family of one pair (check_cross_term_family).
     """
-    tree = sol1.tree
+    return check_cross_term_family(lone_pair(inst1, sol1, inst2, sol2), alpha, [fingerprint])[0]
+
+
+def check_cross_term_family(pairs: PairDifferences, alpha: float, fingerprints: list) -> list:
+    """check_cross_term of every pair, one report per pair.  Each pair's pathwise defect
+    is np.max of 0 and its step maxima, as the lone check takes it, so a signed zero
+    keeps its sign."""
+    tree = pairs.tree
     steps = range(tree.n_steps)
     w1 = _wr(tree, alpha)
-    ddk, dy = sol1.dk - sol2.dk, sol1.y - sol2.y
-    ds = inst1.obstacle - inst2.obstacle
-    worst = float(np.max([0.0] + [((dy.values[k] - ds.values[k]) * ddk.values[k]).max()
-                                  for k in steps]))
-    lhs = tree.expectation(tree.path_scan(w1[k] * dy.values[k] * ddk.values[k] for k in steps),
-                           tree.n_steps)
-    mid = tree.expectation(tree.path_scan(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
-                           tree.n_steps)
-    bound = norm_sp(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
-    ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
-    return EstimateReport(
-        inequality_id="cross_term_contact_set",
-        lhs=lhs, rhs=bound, constant_used="exact",
-        passed=ok, fingerprint=fingerprint,
-        details={"alpha": alpha, "pathwise_defect": worst, "mid": mid},
-    )
+    dy, ddk, ds = pairs.y.values, pairs.dk.values, pairs.obstacle.values
+    step_max = np.array([tree.split((dy[k] - ds[k]) * ddk[k]).max(axis=1) for k in steps])
+    lhss = tree.expectations(tree.path_scan(w1[k] * dy[k] * ddk[k] for k in steps), tree.n_steps)
+    mids = tree.expectations(tree.path_scan(w1[k] * ds[k] * ddk[k] for k in steps), tree.n_steps)
+    reports = []
+    for maxima, lhs, mid, ds_n, ddk_n, fp in zip(
+            step_max.T.tolist(), lhss, mids, norm_sp_family(pairs.obstacle, 2.0, alpha),
+            norm_i_family(pairs.dk, 2.0, alpha), fingerprints, strict=True):
+        worst, bound = float(np.max([0.0] + maxima)), ds_n * ddk_n
+        ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
+        reports.append(EstimateReport(
+            inequality_id="cross_term_contact_set",
+            lhs=lhs, rhs=bound, constant_used="exact",
+            passed=ok, fingerprint=fp,
+            details={"alpha": alpha, "pathwise_defect": worst, "mid": mid},
+        ))
+    return reports
 
 
 def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadruple,
@@ -397,23 +478,29 @@ def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadrup
                         alpha: float, fingerprint: str = "",
                         dg: PredictableProcess = None) -> EstimateReport:
     """Quadratic stability bound for reflected pairs.  Empirical constant.  `dg` is the
-    pair's delta_driver, built here when not given."""
-    tree = sol1.tree
-    dy = sol1.y - sol2.y
-    dz = sol1.z - sol2.z
-    dmk = sol1.mk - sol2.mk
-    lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
-           + norm_m(dmk, 2.0, alpha) ** 2)
-    dg = delta_driver(inst1, sol1, inst2) if dg is None else dg
-    ds = inst1.obstacle - inst2.obstacle
-    comps = {
-        "xi": lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
-        "ds_sup": norm_sp(ds, 2.0, alpha),
-    }
-    rhs = STABILITY_EPS * norm_h(dg, 2.0, alpha) ** 2 + sum(comps.values())
-    return EstimateReport.empirical("reflected_stability_p2", lhs, rhs, fingerprint,
-                                    {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
-                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+    pair's delta_driver, built here when not given.  The family of one pair
+    (check_reflected_stability_p2_family)."""
+    return check_reflected_stability_p2_family(lone_pair(inst1, sol1, inst2, sol2, dg), alpha,
+                                               [fingerprint])[0]
+
+
+def check_reflected_stability_p2_family(pairs: PairDifferences, alpha: float,
+                                        fingerprints: list) -> list:
+    """check_reflected_stability_p2 of every pair, one report per pair."""
+    reports = []
+    for y_n, z_n, mk_n, xi_n, ds_n, dg_n, fp in zip(
+            norm_h_family(pairs.y, 2.0, alpha), norm_h_family(pairs.z, 2.0, alpha),
+            norm_m_family(pairs.mk, 2.0, alpha), _leaf_norm(pairs.tree, np.abs(pairs.xi), 2.0, 2.0),
+            norm_sp_family(pairs.obstacle, 2.0, alpha), norm_h_family(pairs.dg, 2.0, alpha),
+            fingerprints, strict=True):
+        lhs = y_n ** 2 + z_n ** 2 + mk_n ** 2
+        comps = {"xi": xi_n ** 2, "ds_sup": ds_n}
+        rhs = STABILITY_EPS * dg_n ** 2 + sum(comps.values())
+        reports.append(EstimateReport.empirical("reflected_stability_p2", lhs, rhs, fp,
+                                                {"alpha": alpha, "eps": STABILITY_EPS,
+                                                 "components": comps,
+                                                 "vacuous": lhs == 0.0 and rhs == 0.0}))
+    return reports
 
 
 # -- pathwise power expansion and bracket equivalences ------------------------

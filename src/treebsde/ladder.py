@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +177,9 @@ def _simulate(runs, dt: float, horizon: float) -> list:
         _, eps, seed, b, size = job
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b))))
         return _run_batch(eps, dt, n_steps, size, rng)
+
+    # imported here, so that a command without a ladder loads no threading machinery
+    from concurrent.futures import ThreadPoolExecutor
 
     # os.sched_getaffinity is missing on some platforms (macOS, Windows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -13,6 +13,7 @@ under a change of measure extracted from the driver.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, require_finite
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
-from .norms import norm_h, norm_sp
+from .norms import _leaf_norm, _sq, sup_power_family, weighted_sum
 from .processes import AdaptedProcess, PredictableProcess, split_process
 from .reports import EstimateReport
 from .tree import ScenarioTree, sup_abs, sup_abs_copies
@@ -262,9 +263,14 @@ def picard_alpha(gen: Generator) -> float:
 
 
 def _frozen_generator(frozen: list) -> Generator:
-    """The driver frozen at given per-step values: constant in (y, z)."""
-    return Generator(fn=lambda k, y, z, _f=frozen: np.broadcast_to(_f[k], y.shape),
-                     l_y=0.0, l_z=0.0, name="picard-frozen")
+    """The driver frozen at given per-step values: constant in (y, z), on any leading
+    axes.  Filling a fresh array costs a fifth of np.broadcast_to."""
+    def fn(k, y, z, _f=frozen):
+        out = np.empty_like(y)
+        out[...] = _f[k]
+        return out
+
+    return Generator(fn=fn, l_y=0.0, l_z=0.0, name="picard-frozen")
 
 
 def picard_solve(instance: ReflectedInstance) -> tuple:
@@ -275,44 +281,53 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     sweep non-finite (NaN or -inf) stops the iteration in that sweep.  The loop
     stops when the frozen driver itself stops moving (sup-change <= PICARD_TOL),
     so drivers that ignore (y, z) converge in one sweep.  Both are known before
-    the last sweep runs: the sweeps before it are lean (Y and Z alone, which the
-    trace and the next frozen driver read), and only the last builds M and the
-    solution.  Takes a lone instance; returns (solution, PicardTrace).
+    the last sweep runs: between sweeps Y, Z and the frozen driver are per-step
+    arrays, and only the last sweep builds M and the solution.
+
+    The sweeps allowed are sized like _implicit_step's inner cap: while successive
+    driver changes contract by a ratio q < 1, the sweep count plus twice
+    log(PICARD_TOL / change) / log(q), never under PICARD_MAX_ITER; a ratio q >= 1
+    allows PICARD_MAX_ITER.  Takes a lone instance; returns (solution, PicardTrace).
     """
-    tree, gen = instance.tree, instance.gen
+    tree, gen, n = instance.tree, instance.gen, instance.tree.n_steps
     trace = PicardTrace(alpha_star=picard_alpha(gen))
-    y_prev = AdaptedProcess.constant(tree, 0.0)
-    z_prev = PredictableProcess.zeros(tree, tree.d)
-    frozen_prev = None
-    for _ in range(PICARD_MAX_ITER):
-        frozen = gen.along(y_prev, z_prev).values
+    y_prev = [np.zeros(tree.n_nodes(k)) for k in range(n + 1)]
+    z_prev = [np.zeros((tree.n_nodes(k), tree.d)) for k in range(n)]
+    frozen_prev, changes = None, trace.driver_change
+    for sweep in itertools.count(1):
+        frozen = [gen(k, y_prev[k], z_prev[k]) for k in range(n)]
         if frozen_prev is not None:
-            trace.driver_change.append(sup_abs(a - b for a, b in zip(frozen, frozen_prev)))
+            changes.append(sup_abs(map(np.subtract, frozen, frozen_prev)))
         # the last sweep: a driver independent of (y, z) is exact in the first one
         last = (gen.l_y == 0.0 and gen.l_z == 0.0
-                or frozen_prev is not None and trace.driver_change[-1] <= PICARD_TOL)
+                or frozen_prev is not None and changes[-1] <= PICARD_TOL)
         # a driver constant in (y, z) meets any contract: no instance to check
         out = _backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
                               obstacle=instance.obstacle.values, lean=not last)
-        y, z = ((out.y, out.z) if last else
-                (AdaptedProcess(tree, out[0]), PredictableProcess(tree, out[1])))
-        trace.dy_s2.append(norm_sp(y - y_prev, 2.0))
+        y, z = (out.y.values, out.z.values) if last else out
+        trace.dy_s2.append(sup_power_family(tree, map(np.subtract, y, y_prev), 2.0)[0] ** 0.5)
         # an infinite norm may only be a finite iterate too large to square
         bad = ([] if math.isfinite(trace.dy_s2[-1]) else
-               [k for k, v in enumerate(y.values) if not np.isfinite(v).all()])
+               [k for k, v in enumerate(y) if not np.isfinite(v).all()])
         if bad:  # the sweep met a NaN or -inf frozen value
             raise PicardDivergenceError(f"step {bad[-1]}: non-finite frozen driver at node "
-                                        f"{int(np.isfinite(y.values[bad[-1]]).argmin())} "
+                                        f"{int(np.isfinite(y[bad[-1]]).argmin())} "
                                         f"({gen.name})")
-        trace.dz_h2.append(norm_h(z - z_prev, 2.0, trace.alpha_star))
+        dz_leaf = weighted_sum(tree, trace.alpha_star, map(_sq, map(np.subtract, z, z_prev)),
+                               tree.dt)
+        trace.dz_h2.append(_leaf_norm(tree, dz_leaf, 1.0, 2.0)[0])
         if last:
             out.scheme = "implicit"
             return out, trace
+        q = changes[-1] / changes[-2] if len(changes) >= 2 else math.inf
+        cap = (max(PICARD_MAX_ITER, sweep + math.ceil(
+            2.0 * math.log(PICARD_TOL / changes[-1]) / math.log(q))) if 0.0 < q < 1.0
+               else PICARD_MAX_ITER)
+        if sweep >= cap:
+            raise PicardDivergenceError(
+                f"frozen-driver iteration did not settle in {sweep} sweeps "
+                f"(last driver change {changes[-1] if changes else float('nan'):.3e})")
         frozen_prev, y_prev, z_prev = frozen, y, z
-    raise PicardDivergenceError(
-        f"frozen-driver iteration did not settle in {PICARD_MAX_ITER} sweeps "
-        f"(last driver change {trace.driver_change[-1] if trace.driver_change else float('nan'):.3e})"
-    )
 
 
 def truncate_instance(instance: ReflectedInstance, level: float) -> ReflectedInstance:

@@ -52,8 +52,9 @@ class EstimateReport:
         return self.lhs / self.rhs
 
     def to_dict(self) -> dict:
-        """The fields, `passed` as a bool and the ratio; `details` is shared, not copied."""
-        return {**vars(self), "passed": bool(self.passed), "ratio": self.ratio}
+        """The fields, `passed` as a bool and the ratio, ready for strict JSON (json_safe):
+        `details` is shared unless it holds a non-finite float."""
+        return json_safe({**vars(self), "passed": bool(self.passed), "ratio": self.ratio})
 
 
 PASS_TOL = 1e-9  # relative slack for explicit-constant assertions
@@ -62,3 +63,29 @@ PASS_TOL = 1e-9  # relative slack for explicit-constant assertions
 def explicit_pass(lhs: float, rhs: float) -> bool:
     scale = max(abs(lhs), abs(rhs), 1.0)
     return lhs <= rhs + PASS_TOL * scale
+
+
+def json_safe(value):
+    """`value` for strict JSON, which has no inf or NaN: a non-finite float becomes None,
+    also inside dicts and lists at any depth.  A dict or list is copied only where it
+    holds one; otherwise it is returned as is."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, (list, tuple)):
+        entries = enumerate(value)
+    else:
+        return value
+    changed = {}
+    for key, v in entries:
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                changed[key] = None
+        elif isinstance(v, (dict, list, tuple)) and (new := json_safe(v)) is not v:
+            changed[key] = new
+    if not changed:
+        return value
+    if isinstance(value, dict):
+        return {**value, **changed}
+    return [changed.get(i, v) for i, v in enumerate(value)]

@@ -4,6 +4,7 @@ The member-by-member checks they replaced are kept here as references and compar
 field by field with `==`."""
 
 import ast
+import inspect
 import json
 import math
 import pathlib
@@ -18,6 +19,7 @@ from treebsde.estimates import (
     COMPENSATOR_EPS,
     COMPENSATOR_ETA,
     ITO_P_TOL,
+    STABILITY_EPS,
     _beta,
     _dl,
     _dn,
@@ -25,10 +27,19 @@ from treebsde.estimates import (
     check_bracket_family,
     check_burkholder_family,
     check_compensator_norm_family,
+    check_cross_term,
+    check_cross_term_family,
     check_ito_p_family,
+    check_obstacle_stability_bound,
+    check_obstacle_stability_family,
     check_obstacle_sup_family,
+    check_reflected_stability_p2,
+    check_reflected_stability_p2_family,
     check_solution_norm_family,
+    check_stability_norm_bound,
+    check_stability_norm_family,
     compensator_weight_floor,
+    pair_differences,
 )
 from treebsde.families import (
     DROP_RATE,
@@ -298,6 +309,69 @@ def _ref_supermartingale(tree, seed):
     return LadlagProcess(tree, value, right)
 
 
+def _ref_delta(inst1, sol1, inst2):
+    """delta_driver as the pair suites took it: Generator.along per member."""
+    return inst1.gen.along(sol1.y, sol1.z) - inst2.gen.along(sol1.y, sol1.z)
+
+
+def _ref_stability(inst1, sol1, inst2, sol2, p, alpha, fingerprint, dg):
+    tree = sol1.tree
+    lhs = norm_h(sol1.z - sol2.z, p, alpha) ** p + norm_m(sol1.mk - sol2.mk, p, alpha) ** p
+    dy_sp = norm_sp(sol1.y - sol2.y, p)
+    comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, p) ** p, "dy_p": dy_sp**p,
+             "dy_low": dy_sp ** min(p / 2.0, p - 1.0), "dg": norm_h(dg, p, alpha) ** p}
+    rhs = sum(comps.values())
+    return EstimateReport.empirical("stability_norm_bound", lhs, rhs, fingerprint,
+                                    {"p": p, "alpha": alpha, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+
+
+def _ref_obstacle_stability(inst1, sol1, inst2, sol2, p, alpha, fingerprint, dg):
+    tree = sol1.tree
+    l_y = max(inst1.gen.l_y, inst2.gen.l_y)
+    lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
+    dg_leaf = weighted_sum(tree, l_y, map(np.abs, dg.values), tree.dt)
+    comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
+             "ds": sup_power(tree, (inst1.obstacle - inst2.obstacle).values, p, 2.0 * l_y),
+             "dg": tree.expectation(dg_leaf**p, tree.n_steps)}
+    rhs = sum(comps.values())
+    return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
+                                    {"p": p, "alpha": alpha, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+
+
+def _ref_cross_term(inst1, sol1, inst2, sol2, alpha, fingerprint):
+    tree = sol1.tree
+    steps = range(tree.n_steps)
+    w1 = _wr(tree, alpha)
+    ddk, dy = sol1.dk - sol2.dk, sol1.y - sol2.y
+    ds = inst1.obstacle - inst2.obstacle
+    worst = float(np.max([0.0] + [((dy.values[k] - ds.values[k]) * ddk.values[k]).max()
+                                  for k in steps]))
+    lhs = tree.expectation(tree.path_scan(w1[k] * dy.values[k] * ddk.values[k] for k in steps),
+                           tree.n_steps)
+    mid = tree.expectation(tree.path_scan(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
+                           tree.n_steps)
+    bound = norm_sp(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
+    ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
+    return EstimateReport(inequality_id="cross_term_contact_set", lhs=lhs, rhs=bound,
+                          constant_used="exact", passed=ok, fingerprint=fingerprint,
+                          details={"alpha": alpha, "pathwise_defect": worst, "mid": mid})
+
+
+def _ref_p2(inst1, sol1, inst2, sol2, alpha, fingerprint, dg):
+    tree = sol1.tree
+    dy, dz, dmk = sol1.y - sol2.y, sol1.z - sol2.z, sol1.mk - sol2.mk
+    lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
+           + norm_m(dmk, 2.0, alpha) ** 2)
+    comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
+             "ds_sup": norm_sp(inst1.obstacle - inst2.obstacle, 2.0, alpha)}
+    rhs = STABILITY_EPS * norm_h(dg, 2.0, alpha) ** 2 + sum(comps.values())
+    return EstimateReport.empirical("reflected_stability_p2", lhs, rhs, fingerprint,
+                                    {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
+                                     "vacuous": lhs == 0.0 and rhs == 0.0})
+
+
 # -- every member gets the bits of its own check -----------------------------------------
 
 @pytest.mark.parametrize("d,reveal,margin", CASES, ids=CASE_IDS)
@@ -352,6 +426,60 @@ class TestFamilyChecksMatchMemberChecks:
                 if p < 2.0:
                     _same_reports(check_ito_p_family(x, p, 1.0, fps),
                                   [_ref_ito_p(m, p, 1.0, fp) for m, fp in zip(solo, fps)])
+
+
+def _same_bits(got, want):
+    """_same_reports, and equal reprs: a float's type and a zero's sign reach the artifacts."""
+    _same_reports(got, want)
+    assert [repr(vars(r)) for r in got] == [repr(vars(r)) for r in want]
+
+
+@pytest.mark.parametrize("d,reveal,margin", CASES, ids=CASE_IDS)
+def test_pair_checks_match_pair_by_pair_checks(d, reveal, margin):
+    """The pair family forms on the forest of pairs, one report per pair (2i, 2i + 1),
+    against the checks as they ran pair by pair; an odd last member (size 5) is in no
+    pair.  Each solo pair check is its family form on one pair."""
+    for size in (2, 4, 5, 10):
+        tree, fam, sol = _family(d, reveal, margin, size)
+        pairs, members = pair_differences(fam, sol), list(zip(fam.members, sol.members(tree)))
+        two = list(zip(members[::2], members[1::2]))
+        fps = [f"pair{i}" for i in range(len(two))]
+        deltas = [_ref_delta(i1, s1, i2) for (i1, s1), (i2, _) in two]
+        for p in PS:
+            for alpha in (0.0, 0.3):
+                _same_bits(check_stability_norm_family(pairs, p, alpha, fps),
+                           [_ref_stability(i1, s1, i2, s2, p, alpha, fp, dg)
+                            for ((i1, s1), (i2, s2)), fp, dg in zip(two, fps, deltas)])
+            _same_bits(check_obstacle_stability_family(pairs, p, 0.2, fps),
+                       [_ref_obstacle_stability(i1, s1, i2, s2, p, 0.2, fp, dg)
+                        for ((i1, s1), (i2, s2)), fp, dg in zip(two, fps, deltas)])
+        _same_bits(check_reflected_stability_p2_family(pairs, 0.5, fps),
+                   [_ref_p2(i1, s1, i2, s2, 0.5, fp, dg)
+                    for ((i1, s1), (i2, s2)), fp, dg in zip(two, fps, deltas)])
+        _same_bits(check_cross_term_family(pairs, 0.5, fps),
+                   [_ref_cross_term(i1, s1, i2, s2, 0.5, fp)
+                    for ((i1, s1), (i2, s2)), fp in zip(two, fps)])
+        (i1, s1), (i2, s2) = two[-1]
+        dg = deltas[-1]
+        _same_bits([check_stability_norm_bound(i1, s1, i2, s2, 2.0, 0.3, "solo"),
+                    check_obstacle_stability_bound(i1, s1, i2, s2, 2.0, 0.0, "solo"),
+                    check_reflected_stability_p2(i1, s1, i2, s2, 0.5, "solo", dg=dg),
+                    check_cross_term(i1, s1, i2, s2, 0.5, "solo")],
+                   [_ref_stability(i1, s1, i2, s2, 2.0, 0.3, "solo", dg),
+                    _ref_obstacle_stability(i1, s1, i2, s2, 2.0, 0.0, "solo", dg),
+                    _ref_p2(i1, s1, i2, s2, 0.5, "solo", dg),
+                    _ref_cross_term(i1, s1, i2, s2, 0.5, "solo")])
+
+
+def test_pair_delta_drivers_match_member_drivers():
+    """Every pair's delta driver, from one family-driver call per step, has the bits of
+    g_{2i}(Y_{2i}, Z_{2i}) - g_{2i+1}(Y_{2i}, Z_{2i}) from the member drivers."""
+    tree, fam, sol = _family(2, True, 0.5, 5)
+    members = list(zip(fam.members, sol.members(tree)))
+    got = pair_differences(fam, sol).dg.values
+    for i, ((i1, s1), (i2, _)) in enumerate(zip(members[::2], members[1::2])):
+        for k, want in enumerate(_ref_delta(i1, s1, i2).values):
+            assert np.array_equal(tree.forest(2).split(got[k])[i], want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -551,39 +679,35 @@ class TestRoundOffAtLargeValues:
 
 # -- performance guard and hygiene ----------------------------------------------------------
 
-FAMILY_SUITES = ("apriori", "compensator", "obstacle", "meyer", "ito-p", "equivalence")
-
-
 def _suite_calls(monkeypatch, count):
-    """norms.weighted_sum and ScenarioTree.path_scan calls of the family suites of
+    """norms.weighted_sum and ScenarioTree.path_scan calls of the suites of
     `verify --suite all` at `count` members, the shared inputs built beforehand."""
     cfg = cli.parse_config({"tree": cli.DEFAULT_TREE, "family": {"count": count}})
     inp = cli.SuiteInputs(cfg, 1)
-    assert inp.solved and inp.free and inp.supermartingales and inp.family.g0
+    assert inp.differences.dg and inp.free and inp.supermartingales and inp.family.g0
     calls = []
     for owner, name in ((norms, "weighted_sum"), (cli.families.ScenarioTree, "path_scan")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _r=real, _n=name, **kw:
                             calls.append(_n) or _r(*a, **kw))
-    reports = [r for suite in FAMILY_SUITES for source, check in cli.SUITE_FN[suite]
-               if source is None for r in check(inp)]
+    reports = [r for suite in cli.SUITES for check in cli.SUITE_FN[suite] for r in check(inp)]
     monkeypatch.undo()
     assert len(reports) > count and all(r.passed for r in reports)
     return sorted(calls)
 
 
 def test_family_suites_do_not_grow_with_the_family(monkeypatch):
-    """Performance guard: the member suites run once per family, so they make as many
-    weighted sums and path scans at family.count 2 as at 10."""
+    """Performance guard: every suite, the pair suites included, runs once per family, so
+    they make as many weighted sums and path scans at family.count 2 as at 10."""
     small, large = (_suite_calls(monkeypatch, c) for c in (2, 10))
     assert small == large and small
 
 
 def test_family_suites_run_once_in_verify():
-    rows = {suite: [source for source, _ in cli.SUITE_FN[suite]] for suite in FAMILY_SUITES}
-    assert all(None in sources for sources in rows.values())
-    assert {check.__name__ for suite in FAMILY_SUITES for source, check in cli.SUITE_FN[suite]
-            if source is not None} == {"suite_obstacle_pair"}
+    """Every check of every suite, the pair suites included, takes the shared inputs
+    alone: none runs once per member or per pair."""
+    checks = [check for suite in cli.SUITES for check in cli.SUITE_FN[suite]]
+    assert all(list(inspect.signature(check).parameters) == ["inp"] for check in checks)
 
 
 SOLO_TO_FAMILY = {
@@ -595,6 +719,10 @@ SOLO_TO_FAMILY = {
     ("estimates.py", "check_ito_p_inequality"): "check_ito_p_family",
     ("martingales.py", "meyer_bound_check"): "meyer_bound_family",
     ("reflected.py", "verify_snell_representation"): "verify_snell_family",
+    ("estimates.py", "check_stability_norm_bound"): "check_stability_norm_family",
+    ("estimates.py", "check_obstacle_stability_bound"): "check_obstacle_stability_family",
+    ("estimates.py", "check_reflected_stability_p2"): "check_reflected_stability_p2_family",
+    ("estimates.py", "check_cross_term"): "check_cross_term_family",
 }
 
 

@@ -1,7 +1,10 @@
 """Source hygiene of the package, checked with `ast` alone (no linter needed)."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -171,3 +174,13 @@ def test_lone_driver_is_a_family_of_one():
     lines = [node.lineno for node in ast.walk(module) if isinstance(node, ast.Attribute)
              and node.attr == "members" and id(node) not in allowed]
     assert not lines, f"bsde.py lines {lines}: .members read outside Generator.family"
+
+
+def test_cli_import_loads_no_thread_pool():
+    """ladder imports concurrent.futures where it starts its threads, so importing the
+    CLI, which every command does, loads neither it nor logging."""
+    code = ("import sys, treebsde.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert run.stdout.strip() == "[]"

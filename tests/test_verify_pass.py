@@ -1,7 +1,8 @@
 """The verify pass without repeats: the bracket check reads every p from one set of
-per-leaf sums, Picard's intermediate sweeps carry Y and Z alone, the Snell check runs a
-whole family in one pass, and the pair suites share one delta driver.  Each is held to
-the bits of the code it replaced, kept here as a reference."""
+per-leaf sums, Picard's intermediate sweeps carry Y and Z alone as step arrays, the Snell
+check runs a whole family in one pass, the pair suites take every delta driver from one
+driver call per step, and the constants suite evaluates its samples in one array pass.
+Each is held to the bits of the code it replaced, kept here as a reference."""
 
 import dataclasses
 import json
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from treebsde import bsde, cli, estimates, norms
+from treebsde import bsde, cli, estimates, norms, processes
 from treebsde.bsde import Generator
 from treebsde.errors import MeasureChangeError
 from treebsde.estimates import check_bracket_equivalences
@@ -199,6 +200,20 @@ class TestLeanPicard:
         assert all(map(np.array_equal, _solution_arrays(sol), _solution_arrays(ref)))
         assert vars(trace) == vars(ref_trace) and len(trace.dy_s2) == 1
 
+    def test_sweeps_before_the_last_build_no_process(self, monkeypatch):
+        """Performance guard: between sweeps Y, Z and the frozen driver are step arrays,
+        so the only processes built are the last sweep's solution (Y, Z, M and dK)."""
+        built = []
+        for cls in (processes.AdaptedProcess, processes.PredictableProcess):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, _r=real: built.append(type(self).__name__) or _r(self))
+        inst = random_reflected(standard_tree(n_steps=6), 20)
+        built.clear()
+        sol, trace = picard_solve(inst)
+        assert len(trace.dy_s2) > 5
+        assert sorted(built) == ["AdaptedProcess"] * 2 + ["PredictableProcess"] * 2
+
     def test_one_solution_container_whatever_the_sweeps(self, monkeypatch):
         """Performance guard: only the last sweep builds a SolutionQuadruple."""
         built = []
@@ -278,20 +293,64 @@ class TestSnellFamily:
             verify_snell_representation(lone, sols[1])
 
 
-# -- one delta driver per pair --------------------------------------------------------
+# -- one driver call per step for every pair's delta driver -------------------------
 
-def test_delta_driver_once_per_pair(tmp_path, monkeypatch):
-    """A count-10 `verify --suite all` has 5 pairs: the stability, obstacle-pair and
-    difference suites share each pair's delta driver, so Generator.along runs twice
-    per pair (g1 and g2 along the first solution), 10 times in all instead of 30."""
-    calls = []
+def test_delta_drivers_one_driver_call_per_step(tmp_path, monkeypatch):
+    """A count-10 family has 5 pairs.  The stability, obstacle-pair and difference suites
+    read every pair's delta driver from one family-driver call per step, so a whole
+    `verify --suite all` calls Generator.along nowhere (it made 10 calls of 6 steps each,
+    two per pair, when each pair built its own)."""
+    along = []
     real = Generator.along
     monkeypatch.setattr(Generator, "along",
-                        lambda self, y, z: calls.append(1) or real(self, y, z))
+                        lambda self, y, z: along.append(1) or real(self, y, z))
     cfg = cli.default_config()
     cfg["family"]["count"] = 10
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--seed", "1",
                      "verify", "--suite", "all"]) == 0
-    assert len(calls) == 10
+    assert not along
+    inp = cli.SuiteInputs(cli.parse_config(cfg), 1)
+    gen, calls = inp.family.gen, []
+    assert inp.sol.mk  # solved before the driver is counted
+    fn = gen.fn
+    monkeypatch.setattr(gen, "fn", lambda k, y, z: calls.append((k, y.shape)) or fn(k, y, z))
+    reports = [r for check in (cli.suite_stability, cli.suite_obstacle_pair, cli.suite_difference)
+               for r in check(inp)]
+    assert len(reports) == 5 * 4 and all(r.passed for r in reports)
+    assert calls == [(k, (10, inp.tree.n_nodes(k))) for k in range(inp.tree.n_steps)]
+
+
+# -- the constants suite in one array pass ---------------------------------------------
+
+def _scalar_constants_samples(seed):
+    """suite_constants' samples as they were evaluated, one power_sum_bounds and one
+    young_bound per sample: the worst (power-sum, Young) defects."""
+    rng = np.random.default_rng(seed)
+    worst_ps, worst_yg = 0.0, 0.0
+    for _ in range(200):
+        a = rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6)))
+        ell = float(rng.uniform(0.2, 4.0))
+        lo, mid, hi = norms.power_sum_bounds(a, ell)
+        worst_ps = max(worst_ps, lo - mid, mid - hi)
+        lhs, rhs = norms.young_bound(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
+                                     float(rng.uniform(0.1, 3)), float(rng.uniform(1.1, 4)))
+        worst_yg = max(worst_yg, lhs - rhs)
+    return [EstimateReport.exact(name, worst, 0.0, 1e-9, f"seed={seed}", {"n_samples": 200})
+            for name, worst in (("power_sum_sandwich", worst_ps),
+                                ("young_product_bound", worst_yg))]
+
+
+def test_constants_suite_matches_scalar_loop():
+    """The sampled rows equal the scalar loop's on every field, seeds 0 to 399; the
+    closed-form rows do not depend on the seed."""
+    inputs, closed = dataclasses.make_dataclass("Inputs", ["seed"]), None
+    for seed in range(400):
+        rows = cli.suite_constants(inputs(seed))
+        closed = closed or rows[:-2]
+        _same_reports(rows[:-2], closed)
+        got, want = rows[-2:], _scalar_constants_samples(seed)
+        _same_reports(got, want)
+        assert [repr(vars(r)) for r in got] == [repr(vars(r)) for r in want]
+    assert len(closed) == 8 and all(r.passed for r in closed)
