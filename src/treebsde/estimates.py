@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -258,18 +258,13 @@ class PairDifferences:
     dk: PredictableProcess
     xi: np.ndarray
     obstacle: Optional[AdaptedProcess]  # None unless both instances have one
+    dg: PredictableProcess  # each pair's delta_driver
     l_y: float  # the larger L_y of each pair's two drivers
     sols: tuple  # the paired solutions, whose pushes the stability check reads
-    delta: Callable = field(repr=False)  # builds dg
 
     @property
     def tree(self) -> ScenarioTree:
         return self.y.tree
-
-    @functools.cached_property
-    def dg(self) -> PredictableProcess:
-        """Each pair's delta_driver, built on first use."""
-        return self.delta()
 
 
 def pair_differences(family: ReflectedInstance, sol: SolutionQuadruple) -> PairDifferences:
@@ -289,27 +284,24 @@ def pair_differences(family: ReflectedInstance, sol: SolutionQuadruple) -> PairD
         return type(x)(pairs, [diff(forest.split(v)) for v in x.values])
 
     even = np.arange(b) & ~1
-
-    def delta():
-        return PredictableProcess(pairs, [
-            diff(family.gen(k, forest.split(y)[even], forest.split(z)[even]))
-            for k, (y, z) in enumerate(zip(sol.y.values, sol.z.values))])
-
+    dg = PredictableProcess(pairs, [
+        diff(family.gen(k, forest.split(y)[even], forest.split(z)[even]))
+        for k, (y, z) in enumerate(zip(sol.y.values, sol.z.values))])
     return PairDifferences(diffs(sol.y), diffs(sol.z), diffs(sol.mk), diffs(sol.dk),
-                           diff(forest.split(family.xi)), diffs(family.obstacle),
-                           family.gen.l_y, (sol,), delta)
+                           diff(forest.split(family.xi)), diffs(family.obstacle), dg,
+                           family.gen.l_y, (sol,))
 
 
 def lone_pair(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
               dg: PredictableProcess = None) -> PairDifferences:
     """Two instances and their solutions on one tree as the family of one pair; `dg` is
-    their delta_driver, built on first use when not given."""
+    their delta_driver, built here when not given."""
     s1, s2 = getattr(inst1, "obstacle", None), getattr(inst2, "obstacle", None)
     return PairDifferences(sol1.y - sol2.y, sol1.z - sol2.z, sol1.mk - sol2.mk,
                            sol1.dk - sol2.dk, inst1.xi - inst2.xi,
                            None if s1 is None or s2 is None else s1 - s2,
-                           max(inst1.gen.l_y, inst2.gen.l_y), (sol1, sol2),
-                           lambda: delta_driver(inst1, sol1, inst2) if dg is None else dg)
+                           delta_driver(inst1, sol1, inst2) if dg is None else dg,
+                           max(inst1.gen.l_y, inst2.gen.l_y), (sol1, sol2))
 
 
 def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,

@@ -684,7 +684,7 @@ def _suite_calls(monkeypatch, count):
     `verify --suite all` at `count` members, the shared inputs built beforehand."""
     cfg = cli.parse_config({"tree": cli.DEFAULT_TREE, "family": {"count": count}})
     inp = cli.SuiteInputs(cfg, 1)
-    assert inp.differences.dg and inp.free and inp.supermartingales and inp.family.g0
+    assert inp.differences and inp.free and inp.supermartingales and inp.family.g0
     calls = []
     for owner, name in ((norms, "weighted_sum"), (cli.families.ScenarioTree, "path_scan")):
         real = getattr(owner, name)
