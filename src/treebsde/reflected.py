@@ -284,10 +284,12 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
     the last sweep runs: between sweeps Y, Z and the frozen driver are per-step
     arrays, and only the last sweep builds M and the solution.
 
-    The sweeps allowed are sized like _implicit_step's inner cap: while successive
-    driver changes contract by a ratio q < 1, the sweep count plus twice
-    log(PICARD_TOL / change) / log(q), never under PICARD_MAX_ITER; a ratio q >= 1
-    allows PICARD_MAX_ITER.  Takes a lone instance; returns (solution, PicardTrace).
+    The sweeps allowed are sized from the contraction, as _implicit_step sizes its
+    inner cap: PICARD_MAX_ITER, and beyond it as long as the driver change shrinks.
+    A cap of twice log(PICARD_TOL / change) / log(q) more sweeps, q < 1 the ratio of
+    the last two changes, always lies beyond the sweep that sizes it, so re-sized at
+    every sweep it stops the loop at the first change that does not shrink.  Takes a
+    lone instance; returns (solution, PicardTrace).
     """
     tree, gen, n = instance.tree, instance.gen, instance.tree.n_steps
     trace = PicardTrace(alpha_star=picard_alpha(gen))
@@ -319,11 +321,8 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
         if last:
             out.scheme = "implicit"
             return out, trace
-        q = changes[-1] / changes[-2] if len(changes) >= 2 else math.inf
-        cap = (max(PICARD_MAX_ITER, sweep + math.ceil(
-            2.0 * math.log(PICARD_TOL / changes[-1]) / math.log(q))) if 0.0 < q < 1.0
-               else PICARD_MAX_ITER)
-        if sweep >= cap:
+        contracting = len(changes) >= 2 and 0.0 < changes[-1] < changes[-2]
+        if sweep >= PICARD_MAX_ITER and not contracting:
             raise PicardDivergenceError(
                 f"frozen-driver iteration did not settle in {sweep} sweeps "
                 f"(last driver change {changes[-1] if changes else float('nan'):.3e})")
