@@ -15,7 +15,9 @@ Each `*_family` form checks a whole family in one pass over ScenarioTree.forest(
 strong_supermartingale_family process) and returns one report per member, in member
 order, with the bits of the member's own check (see norms); the arithmetic after each
 expectation stays Python float arithmetic per member.  Each plain check is its family
-form on a lone instance, the family of one.
+form on a lone instance, the family of one.  The pair checks' family forms take
+PairDifferences, the member pairs (2i, 2i + 1) on tree.forest(B // 2), and return one
+report per pair; each solo pair check is its family form on one pair (lone_pair).
 """
 
 from __future__ import annotations
