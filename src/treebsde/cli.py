@@ -62,6 +62,7 @@ from .tree import (DEFAULT_NODE_CAP, Reveal, TimeGrid, build_tree, check_tree_sh
 
 SCHEMA_VERSION = 1
 CONSTANT_SAMPLES = 200  # random samples of the power-sum and Young inequalities per verify
+YOUNG_RANGES = ((0, 3), (0, 3), (0.1, 3), (1.1, 4))  # the draw ranges of (a, b, beta, p)
 
 
 # -- config schema: each field's kind, default and range ----------------------
@@ -311,24 +312,24 @@ def suite_constants(inp) -> list:
             fingerprint=f"p={p}", details={"note": "alternative precedence, reported only"},
         ))
     rng = np.random.default_rng(seed)
-    draws, ells, worst_yg = [], [], 0.0
+    draws, ells, youngs = [], [], []
     for _ in range(CONSTANT_SAMPLES):
         draws.append(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6))))
         ells.append(float(rng.uniform(0.2, 4.0)))
-        lhs, rhs = young_bound(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
-                               float(rng.uniform(0.1, 3)), float(rng.uniform(1.1, 4)))
-        worst_yg = max(worst_yg, lhs - rhs)
-    # power_sum_bounds of every sample in one pass: each sample a zero-padded row, whose
+        youngs.append([float(rng.uniform(lo, hi)) for lo, hi in YOUNG_RANGES])
+    # power_sum_bounds of every sample at once: each sample a zero-padded row, whose
     # zeros add nothing to its sums; the powers of scalars stay Python float pow
     sizes = np.array([a.size for a in draws])
     padded = np.zeros((CONSTANT_SAMPLES, 5))
     padded[np.arange(5) < sizes[:, None]] = np.concatenate(draws)
     power_sums = (padded ** np.array(ells)[:, None]).sum(axis=1).tolist()
-    worst_ps = 0.0
-    for size, ell, s, total in zip(sizes.tolist(), ells, power_sums,
-                                   padded.sum(axis=1).tolist()):
+    worst_ps, worst_yg = 0.0, 0.0
+    for size, ell, s, total, young in zip(sizes.tolist(), ells, power_sums,
+                                          padded.sum(axis=1).tolist(), youngs):
         mid, spread = total ** ell, size ** (ell - 1.0)
         worst_ps = max(worst_ps, min(1.0, spread) * s - mid, mid - max(1.0, spread) * s)
+        lhs, rhs = young_bound(*young)
+        worst_yg = max(worst_yg, lhs - rhs)
     return reports + [EstimateReport.exact(name, worst, 0.0, 1e-9, f"seed={seed}",
                                            {"n_samples": CONSTANT_SAMPLES})
                       for name, worst in (("power_sum_sandwich", worst_ps),
