@@ -62,7 +62,6 @@ from .tree import (DEFAULT_NODE_CAP, Reveal, TimeGrid, build_tree, check_tree_sh
 
 SCHEMA_VERSION = 1
 CONSTANT_SAMPLES = 200  # random samples of the power-sum and Young inequalities per verify
-YOUNG_RANGES = ((0, 3), (0, 3), (0.1, 3), (1.1, 4))  # the draw ranges of (a, b, beta, p)
 
 
 # -- config schema: each field's kind, default and range ----------------------
@@ -316,7 +315,9 @@ def suite_constants(inp) -> list:
     for _ in range(CONSTANT_SAMPLES):
         draws.append(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6))))
         ells.append(float(rng.uniform(0.2, 4.0)))
-        youngs.append([float(rng.uniform(lo, hi)) for lo, hi in YOUNG_RANGES])
+        # Young's a, b, beta and p
+        youngs.append([float(rng.uniform(lo, hi))
+                       for lo, hi in ((0, 3), (0, 3), (0.1, 3), (1.1, 4))])
     # power_sum_bounds of every sample at once: each sample a zero-padded row, whose
     # zeros add nothing to its sums; the powers of scalars stay Python float pow
     sizes = np.array([a.size for a in draws])
