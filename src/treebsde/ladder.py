@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 DEFAULT_BATCH = 1000
 TIME_CHUNK = 4000
 TIME_BLOCK = 32  # steps per block of the crossing scan
+_SCAN_LOCK = threading.Lock()  # one crossing scan at a time; see _run_batch
 
 
 def overshoot_slack(dt: float) -> float:
@@ -87,6 +89,10 @@ def _run_batch(eps: float, dt: float, n_steps: int, n_paths: int,
     count.  The ladder is cadlag: at a detection instant V already equals W,
     so the gap there is zero and the deviation eps + overshoot belongs to the
     left limit, tracked separately.
+
+    The batch threads take turns on the scan (_SCAN_LOCK): its many small numpy
+    calls hold the GIL, so two scans at once mostly wait on each other, while
+    the draws, scaling and cumsum release it and run beside the other's scan.
     """
     buf = np.empty(n_paths * min(TIME_CHUNK, n_steps))
     w = np.zeros(n_paths)
@@ -99,7 +105,8 @@ def _run_batch(eps: float, dt: float, n_steps: int, n_paths: int,
         paths *= math.sqrt(dt)
         np.cumsum(paths, axis=1, out=paths)
         paths += w[:, None]
-        _scan(paths, eps, *state)
+        with _SCAN_LOCK:
+            _scan(paths, eps, *state)
         w = paths[:, -1].copy()
     return gap, overshoot, tv_pos + tv_neg, crossings
 
@@ -148,11 +155,15 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def _path_count(n_paths) -> int:
+def _whole(name: str, value, least: int) -> int:
+    """value as an int >= least, or a ValueError naming it."""
     try:
-        return operator.index(n_paths)
+        n = operator.index(value)
     except TypeError:
-        raise ValueError(f"n_paths must be an integer, got {n_paths!r}") from None
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def _simulate(runs, dt: float, horizon: float) -> list:
@@ -160,14 +171,14 @@ def _simulate(runs, dt: float, horizon: float) -> list:
     are shared out over a pool of up to one thread per CPU.
 
     Batch b of a run draws from the stream keyed by (seed, b), whatever else
-    shares the threads, so each report equals its run simulated alone.
+    shares the threads, so each report equals its run simulated alone.  Every
+    argument is checked, the seed as an integer >= 0, before any batch runs.
     """
-    runs = [(eps, _path_count(n_paths), seed) for eps, n_paths, seed in runs]
-    for eps, n_paths, _ in runs:
-        if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0
-                and n_paths >= 1):
-            raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon, "
-                             "n_paths >= 1")
+    runs = [(eps, _whole("n_paths", n_paths, 1), _whole("seed", seed, 0))
+            for eps, n_paths, seed in runs]
+    for eps, _, _ in runs:
+        if not (0.0 < eps < math.inf and 0.0 < dt <= horizon < math.inf and dt < 1.0):
+            raise ValueError("need finite eps, horizon > 0, 0 < dt < 1, dt <= horizon")
     n_steps = step_count(dt, horizon)
     jobs = [(r, eps, seed, b, min(DEFAULT_BATCH, n_paths - start))
             for r, (eps, n_paths, seed) in enumerate(runs)
@@ -206,7 +217,8 @@ def run_counterexample(eps: float, dt: float, horizon: float = 1.0,
     change with the batch size, which therefore stays fixed, but not with the
     thread count.  dt < 1 keeps the overshoot slack defined, and dt <= horizon
     makes at least one step; the horizon must be a whole number of steps
-    (step_count), and n_paths an integer.
+    (step_count), n_paths an integer >= 1 and seed an integer >= 0.  The batch
+    threads take turns on the crossing scan (_run_batch); the bits do not depend on it.
     """
     return _simulate([(eps, n_paths, seed)], dt, horizon)[0]
 
@@ -218,6 +230,7 @@ def tv_scaling(eps_list, dt: float, n_paths: int = 2000, seed: int = 0) -> dict:
     distinct eps values."""
     if len(set(eps_list)) < 2:
         raise ValueError(f"tv_scaling needs at least two distinct eps values, got {eps_list!r}")
+    seed = _whole("seed", seed, 0)  # before seed + i, so that a bad seed is named
     reports = _simulate([(eps, n_paths, seed + i) for i, eps in enumerate(eps_list)], dt, 1.0)
     means = [float(rep.tv.mean()) for rep in reports]
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +58,26 @@ def _step_loop(eps, dt, horizon, n_paths, seed):
 
 def _arrays(rep):
     return [rep.gap, rep.overshoot, rep.tv, rep.crossings]
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread: its result or its error, or a failure after `seconds`
+    (a scan lock left held would block the next batch for good)."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except Exception as exc:  # handed to the test below
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestLadder:
@@ -133,6 +155,16 @@ class TestLadder:
     def test_n_paths_must_be_integer(self, n_paths):
         with pytest.raises(ValueError, match="n_paths"):
             run_counterexample(eps=0.1, dt=1e-2, n_paths=n_paths)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("call", [
+        lambda seed: run_counterexample(eps=0.1, dt=1e-2, n_paths=3, seed=seed),
+        lambda seed: tv_scaling([0.2, 0.1], dt=1e-2, n_paths=3, seed=seed),
+    ], ids=["run_counterexample", "tv_scaling"])
+    def test_bad_seed_rejected_before_any_run(self, monkeypatch, call, seed):
+        monkeypatch.setattr(ladder, "_run_batch", lambda *a: pytest.fail("a batch ran"))
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0"):
+            call(seed)
 
     def test_numpy_integer_n_paths(self):
         rep = run_counterexample(eps=0.1, dt=1e-2, n_paths=np.int64(7), seed=3)
@@ -212,6 +244,54 @@ class TestScan:
         monkeypatch.setattr(ladder, "_run_batch", failing)
         with pytest.raises(FloatingPointError, match="batch failed"):
             run_counterexample(eps=0.1, dt=1e-3, n_paths=1037, seed=9)
+
+    def test_one_scan_at_a_time(self, monkeypatch):
+        """The batch threads take turns on the crossing scan, with the same bits."""
+        real, guard, running, most = ladder._scan, threading.Lock(), [0], [0]
+
+        def counted(*args):
+            with guard:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(1e-3)  # long enough for another scan to start, were it let in
+                real(*args)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        want = _step_loop(0.1, 1e-2, 1.0, 4500, seed=9)
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(ladder, "_scan", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _arrays(_within(60, lambda: run_counterexample(
+                eps=0.1, dt=1e-2, n_paths=4500, seed=9)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_failing_scan_frees_the_lock(self, monkeypatch):
+        real = ladder._scan
+
+        def failing(paths, *state):
+            if paths.shape[0] == 37:
+                raise FloatingPointError("scan failed")
+            return real(paths, *state)
+
+        monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ladder, "_scan", failing)
+        with pytest.raises(FloatingPointError, match="scan failed"):
+            _within(60, lambda: run_counterexample(eps=0.1, dt=1e-3, n_paths=1037, seed=9))
+        assert not ladder._SCAN_LOCK.locked()
+        monkeypatch.setattr(ladder, "_scan", real)
+        got = _arrays(_within(60, lambda: run_counterexample(
+            eps=0.1, dt=1e-3, n_paths=1037, seed=9)))
+        for a, b in zip(got, _step_loop(0.1, 1e-3, 1.0, 1037, seed=9)):
+            assert np.array_equal(a, b)
 
 
 class TestTvScaling:
