@@ -313,8 +313,8 @@ def _drive(gen: Generator, forest: ScenarioTree, k: int, y: np.ndarray, z: np.nd
     return forest.join(gen(k, forest.split(y), forest.split(z)))
 
 
-def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
-                   dt: float, obstacle: Optional[np.ndarray] = None) -> np.ndarray:
+def _implicit_step(gen: Generator, forest: ScenarioTree, k: int, target: np.ndarray,
+                   z_k: np.ndarray, obstacle: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration;
     a non-finite iterate stops it at once.
 
@@ -323,15 +323,15 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
     that, and never under IMPLICIT_MAX_ITER.  A member whose first iterate reaches
     |y| in the hundreds stops within ROUND_OFF_ULPS ulps of it instead, as round-off
     there exceeds IMPLICIT_TOL.  The iterates keep the member axis of _drive: row i
-    is member i of gen.family, which stops at its own tolerance and keeps that
-    iterate while the others go on, so it gets the bits of its solo solve.
+    is copy i of `forest`, which stops at its own tolerance and keeps that iterate
+    while the others go on, so it gets the bits of its solo solve.
     """
-    b, q, cap = len(gen.family), dt * gen.l_y, IMPLICIT_MAX_ITER
-    target, z_k = target.reshape(b, -1), z_k.reshape(b, -1, z_k.shape[-1])
-    obstacle = None if obstacle is None else obstacle.reshape(b, -1)
+    q, cap = forest.dt * gen.l_y, IMPLICIT_MAX_ITER
+    target, z_k = forest.split(target), forest.split(z_k)
+    obstacle = None if obstacle is None else forest.split(obstacle)
     y, stopped = target.copy(), None  # stopped: per member, once some member has stopped
     for it in itertools.count(1):
-        y_new = target - gen(k, y, z_k) * dt
+        y_new = target - gen(k, y, z_k) * forest.dt
         if obstacle is not None:
             y_new = np.maximum(obstacle, y_new)
         if stopped is not None:
@@ -342,7 +342,7 @@ def _implicit_step(gen: Generator, k: int, target: np.ndarray, z_k: np.ndarray,
                              ROUND_OFF_ULPS * np.spacing(np.maximum.reduce(np.abs(y_new), axis=1)))
         done = defects <= tol
         if done.all():
-            return y_new.reshape(-1)
+            return forest.join(y_new)
         defect = float(np.maximum.reduce(defects))
         if not math.isfinite(defect):
             i = int(np.isfinite(defects).argmin())
@@ -405,7 +405,7 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
             y_tilde = ey - _drive(gen, forest, k, ey, z_vals[k]) * dt
             y_vals[k] = y_tilde if s_k is None else np.maximum(s_k, y_tilde)
         else:
-            y_vals[k] = _implicit_step(gen, k, ey, z_vals[k], dt, obstacle=s_k)
+            y_vals[k] = _implicit_step(gen, forest, k, ey, z_vals[k], obstacle=s_k)
             if s_k is not None:
                 y_tilde = ey - _drive(gen, forest, k, y_vals[k], z_vals[k]) * dt
         if s_k is not None:

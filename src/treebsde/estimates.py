@@ -10,14 +10,16 @@ Weight convention: increments booked at t_{k+1} carry the weight evaluated at
 t_{k+1}.  Time integrals bounded by Cauchy-Schwarz pick up a T^{p/2} factor
 that is kept explicitly (it equals 1 on the default unit horizon).
 
-Each `*_family` form checks a whole family in one pass over ScenarioTree.forest(B)
-(a family ReflectedInstance with its solve_reflected solution, or a
-strong_supermartingale_family process) and returns one report per member, in member
-order, with the bits of the member's own check (see norms); the arithmetic after each
-expectation stays Python float arithmetic per member.  Each plain check is its family
-form on a lone instance, the family of one.  The pair checks' family forms take
-PairDifferences, the member pairs (2i, 2i + 1) on tree.forest(B // 2), and return one
-report per pair; each solo pair check is its family form on one pair (lone_pair).
+Each check has one form, `*_family`: it checks a whole family in one pass over
+ScenarioTree.forest(B) (a family ReflectedInstance with its solve_reflected solution,
+or a strong_supermartingale_family process) and returns one report per member, in
+member order, with the bits of the member's own check (see norms); the arithmetic after
+each expectation stays Python float arithmetic per member.  A lone instance is the
+family of one: pass [fingerprint] and read [0].  The pair checks take PairDifferences,
+the member pairs (2i, 2i + 1) on tree.forest(B // 2) or two lone solutions as
+lone_pair, and return one report per pair.  check_solution_norm_bound and
+check_compensator_norm_bound remain as solo forms because perfbench/workloads.py
+calls them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import SolutionQuadruple, solve_bsde
+from .bsde import SolutionQuadruple
 from .errors import ClassificationError
 from .norms import (
     _leaf_norm,
@@ -97,14 +99,14 @@ def _dl(sol: SolutionQuadruple, k: int) -> np.ndarray:
 
 def check_solution_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha: float,
                         fingerprint: str = "") -> EstimateReport:
-    """Full-solution bound: (Z, M, K) norms against (xi, Y, g0).  Empirical.  The
-    family of one (check_solution_norm_family)."""
+    """check_solution_norm_family on the family of one."""
     return check_solution_norm_family(instance, sol, p, alpha, [fingerprint])[0]
 
 
 def check_solution_norm_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                                alpha: float, fingerprints: list) -> list:
-    """check_solution_norm_bound of every member; `sol` is the family's forest solution."""
+    """Full-solution bound: (Z, M, K) norms against (xi, Y, g0).  Empirical.  `sol` is
+    the family's forest solution."""
     _require_nondecreasing(sol)
     terms = (norm_h_family(sol.z, p, alpha), norm_m_family(sol.m, p, alpha),
              norm_i_family(sol.dk, p, alpha), _leaf_norm(sol.tree, np.abs(family.xi), p, p),
@@ -139,19 +141,19 @@ def compensator_weight_floor(gen, p: float) -> float:
 
 def check_compensator_norm_bound(instance, sol: SolutionQuadruple, p: float, alpha: float,
                              branch: str, fingerprint: str = "") -> EstimateReport:
-    """Intermediate estimates behind the main bound.
-
-    branch "K-bound": explicit chain constant for the push process (any p > 1,
-    needs non-decreasing K).  branch "N-ge2" (p >= 2) and "N-lt2" (p in (1,2)):
-    empirical, with the proof-admissible weight (compensator_weight_floor)
-    checked up front.  The family of one (check_compensator_norm_family).
-    """
+    """check_compensator_norm_family on the family of one."""
     return check_compensator_norm_family(instance, sol, p, alpha, branch, [fingerprint])[0]
 
 
 def check_compensator_norm_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                                   alpha: float, branch: str, fingerprints: list) -> list:
-    """check_compensator_norm_bound of every member; `sol` is the family's forest solution."""
+    """Intermediate estimates behind the main bound; `sol` is the family's forest solution.
+
+    branch "K-bound": explicit chain constant for the push process (any p > 1,
+    needs non-decreasing K).  branch "N-ge2" (p >= 2) and "N-lt2" (p in (1,2)):
+    empirical, with the proof-admissible weight (compensator_weight_floor)
+    checked up front.
+    """
     tree, gen = sol.tree, family.gen
     t_hor = tree.grid.horizon
     g_ns = _powers(norm_h_family(family.g0, p, alpha), p)
@@ -275,7 +277,7 @@ def pair_differences(family: ReflectedInstance, sol: SolutionQuadruple) -> PairD
     is one array operation per step: split, reshape to (B // 2, 2, n_k), subtract.  The
     delta drivers of all pairs take one family-driver call per step, on a forest whose
     blocks 2i and 2i + 1 both hold member 2i's solution."""
-    forest, b = sol.tree, len(family.gen.family)
+    forest, b = sol.tree, sol.tree.n_nodes(0)
     pairs = family.tree.forest(b // 2)
 
     def diff(blocks):
@@ -294,31 +296,20 @@ def pair_differences(family: ReflectedInstance, sol: SolutionQuadruple) -> PairD
                            family.gen.l_y, (sol,))
 
 
-def lone_pair(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
-              dg: PredictableProcess = None) -> PairDifferences:
-    """Two instances and their solutions on one tree as the family of one pair; `dg` is
-    their delta_driver, built here when not given."""
+def lone_pair(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple) -> PairDifferences:
+    """Two instances and their solutions on one tree as the family of one pair."""
     s1, s2 = getattr(inst1, "obstacle", None), getattr(inst2, "obstacle", None)
     return PairDifferences(sol1.y - sol2.y, sol1.z - sol2.z, sol1.mk - sol2.mk,
                            sol1.dk - sol2.dk, inst1.xi - inst2.xi,
                            None if s1 is None or s2 is None else s1 - s2,
-                           delta_driver(inst1, sol1, inst2) if dg is None else dg,
+                           delta_driver(inst1, sol1, inst2),
                            max(inst1.gen.l_y, inst2.gen.l_y), (sol1, sol2))
-
-
-def check_stability_norm_bound(inst1, sol1: SolutionQuadruple, inst2, sol2: SolutionQuadruple,
-                        p: float, alpha: float, fingerprint: str = "",
-                        dg: PredictableProcess = None) -> EstimateReport:
-    """Stability bound for the difference of two solutions.  Empirical.  `dg` is the
-    pair's delta_driver, built here when not given.  The family of one pair
-    (check_stability_norm_family)."""
-    return check_stability_norm_family(lone_pair(inst1, sol1, inst2, sol2, dg), p, alpha,
-                                       [fingerprint])[0]
 
 
 def check_stability_norm_family(pairs: PairDifferences, p: float, alpha: float,
                                 fingerprints: list) -> list:
-    """check_stability_norm_bound of every pair, one report per pair."""
+    """Stability bound for the difference of two solutions, one report per pair.
+    Empirical."""
     for sol in pairs.sols:
         _require_nondecreasing(sol)
     reports = []
@@ -338,28 +329,18 @@ def check_stability_norm_family(pairs: PairDifferences, p: float, alpha: float,
 
 # -- reflected-specific bounds ------------------------------------------------
 
-def check_obstacle_sup_bound(instance: ReflectedInstance, sol: SolutionQuadruple, p: float,
-                   alpha: float, variant: str = "S_plus", fingerprint: str = "",
-                   free: SolutionQuadruple = None) -> EstimateReport:
-    """Obstacle-problem sup bound on Y with the proof's explicit constants.
-
-    variant "S_plus" uses the positive part of the obstacle plus a comparison
-    with the unconstrained solution (coefficient 2^{p-1}); variant "S" uses the
-    obstacle itself and drops the comparison term.  `free` is the implicit
-    solution of instance.plain(), solved here when not given.  The proof's
-    kappa in (1, p) is fixed at the midpoint (1 + p)/2.  The family of one
-    (check_obstacle_sup_family).
-    """
-    if free is None and variant == "S_plus":
-        free = solve_bsde(instance.plain(), scheme="implicit")
-    return check_obstacle_sup_family(instance, sol, p, alpha, variant, [fingerprint], free)[0]
-
-
 def check_obstacle_sup_family(family: ReflectedInstance, sol: SolutionQuadruple, p: float,
                               alpha: float, variant: str, fingerprints: list,
                               free: SolutionQuadruple) -> list:
-    """check_obstacle_sup_bound of every member; `sol` is the family's forest solution and
-    `free` that of its plain() instance (solve_bsde), read by S_plus."""
+    """Obstacle-problem sup bound on Y with the proof's explicit constants; `sol` is the
+    family's forest solution.
+
+    variant "S_plus" uses the positive part of the obstacle plus a comparison
+    with the unconstrained solution (coefficient 2^{p-1}), read from `free`, the
+    implicit solution of family.plain() (solve_bsde); variant "S" uses the
+    obstacle itself, drops the comparison term and reads no `free` (pass None).
+    The proof's kappa in (1, p) is fixed at the midpoint (1 + p)/2.
+    """
     if variant not in ("S_plus", "S"):
         raise ValueError(f"unknown variant {variant!r}")
     if p <= 1.0:
@@ -398,20 +379,9 @@ def check_obstacle_sup_family(family: ReflectedInstance, sol: SolutionQuadruple,
     return reports
 
 
-def check_obstacle_stability_bound(inst1: ReflectedInstance, sol1: SolutionQuadruple,
-                             inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                             p: float, alpha: float, fingerprint: str = "",
-                             dg: PredictableProcess = None) -> EstimateReport:
-    """Paired-obstacle sup bound on delta Y.  Empirical ratio.  `dg` is the pair's
-    delta_driver, built here when not given.  The family of one pair
-    (check_obstacle_stability_family)."""
-    return check_obstacle_stability_family(lone_pair(inst1, sol1, inst2, sol2, dg), p, alpha,
-                                           [fingerprint])[0]
-
-
 def check_obstacle_stability_family(pairs: PairDifferences, p: float, alpha: float,
                                     fingerprints: list) -> list:
-    """check_obstacle_stability_bound of every pair, one report per pair."""
+    """Paired-obstacle sup bound on delta Y, one report per pair.  Empirical ratio."""
     tree, l_y = pairs.tree, pairs.l_y
     dg_leaf = weighted_sum(tree, l_y, map(np.abs, pairs.dg.values), tree.dt)
     reports = []
@@ -428,23 +398,15 @@ def check_obstacle_stability_family(pairs: PairDifferences, p: float, alpha: flo
     return reports
 
 
-def check_cross_term(inst1: ReflectedInstance, sol1: SolutionQuadruple,
-                     inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                     alpha: float, fingerprint: str = "") -> EstimateReport:
-    """Exact flat-off-the-obstacle control of the cross term.
+def check_cross_term_family(pairs: PairDifferences, alpha: float, fingerprints: list) -> list:
+    """Exact flat-off-the-obstacle control of the cross term, one report per pair.
 
     Node by node, delta Y d(delta K) <= delta S d(delta K), a consequence of
     each solution pushing only on its own contact set; the expectation is then
     dominated by the weighted sup of delta S times the variation of delta K.
-    The family of one pair (check_cross_term_family).
+    Each pair's pathwise defect is np.max of 0 and its step maxima, so a signed
+    zero keeps its sign.
     """
-    return check_cross_term_family(lone_pair(inst1, sol1, inst2, sol2), alpha, [fingerprint])[0]
-
-
-def check_cross_term_family(pairs: PairDifferences, alpha: float, fingerprints: list) -> list:
-    """check_cross_term of every pair, one report per pair.  Each pair's pathwise defect
-    is np.max of 0 and its step maxima, as the lone check takes it, so a signed zero
-    keeps its sign."""
     tree = pairs.tree
     steps = range(tree.n_steps)
     w1 = _wr(tree, alpha)
@@ -467,20 +429,10 @@ def check_cross_term_family(pairs: PairDifferences, alpha: float, fingerprints: 
     return reports
 
 
-def check_reflected_stability_p2(inst1: ReflectedInstance, sol1: SolutionQuadruple,
-                        inst2: ReflectedInstance, sol2: SolutionQuadruple,
-                        alpha: float, fingerprint: str = "",
-                        dg: PredictableProcess = None) -> EstimateReport:
-    """Quadratic stability bound for reflected pairs.  Empirical constant.  `dg` is the
-    pair's delta_driver, built here when not given.  The family of one pair
-    (check_reflected_stability_p2_family)."""
-    return check_reflected_stability_p2_family(lone_pair(inst1, sol1, inst2, sol2, dg), alpha,
-                                               [fingerprint])[0]
-
-
 def check_reflected_stability_p2_family(pairs: PairDifferences, alpha: float,
                                         fingerprints: list) -> list:
-    """check_reflected_stability_p2 of every pair, one report per pair."""
+    """Quadratic stability bound for reflected pairs, one report per pair.  Empirical
+    constant."""
     reports = []
     for y_n, z_n, mk_n, xi_n, ds_n, dg_n, fp in zip(
             norm_h_family(pairs.y, 2.0, alpha), norm_h_family(pairs.z, 2.0, alpha),
@@ -499,9 +451,9 @@ def check_reflected_stability_p2_family(pairs: PairDifferences, alpha: float,
 
 # -- pathwise power expansion and bracket equivalences ------------------------
 
-def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
-                           fingerprint: str = "") -> EstimateReport:
-    """Pathwise p-power expansion bound for ladlag paths, p in (1, 2).
+def check_ito_p_family(x: LadlagProcess, p: float, alpha: float, fingerprints: list) -> list:
+    """Pathwise p-power expansion bound for ladlag paths, p in (1, 2), of each copy of a
+    process on a forest, one report per copy.
 
     Every term of the display is evaluated per leaf path, for every start time
     on the grid: terminal power, closed-form ds integral on the constant open
@@ -509,17 +461,9 @@ def check_ito_p_inequality(x: LadlagProcess, p: float, alpha: float,
     jumps at grid times; the start-time right jump enters through the boundary
     convention of the integral), and the quadratic jump correction.  The worst
     signed defect lhs - rhs over paths and start times is reported and must
-    not exceed ITO_P_TOL.  The family of one (check_ito_p_family).
-    """
-    return check_ito_p_family(x, p, alpha, [fingerprint])[0]
-
-
-def check_ito_p_family(x: LadlagProcess, p: float, alpha: float, fingerprints: list) -> list:
-    """check_ito_p_inequality of each copy of a process on a forest, one report per copy.
-
-    Row j of `rhs` and `star` is the display started at t_j: each step's term is
-    built once and added, in increasing k, to the rows it covers, so every row sees
-    the operations of its own sum.
+    not exceed ITO_P_TOL.  Row j of `rhs` and `star` is the display started at t_j:
+    each step's term is built once and added, in increasing k, to the rows it covers,
+    so every row sees the operations of its own sum.
     """
     if not (1.0 < p < 2.0):
         raise ValueError(f"need p in (1,2), got {p}")
@@ -554,15 +498,9 @@ def check_ito_p_family(x: LadlagProcess, p: float, alpha: float, fingerprints: l
             for w, fp in zip(tree.split(worst).max(axis=1).tolist(), fingerprints, strict=True)]
 
 
-def check_bracket_equivalences(sol: SolutionQuadruple, ps, alpha: float,
-                               fingerprint: str = "") -> list:
-    """Bracket-norm equivalences and the gradient-integrand martingale property: three
-    rows for each p of `ps`, in order.  The family of one (check_bracket_family)."""
-    return check_bracket_family(sol, ps, alpha, [fingerprint])
-
-
 def check_bracket_family(sol: SolutionQuadruple, ps, alpha: float, fingerprints: list) -> list:
-    """check_bracket_equivalences of each member of a forest solution, member after
+    """Bracket-norm equivalences and the gradient-integrand martingale property of each
+    member of a forest solution: three rows for each p of `ps`, in order, member after
     member.  The per-leaf sums, the increments dL and their E_k do not depend on p, so
     each is built once and read for every p."""
     _require_nondecreasing(sol)
@@ -608,16 +546,10 @@ def check_bracket_family(sol: SolutionQuadruple, ps, alpha: float, fingerprints:
     return [r for row in rows for r in row]
 
 
-def check_burkholder(sol: SolutionQuadruple, p: float, alpha: float,
-                     fingerprint: str = "") -> EstimateReport:
-    """Moment bound for the weighted integral of Y against the martingale part.  The
-    family of one (check_burkholder_family)."""
-    return check_burkholder_family(sol, p, alpha, [fingerprint])[0]
-
-
 def check_burkholder_family(sol: SolutionQuadruple, p: float, alpha: float,
                             fingerprints: list) -> list:
-    """check_burkholder of each member of a forest solution, one report per member."""
+    """Moment bound for the weighted integral of Y against the martingale part, of each
+    member of a forest solution, one report per member."""
     if p < 2.0:
         raise ValueError(f"constant defined for p >= 2, got {p}")
     tree = sol.tree
@@ -650,8 +582,7 @@ def measure_stability_decay(make_pair, hs, p: float, alpha: float) -> dict:
     """
     lhs_vals = []
     for h in hs:
-        inst1, sol1, inst2, sol2 = make_pair(h)
-        rep = check_stability_norm_bound(inst1, sol1, inst2, sol2, p, alpha)
+        (rep,) = check_stability_norm_family(lone_pair(*make_pair(h)), p, alpha, [""])
         lhs_vals.append(rep.lhs)
     xs = np.log(np.asarray(hs, dtype=float))
     ys = np.log(np.maximum(np.asarray(lhs_vals), 1e-300))

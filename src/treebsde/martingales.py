@@ -163,21 +163,15 @@ def exhaust_jumps(tree: ScenarioTree, x: LadlagProcess, eps: float,
     return AdaptedProcess(tree, tree.path_scan(taken, process=True))
 
 
-def meyer_bound_check(tree: ScenarioTree, x: LadlagProcess, p: float,
-                      fingerprint: str = "") -> EstimateReport:
+def meyer_bound_family(tree: ScenarioTree, x: LadlagProcess, p: float,
+                       fingerprints: list) -> list:
     """Meyer compensator estimate |A|_{I^p} + |I|_{I^p} <= C_p |X|_{S^p}.
 
     Uses the explicit right-continuous constant C'_p (1 + p/(p-1)) when X has
-    no right jumps, and the composed ladlag constant otherwise.  The process is
-    checked as a family of one (meyer_bound_family).
+    no right jumps, and the composed ladlag constant otherwise.  Each copy of a
+    process on a forest (`tree`; a lone tree is one copy) is checked in one
+    decomposition: one report per copy, in copy order, named by `fingerprints`.
     """
-    return meyer_bound_family(tree, x, p, [fingerprint])[0]
-
-
-def meyer_bound_family(tree: ScenarioTree, x: LadlagProcess, p: float,
-                       fingerprints: list) -> list:
-    """meyer_bound_check of each copy of a process on a forest (`tree`), in one
-    decomposition: one report per copy, in copy order, named by `fingerprints`."""
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     dec = mertens_decompose(tree, x)

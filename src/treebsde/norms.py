@@ -8,19 +8,19 @@ Discrete transcriptions, with T the horizon and dt the step:
 Integral weights sit at the right endpoint of each interval: jumps of M and K
 are booked at t_{k+1}, and the same convention is kept for the ds-integrals so
 that the assembled inequality constants stay valid in discrete time.  Every
-sum is one weighted_sum and every sup one sup_power, shared with the estimates.
+sum is one weighted_sum and every sup one sup_power_family, shared with the
+estimates.
 Each norm is _leaf_norm of a per-leaf sum that does not depend on p (leaf_h,
 leaf_m, leaf_composite, leaf_i), so a check that reads several p builds it once.
 
-On a forest (ScenarioTree.forest) each `*_family` form builds its sums for all copies
-at once and returns one value per copy: one np.dot per copy, then Python float
-arithmetic, so each value has the bits of the copy's own.  The plain form of a norm
-is its family form on a lone tree, which is one copy.
+Each norm has one form, `*_family`: on a forest (ScenarioTree.forest) it builds its
+sums for all copies at once and returns one value per copy, one np.dot per copy and
+then Python float arithmetic, so each value has the bits of the copy's own.  A lone
+tree is one copy, whose norm is the form's [0].
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -38,16 +38,6 @@ def _wr(tree: ScenarioTree, alpha: float) -> list:
 def _leaf_norm(tree: ScenarioTree, leaf: np.ndarray, power: float, p: float) -> list:
     """Per copy, (E[leaf^power])^{1/p} for a per-leaf path functional."""
     return [e ** (1.0 / p) for e in tree.expectations(leaf**power, tree.n_steps)]
-
-
-def _lone(family_form):
-    """The plain form of a family norm: its one value on a lone tree."""
-    @functools.wraps(family_form)
-    def lone(*args, **kwargs):
-        return family_form(*args, **kwargs)[0]
-
-    lone.__name__ = lone.__qualname__ = family_form.__name__.removesuffix("_family")
-    return lone
 
 
 def weighted_sum(tree: ScenarioTree, alpha: float, terms, scale=None) -> np.ndarray:
@@ -124,11 +114,6 @@ def leaf_i(k_inc: PredictableProcess, alpha: float) -> np.ndarray:
 def norm_i_family(k_inc: PredictableProcess, p: float, alpha: float) -> list:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
     return _leaf_norm(k_inc.tree, leaf_i(k_inc, alpha), p, p)
-
-
-sup_power, norm_sp, norm_h = _lone(sup_power_family), _lone(norm_sp_family), _lone(norm_h_family)
-norm_m, norm_m_composite = _lone(norm_m_family), _lone(norm_m_composite_family)
-norm_i = _lone(norm_i_family)
 
 
 # -- pointwise functions and explicit constants -------------------------------

@@ -158,24 +158,24 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
     return float(candidates(0, 0).max())
 
 
-def _linearization(gen: Generator, k: int, y: np.ndarray, z: np.ndarray,
-                   member_axis: tuple = ()) -> tuple:
+def _linearization(gen: Generator, forest: ScenarioTree, k: int, y: np.ndarray,
+                   z: np.ndarray) -> tuple:
     """Per-node (g, lam, eta, g0) at step k with g = g(Y, Z) = g0 + lam Y + eta . Z exactly.
 
     lam is the difference quotient in y at (Y, Z); eta telescopes coordinate
     difference quotients of z at y = 0; g0 = g(0, 0).  Both are bounded by the
     declared Lipschitz constants, clipped against roundoff.  One driver call takes
     the d + 2 points stacked on a leading axis: (Y, Z), then (0, Z with coordinates
-    >= i zeroed) for i = 0..d, the last being (0, Z).  On the nodes of a forest,
-    `member_axis` is (B,): the driver then sees each point on a member axis.
+    >= i zeroed) for i = 0..d, the last being (0, Z).  y and z sit on the step-k
+    nodes of `forest`, and the driver sees each point on its member axis.
     """
     d = z.shape[-1]
     keep = np.tri(d + 1, d, -1, dtype=bool)[:, None, :]  # row i keeps i coordinates
     ys = np.zeros((d + 2,) + y.shape)
     ys[0] = y
     zs = np.concatenate([z[None], np.where(keep, z, 0.0)])
-    g = gen(k, ys.reshape((d + 2,) + member_axis + (-1,)),
-            zs.reshape((d + 2,) + member_axis + (-1, d))).reshape(ys.shape)
+    b = forest.n_nodes(0)
+    g = gen(k, ys.reshape(d + 2, b, -1), zs.reshape(d + 2, b, -1, d)).reshape(ys.shape)
     lam = np.where(np.abs(y) > 1e-12, (g[0] - g[-1]) / np.where(y == 0.0, 1.0, y), 0.0)
     eta = np.where(np.abs(z) > 1e-12, (g[2:] - g[1:-1]).T / np.where(z == 0.0, 1.0, z), 0.0)
     return g[0], np.clip(lam, -gen.l_y, gen.l_y), np.clip(eta, -gen.l_z, gen.l_z), g[1]
@@ -209,7 +209,7 @@ def verify_snell_family(instance: ReflectedInstance, sol: SolutionQuadruple,
     n, dt = forest.n_steps, forest.dt
     y, z = sol.y.values, sol.z.values
     costs, lam_vals, eta_vals, g0_vals = map(list, zip(*(
-        _linearization(gen, k, y[k], z[k], member_axis=(len(gen.family),)) for k in range(n))))
+        _linearization(gen, forest, k, y[k], z[k]) for k in range(n))))
 
     v = snell_dynamic_program(forest, xi, obstacle, costs)
     defect_a = sup_abs_copies(forest, (v.values[k] - y[k] for k in range(n + 1)))

@@ -18,13 +18,14 @@ from treebsde.bsde import (
     solve_bsde,
 )
 from treebsde.estimates import (
-    check_ito_p_inequality,
+    check_bracket_family,
     check_compensator_norm_bound,
-    check_reflected_stability_p2,
-    check_obstacle_sup_bound,
-    check_bracket_equivalences,
+    check_ito_p_family,
+    check_obstacle_sup_family,
+    check_reflected_stability_p2_family,
     check_solution_norm_bound,
-    check_stability_norm_bound,
+    check_stability_norm_family,
+    lone_pair,
     measure_stability_decay,
 )
 from treebsde.families import (
@@ -35,8 +36,8 @@ from treebsde.families import (
     standard_tree,
 )
 from treebsde.ladder import run_counterexample, tv_scaling
-from treebsde.martingales import girsanov_change, meyer_bound_check, represent_martingale
-from treebsde.norms import meyer_c_prime, norm_sp, power_sum_bounds, young_bound
+from treebsde.martingales import girsanov_change, meyer_bound_family, represent_martingale
+from treebsde.norms import meyer_c_prime, norm_sp_family, power_sum_bounds, young_bound
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.reflected import (
     ReflectedInstance,
@@ -210,7 +211,7 @@ def test_explicit_constant_suite():
 
     for seed in range(n_inst):
         x = random_strong_supermartingale(tree, seed)
-        if not meyer_bound_check(tree, x, 2.0).passed:
+        if not meyer_bound_family(tree, x, 2.0, [""])[0].passed:
             fails.append(("meyer", seed))
     assert meyer_c_prime(2.0) == pytest.approx(4.0)
 
@@ -220,7 +221,7 @@ def test_explicit_constant_suite():
         if not check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound").passed:
             fails.append(("k-chain", seed))
         if seed < 200:
-            for rep in check_bracket_equivalences(sol, (2.0,), 0.3):
+            for rep in check_bracket_family(sol, (2.0,), 0.3, [""]):
                 if not rep.passed:
                     fails.append((rep.inequality_id, seed))
 
@@ -238,7 +239,7 @@ def test_explicit_constant_suite():
     for seed in range(n_inst):
         x = random_strong_supermartingale(tree, seed)
         for p in (1.2, 1.5, 1.9):
-            if not check_ito_p_inequality(x, p, alpha=1.0).passed:
+            if not check_ito_p_family(x, p, 1.0, [""])[0].passed:
                 fails.append((f"power-expansion-{p}", seed))
 
     elapsed = time.time() - t0
@@ -256,11 +257,13 @@ def test_empirical_ratio_suite():
         i2 = random_reflected(tree, 51, margin=0.5)
         s1 = solve_reflected(i1)
         s2 = solve_reflected(i2)
+        pair = lone_pair(i1, s1, i2, s2)
         ratios[n] = (
             check_solution_norm_bound(i1, s1, 2.0, 0.0).ratio,
-            check_stability_norm_bound(i1, s1, i2, s2, 2.0, 0.5).ratio,
-            check_obstacle_sup_bound(i1, s1, 2.0, 0.0).ratio,
-            check_reflected_stability_p2(i1, s1, i2, s2, alpha=0.5).ratio,
+            check_stability_norm_family(pair, 2.0, 0.5, [""])[0].ratio,
+            check_obstacle_sup_family(i1, s1, 2.0, 0.0, "S_plus", [""],
+                                      solve_bsde(i1.plain()))[0].ratio,
+            check_reflected_stability_p2_family(pair, 0.5, [""])[0].ratio,
         )
     finite = all(np.isfinite(v) for vs in ratios.values() for v in vs)
     spread = max(max(vs) for vs in ratios.values())
@@ -346,7 +349,7 @@ def test_lp_truncation():
                              obstacle=AdaptedProcess.constant(tree, -5.0))
     levels = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
     sols = [solve_reflected(truncate_instance(inst, lv)) for lv in levels]
-    incs = [norm_sp(a.y - b.y, 1.5) for a, b in zip(sols, sols[1:])]
+    incs = [norm_sp_family(a.y - b.y, 1.5)[0] for a, b in zip(sols, sols[1:])]
     ok = all(x > y for x, y in zip(incs, incs[1:]))
     elapsed = time.time() - t0
     _verdict("lp-truncation", ok,

@@ -319,7 +319,7 @@ class TestDriverContract:
 
 def _extract_linearization(instance, sol):
     """The (lam, eta, g0) of _linearization along one instance's solution, one list each."""
-    steps = (_linearization(instance.gen, k, sol.y.values[k], sol.z.values[k])[1:]
+    steps = (_linearization(instance.gen, sol.tree, k, sol.y.values[k], sol.z.values[k])[1:]
              for k in range(instance.tree.n_steps))
     return tuple(map(list, zip(*steps)))
 
@@ -381,7 +381,7 @@ class TestStackedLinearization:
         recorded = dataclasses.replace(inst, gen=_recording(inst.gen, calls))
         calls.clear()  # binding ran the Lipschitz probes
         _extract_linearization(recorded, sol)
-        assert calls == [(k, (d + 2, tree.n_nodes(k))) for k in range(tree.n_steps)]
+        assert calls == [(k, (d + 2, 1, tree.n_nodes(k))) for k in range(tree.n_steps)]
 
 
 class TestInnerFixedPointCap:
@@ -404,8 +404,9 @@ class TestInnerFixedPointCap:
         # y flips between -1 and 1 for ever: the first defect is 1
         flip = Generator(fn=lambda k, y, z: np.where(y >= 0, 1.0, -1.0), l_y=l_y, l_z=0.0,
                          name="flip")
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=1), d=1)  # 1 node at step 0, dt 1.0
         with pytest.raises(PicardDivergenceError, match=f"not converged after {cap} iterations"):
-            _implicit_step(flip, 0, np.zeros(3), np.zeros((3, 1)), 1.0)
+            _implicit_step(flip, tree, 0, np.zeros(1), np.zeros((1, 1)))
 
 
 class TestLinearSolver:

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 from treebsde import estimates
-from treebsde.bsde import Generator
+from treebsde.bsde import Generator, solve_bsde
 from treebsde.cli import generator_from_config, parse_config, tree_from_config
 from treebsde.estimates import (
-    check_burkholder,
-    check_cross_term,
-    check_ito_p_inequality,
+    check_bracket_family,
+    check_burkholder_family,
     check_compensator_norm_bound,
-    check_reflected_stability_p2,
-    check_obstacle_sup_bound,
-    check_obstacle_stability_bound,
-    check_bracket_equivalences,
+    check_cross_term_family,
+    check_ito_p_family,
+    check_obstacle_stability_family,
+    check_obstacle_sup_family,
+    check_reflected_stability_p2_family,
     check_solution_norm_bound,
-    check_stability_norm_bound,
+    check_stability_norm_family,
+    lone_pair,
     measure_stability_decay,
 )
 from treebsde.families import (
@@ -50,7 +51,7 @@ def solved(tree):
 
 
 def _gradient_row(sol, p=3.0):
-    rows = [r for r in check_bracket_equivalences(sol, (p,), 0.3)
+    rows = [r for r in check_bracket_family(sol, (p,), 0.3, [""])
             if r.inequality_id == "gradient_integrand_martingale"]
     assert len(rows) == 1
     return rows[0]
@@ -96,31 +97,32 @@ class TestExplicitChecks:
     @pytest.mark.parametrize("variant", ["S_plus", "S"])
     def test_obstacle_sup_bound(self, solved, variant):
         for inst, sol in solved:
-            rep = check_obstacle_sup_bound(inst, sol, 2.0, 0.0, variant=variant)
+            free = solve_bsde(inst.plain()) if variant == "S_plus" else None
+            (rep,) = check_obstacle_sup_family(inst, sol, 2.0, 0.0, variant, [""], free)
             assert rep.passed, rep.ratio
 
     def test_cross_term_exact(self, solved):
         (i1, s1), (i2, s2) = solved[0], solved[1]
-        rep = check_cross_term(i1, s1, i2, s2, alpha=0.5)
+        (rep,) = check_cross_term_family(lone_pair(i1, s1, i2, s2), 0.5, [""])
         assert rep.passed
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bracket_equivalences(self, solved, p):
         for _, sol in solved[:5]:
-            for rep in check_bracket_equivalences(sol, (p,), 0.3):
+            for rep in check_bracket_family(sol, (p,), 0.3, [""]):
                 assert rep.passed, rep.inequality_id
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_moment_bound(self, solved, p):
         for _, sol in solved[:5]:
-            rep = check_burkholder(sol, p, 0.3)
+            (rep,) = check_burkholder_family(sol, p, 0.3, [""])
             assert rep.passed, rep.ratio
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
     def test_pathwise_power_expansion(self, tree, p):
         for seed in range(20):
             x = random_strong_supermartingale(tree, seed)
-            rep = check_ito_p_inequality(x, p, alpha=1.0)
+            (rep,) = check_ito_p_family(x, p, 1.0, [""])
             assert rep.passed, f"seed {seed}: defect {rep.lhs}"
 
 
@@ -181,7 +183,7 @@ class TestPowerExpansionRows:
             x = random_strong_supermartingale(tree, seed)
             for p in (1.2, 1.5, 1.9):
                 for alpha in (1.0, 0.3):
-                    rep = check_ito_p_inequality(x, p, alpha)
+                    (rep,) = check_ito_p_family(x, p, alpha, [""])
                     assert rep.lhs == _ito_p_worst_reference(x, p, alpha), (seed, p, alpha)
 
     def test_phi_p_called_at_most_twice_per_step(self, monkeypatch):
@@ -193,7 +195,7 @@ class TestPowerExpansionRows:
 
         monkeypatch.setattr(estimates, "phi_p", counted)
         tree = standard_tree(n_steps=5)
-        check_ito_p_inequality(random_strong_supermartingale(tree, 0), 1.5, 1.0)
+        check_ito_p_family(random_strong_supermartingale(tree, 0), 1.5, 1.0, [""])
         assert 0 < len(calls) <= 2 * tree.n_steps
 
 
@@ -218,7 +220,8 @@ class TestEmpiricalChecks:
         assert main.details["components"]["g0"] == pytest.approx(
             sum(v * v for v in values) * tree.dt, rel=1e-12)
         reports = [main, check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound"),
-                   check_obstacle_sup_bound(inst, sol, 2.0, 0.0)]
+                   *check_obstacle_sup_family(inst, sol, 2.0, 0.0, "S_plus", [""],
+                                              solve_bsde(inst.plain()))]
         assert all(rep.passed and np.isfinite(rep.ratio) for rep in reports)
 
     @pytest.mark.parametrize("branch,p,alpha", [("N-ge2", 2.0, 5.0),
@@ -236,23 +239,23 @@ class TestEmpiricalChecks:
 
     def test_stability_finite(self, solved):
         (i1, s1), (i2, s2) = solved[2], solved[3]
-        rep = check_stability_norm_bound(i1, s1, i2, s2, 2.0, 0.5)
+        (rep,) = check_stability_norm_family(lone_pair(i1, s1, i2, s2), 2.0, 0.5, [""])
         assert rep.passed and np.isfinite(rep.ratio)
 
     def test_stability_vacuous_on_identical(self, solved):
         i1, s1 = solved[0]
-        rep = check_stability_norm_bound(i1, s1, i1, s1, 2.0, 0.5)
+        (rep,) = check_stability_norm_family(lone_pair(i1, s1, i1, s1), 2.0, 0.5, [""])
         assert rep.passed
         assert rep.details["vacuous"]
 
     def test_obstacle_stability_finite(self, solved):
         (i1, s1), (i2, s2) = solved[4], solved[5]
-        rep = check_obstacle_stability_bound(i1, s1, i2, s2, 2.0, 0.0)
+        (rep,) = check_obstacle_stability_family(lone_pair(i1, s1, i2, s2), 2.0, 0.0, [""])
         assert rep.passed and np.isfinite(rep.ratio)
 
     def test_p2_difference_estimate(self, solved):
         (i1, s1), (i2, s2) = solved[6], solved[7]
-        rep = check_reflected_stability_p2(i1, s1, i2, s2, alpha=0.5)
+        (rep,) = check_reflected_stability_p2_family(lone_pair(i1, s1, i2, s2), 0.5, [""])
         assert rep.passed and np.isfinite(rep.ratio)
 
     def test_ratios_non_exploding_under_refinement(self):
@@ -282,15 +285,15 @@ class TestEmpiricalChecks:
         assert res["order"] >= res["required"]
 
 
-# each pair API, called on two reflected instances and their solutions
+# each pair check, called on two reflected instances and their solutions as one pair
 _PAIR_APIS = {
-    "stability_norm_bound": lambda i1, s1, i2, s2: check_stability_norm_bound(
-        i1, s1, i2, s2, 2.0, 0.0),
-    "obstacle_stability_bound": lambda i1, s1, i2, s2: check_obstacle_stability_bound(
-        i1, s1, i2, s2, 2.0, 0.0),
-    "reflected_stability_p2": lambda i1, s1, i2, s2: check_reflected_stability_p2(
-        i1, s1, i2, s2, alpha=0.5),
-    "cross_term": lambda i1, s1, i2, s2: check_cross_term(i1, s1, i2, s2, alpha=0.5),
+    "stability_norm_bound": lambda *two: check_stability_norm_family(
+        lone_pair(*two), 2.0, 0.0, [""]),
+    "obstacle_stability_bound": lambda *two: check_obstacle_stability_family(
+        lone_pair(*two), 2.0, 0.0, [""]),
+    "reflected_stability_p2": lambda *two: check_reflected_stability_p2_family(
+        lone_pair(*two), 0.5, [""]),
+    "cross_term": lambda *two: check_cross_term_family(lone_pair(*two), 0.5, [""]),
 }
 
 

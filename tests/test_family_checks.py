@@ -27,18 +27,15 @@ from treebsde.estimates import (
     check_bracket_family,
     check_burkholder_family,
     check_compensator_norm_family,
-    check_cross_term,
     check_cross_term_family,
     check_ito_p_family,
-    check_obstacle_stability_bound,
     check_obstacle_stability_family,
     check_obstacle_sup_family,
-    check_reflected_stability_p2,
     check_reflected_stability_p2_family,
     check_solution_norm_family,
-    check_stability_norm_bound,
     check_stability_norm_family,
     compensator_weight_floor,
+    lone_pair,
     pair_differences,
 )
 from treebsde.families import (
@@ -61,13 +58,13 @@ from treebsde.norms import (
     burkholder_constant,
     meyer_constant,
     meyer_constant_ladlag,
-    norm_h,
-    norm_i,
-    norm_m,
-    norm_m_composite,
-    norm_sp,
+    norm_h_family,
+    norm_i_family,
+    norm_m_composite_family,
+    norm_m_family,
+    norm_sp_family,
     phi_p,
-    sup_power,
+    sup_power_family,
     weighted_sum,
 )
 from treebsde.processes import LadlagProcess, PredictableProcess
@@ -110,10 +107,10 @@ def _ref_lp_norm(tree, xi, p):
 
 def _ref_solution_norm(instance, sol, p, alpha, fingerprint):
     tree = sol.tree
-    lhs = (norm_h(sol.z, p, alpha) ** p + norm_m(sol.m, p, alpha) ** p
-           + norm_i(sol.dk, p, alpha) ** p)
-    comps = {"xi": _ref_lp_norm(tree, instance.xi, p) ** p, "y": norm_sp(sol.y, p) ** p,
-             "g0": norm_h(instance.g0, p, alpha) ** p}
+    lhs = (norm_h_family(sol.z, p, alpha)[0] ** p + norm_m_family(sol.m, p, alpha)[0] ** p
+           + norm_i_family(sol.dk, p, alpha)[0] ** p)
+    comps = {"xi": _ref_lp_norm(tree, instance.xi, p) ** p, "y": norm_sp_family(sol.y, p)[0] ** p,
+             "g0": norm_h_family(instance.g0, p, alpha)[0] ** p}
     rhs = sum(comps.values())
     return EstimateReport.empirical("solution_norm_bound", lhs, rhs, fingerprint,
                                     {"p": p, "alpha": alpha, "components": comps,
@@ -123,12 +120,12 @@ def _ref_solution_norm(instance, sol, p, alpha, fingerprint):
 def _ref_compensator(instance, sol, p, alpha, branch, fingerprint):
     tree, gen = sol.tree, instance.gen
     t_hor = tree.grid.horizon
-    g_n = norm_h(instance.g0, p, alpha) ** p
+    g_n = norm_h_family(instance.g0, p, alpha)[0] ** p
     if branch == "K-bound":
         c_m = meyer_constant(p)
-        lhs = norm_i(sol.dk, p, alpha) ** p
-        y_w = norm_sp(sol.y, p, alpha) ** p
-        z_n = norm_h(sol.z, p, alpha) ** p
+        lhs = norm_i_family(sol.dk, p, alpha)[0] ** p
+        y_w = norm_sp_family(sol.y, p, alpha)[0] ** p
+        z_n = norm_h_family(sol.z, p, alpha)[0] ** p
         v2, v3 = max(1.0, 2.0 ** (p - 1.0)), max(1.0, 3.0 ** (p - 1.0))
         inner = ((1.0 + v3 * t_hor**p * (gen.l_y + alpha / 2.0) ** p) * y_w
                  + v3 * t_hor ** (p / 2.0) * (gen.l_z**p * z_n + g_n))
@@ -137,11 +134,11 @@ def _ref_compensator(instance, sol, p, alpha, branch, fingerprint):
             "push_norm_chain", lhs, rhs, c_m**p * v2, fingerprint,
             {"p": p, "alpha": alpha, "meyer": c_m, "y_weighted": y_w, "z": z_n, "g0": g_n,
              "time_factor": t_hor ** (p / 2.0)})
-    n_norm = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
+    n_norm = norm_m_composite_family(sol.z, sol.mk, p, alpha)[0] ** p
     xi_n = _ref_lp_norm(tree, instance.xi, p) ** p
     w1 = _wr(tree, alpha)
     if branch == "N-ge2":
-        lhs = norm_h(sol.y, p, alpha) ** p + n_norm
+        lhs = norm_h_family(sol.y, p, alpha)[0] ** p + n_norm
         if p > 2.0:
             dn = (_dn(sol, k, inc) for k, inc in enumerate(sol.mk.increments()))
             star = _star_to_leaves(tree, sol.y.values, dn, w1)
@@ -170,7 +167,7 @@ def _ref_compensator(instance, sol, p, alpha, branch, fingerprint):
         big = np.maximum(y_prev**2, (y_prev + dn) ** 2)
         term = np.where(big > 0.0, dn**2 * big ** (p / 2.0 - 1.0), 0.0)
         a_term += wp[k] * (p * (p - 1.0) / 2.0) * tree.expectation(term, k + 1)
-    comps = {"xi": xi_n, "y_weighted_sup": norm_sp(sol.y, p, alpha) ** p,
+    comps = {"xi": xi_n, "y_weighted_sup": norm_sp_family(sol.y, p, alpha)[0] ** p,
              "phi_dk_integral_plus": k_tail}
     rhs = COMPENSATOR_EPS * g_n + sum(comps.values())
     report = EstimateReport.empirical("composite_norm_lt2", lhs, rhs, fingerprint,
@@ -185,13 +182,13 @@ def _ref_obstacle_sup(instance, sol, p, alpha, variant, fingerprint, free):
     tree, gen = instance.tree, instance.gen
     t_hor = tree.grid.horizon
     kappa = (1.0 + p) / 2.0
-    lhs = norm_sp(sol.y, p, alpha) ** p
+    lhs = norm_sp_family(sol.y, p, alpha)[0] ** p
     g_leaf = weighted_sum(tree, gen.l_y, map(np.abs, instance.g0.values), tree.dt)
     g_term = tree.expectation(g_leaf**p, tree.n_steps)
     s_vals = instance.obstacle.values
     if variant == "S_plus":
         s_vals = (np.maximum(v, 0.0) for v in s_vals)
-    s_term = sup_power(tree, s_vals, p, 2.0 * gen.l_y)
+    s_term = sup_power_family(tree, s_vals, p, 2.0 * gen.l_y)[0]
     xi_term = math.exp(p * gen.l_y * t_hor) * _ref_lp_norm(tree, instance.xi, p) ** p
     fac = 6.0 if variant == "S_plus" else 3.0
     c = (math.exp(p * (gen.l_y + alpha / 2.0) * t_hor
@@ -201,7 +198,7 @@ def _ref_obstacle_sup(instance, sol, p, alpha, variant, fingerprint, free):
     details = {"p": p, "alpha": alpha, "kappa": kappa, "variant": variant,
                "constant": c, "g0_term": g_term, "obstacle_term": s_term, "xi_term": xi_term}
     if variant == "S_plus":
-        comp_term = 2.0 ** (p - 1.0) * norm_sp(free.y, p, alpha) ** p
+        comp_term = 2.0 ** (p - 1.0) * norm_sp_family(free.y, p, alpha)[0] ** p
         rhs += comp_term
         details["comparison_term"] = comp_term
     return EstimateReport.explicit("obstacle_sup_bound", lhs, rhs, c, fingerprint, details)
@@ -209,9 +206,9 @@ def _ref_obstacle_sup(instance, sol, p, alpha, variant, fingerprint, free):
 
 def _ref_bracket(sol, p, alpha, fingerprint):
     tree = sol.tree
-    z_n = norm_h(sol.z, p, alpha) ** p
-    mk_n = norm_m(sol.mk, p, alpha) ** p
-    n_n = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
+    z_n = norm_h_family(sol.z, p, alpha)[0] ** p
+    mk_n = norm_m_family(sol.mk, p, alpha)[0] ** p
+    n_n = norm_m_composite_family(sol.z, sol.mk, p, alpha)[0] ** p
     lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     reports = [EstimateReport(
@@ -219,9 +216,10 @@ def _ref_bracket(sol, p, alpha, fingerprint):
         constant_used=min(1.0, 2.0 ** (p / 2.0 - 1.0)),
         passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi), fingerprint=fingerprint,
         details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n})]
-    mzw_n = norm_m_composite(sol.z, sol.m, p, alpha) ** p
+    mzw_n = norm_m_composite_family(sol.z, sol.m, p, alpha)[0] ** p
     c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
-    rhs = c * (n_n + math.exp(alpha * p * tree.grid.horizon / 2.0) * norm_i(sol.dk, p, alpha) ** p)
+    rhs = c * (n_n + math.exp(alpha * p * tree.grid.horizon / 2.0)
+               * norm_i_family(sol.dk, p, alpha)[0] ** p)
     reports.append(EstimateReport.explicit(
         "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
         {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * tree.grid.horizon / 2.0)}))
@@ -281,9 +279,9 @@ def _ref_meyer(tree, x, p, fingerprint):
     dec = mertens_decompose(tree, x)
     has_right_jumps = sup_abs(dec.drops) > 0.0
     c = meyer_constant_ladlag(p) if has_right_jumps else meyer_constant(p)
-    a_norm = norm_i(dec.da, p, 0.0)
-    i_norm = norm_i(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)
-    x_norm = norm_sp(x, p)
+    a_norm = norm_i_family(dec.da, p, 0.0)[0]
+    i_norm = norm_i_family(PredictableProcess(tree, dec.drops[:tree.n_steps]), p, 0.0)[0]
+    x_norm = norm_sp_family(x, p)[0]
     lhs, rhs = a_norm + i_norm, c * x_norm
     return EstimateReport.explicit(
         "meyer_compensator_bound", lhs, rhs, c, fingerprint,
@@ -316,10 +314,11 @@ def _ref_delta(inst1, sol1, inst2):
 
 def _ref_stability(inst1, sol1, inst2, sol2, p, alpha, fingerprint, dg):
     tree = sol1.tree
-    lhs = norm_h(sol1.z - sol2.z, p, alpha) ** p + norm_m(sol1.mk - sol2.mk, p, alpha) ** p
-    dy_sp = norm_sp(sol1.y - sol2.y, p)
+    lhs = (norm_h_family(sol1.z - sol2.z, p, alpha)[0] ** p
+           + norm_m_family(sol1.mk - sol2.mk, p, alpha)[0] ** p)
+    dy_sp = norm_sp_family(sol1.y - sol2.y, p)[0]
     comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, p) ** p, "dy_p": dy_sp**p,
-             "dy_low": dy_sp ** min(p / 2.0, p - 1.0), "dg": norm_h(dg, p, alpha) ** p}
+             "dy_low": dy_sp ** min(p / 2.0, p - 1.0), "dg": norm_h_family(dg, p, alpha)[0] ** p}
     rhs = sum(comps.values())
     return EstimateReport.empirical("stability_norm_bound", lhs, rhs, fingerprint,
                                     {"p": p, "alpha": alpha, "components": comps,
@@ -329,10 +328,11 @@ def _ref_stability(inst1, sol1, inst2, sol2, p, alpha, fingerprint, dg):
 def _ref_obstacle_stability(inst1, sol1, inst2, sol2, p, alpha, fingerprint, dg):
     tree = sol1.tree
     l_y = max(inst1.gen.l_y, inst2.gen.l_y)
-    lhs = norm_sp(sol1.y - sol2.y, p, alpha) ** p
+    lhs = norm_sp_family(sol1.y - sol2.y, p, alpha)[0] ** p
     dg_leaf = weighted_sum(tree, l_y, map(np.abs, dg.values), tree.dt)
     comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, p) ** p,
-             "ds": sup_power(tree, (inst1.obstacle - inst2.obstacle).values, p, 2.0 * l_y),
+             "ds": sup_power_family(tree, (inst1.obstacle - inst2.obstacle).values, p,
+                                    2.0 * l_y)[0],
              "dg": tree.expectation(dg_leaf**p, tree.n_steps)}
     rhs = sum(comps.values())
     return EstimateReport.empirical("obstacle_stability_sup_bound", lhs, rhs, fingerprint,
@@ -352,7 +352,7 @@ def _ref_cross_term(inst1, sol1, inst2, sol2, alpha, fingerprint):
                            tree.n_steps)
     mid = tree.expectation(tree.path_scan(w1[k] * ds.values[k] * ddk.values[k] for k in steps),
                            tree.n_steps)
-    bound = norm_sp(ds, 2.0, alpha) * norm_i(ddk, 2.0, alpha)
+    bound = norm_sp_family(ds, 2.0, alpha)[0] * norm_i_family(ddk, 2.0, alpha)[0]
     ok = worst <= 1e-12 and lhs <= mid + 1e-12 and mid <= bound + 1e-9 * max(1.0, abs(bound))
     return EstimateReport(inequality_id="cross_term_contact_set", lhs=lhs, rhs=bound,
                           constant_used="exact", passed=ok, fingerprint=fingerprint,
@@ -362,11 +362,11 @@ def _ref_cross_term(inst1, sol1, inst2, sol2, alpha, fingerprint):
 def _ref_p2(inst1, sol1, inst2, sol2, alpha, fingerprint, dg):
     tree = sol1.tree
     dy, dz, dmk = sol1.y - sol2.y, sol1.z - sol2.z, sol1.mk - sol2.mk
-    lhs = (norm_h(dy, 2.0, alpha) ** 2 + norm_h(dz, 2.0, alpha) ** 2
-           + norm_m(dmk, 2.0, alpha) ** 2)
+    lhs = (norm_h_family(dy, 2.0, alpha)[0] ** 2 + norm_h_family(dz, 2.0, alpha)[0] ** 2
+           + norm_m_family(dmk, 2.0, alpha)[0] ** 2)
     comps = {"xi": _ref_lp_norm(tree, inst1.xi - inst2.xi, 2.0) ** 2,
-             "ds_sup": norm_sp(inst1.obstacle - inst2.obstacle, 2.0, alpha)}
-    rhs = STABILITY_EPS * norm_h(dg, 2.0, alpha) ** 2 + sum(comps.values())
+             "ds_sup": norm_sp_family(inst1.obstacle - inst2.obstacle, 2.0, alpha)[0]}
+    rhs = STABILITY_EPS * norm_h_family(dg, 2.0, alpha)[0] ** 2 + sum(comps.values())
     return EstimateReport.empirical("reflected_stability_p2", lhs, rhs, fingerprint,
                                     {"alpha": alpha, "eps": STABILITY_EPS, "components": comps,
                                      "vacuous": lhs == 0.0 and rhs == 0.0})
@@ -438,7 +438,7 @@ def _same_bits(got, want):
 def test_pair_checks_match_pair_by_pair_checks(d, reveal, margin):
     """The pair family forms on the forest of pairs, one report per pair (2i, 2i + 1),
     against the checks as they ran pair by pair; an odd last member (size 5) is in no
-    pair.  Each solo pair check is its family form on one pair."""
+    pair.  Two lone solutions are the family of one pair (lone_pair)."""
     for size in (2, 4, 5, 10):
         tree, fam, sol = _family(d, reveal, margin, size)
         pairs, members = pair_differences(fam, sol), list(zip(fam.members, sol.members(tree)))
@@ -460,11 +460,11 @@ def test_pair_checks_match_pair_by_pair_checks(d, reveal, margin):
                    [_ref_cross_term(i1, s1, i2, s2, 0.5, fp)
                     for ((i1, s1), (i2, s2)), fp in zip(two, fps)])
         (i1, s1), (i2, s2) = two[-1]
-        dg = deltas[-1]
-        _same_bits([check_stability_norm_bound(i1, s1, i2, s2, 2.0, 0.3, "solo"),
-                    check_obstacle_stability_bound(i1, s1, i2, s2, 2.0, 0.0, "solo"),
-                    check_reflected_stability_p2(i1, s1, i2, s2, 0.5, "solo", dg=dg),
-                    check_cross_term(i1, s1, i2, s2, 0.5, "solo")],
+        dg, one = deltas[-1], lone_pair(i1, s1, i2, s2)
+        _same_bits([*check_stability_norm_family(one, 2.0, 0.3, ["solo"]),
+                    *check_obstacle_stability_family(one, 2.0, 0.0, ["solo"]),
+                    *check_reflected_stability_p2_family(one, 0.5, ["solo"]),
+                    *check_cross_term_family(one, 0.5, ["solo"])],
                    [_ref_stability(i1, s1, i2, s2, 2.0, 0.3, "solo", dg),
                     _ref_obstacle_stability(i1, s1, i2, s2, 2.0, 0.0, "solo", dg),
                     _ref_p2(i1, s1, i2, s2, 0.5, "solo", dg),
@@ -713,16 +713,7 @@ def test_family_suites_run_once_in_verify():
 SOLO_TO_FAMILY = {
     ("estimates.py", "check_solution_norm_bound"): "check_solution_norm_family",
     ("estimates.py", "check_compensator_norm_bound"): "check_compensator_norm_family",
-    ("estimates.py", "check_obstacle_sup_bound"): "check_obstacle_sup_family",
-    ("estimates.py", "check_bracket_equivalences"): "check_bracket_family",
-    ("estimates.py", "check_burkholder"): "check_burkholder_family",
-    ("estimates.py", "check_ito_p_inequality"): "check_ito_p_family",
-    ("martingales.py", "meyer_bound_check"): "meyer_bound_family",
     ("reflected.py", "verify_snell_representation"): "verify_snell_family",
-    ("estimates.py", "check_stability_norm_bound"): "check_stability_norm_family",
-    ("estimates.py", "check_obstacle_stability_bound"): "check_obstacle_stability_family",
-    ("estimates.py", "check_reflected_stability_p2"): "check_reflected_stability_p2_family",
-    ("estimates.py", "check_cross_term"): "check_cross_term_family",
 }
 
 
@@ -740,19 +731,3 @@ def test_solo_check_delegates_to_its_family_form(module, solo):
     others = {c for c in called if c.startswith(("check_", "norm_", "sup_", "leaf_", "_leaf",
                                                   "lp_", "meyer_", "verify_"))}
     assert others == {SOLO_TO_FAMILY[module, solo]}
-
-
-def test_plain_norms_are_family_forms_of_one():
-    """Each plain norm is norms._lone of its family form, with no body of its own."""
-    module = ast.parse((SRC / "norms.py").read_text())
-    lone = {}
-    for node in module.body:
-        if isinstance(node, ast.Assign):
-            targets = [t for target in node.targets for t in ast.walk(target)
-                       if isinstance(t, ast.Name)]
-            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
-            lone.update({t.id: ast.unparse(v) for t, v in zip(targets, values)})
-    names = ("sup_power", "norm_sp", "norm_h", "norm_m", "norm_m_composite", "norm_i")
-    assert {name: lone.get(name) for name in names} == {
-        name: f"_lone({name}_family)" for name in names}
-    assert not [n.name for n in module.body if isinstance(n, ast.FunctionDef) and n.name in names]

@@ -84,13 +84,13 @@ def test_no_hand_written_lift_loops(path):
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "norms.py"], ids=lambda p: p.name)
 def test_weighted_sups_are_norms_sup_power(path):
-    """A running sup along paths is norms.sup_power: no other module passes np.maximum
-    to path_scan."""
+    """A running sup along paths is norms.sup_power_family: no other module passes
+    np.maximum to path_scan."""
     lines = [node.lineno for node in ast.walk(_parse(path))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "path_scan"
              and any(isinstance(arg, ast.Attribute) and arg.attr == "maximum"
                      for arg in list(node.args) + [kw.value for kw in node.keywords])]
-    assert not lines, f"{path.name} lines {lines}: a sup along paths, use norms.sup_power"
+    assert not lines, f"{path.name} lines {lines}: a sup along paths, use norms.sup_power_family"
 
 
 def test_seeded_driver_spelled_once():
@@ -184,3 +184,58 @@ def test_cli_import_loads_no_thread_pool():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# perfbench/workloads.py calls these three, so they stay as solo forms
+SOLO_FORMS = {"check_solution_norm_bound", "check_compensator_norm_bound",
+              "verify_snell_representation"}
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None) or ""
+
+
+def _is_family_of_one(value, family_forms):
+    """A family form called on a family of one: F(...)[0], or F(...) with a one-element
+    list among its arguments, such as [fingerprint]."""
+    if isinstance(value, ast.Subscript) and ast.unparse(value.slice) == "0":
+        return isinstance(value.value, ast.Call) and _callee(value.value) in family_forms
+    return (isinstance(value, ast.Call) and _callee(value) in family_forms
+            and any(isinstance(a, ast.List) and len(a.elts) == 1 for a in value.args))
+
+
+def test_one_form_per_check():
+    """Each check and norm has one form, its `*_family` form: no function of the package
+    returns a family form on a family of one but the three solo forms kept, and no
+    module-level name aliases a family form.  The member axis of the inner fixed point,
+    the Snell linearization and the pair differences is the forest's, never the
+    driver's len(gen.family)."""
+    modules = {path.name: _parse(path) for path in MODULES}
+    # families.py's *_family functions build families; every other one checks or measures
+    family_forms = {fn.name for name, module in modules.items() if name != "families.py"
+                    for fn in module.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_family")}
+    assert {"check_burkholder_family", "meyer_bound_family", "norm_h_family",
+            "verify_snell_family"} <= family_forms
+    solos, keyed, aliases, lens = set(), set(), [], []
+    for name, module in modules.items():
+        for fn in ast.walk(module):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(r, ast.Return) and _is_family_of_one(r.value, family_forms)
+                    for r in ast.walk(fn)):
+                solos.add(fn.name)
+            if isinstance(fn, ast.FunctionDef) and fn.name in (
+                    "_implicit_step", "_linearization", "pair_differences"):
+                keyed.add(fn.name)
+                lens += [(name, fn.name) for n in ast.walk(fn)
+                         if isinstance(n, ast.Call) and _callee(n) == "len"
+                         and any(isinstance(a, ast.Attribute) and a.attr == "family"
+                                 for a in n.args)]
+        aliases += [(name, node.lineno) for node in module.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+                    and any(isinstance(n, ast.Name) and n.id in family_forms
+                            for n in ast.walk(node.value))]
+    assert solos == SOLO_FORMS
+    assert keyed == {"_implicit_step", "_linearization", "pair_differences"}
+    assert not aliases, f"module-level aliases of a family form at {aliases}"
+    assert not lens, f"len(...family) in {lens}: take the member count from the forest"

@@ -16,7 +16,7 @@ from treebsde.martingales import (
     exhaust_jumps,
     girsanov_change,
     mertens_decompose,
-    meyer_bound_check,
+    meyer_bound_family,
     represent_martingale,
 )
 from treebsde.processes import AdaptedProcess, LadlagProcess, PredictableProcess
@@ -157,7 +157,7 @@ class TestMeyerBound:
     def test_holds_on_family(self, tree, p):
         for seed in range(50):
             x = random_strong_supermartingale(tree, seed)
-            rep = meyer_bound_check(tree, x, p)
+            (rep,) = meyer_bound_family(tree, x, p, [""])
             assert rep.passed, f"seed {seed}: ratio {rep.ratio}"
 
     def test_plain_supermartingale_uses_tighter_constant(self, tree):
@@ -165,7 +165,7 @@ class TestMeyerBound:
         # subtract a deterministic drift to get a right-continuous supermartingale
         vals = [m.values[k] - tree.grid.times[k] for k in range(tree.n_steps + 1)]
         x = LadlagProcess.from_cadlag(AdaptedProcess(tree, vals))
-        rep = meyer_bound_check(tree, x, 2.0)
+        (rep,) = meyer_bound_family(tree, x, 2.0, [""])
         assert rep.passed
         assert "12" in str(rep.constant_used) or rep.details.get("constant") == pytest.approx(12.0)
 

@@ -11,8 +11,8 @@ from treebsde.bsde import BsdeInstance, Generator, SolutionQuadruple, solve_bsde
 from treebsde.cli import main
 from treebsde.errors import (ClassificationError, InvariantViolationError, MeasureChangeError,
                              NotAMartingaleError, PicardDivergenceError)
-from treebsde.estimates import (check_bracket_equivalences, check_cross_term,
-                                check_ito_p_inequality, check_solution_norm_bound)
+from treebsde.estimates import (check_bracket_family, check_cross_term_family,
+                                check_ito_p_family, check_solution_norm_bound, lone_pair)
 from treebsde.families import (random_generator, random_martingale, random_obstacle,
                                random_reflected, random_strong_supermartingale,
                                random_terminal, reflected_family, standard_tree)
@@ -140,7 +140,7 @@ def _snell(which):
 def _gradient_integrand(tree):
     _, sol = _solved(tree)
     sol.m.values[2][3] = NAN
-    rep = check_bracket_equivalences(sol, (2.0,), 0.3)[2]
+    rep = check_bracket_family(sol, (2.0,), 0.3, [""])[2]
     assert rep.inequality_id == "gradient_integrand_martingale"
     return rep.lhs, rep
 
@@ -218,7 +218,7 @@ class TestSignedChecks:
         inst1, sol1 = _solved(tree, 1)
         inst2, sol2 = _solved(tree, 2)
         sol1.y.values[1][0] = NAN
-        rep = check_cross_term(inst1, sol1, inst2, sol2, alpha=0.5)
+        (rep,) = check_cross_term_family(lone_pair(inst1, sol1, inst2, sol2), 0.5, [""])
         assert math.isnan(rep.details["pathwise_defect"])
         assert not rep.passed
 
@@ -226,7 +226,7 @@ class TestSignedChecks:
         x = random_strong_supermartingale(tree, 1)
         value = [v.copy() for v in x.value]
         value[2][0] = NAN
-        rep = check_ito_p_inequality(LadlagProcess(tree, value, x.right), 1.5, alpha=1.0)
+        (rep,) = check_ito_p_family(LadlagProcess(tree, value, x.right), 1.5, 1.0, [""])
         assert math.isnan(rep.lhs)
         assert not rep.passed
 
@@ -262,9 +262,10 @@ class TestSignedChecks:
             return np.where(np.arange(y.shape[-1]) == 2, NAN, 0.0)
 
         gen = Generator(fn=fn, l_y=0.0, l_z=0.0, name="nan-at-2")
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=4), d=1)  # 8 nodes at step 3, dt 0.25
         with pytest.raises(PicardDivergenceError,
                            match=r"^step 3: non-finite inner iterate at node 2 \(nan-at-2\)$"):
-            bsde._implicit_step(gen, 3, np.zeros(4), np.zeros((4, 1)), 0.25)
+            bsde._implicit_step(gen, tree, 3, np.zeros(8), np.zeros((8, 1)))
         assert calls == [3]
 
     def test_explicit_solve_with_nan_terminal_value_fails_loudly(self, tree):

@@ -19,14 +19,14 @@ from treebsde.norms import (
     meyer_c_prime,
     meyer_constant,
     meyer_constant_ladlag,
-    norm_h,
-    norm_i,
-    norm_m,
-    norm_m_composite,
-    norm_sp,
+    norm_h_family,
+    norm_i_family,
+    norm_m_composite_family,
+    norm_m_family,
+    norm_sp_family,
     phi_p,
     power_sum_bounds,
-    sup_power,
+    sup_power_family,
     weighted_sum,
     young_bound,
 )
@@ -102,17 +102,17 @@ class TestNorms:
     def test_sp_of_constant(self, tree):
         from treebsde.processes import AdaptedProcess
         x = AdaptedProcess.constant(tree, -3.0)
-        assert norm_sp(x, 2.0) == pytest.approx(3.0, abs=1e-12)
+        assert norm_sp_family(x, 2.0)[0] == pytest.approx(3.0, abs=1e-12)
         # the weight e^{(alpha/2) t} peaks at the horizon on every path
         want = 3.0 * math.exp(0.35 * tree.grid.horizon)
-        assert norm_sp(x, 2.0, alpha=0.7) == pytest.approx(want, abs=1e-12)
+        assert norm_sp_family(x, 2.0, alpha=0.7)[0] == pytest.approx(want, abs=1e-12)
 
     def test_sp_weighted_reduces_to_sp_at_zero(self, tree):
         m = random_martingale(tree, 0)
         slots = [np.abs(v) for v in m.values]
         sup = tree.path_scan(slots[1:], np.maximum, start=slots[0])
         want = math.sqrt(tree.expectation(sup**2, tree.n_steps))
-        assert norm_sp(m, 2.0, alpha=0.0) == pytest.approx(want, abs=1e-12)
+        assert norm_sp_family(m, 2.0, alpha=0.0)[0] == pytest.approx(want, abs=1e-12)
 
     def test_h_norm_unit_integrand(self, tree):
         z = PredictableProcess.zeros(tree, d=tree.d)
@@ -120,40 +120,41 @@ class TestNorms:
             z.values[k][:] = 1.0
         # alpha = 0: integral of |z|^2 ds = d * T, norm = sqrt(d T)
         want = math.sqrt(tree.d * tree.grid.horizon)
-        assert norm_h(z, 2.0, 0.0) == pytest.approx(want, abs=1e-12)
+        assert norm_h_family(z, 2.0, 0.0)[0] == pytest.approx(want, abs=1e-12)
 
     def test_h1_scalar_constant(self, tree):
         from treebsde.processes import AdaptedProcess
         g = AdaptedProcess.constant(tree, 2.0)
-        assert norm_h(g, 2.0, 0.0) == pytest.approx(2.0 * math.sqrt(tree.grid.horizon), abs=1e-12)
+        assert norm_h_family(g, 2.0, 0.0)[0] == pytest.approx(2.0 * math.sqrt(tree.grid.horizon),
+                                                              abs=1e-12)
 
     def test_m_norm_is_root_expected_bracket(self, tree):
         m = random_martingale(tree, 1)
         incs = m.increments()
         qv = tree.path_scan(inc**2 for inc in incs)
         want = math.sqrt(tree.expectation(qv, tree.n_steps))
-        assert norm_m(m, 2.0, 0.0) == pytest.approx(want, abs=1e-12)
+        assert norm_m_family(m, 2.0, 0.0)[0] == pytest.approx(want, abs=1e-12)
 
     def test_m_norm_p2_isometry(self, tree):
         # E[[M]_T] = E[M_T^2] - M_0^2 for closed martingales
         m = random_martingale(tree, 2)
         n = tree.n_steps
         second = tree.expectation(m.values[n] ** 2, n) - float(m.values[0][0]) ** 2
-        assert norm_m(m, 2.0, 0.0) ** 2 == pytest.approx(second, abs=1e-12)
+        assert norm_m_family(m, 2.0, 0.0)[0] ** 2 == pytest.approx(second, abs=1e-12)
 
     def test_i_norm_counts_variation(self, tree):
         dk = PredictableProcess.zeros(tree)
         for k in range(tree.n_steps):
             dk.values[k][:] = 0.5
         # alpha = 0: TV = 0.5 * n_steps on every path
-        assert norm_i(dk, 2.0, 0.0) == pytest.approx(0.5 * tree.n_steps, abs=1e-12)
+        assert norm_i_family(dk, 2.0, 0.0)[0] == pytest.approx(0.5 * tree.n_steps, abs=1e-12)
 
     def test_i_norm_weight_uses_right_endpoint(self, tree):
         dk = PredictableProcess.zeros(tree)
         dk.values[0][:] = 1.0
         alpha = 2.0
         want = math.exp((alpha / 2.0) * tree.grid.times[1])
-        assert norm_i(dk, 2.0, alpha) == pytest.approx(want, abs=1e-12)
+        assert norm_i_family(dk, 2.0, alpha)[0] == pytest.approx(want, abs=1e-12)
 
 
 # -- reference transcriptions: one hand-written path scan per norm ------------
@@ -252,18 +253,20 @@ class TestSharedScaffoldKeepsBits:
             for p in (1.2, 1.5, 2.0, 3.0):
                 for a in (0.0, 0.3, 1.7):
                     pairs = [
-                        (norm_sp(sol.y, p, a), _ref_norm_sp(sol.y, p, a)),
-                        (norm_sp(x, p, a), _ref_norm_sp(x, p, a)),
-                        (norm_h(sol.z, p, a), _ref_norm_h(sol.z, p, a)),
-                        (norm_h(sol.y, p, a), _ref_norm_h(sol.y, p, a)),
-                        (norm_m(mk, p, a), _ref_norm_m(mk, p, a)),
-                        (norm_m_composite(sol.z, mk, p, a), _ref_norm_m_composite(sol.z, mk, p, a)),
-                        (norm_i(sol.dk, p, a), _ref_norm_i(sol.dk, p, a)),
+                        (norm_sp_family(sol.y, p, a)[0], _ref_norm_sp(sol.y, p, a)),
+                        (norm_sp_family(x, p, a)[0], _ref_norm_sp(x, p, a)),
+                        (norm_h_family(sol.z, p, a)[0], _ref_norm_h(sol.z, p, a)),
+                        (norm_h_family(sol.y, p, a)[0], _ref_norm_h(sol.y, p, a)),
+                        (norm_m_family(mk, p, a)[0], _ref_norm_m(mk, p, a)),
+                        (norm_m_composite_family(sol.z, mk, p, a)[0],
+                         _ref_norm_m_composite(sol.z, mk, p, a)),
+                        (norm_i_family(sol.dk, p, a)[0], _ref_norm_i(sol.dk, p, a)),
                         (tree.expectation(weighted_sum(tree, a, abs_g, tree.dt) ** p, tree.n_steps),
                          _ref_weighted_leaf_term(tree, a, g, p)),
-                        (sup_power(tree, s.values, p, 2.0 * a),
+                        (sup_power_family(tree, s.values, p, 2.0 * a)[0],
                          _ref_weighted_sup_term(tree, a, s, np.abs, p)),
-                        (sup_power(tree, [np.maximum(v, 0.0) for v in s.values], p, 2.0 * a),
+                        (sup_power_family(tree, [np.maximum(v, 0.0) for v in s.values], p,
+                                          2.0 * a)[0],
                          _ref_weighted_sup_term(tree, a, s, lambda v: np.maximum(v, 0.0), p)),
                     ]
                     for i, (got, want) in enumerate(pairs):

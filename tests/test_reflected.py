@@ -13,7 +13,7 @@ from treebsde.families import (
     random_terminal,
     standard_tree,
 )
-from treebsde.norms import norm_h, norm_sp
+from treebsde.norms import norm_h_family, norm_sp_family
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.reflected import (
     PICARD_MAX_ITER,
@@ -199,8 +199,8 @@ def _implicit_frozen_picard(instance):
         frozen = gen.along(y_prev, z_prev).values
         new = bsde._backward_sweep(tree, instance.xi, _frozen_generator(frozen), "implicit",
                                    obstacle=instance.obstacle.values)
-        trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
-        trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
+        trace.dy_s2.append(norm_sp_family(new.y - y_prev, 2.0)[0])
+        trace.dz_h2.append(norm_h_family(new.z - z_prev, 2.0, trace.alpha_star)[0])
         if frozen_prev is not None:
             change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
             trace.driver_change.append(change)
@@ -305,5 +305,5 @@ class TestTruncation:
         incs = []
         for a, b in zip(sols, sols[1:]):
             dy = a.y - b.y
-            incs.append(norm_sp(dy, 1.5))
+            incs.append(norm_sp_family(dy, 1.5)[0])
         assert all(x > y for x, y in zip(incs, incs[1:])), incs

@@ -14,10 +14,17 @@ import pytest
 from treebsde import bsde, cli, estimates, norms, processes
 from treebsde.bsde import Generator
 from treebsde.errors import MeasureChangeError
-from treebsde.estimates import check_bracket_equivalences
+from treebsde.estimates import check_bracket_family
 from treebsde.families import random_reflected, reflected_family, standard_tree
 from treebsde.martingales import girsanov_change
-from treebsde.norms import norm_h, norm_i, norm_m, norm_m_composite, norm_sp, phi_p
+from treebsde.norms import (
+    norm_h_family,
+    norm_i_family,
+    norm_m_composite_family,
+    norm_m_family,
+    norm_sp_family,
+    phi_p,
+)
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.reflected import (
     PICARD_MAX_ITER,
@@ -59,13 +66,13 @@ def _solution_arrays(sol):
 # -- references: the code each part replaced --------------------------------------
 
 def _bracket_per_p(sol, p, alpha, fingerprint=""):
-    """check_bracket_equivalences as it stood: one p per call, every sum rebuilt."""
+    """The bracket check as it stood: one p per call, every sum rebuilt."""
     tree = sol.tree
     t_hor = tree.grid.horizon
     reports = []
-    z_n = norm_h(sol.z, p, alpha) ** p
-    mk_n = norm_m(sol.mk, p, alpha) ** p
-    n_n = norm_m_composite(sol.z, sol.mk, p, alpha) ** p
+    z_n = norm_h_family(sol.z, p, alpha)[0] ** p
+    mk_n = norm_m_family(sol.mk, p, alpha)[0] ** p
+    n_n = norm_m_composite_family(sol.z, sol.mk, p, alpha)[0] ** p
     lo = min(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     hi = max(1.0, 2.0 ** (p / 2.0 - 1.0)) * (z_n + mk_n)
     reports.append(EstimateReport(
@@ -73,9 +80,9 @@ def _bracket_per_p(sol, p, alpha, fingerprint=""):
         constant_used=min(1.0, 2.0 ** (p / 2.0 - 1.0)),
         passed=explicit_pass(lo, n_n) and explicit_pass(n_n, hi), fingerprint=fingerprint,
         details={"p": p, "alpha": alpha, "upper": hi, "z": z_n, "mk": mk_n}))
-    mzw_n = norm_m_composite(sol.z, sol.m, p, alpha) ** p
+    mzw_n = norm_m_composite_family(sol.z, sol.m, p, alpha)[0] ** p
     c = max(2.0 ** (p / 2.0), 2.0 ** (p - 1.0))
-    rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * norm_i(sol.dk, p, alpha) ** p)
+    rhs = c * (n_n + math.exp(alpha * p * t_hor / 2.0) * norm_i_family(sol.dk, p, alpha)[0] ** p)
     reports.append(EstimateReport.explicit(
         "martingale_part_bracket_bound", mzw_n, rhs, c, fingerprint,
         {"p": p, "alpha": alpha, "prefactor": math.exp(alpha * p * t_hor / 2.0)}))
@@ -100,8 +107,8 @@ def _full_container_picard(instance):
         new = bsde._backward_sweep(tree, instance.xi, _frozen_generator(frozen), "explicit",
                                    obstacle=instance.obstacle.values)
         new.scheme = "implicit"
-        trace.dy_s2.append(norm_sp(new.y - y_prev, 2.0))
-        trace.dz_h2.append(norm_h(new.z - z_prev, 2.0, trace.alpha_star))
+        trace.dy_s2.append(norm_sp_family(new.y - y_prev, 2.0)[0])
+        trace.dz_h2.append(norm_h_family(new.z - z_prev, 2.0, trace.alpha_star)[0])
         if frozen_prev is not None:
             change = sup_abs(a - b for a, b in zip(frozen, frozen_prev))
             trace.driver_change.append(change)
@@ -159,7 +166,7 @@ class TestBracketSequence:
         fam, sols = _family(d, reveal, margin)
         ps = (1.5, 2.0, 3.0)
         for sol in sols:
-            got = check_bracket_equivalences(sol, ps, 0.3, fingerprint="fp")
+            got = check_bracket_family(sol, ps, 0.3, ["fp"])
             _same_reports(got, [r for p in ps for r in _bracket_per_p(sol, p, 0.3, "fp")])
 
     def test_suite_builds_five_leaf_sums_per_solution(self, monkeypatch):
