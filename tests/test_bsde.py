@@ -29,6 +29,7 @@ from treebsde.families import (
     random_obstacle,
     random_reflected,
     random_terminal,
+    reflected_family,
     standard_tree,
 )
 from treebsde.processes import stochastic_integral
@@ -382,6 +383,44 @@ class TestStackedLinearization:
         calls.clear()  # binding ran the Lipschitz probes
         _extract_linearization(recorded, sol)
         assert calls == [(k, (d + 2, 1, tree.n_nodes(k))) for k in range(tree.n_steps)]
+
+
+class TestMemberAxisOnTheForest:
+    """_implicit_step and _linearization take the member count from the forest: on a
+    family's forest, member i's block has the bits of its own call on the lone tree."""
+
+    @staticmethod
+    def _family(d, reveal):
+        tree = standard_tree(n_steps=4, d=d, with_reveal=reveal)
+        fam = reflected_family(tree, [3, 8, 5], margin=0.5)
+        return tree, fam, solve_reflected(fam)
+
+    @pytest.mark.parametrize("reflect", [False, True], ids=["free", "obstacle"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_implicit_step_members_match_lone_steps(self, d, reflect):
+        tree, fam, sol = self._family(d, True)
+        forest = fam.forest
+        for k in range(tree.n_steps):
+            target, z = forest.cond_exp(sol.y.values[k + 1], k + 1), sol.z.values[k]
+            s = fam.obstacle.values[k] if reflect else None
+            got = forest.split(_implicit_step(fam.gen, forest, k, target, z, obstacle=s))
+            for i, gen in enumerate(fam.gen.members):
+                want = _implicit_step(gen, tree, k, forest.split(target)[i], forest.split(z)[i],
+                                      obstacle=None if s is None else forest.split(s)[i])
+                assert np.array_equal(got[i], want), (k, i)
+
+    @pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_linearization_members_match_lone_linearization(self, d, reveal):
+        tree, fam, sol = self._family(d, reveal)
+        forest = fam.forest
+        for k in range(tree.n_steps):
+            y, z = sol.y.values[k], sol.z.values[k]
+            got = [forest.split(a) for a in _linearization(fam.gen, forest, k, y, z)]
+            for i, gen in enumerate(fam.gen.members):
+                want = _linearization(gen, tree, k, forest.split(y)[i], forest.split(z)[i])
+                assert all(a[i].shape == b.shape and np.array_equal(a[i], b)
+                           for a, b in zip(got, want)), (k, i)
 
 
 class TestInnerFixedPointCap:

@@ -731,3 +731,23 @@ def test_solo_check_delegates_to_its_family_form(module, solo):
     others = {c for c in called if c.startswith(("check_", "norm_", "sup_", "leaf_", "_leaf",
                                                   "lp_", "meyer_", "verify_"))}
     assert others == {SOLO_TO_FAMILY[module, solo]}
+
+
+def test_plain_norms_are_family_forms_of_one():
+    """A plain norm is its family form on a family of one: a lone process gives one
+    value, and value i of the family form on a forest has the bits of member i alone."""
+    tree, fam, sol = _family(2, True, 0.5, 3)
+
+    def norms_of(t, s, obstacle, p):
+        return [norm_sp_family(s.y, p), norm_sp_family(s.y, p, 0.3),
+                norm_h_family(s.z, p, 0.3), norm_m_family(s.mk, p, 0.3),
+                norm_m_composite_family(s.z, s.mk, p, 0.3), norm_i_family(s.dk, p, 0.3),
+                sup_power_family(t, obstacle.values, p, 0.6)]
+
+    for p in PS:
+        got = norms_of(sol.tree, sol, fam.obstacle, p)
+        assert all(len(v) == 3 for v in got)
+        for i, (inst, s) in enumerate(zip(fam.members, sol.members(tree))):
+            lone = norms_of(tree, s, inst.obstacle, p)
+            assert all(len(v) == 1 for v in lone)
+            assert [v[i] for v in got] == [v[0] for v in lone], (p, i)
