@@ -9,6 +9,7 @@ its increments through the same quadruple container.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from .martingales import girsanov_change
 from .processes import AdaptedProcess, PredictableProcess, split_process
-from .tree import ScenarioTree, sup_abs
+from .tree import ScenarioTree, sum_axis, sup_abs
 
 IMPLICIT_TOL = 1e-13
 IMPLICIT_MAX_ITER = 200
@@ -117,7 +118,7 @@ def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> tuple:
             raise GeneratorContractError(f"{family[finite.argmin()].name}: step {k}: "
                                          "non-finite driver value")
     lhs = np.abs(g - g2)
-    bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.linalg.norm(z - z2, axis=-1)
+    bound = gen.l_y * np.abs(y - y2) + gen.l_z * np.sqrt(sum_axis(np.square(z - z2), -1))
     per_probe = (lhs - bound).reshape(-1, len(family), n).max(axis=2)
     excess = per_probe.max(axis=0)
     finite = np.isfinite(excess)
@@ -139,38 +140,81 @@ _PROBES = weakref.WeakKeyDictionary()  # tree -> (stacked narrow draws per step,
 def _probe_draws(tree: ScenarioTree):
     """The LIPSCHITZ_PROBES seeded probes of `tree` as (step, draw) pairs.
 
-    A probe draws y, y2, z, z2 in one normal() call, the same samples as four
-    calls since normal() keeps no state.  The probes of one step at most
-    LIPSCHITZ_STACK nodes wide come stacked on a leading axis, in one pair per
-    step; they are drawn once per tree and kept with it.  A wider probe comes
-    alone and is never kept: later checks redraw it from the generator state
-    recorded before it.
+    A probe draws y, y2, z, z2 in one standard_normal() call, the same samples as
+    four normal() calls.  The probes of one step at most LIPSCHITZ_STACK nodes wide
+    come stacked on a leading axis, in one pair per step; they are drawn once per
+    tree and kept with it.  A wider probe comes alone and is never kept: later
+    checks redraw it from the generator state recorded before it.  The next wide
+    probe is drawn while the caller checks this one (_read_ahead), so a yielded wide
+    draw stays valid until the next one is requested, and no longer.
     """
     cached = _PROBES.get(tree)
-    if cached is not None:
-        stacks, wide = cached
-        for k, state in wide:
-            rng = np.random.default_rng(LIPSCHITZ_SEED)
-            rng.bit_generator.state = state
-            yield k, _draw(rng, tree, k)
-        yield from stacks.items()
-        return
-    rng = np.random.default_rng(LIPSCHITZ_SEED)
-    stacks, wide = {}, []
-    for _ in range(LIPSCHITZ_PROBES):
-        k = int(rng.integers(0, tree.n_steps))
-        if tree.n_nodes(k) > LIPSCHITZ_STACK:
-            wide.append((k, rng.bit_generator.state))
-            yield k, _draw(rng, tree, k)
-        else:
-            stacks.setdefault(k, []).append(_draw(rng, tree, k))
-    stacks = {k: np.stack(draws) for k, draws in stacks.items()}
-    _PROBES[tree] = stacks, wide
+    if cached is None:
+        rng, picks = np.random.default_rng(LIPSCHITZ_SEED), iter(range(LIPSCHITZ_PROBES))
+        stacks, wide = {}, []
+
+        def next_wide(out):
+            for _ in picks:
+                k = int(rng.integers(0, tree.n_steps))
+                if tree.n_nodes(k) > LIPSCHITZ_STACK:
+                    wide.append((k, rng.bit_generator.state))
+                    return k, _draw(rng, tree, k, out)
+                stacks.setdefault(k, []).append(_draw(rng, tree, k, np.empty(_draw_size(tree, k))))
+            return None
+    else:
+        stacks, states = cached[0], iter(cached[1])
+
+        def next_wide(out):
+            for k, state in states:
+                rng = np.random.default_rng(LIPSCHITZ_SEED)
+                rng.bit_generator.state = state
+                return k, _draw(rng, tree, k, out)
+            return None
+    yield from _read_ahead(tree, next_wide)
+    if cached is None:
+        stacks = {k: np.stack(draws) for k, draws in stacks.items()}
+        _PROBES[tree] = stacks, wide
     yield from stacks.items()
 
 
-def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int) -> np.ndarray:
-    draw = rng.normal(size=(2 + 2 * tree.d) * tree.n_nodes(k))
+def _read_ahead(tree: ScenarioTree, next_wide: Callable):
+    """Yield the wide probes next_wide(out) returns until it returns None, drawing
+    probe j+1 on one worker thread while the caller evaluates probe j; the draws and
+    sin() release the GIL.  Only the worker walks the generator, so the stream is
+    the serial one.  Its draws go to two buffers sized for the widest step and
+    allocated here, on the calling thread, so the worker allocates no large array.
+    A tree with no wide step starts no thread; on any exit the worker is joined."""
+    widths = [_draw_size(tree, k) for k in range(tree.n_steps)
+              if tree.n_nodes(k) > LIPSCHITZ_STACK]
+    if not widths:
+        next_wide(None)  # draws the narrow probes only
+        return
+    # imported here, so that a tree with no wide step loads no threading machinery
+    from concurrent.futures import ThreadPoolExecutor
+
+    buffers = np.empty(max(widths)), np.empty(max(widths))
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = pool.submit(next_wide, buffers[0])
+        for j in itertools.count(1):
+            probe = pending.result()
+            if probe is None:
+                return
+            pending = pool.submit(next_wide, buffers[j % 2])
+            yield probe
+    finally:
+        pool.shutdown()
+
+
+def _draw_size(tree: ScenarioTree, k: int) -> int:
+    return (2 + 2 * tree.d) * tree.n_nodes(k)
+
+
+def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int, out: np.ndarray) -> np.ndarray:
+    """A step-k probe into the head of `out`: rng.normal(size=...) * 3, bit for bit and
+    with the same generator state after it."""
+    draw = out[:_draw_size(tree, k)]
+    rng.standard_normal(out=draw)
     draw *= 3
     return draw
 
@@ -186,9 +230,10 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree):
     on a non-finite driver value and on a driver that drops the leading axes.
     """
     worst, over = np.zeros(len(gen.family)), np.zeros(len(gen.family), dtype=bool)
-    for k, draw in _probe_draws(tree):
-        excess, beyond = _probe_excess(gen, k, tree.n_nodes(k), draw)
-        worst, over = np.maximum(worst, excess), over | beyond
+    with contextlib.closing(_probe_draws(tree)) as draws:
+        for k, draw in draws:
+            excess, beyond = _probe_excess(gen, k, tree.n_nodes(k), draw)
+            worst, over = np.maximum(worst, excess), over | beyond
     if over.any():
         i = int(over.argmax())
         raise GeneratorContractError(
@@ -283,13 +328,14 @@ class SolutionQuadruple:
         return out
 
     def dynamics_residual(self, gen: Generator) -> float:
-        """Max pathwise defect of the backward dynamics under the solve scheme."""
+        """Max pathwise defect of the backward dynamics under the solve scheme; on a
+        family's forest, the worst member's, the driver called through _drive."""
         tree = self.tree
         dt = tree.dt
 
         def defect(k):
             y_in = self.y.values[k] if self.scheme == "implicit" else tree.cond_exp(self.y.values[k + 1], k + 1)
-            g = gen(k, y_in, self.z.values[k])
+            g = _drive(gen, tree, k, y_in, self.z.values[k])
             dm = self.m.values[k + 1] - tree.lift(self.m.values[k], k)
             rhs = (self.y.values[k + 1] - tree.lift(g, k) * dt - tree.dot_dw(self.z.values[k], k)
                    - dm + tree.lift(self.dk.values[k], k))

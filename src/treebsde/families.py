@@ -11,7 +11,7 @@ import numpy as np
 from .bsde import BsdeInstance, Generator
 from .processes import AdaptedProcess, LadlagProcess
 from .reflected import ReflectedInstance
-from .tree import Reveal, ScenarioTree, TimeGrid, build_tree
+from .tree import Reveal, ScenarioTree, TimeGrid, build_tree, sum_axis
 
 DROP_RATE = 0.3  # chance that a node of a random strong supermartingale announces a drop
 
@@ -62,7 +62,7 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     a0, a1, c, lab_bias = params[:, :1], params[:, 1:2], params[:, 2:3], params[:, 3:]
     b0 = []
     for k in range(tree.n_steps):
-        w, lab = tree.w[k].sum(axis=1), tree.reveal_label[k]
+        w, lab = sum_axis(tree.w[k], 1), tree.reveal_label[k]
         b0.append(a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0))
     members = tuple(Generator(fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z),
                               l_y=l_y, l_z=l_z, name=f"random[{seed}]")
@@ -83,7 +83,7 @@ def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
     w = tree.w[n]
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
     coeffs = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
-    xi = np.tanh((w @ coeffs)[..., 0]) + 0.3 * np.abs(w).sum(axis=1)
+    xi = np.tanh((w @ coeffs)[..., 0]) + 0.3 * sum_axis(np.abs(w), 1)
     for k in tree.reveal_step_indices():
         lab = tree.reveal_label[k]
         bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
@@ -103,7 +103,7 @@ def _obstacles(tree: ScenarioTree, seeds: list, margin: float) -> AdaptedProcess
                                for seed in seeds]).T[:, :, None]
     shift = 0.3 * off
     return AdaptedProcess(tree.forest(len(seeds)), [
-        ScenarioTree.join(amp * np.sin(freq * t + w.sum(axis=1)) + shift - margin)
+        ScenarioTree.join(amp * np.sin(freq * t + sum_axis(w, 1)) + shift - margin)
         for t, w in zip(tree.grid.times, tree.w)])
 
 

@@ -16,7 +16,7 @@ from .errors import ClassificationError, MeasureChangeError
 from .norms import meyer_constant, meyer_constant_ladlag, norm_i_family, norm_sp_family
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stochastic_integral
 from .reports import EstimateReport
-from .tree import ScenarioTree, sup_abs, sup_abs_copies
+from .tree import ScenarioTree, sum_axis, sup_abs, sup_abs_copies
 
 SUPERMARTINGALE_TOL = 1e-12
 MERTENS_DOOB_TOL = 1e-11   # slack on the sign of the compensator increments of X + I
@@ -230,7 +230,7 @@ def girsanov_change(tree: ScenarioTree, eta: PredictableProcess) -> MeasureChang
     Requires |eta_k|_1 sqrt(dt) < 1 at every node so every density factor is
     positive for Rademacher increments.
     """
-    worst = sup_abs(np.abs(v).sum(axis=1) if v.ndim == 2 else tree.check_integrand(v, k)
+    worst = sup_abs(sum_axis(np.abs(v), 1) if v.ndim == 2 else tree.check_integrand(v, k)
                     for k, v in enumerate(eta.values))
     if not worst * np.sqrt(tree.dt) < 1.0:
         raise MeasureChangeError(

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from treebsde.bsde import (
     BsdeInstance,
     Generator,
     _implicit_step,
+    _probe_draws,
     _probe_excess,
     check_lipschitz,
     solve_bsde,
@@ -272,6 +277,93 @@ class TestStackedProbes:
             _bind("plain", tree, _const_by_len(0.3))
 
 
+def _serial_probes(tree):
+    """Reference: the seeded probe stream drawn on one thread, one normal() call per
+    probe, as (step, draw) in the order the probes are drawn."""
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
+    out = []
+    for _ in range(LIPSCHITZ_PROBES):
+        k = int(rng.integers(0, tree.n_steps))
+        out.append((k, rng.normal(size=(2 + 2 * tree.d) * tree.n_nodes(k)) * 3))
+    return out
+
+
+def _breaching(base, how, calls):
+    """`base` with a driver that breaks on the third wide probe: its first call there
+    is lifted by 1 ("breach") or returns NaN ("nan")."""
+    def fn(k, y, z):
+        g = base.fn(k, y, z)
+        if y.shape[-1] > LIPSCHITZ_STACK:
+            calls.append(k)
+            if len(calls) == 5:
+                return g + 1.0 if how == "breach" else np.full(g.shape, np.nan)
+        return g
+    return Generator(fn=fn, l_y=base.l_y, l_z=base.l_z, name=how)
+
+
+class TestWideProbeWorker:
+    """Wide probes are drawn one ahead on a worker thread that walks the seeded stream
+    alone: the draws are the serial ones, a narrow tree starts no thread, and every
+    exit joins the worker."""
+
+    @staticmethod
+    def _wide_tree():
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=14), d=1)
+        assert tree.n_nodes(tree.n_steps - 1) > LIPSCHITZ_STACK
+        return tree
+
+    def test_draws_are_the_serial_stream(self):
+        tree = self._wide_tree()
+        serial = _serial_probes(tree)
+        wide = [(k, d) for k, d in serial if tree.n_nodes(k) > LIPSCHITZ_STACK]
+        for _ in range(2):  # drawn, then redrawn from the recorded states
+            got = [(k, draw.copy()) for k, draw in _probe_draws(tree)]
+            assert [k for k, _ in got[:len(wide)]] == [k for k, _ in wide]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, wide))
+            stacks = got[len(wide):]
+            for k, stack in stacks:
+                assert np.array_equal(stack, [d for j, d in serial if j == k])
+            assert sum(len(stack) for _, stack in stacks) + len(wide) == LIPSCHITZ_PROBES
+
+    @pytest.mark.parametrize("how, message", [
+        ("breach", "breach: Lipschitz excess 9.745e-01 beyond declared (L_y=0.5, L_z=0.5)"),
+        ("nan", "nan: step 13: non-finite driver value"),
+    ])
+    def test_breach_on_third_wide_probe_joins_worker(self, how, message):
+        tree = self._wide_tree()
+        base = random_generator(tree, 4)
+        for redraw in (False, True):
+            if redraw:  # an honest check keeps the narrow stacks and the wide states
+                check_lipschitz(base, tree)
+            before, calls = set(threading.enumerate()), []
+            with pytest.raises(GeneratorContractError) as err:
+                check_lipschitz(_breaching(base, how, calls), tree)
+            assert str(err.value) == message
+            assert len(calls) >= 6
+            assert set(threading.enumerate()) == before
+
+    def test_narrow_tree_starts_no_thread(self, monkeypatch):
+        tree = tree_from_config(parse_config({"tree": default_config()["tree"]}))
+        assert max(tree.n_nodes(k) for k in range(tree.n_steps)) <= LIPSCHITZ_STACK
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        check_lipschitz(random_generator(tree, 0), tree)
+
+    def test_narrow_check_loads_no_thread_pool(self):
+        """The worker's thread pool is imported where it starts, so importing the CLI
+        and probing a narrow tree (what `verify` does) never loads it."""
+        code = ("import sys, treebsde.cli as c; from treebsde.families import random_bsde; "
+                "random_bsde(c.tree_from_config(c.parse_config({'tree': c.DEFAULT_TREE})), 0); "
+                "print('concurrent.futures' in sys.modules)")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout.strip() == "False"
+
+
 def _cli_driver(spec):
     def make(tree):
         section = {"horizon": tree.grid.horizon, "n_steps": tree.n_steps, "d": tree.d,
@@ -421,6 +513,23 @@ class TestMemberAxisOnTheForest:
                 want = _linearization(gen, tree, k, forest.split(y)[i], forest.split(z)[i])
                 assert all(a[i].shape == b.shape and np.array_equal(a[i], b)
                            for a, b in zip(got, want)), (k, i)
+
+
+class TestFamilyDynamicsResidual:
+    """A family solution's dynamics residual calls the family driver on the forest's
+    member axis: it is the worst of the members' own residuals, bit for bit."""
+
+    @pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_worst_member_residual(self, d, reveal):
+        tree = standard_tree(n_steps=4, d=d, with_reveal=reveal)
+        fam = reflected_family(tree, [3, 8, 5], margin=0.5)
+        for sol in (solve_bsde(fam.plain()), solve_bsde(fam.plain(), scheme="explicit"),
+                    solve_reflected(fam)):
+            want = max(member.dynamics_residual(gen)
+                       for member, gen in zip(sol.members(tree), fam.gen.members))
+            assert sol.dynamics_residual(fam.gen) == want
+            assert want <= 1e-10
 
 
 class TestInnerFixedPointCap:

@@ -186,6 +186,35 @@ def test_cli_import_loads_no_thread_pool():
     assert run.stdout.strip() == "[]"
 
 
+SHORT_AXIS_MODULES = ("tree.py", "bsde.py", "families.py", "martingales.py")
+
+
+def _short_axis_reductions(module):
+    """Lines of `x.sum(axis)`, `np.sum(x, axis)` and `linalg.norm(x, axis=...)` calls
+    outside tree.sum_axis."""
+    inside = {id(node) for fn in module.body if getattr(fn, "name", None) == "sum_axis"
+              for node in ast.walk(fn)}
+    lines = []
+    for call in ast.walk(module):
+        if not isinstance(call, ast.Call) or id(call) in inside:
+            continue
+        name = getattr(call.func, "attr", None)
+        axis = any(kw.arg == "axis" for kw in call.keywords)
+        on_numpy = getattr(call.func, "value", None) is not None and \
+            ast.unparse(call.func.value) in ("np", "numpy")
+        if name == "sum" and (axis or len(call.args) > on_numpy) or name == "norm" and axis:
+            lines.append(call.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", SHORT_AXIS_MODULES)
+def test_no_short_axis_reductions(name):
+    """Node arrays are summed along an axis by tree.sum_axis, whose slice adds beat
+    numpy's one inner-loop call per output row on the short branching and walk axes."""
+    lines = _short_axis_reductions(_parse(SRC / name))
+    assert not lines, f"{name} lines {lines}: sum along an axis with tree.sum_axis"
+
+
 # perfbench/workloads.py calls these three, so they stay as solo forms
 SOLO_FORMS = {"check_solution_norm_bound", "check_compensator_norm_bound",
               "verify_snell_representation"}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebsde.errors import OffGridError, TreeSizeError
-from treebsde.tree import Reveal, TimeGrid, build_tree, sup_abs, validate_tree
+from treebsde.tree import Reveal, TimeGrid, build_tree, sum_axis, sup_abs, validate_tree
 
 
 def _reveal(grid, k, labels=("a", "b", "c"), probs=(0.5, 0.3, 0.2)):
@@ -146,6 +146,30 @@ class TestConditionalExpectation:
         e_joint = tree.cond_exp(lab * dw, k)
         e_prod = tree.cond_exp(lab, k) * tree.cond_exp(dw, k)
         assert np.abs(e_joint - e_prod).max() <= 1e-14
+
+
+class TestSumAxis:
+    """sum_axis is a.sum(axis) bit for bit: slice adds in order from +0.0 below 8
+    entries on an array of 2048 entries or more, numpy's own sum otherwise."""
+
+    VALUES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                       1e308, -1e308, 0.1])
+
+    @pytest.mark.parametrize("axis", [1, -1])
+    @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,)], ids=str)
+    def test_bits_of_numpy_sum(self, tail, axis):
+        rng = np.random.default_rng(len(tail))
+        for b in range(1, 13):
+            a = rng.choice(self.VALUES, size=(2048, b) + tail)
+            if axis == -1:
+                a = np.moveaxis(a, 1, -1).copy()
+            with np.errstate(all="ignore"):
+                want, got = a.sum(axis), sum_axis(a, axis)
+            assert got.shape == want.shape and got.dtype == want.dtype, b
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), b
+            # the sign of a NaN is not numpy's contract
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), b
 
 
 class TestSerialization:
