@@ -200,9 +200,9 @@ def _short_axis_reductions(module):
             continue
         name = getattr(call.func, "attr", None)
         axis = any(kw.arg == "axis" for kw in call.keywords)
-        on_numpy = getattr(call.func, "value", None) is not None and \
-            ast.unparse(call.func.value) in ("np", "numpy")
-        if name == "sum" and (axis or len(call.args) > on_numpy) or name == "norm" and axis:
+        # the axis is the first argument of x.sum and the second of np.sum
+        axis_at = 1 if name == "sum" and ast.unparse(call.func.value) in ("np", "numpy") else 0
+        if name == "sum" and (axis or len(call.args) > axis_at) or name == "norm" and axis:
             lines.append(call.lineno)
     return lines
 
