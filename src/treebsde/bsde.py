@@ -9,6 +9,7 @@ its increments through the same quadruple container.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -56,6 +57,13 @@ class Generator:
     def __call__(self, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(k, y, z), dtype=float)
 
+    def in_y(self, k: int, z: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The step-k driver at fixed z as a function of y alone, with the bits of
+        self(k, y, z): fn.in_y(k, z) where fn carries one, which holds its z-term fixed;
+        otherwise fn, a wrapper put in its place included, is called for each y."""
+        g = self.fn.in_y(k, z) if hasattr(self.fn, "in_y") else lambda y: self.fn(k, y, z)
+        return lambda y: np.asarray(g(y), dtype=float)
+
     @property
     def family(self) -> tuple:
         """The member drivers: `members`, or the driver itself for a lone driver, which
@@ -71,8 +79,9 @@ class Generator:
                                            for k in range(tree.n_steps)])
 
     def along(self, y: AdaptedProcess, z: PredictableProcess) -> PredictableProcess:
-        """g(k, Y_k, Z_k) on the driver steps k = 0..n-1: the driver along a solution."""
-        return PredictableProcess(y.tree, [self(k, y.values[k], z.values[k])
+        """g(k, Y_k, Z_k) on the driver steps k = 0..n-1: the driver along a solution; on a
+        family's forest, called through _drive."""
+        return PredictableProcess(y.tree, [_drive(self, y.tree, k, y.values[k], z.values[k])
                                            for k in range(y.tree.n_steps)])
 
 
@@ -88,9 +97,14 @@ class AffineGenerator(Generator):
         eta = np.zeros(tree.d) if eta is None else np.asarray(eta, dtype=float)
         g0_fn = g0_fn or (lambda k, n: np.zeros(n))
 
-        def fn(k, y, z):
-            return g0_fn(k, y.shape[-1]) + lam * y + z @ eta
+        def in_y(k, z):
+            tz = z @ eta
+            return lambda y: g0_fn(k, y.shape[-1]) + lam * y + tz
 
+        def fn(k, y, z):
+            return in_y(k, z)(y)
+
+        fn.in_y = in_y
         return cls(fn=fn, l_y=abs(lam), l_z=float(np.linalg.norm(eta)), name="affine",
                    lam=lam, eta=eta)
 
@@ -144,65 +158,109 @@ def _probe_draws(tree: ScenarioTree):
     four normal() calls.  The probes of one step at most LIPSCHITZ_STACK nodes wide
     come stacked on a leading axis, in one pair per step; they are drawn once per
     tree and kept with it.  A wider probe comes alone and is never kept: later
-    checks redraw it from the generator state recorded before it.  The next wide
-    probe is drawn while the caller checks this one (_read_ahead), so a yielded wide
-    draw stays valid until the next one is requested, and no longer.
+    checks redraw it from the generator state recorded before it.  The probes are
+    read ahead into one arena (_read_ahead), so a yielded wide draw stays valid until
+    the next one is requested, and no longer.
     """
     cached = _PROBES.get(tree)
     if cached is None:
-        rng, picks = np.random.default_rng(LIPSCHITZ_SEED), iter(range(LIPSCHITZ_PROBES))
-        stacks, wide = {}, []
+        rng, stacks, wide = np.random.default_rng(LIPSCHITZ_SEED), {}, []
 
-        def next_wide(out):
-            for _ in picks:
+        def picks():
+            for _ in range(LIPSCHITZ_PROBES):
                 k = int(rng.integers(0, tree.n_steps))
                 if tree.n_nodes(k) > LIPSCHITZ_STACK:
                     wide.append((k, rng.bit_generator.state))
-                    return k, _draw(rng, tree, k, out)
-                stacks.setdefault(k, []).append(_draw(rng, tree, k, np.empty(_draw_size(tree, k))))
-            return None
+                yield k, rng
     else:
-        stacks, states = cached[0], iter(cached[1])
+        stacks, wide = cached
 
-        def next_wide(out):
-            for k, state in states:
+        def picks():
+            for k, state in wide:
                 rng = np.random.default_rng(LIPSCHITZ_SEED)
                 rng.bit_generator.state = state
-                return k, _draw(rng, tree, k, out)
-            return None
-    yield from _read_ahead(tree, next_wide)
+                yield k, rng
+    with contextlib.closing(_read_ahead(tree, picks())) as draws:
+        for k, draw in draws:
+            if tree.n_nodes(k) > LIPSCHITZ_STACK:
+                yield k, draw
+            else:  # a narrow probe of the first check, kept
+                stacks.setdefault(k, []).append(draw.copy())
     if cached is None:
         stacks = {k: np.stack(draws) for k, draws in stacks.items()}
         _PROBES[tree] = stacks, wide
     yield from stacks.items()
 
 
-def _read_ahead(tree: ScenarioTree, next_wide: Callable):
-    """Yield the wide probes next_wide(out) returns until it returns None, drawing
-    probe j+1 on one worker thread while the caller evaluates probe j; the draws and
-    sin() release the GIL.  Only the worker walks the generator, so the stream is
-    the serial one.  Its draws go to two buffers sized for the widest step and
-    allocated here, on the calling thread, so the worker allocates no large array.
-    A tree with no wide step starts no thread; on any exit the worker is joined."""
-    widths = [_draw_size(tree, k) for k in range(tree.n_steps)
-              if tree.n_nodes(k) > LIPSCHITZ_STACK]
-    if not widths:
-        next_wide(None)  # draws the narrow probes only
+def _read_ahead(tree: ScenarioTree, picks):
+    """Yield (k, the step-k draw from rng) for each (k, rng) of `picks`, as a view of
+    one arena allocated here, on the calling thread, valid until the next is requested.
+    With a step wider than LIPSCHITZ_STACK, one worker thread walks `picks` alone (the
+    serial stream) and reads ahead by bytes: each draw takes the next free span of an
+    arena of twice the widest draw, and the worker draws on until the next does not
+    fit; the caller frees a span when it asks for the next.  The draws and sin()
+    release the GIL.  A narrow tree starts no thread; any exit wakes and joins it."""
+    sizes = [_draw_size(tree, k) for k in range(tree.n_steps)]
+    wide = [s for k, s in enumerate(sizes) if tree.n_nodes(k) > LIPSCHITZ_STACK]
+    if not wide:
+        arena = np.empty(max(sizes))
+        for k, rng in picks:
+            yield k, _draw(rng, tree, k, arena)
         return
     # imported here, so that a tree with no wide step loads no threading machinery
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    buffers = np.empty(max(widths)), np.empty(max(widths))
+    arena, cond = np.empty(2 * max(wide)), threading.Condition()
+    spans, ready, closed = collections.deque(), collections.deque(), False
+
+    def free_span(size):  # after the newest live span, else from 0; None if full
+        if not spans:
+            return 0
+        head, tail = spans[-1][1], spans[0][0]
+        if head > tail and head + size > len(arena):  # the live spans do not wrap
+            head = 0
+        end = len(arena) if head > tail else tail
+        return head if head + size <= end else None
+
+    def work():
+        try:
+            for k, rng in picks:
+                size = _draw_size(tree, k)
+                with cond:
+                    while not closed and (start := free_span(size)) is None:
+                        cond.wait()
+                    if closed:
+                        return
+                    spans.append((start, start + size))
+                draw = _draw(rng, tree, k, arena[start:])
+                with cond:
+                    ready.append((k, draw))
+                    cond.notify()
+        finally:
+            with cond:
+                ready.append(None)
+                cond.notify()
+
     pool = ThreadPoolExecutor(max_workers=1)
+    worker = pool.submit(work)
     try:
-        pending = pool.submit(next_wide, buffers[0])
-        for j in itertools.count(1):
-            probe = pending.result()
+        while True:
+            with cond:
+                while not ready:
+                    cond.wait()
+                probe = ready.popleft()
             if probe is None:
+                worker.result()  # raises what stopped the worker, if anything did
                 return
-            pending = pool.submit(next_wide, buffers[j % 2])
             yield probe
+            with cond:
+                spans.popleft()
+                cond.notify()
     finally:
+        with cond:
+            closed = True
+            cond.notify()
         pool.shutdown()
 
 
@@ -376,8 +434,9 @@ def _implicit_step(gen: Generator, forest: ScenarioTree, k: int, target: np.ndar
     target, z_k = forest.split(target), forest.split(z_k)
     obstacle = None if obstacle is None else forest.split(obstacle)
     y, stopped = target.copy(), None  # stopped: per member, once some member has stopped
+    g = gen.in_y(k, z_k)  # Z_k is fixed in the loop, so its term is computed once
     for it in itertools.count(1):
-        y_new = target - gen(k, y, z_k) * forest.dt
+        y_new = target - g(y) * forest.dt
         if obstacle is not None:
             y_new = np.maximum(obstacle, y_new)
         if stopped is not None:

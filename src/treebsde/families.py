@@ -36,10 +36,25 @@ def standard_tree(n_steps: int = 6, d: int = 1, horizon: float = 1.0,
 def _seeded_driver(b0: list, c: np.ndarray, u: np.ndarray, l_y: float, l_z: float):
     """g(k, y, z) = b0_k + l_y sin(y + c) + l_z tanh(z . u), on the parameters of one
     member (b0_k (n_k,), c a scalar, u (d, 1)) or of a family, with a leading member
-    axis on each (b0_k (B, n_k), c (B, 1), u (B, d, 1)).  z . u is a matmul either way."""
-    def fn(k, y, z):
-        return b0[k] + l_y * np.sin(y + c) + l_z * np.tanh((z @ u)[..., 0])
+    axis on each (b0_k (B, n_k), c (B, 1), u (B, d, 1)).  z . u is a matmul either way.
+    fn.in_y (Generator.in_y) holds the z-term fixed and works in place on y + c."""
+    def in_y(k, z):
+        tz = l_z * np.tanh((z @ u)[..., 0])
 
+        def g(y):
+            out = y + c
+            np.sin(out, out=out)
+            out *= l_y
+            out += b0[k]
+            out += tz
+            return out
+
+        return g
+
+    def fn(k, y, z):
+        return in_y(k, z)(y)
+
+    fn.in_y = in_y
     return fn
 
 

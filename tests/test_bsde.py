@@ -1,15 +1,19 @@
 """Backward solvers: exact dynamics, closed forms, schemes, contracts."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from treebsde import bsde
 from treebsde.bsde import (
     IMPLICIT_MAX_ITER,
     IMPLICIT_TOL,
@@ -364,6 +368,88 @@ class TestWideProbeWorker:
         assert run.stdout.strip() == "False"
 
 
+class TestReadAheadByBytes:
+    """The worker reads the probe stream ahead into one arena of twice the widest draw,
+    allocated on the calling thread: while the caller holds a probe it draws every later
+    probe that fits, and no draw is allocated on the worker."""
+
+    @staticmethod
+    def _two_wide_widths():
+        tree = build_tree(TimeGrid(horizon=1.0, n_steps=15), d=1)
+        assert len({tree.n_nodes(k) for k in range(tree.n_steps)
+                    if tree.n_nodes(k) > LIPSCHITZ_STACK}) == 2
+        return tree
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Log (thread, out) of every _draw and (thread, array) of every np.empty."""
+        draws, empties = [], []
+        real_draw, real_empty = bsde._draw, np.empty
+        monkeypatch.setattr(bsde, "_draw", lambda rng, tree, k, out: draws.append(
+            (threading.current_thread(), out)) or real_draw(rng, tree, k, out))
+
+        def empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            empties.append((threading.current_thread(), out))
+            return out
+
+        monkeypatch.setattr(np, "empty", empty)
+        return draws, empties
+
+    @staticmethod
+    def _settled(draws, quiet=0.5, timeout=30.0):
+        """The number of draws, once it has not moved for `quiet` seconds."""
+        start = seen = time.monotonic()
+        count = len(draws)
+        while time.monotonic() - seen < quiet:
+            assert time.monotonic() - start < timeout, "the worker never settled"
+            time.sleep(0.01)
+            if len(draws) != count:
+                count, seen = len(draws), time.monotonic()
+        return count
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
+    def test_worker_fills_the_arena_while_a_probe_is_held(self, monkeypatch, redraw):
+        tree = self._two_wide_widths()
+        if redraw:  # a first pass keeps the narrow stacks and the wide states
+            list(_probe_draws(tree))
+        stream = [(k, d) for k, d in _serial_probes(tree)
+                  if not redraw or tree.n_nodes(k) > LIPSCHITZ_STACK]
+        first = next(i for i, (k, _) in enumerate(stream) if tree.n_nodes(k) > LIPSCHITZ_STACK)
+        draws, _ = self._record(monkeypatch)
+        before = set(threading.enumerate())
+        with contextlib.closing(_probe_draws(tree)) as probes:
+            k, held = next(probes)
+            drawn = self._settled(draws)
+            arena = draws[0][1].base
+            # the probes drawn since the held one, each in its span of the arena
+            spans = [((out.ctypes.data - arena.ctypes.data) // out.itemsize, d.size)
+                     for (_, out), (_, d) in zip(draws[first:drawn], stream[first:drawn])]
+            spans = [(start, start + size) for start, size in spans]
+            # more than one ahead where narrow probes follow; the wide stream alone
+            # (13, 14, 14, ...) has room for one beyond the held 13
+            assert drawn - first - 1 >= (1 if redraw else 2) and drawn < len(stream)
+            assert all(a[1] <= b[0] or b[1] <= a[0] for a, b in itertools.combinations(spans, 2))
+            head, tail = spans[-1][1], spans[0][0]
+            room = max(arena.size - head, tail) if head > tail else tail - head
+            assert stream[drawn][1].size > room  # the next does not fit: the worker waits
+            assert k == stream[first][0] and np.array_equal(held, stream[first][1])
+        assert set(threading.enumerate()) == before
+
+    def test_no_draw_is_allocated_on_the_worker(self, monkeypatch):
+        tree = self._two_wide_widths()
+        caller = threading.current_thread()
+        for _ in range(2):  # drawn, then redrawn from the recorded states
+            draws, empties = self._record(monkeypatch)
+            for _probe in _probe_draws(tree):
+                pass
+            arena = draws[0][1].base
+            assert all(thread is not caller and out.base is arena for thread, out in draws)
+            # the worker allocates the recorded generator states' words, no float array
+            assert all(thread is caller or a.dtype.kind == "u" for thread, a in empties)
+            assert any(thread is caller and a is arena for thread, a in empties)
+
+
 def _cli_driver(spec):
     def make(tree):
         section = {"horizon": tree.grid.horizon, "n_steps": tree.n_steps, "d": tree.d,
@@ -408,6 +494,58 @@ class TestDriverContract:
             assert out.shape == y.shape
             for i, j in np.ndindex(2, 3):
                 assert np.array_equal(out[i, j], gen(k, y[i, j], z[i, j]))
+
+
+def _in_y_drivers(tree):
+    """Every driver the package builds on `tree`, and a seeded family of three."""
+    return [(name, make(tree)) for name, make in sorted(DRIVERS.items())] + [
+        ("generator_family", reflected_family(tree, [3, 8, 5]).gen)]
+
+
+class TestInY:
+    """Generator.in_y(k, z) is the step-k driver at fixed z as a function of y alone,
+    with the bytes of gen(k, y, z); the implicit step computes its z-term once."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bytes_of_the_driver(self, d):
+        tree = standard_tree(n_steps=4, d=d)
+        rng = np.random.default_rng(d)
+        for name, gen in _in_y_drivers(tree):
+            b = len(gen.family)
+            for k in range(tree.n_steps):
+                n = tree.n_nodes(k)
+                # solve, probe and linearization shapes
+                for lead in [(b,), (3, 1), (d + 2, b)]:
+                    y, z = rng.normal(size=lead + (n,)), rng.normal(size=lead + (n, d))
+                    got, want = gen.in_y(k, z)(y), gen(k, y, z)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
+
+    @pytest.mark.parametrize("name", ["random_generator", "generator_family",
+                                      "AffineGenerator.build", "cli-affine"])
+    def test_z_term_once_per_implicit_step(self, name):
+        """z @ u (or z @ eta) is taken once per implicit step, not once per inner
+        iteration; the same driver called per y takes it every iteration."""
+        tree = standard_tree(n_steps=4, d=2)
+        gen = dict(_in_y_drivers(tree))[name]
+        per_y = Generator(fn=lambda k, y, z: gen.fn(k, y, z), l_y=gen.l_y, l_z=gen.l_z)
+        forest, matmuls = tree.forest(len(gen.family)), []
+
+        class CountingZ(np.ndarray):
+            def __matmul__(self, other):
+                matmuls.append(1)
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(0)
+        for k in range(tree.n_steps):
+            n = forest.n_nodes(k)
+            target, z = rng.normal(size=n), rng.normal(size=(n, tree.d)).view(CountingZ)
+            matmuls.clear()
+            want = _implicit_step(per_y, forest, k, target, z)
+            iterations = len(matmuls)
+            matmuls.clear()
+            got = _implicit_step(gen, forest, k, target, z)
+            assert iterations > 2 and len(matmuls) == 1, (k, iterations, len(matmuls))
+            assert got.tobytes() == want.tobytes()
 
 
 def _extract_linearization(instance, sol):
@@ -530,6 +668,25 @@ class TestFamilyDynamicsResidual:
                        for member, gen in zip(sol.members(tree), fam.gen.members))
             assert sol.dynamics_residual(fam.gen) == want
             assert want <= 1e-10
+
+
+class TestFamilyAlong:
+    """Generator.along on a family's forest calls the family driver through _drive:
+    member i's block has the bits of member i's own driver along its own solution."""
+
+    @pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_members_match_their_own_along(self, d, reveal):
+        tree = standard_tree(n_steps=4, d=d, with_reveal=reveal)
+        fam = reflected_family(tree, [3, 8, 5], margin=0.5)
+        sol = solve_reflected(fam)
+        got = fam.gen.along(sol.y, sol.z)
+        assert got.tree is fam.forest and len(got.values) == tree.n_steps
+        for member, gen, i in zip(sol.members(tree), fam.gen.members, range(3)):
+            want = gen.along(member.y, member.z)
+            for k in range(tree.n_steps):
+                block = fam.forest.split(got.values[k])[i]
+                assert block.tobytes() == want.values[k].tobytes(), (k, i)
 
 
 class TestInnerFixedPointCap:

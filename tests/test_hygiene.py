@@ -101,9 +101,11 @@ def test_seeded_driver_spelled_once():
 
 
 def _calls_driver(node):
-    """A driver evaluation: gen(...), x.gen(...), x.along(...) or bsde._drive(...)."""
+    """A driver evaluation: gen(...), x.gen(...), x.along(...), x.in_y(...) or
+    bsde._drive(...)."""
     return isinstance(node, ast.Call) and (getattr(node.func, "id", None) in ("gen", "_drive")
-                                           or getattr(node.func, "attr", None) in ("gen", "along"))
+                                           or getattr(node.func, "attr", None)
+                                           in ("gen", "along", "in_y"))
 
 
 def _is_backward(loop):
