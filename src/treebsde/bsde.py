@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -32,6 +33,10 @@ LIPSCHITZ_SEED = 0
 LIPSCHITZ_SLACK = 1e-9
 ROUND_OFF_ULPS = 4  # round-off allowed beyond an absolute tolerance, in ulps of the values
 LIPSCHITZ_STACK = 4096  # widest step (in nodes) whose probes share one driver call
+# narrowest step (in nodes) whose inner fixed point runs by halves on two threads: on a
+# 2-core Xeon the two threads took 0.88-1.06 of the serial time at 24 576 nodes, 0.85-1.13
+# at 32 768 and 0.72-0.95 at 49 152, as each iteration hands a half over and back
+IMPLICIT_SPLIT = 49152
 
 
 @dataclass
@@ -57,12 +62,17 @@ class Generator:
     def __call__(self, k: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(k, y, z), dtype=float)
 
-    def in_y(self, k: int, z: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The step-k driver at fixed z as a function of y alone, with the bits of
-        self(k, y, z): fn.in_y(k, z) where fn carries one, which holds its z-term fixed;
-        otherwise fn, a wrapper put in its place included, is called for each y."""
-        g = self.fn.in_y(k, z) if hasattr(self.fn, "in_y") else lambda y: self.fn(k, y, z)
-        return lambda y: np.asarray(g(y), dtype=float)
+    def in_y(self, k: int, z: np.ndarray) -> Callable[..., np.ndarray]:
+        """The step-k driver at fixed z as a function of y alone, g(y) with the bits of
+        self(k, y, z).  Where fn carries a fast form fn.in_y(k, z), which holds the
+        z-term fixed, g(y, nodes, out=None) also takes y on the contiguous node range
+        `nodes` of each row alone, with the bits of self(k, ...) on those nodes, and
+        writes into `out` where given.  Otherwise fn, a wrapper put in its place
+        included, is called for each y, on whole rows."""
+        if not hasattr(self.fn, "in_y"):
+            return lambda y: np.asarray(self.fn(k, y, z), dtype=float)
+        g = self.fn.in_y(k, z)
+        return lambda y, nodes=slice(None), out=None: np.asarray(g(y, nodes, out), dtype=float)
 
     @property
     def family(self) -> tuple:
@@ -87,7 +97,8 @@ class Generator:
 
 @dataclass
 class AffineGenerator(Generator):
-    """g = g0 + lam * y + eta . z with |lam| <= L_y and |eta| <= L_z."""
+    """g = g0 + lam * y + eta . z with |lam| <= L_y and |eta| <= L_z; g0_fn(k, n) gives
+    the n step-k values of g0."""
 
     lam: float = 0.0
     eta: np.ndarray = None
@@ -98,8 +109,9 @@ class AffineGenerator(Generator):
         g0_fn = g0_fn or (lambda k, n: np.zeros(n))
 
         def in_y(k, z):
-            tz = z @ eta
-            return lambda y: g0_fn(k, y.shape[-1]) + lam * y + tz
+            tz, g0 = z @ eta, g0_fn(k, z.shape[-2])
+            return lambda y, nodes=slice(None), out=None: np.add(g0[nodes] + lam * y,
+                                                                 tz[..., nodes], out)
 
         def fn(k, y, z):
             return in_y(k, z)(y)
@@ -197,9 +209,11 @@ def _read_ahead(tree: ScenarioTree, picks):
     one arena allocated here, on the calling thread, valid until the next is requested.
     With a step wider than LIPSCHITZ_STACK, one worker thread walks `picks` alone (the
     serial stream) and reads ahead by bytes: each draw takes the next free span of an
-    arena of twice the widest draw, and the worker draws on until the next does not
-    fit; the caller frees a span when it asks for the next.  The draws and sin()
-    release the GIL.  A narrow tree starts no thread; any exit wakes and joins it."""
+    arena of three widest draws, and the worker draws on until the next does not fit;
+    the caller frees a span when it asks for the next.  Beside one live widest draw at
+    any offset s, the span after it (3W - s - W) or the one before it (s) holds another,
+    which two widest draws would not unless s is 0 or W.  The draws and sin() release
+    the GIL.  A narrow tree starts no thread; any exit wakes and joins it."""
     sizes = [_draw_size(tree, k) for k in range(tree.n_steps)]
     wide = [s for k, s in enumerate(sizes) if tree.n_nodes(k) > LIPSCHITZ_STACK]
     if not wide:
@@ -207,11 +221,9 @@ def _read_ahead(tree: ScenarioTree, picks):
         for k, rng in picks:
             yield k, _draw(rng, tree, k, arena)
         return
-    # imported here, so that a tree with no wide step loads no threading machinery
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    import threading  # here, so that a tree with no wide step loads no threading machinery
 
-    arena, cond = np.empty(2 * max(wide)), threading.Condition()
+    arena, cond = np.empty(3 * max(wide)), threading.Condition()
     spans, ready, closed = collections.deque(), collections.deque(), False
 
     def free_span(size):  # after the newest live span, else from 0; None if full
@@ -242,7 +254,7 @@ def _read_ahead(tree: ScenarioTree, picks):
                 ready.append(None)
                 cond.notify()
 
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool = _worker()
     worker = pool.submit(work)
     try:
         while True:
@@ -262,6 +274,13 @@ def _read_ahead(tree: ScenarioTree, picks):
             closed = True
             cond.notify()
         pool.shutdown()
+
+
+def _worker():
+    """A pool of one worker thread, which `shutdown` (or leaving a with block) joins;
+    concurrent.futures is imported here, so that a run that starts no thread loads none."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _draw_size(tree: ScenarioTree, k: int) -> int:
@@ -418,7 +437,8 @@ def _drive(gen: Generator, forest: ScenarioTree, k: int, y: np.ndarray, z: np.nd
 
 
 def _implicit_step(gen: Generator, forest: ScenarioTree, k: int, target: np.ndarray,
-                   z_k: np.ndarray, obstacle: Optional[np.ndarray] = None) -> np.ndarray:
+                   z_k: np.ndarray, obstacle: Optional[np.ndarray] = None,
+                   g: Optional[Callable] = None) -> np.ndarray:
     """Solve y = clip(target - g(y, z) dt) to IMPLICIT_TOL by Picard iteration;
     a non-finite iterate stops it at once.
 
@@ -429,40 +449,79 @@ def _implicit_step(gen: Generator, forest: ScenarioTree, k: int, target: np.ndar
     there exceeds IMPLICIT_TOL.  The iterates keep the member axis of _drive: row i
     is copy i of `forest`, which stops at its own tolerance and keeps that iterate
     while the others go on, so it gets the bits of its solo solve.
+
+    `g` is the step's fixed-z driver gen.in_y(k, Z_k), taken here unless the caller
+    passes it (the reflected sweep, whose push evaluates it again).  On a step of
+    IMPLICIT_SPLIT nodes or more whose driver has a fast form (fn.in_y), each
+    iteration runs on the two node halves of every member row at once, one on a worker
+    thread in the caller's context (so its numpy error state holds there).  Every
+    operation is elementwise and the defects are maxima, so the bits are those of the
+    whole rows.  The three node arrays are allocated here, on the calling thread.
     """
     q, cap = forest.dt * gen.l_y, IMPLICIT_MAX_ITER
-    target, z_k = forest.split(target), forest.split(z_k)
+    target = forest.split(target)
     obstacle = None if obstacle is None else forest.split(obstacle)
-    y, stopped = target.copy(), None  # stopped: per member, once some member has stopped
-    g = gen.in_y(k, z_k)  # Z_k is fixed in the loop, so its term is computed once
-    for it in itertools.count(1):
-        y_new = target - g(y) * forest.dt
-        if obstacle is not None:
-            y_new = np.maximum(obstacle, y_new)
+    g = g or gen.in_y(k, forest.split(z_k))  # Z_k is fixed in the loop: its term once
+    y, y_new, work = target.copy(), np.empty_like(target), np.empty_like(target)
+    stopped, half, fast = None, target.shape[1] // 2, hasattr(gen.fn, "in_y")
+
+    def iterate(first, new, old, w, tgt, obs, nodes=slice(None)):
+        """One iteration from old into new, on whole rows or on the node range `nodes` of
+        every member row (the arrays being those nodes): the per-member max defect, and
+        on the first iteration the max |new|.  A fast form writes into w, so that the
+        iteration allocates no node array (a worker's allocations, from an arena of its
+        own, raised the peak memory).  Outputs go by position where numpy allows: the
+        cheapest call."""
+        np.multiply(g(old, nodes, w) if fast else g(old), forest.dt, w)
+        np.subtract(tgt, w, new)
+        if obs is not None:
+            np.maximum(obs, new, out=new)
         if stopped is not None:
-            y_new[stopped] = y[stopped]
-        defects = np.maximum.reduce(np.abs(y_new - y), axis=1)
-        if it == 1:
-            tol = np.maximum(IMPLICIT_TOL,
-                             ROUND_OFF_ULPS * np.spacing(np.maximum.reduce(np.abs(y_new), axis=1)))
-        done = defects <= tol
-        if done.all():
-            return forest.join(y_new)
-        defect = float(np.maximum.reduce(defects))
-        if not math.isfinite(defect):
-            i = int(np.isfinite(defects).argmin())
-            raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
-                                        f"{int(np.abs(y_new - y)[i].argmax())} "
-                                        f"({gen.family[i].name})")
-        if it == 1 and 0.0 < q < 1.0:
-            cap = max(cap, math.ceil(2.0 * math.log(IMPLICIT_TOL / defect) / math.log(q)))
-        if it == cap:
-            raise PicardDivergenceError(
-                f"step {k}: inner fixed point not converged after {cap} iterations "
-                f"(last defect {defect:.3e}, contraction factor dt*L_y = {q:.3f})")
-        if done.any():
-            stopped = done
-        y = y_new
+            new[stopped] = old[stopped]
+        defects = np.maximum.reduce(np.abs(np.subtract(new, old, w), w), axis=1)
+        return defects, np.maximum.reduce(np.abs(new, w), axis=1) if first else None
+
+    split = forest.n_nodes(k) >= IMPLICIT_SPLIT and half > 0 and fast
+    pool = _worker() if split else None
+    context = contextvars.copy_context() if split else None  # the caller's np.errstate
+    try:
+        for it in itertools.count(1):
+            if pool is None:
+                defects, peak = iterate(it == 1, y_new, y, work, target, obstacle)
+            else:
+                low, high = ([None if a is None else a[:, nodes]
+                              for a in (y_new, y, work, target, obstacle)] + [nodes]
+                              for nodes in (slice(0, half), slice(half, None)))
+                other = pool.submit(context.run, iterate, it == 1, *high)
+                try:
+                    defects, peak = iterate(it == 1, *low)
+                finally:  # on every exit the worker's half is waited for, and read
+                    theirs = other.result()
+                defects = np.maximum(defects, theirs[0])
+                peak = None if peak is None else np.maximum(peak, theirs[1])
+            if it == 1:
+                tol = np.maximum(IMPLICIT_TOL, ROUND_OFF_ULPS * np.spacing(peak))
+            done = defects <= tol
+            if done.all():
+                return forest.join(y_new)
+            defect = float(np.maximum.reduce(defects))
+            if not math.isfinite(defect):
+                i = int(np.isfinite(defects).argmin())
+                raise PicardDivergenceError(f"step {k}: non-finite inner iterate at node "
+                                            f"{int(np.abs(y_new - y)[i].argmax())} "
+                                            f"({gen.family[i].name})")
+            if it == 1 and 0.0 < q < 1.0:
+                cap = max(cap, math.ceil(2.0 * math.log(IMPLICIT_TOL / defect) / math.log(q)))
+            if it == cap:
+                raise PicardDivergenceError(
+                    f"step {k}: inner fixed point not converged after {cap} iterations "
+                    f"(last defect {defect:.3e}, contraction factor dt*L_y = {q:.3f})")
+            if done.any():
+                stopped = done
+            y, y_new = y_new, y
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _quadruple(forest: ScenarioTree, y_vals: list, ey_vals: list, z_vals: list,
@@ -510,9 +569,10 @@ def _backward_sweep(tree: ScenarioTree, xi: np.ndarray, gen: Generator, scheme: 
             y_tilde = ey - _drive(gen, forest, k, ey, z_vals[k]) * dt
             y_vals[k] = y_tilde if s_k is None else np.maximum(s_k, y_tilde)
         else:
-            y_vals[k] = _implicit_step(gen, forest, k, ey, z_vals[k], obstacle=s_k)
+            g = gen.in_y(k, forest.split(z_vals[k]))  # the push reuses its z-term
+            y_vals[k] = _implicit_step(gen, forest, k, ey, z_vals[k], obstacle=s_k, g=g)
             if s_k is not None:
-                y_tilde = ey - _drive(gen, forest, k, y_vals[k], z_vals[k]) * dt
+                y_tilde = ey - forest.join(g(forest.split(y_vals[k]))) * dt
         if s_k is not None:
             dk_vals[k] = y_vals[k] - y_tilde
     if lean:

@@ -37,16 +37,17 @@ def _seeded_driver(b0: list, c: np.ndarray, u: np.ndarray, l_y: float, l_z: floa
     """g(k, y, z) = b0_k + l_y sin(y + c) + l_z tanh(z . u), on the parameters of one
     member (b0_k (n_k,), c a scalar, u (d, 1)) or of a family, with a leading member
     axis on each (b0_k (B, n_k), c (B, 1), u (B, d, 1)).  z . u is a matmul either way.
-    fn.in_y (Generator.in_y) holds the z-term fixed and works in place on y + c."""
+    fn.in_y (Generator.in_y) holds the z-term fixed, slices it and b0_k to the node
+    range of y, and works in place on y + c, in `out` where given."""
     def in_y(k, z):
         tz = l_z * np.tanh((z @ u)[..., 0])
 
-        def g(y):
-            out = y + c
+        def g(y, nodes=slice(None), out=None):
+            out = np.add(y, c, out)
             np.sin(out, out=out)
             out *= l_y
-            out += b0[k]
-            out += tz
+            out += b0[k][..., nodes]
+            out += tz[..., nodes]
             return out
 
         return g

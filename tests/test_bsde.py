@@ -16,6 +16,7 @@ import pytest
 from treebsde import bsde
 from treebsde.bsde import (
     IMPLICIT_MAX_ITER,
+    IMPLICIT_SPLIT,
     IMPLICIT_TOL,
     LIPSCHITZ_PROBES,
     LIPSCHITZ_SEED,
@@ -33,6 +34,7 @@ from treebsde.bsde import (
 from treebsde.cli import default_config, generator_from_config, parse_config, tree_from_config
 from treebsde.errors import GeneratorContractError, PicardDivergenceError, StepSizeError
 from treebsde.families import (
+    generator_family,
     random_bsde,
     random_generator,
     random_obstacle,
@@ -369,7 +371,7 @@ class TestWideProbeWorker:
 
 
 class TestReadAheadByBytes:
-    """The worker reads the probe stream ahead into one arena of twice the widest draw,
+    """The worker reads the probe stream ahead into one arena of three widest draws,
     allocated on the calling thread: while the caller holds a probe it draws every later
     probe that fits, and no draw is allocated on the worker."""
 
@@ -435,6 +437,31 @@ class TestReadAheadByBytes:
             assert stream[drawn][1].size > room  # the next does not fit: the worker waits
             assert k == stream[first][0] and np.array_equal(held, stream[first][1])
         assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
+    def test_next_widest_is_drawn_while_one_is_held(self, monkeypatch, redraw):
+        """Beside a held widest draw, wherever a narrower draw has shifted it, the worker
+        draws the next widest.  An arena of two widest draws had room for it only when
+        the held one sat at 0 or at one widest draw: on the redraw (wide stream 13, 14,
+        14, ...) the first 14 sits after the 13, at half a widest draw."""
+        tree = self._two_wide_widths()
+        if redraw:
+            list(_probe_draws(tree))
+        stream = [k for k, _ in _serial_probes(tree)
+                  if not redraw or tree.n_nodes(k) > LIPSCHITZ_STACK]
+        widest = max(tree.n_nodes(k) for k in range(tree.n_steps))
+        wide = [i for i, k in enumerate(stream) if tree.n_nodes(k) > LIPSCHITZ_STACK]
+        draws, _ = self._record(monkeypatch)
+        offsets = []
+        with contextlib.closing(_probe_draws(tree)) as probes:
+            for i, (k, held) in zip(wide, probes):
+                later = [j for j in wide if j > i and tree.n_nodes(stream[j]) == widest]
+                if tree.n_nodes(k) == widest and later:
+                    assert self._settled(draws) > later[0], (i, k)
+                    offsets.append(held.ctypes.data - draws[0][1].base.ctypes.data)
+        assert offsets
+        if redraw:
+            assert offsets[0] == bsde._draw_size(tree, stream[0]) * held.itemsize
 
     def test_no_draw_is_allocated_on_the_worker(self, monkeypatch):
         tree = self._two_wide_widths()
@@ -519,12 +546,20 @@ class TestInY:
                     y, z = rng.normal(size=lead + (n,)), rng.normal(size=lead + (n, d))
                     got, want = gen.in_y(k, z)(y), gen(k, y, z)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
+                    if hasattr(gen.fn, "in_y"):  # a fast form also takes a node range
+                        for nodes in (slice(0, n // 2), slice(n // 2, n), slice(1, n)):
+                            part = gen.in_y(k, z)(y[..., nodes], nodes)
+                            assert part.tobytes() == want[..., nodes].tobytes(), (name, k, nodes)
+                            out = np.empty_like(part)  # and an array to write into
+                            assert gen.in_y(k, z)(y[..., nodes], nodes, out=out) is out
+                            assert out.tobytes() == part.tobytes(), (name, k, nodes)
 
     @pytest.mark.parametrize("name", ["random_generator", "generator_family",
                                       "AffineGenerator.build", "cli-affine"])
-    def test_z_term_once_per_implicit_step(self, name):
+    def test_z_term_once_per_implicit_step(self, name, monkeypatch):
         """z @ u (or z @ eta) is taken once per implicit step, not once per inner
-        iteration; the same driver called per y takes it every iteration."""
+        iteration; the same driver called per y takes it every iteration.  A reflected
+        sweep takes it once per step too: its push reuses the step's fixed-z driver."""
         tree = standard_tree(n_steps=4, d=2)
         gen = dict(_in_y_drivers(tree))[name]
         per_y = Generator(fn=lambda k, y, z: gen.fn(k, y, z), l_y=gen.l_y, l_z=gen.l_z)
@@ -546,6 +581,175 @@ class TestInY:
             got = _implicit_step(gen, forest, k, target, z)
             assert iterations > 2 and len(matmuls) == 1, (k, iterations, len(matmuls))
             assert got.tobytes() == want.tobytes()
+        project = bsde._project
+        monkeypatch.setattr(bsde, "_project", lambda f, y_next, k: (
+            lambda ey, z: (ey, z.view(CountingZ)))(*project(f, y_next, k)))
+        xi = rng.normal(size=forest.n_nodes(tree.n_steps))
+        obstacle = [rng.normal(size=forest.n_nodes(k)) for k in range(tree.n_steps + 1)]
+        matmuls.clear()
+        bsde._backward_sweep(tree, xi, gen, "implicit", obstacle=obstacle, lean=True)
+        assert len(matmuls) == tree.n_steps
+
+
+def _split_tree(d):
+    """A tree with a reveal whose widest driver step, the last, has IMPLICIT_SPLIT nodes
+    or more, so that its inner fixed point runs on two threads."""
+    n_steps = {1: 15, 2: 8, 3: 6}[d]
+    grid = TimeGrid(horizon=1.0, n_steps=n_steps)
+    tree = build_tree(grid, d=d, reveals=(
+        Reveal(grid.times[n_steps // 2], ("a", "b", "c"), (0.5, 0.3, 0.2)),))
+    assert tree.n_nodes(n_steps - 1) >= IMPLICIT_SPLIT
+    return tree
+
+
+def _fast_driver(name, l_y, at_y):
+    """A lone driver with a fast form whose value at any z is at_y(y, nodes)."""
+    def in_y(k, z):
+        def g(y, nodes=slice(None), out=None):
+            value = at_y(y, nodes)
+            if out is None:
+                return value
+            out[...] = value
+            return out
+
+        return g
+
+    def fn(k, y, z):
+        return in_y(k, z)(y)
+
+    fn.in_y = in_y
+    return Generator(fn=fn, l_y=l_y, l_z=0.0, name=name)
+
+
+class TestImplicitStepByHalves:
+    """On a step of IMPLICIT_SPLIT nodes or more, a driver with a fast form runs each
+    inner iteration on the two node halves of every member row at once, one on a worker
+    thread: the bits of the serial loop, its error texts, and every thread joined."""
+
+    @staticmethod
+    def _both_ways(monkeypatch, *args, **kwargs):
+        """_implicit_step on two threads (checking that it started its worker), then with
+        the serial loop; an exception of either is returned, not raised."""
+        workers, real = [], bsde._worker
+        monkeypatch.setattr(bsde, "_worker", lambda: workers.append(1) or real())
+        out = []
+        for split in (IMPLICIT_SPLIT, math.inf):
+            monkeypatch.setattr(bsde, "IMPLICIT_SPLIT", split)
+            before = set(threading.enumerate())
+            try:
+                out.append(_implicit_step(*args, **kwargs))
+            except (PicardDivergenceError, FloatingPointError) as err:
+                out.append(err)
+            assert set(threading.enumerate()) == before
+        assert len(workers) == 1
+        return out
+
+    @staticmethod
+    def _drivers(tree):
+        """name -> (driver, row scales of the target): a lone seeded driver, a seeded
+        family of three whose middle member, its rows scaled by 400, stops by ulps and
+        so at another iteration than the others, and an affine driver."""
+        return {"seeded": (random_generator(tree, 3), [1.0]),
+                "family": (generator_family(tree, [3, 8, 5]), [1.0, 400.0, 1.0]),
+                "affine": (AffineGenerator.build(tree, lam=0.6, eta=[0.3] * tree.d,
+                                                 g0_fn=lambda k, n: np.full(n, 0.2)), [1.0])}
+
+    @staticmethod
+    def _iterations(gen, tree, k, target, z, obstacle):
+        """Inner iterations of each member's own serial solve: its driver calls."""
+        counts = []
+        for i, member in enumerate(gen.family):
+            calls = []
+            counting = Generator(fn=lambda k, y, z, f=member.fn: calls.append(k) or f(k, y, z),
+                                 l_y=member.l_y, l_z=member.l_z)
+            rows = [tree.forest(len(gen.family)).split(a)[i] for a in (target, z)]
+            s = None if obstacle is None else tree.forest(len(gen.family)).split(obstacle)[i]
+            _implicit_step(counting, tree, k, *rows, obstacle=s)
+            counts.append(len(calls))
+        return counts
+
+    @pytest.mark.parametrize("reflect", [False, True], ids=["free", "obstacle"])
+    @pytest.mark.parametrize("name", ["seeded", "family", "affine"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bits_of_the_serial_loop(self, monkeypatch, d, name, reflect):
+        tree = _split_tree(d)
+        gen, scales = self._drivers(tree)[name]
+        forest, k = tree.forest(len(scales)), tree.n_steps - 1
+        rng = np.random.default_rng(d)
+        n = forest.n_nodes(k)
+        target = (rng.normal(size=(len(scales), n // len(scales))) * np.c_[scales]).ravel()
+        z = rng.normal(size=(n, d))
+        obstacle = rng.normal(size=n) if reflect else None
+        split, serial = self._both_ways(monkeypatch, gen, forest, k, target, z, obstacle=obstacle)
+        assert split.tobytes() == serial.tobytes()
+        if name == "family":
+            assert len(set(self._iterations(gen, tree, k, target, z, obstacle))) > 1
+
+    def test_concurrent_steps_under_a_short_switch_interval(self, monkeypatch):
+        """Three callers, each with its own worker, on two cores, switching threads every
+        microsecond: each step keeps the bits of its serial loop."""
+        tree = _split_tree(1)
+        gen, k = generator_family(tree, [3, 8, 5]), tree.n_steps - 1
+        forest = tree.forest(3)
+        rng = np.random.default_rng(0)
+        jobs = [(rng.normal(size=forest.n_nodes(k)), rng.normal(size=(forest.n_nodes(k), 1)))
+                for _ in range(3)]
+        monkeypatch.setattr(bsde, "IMPLICIT_SPLIT", math.inf)
+        serial = [_implicit_step(gen, forest, k, *job).tobytes() for job in jobs]
+        monkeypatch.undo()
+        assert len(set(serial)) == 3
+        got = [None] * 3
+
+        def run(i):
+            got[i] = _implicit_step(gen, forest, k, *jobs[i]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == serial
+
+    @pytest.mark.parametrize("bad", [5, 49147], ids=["caller-half", "worker-half"])
+    def test_non_finite_iterate_in_either_half(self, monkeypatch, bad):
+        tree = _split_tree(1)
+        k = tree.n_steps - 1
+        n = tree.n_nodes(k)
+        gen = _fast_driver(f"nan-at-{bad}", 0.5, lambda y, nodes: np.where(
+            np.arange(n)[nodes] == bad, np.nan, y * 0.0))
+        split, serial = self._both_ways(monkeypatch, gen, tree, k, np.zeros(n), np.zeros((n, 1)))
+        assert str(split) == str(serial) == (
+            f"step {k}: non-finite inner iterate at node {bad} (nan-at-{bad})")
+
+    def test_cap_reached(self, monkeypatch):
+        tree = _split_tree(1)
+        k = tree.n_steps - 1
+        n = tree.n_nodes(k)
+        # y flips between -dt and dt for ever
+        flip = _fast_driver("flip", 0.5, lambda y, nodes: np.where(y >= 0, 1.0, -1.0))
+        split, serial = self._both_ways(monkeypatch, flip, tree, k, np.zeros(n), np.zeros((n, 1)))
+        assert isinstance(split, PicardDivergenceError) and str(split) == str(serial)
+        assert str(split).startswith(f"step {k}: inner fixed point not converged after "
+                                     f"{IMPLICIT_MAX_ITER} iterations")
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["caller-half", "worker-half"])
+    def test_overflow_raises_under_the_callers_errstate(self, monkeypatch, half):
+        tree = _split_tree(1)
+        k = tree.n_steps - 1
+        n = tree.n_nodes(k)
+        big = np.zeros(n)
+        big[half * n // 2:(half + 1) * n // 2] = 1e300
+        gen = _fast_driver("overflow", 0.5, lambda y, nodes: y * 0.0 + big[nodes] * big[nodes])
+        with np.errstate(over="raise"):
+            split, serial = self._both_ways(monkeypatch, gen, tree, k, np.zeros(n),
+                                            np.zeros((n, 1)))
+        assert isinstance(split, FloatingPointError) and isinstance(serial, FloatingPointError)
 
 
 def _extract_linearization(instance, sol):

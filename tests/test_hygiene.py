@@ -178,14 +178,25 @@ def test_lone_driver_is_a_family_of_one():
     assert not lines, f"bsde.py lines {lines}: .members read outside Generator.family"
 
 
-def test_cli_import_loads_no_thread_pool():
+def test_cli_import_loads_no_thread_pool(tmp_path):
     """ladder imports concurrent.futures where it starts its threads, so importing the
-    CLI, which every command does, loads neither it nor logging."""
-    code = ("import sys, treebsde.cli; "
-            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
-    assert run.stdout.strip() == "[]"
+    CLI, which every command does, loads neither it nor logging.  On the default
+    config's tree, whose steps are narrower than bsde.LIPSCHITZ_STACK and
+    bsde.IMPLICIT_SPLIT, solve, reflect, picard and verify --suite all start no thread
+    either: neither the probe's read-ahead nor the inner fixed point by halves."""
+    code = ("import sys, threading, treebsde.cli as cli\n"
+            "loaded = lambda: [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: started.append(t.name) or start(t)\n"
+            "for cmd in (['solve'], ['reflect'], ['picard'], ['verify', '--suite', 'all']):\n"
+            "    assert cli.main(['--out', sys.argv[1] + '/' + cmd[0], *cmd]) == 0, cmd\n"
+            "print(loaded(), started)")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         check=True)
+    lines = run.stdout.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[] []"
 
 
 SHORT_AXIS_MODULES = ("tree.py", "bsde.py", "families.py", "martingales.py")
