@@ -79,7 +79,8 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     b0 = []
     for k in range(tree.n_steps):
         w, lab = sum_axis(tree.w[k], 1), tree.reveal_label[k]
-        b0.append(a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0))
+        bias = np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0)  # per child of the block
+        b0.append(a0 + a1 * np.tanh(w) + np.tile(bias, tree.n_nodes(k) // len(lab)))
     members = tuple(Generator(fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z),
                               l_y=l_y, l_z=l_z, name=f"random[{seed}]")
                     for i, seed in enumerate(seeds))
@@ -103,7 +104,7 @@ def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
     for k in tree.reveal_step_indices():
         lab = tree.reveal_label[k]
         bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
-        vals = np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0)
+        vals = np.tile(np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0), tree.n_nodes(k - 1))
         xi = xi + 0.5 * tree.to_leaves(vals.T, k).T
     return ScenarioTree.join(xi)
 

@@ -143,7 +143,7 @@ def snell_bruteforce(tree: ScenarioTree, xi: np.ndarray, obstacle: AdaptedProces
             return np.array([xi[i]])
         b = tree.branching[k]
         child_vals = [candidates(k + 1, i * b + j) for j in range(b)]
-        q = tree.cond_prob[k + 1][i * b: (i + 1) * b]
+        q = tree.cond_prob[k + 1]
         combo = np.zeros(1)
         count = 1
         for j in range(b):

@@ -100,22 +100,27 @@ class ScenarioTree:
     """Scenario tree with uniform branching per step.
 
     Nodes at step k+1 are grouped contiguously under their parent, so the node
-    at index j of step k+1 has parent j // branching[k].  All per-node data is
-    stored as one numpy array per step.  Trees compare and hash by identity.
+    at index j of step k+1 is child j % branching[k] of parent j // branching[k].
+    Every parent of a step has the same one-step law, so a step k >= 1 stores it
+    once, as the child block of one parent; step 0 stores its roots.  Node counts
+    come from the root count and the branching, and per-node data (path_prob,
+    w) is one numpy array per step.  Trees compare and hash by identity.
     """
 
     grid: TimeGrid
     d: int
     reveals: tuple            # tuple[Reveal, ...], resolved to grid instants
     branching: tuple          # branching factor out of each step as Python ints, len n_steps
-    cond_prob: list           # cond_prob[k][i] = P(node i at step k | parent); [1.0] at root
-    dw: list                  # dw[k] shape (n_k, d): walk increment from parent; zeros at root
-    reveal_label: list        # reveal_label[k][i]: alphabet index or -1
+    cond_prob: list           # cond_prob[k][j] = P(child j | parent), shape (branching[k-1],); 1.0 per root
+    dw: list                  # dw[k][j] walk increment of child j, shape (branching[k-1], d); zeros per root
+    reveal_label: list        # reveal_label[k][j]: alphabet index of child j or -1; -1 per root
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
+    sizes: tuple = field(init=False, repr=False)      # sizes[k] = number of step-k nodes
 
     def __post_init__(self):
-        self.path_prob = self.path_scan(self.cond_prob[1:], np.multiply, start=self.cond_prob[0],
-                                        process=True)
+        self.sizes = tuple(itertools.accumulate(self.branching, operator.mul,
+                                                initial=len(self.cond_prob[0])))
+        self.path_prob = self._scan_blocks(self.cond_prob[1:], np.multiply, self.cond_prob[0])
 
     # -- structure -----------------------------------------------------------
 
@@ -128,7 +133,7 @@ class ScenarioTree:
         return self.grid.dt
 
     def n_nodes(self, step: int) -> int:
-        return len(self.cond_prob[step])
+        return self.sizes[step]
 
     def parent_index(self, step: int) -> np.ndarray:
         if step < 1 or step > self.n_steps:
@@ -138,17 +143,19 @@ class ScenarioTree:
     def forest(self, copies: int) -> ScenarioTree:
         """`copies` disjoint copies of the tree as one tree with a root per copy: copy i
         holds block i of the nodes of each step, so that cond_exp, lift, dot_dw and
-        path_scan act on every copy in one call.  One copy is the tree itself; a forest
-        is built once per tree and count, so processes of one family share it."""
+        path_scan act on every copy in one call.  The copies share the tree's child
+        blocks, so a forest allocates its roots and its path probabilities only.  One
+        copy is the tree itself; a forest is built once per tree and count, so
+        processes of one family share it."""
         if copies == 1:
             return self
         forests = self.__dict__.setdefault("_forests", {})
         if copies not in forests:
             forests[copies] = ScenarioTree(
                 grid=self.grid, d=self.d, reveals=self.reveals, branching=self.branching,
-                cond_prob=[np.tile(p, copies) for p in self.cond_prob],
-                dw=[np.tile(w, (copies, 1)) for w in self.dw],
-                reveal_label=[np.tile(lab, copies) for lab in self.reveal_label])
+                cond_prob=[self.cond_prob[0].repeat(copies)] + self.cond_prob[1:],
+                dw=[self.dw[0].repeat(copies, axis=0)] + self.dw[1:],
+                reveal_label=[self.reveal_label[0].repeat(copies)] + self.reveal_label[1:])
         return forests[copies]
 
     def split(self, x: np.ndarray) -> np.ndarray:
@@ -175,7 +182,12 @@ class ScenarioTree:
     @functools.cached_property
     def w(self) -> list:
         """Cumulative walk value per node, shape (n_k, d) at each step, built once."""
-        return self.path_scan(self.dw[1:], start=np.zeros((1, self.d)), process=True)
+        return self._scan_blocks(self.dw[1:], np.add, np.zeros((self.n_nodes(0), self.d)))
+
+    def _children(self, x: np.ndarray, step: int) -> np.ndarray:
+        """The step-`step` array `x` as a view with parents on axis 0 and their children,
+        in block order, on axis 1."""
+        return x.reshape((self.n_nodes(step - 1), self.branching[step - 1]) + x.shape[1:])
 
     # -- expectation operators ------------------------------------------------
 
@@ -183,24 +195,43 @@ class ScenarioTree:
         if step < lo or step > self.n_steps:
             raise IndexError(f"step {step} out of range 0..{self.n_steps}")
 
+    def _check_parent(self, step: int):
+        if not 0 <= step < len(self.branching):
+            raise IndexError(f"step {step} has no children (valid: 0..{self.n_steps - 1})")
+
+    def _values(self, x, step: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.n_nodes(step):
+            raise ValueError(f"value array has {x.shape[0]} entries, step {step} has "
+                             f"{self.n_nodes(step)} nodes")
+        return x
+
     def cond_exp(self, x: np.ndarray, step: int, weights: np.ndarray = None) -> np.ndarray:
         """Conditional expectation of `x` (defined at `step`) onto step-1 nodes.
 
         `weights` optionally multiplies the child values before averaging, e.g.
-        one-step Girsanov density factors.
+        one-step Girsanov density factors.  Each parent's sum over its children has
+        sum_axis's bits: one broadcast product and one sum_axis where sum_axis hands
+        the child axis to numpy, else one product per child of the block, added in
+        block order from +0.0 as sum_axis's slice adds are.
         """
         self._check_step(step, lo=1)
-        x = np.asarray(x, dtype=float)
-        n_prev = self.n_nodes(step - 1)
-        b = self.branching[step - 1]
-        if x.shape[0] != self.n_nodes(step):
-            raise ValueError(f"value array has {x.shape[0]} entries, step {step} has {self.n_nodes(step)} nodes")
-        cp = self.cond_prob[step]
-        if weights is not None:
-            cp = cp * weights
-        if x.ndim == 1:
-            return sum_axis((cp * x).reshape(n_prev, b), 1)
-        return sum_axis((cp[:, None] * x).reshape(n_prev, b, x.shape[1]), 1)
+        x = self._values(x, step)
+        p, xs = self.cond_prob[step], self._children(x, step)
+        ws = None if weights is None else self._children(np.asarray(weights), step)
+        tail = (1,) * (x.ndim - 1)  # the probabilities broadcast over a value's columns
+        if not _by_slices(len(p), x.size):
+            q = p if ws is None else ws * p
+            return sum_axis(xs * q.reshape(q.shape + tail), 1)
+        def child(j, out=None):
+            q = p[j] if ws is None else (ws[:, j] * p[j]).reshape((-1,) + tail)
+            return np.multiply(xs[:, j], q, out=out)
+
+        out, term = child(0), np.empty(xs.shape[:1] + xs.shape[2:])
+        for j in range(1, len(p)):
+            out += child(j, term)
+        out += 0.0  # a sum from +0.0 differs from this one in a -0.0 total only
+        return out
 
     def expectation(self, x: np.ndarray, step: int) -> float:
         """Expectation of a step-`step` value: sum of path probability * value."""
@@ -219,20 +250,36 @@ class ScenarioTree:
 
     def lift(self, x: np.ndarray, step: int) -> np.ndarray:
         """Broadcast step-`step` node values onto their step+1 children."""
-        if not 0 <= step < len(self.branching):
-            raise IndexError(f"step {step} has no children (valid: 0..{self.n_steps - 1})")
+        self._check_parent(step)
         return np.asarray(x, dtype=float).repeat(self.branching[step], axis=0)
 
     def dot_dw(self, z: np.ndarray, k: int) -> np.ndarray:
         """Z_k . dW_{k+1} on step-(k+1) nodes, for Z_k on step-k nodes.
 
         Z_k has shape (n_k, d); a scalar Z_k (shape (n_k,)) is read as the
-        one coordinate of a d = 1 walk and rejected on a wider one.
+        one coordinate of a d = 1 walk and rejected on a wider one.  Each node has
+        the bits of einsum("ni,ni->n") of the lifted Z_k and the tiled block (of their
+        plain product for a scalar Z_k): one call on Z_k and the block, or, where
+        cond_exp goes child by child, one product per child and coordinate added from
+        +0.0.  That is einsum's order for d <= 2 only; a walk of d >= 3 branches 8 ways
+        or more, so it always takes the one call.
         """
-        zc = self.lift(self.check_integrand(z, k), k)
-        if zc.ndim == 2:
-            return np.einsum("ni,ni->n", zc, self.dw[k + 1])
-        return zc * self.dw[k + 1][:, 0]
+        self._check_parent(k)
+        z = np.ascontiguousarray(self._values(self.check_integrand(z, k), k))
+        dw = self.dw[k + 1]
+        if not _by_slices(len(dw), z.size * len(dw)):
+            if z.ndim == 1:
+                return np.multiply.outer(z, dw[:, 0]).reshape(-1)
+            return np.einsum("pi,ji->pj", z, dw).reshape(-1)
+        zc = z.reshape(len(z), -1)
+        rows, term = np.empty((len(z), len(dw))), np.empty(len(z))
+        for j, row in enumerate(dw):
+            np.multiply(zc[:, 0], row[0], out=rows[:, j])
+            for i in range(1, zc.shape[1]):
+                rows[:, j] += np.multiply(zc[:, i], row[i], out=term)
+        if z.ndim == 2:
+            rows += 0.0  # einsum's sum from +0.0; a scalar integrand keeps the plain product
+        return rows.reshape(-1)
 
     def check_integrand(self, z: np.ndarray, k: int) -> np.ndarray:
         """`z`, unless it is a scalar step-k integrand against a walk wider than d = 1."""
@@ -242,8 +289,23 @@ class ScenarioTree:
 
     def cond_exp_dw(self, x: np.ndarray, k: int) -> np.ndarray:
         """E_k[x dW_{k+1}] on step-k nodes, shape (n_k, d), for x on step-(k+1)
-        nodes: the adjoint of dot_dw."""
-        return self.cond_exp(x[:, None] * self.dw[k + 1], k + 1)
+        nodes: the adjoint of dot_dw, with the bits of cond_exp(x dW_{k+1}, k + 1) on
+        the per-node increments, reached as cond_exp reaches its own."""
+        self._check_parent(k)
+        x = self._values(x, k + 1)
+        p, dw, xs = self.cond_prob[k + 1], self.dw[k + 1], self._children(x, k + 1)
+        if not _by_slices(len(p), x.size * self.d):
+            return sum_axis(xs[..., None] * dw * p[:, None], 1)
+        out, term = np.empty((len(xs), self.d)), np.empty(len(xs))
+        for i in range(self.d):
+            np.multiply(xs[:, 0], dw[0, i], out=out[:, i])
+            out[:, i] *= p[0]
+            for j in range(1, len(p)):
+                np.multiply(xs[:, j], dw[j, i], out=term)
+                term *= p[j]
+                out[:, i] += term
+        out += 0.0
+        return out
 
     # -- path primitives ------------------------------------------------------
 
@@ -277,6 +339,20 @@ class ScenarioTree:
                 out.append(acc)
         return out if process else acc
 
+    def _scan_blocks(self, blocks, op, start) -> list:
+        """[S_0, ..., S_n] with S_0 = start on the roots and each child's S_{k+1} =
+        op(S_k of its parent, its entry of the step-(k+1) block), one op per child and
+        coordinate: the bits of path_scan over the tiled blocks."""
+        out = [np.array(start, dtype=float)]
+        for block in blocks:
+            acc, block = out[-1].reshape(len(out[-1]), -1), block.reshape(len(block), -1)
+            rows = np.empty((len(acc),) + block.shape)
+            for j, row in enumerate(block):
+                for i, c in enumerate(row):
+                    op(acc[:, i], c, out=rows[:, j, i])
+            out.append(rows.reshape((-1,) + out[-1].shape[1:]))
+        return out
+
 
 def sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """a.sum(axis), bit for bit, by whole-slice adds when the axis is short.
@@ -290,13 +366,19 @@ def sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
     whatever its length, more than the rows it saves (measured on a 2-core Xeon).
     """
     b = a.shape[axis]
-    if not 0 < b < 8 or a.size < 2048:
+    if not _by_slices(b, a.size):
         return a.sum(axis)
     lead = (slice(None),) * (axis % a.ndim)
     out = a[lead + (0,)] + 0.0
     for j in range(1, b):
         out += a[lead + (j,)]
     return out
+
+
+def _by_slices(b: int, size: int) -> bool:
+    """Whether sum_axis sums an axis of `b` entries of a `size`-entry array by whole-slice
+    adds.  ScenarioTree's step kernels go child by child exactly then."""
+    return 0 < b < 8 and size >= 2048
 
 
 def sup_abs(arrays) -> float:
@@ -341,28 +423,21 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
     reveal_at = check_tree_shape(grid, d, reveals, node_cap)
     sdt = np.sqrt(grid.dt)
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))  # (2^d, d), canonical order
-    base_prob = np.full(2**d, 0.5**d)
 
-    branching = []
-    cond_prob = [np.array([1.0])]
-    dw = [np.zeros((1, d))]
-    reveal_label = [np.array([-1])]
-    n_prev = 1
+    cond_prob, dw, reveal_label = [np.array([1.0])], [np.zeros((1, d))], [np.array([-1])]
     for k in range(grid.n_steps):
         r = reveal_at.get(k + 1)
-        if r is None:
-            bdw, bprob, blab = signs * sdt, base_prob, np.full(2**d, -1)
-        else:
+        bdw, bprob, blab = signs * sdt, np.full(2**d, 0.5**d), np.full(2**d, -1)
+        if r is not None:
             a = len(r.labels)
-            bdw = np.repeat(signs * sdt, a, axis=0)
-            bprob = np.repeat(base_prob, a) * np.tile(np.asarray(r.probs, dtype=float), 2**d)
+            bdw = np.repeat(bdw, a, axis=0)
+            bprob = np.repeat(bprob, a) * np.tile(np.asarray(r.probs, dtype=float), 2**d)
             blab = np.tile(np.arange(a), 2**d)
-        branching.append(len(bprob))
-        cond_prob.append(np.tile(bprob, n_prev))
-        dw.append(np.tile(bdw, (n_prev, 1)))
-        reveal_label.append(np.tile(blab, n_prev))
-        n_prev *= len(bprob)
-    return ScenarioTree(grid=grid, d=d, reveals=reveals, branching=tuple(branching),
+        cond_prob.append(bprob)
+        dw.append(bdw)
+        reveal_label.append(blab)
+    return ScenarioTree(grid=grid, d=d, reveals=reveals,
+                        branching=tuple(len(p) for p in cond_prob[1:]),
                         cond_prob=cond_prob, dw=dw, reveal_label=reveal_label)
 
 
@@ -371,16 +446,15 @@ def build_tree(grid: TimeGrid, d: int = 1, reveals=(),
 def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
     """Check all tree invariants; returns the defect magnitudes.
 
-    Raises InvariantViolationError naming the first offending step (and node);
+    Every parent of a step has the step's one child block, so one row checks them
+    all.  Raises InvariantViolationError naming the first offending step (and node);
     a NaN defect offends too.
     """
     dt = tree.dt
     defects = {"prob_sum": 0.0, "dw_mean": 0.0, "dw_cov": 0.0, "reveal_indep": 0.0}
     reveal_steps = set(tree.reveal_step_indices())
     for k in range(1, tree.n_steps + 1):
-        b = tree.branching[k - 1]
-        n_prev = tree.n_nodes(k - 1)
-        cp = tree.cond_prob[k].reshape(n_prev, b)
+        cp, dwk = tree.cond_prob[k][None], tree.dw[k][None]
         sums = sum_axis(cp, 1)
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
         if bad.size:
@@ -389,7 +463,6 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
                 f"child probabilities at step {k - 1}, node {i} sum to {float(sums[i])!r} (tol {tol})"
             )
         defects["prob_sum"] = float(np.maximum(defects["prob_sum"], np.abs(sums - 1.0).max()))
-        dwk = tree.dw[k].reshape(n_prev, b, tree.d)
         mean = np.einsum("nb,nbi->ni", cp, dwk)
         m = float(np.abs(mean).max())
         if not m <= tol:
@@ -401,10 +474,9 @@ def validate_tree(tree: ScenarioTree, tol: float = TREE_TOL) -> dict:
             raise InvariantViolationError(f"conditional covariance of dW at step {k} deviates from dt*I by {c}")
         defects["dw_cov"] = max(defects["dw_cov"], c)
         if k in reveal_steps:
-            lab = tree.reveal_label[k].reshape(n_prev, b)
-            a = int(lab.max()) + 1
+            a = int(tree.reveal_label[k].max()) + 1
             # joint law over (dw pattern, label) must factorize exactly
-            joint = cp.reshape(n_prev, b // a, a)
+            joint = cp.reshape(1, -1, a)
             p_dw = sum_axis(joint, 2)
             p_lab = sum_axis(joint, 1)
             outer = p_dw[:, :, None] * p_lab[:, None, :]

@@ -50,6 +50,8 @@ from treebsde.reflected import (
 )
 from treebsde.tree import Reveal, TimeGrid, build_tree, validate_tree
 
+from tiles import per_node
+
 
 _CAPTURE = None
 
@@ -112,7 +114,7 @@ def test_representation_and_girsanov():
             inc = pair.m.values[k + 1] - tree.lift(pair.m.values[k], k)
             for i in range(tree.d):
                 worst = max(worst, float(np.abs(
-                    tree.cond_exp(inc * tree.dw[k + 1][:, i], k + 1)).max()))
+                    tree.cond_exp(inc * per_node(tree, "dw", k + 1)[:, i], k + 1)).max()))
     rng_defect = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)

@@ -15,6 +15,8 @@ from treebsde.reflected import ReflectedInstance, solve_reflected
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
 
+from tiles import per_node
+
 
 def _per_call_driver(tree, seed, l_y=0.5, l_z=0.5):
     """Reference driver that rebuilds the zero level b0_k on every call."""
@@ -26,7 +28,7 @@ def _per_call_driver(tree, seed, l_y=0.5, l_z=0.5):
 
     def fn(k, y, z):
         w = tree.w[k].sum(axis=1)
-        lab = tree.reveal_label[k]
+        lab = per_node(tree, "reveal_label", k)
         b0 = a0 + a1 * np.tanh(w) + np.where(lab >= 0, lab_bias[np.clip(lab, 0, 7)], 0.0)
         b0 = np.broadcast_to(b0, y.shape)
         return b0 + l_y * np.sin(y + c) + l_z * np.tanh(z @ u)
@@ -39,7 +41,7 @@ def _ten_label_tree():
     grid = TimeGrid(horizon=1.0, n_steps=4)
     tree = build_tree(grid, d=1, reveals=(Reveal(time=grid.times[2], labels=tuple("abcdefghij"),
                                                  probs=(0.1,) * 10),))
-    assert int(tree.reveal_label[2].max()) == 9
+    assert int(per_node(tree, "reveal_label", 2).max()) == 9
     return tree
 
 

@@ -22,6 +22,8 @@ from treebsde.martingales import (
 from treebsde.processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from treebsde.tree import TimeGrid, build_tree
 
+from tiles import per_node
+
 
 @pytest.fixture(scope="module")
 def tree():
@@ -39,9 +41,9 @@ class TestRepresentation:
         m = AdaptedProcess.from_terminal(tree, xi)
         pair = represent_martingale(tree, m)
         dn = m.values[1] - m.values[0][0]
-        dw = tree.dw[1]
+        dw = per_node(tree, "dw", 1)
         # weighted least squares with the conditional probabilities
-        wts = tree.cond_prob[1]
+        wts = per_node(tree, "cond_prob", 1)
         a = (dw * wts[:, None]).T @ dw
         b = (dw * wts[:, None]).T @ dn
         z_ref = np.linalg.solve(a, b)
@@ -58,7 +60,7 @@ class TestRepresentation:
         for k in range(tree.n_steps):
             inc = pair.m.values[k + 1] - tree.lift(pair.m.values[k], k)
             for i in range(tree.d):
-                cross = tree.cond_exp(inc * tree.dw[k + 1][:, i], k + 1)
+                cross = tree.cond_exp(inc * per_node(tree, "dw", k + 1)[:, i], k + 1)
                 assert np.abs(cross).max() <= 1e-13
 
     def test_walk_squared_compensator(self, tree):
@@ -190,7 +192,7 @@ class TestGirsanov:
 
     def test_orthogonal_martingale_unchanged(self, tree):
         """A martingale driven only by the reveal stays a martingale under Q."""
-        lab = tree.reveal_label[tree.reveal_step_indices()[0]]
+        lab = per_node(tree, "reveal_label", tree.reveal_step_indices()[0])
         bump = np.where(lab >= 0, lab.astype(float) - 0.7, 0.0)
         k0 = tree.reveal_step_indices()[0]
         vals = bump

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from treebsde.errors import OffGridError, TreeSizeError
 from treebsde.tree import Reveal, TimeGrid, build_tree, sum_axis, sup_abs, validate_tree
 
+from tiles import per_node
+
 
 def _reveal(grid, k, labels=("a", "b", "c"), probs=(0.5, 0.3, 0.2)):
     return Reveal(time=grid.times[k], labels=labels, probs=probs)
@@ -141,8 +143,8 @@ class TestConditionalExpectation:
         grid = TimeGrid(horizon=1.0, n_steps=2)
         tree = build_tree(grid, d=1, reveals=(_reveal(grid, 1),))
         k = 1
-        lab = tree.reveal_label[k].astype(float)
-        dw = tree.dw[k][:, 0]
+        lab = per_node(tree, "reveal_label", k).astype(float)
+        dw = per_node(tree, "dw", k)[:, 0]
         e_joint = tree.cond_exp(lab * dw, k)
         e_prod = tree.cond_exp(lab, k) * tree.cond_exp(dw, k)
         assert np.abs(e_joint - e_prod).max() <= 1e-14
@@ -255,8 +257,8 @@ class TestPathPrimitives:
         tree, _ = case
         w, pp = [np.zeros((1, tree.d))], [np.array([1.0])]
         for k in range(1, tree.n_steps + 1):
-            w.append(w[k - 1][tree.parent_index(k)] + tree.dw[k])
-            pp.append(pp[k - 1][tree.parent_index(k)] * tree.cond_prob[k])
+            w.append(w[k - 1][tree.parent_index(k)] + per_node(tree, "dw", k))
+            pp.append(pp[k - 1][tree.parent_index(k)] * per_node(tree, "cond_prob", k))
         for got, want in ((tree.w, w), (tree.path_prob, pp)):
             assert len(got) == len(want)
             assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
@@ -314,11 +316,12 @@ class TestStepPrimitives:
         rng = np.random.default_rng(d)
         for k in range(tree.n_steps):
             z = rng.normal(size=(tree.n_nodes(k), d))
-            want = np.einsum("ni,ni->n", tree.lift(z, k), tree.dw[k + 1])
+            dw = per_node(tree, "dw", k + 1)
+            want = np.einsum("ni,ni->n", tree.lift(z, k), dw)
             assert np.array_equal(tree.dot_dw(z, k), want)
             if d == 1:
                 # a scalar integrand keeps the plain product
-                assert np.array_equal(tree.dot_dw(z[:, 0], k), tree.lift(z[:, 0], k) * tree.dw[k + 1][:, 0])
+                assert np.array_equal(tree.dot_dw(z[:, 0], k), tree.lift(z[:, 0], k) * dw[:, 0])
             else:
                 with pytest.raises(ValueError, match=f"step {k}:"):
                     tree.dot_dw(z[:, 0], k)
@@ -333,7 +336,114 @@ class TestStepPrimitives:
             x, z = rng.normal(size=tree.n_nodes(k + 1)), rng.normal(size=(tree.n_nodes(k), d))
             got = tree.cond_exp_dw(x, k)
             assert got.shape == (tree.n_nodes(k), d)
-            assert np.array_equal(got, tree.cond_exp(x[:, None] * tree.dw[k + 1], k + 1))
+            assert np.array_equal(got, tree.cond_exp(x[:, None] * per_node(tree, "dw", k + 1), k + 1))
             # E[(Z . dW) x] = E[Z . E_k[x dW]]
             lhs = tree.expectation(tree.dot_dw(z, k) * x, k + 1)
             assert lhs == pytest.approx(tree.expectation((z * got).sum(axis=1), k), abs=1e-14)
+
+
+class TestBlockStorage:
+    """A step stores the child block of one parent, so tiles cannot creep back."""
+
+    @pytest.mark.parametrize("d, n_steps", [(2, 3), (1, 12)])
+    def test_blocks_hold_one_parent_children(self, d, n_steps):
+        grid = TimeGrid(horizon=1.0, n_steps=n_steps)
+        tree = build_tree(grid, d=d, reveals=(_reveal(grid, 2),))
+        forest = tree.forest(3)
+        for name in ("cond_prob", "dw", "reveal_label"):
+            blocks, copies = getattr(tree, name), getattr(forest, name)
+            # a root, then sum_k branching[k] children, whatever the node count
+            assert [len(a) for a in blocks] == [1, *tree.branching]
+            assert len(copies[0]) == 3 and all(a is b for a, b in zip(copies[1:], blocks[1:]))
+        per_node_lists = [name for name, v in vars(forest).items()
+                          if isinstance(v, list) and len(v) == n_steps + 1
+                          and all(len(a) == forest.n_nodes(k) for k, a in enumerate(v))]
+        assert per_node_lists == ["path_prob"]
+
+
+_LAWS = {2: (0.25, 0.75), 3: (0.5, 0.3, 0.2), 4: (0.1, 0.2, 0.3, 0.4)}
+
+
+def _signed_values(rng, shape):
+    """Normal values spread over six decades, a sixth of them +0.0 and a sixth -0.0."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    u = rng.uniform(size=shape)
+    v[u < 1 / 6] = 0.0
+    v[u > 5 / 6] = -0.0
+    return v
+
+
+@st.composite
+def _block_case(draw):
+    """A lone tree or its forest(3), d in {1, 2, 3}, maybe a reveal of 2-4 labels (four
+    labels branch 8 ways at d = 1), deep enough that its last steps hold 2048 entries or
+    more and its first steps fewer."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(*{1: (11, 12), 2: (5, 6), 3: (3, 4)}[d]))
+    grid = TimeGrid(horizon=1.0, n_steps=n)
+    reveal, a = draw(st.one_of(st.none(), st.integers(1, n))), draw(st.integers(2, 4))
+    reveals = () if reveal is None else (_reveal(grid, reveal, tuple("abcd")[:a], _LAWS[a]),)
+    tree = build_tree(grid, d=d, reveals=reveals).forest(draw(st.sampled_from([1, 3])))
+    return tree, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _tiled_cond_exp(tree, x, k, weights=None):
+    """cond_exp over per-node probabilities: a product per node and numpy's sum."""
+    cp = per_node(tree, "cond_prob", k)
+    if weights is not None:
+        cp = cp * weights
+    rows = (tree.n_nodes(k - 1), tree.branching[k - 1])
+    if x.ndim == 1:
+        return (cp * x).reshape(rows).sum(axis=1)
+    return (cp[:, None] * x).reshape(rows + x.shape[1:]).sum(axis=1)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBlockKernels:
+    """The step kernels on the blocks keep the bits of the same kernels on the tiled
+    per-node arrays, ±0.0 included, on both sides of sum_axis's crossover: a broadcast
+    product there, one product per child here."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_block_case())
+    def test_cond_exp(self, case):
+        tree, rng = case
+        for k in range(1, tree.n_steps + 1):
+            n = tree.n_nodes(k)
+            weights = _signed_values(rng, n)
+            for x in (_signed_values(rng, n), _signed_values(rng, (n, tree.d)),
+                      _signed_values(rng, (n, 3))):
+                assert _same_bits(tree.cond_exp(x, k), _tiled_cond_exp(tree, x, k)), (k, x.shape)
+                assert _same_bits(tree.cond_exp(x, k, weights=weights),
+                                  _tiled_cond_exp(tree, x, k, weights)), (k, x.shape)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_block_case())
+    def test_cond_exp_dw_and_dot_dw(self, case):
+        """einsum's order is a sum from +0.0 at d <= 2 only, so d = 3 checks the einsum."""
+        tree, rng = case
+        for k in range(tree.n_steps):
+            dw = per_node(tree, "dw", k + 1)
+            x = _signed_values(rng, tree.n_nodes(k + 1))
+            assert _same_bits(tree.cond_exp_dw(x, k), _tiled_cond_exp(tree, x[:, None] * dw, k + 1))
+            z = _signed_values(rng, (tree.n_nodes(k), tree.d))
+            want = np.einsum("ni,ni->n", tree.lift(z, k), dw)
+            assert _same_bits(tree.dot_dw(z, k), want), k
+            assert _same_bits(tree.dot_dw(z[::-1].copy(order="F")[::-1], k), want), k
+            if tree.d == 1:
+                assert _same_bits(tree.dot_dw(z[:, 0], k), tree.lift(z[:, 0], k) * dw[:, 0]), k
+
+    @settings(max_examples=25, deadline=None)
+    @given(_block_case())
+    def test_path_prob_and_w(self, case):
+        tree, _ = case
+        pp, w = [np.ones(tree.n_nodes(0))], [np.zeros((tree.n_nodes(0), tree.d))]
+        for k in range(1, tree.n_steps + 1):
+            pp.append(tree.lift(pp[k - 1], k - 1) * per_node(tree, "cond_prob", k))
+            w.append(tree.lift(w[k - 1], k - 1) + per_node(tree, "dw", k))
+        for got, want in ((tree.path_prob, pp), (tree.w, w)):
+            assert len(got) == len(want)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
