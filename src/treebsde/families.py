@@ -69,7 +69,11 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     level b0_k depends on the node only, so it is built once per driver step
     k < n.
     """
-    seeds = list(seeds)
+    return _generators(tree, list(seeds), tree.w, l_y, l_z)
+
+
+def _generators(tree: ScenarioTree, seeds: list, walk: list, l_y: float, l_z: float) -> Generator:
+    """generator_family, its zero level read from the tree's walk."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     u = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
     for row in u:
@@ -78,7 +82,7 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     a0, a1, c, lab_bias = params[:, :1], params[:, 1:2], params[:, 2:3], params[:, 3:]
     b0 = []
     for k in range(tree.n_steps):
-        w, lab = sum_axis(tree.w[k], 1), tree.reveal_label[k]
+        w, lab = sum_axis(walk[k], 1), tree.reveal_label[k]
         bias = np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0)  # per child of the block
         b0.append(a0 + a1 * np.tanh(w) + np.tile(bias, tree.n_nodes(k) // len(lab)))
     members = tuple(Generator(fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z),
@@ -94,10 +98,14 @@ def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
     return generator_family(tree, [seed], l_y=l_y, l_z=l_z).members[0]
 
 
-def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
-    """random_terminal of each seed on tree.forest(len(seeds)), block i seeds[i]'s."""
+def _terminals(tree: ScenarioTree, seeds, walk: list = None) -> np.ndarray:
+    """random_terminal of each seed on tree.forest(len(seeds)), block i seeds[i]'s, from the
+    walk (built if not given); the tree keeps the last one built, read-only."""
+    key, kept = tuple(seeds), vars(tree).get("_terminal")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     n = tree.n_steps
-    w = tree.w[n]
+    w = (tree.w if walk is None else walk)[n]
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
     coeffs = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
     xi = np.tanh((w @ coeffs)[..., 0]) + 0.3 * sum_axis(np.abs(w), 1)
@@ -106,27 +114,30 @@ def _terminals(tree: ScenarioTree, seeds) -> np.ndarray:
         bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
         vals = np.tile(np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0), tree.n_nodes(k - 1))
         xi = xi + 0.5 * tree.to_leaves(vals.T, k).T
-    return ScenarioTree.join(xi)
+    xi = ScenarioTree.join(xi)
+    xi.flags.writeable = False
+    vars(tree)["_terminal"] = key, xi
+    return xi
 
 
 def random_terminal(tree: ScenarioTree, seed: int) -> np.ndarray:
-    """Bounded terminal value depending on the walk and every reveal label."""
-    return _terminals(tree, [seed])
+    """Bounded terminal value depending on the walk and every reveal label, writable."""
+    return _terminals(tree, [seed]).copy()
 
 
-def _obstacles(tree: ScenarioTree, seeds: list, margin: float) -> AdaptedProcess:
+def _obstacles(tree: ScenarioTree, seeds: list, margin: float, walk: list) -> AdaptedProcess:
     """random_obstacle of each seed on tree.forest(len(seeds)), copy i seeds[i]'s."""
     amp, freq, off = np.array([np.random.default_rng(seed + 2).normal(size=3)
                                for seed in seeds]).T[:, :, None]
     shift = 0.3 * off
     return AdaptedProcess(tree.forest(len(seeds)), [
         ScenarioTree.join(amp * np.sin(freq * t + sum_axis(w, 1)) + shift - margin)
-        for t, w in zip(tree.grid.times, tree.w)])
+        for t, w in zip(tree.grid.times, walk)])
 
 
 def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> AdaptedProcess:
     """Adapted lower obstacle built from the walk, shifted down by `margin`."""
-    return _obstacles(tree, [seed], margin)
+    return _obstacles(tree, [seed], margin, tree.w)
 
 
 def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
@@ -136,9 +147,10 @@ def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
 
 def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
                      l_z: float = 0.5, margin: float = 0.0) -> ReflectedInstance:
-    return ReflectedInstance(tree=tree, xi=random_terminal(tree, seed),
-                             gen=random_generator(tree, seed, l_y=l_y, l_z=l_z),
-                             obstacle=random_obstacle(tree, seed, margin=margin))
+    walk = tree.w
+    return ReflectedInstance(tree=tree, xi=_terminals(tree, [seed], walk),
+                             gen=_generators(tree, [seed], walk, l_y, l_z).members[0],
+                             obstacle=_obstacles(tree, [seed], margin, walk))
 
 
 def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0.5,
@@ -146,15 +158,15 @@ def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0
     """random_reflected of every seed as one instance on tree.forest(len(seeds)), its
     driver probed once: block i is seeds[i]'s, and members[i] equals
     random_reflected(tree, seeds[i], ...)."""
-    seeds = list(seeds)
-    return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds),
-                             gen=generator_family(tree, seeds, l_y=l_y, l_z=l_z),
-                             obstacle=_obstacles(tree, seeds, margin))
+    seeds, walk = list(seeds), tree.w
+    return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds, walk),
+                             gen=_generators(tree, seeds, walk, l_y, l_z),
+                             obstacle=_obstacles(tree, seeds, margin, walk))
 
 
 def random_martingale(tree: ScenarioTree, seed: int) -> AdaptedProcess:
-    """Closed martingale E_t[xi] from a random terminal variable."""
-    return AdaptedProcess.from_terminal(tree, random_terminal(tree, seed))
+    """Closed martingale E_t[xi] from the seed's terminal variable, the instance's xi."""
+    return AdaptedProcess.from_terminal(tree, _terminals(tree, [seed]))
 
 
 def strong_supermartingale_family(tree: ScenarioTree, seeds) -> LadlagProcess:

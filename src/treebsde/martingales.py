@@ -47,7 +47,8 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> Representatio
     def residual(k):
         dn = n.values[k + 1] - tree.lift(n.values[k], k)
         z_vals.append(tree.cond_exp_dw(dn, k) / tree.dt)
-        return dn - tree.dot_dw(z_vals[k], k)
+        dn -= tree.dot_dw(z_vals[k], k)  # in place: no third leaf-sized array
+        return dn
 
     # consumed step by step, so the residuals never sit in memory all at once
     m = AdaptedProcess(tree, tree.path_scan(map(residual, range(tree.n_steps)), process=True))

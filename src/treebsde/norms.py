@@ -16,11 +16,13 @@ leaf_m, leaf_composite, leaf_i), so a check that reads several p builds it once.
 Each norm has one form, `*_family`: on a forest (ScenarioTree.forest) it builds its
 sums for all copies at once and returns one value per copy, one np.dot per copy and
 then Python float arithmetic, so each value has the bits of the copy's own.  A lone
-tree is one copy, whose norm is the form's [0].
+tree is one copy, whose norm is the form's [0].  A norm is kept on its process per
+(norm, p, alpha): a process's arrays are not written after a norm of it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -28,6 +30,15 @@ import numpy as np
 
 from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .tree import ScenarioTree
+
+
+def _kept(norm):
+    """`norm` of a process, computed once per (p, alpha) and kept on the process."""
+    @functools.wraps(norm)
+    def kept(x, p: float, alpha: float = 0.0) -> list:
+        norms, key = vars(x).setdefault("_norms", {}), (norm, p, alpha)
+        return list(norms[key] if key in norms else norms.setdefault(key, norm(x, p, alpha)))
+    return kept
 
 
 def _wr(tree: ScenarioTree, alpha: float) -> list:
@@ -56,6 +67,7 @@ def sup_power_family(tree: ScenarioTree, slots, p: float, alpha: float = 0.0) ->
     return tree.expectations(sup**p, tree.n_steps)
 
 
+@_kept
 def norm_sp_family(y, p: float, alpha: float = 0.0) -> list:
     """S^p norm of e^{(alpha/2) t} Y; `y` is adapted or ladlag (value, right and left limit)."""
     slots = ((np.maximum(np.abs(lft), np.maximum(np.abs(v), np.abs(r)))
@@ -75,6 +87,7 @@ def leaf_h(z: AdaptedProcess | PredictableProcess, alpha: float) -> np.ndarray:
     return weighted_sum(tree, alpha, map(_sq, z.values[:tree.n_steps]), tree.dt)
 
 
+@_kept
 def norm_h_family(z: AdaptedProcess | PredictableProcess, p: float, alpha: float) -> list:
     """H^{p,alpha} norm of a (scalar or vector) integrand held on [t_k, t_{k+1});
     reads steps k < n."""
@@ -86,6 +99,7 @@ def leaf_m(m: AdaptedProcess, alpha: float) -> np.ndarray:
     return weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
 
 
+@_kept
 def norm_m_family(m: AdaptedProcess, p: float, alpha: float) -> list:
     """M^{p,alpha} norm of a martingale via its pure-jump bracket sum (dM)^2."""
     return _leaf_norm(m.tree, leaf_m(m, alpha), p / 2.0, p)
@@ -111,6 +125,7 @@ def leaf_i(k_inc: PredictableProcess, alpha: float) -> np.ndarray:
     return weighted_sum(k_inc.tree, 0.5 * alpha, map(np.abs, k_inc.values))
 
 
+@_kept
 def norm_i_family(k_inc: PredictableProcess, p: float, alpha: float) -> list:
     """I^{p,alpha} norm: total-variation sum weighted by e^{(alpha/2) s}."""
     return _leaf_norm(k_inc.tree, leaf_i(k_inc, alpha), p, p)

@@ -21,6 +21,7 @@ from .errors import InvariantViolationError, OffGridError, TreeSizeError
 
 DEFAULT_NODE_CAP = 2**20
 TREE_TOL = 1e-12
+CROSSOVER = 2048  # sum_axis hands a short axis of an array of fewer entries to numpy
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,11 @@ class ScenarioTree:
     Nodes at step k+1 are grouped contiguously under their parent, so the node
     at index j of step k+1 is child j % branching[k] of parent j // branching[k].
     Every parent of a step has the same one-step law, so a step k >= 1 stores it
-    once, as the child block of one parent; step 0 stores its roots.  Node counts
-    come from the root count and the branching, and per-node data (path_prob,
-    w) is one numpy array per step.  Trees compare and hash by identity.
+    once, as the child block of one parent; step 0 stores its roots.  Node counts come
+    from the root count and the branching, and per-node data (path_prob, w) is one numpy
+    array per step.  A step of fewer than CROSSOVER nodes also keeps its block tiled over
+    its parents (tiles): the kernels' flat products with them beat a broadcast over the
+    block by about 1 us a call.  Trees compare and hash by identity.
     """
 
     grid: TimeGrid
@@ -116,11 +119,14 @@ class ScenarioTree:
     reveal_label: list        # reveal_label[k][j]: alphabet index of child j or -1; -1 per root
     path_prob: list = field(init=False, repr=False)   # path_prob[k][i] = P(node i at step k)
     sizes: tuple = field(init=False, repr=False)      # sizes[k] = number of step-k nodes
+    tiles: dict = field(init=False, repr=False)       # tiles[k]: (cond_prob, dw) per node, below CROSSOVER
 
     def __post_init__(self):
         self.sizes = tuple(itertools.accumulate(self.branching, operator.mul,
                                                 initial=len(self.cond_prob[0])))
         self.path_prob = self._scan_blocks(self.cond_prob[1:], np.multiply, self.cond_prob[0])
+        self.tiles = {k: (np.tile(p, m), np.tile(dw, (m, 1))) for k, (m, p, dw) in enumerate(
+            zip(self.sizes, self.cond_prob[1:], self.dw[1:]), 1) if m * len(p) < CROSSOVER}
 
     # -- structure -----------------------------------------------------------
 
@@ -144,7 +150,7 @@ class ScenarioTree:
         """`copies` disjoint copies of the tree as one tree with a root per copy: copy i
         holds block i of the nodes of each step, so that cond_exp, lift, dot_dw and
         path_scan act on every copy in one call.  The copies share the tree's child
-        blocks, so a forest allocates its roots and its path probabilities only.  One
+        blocks, so a forest allocates its roots, path probabilities and tiles only.  One
         copy is the tree itself; a forest is built once per tree and count, so
         processes of one family share it."""
         if copies == 1:
@@ -179,9 +185,9 @@ class ScenarioTree:
     def reveal_step_indices(self) -> list:
         return [self.grid.index_of(r.time) for r in self.reveals]
 
-    @functools.cached_property
+    @property
     def w(self) -> list:
-        """Cumulative walk value per node, shape (n_k, d) at each step, built once."""
+        """Cumulative walk value per node, shape (n_k, d) at each step, built on every read."""
         return self._scan_blocks(self.dw[1:], np.add, np.zeros((self.n_nodes(0), self.d)))
 
     def _children(self, x: np.ndarray, step: int) -> np.ndarray:
@@ -211,12 +217,15 @@ class ScenarioTree:
 
         `weights` optionally multiplies the child values before averaging, e.g.
         one-step Girsanov density factors.  Each parent's sum over its children has
-        sum_axis's bits: one broadcast product and one sum_axis where sum_axis hands
-        the child axis to numpy, else one product per child of the block, added in
-        block order from +0.0 as sum_axis's slice adds are.
+        sum_axis's bits: one product and one sum_axis on a step with tiles (flat) or where
+        sum_axis hands the child axis to numpy (broadcast), else one product per child
+        of the block, added in block order from +0.0 as sum_axis's slice adds are.
         """
         self._check_step(step, lo=1)
         x = self._values(x, step)
+        if step in self.tiles:
+            q = self.tiles[step][0] if weights is None else weights * self.tiles[step][0]
+            return sum_axis(self._children(x * (q if x.ndim == 1 else q[:, None]), step), 1)
         p, xs = self.cond_prob[step], self._children(x, step)
         ws = None if weights is None else self._children(np.asarray(weights), step)
         tail = (1,) * (x.ndim - 1)  # the probabilities broadcast over a value's columns
@@ -293,6 +302,9 @@ class ScenarioTree:
         the per-node increments, reached as cond_exp reaches its own."""
         self._check_parent(k)
         x = self._values(x, k + 1)
+        if k + 1 in self.tiles:
+            p, dw = self.tiles[k + 1]
+            return sum_axis(self._children(x[:, None] * dw * p[:, None], k + 1), 1)
         p, dw, xs = self.cond_prob[k + 1], self.dw[k + 1], self._children(x, k + 1)
         if not _by_slices(len(p), x.size * self.d):
             return sum_axis(xs[..., None] * dw * p[:, None], 1)
@@ -362,7 +374,7 @@ def sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
     columns takes 0.58 ms.  Below 8 entries numpy adds the entries in order from
     +0.0, which the slice adds repeat; from 8 on it sums a contiguous axis pairwise,
     so such an axis goes to a.sum(axis) unchanged.  The 8 is numpy's, not a tunable.
-    An array of fewer than 2048 entries goes there too: a slice add costs 1-2 us
+    An array of fewer than CROSSOVER entries goes there too: a slice add costs 1-2 us
     whatever its length, more than the rows it saves (measured on a 2-core Xeon).
     """
     b = a.shape[axis]
@@ -377,8 +389,8 @@ def sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _by_slices(b: int, size: int) -> bool:
     """Whether sum_axis sums an axis of `b` entries of a `size`-entry array by whole-slice
-    adds.  ScenarioTree's step kernels go child by child exactly then."""
-    return 0 < b < 8 and size >= 2048
+    adds.  ScenarioTree's kernels go child by child exactly then, on a step without tiles."""
+    return 0 < b < 8 and size >= CROSSOVER
 
 
 def sup_abs(arrays) -> float:

@@ -34,6 +34,7 @@ from treebsde.norms import phi_p
 from treebsde.processes import AdaptedProcess
 from treebsde.reflected import ReflectedInstance, solve_reflected
 from treebsde.reports import EstimateReport
+from treebsde.tree import ScenarioTree
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +308,26 @@ class TestPairsNeedOneTree:
             args += [inst, solve_reflected(inst)]
         with pytest.raises(ValueError, match="same tree"):
             _PAIR_APIS[api](*args)
+
+
+class TestNormsKept:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_k_bound_reads_the_solution_norms(self, monkeypatch, d):
+        """At alpha = 0 the K-bound check needs no norm that the solution-norm check has
+        not read: after it, the K-bound report has the bits of a fresh one, with no
+        path_scan."""
+        tree = standard_tree(n_steps=5, d=d)
+
+        def fresh():
+            inst = random_reflected(tree, 3, margin=0.5)
+            return inst, solve_reflected(inst)
+
+        want = check_compensator_norm_bound(*fresh(), 2.0, 0.0, "K-bound", "fp").to_dict()
+        inst, sol = fresh()
+        check_solution_norm_bound(inst, sol, 2.0, 0.0, "fp")
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("path_scan after the solution-norm check")
+
+        monkeypatch.setattr(ScenarioTree, "path_scan", no_scan)
+        assert check_compensator_norm_bound(inst, sol, 2.0, 0.0, "K-bound", "fp").to_dict() == want

@@ -8,9 +8,9 @@ import pytest
 from treebsde import bsde
 from treebsde.bsde import Generator, check_lipschitz, solve_bsde
 from treebsde.errors import GeneratorContractError
-from treebsde.families import (generator_family, random_generator, random_obstacle,
-                               random_reflected, random_terminal, reflected_family,
-                               standard_tree)
+from treebsde.families import (generator_family, random_generator, random_martingale,
+                               random_obstacle, random_reflected, random_terminal,
+                               reflected_family, standard_tree)
 from treebsde.reflected import ReflectedInstance, solve_reflected
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
@@ -319,3 +319,69 @@ class TestFamilyWork:
         for k in range(tree.n_steps):
             # the inner iterations of the slowest member, plus the push's one call
             assert calls.count(k) == max(c.count(k) for c in solo_calls)
+
+
+# -- the walk and the terminal: built once per instance, only the terminal kept --------
+
+def _arrays(obj):
+    """Every numpy array inside a tree's attributes, through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+
+
+class TestSeededInputs:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tree_keeps_no_walk(self, d):
+        tree = standard_tree(n_steps=4, d=d)
+        random_reflected(tree, 3)
+        reflected_family(tree, range(4))
+        last = tree.w[tree.n_steps]
+        assert "w" not in vars(tree)
+        assert not any(a.shape == last.shape and np.array_equal(a, last)
+                       for a in _arrays(vars(tree)))
+
+    def test_walk_built_on_every_read(self):
+        tree = standard_tree(n_steps=4)
+        first, second = tree.w, tree.w
+        assert first is not second
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+    def test_instance_builds_the_walk_once(self, monkeypatch):
+        tree = standard_tree(n_steps=4, d=2)
+        reads = []
+        walk = ScenarioTree.w.fget
+        monkeypatch.setattr(ScenarioTree, "w", property(lambda t: reads.append(1) or walk(t)))
+        random_reflected(tree, 3)
+        reflected_family(tree, range(3))
+        assert len(reads) == 2
+
+    def test_terminal_built_once_and_read_only(self):
+        tree = standard_tree(n_steps=4)
+        inst = random_reflected(tree, 5)
+        assert random_reflected(tree, 5).xi is inst.xi
+        assert not inst.xi.flags.writeable
+        fam = reflected_family(tree, [5, 6])
+        assert fam.xi is reflected_family(tree, [5, 6]).xi and not fam.xi.flags.writeable
+        assert fam.members[0].xi.tobytes() == inst.xi.tobytes()
+
+    def test_tree_keeps_the_last_terminal_only(self):
+        tree = standard_tree(n_steps=4)
+        for seed in range(5):
+            random_reflected(tree, seed)
+        kept = [a for a in _arrays(vars(tree)) if not a.flags.writeable]
+        assert len(kept) == 1 and kept[0] is random_martingale(tree, 4).values[-1]
+
+    def test_random_terminal_is_a_writable_copy(self):
+        tree = standard_tree(n_steps=4)
+        kept = random_reflected(tree, 2).xi
+        xi = random_terminal(tree, 2)
+        assert xi is not kept and not np.shares_memory(xi, kept)
+        assert xi.flags.writeable and xi.tobytes() == kept.tobytes()
+        xi[0] = np.nan
+        assert random_terminal(tree, 2).tobytes() == kept.tobytes()

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with `ast` alone (no linter needed)."""
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -281,3 +282,25 @@ def test_one_form_per_check():
     assert keyed == {"_implicit_step", "_linearization", "pair_differences"}
     assert not aliases, f"module-level aliases of a family form at {aliases}"
     assert not lens, f"len(...family) in {lens}: take the member count from the forest"
+
+
+# What a tree and its forests hold after a default-config `verify --suite all`: a new
+# cache on a tree, per node or not, shows up as an edit of these sets.
+TREE_FIELDS = {"grid", "d", "reveals", "branching", "cond_prob", "dw", "reveal_label",
+               "path_prob", "sizes", "tiles"}
+TREE_CACHES = {"_forests", "_terminal"}
+
+
+def test_tree_keeps_what_it_declares(tmp_path, monkeypatch):
+    from treebsde import cli
+    from treebsde.tree import ScenarioTree
+
+    trees, build = [], cli.tree_from_config
+    monkeypatch.setattr(cli, "tree_from_config", lambda cfg: trees.append(build(cfg)) or trees[-1])
+    assert cli.main(["--out", str(tmp_path), "verify", "--suite", "all"]) == 0
+    assert len(trees) == 1
+    assert set(vars(trees[0])) == TREE_FIELDS | TREE_CACHES
+    forests = vars(trees[0])["_forests"].values()
+    assert forests and all(set(vars(forest)) == TREE_FIELDS for forest in forests)
+    assert [name for name, attr in vars(ScenarioTree).items()
+            if isinstance(attr, functools.cached_property)] == []

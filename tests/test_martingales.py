@@ -1,14 +1,18 @@
 """Representation, Doob and Mertens decompositions, measure changes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from treebsde.errors import ClassificationError, InvariantViolationError, MeasureChangeError
 from treebsde.families import (
     random_martingale,
+    random_reflected,
     random_strong_supermartingale,
     random_terminal,
     standard_tree,
+    strong_supermartingale_family,
 )
 from treebsde.martingales import (
     check_strong_supermartingale,
@@ -220,3 +224,24 @@ class TestGirsanov:
         c = 1.0 / np.sqrt(tree.dt) + 0.1
         with pytest.raises(MeasureChangeError):
             girsanov_change(tree, self._eta(tree, c))
+
+
+class TestSeededMartingales:
+    def test_martingale_ends_in_the_instance_terminal(self, tree):
+        m = random_martingale(tree, 4)
+        xi = random_reflected(tree, 4).xi
+        assert m.values[-1] is xi and not xi.flags.writeable
+        assert random_martingale(tree, 4).values[-1] is xi
+
+    # sha256 of the value and right slots, as built before the terminal was kept on the tree
+    @pytest.mark.parametrize("d,n_steps,seeds,digest", [
+        (1, 5, [1], "a321b656a0d8c8120abbf3656b864d5210ee1a0903226ae9b48f1eecc85132f1"),
+        (2, 4, [0, 3, 8], "d234deedcac4e5adff07df2e5f2ccaf637e28e96a60fa4fdf2db8ad2c481000d"),
+        (1, 6, [5, 2], "540a21a4555c67a4b85d40e6cea8884e2389cc7310bd9bf685f09af237d144f7"),
+    ])
+    def test_strong_supermartingale_family_pinned(self, d, n_steps, seeds, digest):
+        x = strong_supermartingale_family(standard_tree(n_steps=n_steps, d=d), seeds)
+        h = hashlib.sha256()
+        for a in (*x.value, *x.right):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest

@@ -232,7 +232,8 @@ class TestSignedChecks:
 
     @pytest.mark.parametrize("step", [0, 2, 3])
     def test_martingale_defect_with_nan(self, tree, step):
-        m = random_martingale(tree, 1)
+        # spoil copies: the terminal step is the seed's terminal value, kept read-only
+        m = AdaptedProcess(tree, [v.copy() for v in random_martingale(tree, 1).values])
         m.values[step + 1][0] = NAN
         defect, k, node = m.martingale_defect()
         assert math.isnan(defect) and (k, node) == (step, 0)

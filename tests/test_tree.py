@@ -404,8 +404,9 @@ def _same_bits(got, want):
 
 class TestBlockKernels:
     """The step kernels on the blocks keep the bits of the same kernels on the tiled
-    per-node arrays, ±0.0 included, on both sides of sum_axis's crossover: a broadcast
-    product there, one product per child here."""
+    per-node arrays, ±0.0 included, on both sides of sum_axis's crossover: a flat
+    product with a step's tiles or a broadcast one below it, one product per child
+    above it."""
 
     @settings(max_examples=25, deadline=None)
     @given(_block_case())
