@@ -9,8 +9,6 @@ its increments through the same quadruple container.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import contextvars
 import functools
 import itertools
@@ -32,7 +30,7 @@ LIPSCHITZ_PROBES = 64
 LIPSCHITZ_SEED = 0
 LIPSCHITZ_SLACK = 1e-9
 ROUND_OFF_ULPS = 4  # round-off allowed beyond an absolute tolerance, in ulps of the values
-LIPSCHITZ_STACK = 4096  # widest step (in nodes) whose probes share one driver call
+LIPSCHITZ_STACK = 4096  # widest step (in nodes) whose probes share one driver call, not one each
 # narrowest step (in nodes) whose inner fixed point runs by halves on two threads: on a
 # 2-core Xeon the two threads took 0.88-1.06 of the serial time at 24 576 nodes, 0.85-1.13
 # at 32 768 and 0.72-0.95 at 49 152, as each iteration hands a half over and back
@@ -51,6 +49,9 @@ class Generator:
     `members` are its B member drivers and whose `fn` evaluates them all at
     once: y has shape (..., B, n_k) and z (..., B, n_k, d), the member axis
     last among the leading axes, and row i of the result is member i's value.
+
+    A driver made by one of the lab's builders carries a certificate (_certify):
+    its constants follow from its formula, so binding it runs no probe.
     """
 
     fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -75,6 +76,12 @@ class Generator:
         return lambda y, nodes=slice(None), out=None: np.asarray(g(y, nodes, out), dtype=float)
 
     @property
+    def certified(self) -> bool:
+        """Whether a lab builder certified this driver's (fn, l_y, l_z) as they are now; a
+        driver built from scratch, or whose fn, l_y or l_z changed since, is not."""
+        return getattr(self, "_certificate", None) == (self.fn, self.l_y, self.l_z)
+
+    @property
     def family(self) -> tuple:
         """The member drivers: `members`, or the driver itself for a lone driver, which
         the solvers call on a member axis of length one."""
@@ -95,10 +102,21 @@ class Generator:
                                            for k in range(y.tree.n_steps)])
 
 
+def _certify(gen: Generator) -> Generator:
+    """`gen`, made by a lab builder whose formula fixes its declared constants and whose
+    parameters are finite, with a certificate for its (fn, l_y, l_z) (Generator.certified);
+    constants that are not finite and non-negative get none, so binding probes them."""
+    if all(math.isfinite(c) and c >= 0.0 for c in (gen.l_y, gen.l_z)):
+        gen._certificate = gen.fn, gen.l_y, gen.l_z
+    return gen
+
+
 @dataclass
 class AffineGenerator(Generator):
-    """g = g0 + lam * y + eta . z with |lam| <= L_y and |eta| <= L_z; g0_fn(k, n) gives
-    the n step-k values of g0."""
+    """g = g0 + lam * y + eta . z with L_y = |lam| and L_z = |eta|; g0_fn(k, n) gives
+    the n step-k values of g0, 0 if none is given.  A g0_fn is the caller's code, whose
+    values nothing here checks, so only a driver built without one (and with an eta of
+    d entries) is certified."""
 
     lam: float = 0.0
     eta: np.ndarray = None
@@ -106,6 +124,7 @@ class AffineGenerator(Generator):
     @classmethod
     def build(cls, tree: ScenarioTree, lam: float, eta, g0_fn=None):
         eta = np.zeros(tree.d) if eta is None else np.asarray(eta, dtype=float)
+        checked = g0_fn is None and eta.shape == (tree.d,)  # else binding probes it
         g0_fn = g0_fn or (lambda k, n: np.zeros(n))
 
         def in_y(k, z):
@@ -117,8 +136,9 @@ class AffineGenerator(Generator):
             return in_y(k, z)(y)
 
         fn.in_y = in_y
-        return cls(fn=fn, l_y=abs(lam), l_z=float(np.linalg.norm(eta)), name="affine",
-                   lam=lam, eta=eta)
+        gen = cls(fn=fn, l_y=abs(lam), l_z=float(np.linalg.norm(eta)), name="affine",
+                  lam=lam, eta=eta)
+        return _certify(gen) if checked else gen
 
 
 def _probe_excess(gen: Generator, k: int, n: int, draw: np.ndarray) -> tuple:
@@ -170,110 +190,29 @@ def _probe_draws(tree: ScenarioTree):
     four normal() calls.  The probes of one step at most LIPSCHITZ_STACK nodes wide
     come stacked on a leading axis, in one pair per step; they are drawn once per
     tree and kept with it.  A wider probe comes alone and is never kept: later
-    checks redraw it from the generator state recorded before it.  The probes are
-    read ahead into one arena (_read_ahead), so a yielded wide draw stays valid until
-    the next one is requested, and no longer.
+    checks redraw it from the generator state recorded before it.  The wide probes
+    are drawn in turn into one buffer, so a yielded wide draw stays valid until the
+    next one is requested, and no longer.
     """
-    cached = _PROBES.get(tree)
+    rng, cached = np.random.default_rng(LIPSCHITZ_SEED), _PROBES.get(tree)
     if cached is None:
-        rng, stacks, wide = np.random.default_rng(LIPSCHITZ_SEED), {}, []
-
-        def picks():
-            for _ in range(LIPSCHITZ_PROBES):
-                k = int(rng.integers(0, tree.n_steps))
-                if tree.n_nodes(k) > LIPSCHITZ_STACK:
-                    wide.append((k, rng.bit_generator.state))
-                yield k, rng
-    else:
+        stacks, wide = {}, []
+        picks = (int(rng.integers(0, tree.n_steps)) for _ in range(LIPSCHITZ_PROBES))
+    else:  # the wide probes alone, each pick setting rng to the state recorded before it
         stacks, wide = cached
-
-        def picks():
-            for k, state in wide:
-                rng = np.random.default_rng(LIPSCHITZ_SEED)
-                rng.bit_generator.state = state
-                yield k, rng
-    with contextlib.closing(_read_ahead(tree, picks())) as draws:
-        for k, draw in draws:
-            if tree.n_nodes(k) > LIPSCHITZ_STACK:
-                yield k, draw
-            else:  # a narrow probe of the first check, kept
-                stacks.setdefault(k, []).append(draw.copy())
+        picks = (k for k, rng.bit_generator.state in wide)
+    buffer = np.empty((2 + 2 * tree.d) * max(map(tree.n_nodes, range(tree.n_steps))))
+    for k in picks:
+        if tree.n_nodes(k) <= LIPSCHITZ_STACK:  # a narrow probe of the first check, kept
+            stacks.setdefault(k, []).append(_draw(rng, tree, k))
+            continue
+        if cached is None:
+            wide.append((k, rng.bit_generator.state))
+        yield k, _draw(rng, tree, k, buffer)
     if cached is None:
         stacks = {k: np.stack(draws) for k, draws in stacks.items()}
         _PROBES[tree] = stacks, wide
     yield from stacks.items()
-
-
-def _read_ahead(tree: ScenarioTree, picks):
-    """Yield (k, the step-k draw from rng) for each (k, rng) of `picks`, as a view of
-    one arena allocated here, on the calling thread, valid until the next is requested.
-    With a step wider than LIPSCHITZ_STACK, one worker thread walks `picks` alone (the
-    serial stream) and reads ahead by bytes: each draw takes the next free span of an
-    arena of three widest draws, and the worker draws on until the next does not fit;
-    the caller frees a span when it asks for the next.  Beside one live widest draw at
-    any offset s, the span after it (3W - s - W) or the one before it (s) holds another,
-    which two widest draws would not unless s is 0 or W.  The draws and sin() release
-    the GIL.  A narrow tree starts no thread; any exit wakes and joins it."""
-    sizes = [_draw_size(tree, k) for k in range(tree.n_steps)]
-    wide = [s for k, s in enumerate(sizes) if tree.n_nodes(k) > LIPSCHITZ_STACK]
-    if not wide:
-        arena = np.empty(max(sizes))
-        for k, rng in picks:
-            yield k, _draw(rng, tree, k, arena)
-        return
-    import threading  # here, so that a tree with no wide step loads no threading machinery
-
-    arena, cond = np.empty(3 * max(wide)), threading.Condition()
-    spans, ready, closed = collections.deque(), collections.deque(), False
-
-    def free_span(size):  # after the newest live span, else from 0; None if full
-        if not spans:
-            return 0
-        head, tail = spans[-1][1], spans[0][0]
-        if head > tail and head + size > len(arena):  # the live spans do not wrap
-            head = 0
-        end = len(arena) if head > tail else tail
-        return head if head + size <= end else None
-
-    def work():
-        try:
-            for k, rng in picks:
-                size = _draw_size(tree, k)
-                with cond:
-                    while not closed and (start := free_span(size)) is None:
-                        cond.wait()
-                    if closed:
-                        return
-                    spans.append((start, start + size))
-                draw = _draw(rng, tree, k, arena[start:])
-                with cond:
-                    ready.append((k, draw))
-                    cond.notify()
-        finally:
-            with cond:
-                ready.append(None)
-                cond.notify()
-
-    pool = _worker()
-    worker = pool.submit(work)
-    try:
-        while True:
-            with cond:
-                while not ready:
-                    cond.wait()
-                probe = ready.popleft()
-            if probe is None:
-                worker.result()  # raises what stopped the worker, if anything did
-                return
-            yield probe
-            with cond:
-                spans.popleft()
-                cond.notify()
-    finally:
-        with cond:
-            closed = True
-            cond.notify()
-        pool.shutdown()
 
 
 def _worker():
@@ -283,14 +222,11 @@ def _worker():
     return ThreadPoolExecutor(max_workers=1)
 
 
-def _draw_size(tree: ScenarioTree, k: int) -> int:
-    return (2 + 2 * tree.d) * tree.n_nodes(k)
-
-
-def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int, out: np.ndarray) -> np.ndarray:
-    """A step-k probe into the head of `out`: rng.normal(size=...) * 3, bit for bit and
-    with the same generator state after it."""
-    draw = out[:_draw_size(tree, k)]
+def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int, out: np.ndarray = None):
+    """A step-k probe, into the head of `out` where given: rng.normal(size=...) * 3, bit
+    for bit and with the same generator state after it."""
+    size = (2 + 2 * tree.d) * tree.n_nodes(k)
+    draw = np.empty(size) if out is None else out[:size]
     rng.standard_normal(out=draw)
     draw *= 3
     return draw
@@ -299,7 +235,8 @@ def _draw(rng: np.random.Generator, tree: ScenarioTree, k: int, out: np.ndarray)
 def check_lipschitz(gen: Generator, tree: ScenarioTree):
     """Spot-check the declared Lipschitz constants on the LIPSCHITZ_PROBES seeded
     probes of the tree (see _probe_draws), with one pair of driver calls per
-    probed step, or per probe on steps wider than LIPSCHITZ_STACK nodes.
+    probed step, or per probe on steps wider than LIPSCHITZ_STACK nodes.  It probes
+    any driver, a certified one too; binding calls it on uncertified drivers only.
 
     Returns the worst excess, one per member for a family, whose members share
     each call pair.  Raises GeneratorContractError naming the driver (the first
@@ -307,10 +244,9 @@ def check_lipschitz(gen: Generator, tree: ScenarioTree):
     on a non-finite driver value and on a driver that drops the leading axes.
     """
     worst, over = np.zeros(len(gen.family)), np.zeros(len(gen.family), dtype=bool)
-    with contextlib.closing(_probe_draws(tree)) as draws:
-        for k, draw in draws:
-            excess, beyond = _probe_excess(gen, k, tree.n_nodes(k), draw)
-            worst, over = np.maximum(worst, excess), over | beyond
+    for k, draw in _probe_draws(tree):
+        excess, beyond = _probe_excess(gen, k, tree.n_nodes(k), draw)
+        worst, over = np.maximum(worst, excess), over | beyond
     if over.any():
         i = int(over.argmax())
         raise GeneratorContractError(
@@ -340,8 +276,9 @@ def check_step_size(tree: ScenarioTree, gen: Generator):
 class BsdeInstance:
     """Terminal condition and driver on one tree, or on tree.forest(B) for a driver of B
     members (Generator.members), block i member i's.  Binding checks the driver's
-    contract once (check_step_size, check_lipschitz) and keeps the worst probe excess,
-    one per member; solvers trust it, and an instance given its excess is not probed."""
+    contract once: check_step_size, then check_lipschitz unless the driver is certified
+    (Generator.certified), and keeps the worst probe excess, one per member, 0 for a
+    certified driver; solvers trust it, and an instance given its excess is not probed."""
 
     tree: ScenarioTree
     xi: np.ndarray
@@ -356,7 +293,10 @@ class BsdeInstance:
         require_finite("terminal condition", forest, [self.xi], n)
         check_step_size(self.tree, self.gen)
         if self.excess is None:
-            object.__setattr__(self, "excess", check_lipschitz(self.gen, self.tree))
+            gen = self.gen  # a certified driver's excess is that of a passing probe: 0
+            object.__setattr__(self, "excess", check_lipschitz(gen, self.tree)
+                               if not gen.certified else
+                               0.0 if gen.family[0] is gen else np.zeros(len(gen.family)))
 
     @property
     def forest(self) -> ScenarioTree:

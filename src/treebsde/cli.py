@@ -21,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import families
-from .bsde import ROUND_OFF_ULPS, AffineGenerator, BsdeInstance, Generator, solve_bsde
+from .bsde import ROUND_OFF_ULPS, AffineGenerator, BsdeInstance, Generator, _certify, solve_bsde
 from .errors import (ConfigError, Field, Tagged, TreeBsdeError, TreeSizeError, above, at_least,
                      read_record)
 from .estimates import (
@@ -188,17 +188,18 @@ def generator_from_config(cfg: dict, tree) -> Generator:
     gc = cfg["generator"]
     if gc is None:
         return families.random_generator(tree, **DEFAULT_GENERATOR)
+    # each formula fixes its constants and the schema its finite parameters: certified
     if gc["kind"] == "affine":
-        return AffineGenerator.build(tree, lam=gc["lam"], eta=gc["eta"],
-                                     g0_fn=(lambda k, n, c=gc["g0"]: np.full(n, c)))
+        return _certify(AffineGenerator.build(tree, lam=gc["lam"], eta=gc["eta"],
+                                              g0_fn=(lambda k, n, c=gc["g0"]: np.full(n, c))))
     if gc["kind"] == "polynomial-clipped":
         def fn(k, y, z, l_y=gc["l_y"], l_z=gc["l_z"], bound=gc["bound"]):
             u = z if z.ndim == y.ndim else z.sum(axis=-1) / np.sqrt(z.shape[-1])
             return np.clip(l_y * np.sin(y) + l_z * np.tanh(u), -bound, bound)
 
-        return Generator(fn=fn, l_y=gc["l_y"], l_z=gc["l_z"], name="polynomial-clipped")
-    return Generator(fn=lambda k, y, z, table=gc["values"]: np.full(y.shape, table[k]),
-                     l_y=0.0, l_z=0.0, name="table")
+        return _certify(Generator(fn=fn, l_y=gc["l_y"], l_z=gc["l_z"], name="polynomial-clipped"))
+    return _certify(Generator(fn=lambda k, y, z, table=gc["values"]: np.full(y.shape, table[k]),
+                              l_y=0.0, l_z=0.0, name="table"))
 
 
 # -- artifact helpers ---------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import BsdeInstance, Generator
+from .bsde import BsdeInstance, Generator, _certify
 from .processes import AdaptedProcess, LadlagProcess
 from .reflected import ReflectedInstance
 from .tree import Reveal, ScenarioTree, TimeGrid, build_tree, sum_axis
@@ -65,7 +65,8 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     random_generator(tree, seeds[i]), a view of row i of the family's parameters.
 
     g(k, y, z) = b0_k + l_y sin(y + c) + l_z tanh(z . u) with |u| = 1, so the
-    declared constants are exact (the derivatives are bounded by 1).  The zero
+    declared constants are exact (the derivatives are bounded by 1), and the family
+    and each member carry a certificate for finite, non-negative ones.  The zero
     level b0_k depends on the node only, so it is built once per driver step
     k < n.
     """
@@ -85,11 +86,11 @@ def _generators(tree: ScenarioTree, seeds: list, walk: list, l_y: float, l_z: fl
         w, lab = sum_axis(walk[k], 1), tree.reveal_label[k]
         bias = np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0)  # per child of the block
         b0.append(a0 + a1 * np.tanh(w) + np.tile(bias, tree.n_nodes(k) // len(lab)))
-    members = tuple(Generator(fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z),
-                              l_y=l_y, l_z=l_z, name=f"random[{seed}]")
-                    for i, seed in enumerate(seeds))
-    return Generator(fn=_seeded_driver(b0, c, u, l_y, l_z), l_y=l_y, l_z=l_z,
-                     name=f"random[{','.join(map(str, seeds))}]", members=members)
+    members = tuple(_certify(Generator(
+        fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z), l_y=l_y, l_z=l_z,
+        name=f"random[{seed}]")) for i, seed in enumerate(seeds))
+    return _certify(Generator(fn=_seeded_driver(b0, c, u, l_y, l_z), l_y=l_y, l_z=l_z,
+                              name=f"random[{','.join(map(str, seeds))}]", members=members))
 
 
 def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
@@ -156,7 +157,7 @@ def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
 def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0.5,
                      margin: float = 0.0) -> ReflectedInstance:
     """random_reflected of every seed as one instance on tree.forest(len(seeds)), its
-    driver probed once: block i is seeds[i]'s, and members[i] equals
+    driver certified, not probed: block i is seeds[i]'s, and members[i] equals
     random_reflected(tree, seeds[i], ...)."""
     seeds, walk = list(seeds), tree.w
     return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds, walk),

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, require_finite
+from .bsde import (BsdeInstance, Generator, SolutionQuadruple, _backward_sweep, _certify,
+                   require_finite)
 from .errors import DepthCapError, MeasureChangeError, PicardDivergenceError, TreeSizeError
 from .martingales import girsanov_change
 from .norms import _leaf_norm, _sq, sup_power_family, weighted_sum
@@ -264,13 +265,15 @@ def picard_alpha(gen: Generator) -> float:
 
 def _frozen_generator(frozen: list) -> Generator:
     """The driver frozen at given per-step values: constant in (y, z), on any leading
-    axes.  Filling a fresh array costs a fifth of np.broadcast_to."""
+    axes, and certified (0, 0) where every value is finite.  Filling a fresh array costs
+    a fifth of np.broadcast_to."""
     def fn(k, y, z, _f=frozen):
         out = np.empty_like(y)
         out[...] = _f[k]
         return out
 
-    return Generator(fn=fn, l_y=0.0, l_z=0.0, name="picard-frozen")
+    gen = Generator(fn=fn, l_y=0.0, l_z=0.0, name="picard-frozen")
+    return _certify(gen) if all(np.isfinite(f).all() for f in frozen) else gen
 
 
 def picard_solve(instance: ReflectedInstance) -> tuple:
@@ -330,7 +333,8 @@ def picard_solve(instance: ReflectedInstance) -> tuple:
 
 
 def truncate_instance(instance: ReflectedInstance, level: float) -> ReflectedInstance:
-    """Clip terminal value, obstacle and driver output of a lone instance to [-level, level]."""
+    """Clip terminal value, obstacle and driver output of a lone instance to [-level, level].
+    The clip keeps the driver's constants, and its certificate if it has one."""
     if not level > 0.0:
         raise ValueError(f"truncation level must be positive, got {level}")
     tree, gen = instance.tree, instance.gen
@@ -338,10 +342,11 @@ def truncate_instance(instance: ReflectedInstance, level: float) -> ReflectedIns
     def fn(k, y, z, _g=gen, _n=level):
         return np.clip(_g(k, y, z), -_n, _n)
 
+    clipped = Generator(fn=fn, l_y=gen.l_y, l_z=gen.l_z, name=f"{gen.name}|{level:g}")
     return ReflectedInstance(
         tree=tree,
         xi=np.clip(instance.xi, -level, level),
-        gen=Generator(fn=fn, l_y=gen.l_y, l_z=gen.l_z, name=f"{gen.name}|{level:g}"),
+        gen=_certify(clipped) if gen.certified else clipped,
         obstacle=AdaptedProcess(tree, [np.clip(v, -level, level)
                                        for v in instance.obstacle.values]),
     )

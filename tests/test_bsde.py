@@ -1,17 +1,16 @@
 """Backward solvers: exact dynamics, closed forms, schemes, contracts."""
 
-import contextlib
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebsde import bsde
 from treebsde.bsde import (
@@ -307,10 +306,10 @@ def _breaching(base, how, calls):
     return Generator(fn=fn, l_y=base.l_y, l_z=base.l_z, name=how)
 
 
-class TestWideProbeWorker:
-    """Wide probes are drawn one ahead on a worker thread that walks the seeded stream
-    alone: the draws are the serial ones, a narrow tree starts no thread, and every
-    exit joins the worker."""
+class TestWideProbes:
+    """Wide probes are drawn in turn into one buffer from the seeded stream: the draws
+    are the serial ones, a breach stops the check with its error text, and neither a
+    probe nor a bind starts a thread."""
 
     @staticmethod
     def _wide_tree():
@@ -331,150 +330,52 @@ class TestWideProbeWorker:
                 assert np.array_equal(stack, [d for j, d in serial if j == k])
             assert sum(len(stack) for _, stack in stacks) + len(wide) == LIPSCHITZ_PROBES
 
+    def test_wide_draws_share_one_buffer(self):
+        tree = self._wide_tree()
+        for _ in range(2):
+            bases = {id(draw.base) for k, draw in _probe_draws(tree)
+                     if tree.n_nodes(k) > LIPSCHITZ_STACK}
+            assert len(bases) == 1
+
     @pytest.mark.parametrize("how, message", [
         ("breach", "breach: Lipschitz excess 9.745e-01 beyond declared (L_y=0.5, L_z=0.5)"),
         ("nan", "nan: step 13: non-finite driver value"),
     ])
-    def test_breach_on_third_wide_probe_joins_worker(self, how, message):
+    def test_breach_on_third_wide_probe(self, how, message):
         tree = self._wide_tree()
         base = random_generator(tree, 4)
         for redraw in (False, True):
             if redraw:  # an honest check keeps the narrow stacks and the wide states
                 check_lipschitz(base, tree)
-            before, calls = set(threading.enumerate()), []
+            calls = []
             with pytest.raises(GeneratorContractError) as err:
                 check_lipschitz(_breaching(base, how, calls), tree)
             assert str(err.value) == message
             assert len(calls) >= 6
-            assert set(threading.enumerate()) == before
 
-    def test_narrow_tree_starts_no_thread(self, monkeypatch):
-        tree = tree_from_config(parse_config({"tree": default_config()["tree"]}))
-        assert max(tree.n_nodes(k) for k in range(tree.n_steps)) <= LIPSCHITZ_STACK
+    def test_wide_bind_and_probe_start_no_thread(self, monkeypatch):
+        tree = self._wide_tree()
 
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        check_lipschitz(random_generator(tree, 0), tree)
+        inst = random_reflected(tree, 0)
+        assert inst.gen.certified and inst.excess == 0.0
+        check_lipschitz(dataclasses.replace(inst.gen), tree)
 
-    def test_narrow_check_loads_no_thread_pool(self):
-        """The worker's thread pool is imported where it starts, so importing the CLI
-        and probing a narrow tree (what `verify` does) never loads it."""
-        code = ("import sys, treebsde.cli as c; from treebsde.families import random_bsde; "
-                "random_bsde(c.tree_from_config(c.parse_config({'tree': c.DEFAULT_TREE})), 0); "
+    def test_wide_bind_and_probe_load_no_thread_pool(self):
+        """Binding random_reflected on a tree with a step wider than LIPSCHITZ_STACK, and
+        probing an uncertified copy of its driver there, load no concurrent.futures."""
+        code = ("import sys, dataclasses; from treebsde import bsde, families, tree as t\n"
+                "tree = t.build_tree(t.TimeGrid(horizon=1.0, n_steps=14), d=1)\n"
+                "inst = families.random_reflected(tree, 0)\n"
+                "bsde.check_lipschitz(dataclasses.replace(inst.gen), tree)\n"
                 "print('concurrent.futures' in sys.modules)")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert run.stdout.strip() == "False"
-
-
-class TestReadAheadByBytes:
-    """The worker reads the probe stream ahead into one arena of three widest draws,
-    allocated on the calling thread: while the caller holds a probe it draws every later
-    probe that fits, and no draw is allocated on the worker."""
-
-    @staticmethod
-    def _two_wide_widths():
-        tree = build_tree(TimeGrid(horizon=1.0, n_steps=15), d=1)
-        assert len({tree.n_nodes(k) for k in range(tree.n_steps)
-                    if tree.n_nodes(k) > LIPSCHITZ_STACK}) == 2
-        return tree
-
-    @staticmethod
-    def _record(monkeypatch):
-        """Log (thread, out) of every _draw and (thread, array) of every np.empty."""
-        draws, empties = [], []
-        real_draw, real_empty = bsde._draw, np.empty
-        monkeypatch.setattr(bsde, "_draw", lambda rng, tree, k, out: draws.append(
-            (threading.current_thread(), out)) or real_draw(rng, tree, k, out))
-
-        def empty(*args, **kwargs):
-            out = real_empty(*args, **kwargs)
-            empties.append((threading.current_thread(), out))
-            return out
-
-        monkeypatch.setattr(np, "empty", empty)
-        return draws, empties
-
-    @staticmethod
-    def _settled(draws, quiet=0.5, timeout=30.0):
-        """The number of draws, once it has not moved for `quiet` seconds."""
-        start = seen = time.monotonic()
-        count = len(draws)
-        while time.monotonic() - seen < quiet:
-            assert time.monotonic() - start < timeout, "the worker never settled"
-            time.sleep(0.01)
-            if len(draws) != count:
-                count, seen = len(draws), time.monotonic()
-        return count
-
-    @pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
-    def test_worker_fills_the_arena_while_a_probe_is_held(self, monkeypatch, redraw):
-        tree = self._two_wide_widths()
-        if redraw:  # a first pass keeps the narrow stacks and the wide states
-            list(_probe_draws(tree))
-        stream = [(k, d) for k, d in _serial_probes(tree)
-                  if not redraw or tree.n_nodes(k) > LIPSCHITZ_STACK]
-        first = next(i for i, (k, _) in enumerate(stream) if tree.n_nodes(k) > LIPSCHITZ_STACK)
-        draws, _ = self._record(monkeypatch)
-        before = set(threading.enumerate())
-        with contextlib.closing(_probe_draws(tree)) as probes:
-            k, held = next(probes)
-            drawn = self._settled(draws)
-            arena = draws[0][1].base
-            # the probes drawn since the held one, each in its span of the arena
-            spans = [((out.ctypes.data - arena.ctypes.data) // out.itemsize, d.size)
-                     for (_, out), (_, d) in zip(draws[first:drawn], stream[first:drawn])]
-            spans = [(start, start + size) for start, size in spans]
-            # more than one ahead where narrow probes follow; the wide stream alone
-            # (13, 14, 14, ...) has room for one beyond the held 13
-            assert drawn - first - 1 >= (1 if redraw else 2) and drawn < len(stream)
-            assert all(a[1] <= b[0] or b[1] <= a[0] for a, b in itertools.combinations(spans, 2))
-            head, tail = spans[-1][1], spans[0][0]
-            room = max(arena.size - head, tail) if head > tail else tail - head
-            assert stream[drawn][1].size > room  # the next does not fit: the worker waits
-            assert k == stream[first][0] and np.array_equal(held, stream[first][1])
-        assert set(threading.enumerate()) == before
-
-    @pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
-    def test_next_widest_is_drawn_while_one_is_held(self, monkeypatch, redraw):
-        """Beside a held widest draw, wherever a narrower draw has shifted it, the worker
-        draws the next widest.  An arena of two widest draws had room for it only when
-        the held one sat at 0 or at one widest draw: on the redraw (wide stream 13, 14,
-        14, ...) the first 14 sits after the 13, at half a widest draw."""
-        tree = self._two_wide_widths()
-        if redraw:
-            list(_probe_draws(tree))
-        stream = [k for k, _ in _serial_probes(tree)
-                  if not redraw or tree.n_nodes(k) > LIPSCHITZ_STACK]
-        widest = max(tree.n_nodes(k) for k in range(tree.n_steps))
-        wide = [i for i, k in enumerate(stream) if tree.n_nodes(k) > LIPSCHITZ_STACK]
-        draws, _ = self._record(monkeypatch)
-        offsets = []
-        with contextlib.closing(_probe_draws(tree)) as probes:
-            for i, (k, held) in zip(wide, probes):
-                later = [j for j in wide if j > i and tree.n_nodes(stream[j]) == widest]
-                if tree.n_nodes(k) == widest and later:
-                    assert self._settled(draws) > later[0], (i, k)
-                    offsets.append(held.ctypes.data - draws[0][1].base.ctypes.data)
-        assert offsets
-        if redraw:
-            assert offsets[0] == bsde._draw_size(tree, stream[0]) * held.itemsize
-
-    def test_no_draw_is_allocated_on_the_worker(self, monkeypatch):
-        tree = self._two_wide_widths()
-        caller = threading.current_thread()
-        for _ in range(2):  # drawn, then redrawn from the recorded states
-            draws, empties = self._record(monkeypatch)
-            for _probe in _probe_draws(tree):
-                pass
-            arena = draws[0][1].base
-            assert all(thread is not caller and out.base is arena for thread, out in draws)
-            # the worker allocates the recorded generator states' words, no float array
-            assert all(thread is caller or a.dtype.kind == "u" for thread, a in empties)
-            assert any(thread is caller and a is arena for thread, a in empties)
 
 
 def _cli_driver(spec):
@@ -521,6 +422,139 @@ class TestDriverContract:
             assert out.shape == y.shape
             for i, j in np.ndindex(2, 3):
                 assert np.array_equal(out[i, j], gen(k, y[i, j], z[i, j]))
+
+
+# the builders that certify their drivers, each drawing its parameters with `draw`
+COEFF, CONSTANT, LEVEL = st.floats(-1.5, 1.5), st.floats(0.0, 1.5), st.floats(0.01, 5.0)
+SEED = st.integers(0, 2**16)
+
+
+def _config_driver(tree, spec):
+    return _cli_driver(lambda tree: spec)(tree)
+
+
+CERTIFYING = {
+    "generator_family": lambda tree, draw: generator_family(
+        tree, draw(st.lists(SEED, min_size=1, max_size=3)), draw(CONSTANT), draw(CONSTANT)),
+    "random_generator": lambda tree, draw: random_generator(
+        tree, draw(SEED), draw(CONSTANT), draw(CONSTANT)),
+    "AffineGenerator.build": lambda tree, draw: AffineGenerator.build(
+        tree, lam=draw(COEFF), eta=draw(st.lists(COEFF, min_size=tree.d, max_size=tree.d))),
+    "cli-affine": lambda tree, draw: _config_driver(tree, {
+        "kind": "affine", "lam": draw(COEFF), "g0": draw(COEFF),
+        "eta": draw(st.lists(COEFF, min_size=tree.d, max_size=tree.d))}),
+    "cli-polynomial-clipped": lambda tree, draw: _config_driver(tree, {
+        "kind": "polynomial-clipped", "l_y": draw(CONSTANT), "l_z": draw(CONSTANT),
+        "bound": draw(LEVEL)}),
+    "cli-table": lambda tree, draw: _config_driver(tree, {
+        "kind": "table", "values": draw(st.lists(COEFF, min_size=tree.n_steps,
+                                                 max_size=tree.n_steps))}),
+    "truncate_instance": lambda tree, draw: truncate_instance(random_reflected(
+        tree, draw(SEED), draw(CONSTANT), draw(CONSTANT)), draw(LEVEL)).gen,
+    "picard-frozen": lambda tree, draw: _frozen_generator(
+        [np.random.default_rng([draw(SEED), k]).normal(size=tree.n_nodes(k))
+         for k in range(tree.n_steps)]),
+}
+
+
+@st.composite
+def _oracle_trees(draw):
+    """A small tree: d in {1, 2, 3}, with or without a reveal."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    return standard_tree(n_steps=draw(st.integers(2, {1: 6, 2: 4, 3: 3}[d])), d=d,
+                         with_reveal=draw(st.booleans()))
+
+
+def _certificate_oracle(build):
+    """On hypothesis trees and parameters, the driver `build` makes is certified and
+    passes check_lipschitz within its slack."""
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def oracle(data):
+        tree = data.draw(_oracle_trees(), label="tree")
+        gen = build(tree, data.draw)
+        assert gen.certified
+        check_lipschitz(gen, tree)
+
+    oracle()
+
+
+def _halved(build):
+    """A mutant of `build` that declares half of its l_z and certifies that."""
+    def mutant(tree, draw):
+        gen = build(tree, draw)
+        return bsde._certify(dataclasses.replace(gen, l_z=gen.l_z / 2))
+    return mutant
+
+
+class TestCertificate:
+    """A lab builder's driver carries a certificate: its constants follow from its formula,
+    so binding it runs no probe.  The oracle checks each formula by the probe."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFYING))
+    def test_oracle(self, name):
+        _certificate_oracle(CERTIFYING[name])
+
+    @pytest.mark.parametrize("name", ["generator_family", "AffineGenerator.build",
+                                      "cli-polynomial-clipped"])
+    def test_mutant_declaring_half_l_z_fails_the_oracle(self, name):
+        with pytest.raises(GeneratorContractError, match="Lipschitz excess"):
+            _certificate_oracle(_halved(CERTIFYING[name]))
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    def test_certified_bind_runs_no_probe(self, tree, kind, monkeypatch):
+        monkeypatch.setattr(bsde, "check_lipschitz", lambda *args: pytest.fail("probed"))
+        fam = reflected_family(tree, [1, 2, 3])
+        assert type(fam.excess) is np.ndarray and fam.excess.tolist() == [0.0] * 3
+        assert all(m.excess == 0.0 for m in fam.members)
+        for name, make in sorted(DRIVERS.items()):
+            if name != "AffineGenerator.build":  # given a g0_fn: see test_caller_code
+                inst = _bind(kind, tree, make(tree))
+                assert inst.gen.certified and inst.excess == 0.0, name
+
+    @pytest.mark.parametrize("field", ["l_y", "l_z", "fn"])
+    def test_tampered_driver_is_probed(self, tree, field, monkeypatch):
+        """A certificate covers the (fn, l_y, l_z) it was issued for: a constant set
+        lower, or another fn, after the build makes binding probe the driver."""
+        gen = random_generator(tree, 3)
+        assert gen.certified
+        if field == "fn":
+            gen.fn = lambda k, y, z: 5.0 * y
+        else:
+            setattr(gen, field, getattr(gen, field) / 2)
+        assert not gen.certified
+        probed, real = [], bsde.check_lipschitz
+        monkeypatch.setattr(bsde, "check_lipschitz", lambda g, t: probed.append(g) or real(g, t))
+        with pytest.raises(GeneratorContractError, match=r"^random\[3\]: Lipschitz excess"):
+            _bind("reflected", tree, gen)
+        assert probed == [gen]
+
+    def test_caller_code_is_probed(self, tree, monkeypatch):
+        """A driver built from scratch, a replace() of a certified one, and an affine
+        driver given a g0_fn carry no certificate, and binding probes each once."""
+        seeded = random_generator(tree, 3)
+        drivers = [Generator(fn=seeded.fn, l_y=seeded.l_y, l_z=seeded.l_z),
+                   dataclasses.replace(seeded),
+                   AffineGenerator.build(tree, lam=0.5, eta=[0.3], g0_fn=lambda k, n: np.ones(n))]
+        assert AffineGenerator.build(tree, lam=0.5, eta=[0.3]).certified
+        probed, real = [], bsde.check_lipschitz
+        monkeypatch.setattr(bsde, "check_lipschitz", lambda g, t: probed.append(g) or real(g, t))
+        for gen in drivers:
+            assert not gen.certified
+            assert _bind("plain", tree, gen).excess == real(gen, tree)
+        assert probed == drivers
+
+    def test_truncation_keeps_no_certificate_it_did_not_have(self, tree):
+        inst = random_reflected(tree, 3)
+        assert truncate_instance(inst, 0.8).gen.certified
+        caller = dataclasses.replace(inst, gen=dataclasses.replace(inst.gen))
+        assert not truncate_instance(caller, 0.8).gen.certified
+
+    def test_frozen_values_not_finite_are_not_certified(self, tree):
+        frozen = [np.zeros(tree.n_nodes(k)) for k in range(tree.n_steps)]
+        assert _frozen_generator(frozen).certified
+        frozen[2][1] = np.nan
+        assert not _frozen_generator(frozen).certified
 
 
 def _in_y_drivers(tree):

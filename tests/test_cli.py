@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -391,27 +392,30 @@ class TestArtifacts:
         assert len(built) == 1 and len(built[0].gen.family) == 25
         assert "members" not in vars(built[0])
 
-    @pytest.mark.parametrize("command,probes", [(["verify", "--suite", "all"], 4),
-                                                (["picard"], 1)], ids=["verify", "picard"])
-    def test_driver_checked_once_per_instance(self, tmp_path, monkeypatch, command, probes):
-        """Each member generator is checked exactly once: alone, or by its family's
-        one stacked check, and never again when its instance is bound."""
-        calls = []
-        real = bsde.check_lipschitz
-
-        def counted(gen, tree):
-            calls.extend(gen.members or (gen,))
-            return real(gen, tree)
-
-        monkeypatch.setattr(bsde, "check_lipschitz", counted)
+    @pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["picard"]],
+                             ids=["verify", "picard"])
+    def test_no_certified_driver_is_probed(self, tmp_path, monkeypatch, command):
+        """Every driver these commands bind is built by the lab and certified, so none is
+        probed: not the family's, not a member's, not the config's."""
+        monkeypatch.setattr(bsde, "check_lipschitz", lambda *args: pytest.fail("probed"))
         cfg = default_config()
         cfg["family"]["count"] = 4
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "--seed", "1", "--out", str(tmp_path / "out"),
                      *command]) == 0
-        assert len(calls) == probes
-        assert len({id(gen) for gen in calls}) == probes
+
+    @pytest.mark.parametrize("command", ["solve", "reflect", "picard"])
+    def test_uncertified_config_driver_probed_once(self, tmp_path, monkeypatch, command):
+        """A config driver whose certificate is gone (a replace() of the built one) is
+        probed exactly once, where its instance is bound."""
+        calls, real, build = [], bsde.check_lipschitz, cli.generator_from_config
+        monkeypatch.setattr(bsde, "check_lipschitz",
+                            lambda gen, tree: calls.append(gen) or real(gen, tree))
+        monkeypatch.setattr(cli, "generator_from_config",
+                            lambda cfg, tree: dataclasses.replace(build(cfg, tree)))
+        assert main(["--seed", "1", "--out", str(tmp_path / "out"), command]) == 0
+        assert len(calls) == 1 and not calls[0].certified
 
     @pytest.mark.parametrize("command", ["solve", "reflect", "picard"])
     def test_tree_validated(self, tmp_path, monkeypatch, command):

@@ -279,13 +279,13 @@ class TestFamilyWork:
         real = bsde._draw
         monkeypatch.setattr(bsde, "_draw", lambda *args: draws.append(args[2]) or real(*args))
         fam = reflected_family(tree, range(10))
+        assert not draws  # a certified driver is bound unprobed
+        excess = check_lipschitz(fam.gen, tree)
         assert len(draws) == bsde.LIPSCHITZ_PROBES
-        for seed in range(10):
-            random_reflected(tree, seed)
-        assert all(inst.excess == random_reflected(tree, s).excess
-                   for s, inst in zip(range(10), fam.members))
+        assert list(excess) == [check_lipschitz(random_generator(tree, s), tree)
+                                for s in range(10)]
         assert len(draws) == bsde.LIPSCHITZ_PROBES
-        reflected_family(standard_tree(n_steps=6), range(3))
+        check_lipschitz(fam.gen, standard_tree(n_steps=6))
         assert len(draws) == 2 * bsde.LIPSCHITZ_PROBES
 
     def test_wide_probes_redrawn_not_kept(self, monkeypatch):

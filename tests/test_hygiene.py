@@ -182,9 +182,9 @@ def test_lone_driver_is_a_family_of_one():
 def test_cli_import_loads_no_thread_pool(tmp_path):
     """ladder imports concurrent.futures where it starts its threads, so importing the
     CLI, which every command does, loads neither it nor logging.  On the default
-    config's tree, whose steps are narrower than bsde.LIPSCHITZ_STACK and
-    bsde.IMPLICIT_SPLIT, solve, reflect, picard and verify --suite all start no thread
-    either: neither the probe's read-ahead nor the inner fixed point by halves."""
+    config's tree, whose steps are narrower than bsde.IMPLICIT_SPLIT, solve, reflect,
+    picard and verify --suite all start no thread either: the inner fixed point runs on
+    whole rows, and the Lipschitz probe never starts one."""
     code = ("import sys, threading, treebsde.cli as cli\n"
             "loaded = lambda: [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
             "print(loaded())\n"
@@ -198,6 +198,21 @@ def test_cli_import_loads_no_thread_pool(tmp_path):
                          check=True)
     lines = run.stdout.strip().splitlines()
     assert lines[0] == "[]" and lines[-1] == "[] []"
+
+
+def test_probe_holds_no_thread_machinery():
+    """The Lipschitz probe draws its stream on the calling thread: bsde.py names no
+    condition variable and no threading module, and its one thread pool (_worker) is
+    the inner fixed point's by halves."""
+    module = _parse(SRC / "bsde.py")
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(module)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    imported = {a.name for n in ast.walk(module) if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names}
+    assert "Condition" not in names and "threading" not in imported | names
+    callers = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "_worker"}
+    assert callers == {"_implicit_step"}
 
 
 SHORT_AXIS_MODULES = ("tree.py", "bsde.py", "families.py", "martingales.py")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from treebsde import bsde, cli
-from treebsde.bsde import BsdeInstance, Generator, SolutionQuadruple, solve_bsde
+from treebsde.bsde import AffineGenerator, BsdeInstance, Generator, SolutionQuadruple, solve_bsde
 from treebsde.cli import main
-from treebsde.errors import (ClassificationError, InvariantViolationError, MeasureChangeError,
-                             NotAMartingaleError, PicardDivergenceError)
+from treebsde.errors import (ClassificationError, GeneratorContractError, InvariantViolationError,
+                             MeasureChangeError, NotAMartingaleError, PicardDivergenceError)
 from treebsde.estimates import (check_bracket_family, check_cross_term_family,
                                 check_ito_p_family, check_solution_norm_bound, lone_pair)
 from treebsde.families import (random_generator, random_martingale, random_obstacle,
@@ -91,6 +91,70 @@ class TestBoundary:
         with pytest.raises(ValueError, match="terminal condition is not finite at step 4, node 0"):
             ReflectedInstance(tree=tree, xi=xi, gen=random_generator(tree, 1),
                               obstacle=random_obstacle(tree, 1))
+
+
+# -- builder parameters: only finite ones are certified ---------------------------
+
+_BUILT = {
+    "l_y-nan": lambda tree: random_generator(tree, 1, l_y=NAN),
+    "l_z-inf": lambda tree: random_generator(tree, 1, l_z=math.inf),
+    "l_y--inf": lambda tree: random_generator(tree, 1, l_y=-math.inf),
+    "lam-nan": lambda tree: AffineGenerator.build(tree, lam=NAN, eta=None),
+    "eta-inf": lambda tree: AffineGenerator.build(tree, lam=0.5, eta=[math.inf]),
+    "eta-nan": lambda tree: AffineGenerator.build(tree, lam=0.5, eta=[NAN]),
+    # the caller's code: its values are not checked by the builder
+    "g0_fn-nan": lambda tree: AffineGenerator.build(tree, lam=0.5, eta=None,
+                                                    g0_fn=lambda k, n: np.full(n, NAN)),
+}
+
+
+class TestBuilderParameters:
+    """A builder certifies finite, non-negative constants and finite parameters only, so
+    any other driver is probed where it is bound and raises GeneratorContractError
+    there, naming the driver."""
+
+    @pytest.mark.parametrize("kind", ["plain", "reflected"])
+    @pytest.mark.parametrize("case", sorted(_BUILT))
+    def test_non_finite_parameter_raises_at_bind(self, tree, case, kind):
+        gen = _BUILT[case](tree)
+        assert not gen.certified
+        name = gen.name.replace("[", r"\[").replace("]", r"\]")
+        with pytest.raises(GeneratorContractError, match=rf"^{name}: step 3: non-finite "
+                                                         "driver value$"):
+            if kind == "plain":
+                BsdeInstance(tree=tree, xi=random_terminal(tree, 1), gen=gen)
+            else:
+                ReflectedInstance(tree=tree, xi=random_terminal(tree, 1), gen=gen,
+                                  obstacle=random_obstacle(tree, 1))
+
+    @pytest.mark.parametrize("kw", [{"l_y": NAN}, {"l_z": math.inf}], ids=["l_y-nan", "l_z-inf"])
+    def test_non_finite_family_constant_raises_at_bind(self, tree, kw):
+        with pytest.raises(GeneratorContractError,
+                           match=r"^random\[1\]: step 3: non-finite driver value$"):
+            reflected_family(tree, [1, 2], **kw)
+
+    def test_negative_constant_is_probed(self, tree):
+        gen = random_generator(tree, 1, l_y=-0.5)
+        assert not gen.certified
+        with pytest.raises(GeneratorContractError, match=r"^random\[1\]: Lipschitz excess"):
+            BsdeInstance(tree=tree, xi=random_terminal(tree, 1), gen=gen)
+
+    @pytest.mark.parametrize("field, spec", [
+        ("lam", {"kind": "affine", "lam": "1e999"}),
+        ("eta[0]", {"kind": "affine", "eta": ["-1e999"]}),
+        ("g0", {"kind": "affine", "g0": "1e999"}),
+        ("l_y", {"kind": "polynomial-clipped", "l_y": "1e999", "l_z": 0.5}),
+        ("l_z", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": "1e999"}),
+        ("bound", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": "1e999"}),
+        ("values[0]", {"kind": "table", "values": ["1e999"] * 6}),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_config_rejects_a_non_finite_driver_field(self, tmp_path, capsys, field, spec):
+        """A number JSON reads as inf never reaches a builder: the config is refused."""
+        text = json.dumps({"tree": cli.DEFAULT_TREE, "generator": spec})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace('"1e999"', "1e999").replace('"-1e999"', "-1e999"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 2
+        assert f"generator.{field}:" in capsys.readouterr().err
 
 
 # -- every sup_abs defect: one NaN makes it NaN and fails its verdict ---------
