@@ -346,19 +346,29 @@ class SolutionQuadruple:
 
     def dynamics_residual(self, gen: Generator) -> float:
         """Max pathwise defect of the backward dynamics under the solve scheme; on a
-        family's forest, the worst member's, the driver called through _drive."""
-        tree = self.tree
-        dt = tree.dt
+        family's forest, the worst member's, the driver called through _drive.
+
+        Step k's defect Y_{k+1} - g dt - Z.dW - dM + dK - Y_k is built in one leaf-sized
+        array, on the (parent, child) view of the step-(k+1) nodes: a step-k term
+        broadcasts over its children as its lift would, with the same bits.  dM takes
+        the scratch of Z.dW once that is subtracted."""
+        tree, dt = self.tree, self.tree.dt
+        y, z, m, dk = self.y.values, self.z.values, self.m.values, self.dk.values
 
         def defect(k):
-            y_in = self.y.values[k] if self.scheme == "implicit" else tree.cond_exp(self.y.values[k + 1], k + 1)
-            g = _drive(gen, tree, k, y_in, self.z.values[k])
-            dm = self.m.values[k + 1] - tree.lift(self.m.values[k], k)
-            rhs = (self.y.values[k + 1] - tree.lift(g, k) * dt - tree.dot_dw(self.z.values[k], k)
-                   - dm + tree.lift(self.dk.values[k], k))
-            return rhs - tree.lift(self.y.values[k], k)
+            def children(x):
+                return x.reshape(len(y[k]), -1)
 
-        return sup_abs(map(defect, range(tree.n_steps)))
+            y_in = y[k] if self.scheme == "implicit" else tree.cond_exp(y[k + 1], k + 1)
+            e = np.subtract(children(y[k + 1]), (_drive(gen, tree, k, y_in, z[k]) * dt)[:, None])
+            scratch = children(tree.dot_dw(z[k], k))
+            e -= scratch
+            e -= np.subtract(children(m[k + 1]), m[k][:, None], out=scratch)
+            e += dk[k][:, None]
+            e -= y[k][:, None]
+            return e
+
+        return sup_abs(map(defect, range(tree.n_steps)), scratch=True)
 
     def orthogonality_defect(self) -> float:
         return sup_abs(self.tree.cond_exp_dw(dm, k) for k, dm in enumerate(self.m.increments()))

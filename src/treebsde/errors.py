@@ -131,8 +131,9 @@ def read_value(value, kind, where: str = ""):
             raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
         return [read_value(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     types = (int, float) if kind is float else kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, float) and float in types and not math.isfinite(value):
+        raise ConfigError(f"{where}: number is not finite, got {value!r}")  # JSON's 1e999
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types) \
-            or (isinstance(value, float) and not math.isfinite(value)) \
             or (kind is float and abs(value) > sys.float_info.max):
         names = "number" if kind is float else " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{where}: expected {names}, got {type(value).__name__}")

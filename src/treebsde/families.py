@@ -70,11 +70,13 @@ def generator_family(tree: ScenarioTree, seeds, l_y: float = 0.5,
     level b0_k depends on the node only, so it is built once per driver step
     k < n.
     """
-    return _generators(tree, list(seeds), tree.w, l_y, l_z)
+    return _generators(tree, list(seeds), tree.free_walk, l_y, l_z)
 
 
 def _generators(tree: ScenarioTree, seeds: list, walk: list, l_y: float, l_z: float) -> Generator:
-    """generator_family, its zero level read from the tree's walk."""
+    """generator_family, its zero level read from the label-free walk (ScenarioTree.free_walk):
+    the walk term on the label-free nodes, expanded once, then the label bias added in
+    place, or 0.0 at a step without a reveal."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     u = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
     for row in u:
@@ -83,9 +85,14 @@ def _generators(tree: ScenarioTree, seeds: list, walk: list, l_y: float, l_z: fl
     a0, a1, c, lab_bias = params[:, :1], params[:, 1:2], params[:, 2:3], params[:, 3:]
     b0 = []
     for k in range(tree.n_steps):
-        w, lab = sum_axis(walk[k], 1), tree.reveal_label[k]
-        bias = np.where(lab >= 0, lab_bias[:, np.clip(lab, 0, 7)], 0.0)  # per child of the block
-        b0.append(a0 + a1 * np.tanh(w) + np.tile(bias, tree.n_nodes(k) // len(lab)))
+        lab = tree.reveal_label[k]  # per child of the block: all labelled at a reveal, or none
+        b = tree.expand(ScenarioTree.join(a0 + a1 * np.tanh(sum_axis(walk[k], 1))), k)
+        b = b.reshape(len(seeds), -1)
+        if lab[0] >= 0:
+            b += np.tile(lab_bias[:, np.minimum(lab, 7)], tree.n_nodes(k) // len(lab))
+        else:
+            b += 0.0  # the bits of a zero bias added: a -0.0 turns +0.0
+        b0.append(b)
     members = tuple(_certify(Generator(
         fn=_seeded_driver([b[i] for b in b0], c[i, 0], u[i], l_y, l_z), l_y=l_y, l_z=l_z,
         name=f"random[{seed}]")) for i, seed in enumerate(seeds))
@@ -101,20 +108,23 @@ def random_generator(tree: ScenarioTree, seed: int, l_y: float = 0.5,
 
 def _terminals(tree: ScenarioTree, seeds, walk: list = None) -> np.ndarray:
     """random_terminal of each seed on tree.forest(len(seeds)), block i seeds[i]'s, from the
-    walk (built if not given); the tree keeps the last one built, read-only."""
+    label-free walk (built if not given): the walk term on the label-free leaves, expanded
+    once, then each reveal's bump added in place.  The tree keeps the last one built,
+    read-only."""
     key, kept = tuple(seeds), vars(tree).get("_terminal")
     if kept is not None and kept[0] == key:
         return kept[1]
     n = tree.n_steps
-    w = (tree.w if walk is None else walk)[n]
+    w = (tree.free_walk if walk is None else walk)[n]
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
     coeffs = np.stack([rng.normal(size=tree.d) for rng in rngs])[:, :, None]
     xi = np.tanh((w @ coeffs)[..., 0]) + 0.3 * sum_axis(np.abs(w), 1)
+    xi = tree.expand(ScenarioTree.join(xi), n).reshape(len(rngs), -1)
     for k in tree.reveal_step_indices():
         lab = tree.reveal_label[k]
         bump = np.stack([rng.normal(size=int(lab.max()) + 1) for rng in rngs])
-        vals = np.tile(np.where(lab >= 0, bump[:, np.clip(lab, 0, None)], 0.0), tree.n_nodes(k - 1))
-        xi = xi + 0.5 * tree.to_leaves(vals.T, k).T
+        vals = np.tile(bump[:, lab], tree.n_nodes(k - 1))
+        xi += tree.to_leaves(0.5 * vals.T, k).T
     xi = ScenarioTree.join(xi)
     xi.flags.writeable = False
     vars(tree)["_terminal"] = key, xi
@@ -127,18 +137,19 @@ def random_terminal(tree: ScenarioTree, seed: int) -> np.ndarray:
 
 
 def _obstacles(tree: ScenarioTree, seeds: list, margin: float, walk: list) -> AdaptedProcess:
-    """random_obstacle of each seed on tree.forest(len(seeds)), copy i seeds[i]'s."""
+    """random_obstacle of each seed on tree.forest(len(seeds)), copy i seeds[i]'s, built on
+    the label-free walk and expanded."""
     amp, freq, off = np.array([np.random.default_rng(seed + 2).normal(size=3)
                                for seed in seeds]).T[:, :, None]
     shift = 0.3 * off
     return AdaptedProcess(tree.forest(len(seeds)), [
-        ScenarioTree.join(amp * np.sin(freq * t + sum_axis(w, 1)) + shift - margin)
-        for t, w in zip(tree.grid.times, walk)])
+        tree.expand(ScenarioTree.join(amp * np.sin(freq * t + sum_axis(w, 1)) + shift - margin), k)
+        for k, (t, w) in enumerate(zip(tree.grid.times, walk))])
 
 
 def random_obstacle(tree: ScenarioTree, seed: int, margin: float = 0.0) -> AdaptedProcess:
     """Adapted lower obstacle built from the walk, shifted down by `margin`."""
-    return _obstacles(tree, [seed], margin, tree.w)
+    return _obstacles(tree, [seed], margin, tree.free_walk)
 
 
 def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
@@ -148,7 +159,7 @@ def random_bsde(tree: ScenarioTree, seed: int) -> BsdeInstance:
 
 def random_reflected(tree: ScenarioTree, seed: int, l_y: float = 0.5,
                      l_z: float = 0.5, margin: float = 0.0) -> ReflectedInstance:
-    walk = tree.w
+    walk = tree.free_walk
     return ReflectedInstance(tree=tree, xi=_terminals(tree, [seed], walk),
                              gen=_generators(tree, [seed], walk, l_y, l_z).members[0],
                              obstacle=_obstacles(tree, [seed], margin, walk))
@@ -159,7 +170,7 @@ def reflected_family(tree: ScenarioTree, seeds, l_y: float = 0.5, l_z: float = 0
     """random_reflected of every seed as one instance on tree.forest(len(seeds)), its
     driver certified, not probed: block i is seeds[i]'s, and members[i] equals
     random_reflected(tree, seeds[i], ...)."""
-    seeds, walk = list(seeds), tree.w
+    seeds, walk = list(seeds), tree.free_walk
     return ReflectedInstance(tree=tree, xi=_terminals(tree, seeds, walk),
                              gen=_generators(tree, seeds, walk, l_y, l_z),
                              obstacle=_obstacles(tree, seeds, margin, walk))

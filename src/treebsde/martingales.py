@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ClassificationError, MeasureChangeError
 from .norms import meyer_constant, meyer_constant_ladlag, norm_i_family, norm_sp_family
-from .processes import AdaptedProcess, LadlagProcess, PredictableProcess, stochastic_integral
+from .processes import AdaptedProcess, LadlagProcess, PredictableProcess
 from .reports import EstimateReport
 from .tree import ScenarioTree, sum_axis, sup_abs, sup_abs_copies
 
@@ -30,10 +30,26 @@ class RepresentationPair:
     m: AdaptedProcess
 
     def reconstruction_defect(self, n: AdaptedProcess) -> float:
-        tree = n.tree
-        zw = stochastic_integral(tree, self.z)
-        return sup_abs(n.values[0][0] + zw.values[k] + self.m.values[k] - n.values[k]
-                       for k in range(tree.n_steps + 1))
+        """max_k |N_0 + (Z*W)_k + M_k - N_k|, one step at a time.  (Z*W)_k is built in the
+        array of Z_{k-1} . dW_k, the lift of (Z*W)_{k-1} added to it (the bits of
+        stochastic_integral), and each step's defect is formed and taken |.| in place,
+        the last one in (Z*W)_n itself."""
+        tree, n0 = n.tree, n.values[0][0]
+        zw = np.zeros(tree.n_nodes(0))
+
+        def defect(k):
+            nonlocal zw
+            if k:
+                inc = tree.dot_dw(self.z.values[k - 1], k - 1)
+                children = inc.reshape(len(zw), -1)
+                np.add(children, zw[:, None], out=children)
+                zw = inc
+            e = np.add(zw, n0, out=zw if k == tree.n_steps else None)
+            e += self.m.values[k]
+            e -= n.values[k]
+            return e
+
+        return sup_abs(map(defect, range(tree.n_steps + 1)), scratch=True)
 
 
 def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> RepresentationPair:
@@ -45,7 +61,8 @@ def represent_martingale(tree: ScenarioTree, n: AdaptedProcess) -> Representatio
     z_vals = []
 
     def residual(k):
-        dn = n.values[k + 1] - tree.lift(n.values[k], k)
+        dn = tree.lift(n.values[k], k)
+        np.subtract(n.values[k + 1], dn, out=dn)  # dN in its own lift
         z_vals.append(tree.cond_exp_dw(dn, k) / tree.dt)
         dn -= tree.dot_dw(z_vals[k], k)  # in place: no third leaf-sized array
         return dn

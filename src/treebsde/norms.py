@@ -23,6 +23,7 @@ tree is one copy, whose norm is the form's [0].  A norm is kept on its process p
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -62,7 +63,11 @@ def weighted_sum(tree: ScenarioTree, alpha: float, terms, scale=None) -> np.ndar
 
 def sup_power_family(tree: ScenarioTree, slots, p: float, alpha: float = 0.0) -> list:
     """Per copy, E[sup_k (e^{(alpha/2) t_k} |slot_k|)^p], with one slot array per step k = 0..n."""
-    weighted = map(lambda t, s: np.abs(math.exp(0.5 * alpha * t) * s), tree.grid.times, slots)
+    def weigh(t, s):
+        x = math.exp(0.5 * alpha * t) * s
+        return np.abs(x, out=x)
+
+    weighted = map(weigh, tree.grid.times, slots)
     sup = tree.path_scan(weighted, np.maximum, start=next(weighted))
     return tree.expectations(sup**p, tree.n_steps)
 
@@ -74,6 +79,11 @@ def norm_sp_family(y, p: float, alpha: float = 0.0) -> list:
               for lft, v, r in zip(y.left, y.value, y.right))
              if isinstance(y, LadlagProcess) else y.values)
     return [e ** (1.0 / p) for e in sup_power_family(y.tree, slots, p, alpha)]
+
+
+def _square(inc: np.ndarray) -> np.ndarray:
+    """inc**2 in place, for an increment that is the caller's (AdaptedProcess.increments)."""
+    return np.square(inc, out=inc)
 
 
 def _sq(v: np.ndarray) -> np.ndarray:
@@ -96,7 +106,7 @@ def norm_h_family(z: AdaptedProcess | PredictableProcess, p: float, alpha: float
 
 def leaf_m(m: AdaptedProcess, alpha: float) -> np.ndarray:
     """Per-leaf bracket sum_k e^{alpha t_{k+1}} (dM_{k+1})^2."""
-    return weighted_sum(m.tree, alpha, (inc**2 for inc in m.increments()))
+    return weighted_sum(m.tree, alpha, map(_square, m.increments()))
 
 
 @_kept
@@ -108,8 +118,13 @@ def norm_m_family(m: AdaptedProcess, p: float, alpha: float) -> list:
 def leaf_composite(z: PredictableProcess, fv: AdaptedProcess, alpha: float) -> np.ndarray:
     """Per-leaf bracket of N = Z*W + fv: sum_k e^{alpha t_{k+1}} (|Z_k|^2 dt + (d fv)^2)."""
     tree = z.tree
-    return weighted_sum(tree, alpha, (tree.lift(_sq(z.values[k]), k) * tree.dt + inc**2
-                                      for k, inc in enumerate(fv.increments())))
+
+    def term(k, inc):
+        inc = _square(inc)
+        inc += tree.lift(_sq(z.values[k]) * tree.dt, k)
+        return inc
+
+    return weighted_sum(tree, alpha, map(term, itertools.count(), fv.increments()))
 
 
 def norm_m_composite_family(z: PredictableProcess, fv: AdaptedProcess, p: float,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -67,10 +68,17 @@ class AdaptedProcess:
     def __sub__(self, other):
         return AdaptedProcess(self.tree, [a - b for a, b in _pairs(self, other)])
 
-    def increments(self) -> list:
-        """List of n_steps arrays: X_{k+1} - X_k lifted onto step-(k+1) nodes."""
-        return [self.values[k + 1] - self.tree.lift(self.values[k], k)
-                for k in range(self.tree.n_steps)]
+    def increments(self) -> Iterator[np.ndarray]:
+        """X_{k+1} - X_k lifted onto step-(k+1) nodes, for k < n_steps, one step at a
+        time: each is built in its own lift as it is read, and is the reader's to keep
+        or spoil."""
+        tree, values = self.tree, self.values
+
+        def increment(k):
+            inc = tree.lift(values[k], k)
+            return np.subtract(values[k + 1], inc, out=inc)
+
+        return map(increment, range(tree.n_steps))
 
     def martingale_defect(self) -> tuple:
         """(max |E_k[dX_{k+1}]|, step, node) over all nodes; the first NaN wins."""

@@ -187,8 +187,30 @@ class ScenarioTree:
 
     @property
     def w(self) -> list:
-        """Cumulative walk value per node, shape (n_k, d) at each step, built on every read."""
-        return self._scan_blocks(self.dw[1:], np.add, np.zeros((self.n_nodes(0), self.d)))
+        """Cumulative walk value per node, shape (n_k, d) at each step, built on every read:
+        free_walk expanded."""
+        return [self.expand(w, k) for k, w in enumerate(self.free_walk)]
+
+    @property
+    def free_walk(self) -> list:
+        """The walk on the label-free nodes, built on every read.  The walk reads no reveal
+        label, and a reveal's labels are the fastest digit of its child block, so every
+        `a`-th row of the block is the sign block: step k holds n_0 2^(dk) values, the
+        tree's nodes with each reveal's label dropped.  expand puts the labels back."""
+        signs = (dw[::b >> self.d] for dw, b in zip(self.dw[1:], self.branching))
+        return self._scan_blocks(signs, np.add, np.zeros((self.n_nodes(0), self.d)))
+
+    def expand(self, x: np.ndarray, step: int) -> np.ndarray:
+        """Values on the label-free step-`step` nodes (free_walk's) onto the tree's: one
+        block repeat per reveal at or before the step, earliest first, each label taking
+        a copy of the block below its sign.  The leading digits are free, so a member-major
+        join of label-free values expands onto the forest.  With no reveal yet, x itself."""
+        tail = x.shape[1:]
+        for k, b in enumerate(self.branching[:step], 1):
+            if b >> self.d > 1:
+                below = 1 << self.d * (step - k)  # label-free nodes under a step-k node
+                x = x.reshape((-1, below) + tail).repeat(b >> self.d, axis=0).reshape((-1,) + tail)
+        return x
 
     def _children(self, x: np.ndarray, step: int) -> np.ndarray:
         """The step-`step` array `x` as a view with parents on axis 0 and their children,
@@ -347,6 +369,7 @@ class ScenarioTree:
             else:
                 acc = self.lift(acc, k)
                 op(acc, term, out=acc)  # in place on the fresh lift: no third leaf array
+            del term  # freed before the next term is built
             if process:
                 out.append(acc)
         return out if process else acc
@@ -393,10 +416,12 @@ def _by_slices(b: int, size: int) -> bool:
     return 0 < b < 8 and size >= CROSSOVER
 
 
-def sup_abs(arrays) -> float:
+def sup_abs(arrays, scratch: bool = False) -> float:
     """max |x| over the step arrays, folded with np.maximum so that a NaN anywhere
-    makes it NaN.  map drops each array once its max is read."""
-    return float(functools.reduce(np.maximum, map(lambda a: np.abs(a).max(), arrays), 0.0))
+    makes it NaN.  map drops each array once its max is read.  With `scratch` the arrays
+    are the caller's temporaries, and |x| is taken in place."""
+    return float(functools.reduce(np.maximum, map(
+        lambda a: np.abs(a, out=a if scratch else None).max(), arrays), 0.0))
 
 
 def sup_abs_copies(tree: ScenarioTree, arrays) -> np.ndarray:

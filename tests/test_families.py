@@ -2,6 +2,8 @@
 family of reflected instances is one instance on the forest, solved as one, with each
 member's own bits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from treebsde.bsde import Generator, check_lipschitz, solve_bsde
 from treebsde.errors import GeneratorContractError
 from treebsde.families import (generator_family, random_generator, random_martingale,
                                random_obstacle, random_reflected, random_terminal,
-                               reflected_family, standard_tree)
+                               reflected_family, standard_tree, strong_supermartingale_family)
 from treebsde.reflected import ReflectedInstance, solve_reflected
 from treebsde.processes import AdaptedProcess, PredictableProcess
 from treebsde.tree import Reveal, ScenarioTree, TimeGrid, build_tree
@@ -353,10 +355,17 @@ class TestSeededInputs:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
     def test_instance_builds_the_walk_once(self, monkeypatch):
+        """One label-free walk per instance, and no walk on the tree's nodes."""
         tree = standard_tree(n_steps=4, d=2)
         reads = []
-        walk = ScenarioTree.w.fget
-        monkeypatch.setattr(ScenarioTree, "w", property(lambda t: reads.append(1) or walk(t)))
+        walk = ScenarioTree.free_walk.fget
+
+        def no_walk(self):
+            raise AssertionError("an instance built the walk on the tree's nodes")
+
+        monkeypatch.setattr(ScenarioTree, "free_walk",
+                            property(lambda t: reads.append(1) or walk(t)))
+        monkeypatch.setattr(ScenarioTree, "w", property(no_walk))
         random_reflected(tree, 3)
         reflected_family(tree, range(3))
         assert len(reads) == 2
@@ -385,3 +394,72 @@ class TestSeededInputs:
         assert xi.flags.writeable and xi.tobytes() == kept.tobytes()
         xi[0] = np.nan
         assert random_terminal(tree, 2).tobytes() == kept.tobytes()
+
+
+# -- seeded inputs built on the label-free walk ---------------------------------
+
+def _multi_reveal_tree(d, n_steps, spec):
+    """A tree with a uniform reveal of `a` labels at step k for each (k, a) of `spec`."""
+    grid = TimeGrid(horizon=1.0, n_steps=n_steps)
+    return build_tree(grid, d=d, reveals=[
+        Reveal(time=grid.times[k], labels=tuple("abcde"[:a]), probs=tuple(np.full(a, 1.0 / a)))
+        for k, a in spec])
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of each builder's arrays, as built on the tree's nodes before the label-free walk:
+# random_reflected, reflected_family, random_obstacle, random_terminal, generator_family's
+# g0 and strong_supermartingale_family, in that order
+LABEL_FREE_PINS = {
+    (1, 7, ((2, 2), (5, 3))): (
+        "1e33e2d557ed080151b0d683a5c5f1f579bd9e78fd11d26988e329aa7b1fb6c5",
+        "722b54bfab0436c2a41a341bd9abe4b730cdd49975eac36221ae0b66b718233a",
+        "9961e624c7eb0b54ccd7572bf946d7d3c4a7695f7314aa8c77d8d31b08c6188a",
+        "7b390746d09c08cb8fad3cfb2d2787fdba31e8ee43f6f6fb76f495d993bdd13a",
+        "0580230651a25898fed39f373343129577aea3b0402bdce93ec9b36197f197d4",
+        "a181df08094bc1647cefcc30317fd2168cb11c0da422c9defb91588072706d20"),
+    (2, 4, ((3, 4), (1, 3))): (
+        "830aec40760c35e7340d24730883595cbabfa3d784da17eacb3dc99f832bfb50",
+        "3b37c0458d4103d0eae5ce8fdae99783343341b01d211a5c7bf7b44f1fe6025e",
+        "de73fde4d38342b8cada104ab5c6e5057d5fc216a185262afaf9322797da9161",
+        "536a7ad226de9c899ad588cf35fa1eef77c609007b7e2d3e48669b482fe3d18e",
+        "ea276b3fdc72188863f12a9b3f9535c2b3e4940246b67782db87e6955956d16c",
+        "cd81cdecae61c9003654c40f25d51e8c744316f9e43dcf54853e2f81155b50fd"),
+    (1, 6, ((1, 5), (2, 2), (4, 3))): (
+        "8faca9b41752a06fa19cb10a17e157613b111178e3663a27ffef8686da0cd3c1",
+        "e67356f7de8665ba7a3164d638e2bebb8e3e530bb2344a100b212958ef7e9a4c",
+        "986228c14e4358b6854f76e6840a275102ef769a5e541a32948e0ffc5225c9bd",
+        "9a0c786f356c36663815146ca2cab94711b1e05a26c3e6a8c1cee4199d77c770",
+        "9788882b19ba7932ffd4a9065b8784a6ac3d592c593d8d48b93d096aa4a6da3c",
+        "9ab5e1a803018edccde005d42470f5f241de6cd6b384255f29f46353a9bfae65"),
+    (3, 3, ((2, 2),)): (
+        "199bee092878b08639bd007ac2b4e79353f28cfc87cad8d3e90bfee531774811",
+        "93e9cbaa7cb9fc1ac37f21ef986a8db050ca895c593e68dc34865d82189b882a",
+        "531c210818ac5b215b84d0688fe9a51e6251fef1b61966b2b6867c15a4c108c8",
+        "0897da5481cb65640319bf51839d47a5832830b2e46a4005fd7458c4c639f165",
+        "62d2b5d8caaad9f97f3e9691d2aacf740747a9ef7684bfdfcc96eb434c68edfa",
+        "3a7a8bbc9e569402b1d19af4630270d8f3b63ca8565da7bf71c22139a4010c40"),
+}
+
+
+@pytest.mark.parametrize("shape", list(LABEL_FREE_PINS), ids=str)
+def test_label_free_inputs_pinned(shape):
+    """The walk terms computed on the label-free nodes and expanded give the bytes of the
+    same terms computed on every label copy."""
+    tree = _multi_reveal_tree(*shape)
+    inst = random_reflected(tree, 3)
+    fam = reflected_family(tree, [4, 1, 9])
+    x = strong_supermartingale_family(tree, [2, 7])
+    got = (_digest(inst.xi, *inst.obstacle.values, *inst.g0.values),
+           _digest(fam.xi, *fam.obstacle.values, *fam.g0.values),
+           _digest(*random_obstacle(tree, 5, margin=0.25).values),
+           _digest(random_terminal(tree, 6)),
+           _digest(*generator_family(tree, [0, 8], l_y=0.3).g0_process(tree).values),
+           _digest(*x.value, *x.right))
+    assert got == LABEL_FREE_PINS[shape]

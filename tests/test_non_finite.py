@@ -147,14 +147,20 @@ class TestBuilderParameters:
         ("l_z", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": "1e999"}),
         ("bound", {"kind": "polynomial-clipped", "l_y": 0.5, "l_z": 0.5, "bound": "1e999"}),
         ("values[0]", {"kind": "table", "values": ["1e999"] * 6}),
+        # a dotted field names its own section; `spec` is then the whole config
+        ("tree.horizon", {"tree": {**cli.DEFAULT_TREE, "horizon": "1e999"}}),
+        ("family.l_y", {"tree": cli.DEFAULT_TREE, "family": {"l_y": "-1e999"}}),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_config_rejects_a_non_finite_driver_field(self, tmp_path, capsys, field, spec):
-        """A number JSON reads as inf never reaches a builder: the config is refused."""
-        text = json.dumps({"tree": cli.DEFAULT_TREE, "generator": spec})
+        """A number JSON reads as inf never reaches a builder: the config is refused, and
+        the message says that the number is not finite."""
+        where = field if "." in field else f"generator.{field}"
+        text = json.dumps(spec if "." in field else {"tree": cli.DEFAULT_TREE, "generator": spec})
+        sign = "-" if '"-1e999"' in text else ""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text.replace('"1e999"', "1e999").replace('"-1e999"', "-1e999"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 2
-        assert f"generator.{field}:" in capsys.readouterr().err
+        assert f"{where}: number is not finite, got {sign}inf\n" in capsys.readouterr().err
 
 
 # -- every sup_abs defect: one NaN makes it NaN and fails its verdict ---------

@@ -448,3 +448,49 @@ class TestBlockKernels:
         for got, want in ((tree.path_prob, pp), (tree.w, w)):
             assert len(got) == len(want)
             assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def _multi_reveal_case(draw):
+    """A lone tree or its forest(3): d in {1, 2, 3} and 0-3 reveals on distinct steps,
+    each of 2-5 labels under a uniform law."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 6, 2: 4, 3: 3}[d]))
+    steps = draw(st.lists(st.integers(1, n), unique=True, max_size=min(3, n)))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=len(steps), max_size=len(steps)))
+    grid = TimeGrid(horizon=1.0, n_steps=n)
+    reveals = [_reveal(grid, k, tuple("abcde")[:a], (1.0 / a,) * a) for k, a in zip(steps, sizes)]
+    return build_tree(grid, d=d, reveals=reveals).forest(draw(st.sampled_from([1, 3])))
+
+
+class TestLabelFreeWalk:
+    """The walk on the label-free nodes, expanded by one block repeat per reveal, is the
+    walk on the tree's nodes bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_multi_reveal_case())
+    def test_expanded_walk_is_the_walk(self, tree):
+        want = [np.zeros((tree.n_nodes(0), tree.d))]
+        for k in range(1, tree.n_steps + 1):
+            want.append(tree.lift(want[k - 1], k - 1) + per_node(tree, "dw", k))
+        free = tree.free_walk
+        assert len(free) == len(want)
+        for k, (w, ref) in enumerate(zip(free, want)):
+            assert w.shape == (tree.n_nodes(0) << tree.d * k, tree.d)
+            assert _same_bits(tree.expand(w, k), ref)
+        assert all(_same_bits(w, ref) for w, ref in zip(tree.w, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_multi_reveal_case())
+    def test_expand_maps_each_node_to_its_sign_path(self, tree):
+        """Node i of step k gets the value of its label-free node: the sign digits of its
+        path, read from the child positions, each position's label the fastest digit."""
+        free = np.arange(tree.n_nodes(0))
+        for k in range(1, tree.n_steps + 1):
+            b = tree.branching[k - 1]
+            signs = np.arange(tree.n_nodes(k)) % b // (b >> tree.d)
+            free = (free.repeat(b) << tree.d) + signs
+            labelled = np.arange(tree.n_nodes(0) << tree.d * k)
+            assert np.array_equal(tree.expand(labelled, k), free)
+            cols = np.stack([labelled, -labelled], axis=1)
+            assert np.array_equal(tree.expand(cols, k), np.stack([free, -free], axis=1))
